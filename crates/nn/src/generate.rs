@@ -252,8 +252,10 @@ impl StepDecoder {
     ///
     /// # Errors
     ///
-    /// Forwards forward-pass failures; the cursor only advances past
-    /// successfully processed tokens.
+    /// Forwards forward-pass failures (for a pooled session,
+    /// [`NnError::PoolExhausted`]). [`KvCache::prefill_chunk`] is atomic,
+    /// so a failed call leaves cache and cursor exactly as they were and
+    /// can simply be retried once the pool has room.
     pub fn prefill_pending(&mut self, max_tokens: usize) -> Result<usize, NnError> {
         let take = self.prefill_remaining().min(max_tokens);
         if take == 0 {
@@ -956,6 +958,52 @@ mod tests {
             out.push(tok);
         }
         assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn failed_prefill_leaves_cache_and_cursor_in_step() {
+        // A pool that runs dry in the middle of a prefill chunk must not
+        // leave rows in the cache that the cursor does not know about: the
+        // retry would feed them twice.
+        let model = Arc::new(trained_on(&[5, 6, 7, 8, 9]));
+        let cfg = GenerateConfig {
+            max_new_tokens: 6,
+            stop_at_eos: false,
+            ..GenerateConfig::default()
+        };
+        let prompt: Vec<u32> = (0..20).map(|i| 4 + (i * 3) % 90).collect();
+        let mut reference = StepDecoder::new(&model, &prompt, &cfg).expect("ok");
+        let mut expected = Vec::new();
+        while let Some(tok) = reference.step().expect("ok") {
+            expected.push(tok);
+        }
+
+        // 7 blocks of 4 positions; a squatter holds 3, so the 20-token
+        // prompt (5 blocks) dies at its 17th token.
+        let pool = crate::KvPool::new(crate::KvPoolConfig {
+            block_tokens: 4,
+            max_blocks: 7,
+            ..crate::KvPoolConfig::default()
+        })
+        .expect("valid pool config");
+        let mut squatter = KvCache::new_paged(&model, &pool);
+        squatter.prefill(&prompt[..12]).expect("3 blocks");
+        let mut session =
+            StepDecoder::new_chunked_pooled(&model, &prompt, &cfg, &pool).expect("ok");
+        let err = session.prefill_pending(32).expect_err("pool is short");
+        assert!(matches!(err, NnError::PoolExhausted { .. }));
+        assert!(session.cache().is_empty(), "a failed chunk leaves no rows");
+        assert_eq!(session.pending_prefill(), &prompt[..]);
+        assert_eq!(pool.blocks_in_use(), 3, "and holds no blocks");
+
+        drop(squatter);
+        assert_eq!(session.prefill_pending(32).expect("room now"), prompt.len());
+        assert_eq!(session.cache().tokens(), &prompt[..]);
+        let mut out = Vec::new();
+        while let Some(tok) = session.step().expect("ok") {
+            out.push(tok);
+        }
+        assert_eq!(out, expected, "the retried session drifted");
     }
 
     #[test]

@@ -3,82 +3,82 @@
 //! [`crate::TinyLm::forward`] recomputes the whole sequence every call —
 //! fine for training, quadratically wasteful for generation. [`KvCache`]
 //! stores the per-layer rotary-encoded keys and values so each new token
-//! costs `O(T·d·L)` instead of `O(T²·d·L)`. The benchmark harness generates
-//! thousands of responses, which is why this path exists.
+//! costs `O(T·d·L)` instead of `O(T²·d·L)`. The cached path computes the
+//! same attention as the full forward pass (same RoPE angles, same
+//! masking), so greedy decodes agree token-for-token with the uncached
+//! implementation; a unit test pins that.
 //!
-//! Numerical note: the cached path computes exactly the same attention as
-//! the full forward pass (same RoPE angles, same masking), so greedy
-//! decodes agree token-for-token with the uncached implementation; a unit
-//! test pins that equivalence.
+//! # One forward
 //!
-//! Performance note: every per-token projection (and the LM head) goes
-//! through [`Matrix::matvec`] — the tensor crate's single-row fast path —
-//! rather than a `1 × d` matmul, and the per-head score→softmax→context
-//! sequence runs fused over one reusable scratch buffer, so a decode step
-//! allocates no `1 × seq` intermediates per head per layer. A test below
-//! pins the fast-path routing via [`chipalign_tensor::tune::matvec_calls`].
+//! Every way of advancing a cache is a thin shim over one private
+//! function, `KvCache::forward_rows` — the only transformer layer loop in
+//! this module:
 //!
-//! Batching note: [`KvCache::decode_batch`] advances N sessions that share
-//! one model by one token each, stacking the per-session hidden states so
-//! every projection runs as a single `N × d` GEMM (the tensor crate's
-//! skinny-m kernel) while attention stays per-session over ragged cache
-//! lengths. Its logits are bit-identical to N independent
-//! [`KvCache::decode_step`] calls — the serving scheduler relies on that to
-//! keep batched transcripts byte-equal to unbatched ones.
+//! | entry point | sessions × new rows | logits returned |
+//! |---|---|---|
+//! | [`KvCache::decode_step`] | 1 × 1 | that row |
+//! | [`KvCache::decode_batch`] | N × 1 | every row |
+//! | [`KvCache::verify_chunk`] | 1 × k (k ≤ 32) | every row |
+//! | [`KvCache::prefill_chunk`], [`KvCache::prefill`] | 1 × any | the last row |
 //!
-//! Quantization note: when the model carries an int8 sidecar
-//! ([`crate::TinyLm::quantize`]), every decode projection streams the
-//! per-row-scaled int8 codes instead of the f32 matrices — norms,
-//! embedding lookups, and attention are unchanged. The batched ==
-//! single-step bit-identity holds for int8 exactly as for f32, because the
-//! quantized batched kernel accumulates each output element in
-//! [`chipalign_tensor::QuantizedMatrix::matvec`] order; tests below pin
-//! both that identity and the int8 path's tracking of the f32 oracle.
+//! `forward_rows` (1) validates every session and token and reserves every
+//! new position of every session up front, undoing the reservations if one
+//! fails, so **any error leaves every cache exactly as it was**; (2) stacks
+//! the new rows session-major and walks them in blocks of at most
+//! [`chipalign_tensor::tune::GEMM_SKINNY_M_MAX`] rows, running one
+//! [`Matrix::matmul_bt`] per projection per block — a prompt streams the
+//! weights once per 32 tokens, not once per token; (3) inside each layer
+//! writes K/V and attends row by row, so a session's rows go strictly in
+//! position order and row `r` of a chunk sees rows `0..r` of the same
+//! chunk; (4) runs the final norm and the LM head only for the rows whose
+//! logits the caller wants.
 //!
-//! Prefill note: prefill is resumable. [`KvCache::prefill_chunk`] processes
-//! any slice of a prompt and returns, and the cache can continue from where
-//! it stopped later — each position's keys and values depend only on the
-//! tokens fed so far, so chunked prefill is bit-identical to a one-shot
-//! [`KvCache::prefill`] over the same tokens. [`KvCache::fork_from`] clones
-//! a cache's first P positions, which is what lets a serving-layer prefix
-//! cache hand a new session the K/V rows of an already-prefilled shared
-//! prompt prefix instead of recomputing them. The cache records the token
-//! at every cached position ([`KvCache::tokens`]) so prefix reuse can be
-//! validated against the new prompt.
+//! # One bit-identity argument
 //!
-//! Paging note: a cache created with [`KvCache::new_paged`] stores its
-//! rows in fixed-size blocks drawn from a shared [`crate::kvpool::KvPool`]
-//! instead of per-session contiguous buffers. [`KvCache::fork_from`] then
-//! aliases blocks (refcounted, zero bytes copied) and the first write into
-//! a shared tail block privatises it (copy-on-write), so shared-prefix
-//! reuse costs O(blocks) instead of O(bytes). Both storage layouts drive
-//! the *same* per-row attention code — [`fused_attention`] is generic over
-//! a row iterator and accumulates in identical order — so paged decoding
-//! is bit-identical to the contiguous path, which stays available as a
-//! differential oracle (equivalence tests below and in
-//! `tests/kvpool_equivalence.rs` pin `==`).
+//! A row's result never depends on what it was stacked with: for at most
+//! `GEMM_SKINNY_M_MAX` rows `matmul_bt` (f32 and the int8
+//! [`QuantizedMatrix`] twin) computes each output element with the same
+//! whole-row dot as [`Matrix::matvec`] — a single row *is* dispatched to
+//! `matvec`, which [`chipalign_tensor::tune::matvec_calls`] lets a test
+//! observe — and the norm, RoPE, attention and residual code is per row.
+//! A row's K/V depend only on the tokens before it, and both storage
+//! layouts feed [`fused_attention`] the same rows in the same order. Hence
+//! batched ≡ single-step, chunked ≡ one-shot prefill, verify ≡ sequential
+//! and paged ≡ contiguous hold bitwise, for f32 and int8 weights alike;
+//! the serving scheduler relies on it to keep batched transcripts
+//! byte-equal to `generate()`. Tests below pin each of them.
 //!
-//! Quantized-KV note: a pool created at [`crate::KvDtype::Int8`] seals
-//! each block layer to i8 codes + per-head scales the moment its last
-//! position is written (the open tail stays f32, so writes and
-//! copy-on-write are dtype-blind). The row iterators then yield
-//! `KvRowRef::Q8` rows for sealed blocks, and [`fused_attention`]
-//! dequantizes them in-register through the active
-//! [`chipalign_tensor::backend::KernelBackend`]'s `dot_q8` / `axpy_q8`
-//! primitives — the hot loop streams ~¼ the bytes. The seal trigger is a
-//! pure function of the position, so chunked prefill, batched decode, and
-//! one-shot prefill over an int8 pool stay bit-identical to each other;
-//! against the *f32* oracle, int8-KV logits are pinned within
-//! [`KV8_LOGIT_TOL`] with margin-gated argmax agreement (tests below and
-//! in `tests/kvpool_equivalence.rs`).
+//! # Storage
+//!
+//! A cache from [`KvCache::new`] owns contiguous per-layer buffers; one
+//! from [`KvCache::new_paged`] keeps its rows in fixed-size blocks drawn
+//! from a shared [`crate::kvpool::KvPool`]. [`KvCache::fork_from`] clones
+//! the first P positions — copying rows, or for a paged cache aliasing
+//! blocks (refcounted, zero bytes copied; the first write into a shared
+//! tail block privatises it) — which is how a serving-layer prefix cache
+//! hands a new session an already-prefilled prompt prefix. The cache
+//! records the token at every position ([`KvCache::tokens`]) so reuse can
+//! be validated against the new prompt.
+//!
+//! A pool created at [`crate::KvDtype::Int8`] seals each block layer to i8
+//! codes + per-head scales the moment its last position is written (the
+//! open tail stays f32, so writes and copy-on-write are dtype-blind).
+//! Sealed rows reach [`fused_attention`] as `KvRowRef::Q8` and are
+//! dequantized in-register by the active
+//! [`chipalign_tensor::backend::KernelBackend`]'s `dot_q8` / `axpy_q8`.
+//! The seal trigger is a pure function of the position, so the identities
+//! above hold bitwise on an int8 pool too; against the *f32* oracle,
+//! int8-KV logits are pinned within [`KV8_LOGIT_TOL`] with margin-gated
+//! argmax agreement (tests below and in `tests/kvpool_equivalence.rs`).
 
 use std::sync::Arc;
 
 use chipalign_tensor::ops;
+use chipalign_tensor::tune::GEMM_SKINNY_M_MAX;
 use chipalign_tensor::{backend, Matrix, QuantizedMatrix};
 
 use crate::kvpool::{BlockLayer, KvBlock, KvPool};
-use crate::model::TinyLm;
+use crate::model::{rope_rotate, rope_sin_cos, TinyLm};
 use crate::NnError;
 
 /// Pinned per-logit tolerance for int8-KV decoding against the f32
@@ -112,7 +112,7 @@ enum KvStore {
 /// A paged cache's view of its storage: an ordered list of refcounted
 /// block handles. Block `b` holds positions `[b·bt, (b+1)·bt)` for every
 /// layer, where `bt` is the pool's block size. Invariant outside of an
-/// in-flight [`KvStore::prepare_position`]: `blocks.len()` equals
+/// in-flight `forward_rows`: `blocks.len()` equals
 /// `ceil(len / bt)` of the owning cache.
 #[derive(Debug, Clone)]
 struct BlockTable {
@@ -136,38 +136,22 @@ enum KvRowRef<'a> {
     Q8 { codes: &'a [i8], scales: &'a [f32] },
 }
 
-/// What [`KvStore::prepare_position`] changed, so a batched caller can
-/// unwind reservations when a *later* session's reservation fails.
-#[derive(Debug, Clone, Copy)]
-enum PreparedPosition {
-    /// Nothing structural changed (contiguous store, or the tail block was
-    /// already writable — a copy-on-write replacement also lands here,
-    /// because the private copy is content-identical to the shared block
-    /// and needs no undo).
-    Untouched,
-    /// A fresh tail block was pushed; rollback pops it.
-    PushedBlock,
-}
-
 impl BlockTable {
     /// Makes position `pos` writable: pushes a fresh block when `pos`
     /// opens a new one, otherwise privatises a shared tail block
-    /// (copy-on-write). The only fallible step of a decode — called before
-    /// any visible mutation, so [`NnError::PoolExhausted`] leaves the
-    /// cache semantically untouched.
-    fn prepare_position(
-        &mut self,
-        pos: usize,
-        n_layers: usize,
-        d: usize,
-    ) -> Result<PreparedPosition, NnError> {
+    /// (copy-on-write) or regrows a sealed one. The only fallible step of a
+    /// forward — [`KvStore::reserve`] runs it for every new position
+    /// before any visible mutation. A replaced tail carries the same
+    /// logical rows as the block it replaces, so only pushed blocks need
+    /// undoing.
+    fn prepare_position(&mut self, pos: usize, n_layers: usize, d: usize) -> Result<(), NnError> {
         let bt = self.pool.block_tokens();
         let b = pos / bt;
         if b == self.blocks.len() {
             debug_assert_eq!(pos % bt, 0, "block table must grow one block at a time");
             let block = self.pool.alloc_block(n_layers, d)?;
             self.blocks.push(Arc::new(block));
-            return Ok(PreparedPosition::PushedBlock);
+            return Ok(());
         }
         debug_assert_eq!(
             b + 1,
@@ -178,8 +162,7 @@ impl BlockTable {
             // A fork landed mid-way into a sealed (int8) block, making it
             // this table's tail: sealed blocks are immutable, so regrow an
             // f32 working tail seeded with the already-filled rows
-            // dequantized. Like a plain copy-on-write, the replacement
-            // carries the same logical rows and needs no undo.
+            // dequantized.
             let copy =
                 self.pool
                     .alloc_block_unsealed(&self.blocks[b], pos % bt, d, self.n_heads)?;
@@ -193,7 +176,7 @@ impl BlockTable {
             let copy = self.pool.alloc_block_from(&self.blocks[b])?;
             self.blocks[b] = Arc::new(copy);
         }
-        Ok(PreparedPosition::Untouched)
+        Ok(())
     }
 
     /// Scatters one position's K/V rows into the (prepared) tail block.
@@ -272,33 +255,56 @@ impl BlockTable {
 }
 
 impl KvStore {
-    fn prepare_position(
+    /// Makes positions `len .. len + count` writable (a no-op for a
+    /// contiguous store). On [`NnError::PoolExhausted`] every block pushed
+    /// on the way is returned, so the store is left holding exactly `len`
+    /// positions.
+    fn reserve(
         &mut self,
-        pos: usize,
+        len: usize,
+        count: usize,
         n_layers: usize,
         d: usize,
-    ) -> Result<PreparedPosition, NnError> {
+    ) -> Result<(), NnError> {
+        let KvStore::Paged(table) = self else {
+            return Ok(());
+        };
+        for pos in len..len + count {
+            if let Err(e) = table.prepare_position(pos, n_layers, d) {
+                self.truncate(len);
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
+    /// Drops every row (contiguous) or block (paged) wholly past the first
+    /// `len` positions: the rewind of [`KvCache::truncate`] and the undo of
+    /// [`KvStore::reserve`].
+    fn truncate(&mut self, len: usize) {
         match self {
-            KvStore::Contiguous(_) => Ok(PreparedPosition::Untouched),
-            KvStore::Paged(table) => table.prepare_position(pos, n_layers, d),
+            KvStore::Contiguous(layers) => {
+                for kv in layers {
+                    kv.k.truncate(len);
+                    kv.v.truncate(len);
+                }
+            }
+            KvStore::Paged(table) => {
+                let keep = table.pool.blocks_for(len);
+                table.blocks.truncate(keep);
+            }
         }
     }
 
-    fn rollback_position(&mut self, prepared: PreparedPosition) {
-        if let (KvStore::Paged(table), PreparedPosition::PushedBlock) = (self, prepared) {
-            table.blocks.pop();
-        }
-    }
-
-    fn write_row(&mut self, li: usize, pos: usize, k: Vec<f32>, v: Vec<f32>) {
+    fn write_row(&mut self, li: usize, pos: usize, k: &[f32], v: &[f32]) {
         match self {
             KvStore::Contiguous(layers) => {
                 let kv = &mut layers[li];
                 debug_assert_eq!(kv.k.len(), pos);
-                kv.k.push(k);
-                kv.v.push(v);
+                kv.k.push(k.to_vec());
+                kv.v.push(v.to_vec());
             }
-            KvStore::Paged(table) => table.write_row(li, pos, &k, &v),
+            KvStore::Paged(table) => table.write_row(li, pos, k, v),
         }
     }
 
@@ -562,9 +568,8 @@ impl KvCache {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::BadSequence`] for an empty prompt or one that
-    /// (with the cache contents) exceeds the architecture's context length,
-    /// and [`NnError::BadToken`] for out-of-vocabulary ids.
+    /// Returns [`NnError::BadSequence`] for an empty prompt, and otherwise
+    /// fails like [`KvCache::prefill_chunk`].
     pub fn prefill(&mut self, tokens: &[u32]) -> Result<Vec<f32>, NnError> {
         if tokens.is_empty() {
             return Err(NnError::BadSequence {
@@ -574,12 +579,11 @@ impl KvCache {
         self.prefill_chunk(tokens)
     }
 
-    /// Processes one chunk of a prompt, returning the logits of the chunk's
-    /// final position. Resumable: a prompt split into arbitrary chunks and
-    /// fed through successive `prefill_chunk` calls produces a cache (and
-    /// final logits) bit-identical to one-shot [`KvCache::prefill`] over
-    /// the whole prompt, because each position's K/V rows depend only on
-    /// the tokens fed before it. The serving scheduler uses this to
+    /// Processes one chunk of a prompt — 32 rows per weight sweep, however
+    /// long the chunk — returning the logits of the chunk's final position.
+    /// Resumable: a prompt split into arbitrary chunks and fed through
+    /// successive calls produces a cache (and final logits) bit-identical
+    /// to one-shot [`KvCache::prefill`]. The serving scheduler uses this to
     /// interleave long-prompt prefill with decode slices of other sessions.
     ///
     /// An empty chunk is a no-op returning empty logits (callers resuming a
@@ -588,15 +592,15 @@ impl KvCache {
     /// # Errors
     ///
     /// Returns [`NnError::BadSequence`] if the chunk (with the cache
-    /// contents) exceeds the architecture's context length, and
-    /// [`NnError::BadToken`] for out-of-vocabulary ids. On error the cache
-    /// retains every position processed before the failing token.
+    /// contents) exceeds the architecture's context length,
+    /// [`NnError::BadToken`] for out-of-vocabulary ids, and — for a paged
+    /// cache — [`NnError::PoolExhausted`] when the pool cannot back every
+    /// new position. The chunk is atomic: on any error the cache holds
+    /// exactly what it held before the call, so the same chunk can be
+    /// retried.
     pub fn prefill_chunk(&mut self, tokens: &[u32]) -> Result<Vec<f32>, NnError> {
-        let mut last = Vec::new();
-        for &t in tokens {
-            last = self.decode_step(t)?;
-        }
-        Ok(last)
+        let mut last = Self::forward_rows(&mut [self], &[tokens], Logits::Last)?;
+        Ok(last.pop().unwrap_or_default())
     }
 
     /// Clones the first `positions` cached positions into a new independent
@@ -658,102 +662,15 @@ impl KvCache {
     /// paged cache — [`NnError::PoolExhausted`] when the pool cannot back
     /// the new position. All errors leave the cache unadvanced.
     pub fn decode_step(&mut self, token: u32) -> Result<Vec<f32>, NnError> {
-        let arch = self.model.arch().clone();
-        if self.len >= arch.max_seq_len {
-            return Err(NnError::BadSequence {
-                detail: format!("kv cache full at {} positions", self.len),
-            });
-        }
-        if token as usize >= arch.vocab_size {
-            return Err(NnError::BadToken {
-                id: token,
-                vocab: arch.vocab_size,
-            });
-        }
-        let pos = self.len;
-        let d = arch.d_model;
-        let n_heads = arch.n_heads;
-        let head_dim = arch.head_dim();
-        // Paged caches reserve (or privatise) the tail block up front: the
-        // only fallible step of the decode runs before any visible
-        // mutation.
-        self.store.prepare_position(pos, arch.n_layers, d)?;
-        let params = self.model.params();
-        let quant = self.model.quant();
-
-        // Embedding row.
-        let mut h: Vec<f32> = params.embed.row(token as usize).to_vec();
-
-        // Reusable score scratch, taken out of self so the layer loop can
-        // borrow `self.store` mutably alongside it.
-        let mut scores = std::mem::take(&mut self.score_buf);
-
-        for (li, layer) in params.layers.iter().enumerate() {
-            let ql = quant.map(|qp| &qp.layers[li]);
-            // Attention block.
-            let h_norm = rmsnorm_row(&h, layer.norm1.data());
-            let mut q = project(&h_norm, &layer.wq, ql.map(|l| &l.wq));
-            let mut k = project(&h_norm, &layer.wk, ql.map(|l| &l.wk));
-            let v = project(&h_norm, &layer.wv, ql.map(|l| &l.wv));
-            rope_row(&mut q, pos, n_heads, head_dim);
-            rope_row(&mut k, pos, n_heads, head_dim);
-            self.store.write_row(li, pos, k, v);
-
-            let mut ctx = vec![0.0f32; d];
-            self.store
-                .attend(li, pos + 1, &q, n_heads, &mut scores, &mut ctx);
-            let attn_out = project(&ctx, &layer.wo, ql.map(|l| &l.wo));
-            for (a, b) in h.iter_mut().zip(&attn_out) {
-                *a += b;
-            }
-
-            // MLP block.
-            let h_norm2 = rmsnorm_row(&h, layer.norm2.data());
-            let gate = project(&h_norm2, &layer.wg, ql.map(|l| &l.wg));
-            let up = project(&h_norm2, &layer.wu, ql.map(|l| &l.wu));
-            let act: Vec<f32> = gate
-                .iter()
-                .zip(&up)
-                .map(|(&g, &u)| ops::silu(g) * u)
-                .collect();
-            let mlp_out = project(&act, &layer.wd, ql.map(|l| &l.wd));
-            for (a, b) in h.iter_mut().zip(&mlp_out) {
-                *a += b;
-            }
-        }
-
-        self.score_buf = scores;
-
-        let h_final = rmsnorm_row(&h, params.final_norm.data());
-        let logits = project(&h_final, &params.lm_head, quant.map(|qp| &qp.lm_head));
-        self.len += 1;
-        self.tokens.push(token);
-        Ok(logits)
+        let mut rows = Self::forward_rows(&mut [self], &[&[token]], Logits::All)?;
+        Ok(rows.pop().expect("one row in, one row of logits out"))
     }
 
     /// Advances N decoding sessions that share one model by one token each,
-    /// returning each session's next-token logits in submission order.
-    ///
-    /// The per-session hidden states are stacked row-wise into an
-    /// `N × d_model` matrix so every projection (QKV, attention output,
-    /// SwiGLU, LM head) runs as a single [`Matrix::matmul_bt`] — the
-    /// tall-skinny GEMM shape the tensor crate tunes for — while attention
-    /// stays per-session over each cache's own fused
-    /// score→softmax→context scratch, because cache lengths are ragged.
-    ///
-    /// Logits are **bit-identical** to calling [`KvCache::decode_step`] on
-    /// each session independently: for `N ≤
-    /// chipalign_tensor::tune::GEMM_SKINNY_M_MAX` the skinny kernel
-    /// accumulates every output row in exactly [`Matrix::matvec`]'s order,
-    /// and the normalisation, RoPE, and attention code is shared verbatim
-    /// with the single-session path. Tests here and in the tensor crate pin
-    /// this.
-    ///
-    /// All validation happens before any session is touched: on error, no
-    /// cache has advanced. Paged and contiguous sessions may be mixed
-    /// freely — each row scatters and gathers through its own session's
-    /// storage, and pool reservations for paged members are made (and, on
-    /// failure, unwound) before any session's state moves.
+    /// returning each session's next-token logits in submission order —
+    /// bit-identical to N independent [`KvCache::decode_step`] calls, at one
+    /// weight sweep per 32 sessions instead of one per session. Paged and
+    /// contiguous sessions may be mixed freely.
     ///
     /// # Errors
     ///
@@ -762,7 +679,7 @@ impl KvCache {
     /// [`NnError::BadSequence`] if any session's context window is full,
     /// [`NnError::BadToken`] for any out-of-vocabulary id, and
     /// [`NnError::PoolExhausted`] if any paged session's pool cannot back
-    /// its new position.
+    /// its new position. On error no session has advanced.
     pub fn decode_batch(
         sessions: &mut [&mut KvCache],
         tokens: &[u32],
@@ -776,314 +693,188 @@ impl KvCache {
                 ),
             });
         }
-        let Some(first) = sessions.first() else {
-            return Ok(Vec::new());
-        };
-        let model = Arc::clone(&first.model);
-        let arch = model.arch().clone();
-        for (i, s) in sessions.iter().enumerate() {
-            if !Arc::ptr_eq(&s.model, &model) {
-                return Err(NnError::BadConfig {
-                    detail: format!("decode_batch session {i} is bound to a different model"),
-                });
-            }
-            if s.len >= arch.max_seq_len {
-                return Err(NnError::BadSequence {
-                    detail: format!("kv cache full at {} positions (session {i})", s.len),
-                });
-            }
-        }
-        for &t in tokens {
-            if t as usize >= arch.vocab_size {
-                return Err(NnError::BadToken {
-                    id: t,
-                    vocab: arch.vocab_size,
-                });
-            }
-        }
-        if sessions.len() == 1 {
-            // A batch of one is exactly the matvec decode fast path.
-            return Ok(vec![sessions[0].decode_step(tokens[0])?]);
-        }
-
-        let n = sessions.len();
-        let d = arch.d_model;
-        let n_heads = arch.n_heads;
-        let head_dim = arch.head_dim();
-
-        // Reserve pool space for every paged session before any state
-        // advances: a pool-exhausted batch must leave every session
-        // exactly where it was. Freshly pushed tail blocks are popped on
-        // failure; copy-on-write replacements are content-identical and
-        // need no undo.
-        let mut prepared: Vec<PreparedPosition> = Vec::with_capacity(n);
-        let mut reserve_err = None;
-        for s in sessions.iter_mut() {
-            match s.store.prepare_position(s.len, arch.n_layers, d) {
-                Ok(p) => prepared.push(p),
-                Err(e) => {
-                    reserve_err = Some(e);
-                    break;
-                }
-            }
-        }
-        if let Some(e) = reserve_err {
-            for (s, p) in sessions.iter_mut().zip(prepared) {
-                s.store.rollback_position(p);
-            }
-            return Err(e);
-        }
-
-        let params = model.params();
-        let quant = model.quant();
-
-        // Stack the embedding rows: one hidden-state row per session.
-        let mut h = Matrix::zeros(n, d);
-        for (r, &t) in tokens.iter().enumerate() {
-            h.row_mut(r).copy_from_slice(params.embed.row(t as usize));
-        }
-
-        for (li, layer) in params.layers.iter().enumerate() {
-            let ql = quant.map(|qp| &qp.layers[li]);
-            // Attention block: projections batched across sessions.
-            let mut hn = Matrix::zeros(n, d);
-            for r in 0..n {
-                let normed = rmsnorm_row(h.row(r), layer.norm1.data());
-                hn.row_mut(r).copy_from_slice(&normed);
-            }
-            let mut q = project_rows(&hn, &layer.wq, ql.map(|l| &l.wq));
-            let mut k = project_rows(&hn, &layer.wk, ql.map(|l| &l.wk));
-            let v = project_rows(&hn, &layer.wv, ql.map(|l| &l.wv));
-            for r in 0..n {
-                let pos = sessions[r].len;
-                rope_row(q.row_mut(r), pos, n_heads, head_dim);
-                rope_row(k.row_mut(r), pos, n_heads, head_dim);
-            }
-            // Attention stays per-session: cache lengths are ragged.
-            let mut ctx = Matrix::zeros(n, d);
-            for r in 0..n {
-                let session = &mut *sessions[r];
-                let pos = session.len;
-                session
-                    .store
-                    .write_row(li, pos, k.row(r).to_vec(), v.row(r).to_vec());
-                let mut scores = std::mem::take(&mut session.score_buf);
-                session
-                    .store
-                    .attend(li, pos + 1, q.row(r), n_heads, &mut scores, ctx.row_mut(r));
-                session.score_buf = scores;
-            }
-            let attn_out = project_rows(&ctx, &layer.wo, ql.map(|l| &l.wo));
-            for r in 0..n {
-                for (a, b) in h.row_mut(r).iter_mut().zip(attn_out.row(r)) {
-                    *a += b;
-                }
-            }
-
-            // MLP block.
-            let mut hn2 = Matrix::zeros(n, d);
-            for r in 0..n {
-                let normed = rmsnorm_row(h.row(r), layer.norm2.data());
-                hn2.row_mut(r).copy_from_slice(&normed);
-            }
-            let gate = project_rows(&hn2, &layer.wg, ql.map(|l| &l.wg));
-            let up = project_rows(&hn2, &layer.wu, ql.map(|l| &l.wu));
-            let mut act = Matrix::zeros(n, gate.cols());
-            for r in 0..n {
-                for ((a, &g), &u) in act.row_mut(r).iter_mut().zip(gate.row(r)).zip(up.row(r)) {
-                    *a = ops::silu(g) * u;
-                }
-            }
-            let mlp_out = project_rows(&act, &layer.wd, ql.map(|l| &l.wd));
-            for r in 0..n {
-                for (a, b) in h.row_mut(r).iter_mut().zip(mlp_out.row(r)) {
-                    *a += b;
-                }
-            }
-        }
-
-        let mut hf = Matrix::zeros(n, d);
-        for r in 0..n {
-            let normed = rmsnorm_row(h.row(r), params.final_norm.data());
-            hf.row_mut(r).copy_from_slice(&normed);
-        }
-        let logits = project_rows(&hf, &params.lm_head, quant.map(|qp| &qp.lm_head));
-        for (s, &t) in sessions.iter_mut().zip(tokens) {
-            s.len += 1;
-            s.tokens.push(t);
-        }
-        Ok((0..n).map(|r| logits.row(r).to_vec()).collect())
+        let chunks: Vec<&[u32]> = tokens.iter().map(std::slice::from_ref).collect();
+        Self::forward_rows(sessions, &chunks, Logits::All)
     }
 
     /// Processes `tokens` as consecutive positions of **this** session in
     /// one batched forward, returning the next-token logits after *every*
     /// position — the speculative-decoding verification primitive: feed
     /// `[t0, d1, …, dm]` and row `i` tells you what the model would emit
-    /// after the first `i + 1` of those tokens.
+    /// after the first `i + 1` of those tokens, bit-identically to stepping
+    /// them one at a time.
     ///
-    /// The hidden states of the `m` positions are stacked row-wise so each
-    /// projection runs as one `m × d_model` GEMM (the same skinny kernel as
-    /// [`KvCache::decode_batch`]), while within each layer the K/V rows are
-    /// written and attended **in position order** — row `r` attends over
-    /// every earlier cached row *plus* rows `0..r` of the chunk itself, the
-    /// exact causal structure of `m` sequential [`KvCache::decode_step`]
-    /// calls. Because the skinny GEMM accumulates each output row in
-    /// [`Matrix::matvec`] order and the norm/RoPE/attention helpers are
-    /// shared verbatim with the single-step path, the returned logits are
-    /// **bit-identical** to stepping the tokens one at a time (pinned by
-    /// tests across contiguous, paged, int8-weight, and int8-KV caches).
-    ///
-    /// An empty chunk is a no-op returning no rows. All validation and pool
-    /// reservation happens before any state advances; on error the cache is
-    /// exactly as it was.
+    /// An empty chunk is a no-op returning no rows.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::BadConfig`] if `tokens.len()` exceeds
-    /// [`chipalign_tensor::tune::GEMM_SKINNY_M_MAX`] (beyond which the
-    /// bit-identity guarantee would not hold), [`NnError::BadSequence`] if
-    /// the chunk does not fit the context window, [`NnError::BadToken`] for
+    /// [`chipalign_tensor::tune::GEMM_SKINNY_M_MAX`] (a verification round
+    /// is one weight sweep by contract), [`NnError::BadSequence`] if the
+    /// chunk does not fit the context window, [`NnError::BadToken`] for
     /// out-of-vocabulary ids, and [`NnError::PoolExhausted`] if a paged
-    /// cache's pool cannot back every new position.
+    /// cache's pool cannot back every new position. On error the cache is
+    /// exactly as it was.
     pub fn verify_chunk(&mut self, tokens: &[u32]) -> Result<Vec<Vec<f32>>, NnError> {
-        let arch = self.model.arch().clone();
-        let m = tokens.len();
-        if m == 0 {
-            return Ok(Vec::new());
-        }
-        if m > chipalign_tensor::tune::GEMM_SKINNY_M_MAX {
+        if tokens.len() > GEMM_SKINNY_M_MAX {
             return Err(NnError::BadConfig {
                 detail: format!(
-                    "verify_chunk of {m} tokens exceeds the skinny-GEMM bound {}",
-                    chipalign_tensor::tune::GEMM_SKINNY_M_MAX
+                    "verify_chunk of {} tokens exceeds the skinny-GEMM bound {GEMM_SKINNY_M_MAX}",
+                    tokens.len()
                 ),
             });
         }
-        if self.len + m > arch.max_seq_len {
-            return Err(NnError::BadSequence {
-                detail: format!(
-                    "verify_chunk of {m} tokens overflows the context window ({} cached, {} max)",
-                    self.len, arch.max_seq_len
-                ),
-            });
-        }
-        for &t in tokens {
-            if t as usize >= arch.vocab_size {
-                return Err(NnError::BadToken {
-                    id: t,
-                    vocab: arch.vocab_size,
+        Self::forward_rows(&mut [self], &[tokens], Logits::All)
+    }
+
+    /// The one transformer forward: feeds `chunks[i]` to `sessions[i]` as
+    /// its next `chunks[i].len()` positions and returns next-token logits,
+    /// in row order, for the rows `logits` selects (see the module docs
+    /// for the four steps and the bit-identity argument).
+    ///
+    /// Everything fallible happens first — validation, then pool
+    /// reservations for every new position of every session, unwound if a
+    /// later one fails — so on error no cache has changed.
+    fn forward_rows(
+        sessions: &mut [&mut KvCache],
+        chunks: &[&[u32]],
+        logits: Logits,
+    ) -> Result<Vec<Vec<f32>>, NnError> {
+        debug_assert_eq!(sessions.len(), chunks.len());
+        let Some(first) = sessions.first() else {
+            return Ok(Vec::new());
+        };
+        let model = Arc::clone(&first.model);
+        let arch = model.arch();
+        for (i, (s, chunk)) in sessions.iter().zip(chunks).enumerate() {
+            if !Arc::ptr_eq(&s.model, &model) {
+                return Err(NnError::BadConfig {
+                    detail: format!("session {i} is bound to a different model"),
+                });
+            }
+            if s.len + chunk.len() > arch.max_seq_len {
+                return Err(NnError::BadSequence {
+                    detail: format!(
+                        "kv cache full: {} cached + {} new positions exceed the context \
+                         window of {} (session {i})",
+                        s.len,
+                        chunk.len(),
+                        arch.max_seq_len
+                    ),
                 });
             }
         }
-        if m == 1 {
-            // A chunk of one is exactly the matvec decode fast path.
-            return Ok(vec![self.decode_step(tokens[0])?]);
+        if let Some(&id) = chunks
+            .iter()
+            .flat_map(|chunk| chunk.iter())
+            .find(|&&t| t as usize >= arch.vocab_size)
+        {
+            return Err(NnError::BadToken {
+                id,
+                vocab: arch.vocab_size,
+            });
         }
-
-        let base = self.len;
-        let d = arch.d_model;
-        let n_heads = arch.n_heads;
-        let head_dim = arch.head_dim();
-
-        // Reserve every new position up front so a pool-exhausted chunk
-        // leaves the cache exactly where it was: freshly pushed tail
-        // blocks are popped on failure, copy-on-write replacements are
-        // content-identical and need no undo.
-        let mut prepared: Vec<PreparedPosition> = Vec::with_capacity(m);
-        let mut reserve_err = None;
-        for r in 0..m {
-            match self.store.prepare_position(base + r, arch.n_layers, d) {
-                Ok(p) => prepared.push(p),
-                Err(e) => {
-                    reserve_err = Some(e);
-                    break;
+        let (d, n_heads, head_dim) = (arch.d_model, arch.n_heads, arch.head_dim());
+        for i in 0..sessions.len() {
+            let s = &mut *sessions[i];
+            if let Err(e) = s.store.reserve(s.len, chunks[i].len(), arch.n_layers, d) {
+                // `reserve` unwound its own session; unwind the earlier ones.
+                for s in &mut sessions[..i] {
+                    s.store.truncate(s.len);
                 }
+                return Err(e);
             }
         }
-        if let Some(e) = reserve_err {
-            for p in prepared.into_iter().rev() {
-                self.store.rollback_position(p);
-            }
-            return Err(e);
+
+        // Session-major stack of the new rows.
+        let mut rows = Vec::with_capacity(chunks.iter().map(|c| c.len()).sum());
+        for (s, chunk) in chunks.iter().enumerate() {
+            let base = sessions[s].len;
+            rows.extend(chunk.iter().enumerate().map(|(j, &token)| Row {
+                s,
+                pos: base + j,
+                token,
+                wanted: logits == Logits::All || j + 1 == chunk.len(),
+            }));
         }
 
-        let params = self.model.params();
-        let quant = self.model.quant();
-
-        // Stack the embedding rows: one hidden-state row per position.
-        let mut h = Matrix::zeros(m, d);
-        for (r, &t) in tokens.iter().enumerate() {
-            h.row_mut(r).copy_from_slice(params.embed.row(t as usize));
-        }
-
-        let mut scores = std::mem::take(&mut self.score_buf);
-
-        for (li, layer) in params.layers.iter().enumerate() {
-            let ql = quant.map(|qp| &qp.layers[li]);
-            // Attention block: projections batched across positions.
-            let mut hn = Matrix::zeros(m, d);
-            for r in 0..m {
-                let normed = rmsnorm_row(h.row(r), layer.norm1.data());
-                hn.row_mut(r).copy_from_slice(&normed);
+        let params = model.params();
+        let quant = model.quant();
+        let mut out = Vec::new();
+        let mut rope = Vec::new();
+        // At most GEMM_SKINNY_M_MAX rows per GEMM: the bound under which a
+        // stacked row is bitwise a matvec. A block runs the whole layer
+        // stack before the next starts, so a long chunk's later rows find
+        // the earlier rows' K/V in place.
+        for block in rows.chunks(GEMM_SKINNY_M_MAX) {
+            let m = block.len();
+            let mut h = Matrix::zeros(m, d);
+            // One (sin, cos) run per row, shared by q and k, every head and
+            // every layer.
+            rope.clear();
+            for (r, row) in block.iter().enumerate() {
+                h.row_mut(r)
+                    .copy_from_slice(params.embed.row(row.token as usize));
+                rope_sin_cos(row.pos, head_dim, 1.0, &mut rope);
             }
-            let mut q = project_rows(&hn, &layer.wq, ql.map(|l| &l.wq));
-            let mut k = project_rows(&hn, &layer.wk, ql.map(|l| &l.wk));
-            let v = project_rows(&hn, &layer.wv, ql.map(|l| &l.wv));
-            for r in 0..m {
-                rope_row(q.row_mut(r), base + r, n_heads, head_dim);
-                rope_row(k.row_mut(r), base + r, n_heads, head_dim);
-            }
-            // Attention stays per-position and strictly in order: row r
-            // sees every earlier row of the chunk, exactly like r
-            // sequential decode steps would.
-            let mut ctx = Matrix::zeros(m, d);
-            for r in 0..m {
-                let pos = base + r;
-                self.store
-                    .write_row(li, pos, k.row(r).to_vec(), v.row(r).to_vec());
-                self.store
-                    .attend(li, pos + 1, q.row(r), n_heads, &mut scores, ctx.row_mut(r));
-            }
-            let attn_out = project_rows(&ctx, &layer.wo, ql.map(|l| &l.wo));
-            for r in 0..m {
-                for (a, b) in h.row_mut(r).iter_mut().zip(attn_out.row(r)) {
-                    *a += b;
+
+            for (li, layer) in params.layers.iter().enumerate() {
+                let ql = quant.map(|qp| &qp.layers[li]);
+                // Attention block: projections batched across rows.
+                let hn = rmsnorm_rows(h.iter_rows(), layer.norm1.data());
+                let mut q = project_rows(&hn, &layer.wq, ql.map(|l| &l.wq));
+                let mut k = project_rows(&hn, &layer.wk, ql.map(|l| &l.wk));
+                let v = project_rows(&hn, &layer.wv, ql.map(|l| &l.wv));
+                for (r, sin_cos) in rope.chunks(head_dim / 2).enumerate() {
+                    rope_rotate(q.row_mut(r), n_heads, head_dim, sin_cos);
+                    rope_rotate(k.row_mut(r), n_heads, head_dim, sin_cos);
                 }
+                // Attention stays per row: cache lengths are ragged across
+                // sessions, and within a session row r must see rows 0..r
+                // of the chunk — exactly what sequential steps would.
+                let mut ctx = Matrix::zeros(m, d);
+                for (r, row) in block.iter().enumerate() {
+                    let session = &mut *sessions[row.s];
+                    session.store.write_row(li, row.pos, k.row(r), v.row(r));
+                    session.store.attend(
+                        li,
+                        row.pos + 1,
+                        q.row(r),
+                        n_heads,
+                        &mut session.score_buf,
+                        ctx.row_mut(r),
+                    );
+                }
+                add_rows(&mut h, &project_rows(&ctx, &layer.wo, ql.map(|l| &l.wo)));
+
+                // MLP block.
+                let hn2 = rmsnorm_rows(h.iter_rows(), layer.norm2.data());
+                let mut act = project_rows(&hn2, &layer.wg, ql.map(|l| &l.wg));
+                let up = project_rows(&hn2, &layer.wu, ql.map(|l| &l.wu));
+                for (a, &u) in act.data_mut().iter_mut().zip(up.data()) {
+                    *a = ops::silu(*a) * u;
+                }
+                add_rows(&mut h, &project_rows(&act, &layer.wd, ql.map(|l| &l.wd)));
             }
 
-            // MLP block.
-            let mut hn2 = Matrix::zeros(m, d);
-            for r in 0..m {
-                let normed = rmsnorm_row(h.row(r), layer.norm2.data());
-                hn2.row_mut(r).copy_from_slice(&normed);
-            }
-            let gate = project_rows(&hn2, &layer.wg, ql.map(|l| &l.wg));
-            let up = project_rows(&hn2, &layer.wu, ql.map(|l| &l.wu));
-            let mut act = Matrix::zeros(m, gate.cols());
-            for r in 0..m {
-                for ((a, &g), &u) in act.row_mut(r).iter_mut().zip(gate.row(r)).zip(up.row(r)) {
-                    *a = ops::silu(g) * u;
-                }
-            }
-            let mlp_out = project_rows(&act, &layer.wd, ql.map(|l| &l.wd));
-            for r in 0..m {
-                for (a, b) in h.row_mut(r).iter_mut().zip(mlp_out.row(r)) {
-                    *a += b;
-                }
+            // Final norm and LM head only where logits are wanted: a
+            // prefill pays for one row per chunk, not one per token.
+            let wanted = block
+                .iter()
+                .zip(h.iter_rows())
+                .filter_map(|(row, h_row)| row.wanted.then_some(h_row));
+            let hf = rmsnorm_rows(wanted, params.final_norm.data());
+            if hf.rows() > 0 {
+                let head = project_rows(&hf, &params.lm_head, quant.map(|qp| &qp.lm_head));
+                out.extend(head.iter_rows().map(<[f32]>::to_vec));
             }
         }
 
-        self.score_buf = scores;
-
-        let mut hf = Matrix::zeros(m, d);
-        for r in 0..m {
-            let normed = rmsnorm_row(h.row(r), params.final_norm.data());
-            hf.row_mut(r).copy_from_slice(&normed);
+        for (s, chunk) in sessions.iter_mut().zip(chunks) {
+            s.len += chunk.len();
+            s.tokens.extend_from_slice(chunk);
         }
-        let logits = project_rows(&hf, &params.lm_head, quant.map(|qp| &qp.lm_head));
-        self.len += m;
-        self.tokens.extend_from_slice(tokens);
-        Ok((0..m).map(|r| logits.row(r).to_vec()).collect())
+        Ok(out)
     }
 
     /// Rewinds the cache to its first `len` positions, discarding the
@@ -1128,18 +919,7 @@ impl KvCache {
                 });
             }
         }
-        match &mut self.store {
-            KvStore::Contiguous(layers) => {
-                for kv in layers {
-                    kv.k.truncate(len);
-                    kv.v.truncate(len);
-                }
-            }
-            KvStore::Paged(table) => {
-                let keep = table.pool.blocks_for(len);
-                table.blocks.truncate(keep);
-            }
-        }
+        self.store.truncate(len);
         self.tokens.truncate(len);
         self.len = len;
         Ok(())
@@ -1169,33 +949,54 @@ impl KvCache {
     }
 }
 
-/// `y = x · Wᵀ` for a single row, via the tensor crate's matvec fast path.
-/// When an int8 sidecar weight is supplied, the dot runs over the quantized
-/// codes instead — the f32 matrix is not touched.
-fn project(x: &[f32], w: &Matrix, q: Option<&QuantizedMatrix>) -> Vec<f32> {
-    match q {
-        Some(qw) => qw
-            .matvec(x)
-            .expect("projection shapes are fixed by the architecture"),
-        None => w
-            .matvec(x)
-            .expect("projection shapes are fixed by the architecture"),
-    }
+/// Which rows of a `KvCache::forward_rows` call get next-token logits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Logits {
+    /// Every row (decode, speculative verification).
+    All,
+    /// Each session's final row only (prefill).
+    Last,
 }
 
-/// `Y = X · Wᵀ` for a stack of rows, via the batched GEMM path. Row `r` of
-/// the result is bit-identical to `project(x.row(r), w, q)`: both the f32
-/// skinny-m kernel and the quantized batched kernel accumulate in matvec
-/// order.
+/// One stacked row of a forward: `token` lands at position `pos` of
+/// session `s`.
+struct Row {
+    s: usize,
+    pos: usize,
+    token: u32,
+    wanted: bool,
+}
+
+/// `Y = X · Wᵀ` for a stack of at most `GEMM_SKINNY_M_MAX` rows, over the
+/// int8 sidecar weight when one is supplied (the f32 matrix is then not
+/// touched). Row `r` of the result is bitwise `w.matvec(x.row(r))`: both
+/// the f32 skinny-m kernel and the quantized batched kernel accumulate in
+/// matvec order, and a single row is dispatched to `matvec` itself.
 fn project_rows(x: &Matrix, w: &Matrix, q: Option<&QuantizedMatrix>) -> Matrix {
     match q {
-        Some(qw) => qw
-            .matmul_bt(x)
-            .expect("projection shapes are fixed by the architecture"),
-        None => x
-            .matmul_bt(w)
-            .expect("projection shapes are fixed by the architecture"),
+        Some(qw) => qw.matmul_bt(x),
+        None => x.matmul_bt(w),
     }
+    .expect("projection shapes are fixed by the architecture")
+}
+
+/// Residual connection: `h += delta`, element by element.
+fn add_rows(h: &mut Matrix, delta: &Matrix) {
+    h.add_assign(delta)
+        .expect("residual shapes are fixed by the architecture");
+}
+
+/// RMSNorm of each given row (same ε as [`crate::TinyLm::forward`]),
+/// stacked into a matrix.
+fn rmsnorm_rows<'a>(rows: impl Iterator<Item = &'a [f32]>, gain: &[f32]) -> Matrix {
+    let d = gain.len();
+    let mut out = Vec::with_capacity(rows.size_hint().0 * d);
+    for x in rows {
+        let ms = x.iter().map(|&v| v * v).sum::<f32>() / x.len() as f32;
+        let rms = (ms + 1e-5).sqrt();
+        out.extend(x.iter().zip(gain).map(|(&v, &g)| v * g / rms));
+    }
+    Matrix::from_vec(out.len() / d, d, out).expect("whole rows")
 }
 
 /// Fused per-head score→softmax→context for one query row against one
@@ -1203,11 +1004,9 @@ fn project_rows(x: &Matrix, w: &Matrix, q: Option<&QuantizedMatrix>) -> Matrix {
 /// zeroed). Scores go against every cached position (causal by
 /// construction: the iterators only yield positions `<= pos`), are
 /// normalised in place over the reusable scratch, and contracted against V
-/// without allocating a per-head vector. Shared verbatim by
-/// [`KvCache::decode_step`] and [`KvCache::decode_batch`] so the two paths
-/// cannot drift numerically — and generic over the row iterators so the
-/// contiguous and paged storage layouts run the *same* dot products in the
-/// *same* order, which is what makes paged decoding bit-identical to
+/// without allocating a per-head vector. Generic over the row iterators so
+/// the contiguous and paged storage layouts run the *same* dot products in
+/// the *same* order, which is what makes paged decoding bit-identical to
 /// contiguous.
 fn fused_attention<'a, K, V>(
     q: &[f32],
@@ -1248,28 +1047,6 @@ fn fused_attention<'a, K, V>(
                     be.axpy_q8(*w, &codes[lo..hi], scales[hh], &mut ctx[lo..hi]);
                 }
             }
-        }
-    }
-}
-
-/// Single-row RMSNorm (same ε as the batched path).
-fn rmsnorm_row(x: &[f32], gain: &[f32]) -> Vec<f32> {
-    let ms = x.iter().map(|&v| v * v).sum::<f32>() / x.len() as f32;
-    let rms = (ms + 1e-5).sqrt();
-    x.iter().zip(gain).map(|(&v, &g)| v * g / rms).collect()
-}
-
-/// Single-row rotary embedding (must match the batched implementation).
-fn rope_row(x: &mut [f32], pos: usize, n_heads: usize, head_dim: usize) {
-    for hh in 0..n_heads {
-        let base = hh * head_dim;
-        for i in 0..head_dim / 2 {
-            let theta = pos as f32 * 10_000.0f32.powf(-2.0 * i as f32 / head_dim as f32);
-            let (sin, cos) = theta.sin_cos();
-            let a = x[base + 2 * i];
-            let b = x[base + 2 * i + 1];
-            x[base + 2 * i] = a * cos - b * sin;
-            x[base + 2 * i + 1] = a * sin + b * cos;
         }
     }
 }
@@ -1351,10 +1128,14 @@ mod tests {
         // the LM head = 15 matvec calls; 3 tokens = 45. The counter is
         // process-wide, so assert a lower bound on the delta rather than an
         // exact count (other tests may decode concurrently).
+        // Stepped, not prefilled: a prefill stacks its rows into one GEMM
+        // per projection (`tests/prefill_counter.rs` pins that side).
         let m = model();
         let mut cache = KvCache::new(&m);
         let before = chipalign_tensor::tune::matvec_calls();
-        cache.prefill(&[5, 10, 15]).expect("ok");
+        for t in [5, 10, 15] {
+            cache.decode_step(t).expect("ok");
+        }
         let delta = chipalign_tensor::tune::matvec_calls() - before;
         assert!(delta >= 45, "expected >= 45 matvec calls, saw {delta}");
     }
@@ -2182,8 +1963,9 @@ mod tests {
     fn truncate_rewinds_exactly_on_f32_stores() {
         // Decode past the cut, truncate back, re-decode different tokens:
         // the result must be bit-identical to a cache that never saw the
-        // rejected rows. Exercises both storage layouts, with the paged cut
-        // landing mid-block.
+        // rejected rows. Exercises both storage layouts; with 4-token
+        // blocks the chunk opens block 4 (positions 16..) and the cut at 15
+        // lands mid-block 3, so the tail block really is released.
         let m = model();
         for paged in [false, true] {
             let pool = small_pool(64);
@@ -2194,20 +1976,23 @@ mod tests {
                     KvCache::new(&m)
                 }
             };
+            let prompt: Vec<u32> = (0..14).map(|i| 5 + 5 * i).collect();
+            let mut kept = prompt.clone();
+            kept.push(77);
             let mut cache = mk();
-            cache.prefill(&[5, 10, 15, 20, 25]).expect("ok");
-            cache.verify_chunk(&[30, 35, 40]).expect("ok");
+            cache.prefill(&prompt).expect("ok");
+            cache.verify_chunk(&[77, 78, 79, 80]).expect("ok");
             let blocks_grown = cache.block_count();
-            cache.truncate(6).expect("cut lands mid-block");
-            assert_eq!(cache.len(), 6);
-            assert_eq!(cache.tokens(), &[5, 10, 15, 20, 25, 30]);
+            cache.truncate(15).expect("cut lands mid-block");
+            assert_eq!(cache.len(), 15);
+            assert_eq!(cache.tokens(), &kept[..]);
             if paged {
-                assert_eq!(cache.block_count(), pool.blocks_for(6));
+                assert_eq!(cache.block_count(), pool.blocks_for(15));
                 assert!(cache.block_count() < blocks_grown, "tail block released");
             }
 
             let mut fresh = mk();
-            fresh.prefill(&[5, 10, 15, 20, 25, 30]).expect("ok");
+            fresh.prefill(&kept).expect("ok");
             for t in [81u32, 82, 83] {
                 assert_eq!(
                     cache.decode_step(t).expect("ok"),
@@ -2277,6 +2062,228 @@ mod tests {
         assert_eq!(
             kv8.decode_step(60).expect("ok"),
             replay.decode_step(60).expect("ok")
+        );
+    }
+
+    /// Wider than `GEMM_K_BLOCK`, so a stack of more than
+    /// `GEMM_SKINNY_M_MAX` rows sent to `matmul_bt` would take the
+    /// k-panelled kernel and round differently from `matvec`: on this model
+    /// the pins below also prove long chunks are cut into skinny blocks.
+    fn wide_model(int8_weights: bool) -> Arc<TinyLm> {
+        let arch = ArchSpec {
+            name: "kv-wide".into(),
+            vocab_size: 99,
+            d_model: 288,
+            n_layers: 2,
+            n_heads: 2,
+            d_ff: 48,
+            max_seq_len: 96,
+        };
+        assert!(arch.d_model > chipalign_tensor::tune::GEMM_K_BLOCK);
+        let mut m = TinyLm::new(&arch, &mut Pcg32::seed(78)).expect("valid");
+        if int8_weights {
+            m.quantize();
+        }
+        Arc::new(m)
+    }
+
+    /// The four layouts every cross-path pin runs on; pools use the default
+    /// 16-token blocks.
+    const LAYOUTS: [&str; 4] = ["contiguous", "paged f32", "int8 weights", "int8 kv"];
+
+    /// A fresh cache of the given layout, on a pool of its own.
+    fn wide_cache(layout: &str, f32_m: &Arc<TinyLm>, int8_m: &Arc<TinyLm>) -> KvCache {
+        let pool = |dtype| {
+            crate::KvPool::new(crate::KvPoolConfig {
+                dtype,
+                ..crate::KvPoolConfig::default()
+            })
+            .expect("valid pool config")
+        };
+        match layout {
+            "contiguous" => KvCache::new(f32_m),
+            "paged f32" => KvCache::new_paged(f32_m, &pool(crate::KvDtype::F32)),
+            "int8 weights" => KvCache::new(int8_m),
+            "int8 kv" => KvCache::new_paged(f32_m, &pool(crate::KvDtype::Int8)),
+            other => panic!("unknown layout {other}"),
+        }
+    }
+
+    fn random_tokens(rng: &mut Pcg32, n: usize) -> Vec<u32> {
+        (0..n).map(|_| 4 + rng.below(95) as u32).collect()
+    }
+
+    #[test]
+    fn prefill_is_bitwise_stepwise_on_every_layout_at_block_boundaries() {
+        // One-shot prefill ≡ token-by-token decode_step ≡ 32-chunked
+        // prefill (the scheduler's default), in the final logits, the
+        // cache bookkeeping and the decode that follows — at prompt lengths
+        // straddling the 16-token seal boundary and the 32-row GEMM block.
+        let (f32_m, int8_m) = (wide_model(false), wide_model(true));
+        let mut rng = Pcg32::seed(2024);
+        for layout in LAYOUTS {
+            for len in [15usize, 16, 17, 31, 32, 33, 70] {
+                let what = format!("{layout}, {len} tokens");
+                let prompt = random_tokens(&mut rng, len);
+                let mut stepped = wide_cache(layout, &f32_m, &int8_m);
+                let mut by_step = Vec::new();
+                for &t in &prompt {
+                    by_step = stepped.decode_step(t).expect("ok");
+                }
+                let mut one_shot = wide_cache(layout, &f32_m, &int8_m);
+                assert_eq!(one_shot.prefill(&prompt).expect("ok"), by_step, "{what}");
+                let mut chunked = wide_cache(layout, &f32_m, &int8_m);
+                let mut by_chunk = Vec::new();
+                for chunk in prompt.chunks(32) {
+                    by_chunk = chunked.prefill_chunk(chunk).expect("ok");
+                }
+                assert_eq!(by_chunk, by_step, "{what}: 32-chunked");
+                for c in [&one_shot, &chunked] {
+                    assert_eq!(c.len(), stepped.len(), "{what}");
+                    assert_eq!(c.tokens(), stepped.tokens(), "{what}");
+                    assert_eq!(c.block_count(), stepped.block_count(), "{what}");
+                }
+                for t in random_tokens(&mut rng, 3) {
+                    let expected = stepped.decode_step(t).expect("ok");
+                    assert_eq!(one_shot.decode_step(t).expect("ok"), expected, "{what}");
+                    assert_eq!(chunked.decode_step(t).expect("ok"), expected, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn random_forward_schedules_agree_with_stepping_bitwise() {
+        // Seeded case loop over the shims: every session is fed a random
+        // mix of prefill_chunk (any size), verify_chunk (every row
+        // compared) and decode_step, then all sessions of one model advance
+        // together through decode_batch — mixed paged/contiguous members —
+        // against twins that only ever call decode_step.
+        let (f32_m, int8_m) = (wide_model(false), wide_model(true));
+        for case in 0..12u64 {
+            let mut rng = Pcg32::seed(9000 + case);
+            let n = 2 + rng.below(3);
+            let layouts: Vec<&str> = (0..n)
+                .map(|_| *rng.choose(&["contiguous", "paged f32", "int8 kv"]))
+                .collect();
+            let mut fast: Vec<KvCache> = layouts
+                .iter()
+                .map(|l| wide_cache(l, &f32_m, &int8_m))
+                .collect();
+            let mut slow: Vec<KvCache> = layouts
+                .iter()
+                .map(|l| wide_cache(l, &f32_m, &int8_m))
+                .collect();
+            for (f, s) in fast.iter_mut().zip(&mut slow) {
+                let mut left = 1 + rng.below(80);
+                while left > 0 {
+                    let take = (1 + rng.below(40)).min(left);
+                    let toks = random_tokens(&mut rng, take);
+                    let expected: Vec<Vec<f32>> = toks
+                        .iter()
+                        .map(|&t| s.decode_step(t).expect("ok"))
+                        .collect();
+                    match rng.below(3) {
+                        0 if take <= GEMM_SKINNY_M_MAX => {
+                            assert_eq!(f.verify_chunk(&toks).expect("ok"), expected, "case {case}");
+                        }
+                        1 => {
+                            let mut last = Vec::new();
+                            for &t in &toks {
+                                last = f.decode_step(t).expect("ok");
+                            }
+                            assert_eq!(&last, expected.last().expect("take >= 1"), "case {case}");
+                        }
+                        _ => {
+                            let last = f.prefill_chunk(&toks).expect("ok");
+                            assert_eq!(&last, expected.last().expect("take >= 1"), "case {case}");
+                        }
+                    }
+                    left -= take;
+                }
+            }
+            for round in 0..3 {
+                let toks = random_tokens(&mut rng, n);
+                let expected: Vec<Vec<f32>> = slow
+                    .iter_mut()
+                    .zip(&toks)
+                    .map(|(s, &t)| s.decode_step(t).expect("ok"))
+                    .collect();
+                let mut refs: Vec<&mut KvCache> = fast.iter_mut().collect();
+                let got = KvCache::decode_batch(&mut refs, &toks).expect("ok");
+                assert_eq!(got, expected, "case {case} round {round}: batch drifted");
+            }
+            for (f, s) in fast.iter().zip(&slow) {
+                assert_eq!(f.tokens(), s.tokens(), "case {case}");
+                assert_eq!(f.block_count(), s.block_count(), "case {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn forward_rows_stacks_ragged_chunks_of_several_sessions() {
+        // The general shape no public shim reaches: several sessions, each
+        // with its own chunk length (one longer than a GEMM block), in one
+        // forward — every row's logits as if each session ran alone.
+        let (f32_m, int8_m) = (wide_model(false), wide_model(true));
+        let mut rng = Pcg32::seed(41);
+        let layouts = ["paged f32", "contiguous", "int8 kv"];
+        let chunks: Vec<Vec<u32>> = [3usize, 40, 17]
+            .iter()
+            .map(|&n| random_tokens(&mut rng, n))
+            .collect();
+        let mut alone: Vec<KvCache> = layouts
+            .iter()
+            .map(|l| wide_cache(l, &f32_m, &int8_m))
+            .collect();
+        let mut expected = Vec::new();
+        for (c, chunk) in alone.iter_mut().zip(&chunks) {
+            for &t in chunk {
+                expected.push(c.decode_step(t).expect("ok"));
+            }
+        }
+        let mut stacked: Vec<KvCache> = layouts
+            .iter()
+            .map(|l| wide_cache(l, &f32_m, &int8_m))
+            .collect();
+        let mut refs: Vec<&mut KvCache> = stacked.iter_mut().collect();
+        let slices: Vec<&[u32]> = chunks.iter().map(Vec::as_slice).collect();
+        let got = KvCache::forward_rows(&mut refs, &slices, Logits::All).expect("ok");
+        assert_eq!(got, expected);
+        for (a, b) in stacked.iter().zip(&alone) {
+            assert_eq!(a.tokens(), b.tokens());
+        }
+    }
+
+    #[test]
+    fn prefill_chunk_is_atomic_under_pool_exhaustion() {
+        let m = model();
+        let pool = small_pool(2); // 8 positions at block_tokens = 4
+        let mut cache = KvCache::new_paged(&m, &pool);
+        cache.prefill(&[5, 6, 7]).expect("ok");
+        // Positions 3..9 need a third block for the last one: the chunk
+        // must be refused whole, not leave its first five rows behind.
+        let err = cache
+            .prefill_chunk(&[8, 9, 10, 11, 12, 13])
+            .expect_err("9 positions need 3 blocks");
+        assert!(matches!(err, NnError::PoolExhausted { .. }));
+        assert_eq!(cache.len(), 3, "a refused chunk must not advance the cache");
+        assert_eq!(cache.tokens(), &[5, 6, 7]);
+        assert_eq!(cache.block_count(), 1, "reserved blocks must be returned");
+        assert_eq!(pool.blocks_in_use(), 1);
+        // So is a chunk that overflows the context window (32 here).
+        let wide = vec![9u32; 30];
+        assert!(matches!(
+            cache.prefill_chunk(&wide),
+            Err(NnError::BadSequence { .. })
+        ));
+        assert_eq!(cache.len(), 3);
+        // Retrying what fits continues like a cache that never failed.
+        let mut twin = KvCache::new_paged(&m, &small_pool(2));
+        twin.prefill(&[5, 6, 7]).expect("ok");
+        assert_eq!(
+            cache.prefill_chunk(&[8, 9, 10, 11, 12]).expect("8 fit"),
+            twin.prefill_chunk(&[8, 9, 10, 11, 12]).expect("8 fit")
         );
     }
 }

@@ -568,19 +568,41 @@ fn rmsnorm_backward(
 /// Applies (or inverts, with `sign = -1`) rotary position embeddings to a
 /// `(seq × d_model)` activation, head by head, on adjacent element pairs.
 fn rope_inplace(m: &mut Matrix, n_heads: usize, head_dim: usize, sign: f32) {
-    let rows = m.rows();
-    for t in 0..rows {
-        let row = m.row_mut(t);
-        for hh in 0..n_heads {
-            let base = hh * head_dim;
-            for i in 0..head_dim / 2 {
-                let theta = t as f32 * ROPE_BASE.powf(-2.0 * i as f32 / head_dim as f32);
-                let (sin, cos) = (sign * theta).sin_cos();
-                let a = row[base + 2 * i];
-                let b = row[base + 2 * i + 1];
-                row[base + 2 * i] = a * cos - b * sin;
-                row[base + 2 * i + 1] = a * sin + b * cos;
-            }
+    let mut sin_cos = Vec::with_capacity(head_dim / 2);
+    for t in 0..m.rows() {
+        sin_cos.clear();
+        rope_sin_cos(t, head_dim, sign, &mut sin_cos);
+        rope_rotate(m.row_mut(t), n_heads, head_dim, &sin_cos);
+    }
+}
+
+/// Appends the `head_dim / 2` rotary `(sin, cos)` pairs of position `pos`
+/// to `out`. They depend on neither head, layer nor q-versus-k, so a
+/// forward evaluates the `powf` / `sin_cos` once per position and rotates
+/// everything with [`rope_rotate`]; the KV-cached path shares this helper,
+/// which is what keeps its angles those of the full forward.
+pub(crate) fn rope_sin_cos(pos: usize, head_dim: usize, sign: f32, out: &mut Vec<(f32, f32)>) {
+    out.extend((0..head_dim / 2).map(|i| {
+        let theta = pos as f32 * ROPE_BASE.powf(-2.0 * i as f32 / head_dim as f32);
+        (sign * theta).sin_cos()
+    }));
+}
+
+/// Rotates adjacent element pairs of every head of one `d_model`-wide row
+/// by the position's [`rope_sin_cos`] pairs.
+pub(crate) fn rope_rotate(
+    row: &mut [f32],
+    n_heads: usize,
+    head_dim: usize,
+    sin_cos: &[(f32, f32)],
+) {
+    for hh in 0..n_heads {
+        let base = hh * head_dim;
+        for (i, &(sin, cos)) in sin_cos.iter().enumerate() {
+            let a = row[base + 2 * i];
+            let b = row[base + 2 * i + 1];
+            row[base + 2 * i] = a * cos - b * sin;
+            row[base + 2 * i + 1] = a * sin + b * cos;
         }
     }
 }

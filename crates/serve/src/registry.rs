@@ -522,6 +522,14 @@ impl ModelRegistry {
 
     /// Inserts into the cache and restores the merge-capacity bound,
     /// counting any evictions.
+    /// Cache lookup that releases the lock before returning: a
+    /// `cache_lock().get(..)` written straight into an `if let` scrutinee
+    /// keeps its guard alive to the end of the block, which deadlocks the
+    /// moment that block calls [`Self::cache_insert`].
+    fn cache_get(&self, key: &str) -> Option<Arc<TinyLm>> {
+        self.cache_lock().get(key)
+    }
+
     fn cache_insert(&self, key: String, model: Arc<TinyLm>) {
         let mut cache = self.cache_lock();
         cache.insert(key, model);
@@ -569,7 +577,7 @@ impl ModelRegistry {
     pub fn resolve_str(&self, spec: &str) -> Result<(String, Arc<TinyLm>), ServeError> {
         // Registered names take priority and need no parse.
         let trimmed = spec.trim();
-        if let Some(m) = self.cache_lock().get(trimmed) {
+        if let Some(m) = self.cache_get(trimmed) {
             return Ok((trimmed.to_string(), m));
         }
         // `spec:` keys resolve to their *target* model (the draft is warmed
@@ -597,7 +605,7 @@ impl ModelRegistry {
                 // has no spec grammar. Two concurrent callers may both
                 // quantize; the second insert wins — same bytes either way.
                 if let Some(inner) = trimmed.strip_suffix("#int8") {
-                    if let Some(base) = self.cache_lock().get(inner) {
+                    if let Some(base) = self.cache_get(inner) {
                         let mut model = (*base).clone();
                         model.quantize();
                         let arc = Arc::new(model);
@@ -689,7 +697,7 @@ impl ModelRegistry {
     pub fn resolve(&self, spec: &ModelSpec) -> Result<Arc<TinyLm>, ServeError> {
         let key = spec.key();
         loop {
-            if let Some(m) = self.cache_lock().get(&key) {
+            if let Some(m) = self.cache_get(&key) {
                 return Ok(m);
             }
             let mut building = self.building.lock().unwrap_or_else(PoisonError::into_inner);
@@ -713,7 +721,7 @@ impl ModelRegistry {
         };
         // The elected builder double-checks: the previous builder may have
         // finished between our cache miss and our claim.
-        if let Some(m) = self.cache_lock().get(&key) {
+        if let Some(m) = self.cache_get(&key) {
             return Ok(m);
         }
         // Materialization (training, merging, disk I/O) runs without any
@@ -1019,6 +1027,31 @@ mod tests {
         // Second resolve hits the cache: same allocation.
         let (_, again) = reg.resolve_str("canary#int8").expect("cached");
         assert!(Arc::ptr_eq(&q, &again));
+    }
+
+    #[test]
+    fn registered_name_int8_does_not_deadlock_on_the_cache_mutex() {
+        // The first `<registered>#int8` resolve reads the cache and then
+        // inserts into it; holding the read guard across the insert locks a
+        // `std::sync::Mutex` twice on one thread. Resolve on a helper
+        // thread so that bug fails this test instead of hanging the suite
+        // (the helper is joined only once it is known to have returned).
+        let reg = Arc::new(registry());
+        reg.register("canary", random_model(9));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = {
+            let reg = Arc::clone(&reg);
+            std::thread::spawn(move || {
+                let resolved = reg.resolve_str("canary#int8");
+                let _ = tx.send(resolved.map(|(key, m)| (key, m.dtype())));
+            })
+        };
+        let (key, dtype) = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("resolve_str(\"canary#int8\") never returned: cache mutex self-deadlock")
+            .expect("quantized variant");
+        helper.join().expect("helper thread");
+        assert_eq!((key.as_str(), dtype), ("canary#int8", "int8"));
     }
 
     #[test]

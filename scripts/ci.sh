@@ -1,11 +1,34 @@
 #!/usr/bin/env bash
-# The tier-1 gate: build, tests, and lints for the whole workspace.
+# The tier-1 gate: offline benchmark smoke, then build, tests, and lints for
+# the whole workspace.
 # Run before every merge; CHIPALIGN_QUALITY=smoke keeps zoo-training
 # tests at seconds-scale.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export CHIPALIGN_QUALITY="${CHIPALIGN_QUALITY:-smoke}"
+
+# The stack benchmark first: the only step that builds without a registry
+# (staged source + the stand-ins in benchmark/vendor), so it also runs
+# where everything below cannot. The harness exits 0 on a wrong transcript,
+# so require every result line to say `"correct": true` and `"failed": 0`.
+bench_quick() { # [run.sh args...]
+  local out
+  out="$(benchmark/run.sh --quick "$@")"
+  printf '%s\n' "$out"
+  if ! grep -q '^{"correct"' <<<"$out" ||
+    grep '^{"correct"' <<<"$out" | grep -qv '^{"correct": true, "attempted": [0-9]*, "failed": 0,'; then
+    echo "ci: benchmark/run.sh --quick $* reported a wrong or failed operation" >&2
+    return 1
+  fi
+}
+bench_quick
+# Stacked-row ≡ single-row end to end on the non-AVX2 tiers too: prefill
+# goes through skinny GEMMs, decode through matvecs, and the harness
+# compares sampled transcripts with single-threaded generate().
+for backend in scalar blocked; do
+  CHIPALIGN_BACKEND="$backend" bench_quick --workload prefill_shared --trace 0
+done
 
 cargo build --release
 cargo test -q
