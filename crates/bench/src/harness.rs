@@ -44,53 +44,6 @@ pub fn paper_zoo() -> Result<Zoo, PipelineError> {
     })
 }
 
-/// Resolves the workspace root (the directory holding `artifacts/`).
-#[must_use]
-pub fn workspace_root() -> PathBuf {
-    zoo_dir()
-        .parent()
-        .and_then(std::path::Path::parent)
-        .map(std::path::Path::to_path_buf)
-        .unwrap_or_else(|| PathBuf::from("."))
-}
-
-/// Whether the binary was invoked with `--smoke`: tiny shapes, and no
-/// `BENCH_*.json` is written (so CI smoke runs never clobber the
-/// committed full-run reports). Every perf binary shares this flag.
-#[must_use]
-pub fn smoke_mode() -> bool {
-    std::env::args().any(|a| a == "--smoke")
-}
-
-/// Writes `BENCH_<name>.json` for a full run, or skips it in smoke mode.
-///
-/// The destination is the workspace root, overridable with
-/// `CHIPALIGN_BENCH_OUT` (a directory) — the shared output-path
-/// convention for every perf binary.
-///
-/// # Errors
-///
-/// Propagates serialization and filesystem failures.
-pub fn write_bench_json<T: serde::Serialize>(
-    name: &str,
-    report: &T,
-    smoke: bool,
-) -> Result<(), Box<dyn std::error::Error>> {
-    if smoke {
-        eprintln!("[bench_{name}] smoke mode: skipping BENCH_{name}.json");
-        return Ok(());
-    }
-    let dir = match std::env::var("CHIPALIGN_BENCH_OUT") {
-        Ok(dir) => PathBuf::from(dir),
-        Err(_) => workspace_root(),
-    };
-    std::fs::create_dir_all(&dir)?;
-    let out = dir.join(format!("BENCH_{name}.json"));
-    std::fs::write(&out, serde_json::to_string_pretty(report)?)?;
-    println!("wrote {}", out.display());
-    Ok(())
-}
-
 /// Resolves the results directory (`artifacts/results`), creating it.
 ///
 /// # Errors

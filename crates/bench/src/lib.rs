@@ -1,18 +1,14 @@
 //! Benchmark harness for the ChipAlign reproduction.
 //!
-//! This crate hosts two things:
+//! This crate hosts the **experiment binaries** (`src/bin/`) — one per
+//! paper table and figure, each printing the same rows/series the paper
+//! reports. Run e.g.
+//! `cargo run --release -p chipalign-bench --bin table1_openroad_qa`.
+//! All binaries accept the zoo cache under `artifacts/zoo/` and train the
+//! model zoo on first use. Performance is measured by `benchmark/run.sh`,
+//! not here.
 //!
-//! * **Experiment binaries** (`src/bin/`) — one per paper table and figure,
-//!   each printing the same rows/series the paper reports. Run e.g.
-//!   `cargo run --release -p chipalign-bench --bin table1_openroad_qa`.
-//!   All binaries accept the zoo cache under `artifacts/zoo/` and train the
-//!   model zoo on first use.
-//! * **Criterion benches** (`benches/`) — microbenchmarks backing the
-//!   paper's §III-C complexity analysis (merge time vs parameter count,
-//!   method-vs-method throughput) and the substrate hot paths (ROUGE-L,
-//!   BM25, forward/backward, decoding).
-//!
-//! Three diagnostic binaries document how the reproduction was calibrated
+//! Four diagnostic binaries document how the reproduction was calibrated
 //! (see DESIGN.md §6): `calibrate` (the capability-split grid for one
 //! backbone), `probe_copy` (does induction/copying form at a given
 //! width/depth?), `probe_base` (does extraction generalise to chip

@@ -169,7 +169,16 @@ const GUI_ACTIONS: &[&str] = &[
 #[must_use]
 pub fn openroad_facts() -> Vec<Fact> {
     let mut facts = Vec::new();
-    let pools: [(&[&str], &[&str], Domain, &str, &str, &str); 5] = [
+    // Names, actions, domain, then the question / answer / document templates.
+    type Pool = (
+        &'static [&'static str],
+        &'static [&'static str],
+        Domain,
+        &'static str,
+        &'static str,
+        &'static str,
+    );
+    let pools: [Pool; 5] = [
         (
             COMMAND_NAMES,
             COMMAND_ACTIONS,
@@ -389,7 +398,17 @@ const TEST_EXTRA: &[&str] = &[
 #[must_use]
 pub fn industrial_facts() -> Vec<IndustrialFact> {
     let mut facts = Vec::new();
-    let pools: [(&[&str], &[&str], &[&str], IndustrialCategory, &str, &str, &str); 4] = [
+    // Names, roles, extras, category, then the question / answer / follow-up templates.
+    type Pool = (
+        &'static [&'static str],
+        &'static [&'static str],
+        &'static [&'static str],
+        IndustrialCategory,
+        &'static str,
+        &'static str,
+        &'static str,
+    );
+    let pools: [Pool; 4] = [
         (
             ARCH_UNITS,
             ARCH_ROLES,

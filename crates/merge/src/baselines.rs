@@ -15,17 +15,16 @@
 //! exposes the same pairwise [`Merger`] interface used by the experiment
 //! pipeline.
 //!
-//! Like the geodesic path, every `merge_many` here materializes tensors in
-//! parallel with rayon (tensors are independent, so the fan-out is
-//! embarrassingly parallel) and then inserts the results serially in
-//! canonical name order. The stochastic methods stay deterministic under
-//! parallelism because each (tensor, task) pair derives its own RNG stream
-//! from the seed — no RNG state is shared across rayon tasks.
+//! Like the geodesic path, every `merge_many` here materializes the merged
+//! tensors and then inserts them in canonical name order. Tensors are
+//! independent; they run sequentially today. The stochastic methods would
+//! stay deterministic under any fan-out because each (tensor, task) pair
+//! derives its own RNG stream from the seed — no RNG state is shared
+//! across tensors.
 
 use chipalign_model::Checkpoint;
 use chipalign_tensor::rng::Pcg32;
 use chipalign_tensor::Matrix;
-use rayon::prelude::*;
 
 use crate::{check_conformable, MergeError, Merger};
 
@@ -78,7 +77,7 @@ impl ModelSoup {
         let weight = 1.0 / models.len() as f32;
         let names: Vec<&str> = models[0].names();
         let merged: Vec<(&str, Matrix)> = names
-            .par_iter()
+            .iter()
             .map(|&name| {
                 let mut acc = models[0].get(name).expect("conformable").scale(weight);
                 for model in &models[1..] {
@@ -160,7 +159,7 @@ impl TaskArithmetic {
         let per_task = self.scale / tasks.len() as f32;
         let names: Vec<&str> = self.base.names();
         let merged: Vec<(&str, Matrix)> = names
-            .par_iter()
+            .iter()
             .map(|&name| {
                 let base_t = self.base.get(name).expect("conformable");
                 let mut acc = base_t.clone();
@@ -257,7 +256,7 @@ impl Ties {
         }
         let names: Vec<&str> = self.base.names();
         let merged: Vec<(&str, Matrix)> = names
-            .par_iter()
+            .iter()
             .map(|&name| {
                 let base_t = self.base.get(name).expect("conformable");
                 // 1. Trim each task vector to its top-density entries.
@@ -386,7 +385,7 @@ impl Della {
         let root = Pcg32::seed(self.seed);
         let names: Vec<&str> = self.base.names();
         let merged: Vec<(&str, Matrix)> = names
-            .par_iter()
+            .iter()
             .enumerate()
             .map(|(tensor_idx, &name)| {
                 let base_t = self.base.get(name).expect("conformable");
@@ -395,8 +394,8 @@ impl Della {
                     .enumerate()
                     .map(|(task_idx, task)| {
                         let delta = task.get(name).expect("conformable").sub(base_t)?;
-                        // Index-derived stream: independent of rayon's
-                        // scheduling, so parallel merging stays seeded.
+                        // Index-derived stream: independent of the order
+                        // tensors are visited in, so merging stays seeded.
                         let mut rng = root.derive((tensor_idx as u64) << 16 | task_idx as u64);
                         Ok(self.magprune(delta.data(), &mut rng))
                     })
@@ -537,15 +536,15 @@ impl Dare {
         let per_task = self.scale / tasks.len() as f32;
         let names: Vec<&str> = self.base.names();
         let merged: Vec<(&str, Matrix)> = names
-            .par_iter()
+            .iter()
             .enumerate()
             .map(|(tensor_idx, &name)| {
                 let base_t = self.base.get(name).expect("conformable");
                 let mut acc = base_t.clone();
                 for (task_idx, task) in tasks.iter().enumerate() {
                     let delta = task.get(name).expect("conformable").sub(base_t)?;
-                    // Index-derived stream keeps the drops seeded under
-                    // parallel materialization.
+                    // Index-derived stream keeps the drops seeded whatever
+                    // order tensors are visited in.
                     let mut rng = root.derive((tensor_idx as u64) << 20 | task_idx as u64);
                     let (rows, cols) = delta.shape();
                     let mut data = delta.into_vec();

@@ -2,7 +2,6 @@
 
 use chipalign_model::Checkpoint;
 use chipalign_tensor::Matrix;
-use rayon::prelude::*;
 
 use crate::report::{MergeReport, TensorGeometry};
 use crate::{check_conformable, MergeError, Merger};
@@ -166,7 +165,7 @@ impl GeodesicMerge {
         };
 
         let results: Vec<(String, Matrix, TensorGeometry)> = names
-            .par_iter()
+            .iter()
             .map(|name| {
                 let wc = chip.get(name).expect("conformable");
                 let wi = instruct.get(name).expect("conformable");

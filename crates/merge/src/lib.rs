@@ -21,8 +21,8 @@
 //! utilities ([`sweep`]) and per-tensor geometry reports ([`MergeReport`]).
 //!
 //! All mergers run in `O(n)` time and space in the total parameter count
-//! `n`, parallelised over tensors with rayon, matching the paper's
-//! complexity analysis (§III-C).
+//! `n`, matching the paper's complexity analysis (§III-C). Tensors are
+//! independent; they run sequentially today.
 //!
 //! # Example
 //!

@@ -132,7 +132,7 @@ impl ArchSpec {
     #[must_use]
     pub fn head_dim(&self) -> usize {
         assert!(
-            self.n_heads > 0 && self.d_model % self.n_heads == 0,
+            self.n_heads > 0 && self.d_model.is_multiple_of(self.n_heads),
             "invalid architecture: d_model={} n_heads={}",
             self.d_model,
             self.n_heads
@@ -156,13 +156,13 @@ impl ArchSpec {
         {
             return Err(format!("architecture `{}` has a zero dimension", self.name));
         }
-        if self.d_model % self.n_heads != 0 {
+        if !self.d_model.is_multiple_of(self.n_heads) {
             return Err(format!(
                 "d_model {} is not divisible by n_heads {}",
                 self.d_model, self.n_heads
             ));
         }
-        if (self.d_model / self.n_heads) % 2 != 0 {
+        if !(self.d_model / self.n_heads).is_multiple_of(2) {
             return Err(format!(
                 "head_dim {} must be even for rotary embeddings",
                 self.d_model / self.n_heads

@@ -47,7 +47,6 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use chipalign_tensor::Matrix;
 
 use crate::{ArchSpec, Checkpoint, ModelError};
@@ -61,14 +60,14 @@ const MIN_VERSION: u32 = 1;
 
 /// Serializes a checkpoint to its binary representation (version 2).
 #[must_use]
-pub fn encode(ckpt: &Checkpoint) -> Bytes {
+pub fn encode(ckpt: &Checkpoint) -> Vec<u8> {
     encode_with_version(ckpt, VERSION)
 }
 
-fn encode_with_version(ckpt: &Checkpoint, version: u32) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + ckpt.scalar_count() * 4);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(version);
+fn encode_with_version(ckpt: &Checkpoint, version: u32) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64 + ckpt.scalar_count() * 4);
+    buf.extend_from_slice(MAGIC);
+    put_u32(&mut buf, version);
     let arch = ckpt.arch();
     put_str(&mut buf, &arch.name);
     for dim in [
@@ -79,30 +78,28 @@ fn encode_with_version(ckpt: &Checkpoint, version: u32) -> Bytes {
         arch.d_ff,
         arch.max_seq_len,
     ] {
-        buf.put_u64_le(dim as u64);
+        put_u64(&mut buf, dim as u64);
     }
-    buf.put_u32_le(ckpt.metadata().len() as u32);
+    put_u32(&mut buf, ckpt.metadata().len() as u32);
     for (k, v) in ckpt.metadata() {
         put_str(&mut buf, k);
         put_str(&mut buf, v);
     }
-    buf.put_u32_le(ckpt.param_count() as u32);
+    put_u32(&mut buf, ckpt.param_count() as u32);
     for (name, tensor) in ckpt.iter() {
         put_str(&mut buf, name);
-        buf.put_u64_le(tensor.rows() as u64);
-        buf.put_u64_le(tensor.cols() as u64);
+        put_u64(&mut buf, tensor.rows() as u64);
+        put_u64(&mut buf, tensor.cols() as u64);
         let data_start = buf.len();
-        for &x in tensor.data() {
-            buf.put_f32_le(x);
-        }
+        put_f32s(&mut buf, tensor.data());
         if version >= 2 {
             let tcrc = fnv1a(&buf[data_start..]);
-            buf.put_u64_le(tcrc);
+            put_u64(&mut buf, tcrc);
         }
     }
     let crc = fnv1a(&buf);
-    buf.put_u64_le(crc);
-    buf.freeze()
+    put_u64(&mut buf, crc);
+    buf
 }
 
 /// Deserializes a checkpoint from bytes produced by [`encode`] (either
@@ -127,12 +124,10 @@ pub fn decode(data: &[u8]) -> Result<Checkpoint, ModelError> {
     }
 
     let mut buf = body;
-    let mut magic = [0u8; 4];
-    take(&mut buf, 4)?.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    if take(&mut buf, 4)? != MAGIC {
         return Err(corrupt("bad magic"));
     }
-    let version = take(&mut buf, 4)?.get_u32_le();
+    let version = get_u32(&mut buf)?;
     if !(MIN_VERSION..=VERSION).contains(&version) {
         return Err(corrupt(&format!("unsupported version {version}")));
     }
@@ -140,7 +135,7 @@ pub fn decode(data: &[u8]) -> Result<Checkpoint, ModelError> {
     let name = get_str(&mut buf)?;
     let mut dims = [0usize; 6];
     for d in &mut dims {
-        *d = usize::try_from(take(&mut buf, 8)?.get_u64_le())
+        *d = usize::try_from(get_u64(&mut buf)?)
             .map_err(|_| corrupt("dimension overflows usize"))?;
     }
     let arch = ArchSpec {
@@ -153,7 +148,7 @@ pub fn decode(data: &[u8]) -> Result<Checkpoint, ModelError> {
         max_seq_len: dims[5],
     };
 
-    let meta_count = take(&mut buf, 4)?.get_u32_le();
+    let meta_count = get_u32(&mut buf)?;
     let mut metadata = BTreeMap::new();
     for _ in 0..meta_count {
         let k = get_str(&mut buf)?;
@@ -161,14 +156,12 @@ pub fn decode(data: &[u8]) -> Result<Checkpoint, ModelError> {
         metadata.insert(k, v);
     }
 
-    let tensor_count = take(&mut buf, 4)?.get_u32_le();
+    let tensor_count = get_u32(&mut buf)?;
     let mut tensors = BTreeMap::new();
     for _ in 0..tensor_count {
         let tname = get_str(&mut buf)?;
-        let rows = usize::try_from(take(&mut buf, 8)?.get_u64_le())
-            .map_err(|_| corrupt("rows overflow"))?;
-        let cols = usize::try_from(take(&mut buf, 8)?.get_u64_le())
-            .map_err(|_| corrupt("cols overflow"))?;
+        let rows = usize::try_from(get_u64(&mut buf)?).map_err(|_| corrupt("rows overflow"))?;
+        let cols = usize::try_from(get_u64(&mut buf)?).map_err(|_| corrupt("cols overflow"))?;
         let n = rows
             .checked_mul(cols)
             .ok_or_else(|| corrupt("tensor size overflow"))?;
@@ -177,16 +170,12 @@ pub fn decode(data: &[u8]) -> Result<Checkpoint, ModelError> {
             .ok_or_else(|| corrupt("tensor byte size overflow"))?;
         let payload_bytes = take(&mut buf, byte_len)?;
         if version >= 2 {
-            let stored_tcrc = take(&mut buf, 8)?.get_u64_le();
+            let stored_tcrc = get_u64(&mut buf)?;
             if fnv1a(payload_bytes) != stored_tcrc {
                 return Err(ModelError::ChecksumMismatch { tensor: tname });
             }
         }
-        let mut payload = payload_bytes;
-        let mut values = Vec::with_capacity(n);
-        for _ in 0..n {
-            values.push(payload.get_f32_le());
-        }
+        let values = get_f32s(payload_bytes);
         if values.iter().any(|v| !v.is_finite()) {
             return Err(ModelError::NonFinite { tensor: tname });
         }
@@ -246,15 +235,47 @@ pub(crate) fn tmp_sibling(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+pub(crate) fn put_f32s(buf: &mut Vec<u8>, values: &[f32]) {
+    for &x in values {
+        buf.extend_from_slice(&x.to_le_bytes());
+    }
+}
+
+pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_u32(buf, s.len() as u32);
+    buf.extend_from_slice(s.as_bytes());
+}
+
+pub(crate) fn get_u32(buf: &mut &[u8]) -> Result<u32, ModelError> {
+    let raw = take(buf, 4)?.try_into().expect("take returned 4 bytes");
+    Ok(u32::from_le_bytes(raw))
+}
+
+pub(crate) fn get_u64(buf: &mut &[u8]) -> Result<u64, ModelError> {
+    let raw = take(buf, 8)?.try_into().expect("take returned 8 bytes");
+    Ok(u64::from_le_bytes(raw))
+}
+
+/// Decodes a run of little-endian `f32`s; `bytes.len()` must be a multiple
+/// of 4 (callers size it as `n * 4` before calling [`take`]).
+pub(crate) fn get_f32s(bytes: &[u8]) -> Vec<f32> {
+    bytes
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes(c.try_into().expect("chunks_exact(4)")))
+        .collect()
 }
 
 pub(crate) fn get_str(buf: &mut &[u8]) -> Result<String, ModelError> {
-    let len = take(buf, 4)?.get_u32_le() as usize;
-    let mut bytes = vec![0u8; len];
-    take(buf, len)?.copy_to_slice(&mut bytes);
+    let len = get_u32(buf)? as usize;
+    let bytes = take(buf, len)?.to_vec();
     String::from_utf8(bytes).map_err(|_| corrupt("invalid utf-8 in string"))
 }
 

@@ -19,6 +19,9 @@
 //!   [`QuantCheckpoint`] stores projection weights as per-row-scaled int8
 //!   (norms and the embedding stay f32), quartering decode weight traffic;
 //!   the serving registry materializes one behind the `#int8` spec suffix.
+//! * [`json`] — the text codec beside the binary ones: a strict JSON
+//!   parser, compact and pretty printers, and the field-table macros the
+//!   wire protocol, metrics snapshots and report files are declared with.
 //!
 //! # Example
 //!
@@ -44,6 +47,7 @@ mod checkpoint;
 pub mod diff;
 mod error;
 pub mod format;
+pub mod json;
 pub mod qformat;
 
 pub use arch::{ArchSpec, ParamKind};

@@ -36,10 +36,12 @@ use std::fs;
 use std::io::Write;
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use chipalign_tensor::{Matrix, QuantizedMatrix};
 
-use crate::format::{corrupt, fnv1a, get_str, put_str, take, tmp_sibling};
+use crate::format::{
+    corrupt, fnv1a, get_f32s, get_str, get_u32, get_u64, put_f32s, put_str, put_u32, put_u64, take,
+    tmp_sibling,
+};
 use crate::{ArchSpec, Checkpoint, ModelError, ParamKind};
 
 const MAGIC: &[u8; 4] = b"CALQ";
@@ -122,7 +124,7 @@ impl QuantCheckpoint {
                 } else {
                     QuantTensor::F32(tensor.clone())
                 };
-                (name.clone(), qt)
+                (name.to_string(), qt)
             })
             .collect();
         QuantCheckpoint {
@@ -190,10 +192,10 @@ impl QuantCheckpoint {
 
 /// Serializes a quantized checkpoint to its binary representation.
 #[must_use]
-pub fn encode(ckpt: &QuantCheckpoint) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + ckpt.weights_bytes() as usize);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
+pub fn encode(ckpt: &QuantCheckpoint) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64 + ckpt.weights_bytes() as usize);
+    buf.extend_from_slice(MAGIC);
+    put_u32(&mut buf, VERSION);
     let arch = ckpt.arch();
     put_str(&mut buf, &arch.name);
     for dim in [
@@ -204,47 +206,37 @@ pub fn encode(ckpt: &QuantCheckpoint) -> Bytes {
         arch.d_ff,
         arch.max_seq_len,
     ] {
-        buf.put_u64_le(dim as u64);
+        put_u64(&mut buf, dim as u64);
     }
-    buf.put_u32_le(ckpt.metadata().len() as u32);
+    put_u32(&mut buf, ckpt.metadata().len() as u32);
     for (k, v) in ckpt.metadata() {
         put_str(&mut buf, k);
         put_str(&mut buf, v);
     }
-    buf.put_u32_le(ckpt.param_count() as u32);
+    put_u32(&mut buf, ckpt.param_count() as u32);
     for (name, tensor) in ckpt.iter() {
         put_str(&mut buf, name);
         let (rows, cols) = tensor.shape();
-        let data_start;
+        buf.push(match tensor {
+            QuantTensor::F32(_) => DTYPE_F32,
+            QuantTensor::Int8(_) => DTYPE_INT8,
+        });
+        put_u64(&mut buf, rows as u64);
+        put_u64(&mut buf, cols as u64);
+        let data_start = buf.len();
         match tensor {
-            QuantTensor::F32(m) => {
-                buf.put_u8(DTYPE_F32);
-                buf.put_u64_le(rows as u64);
-                buf.put_u64_le(cols as u64);
-                data_start = buf.len();
-                for &x in m.data() {
-                    buf.put_f32_le(x);
-                }
-            }
+            QuantTensor::F32(m) => put_f32s(&mut buf, m.data()),
             QuantTensor::Int8(q) => {
-                buf.put_u8(DTYPE_INT8);
-                buf.put_u64_le(rows as u64);
-                buf.put_u64_le(cols as u64);
-                data_start = buf.len();
-                for &s in q.scales() {
-                    buf.put_f32_le(s);
-                }
-                for &c in q.data() {
-                    buf.put_i8(c);
-                }
+                put_f32s(&mut buf, q.scales());
+                buf.extend(q.data().iter().map(|&c| c as u8));
             }
         }
         let tcrc = fnv1a(&buf[data_start..]);
-        buf.put_u64_le(tcrc);
+        put_u64(&mut buf, tcrc);
     }
     let crc = fnv1a(&buf);
-    buf.put_u64_le(crc);
-    buf.freeze()
+    put_u64(&mut buf, crc);
+    buf
 }
 
 /// Deserializes a quantized checkpoint from bytes produced by [`encode`].
@@ -270,12 +262,10 @@ pub fn decode(data: &[u8]) -> Result<QuantCheckpoint, ModelError> {
     }
 
     let mut buf = body;
-    let mut magic = [0u8; 4];
-    take(&mut buf, 4)?.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    if take(&mut buf, 4)? != MAGIC {
         return Err(corrupt("bad magic"));
     }
-    let version = take(&mut buf, 4)?.get_u32_le();
+    let version = get_u32(&mut buf)?;
     if version != VERSION {
         return Err(corrupt(&format!("unsupported version {version}")));
     }
@@ -283,7 +273,7 @@ pub fn decode(data: &[u8]) -> Result<QuantCheckpoint, ModelError> {
     let name = get_str(&mut buf)?;
     let mut dims = [0usize; 6];
     for d in &mut dims {
-        *d = usize::try_from(take(&mut buf, 8)?.get_u64_le())
+        *d = usize::try_from(get_u64(&mut buf)?)
             .map_err(|_| corrupt("dimension overflows usize"))?;
     }
     let arch = ArchSpec {
@@ -296,7 +286,7 @@ pub fn decode(data: &[u8]) -> Result<QuantCheckpoint, ModelError> {
         max_seq_len: dims[5],
     };
 
-    let meta_count = take(&mut buf, 4)?.get_u32_le();
+    let meta_count = get_u32(&mut buf)?;
     let mut metadata = BTreeMap::new();
     for _ in 0..meta_count {
         let k = get_str(&mut buf)?;
@@ -304,15 +294,13 @@ pub fn decode(data: &[u8]) -> Result<QuantCheckpoint, ModelError> {
         metadata.insert(k, v);
     }
 
-    let tensor_count = take(&mut buf, 4)?.get_u32_le();
+    let tensor_count = get_u32(&mut buf)?;
     let mut tensors = BTreeMap::new();
     for _ in 0..tensor_count {
         let tname = get_str(&mut buf)?;
-        let dtype = take(&mut buf, 1)?.get_u8();
-        let rows = usize::try_from(take(&mut buf, 8)?.get_u64_le())
-            .map_err(|_| corrupt("rows overflow"))?;
-        let cols = usize::try_from(take(&mut buf, 8)?.get_u64_le())
-            .map_err(|_| corrupt("cols overflow"))?;
+        let dtype = take(&mut buf, 1)?[0];
+        let rows = usize::try_from(get_u64(&mut buf)?).map_err(|_| corrupt("rows overflow"))?;
+        let cols = usize::try_from(get_u64(&mut buf)?).map_err(|_| corrupt("cols overflow"))?;
         let n = rows
             .checked_mul(cols)
             .ok_or_else(|| corrupt("tensor size overflow"))?;
@@ -323,34 +311,25 @@ pub fn decode(data: &[u8]) -> Result<QuantCheckpoint, ModelError> {
         }
         .ok_or_else(|| corrupt("tensor byte size overflow"))?;
         let payload_bytes = take(&mut buf, payload_len)?;
-        let stored_tcrc = take(&mut buf, 8)?.get_u64_le();
+        let stored_tcrc = get_u64(&mut buf)?;
         if fnv1a(payload_bytes) != stored_tcrc {
             return Err(ModelError::ChecksumMismatch { tensor: tname });
         }
-        let mut payload = payload_bytes;
         let tensor = match dtype {
             DTYPE_F32 => {
-                let mut values = Vec::with_capacity(n);
-                for _ in 0..n {
-                    values.push(payload.get_f32_le());
-                }
+                let values = get_f32s(payload_bytes);
                 if values.iter().any(|v| !v.is_finite()) {
                     return Err(ModelError::NonFinite { tensor: tname });
                 }
                 QuantTensor::F32(Matrix::from_vec(rows, cols, values)?)
             }
             _ => {
-                let mut scales = Vec::with_capacity(rows);
-                for _ in 0..rows {
-                    scales.push(payload.get_f32_le());
-                }
+                let (scale_bytes, code_bytes) = payload_bytes.split_at(rows * 4);
+                let scales = get_f32s(scale_bytes);
                 if scales.iter().any(|s| !s.is_finite()) {
                     return Err(ModelError::NonFinite { tensor: tname });
                 }
-                let mut codes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    codes.push(payload.get_i8());
-                }
+                let codes = code_bytes.iter().map(|&b| b as i8).collect();
                 QuantTensor::Int8(QuantizedMatrix::from_parts(rows, cols, codes, scales)?)
             }
         };

@@ -1,46 +1,79 @@
 //! Robustness tests for the checkpoint decoder: arbitrary corruption of a
 //! valid encoding must produce a clean error, never a panic or a silently
-//! wrong checkpoint.
+//! wrong checkpoint. Each property runs [`CASES`] seeded cases
+//! ([`chipalign_tensor::rng::cases`]); a failure reports its case number.
 
-use chipalign_model::{format, ArchSpec, Checkpoint};
-use chipalign_tensor::rng::Pcg32;
-use proptest::prelude::*;
+use chipalign_model::{format, qformat, ArchSpec, Checkpoint, QuantCheckpoint};
+use chipalign_tensor::rng::{cases, Pcg32};
 
-fn encoded() -> Vec<u8> {
-    let ckpt = Checkpoint::random(&ArchSpec::tiny("fuzz"), &mut Pcg32::seed(3));
-    format::encode(&ckpt).to_vec()
+const CASES: u64 = 64;
+
+fn checkpoint() -> Checkpoint {
+    Checkpoint::random(&ArchSpec::tiny("fuzz"), &mut Pcg32::seed(3))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+fn encoded() -> Vec<u8> {
+    format::encode(&checkpoint())
+}
 
-    #[test]
-    fn bit_flips_never_panic_and_never_pass(pos_frac in 0.0f64..1.0, bit in 0u8..8) {
-        let mut data = encoded();
-        let pos = ((data.len() - 1) as f64 * pos_frac) as usize;
+fn random_bytes(rng: &mut Pcg32, len: usize) -> Vec<u8> {
+    (0..len).map(|_| rng.next_u32() as u8).collect()
+}
+
+#[test]
+fn bit_flips_never_panic_and_never_pass() {
+    let clean = encoded();
+    for mut rng in cases(1, CASES) {
+        let mut data = clean.clone();
+        let (pos, bit) = (rng.below(data.len()), rng.below(8));
         data[pos] ^= 1 << bit;
         // Either detected as corrupt, or the flip hit a redundant byte and
         // the checksum catches it; a clean decode of *tampered* bytes is
         // only acceptable if the flip was a no-op (impossible for XOR).
-        prop_assert!(format::decode(&data).is_err());
+        assert!(
+            format::decode(&data).is_err(),
+            "flip of bit {bit} at byte {pos} decoded cleanly"
+        );
     }
+}
 
-    #[test]
-    fn truncations_never_panic(cut_frac in 0.0f64..1.0) {
-        let data = encoded();
-        let cut = ((data.len() - 1) as f64 * cut_frac) as usize;
-        prop_assert!(format::decode(&data[..cut]).is_err());
+#[test]
+fn truncations_never_panic() {
+    let data = encoded();
+    for mut rng in cases(2, CASES) {
+        let cut = rng.below(data.len());
+        assert!(format::decode(&data[..cut]).is_err(), "cut at {cut}");
     }
+}
 
-    #[test]
-    fn random_garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        prop_assert!(format::decode(&bytes).is_err());
+#[test]
+fn random_garbage_never_panics() {
+    for mut rng in cases(3, CASES) {
+        let len = rng.below(512);
+        let bytes = random_bytes(&mut rng, len);
+        assert!(format::decode(&bytes).is_err());
+        assert!(qformat::decode(&bytes).is_err(), "int8 format");
     }
+}
 
-    #[test]
-    fn appended_junk_is_detected(junk in proptest::collection::vec(any::<u8>(), 1..64)) {
-        let mut data = encoded();
-        data.extend(junk);
-        prop_assert!(format::decode(&data).is_err());
+#[test]
+fn appended_junk_is_detected() {
+    let clean = encoded();
+    for mut rng in cases(4, CASES) {
+        let mut data = clean.clone();
+        let len = rng.range(1, 63);
+        data.extend(random_bytes(&mut rng, len));
+        assert!(format::decode(&data).is_err());
     }
+}
+
+#[test]
+fn re_encoding_a_decoded_file_reproduces_its_bytes() {
+    let bytes = encoded();
+    let back = format::decode(&bytes).expect("clean bytes decode");
+    assert_eq!(format::encode(&back), bytes, "f32 format");
+
+    let qbytes = qformat::encode(&QuantCheckpoint::quantize(&checkpoint()));
+    let qback = qformat::decode(&qbytes).expect("clean int8 bytes decode");
+    assert_eq!(qformat::encode(&qback), qbytes, "int8 format");
 }

@@ -496,7 +496,7 @@ impl KvCache {
         let positions = positions.min(self.len);
         if let KvStore::Paged(table) = &self.store {
             let bt = table.pool.block_tokens();
-            if positions % bt != 0 {
+            if !positions.is_multiple_of(bt) {
                 let b = positions / bt;
                 if table.blocks.get(b).is_some_and(|blk| blk.is_sealed()) {
                     return b * bt;
@@ -911,7 +911,7 @@ impl KvCache {
         }
         if let KvStore::Paged(table) = &self.store {
             let bt = table.pool.block_tokens();
-            if len % bt != 0 && table.blocks[len / bt].is_sealed() {
+            if !len.is_multiple_of(bt) && table.blocks[len / bt].is_sealed() {
                 return Err(NnError::BadSequence {
                     detail: format!(
                         "truncating to {len} positions cuts inside a sealed int8 block"
@@ -1071,9 +1071,8 @@ mod tests {
         let mut cache = KvCache::new(&m);
         for (t, &tok) in tokens.iter().enumerate() {
             let row = cache.decode_step(tok).expect("ok");
-            for v in 0..99 {
+            for (v, &b) in row.iter().enumerate() {
                 let a = full.get(t, v).expect("in range");
-                let b = row[v];
                 assert!(
                     (a - b).abs() < 1e-3,
                     "mismatch at pos {t} vocab {v}: {a} vs {b}"

@@ -546,10 +546,9 @@ fn rmsnorm_backward(
     let mut dx = Matrix::zeros(rows, cols);
     let mut dgain = Matrix::zeros(1, cols);
     let g = gain.data();
-    for r in 0..rows {
+    for (r, &rr) in rms.iter().enumerate().take(rows) {
         let xr = x.row(r);
         let dyr = dy.row(r);
-        let rr = rms[r];
         // S = Σ_i dy_i g_i x_i
         let s: f32 = (0..cols).map(|c| dyr[c] * g[c] * xr[c]).sum();
         let dxr = dx.row_mut(r);
@@ -810,10 +809,11 @@ mod tests {
         let x = Matrix::randn(3, 8, 2.0, &mut rng);
         let gain = Matrix::ones(1, 8);
         let (y, rms) = rmsnorm_forward(&x, &gain);
-        for r in 0..3 {
+        assert_eq!(rms.len(), 3);
+        for (r, &row_rms) in rms.iter().enumerate() {
             let ms: f32 = y.row(r).iter().map(|v| v * v).sum::<f32>() / 8.0;
             assert!((ms - 1.0).abs() < 1e-3, "row {r} mean-square {ms}");
-            assert!(rms[r] > 0.0);
+            assert!(row_rms > 0.0);
         }
     }
 

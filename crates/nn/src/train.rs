@@ -2,12 +2,11 @@
 //! finetuning (DAFT).
 //!
 //! One training *step* samples `batch_size` examples, computes
-//! prompt-masked cross-entropy gradients for each in parallel, averages
+//! prompt-masked cross-entropy gradients for each, averages
 //! them, and applies one Adam update. The whole loop is deterministic given
 //! the config seed.
 
 use chipalign_tensor::rng::Pcg32;
-use rayon::prelude::*;
 
 use crate::model::TinyLm;
 use crate::optim::{Adam, AdamConfig};
@@ -40,7 +39,7 @@ impl Example {
         let mut tokens = prompt.clone();
         tokens.extend_from_slice(&completion);
         let mut mask = vec![false; prompt.len()];
-        mask.extend(std::iter::repeat(true).take(completion.len()));
+        mask.extend(std::iter::repeat_n(true, completion.len()));
         Example { tokens, mask }
     }
 
@@ -107,9 +106,9 @@ pub fn train(model: &mut TinyLm, data: &[Example], cfg: &TrainConfig) -> Result<
         let batch: Vec<&Example> = (0..cfg.batch_size)
             .map(|_| &data[rng.below(data.len())])
             .collect();
-        // Per-example losses and gradients in parallel.
+        // Per-example losses and gradients (examples are independent).
         let results: Vec<Result<(f32, crate::ParamSet), NnError>> = batch
-            .par_iter()
+            .iter()
             .map(|ex| {
                 let (logits, cache) = model.forward(&ex.tokens)?;
                 let result = loss::masked_cross_entropy(&logits, &ex.tokens, &ex.mask)?;
@@ -145,7 +144,7 @@ pub fn evaluate_loss(model: &TinyLm, data: &[Example]) -> Result<f32, NnError> {
         });
     }
     let results: Vec<Result<f32, NnError>> = data
-        .par_iter()
+        .iter()
         .map(|ex| {
             let logits = model.logits(&ex.tokens)?;
             Ok(loss::masked_cross_entropy(&logits, &ex.tokens, &ex.mask)?.loss)

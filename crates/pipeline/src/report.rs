@@ -3,22 +3,25 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use serde::Serialize;
+use chipalign_model::json::ToJson;
+use chipalign_model::json_struct;
 
 use crate::PipelineError;
 
-/// A simple fixed-precision text table matching the paper's layout
-/// (method rows × metric columns).
-#[derive(Debug, Clone, Serialize)]
-pub struct TextTable {
-    /// Table caption.
-    pub title: String,
-    /// Column headers (first column is the row label).
-    pub columns: Vec<String>,
-    /// Rows: label + one value per column.
-    pub rows: Vec<(String, Vec<f64>)>,
-    /// Decimal places to print.
-    pub precision: usize,
+json_struct! {
+    /// A simple fixed-precision text table matching the paper's layout
+    /// (method rows × metric columns).
+    #[derive(Debug, Clone)]
+    pub struct TextTable {
+        /// Table caption.
+        pub title: String,
+        /// Column headers (first column is the row label).
+        pub columns: Vec<String>,
+        /// Rows: label + one value per column.
+        pub rows: Vec<(String, Vec<f64>)>,
+        /// Decimal places to print.
+        pub precision: usize,
+    }
 }
 
 impl TextTable {
@@ -83,12 +86,7 @@ impl TextTable {
     ///
     /// Returns [`PipelineError::Io`] on write failure.
     pub fn save_json(&self, path: impl AsRef<Path>) -> Result<(), PipelineError> {
-        let json = serde_json::to_string_pretty(self).map_err(|e| {
-            PipelineError::BadConfig {
-                detail: format!("json serialization failed: {e}"),
-            }
-        })?;
-        std::fs::write(path, json)?;
+        std::fs::write(path, self.to_json().to_pretty())?;
         Ok(())
     }
 }

@@ -31,9 +31,9 @@
 //! The fleet chaos suite (`tests/fleet_chaos.rs`, behind `fault-inject`)
 //! kills whole replicas mid-decode and asserts every affected session is
 //! either answered byte-identically after failover or fails with a
-//! structured retryable error. `bench_fleet` (in `chipalign-bench`)
-//! measures throughput scaling and prefix-hit preservation against a
-//! random-routing baseline.
+//! structured retryable error. The `fleet_mixed` workload of
+//! `benchmark/run.sh` measures the router's hop cost, primary-hit share
+//! and replica balance.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,7 +7,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
+use chipalign_model::json_struct;
 
 /// Lock-free router counters.
 #[derive(Debug, Default)]
@@ -95,25 +95,27 @@ impl RouterMetrics {
     }
 }
 
-/// Serializable view of [`RouterMetrics`], reported by `bench_fleet`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct RouterMetricsSnapshot {
-    /// Generate requests accepted for routing.
-    pub routed: u64,
-    /// Requests answered by their affinity home.
-    pub primary_hits: u64,
-    /// Attempts moved to another replica.
-    pub failovers: u64,
-    /// Overload spills (subset of failovers).
-    pub spills: u64,
-    /// Requests that exhausted every candidate.
-    pub exhausted: u64,
-    /// Failed health probes.
-    pub probe_failures: u64,
-    /// Transitions into `Down`.
-    pub marks_down: u64,
-    /// Transitions into `Degraded`.
-    pub marks_degraded: u64,
+json_struct! {
+    /// Serializable view of [`RouterMetrics`].
+    #[derive(Debug, Clone, Default)]
+    pub struct RouterMetricsSnapshot {
+        /// Generate requests accepted for routing.
+        pub routed: u64,
+        /// Requests answered by their affinity home.
+        pub primary_hits: u64,
+        /// Attempts moved to another replica.
+        pub failovers: u64,
+        /// Overload spills (subset of failovers).
+        pub spills: u64,
+        /// Requests that exhausted every candidate.
+        pub exhausted: u64,
+        /// Failed health probes.
+        pub probe_failures: u64,
+        /// Transitions into `Down`.
+        pub marks_down: u64,
+        /// Transitions into `Degraded`.
+        pub marks_degraded: u64,
+    }
 }
 
 #[cfg(test)]
@@ -141,8 +143,8 @@ mod tests {
         assert_eq!(s.probe_failures, 1);
         assert_eq!(s.marks_down, 1);
         assert_eq!(s.marks_degraded, 1);
-        let json = serde_json::to_string(&s).expect("serialize");
-        let back: RouterMetricsSnapshot = serde_json::from_str(&json).expect("parse");
+        let json = chipalign_model::json::to_string(&s);
+        let back: RouterMetricsSnapshot = chipalign_model::json::from_str(&json).expect("parse");
         assert_eq!(back.routed, 2);
     }
 }

@@ -27,6 +27,19 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// splitmix64's finalizer. FNV-1a's last bytes barely reach its high bits,
+/// and ring order is decided by the high bits: the vnode names of one
+/// replica (`host:port#0`, `#1`, …) and near-identical prompts would cluster
+/// on the ring, leaving some replicas a fraction of their share. Every ring
+/// point and every looked-up key passes through this first.
+fn mix64(mut h: u64) -> u64 {
+    h ^= h >> 30;
+    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h ^= h >> 27;
+    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
+}
+
 /// The affinity key for a request: model spec plus the first
 /// `prefix_chars` characters of the prompt.
 ///
@@ -44,7 +57,7 @@ pub fn affinity_key(model: &str, prompt: &str, prefix_chars: usize) -> u64 {
     let mut bytes = Vec::with_capacity(model.len() + 1 + boundary);
     bytes.extend_from_slice(model.as_bytes());
     bytes.push(0); // separator: ("ab", "c") must not collide with ("a", "bc")
-    bytes.extend_from_slice(prompt[..boundary].as_bytes());
+    bytes.extend_from_slice(&prompt.as_bytes()[..boundary]);
     fnv1a(&bytes)
 }
 
@@ -66,7 +79,7 @@ impl HashRing {
         let mut points = Vec::with_capacity(replicas.len() * vnodes);
         for (idx, name) in replicas.iter().enumerate() {
             for v in 0..vnodes {
-                points.push((fnv1a(format!("{name}#{v}").as_bytes()), idx));
+                points.push((mix64(fnv1a(format!("{name}#{v}").as_bytes())), idx));
             }
         }
         points.sort_unstable();
@@ -87,6 +100,7 @@ impl HashRing {
         if self.points.is_empty() {
             return Vec::new();
         }
+        let key = mix64(key);
         let start = self.points.partition_point(|&(p, _)| p < key);
         let mut seen = Vec::new();
         for i in 0..self.points.len() {
@@ -166,6 +180,27 @@ mod tests {
         }
         // Roughly a quarter of the keyspace belonged to the removed node.
         assert!(moved > total / 8 && moved < total / 2, "moved {moved}");
+    }
+
+    #[test]
+    fn replicas_get_balanced_shares_of_the_keyspace() {
+        let total = 4000usize;
+        for n in [2usize, 3, 4, 8] {
+            let ring = HashRing::build(&names(n), 64);
+            let mut homed = vec![0usize; n];
+            for i in 0..total {
+                let key = affinity_key("m", &format!("prompt scaffold number {i}"), 64);
+                homed[ring.candidates(key)[0]] += 1;
+            }
+            let fair = total as f64 / n as f64;
+            for (replica, &count) in homed.iter().enumerate() {
+                let share = count as f64 / fair;
+                assert!(
+                    (0.6..=1.4).contains(&share),
+                    "{n} replicas: replica {replica} homes {count} of {total} keys ({share:.2}x its fair share)"
+                );
+            }
+        }
     }
 
     #[test]

@@ -36,9 +36,9 @@ pub enum RoutingMode {
     /// Consistent-hash ring order keyed on (model, prompt prefix): merge
     /// and prefix-KV locality. The default.
     Affinity,
-    /// A seeded random order per request. Exists as the locality-free
-    /// baseline `bench_fleet` compares against; failover and health
-    /// handling work identically.
+    /// A seeded random order per request: the locality-free baseline
+    /// (`chipalign-router --random`); failover and health handling work
+    /// identically.
     Random,
 }
 
@@ -456,7 +456,7 @@ impl Router {
             if let Ok(snap) = self
                 .admin_request(&addr, &Request::Metrics)
                 .and_then(|r| match r {
-                    Response::Metrics(snap) => Ok(snap),
+                    Response::Metrics(snap) => Ok(*snap),
                     other => Err(ServeError::Protocol {
                         detail: format!("unexpected metrics reply: {other:?}"),
                     }),
@@ -691,11 +691,11 @@ mod tests {
     #[test]
     fn affinity_candidates_are_stable_per_key() {
         let r = router(4);
-        let req = GenerateRequest::greedy("merge:a+b@0.6", "Q:timing path 1;A:", 8);
+        let req = GenerateRequest::greedy("merge:a+b@0.6", "Q:describe the timing path 1;A:", 8);
         let a: Vec<usize> = r.candidates(&req).iter().map(|c| c.index).collect();
         let b: Vec<usize> = r.candidates(&req).iter().map(|c| c.index).collect();
         assert_eq!(a, b);
-        let other = GenerateRequest::greedy("merge:a+b@0.6", "Q:timing path 2;A:", 8);
+        let other = GenerateRequest::greedy("merge:a+b@0.6", "Q:describe the timing path 2;A:", 8);
         let c: Vec<usize> = r.candidates(&other).iter().map(|c| c.index).collect();
         assert_eq!(a[0], c[0], "shared 16-char prefix shares an affinity home");
     }

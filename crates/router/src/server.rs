@@ -206,7 +206,7 @@ fn dispatch(inner: &Arc<RouterInner>, req: Request) -> Response {
             Ok(g) => Response::Generation(g),
             Err(e) => Response::Error(e.to_wire()),
         },
-        Request::Metrics => Response::Metrics(router.fleet_metrics()),
+        Request::Metrics => Response::Metrics(Box::new(router.fleet_metrics())),
         Request::Models => {
             let (loaded, zoo, models) = router.fleet_models_detailed();
             Response::Models {

@@ -191,12 +191,16 @@ fn overloaded_home_spills_to_ring_neighbor_and_degrades() {
     let ring = HashRing::build(&addrs, cfg.vnodes);
     let home = ring.candidates(affinity_key("eda-qwen", prompt, cfg.affinity_chars))[0];
 
-    // Occupy the home replica with a long-running direct session.
+    // Occupy the home replica with a long-running direct session (an
+    // `<eos>` must not free the replica early).
     let occupy_addr = addrs[home].clone();
     let occupant = std::thread::spawn(move || {
         Client::connect(occupy_addr.as_str())
             .expect("connect home")
-            .generate(GenerateRequest::greedy("eda-qwen", "Q:occupy;A:", 600))
+            .generate(GenerateRequest {
+                stop_at_eos: false,
+                ..GenerateRequest::greedy("eda-qwen", "Q:occupy;A:", 600)
+            })
             .expect("occupying generate")
     });
     wait_for_admission(&addrs[home], 1);
@@ -248,12 +252,16 @@ fn drain_rebalances_new_traffic_and_preserves_inflight_sessions() {
     let ring = HashRing::build(&addrs, cfg.vnodes);
     let home = ring.candidates(affinity_key("eda-qwen", prompt, cfg.affinity_chars))[0];
 
-    // A long session routed through the router, homed on `home`.
+    // A long session routed through the router, homed on `home` (an
+    // `<eos>` must not end it before the drain).
     let inflight_prompt = prompt.to_string();
     let inflight = std::thread::spawn(move || {
         Client::connect(router_addr)
             .expect("connect router")
-            .generate(GenerateRequest::greedy("eda-qwen", &inflight_prompt, 400))
+            .generate(GenerateRequest {
+                stop_at_eos: false,
+                ..GenerateRequest::greedy("eda-qwen", &inflight_prompt, 400)
+            })
             .expect("in-flight generate")
     });
     wait_for_admission(&addrs[home], 1);

@@ -104,7 +104,7 @@ impl Client {
     /// Propagates transport errors and unexpected replies.
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, ServeError> {
         match self.request(&Request::Metrics)? {
-            Response::Metrics(snap) => Ok(snap),
+            Response::Metrics(snap) => Ok(*snap),
             Response::Error(w) => Err(ServeError::Remote(w)),
             other => Err(unexpected(&other)),
         }

@@ -1,3 +1,5 @@
+//! The serving subsystem's error type and its mapping onto wire error codes.
+
 use std::error::Error;
 use std::fmt;
 

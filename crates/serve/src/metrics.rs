@@ -11,8 +11,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
+use chipalign_model::json_struct;
 use chipalign_nn::KvPool;
-use serde::{Deserialize, Serialize};
 
 /// Number of power-of-two buckets: covers 1 µs .. ~2^47 µs (~4 years).
 const BUCKETS: usize = 48;
@@ -458,146 +458,123 @@ struct PoolGauges {
     by_dtype: Vec<KvPoolDtypeGauges>,
 }
 
-/// Per-KV-dtype slice of the pool gauges: the dtype label on
-/// `kv_blocks_in_use` / `kv_blocks_free`, plus the bytes those blocks pin
-/// (int8 pools hold sealed blocks at ~¼ the f32 size, so block counts
-/// alone no longer imply memory use).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct KvPoolDtypeGauges {
-    /// KV dtype label (`"f32"` / `"int8"`).
-    pub dtype: String,
-    /// Blocks allocated across pools of this dtype.
-    pub blocks_in_use: u64,
-    /// Blocks still allocatable across pools of this dtype.
-    pub blocks_free: u64,
-    /// Bytes resident across pools of this dtype.
-    pub bytes_in_use: u64,
+json_struct! {
+    /// Per-KV-dtype slice of the pool gauges: the dtype label on
+    /// `kv_blocks_in_use` / `kv_blocks_free`, plus the bytes those blocks pin
+    /// (int8 pools hold sealed blocks at ~¼ the f32 size, so block counts
+    /// alone no longer imply memory use).
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct KvPoolDtypeGauges {
+        /// KV dtype label (`"f32"` / `"int8"`).
+        pub dtype: String,
+        /// Blocks allocated across pools of this dtype.
+        pub blocks_in_use: u64,
+        /// Blocks still allocatable across pools of this dtype.
+        pub blocks_free: u64,
+        /// Bytes resident across pools of this dtype.
+        pub bytes_in_use: u64,
+    }
 }
 
-/// A point-in-time metrics view, as sent over the wire.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
-    /// Milliseconds since the metrics core was created.
-    pub uptime_ms: u64,
-    /// Admission attempts.
-    pub requests: u64,
-    /// Finished generations.
-    pub completed: u64,
-    /// Admission-control rejections.
-    pub rejected_overload: u64,
-    /// Draining-time rejections.
-    pub rejected_shutdown: u64,
-    /// Decode failures.
-    pub failed: u64,
-    /// Deadline expiries.
-    pub deadline_exceeded: u64,
-    /// Decode slices that panicked (the session was cancelled with a
-    /// structured error; the worker survived).
-    #[serde(default)]
-    pub worker_panics: u64,
-    /// Sessions cancelled by the stall watchdog.
-    #[serde(default)]
-    pub watchdog_cancels: u64,
-    /// Checkpoint loads rejected for checksum/corruption/non-finite data.
-    #[serde(default)]
-    pub checksum_failures: u64,
-    /// Generate requests flagged by clients as retries.
-    #[serde(default)]
-    pub retries_attempted: u64,
-    /// Worker threads that died and were respawned.
-    #[serde(default)]
-    pub workers_respawned: u64,
-    /// Slices that advanced two or more sessions through one batched step.
-    #[serde(default)]
-    pub batched_slices: u64,
-    /// Batch-occupancy histogram: entry `n` counts slices that advanced
-    /// exactly `n` sessions (`>= 16` folded into the last entry). Empty
-    /// when the snapshot came from a server without batching.
-    #[serde(default)]
-    pub batch_occupancy: Vec<u64>,
-    /// Total new tokens produced.
-    pub tokens_out: u64,
-    /// Total prompt tokens consumed.
-    pub prompt_tokens: u64,
-    /// Sessions seeded from the shared-prefix cache.
-    #[serde(default)]
-    pub prefix_hits: u64,
-    /// Prompt tokens whose prefill was skipped thanks to prefix hits.
-    #[serde(default)]
-    pub prefix_tokens_reused: u64,
-    /// Prefill chunks processed by the scheduler.
-    #[serde(default)]
-    pub prefill_chunks: u64,
-    /// Draft tokens proposed by speculative-decoding rounds. The fleet
-    /// acceptance rate is `accepted_draft_tokens / draft_tokens_proposed`.
-    #[serde(default)]
-    pub draft_tokens_proposed: u64,
-    /// Draft tokens the target model verified and accepted.
-    #[serde(default)]
-    pub accepted_draft_tokens: u64,
-    /// Speculative rounds degraded to plain decode (draft panic or error).
-    #[serde(default)]
-    pub spec_fallbacks: u64,
-    /// Merged models evicted from the registry's LRU cache.
-    #[serde(default)]
-    pub merge_evictions: u64,
-    /// Prefix-cache snapshots evicted under KV-pool pressure.
-    #[serde(default)]
-    pub pool_evictions: u64,
-    /// Total weight bytes resident in the registry cache at decode dtype.
-    #[serde(default)]
-    pub weights_bytes: u64,
-    /// The kernel backend this server selected at startup (`scalar`,
-    /// `blocked`, `simd`, or `simd(blocked-fallback)` when AVX2 is
-    /// absent). Empty from pre-v3 servers.
-    #[serde(default)]
-    pub simd_backend: String,
-    /// KV blocks currently allocated across every registered paged pool.
-    #[serde(default)]
-    pub kv_blocks_in_use: u64,
-    /// KV blocks still allocatable across every registered paged pool.
-    #[serde(default)]
-    pub kv_blocks_free: u64,
-    /// Bytes resident across every registered paged pool (sealed int8
-    /// blocks count at their quantized size, open tails at f32).
-    #[serde(default)]
-    pub kv_bytes_in_use: u64,
-    /// The same block/byte gauges sliced per KV dtype. Empty from servers
-    /// that predate int8 KV.
-    #[serde(default)]
-    pub kv_pool_dtypes: Vec<KvPoolDtypeGauges>,
-    /// Copy-on-write block duplications across every registered pool (a
-    /// shared tail block privatised before a divergent write).
-    #[serde(default)]
-    pub cow_copies: u64,
-    /// Completions per second of uptime.
-    pub requests_per_sec: f64,
-    /// New tokens per second of uptime.
-    pub tokens_per_sec: f64,
-    /// Median admission-to-completion latency (upper bound, ms).
-    pub latency_p50_ms: f64,
-    /// 95th-percentile admission-to-completion latency (upper bound, ms).
-    pub latency_p95_ms: f64,
-    /// Median queue wait (upper bound, ms).
-    pub queue_p50_ms: f64,
-    /// 95th-percentile queue wait (upper bound, ms).
-    pub queue_p95_ms: f64,
-    /// Median per-chunk prefill compute time (upper bound, ms).
-    #[serde(default)]
-    pub prefill_p50_ms: f64,
-    /// 95th-percentile per-chunk prefill compute time (upper bound, ms).
-    #[serde(default)]
-    pub prefill_p95_ms: f64,
-    /// Raw latency histogram buckets (power-of-two, µs; see
-    /// [`Histogram::bucket_counts`]). Empty from pre-v3 servers.
-    #[serde(default)]
-    pub latency_buckets: Vec<u64>,
-    /// Raw queue-wait histogram buckets.
-    #[serde(default)]
-    pub queue_buckets: Vec<u64>,
-    /// Raw prefill histogram buckets.
-    #[serde(default)]
-    pub prefill_buckets: Vec<u64>,
+json_struct! {
+    /// A point-in-time metrics view, as sent over the wire.
+    #[derive(Debug, Clone, Default)]
+    pub struct MetricsSnapshot {
+        /// Milliseconds since the metrics core was created.
+        pub uptime_ms: u64,
+        /// Admission attempts.
+        pub requests: u64,
+        /// Finished generations.
+        pub completed: u64,
+        /// Admission-control rejections.
+        pub rejected_overload: u64,
+        /// Draining-time rejections.
+        pub rejected_shutdown: u64,
+        /// Decode failures.
+        pub failed: u64,
+        /// Deadline expiries.
+        pub deadline_exceeded: u64,
+        /// Decode slices that panicked (the session was cancelled with a
+        /// structured error; the worker survived).
+        pub worker_panics: u64 = 0,
+        /// Sessions cancelled by the stall watchdog.
+        pub watchdog_cancels: u64 = 0,
+        /// Checkpoint loads rejected for checksum/corruption/non-finite data.
+        pub checksum_failures: u64 = 0,
+        /// Generate requests flagged by clients as retries.
+        pub retries_attempted: u64 = 0,
+        /// Worker threads that died and were respawned.
+        pub workers_respawned: u64 = 0,
+        /// Slices that advanced two or more sessions through one batched step.
+        pub batched_slices: u64 = 0,
+        /// Batch-occupancy histogram: entry `n` counts slices that advanced
+        /// exactly `n` sessions (`>= 16` folded into the last entry). Empty
+        /// when the snapshot came from a server without batching.
+        pub batch_occupancy: Vec<u64> = Vec::new(),
+        /// Total new tokens produced.
+        pub tokens_out: u64,
+        /// Total prompt tokens consumed.
+        pub prompt_tokens: u64,
+        /// Sessions seeded from the shared-prefix cache.
+        pub prefix_hits: u64 = 0,
+        /// Prompt tokens whose prefill was skipped thanks to prefix hits.
+        pub prefix_tokens_reused: u64 = 0,
+        /// Prefill chunks processed by the scheduler.
+        pub prefill_chunks: u64 = 0,
+        /// Draft tokens proposed by speculative-decoding rounds. The fleet
+        /// acceptance rate is `accepted_draft_tokens / draft_tokens_proposed`.
+        pub draft_tokens_proposed: u64 = 0,
+        /// Draft tokens the target model verified and accepted.
+        pub accepted_draft_tokens: u64 = 0,
+        /// Speculative rounds degraded to plain decode (draft panic or error).
+        pub spec_fallbacks: u64 = 0,
+        /// Merged models evicted from the registry's LRU cache.
+        pub merge_evictions: u64 = 0,
+        /// Prefix-cache snapshots evicted under KV-pool pressure.
+        pub pool_evictions: u64 = 0,
+        /// Total weight bytes resident in the registry cache at decode dtype.
+        pub weights_bytes: u64 = 0,
+        /// The kernel backend this server selected at startup (`scalar`,
+        /// `blocked`, `simd`, or `simd(blocked-fallback)` when AVX2 is
+        /// absent). Empty from pre-v3 servers.
+        pub simd_backend: String = String::new(),
+        /// KV blocks currently allocated across every registered paged pool.
+        pub kv_blocks_in_use: u64 = 0,
+        /// KV blocks still allocatable across every registered paged pool.
+        pub kv_blocks_free: u64 = 0,
+        /// Bytes resident across every registered paged pool (sealed int8
+        /// blocks count at their quantized size, open tails at f32).
+        pub kv_bytes_in_use: u64 = 0,
+        /// The same block/byte gauges sliced per KV dtype. Empty from servers
+        /// that predate int8 KV.
+        pub kv_pool_dtypes: Vec<KvPoolDtypeGauges> = Vec::new(),
+        /// Copy-on-write block duplications across every registered pool (a
+        /// shared tail block privatised before a divergent write).
+        pub cow_copies: u64 = 0,
+        /// Completions per second of uptime.
+        pub requests_per_sec: f64,
+        /// New tokens per second of uptime.
+        pub tokens_per_sec: f64,
+        /// Median admission-to-completion latency (upper bound, ms).
+        pub latency_p50_ms: f64,
+        /// 95th-percentile admission-to-completion latency (upper bound, ms).
+        pub latency_p95_ms: f64,
+        /// Median queue wait (upper bound, ms).
+        pub queue_p50_ms: f64,
+        /// 95th-percentile queue wait (upper bound, ms).
+        pub queue_p95_ms: f64,
+        /// Median per-chunk prefill compute time (upper bound, ms).
+        pub prefill_p50_ms: f64 = 0.0,
+        /// 95th-percentile per-chunk prefill compute time (upper bound, ms).
+        pub prefill_p95_ms: f64 = 0.0,
+        /// Raw latency histogram buckets (power-of-two, µs; see
+        /// [`Histogram::bucket_counts`]). Empty from pre-v3 servers.
+        pub latency_buckets: Vec<u64> = Vec::new(),
+        /// Raw queue-wait histogram buckets.
+        pub queue_buckets: Vec<u64> = Vec::new(),
+        /// Raw prefill histogram buckets.
+        pub prefill_buckets: Vec<u64> = Vec::new(),
+    }
 }
 
 /// Element-wise `a += b`, extending `a` when `b` is longer.
@@ -732,6 +709,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chipalign_model::json::{self, FromJson, ToJson};
 
     #[test]
     fn histogram_quantiles_bound_observations() {
@@ -779,8 +757,8 @@ mod tests {
         assert_eq!(snap.tokens_out, 32);
         assert_eq!(snap.prompt_tokens, 12);
         assert!(snap.latency_p50_ms > 0.0);
-        let json = serde_json::to_string(&snap).expect("serialize");
-        let back: MetricsSnapshot = serde_json::from_str(&json).expect("parse");
+        let json = json::to_string(&snap);
+        let back: MetricsSnapshot = json::from_str(&json).expect("parse");
         assert_eq!(back.completed, 1);
     }
 
@@ -843,12 +821,11 @@ mod tests {
     #[test]
     fn snapshot_without_fault_fields_still_parses() {
         // A v1 server's snapshot predates the fault counters; the client
-        // must still accept it (serde defaults).
+        // must still accept it (decode defaults).
         let m = Metrics::new();
-        let mut v: serde_json::Value =
-            serde_json::from_str(&serde_json::to_string(&m.snapshot()).expect("serialize"))
-                .expect("value");
-        let obj = v.as_object_mut().expect("object");
+        let json::Value::Object(mut members) = m.snapshot().to_json() else {
+            panic!("a snapshot encodes as an object");
+        };
         for field in [
             "worker_panics",
             "watchdog_cancels",
@@ -878,9 +855,12 @@ mod tests {
             "queue_buckets",
             "prefill_buckets",
         ] {
-            obj.remove(field);
+            let before = members.len();
+            members.retain(|(key, _)| key != field);
+            assert_eq!(members.len(), before - 1, "{field} was on the wire");
         }
-        let back: MetricsSnapshot = serde_json::from_value(v).expect("parse without fault fields");
+        let back = MetricsSnapshot::from_json(&json::Value::Object(members))
+            .expect("parse without fault fields");
         assert_eq!(back.worker_panics, 0);
         assert_eq!(back.batched_slices, 0);
         assert!(back.batch_occupancy.is_empty());

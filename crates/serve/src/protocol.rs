@@ -10,8 +10,8 @@
 //! ← {"type":"generation","model":"merge:eda-qwen+instruct-qwen@0.6000","text":"...","tokens":24,...}
 //! ```
 
-use serde::{Deserialize, Serialize};
-
+use chipalign_model::json::{self, FromJson, JsonError, ToJson, Value};
+use chipalign_model::{json_struct, json_unit_enum};
 use chipalign_nn::generate::GenerateConfig;
 
 use crate::ServeError;
@@ -24,15 +24,15 @@ use crate::ServeError;
 /// aggregation can recompute quantiles. The quantization surface (the
 /// `#int8` spec suffix, the per-model `models` detail rows, and the
 /// `weights_bytes`/`simd_backend` snapshot fields) is additive within
-/// version 3. Everything is additive with serde defaults, so older clients
+/// version 3. Everything is additive with decode defaults, so older clients
 /// interoperate with newer servers and vice versa; a single-process
 /// `chipalign-serve` answers the fleet requests with a structured
 /// `bad_request` instead of dropping the connection.
 pub const PROTOCOL_VERSION: u32 = 3;
 
-/// A client-to-server message.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(tag = "type", rename_all = "snake_case")]
+/// A client-to-server message: one JSON object whose `type` member names
+/// the variant in snake_case, followed by the variant's own members.
+#[derive(Debug, Clone)]
 pub enum Request {
     /// Run one generation session.
     Generate(GenerateRequest),
@@ -67,53 +67,35 @@ pub enum Request {
     },
 }
 
-/// Parameters for one generation session.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct GenerateRequest {
-    /// Model spec (zoo slug, `merge:<chip>+<instruct>@<λ>`, `file:<path>`,
-    /// or a name registered via the API).
-    pub model: String,
-    /// The text prompt.
-    pub prompt: String,
-    /// Maximum number of new tokens (clamped to the server's cap).
-    #[serde(default = "default_max_new_tokens")]
-    pub max_new_tokens: usize,
-    /// Softmax temperature; `0` is greedy.
-    #[serde(default)]
-    pub temperature: f32,
-    /// Top-k truncation (`0` disables).
-    #[serde(default)]
-    pub top_k: usize,
-    /// Nucleus mass (`1.0` disables).
-    #[serde(default = "default_top_p")]
-    pub top_p: f32,
-    /// Stop at `<eos>`.
-    #[serde(default = "default_true")]
-    pub stop_at_eos: bool,
-    /// Sampling seed.
-    #[serde(default)]
-    pub seed: u64,
-    /// Per-request deadline in milliseconds, measured from admission. When
-    /// absent, the server's default applies.
-    #[serde(default)]
-    pub deadline_ms: Option<u64>,
-    /// Which retry of this request this is (`0` = first attempt). Set by
-    /// [`crate::client::Retrier`]; the server counts non-zero attempts in
-    /// the `retries_attempted` metric.
-    #[serde(default)]
-    pub retry_attempt: u32,
-}
-
-fn default_max_new_tokens() -> usize {
-    64
-}
-
-fn default_top_p() -> f32 {
-    1.0
-}
-
-fn default_true() -> bool {
-    true
+json_struct! {
+    /// Parameters for one generation session.
+    #[derive(Debug, Clone)]
+    pub struct GenerateRequest {
+        /// Model spec (zoo slug, `merge:<chip>+<instruct>@<λ>`,
+        /// `file:<path>`, or a name registered via the API).
+        pub model: String,
+        /// The text prompt.
+        pub prompt: String,
+        /// Maximum number of new tokens (clamped to the server's cap).
+        pub max_new_tokens: usize = 64,
+        /// Softmax temperature; `0` is greedy.
+        pub temperature: f32 = 0.0,
+        /// Top-k truncation (`0` disables).
+        pub top_k: usize = 0,
+        /// Nucleus mass (`1.0` disables).
+        pub top_p: f32 = 1.0,
+        /// Stop at `<eos>`.
+        pub stop_at_eos: bool = true,
+        /// Sampling seed.
+        pub seed: u64 = 0,
+        /// Per-request deadline in milliseconds, measured from admission.
+        /// When absent, the server's default applies.
+        pub deadline_ms: Option<u64> = None,
+        /// Which retry of this request this is (`0` = first attempt). Set
+        /// by [`crate::client::Retrier`]; the server counts non-zero
+        /// attempts in the `retries_attempted` metric.
+        pub retry_attempt: u32 = 0,
+    }
 }
 
 impl GenerateRequest {
@@ -149,9 +131,8 @@ impl GenerateRequest {
     }
 }
 
-/// A server-to-client message.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(tag = "type", rename_all = "snake_case")]
+/// A server-to-client message, tagged by `type` like [`Request`].
+#[derive(Debug, Clone)]
 pub enum Response {
     /// A finished generation.
     Generation(Generation),
@@ -164,7 +145,6 @@ pub enum Response {
         zoo: Vec<String>,
         /// Per-model detail rows (dtype and weight bytes), index-free and
         /// keyed by `model`. Empty from older servers.
-        #[serde(default)]
         models: Vec<LoadedModel>,
     },
     /// A `load` completed; `model` is the canonical cache key.
@@ -180,7 +160,7 @@ pub enum Response {
         evicted: bool,
     },
     /// A metrics snapshot.
-    Metrics(crate::metrics::MetricsSnapshot),
+    Metrics(Box<crate::metrics::MetricsSnapshot>),
     /// Reply to `ping`.
     Pong {
         /// Protocol version.
@@ -203,120 +183,265 @@ pub enum Response {
     Error(WireError),
 }
 
-/// One materialized model's detail row in a `models` reply.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LoadedModel {
-    /// Canonical registry key.
-    pub model: String,
-    /// Decode dtype: `"f32"`, or `"int8"` for a `#int8` variant.
-    pub dtype: String,
-    /// Weight bytes resident at that dtype.
-    #[serde(default)]
-    pub weights_bytes: u64,
+json_struct! {
+    /// One materialized model's detail row in a `models` reply.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct LoadedModel {
+        /// Canonical registry key.
+        pub model: String,
+        /// Decode dtype: `"f32"`, or `"int8"` for a `#int8` variant.
+        pub dtype: String,
+        /// Weight bytes resident at that dtype.
+        pub weights_bytes: u64 = 0,
+    }
 }
 
-/// Health of one replica as seen by the router.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ReplicaStatus {
-    /// The replica's address (`host:port`).
-    pub addr: String,
-    /// Current health state.
-    pub state: ReplicaHealth,
-    /// Requests the router currently has in flight against this replica.
-    #[serde(default)]
-    pub inflight: u64,
-    /// Consecutive probe/request failures since the last success.
-    #[serde(default)]
-    pub consecutive_failures: u32,
+json_struct! {
+    /// Health of one replica as seen by the router.
+    #[derive(Debug, Clone)]
+    pub struct ReplicaStatus {
+        /// The replica's address (`host:port`).
+        pub addr: String,
+        /// Current health state.
+        pub state: ReplicaHealth,
+        /// Requests the router currently has in flight against this replica.
+        pub inflight: u64 = 0,
+        /// Consecutive probe/request failures since the last success.
+        pub consecutive_failures: u32 = 0,
+    }
 }
 
-/// The router's three-state replica health model, plus the drain state.
-///
-/// `Healthy` replicas take traffic in ring order. `Degraded` replicas
-/// (recent `overloaded` replies or probe hiccups) are only tried after
-/// every healthy candidate. `Down` replicas (consecutive probe failures
-/// past the threshold) are last-resort candidates until a probe succeeds.
-/// `Draining` replicas finish in-flight sessions but are excluded from
-/// candidate lists entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum ReplicaHealth {
-    /// Probes pass; traffic routes here in ring order.
-    Healthy,
-    /// Saturated or flaky; used only when no healthy candidate remains.
-    Degraded,
-    /// Probes failing; assumed dead until one succeeds.
-    Down,
-    /// Administratively draining; receives no new sessions.
-    Draining,
+json_unit_enum! {
+    /// The router's three-state replica health model, plus the drain state.
+    ///
+    /// `Healthy` replicas take traffic in ring order. `Degraded` replicas
+    /// (recent `overloaded` replies or probe hiccups) are only tried after
+    /// every healthy candidate. `Down` replicas (consecutive probe failures
+    /// past the threshold) are last-resort candidates until a probe
+    /// succeeds. `Draining` replicas finish in-flight sessions but are
+    /// excluded from candidate lists entirely.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ReplicaHealth {
+        /// Probes pass; traffic routes here in ring order.
+        Healthy = "healthy",
+        /// Saturated or flaky; used only when no healthy candidate remains.
+        Degraded = "degraded",
+        /// Probes failing; assumed dead until one succeeds.
+        Down = "down",
+        /// Administratively draining; receives no new sessions.
+        Draining = "draining",
+    }
 }
 
-/// One finished generation session.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Generation {
-    /// Canonical registry key of the model that served the request.
-    pub model: String,
-    /// The generated text (special tokens stripped).
-    pub text: String,
-    /// Number of new tokens produced.
-    pub tokens: usize,
-    /// Number of prompt tokens consumed.
-    pub prompt_tokens: usize,
-    /// Why the session ended.
-    pub finish: FinishReason,
-    /// Time spent queued before the first decode slice, in milliseconds.
-    pub queue_ms: u64,
-    /// Total time from admission to completion, in milliseconds.
-    pub latency_ms: u64,
+json_struct! {
+    /// One finished generation session.
+    #[derive(Debug, Clone)]
+    pub struct Generation {
+        /// Canonical registry key of the model that served the request.
+        pub model: String,
+        /// The generated text (special tokens stripped).
+        pub text: String,
+        /// Number of new tokens produced.
+        pub tokens: usize,
+        /// Number of prompt tokens consumed.
+        pub prompt_tokens: usize,
+        /// Why the session ended.
+        pub finish: FinishReason,
+        /// Time spent queued before the first decode slice, in milliseconds.
+        pub queue_ms: u64,
+        /// Total time from admission to completion, in milliseconds.
+        pub latency_ms: u64,
+    }
 }
 
-/// Why a generation session ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum FinishReason {
-    /// The model emitted `<eos>`.
-    Eos,
-    /// The token budget was exhausted.
-    Length,
+json_unit_enum! {
+    /// Why a generation session ended.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum FinishReason {
+        /// The model emitted `<eos>`.
+        Eos = "eos",
+        /// The token budget was exhausted.
+        Length = "length",
+    }
 }
 
-/// A structured error on the wire.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WireError {
-    /// Machine-readable error class.
-    pub code: ErrorCode,
-    /// Human-readable detail.
-    pub detail: String,
+json_struct! {
+    /// A structured error on the wire.
+    #[derive(Debug, Clone)]
+    pub struct WireError {
+        /// Machine-readable error class.
+        pub code: ErrorCode,
+        /// Human-readable detail.
+        pub detail: String,
+    }
 }
 
-/// Machine-readable error classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum ErrorCode {
-    /// The request was malformed or semantically invalid.
-    BadRequest,
-    /// The model spec names nothing servable.
-    UnknownModel,
-    /// Admission control rejected the request; retry later.
-    Overloaded,
-    /// The per-request deadline expired.
-    DeadlineExceeded,
-    /// The server is draining.
-    ShuttingDown,
-    /// Unexpected server-side failure.
-    Internal,
+json_unit_enum! {
+    /// Machine-readable error classes.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ErrorCode {
+        /// The request was malformed or semantically invalid.
+        BadRequest = "bad_request",
+        /// The model spec names nothing servable.
+        UnknownModel = "unknown_model",
+        /// Admission control rejected the request; retry later.
+        Overloaded = "overloaded",
+        /// The per-request deadline expired.
+        DeadlineExceeded = "deadline_exceeded",
+        /// The server is draining.
+        ShuttingDown = "shutting_down",
+        /// Unexpected server-side failure.
+        Internal = "internal",
+    }
 }
 
-/// Serializes `msg` as one newline-terminated JSON line.
+/// `{"type":tag}` followed by `members`.
+fn tagged(tag: &str, members: Vec<(String, Value)>) -> Value {
+    let mut all = Vec::with_capacity(members.len() + 1);
+    all.push(("type".to_string(), Value::String(tag.to_string())));
+    all.extend(members);
+    Value::Object(all)
+}
+
+/// `{"type":tag}` followed by the members of `inner`'s own object (every
+/// `json_struct!` type encodes as one).
+fn tagged_struct(tag: &str, inner: &impl ToJson) -> Value {
+    match inner.to_json() {
+        Value::Object(members) => tagged(tag, members),
+        other => other,
+    }
+}
+
+fn member(key: &str, value: &impl ToJson) -> (String, Value) {
+    (key.to_string(), value.to_json())
+}
+
+/// The members of a tagged message and its `type`.
+fn untag<'a>(v: &'a Value, what: &str) -> Result<(Members<'a>, String), JsonError> {
+    let members = json::object(v, what)?;
+    Ok((members, json::required(members, "type")?))
+}
+
+type Members<'a> = &'a [(String, Value)];
+
+fn unknown_variant(what: &str, tag: &str) -> JsonError {
+    JsonError::new(format!("unknown {what} type `{tag}`"))
+}
+
+impl ToJson for Request {
+    fn to_json(&self) -> Value {
+        match self {
+            Request::Generate(g) => tagged_struct("generate", g),
+            Request::Models => tagged("models", vec![]),
+            Request::Load { model } => tagged("load", vec![member("model", model)]),
+            Request::Unload { model } => tagged("unload", vec![member("model", model)]),
+            Request::Metrics => tagged("metrics", vec![]),
+            Request::Ping => tagged("ping", vec![]),
+            Request::Fleet => tagged("fleet", vec![]),
+            Request::Drain { replica } => tagged("drain", vec![member("replica", replica)]),
+        }
+    }
+}
+
+impl FromJson for Request {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        let (m, tag) = untag(v, "a request")?;
+        Ok(match tag.as_str() {
+            "generate" => Request::Generate(GenerateRequest::from_json(v)?),
+            "models" => Request::Models,
+            "load" => Request::Load {
+                model: json::required(m, "model")?,
+            },
+            "unload" => Request::Unload {
+                model: json::required(m, "model")?,
+            },
+            "metrics" => Request::Metrics,
+            "ping" => Request::Ping,
+            "fleet" => Request::Fleet,
+            "drain" => Request::Drain {
+                replica: json::required(m, "replica")?,
+            },
+            other => return Err(unknown_variant("request", other)),
+        })
+    }
+}
+
+impl ToJson for Response {
+    fn to_json(&self) -> Value {
+        match self {
+            Response::Generation(g) => tagged_struct("generation", g),
+            Response::Models {
+                loaded,
+                zoo,
+                models,
+            } => tagged(
+                "models",
+                vec![
+                    member("loaded", loaded),
+                    member("zoo", zoo),
+                    member("models", models),
+                ],
+            ),
+            Response::Loaded { model } => tagged("loaded", vec![member("model", model)]),
+            Response::Unloaded { model, evicted } => tagged(
+                "unloaded",
+                vec![member("model", model), member("evicted", evicted)],
+            ),
+            Response::Metrics(snapshot) => tagged_struct("metrics", snapshot.as_ref()),
+            Response::Pong { version } => tagged("pong", vec![member("version", version)]),
+            Response::Fleet { replicas } => tagged("fleet", vec![member("replicas", replicas)]),
+            Response::Drained { replica, known } => tagged(
+                "drained",
+                vec![member("replica", replica), member("known", known)],
+            ),
+            Response::Error(e) => tagged_struct("error", e),
+        }
+    }
+}
+
+impl FromJson for Response {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        let (m, tag) = untag(v, "a response")?;
+        Ok(match tag.as_str() {
+            "generation" => Response::Generation(Generation::from_json(v)?),
+            "models" => Response::Models {
+                loaded: json::required(m, "loaded")?,
+                zoo: json::required(m, "zoo")?,
+                models: json::field(m, "models")?.unwrap_or_default(),
+            },
+            "loaded" => Response::Loaded {
+                model: json::required(m, "model")?,
+            },
+            "unloaded" => Response::Unloaded {
+                model: json::required(m, "model")?,
+                evicted: json::required(m, "evicted")?,
+            },
+            "metrics" => {
+                Response::Metrics(Box::new(crate::metrics::MetricsSnapshot::from_json(v)?))
+            }
+            "pong" => Response::Pong {
+                version: json::required(m, "version")?,
+            },
+            "fleet" => Response::Fleet {
+                replicas: json::required(m, "replicas")?,
+            },
+            "drained" => Response::Drained {
+                replica: json::required(m, "replica")?,
+                known: json::required(m, "known")?,
+            },
+            "error" => Response::Error(WireError::from_json(v)?),
+            other => return Err(unknown_variant("response", other)),
+        })
+    }
+}
+
+/// Serializes `msg` as one newline-terminated compact JSON line.
 ///
 /// # Errors
 ///
-/// Returns [`ServeError::Protocol`] if serialization fails (it cannot for
-/// these types in practice) and [`ServeError::Io`] on write failure.
-pub fn write_line<W: std::io::Write, T: Serialize>(w: &mut W, msg: &T) -> Result<(), ServeError> {
-    let json = serde_json::to_string(msg).map_err(|e| ServeError::Protocol {
-        detail: format!("serialize: {e}"),
-    })?;
+/// Returns [`ServeError::Io`] on write failure.
+pub fn write_line<W: std::io::Write, T: ToJson>(w: &mut W, msg: &T) -> Result<(), ServeError> {
+    let json = json::to_string(msg);
     w.write_all(json.as_bytes())?;
     w.write_all(b"\n")?;
     w.flush()?;
@@ -327,9 +452,10 @@ pub fn write_line<W: std::io::Write, T: Serialize>(w: &mut W, msg: &T) -> Result
 ///
 /// # Errors
 ///
-/// Returns [`ServeError::Protocol`] for malformed JSON.
-pub fn parse_line<T: for<'de> Deserialize<'de>>(line: &str) -> Result<T, ServeError> {
-    serde_json::from_str(line.trim()).map_err(|e| ServeError::Protocol {
+/// Returns [`ServeError::Protocol`] for malformed JSON or a document that
+/// does not fit `T`.
+pub fn parse_line<T: FromJson>(line: &str) -> Result<T, ServeError> {
+    json::from_str(line.trim()).map_err(|e| ServeError::Protocol {
         detail: format!("malformed message: {e}"),
     })
 }
@@ -341,7 +467,7 @@ mod tests {
     #[test]
     fn request_round_trips_through_json() {
         let req = Request::Generate(GenerateRequest::greedy("instruct-qwen", "Q:x;A:", 16));
-        let json = serde_json::to_string(&req).expect("serialize");
+        let json = json::to_string(&req);
         assert!(json.contains("\"type\":\"generate\""));
         let back: Request = parse_line(&json).expect("parse");
         match back {
@@ -375,7 +501,7 @@ mod tests {
             code: ErrorCode::DeadlineExceeded,
             detail: "too slow".into(),
         });
-        let json = serde_json::to_string(&resp).expect("serialize");
+        let json = json::to_string(&resp);
         assert!(json.contains("\"deadline_exceeded\""));
         let back: Response = parse_line(&json).expect("parse");
         match back {
@@ -392,7 +518,7 @@ mod tests {
 
     #[test]
     fn fleet_requests_round_trip() {
-        let json = serde_json::to_string(&Request::Fleet).expect("serialize");
+        let json = json::to_string(&Request::Fleet);
         assert!(json.contains("\"type\":\"fleet\""));
         assert!(matches!(
             parse_line::<Request>(&json).expect("parse"),
@@ -402,7 +528,7 @@ mod tests {
         let drain = Request::Drain {
             replica: "127.0.0.1:7001".to_string(),
         };
-        let json = serde_json::to_string(&drain).expect("serialize");
+        let json = json::to_string(&drain);
         assert!(json.contains("\"type\":\"drain\""));
         match parse_line::<Request>(&json).expect("parse") {
             Request::Drain { replica } => assert_eq!(replica, "127.0.0.1:7001"),
@@ -428,7 +554,7 @@ mod tests {
                 },
             ],
         };
-        let json = serde_json::to_string(&resp).expect("serialize");
+        let json = json::to_string(&resp);
         assert!(json.contains("\"healthy\""));
         assert!(json.contains("\"draining\""));
         match parse_line::<Response>(&json).expect("parse") {
@@ -460,7 +586,7 @@ mod tests {
                 },
             ],
         };
-        let json = serde_json::to_string(&resp).expect("serialize");
+        let json = json::to_string(&resp);
         match parse_line::<Response>(&json).expect("parse") {
             Response::Models { models, .. } => {
                 assert_eq!(models.len(), 2);

@@ -319,6 +319,10 @@ impl ModelCache {
     }
 }
 
+/// One paged KV pool and what it is keyed by: the model allocation it
+/// serves (weakly held) and its KV dtype.
+type KvPoolSlot = (Weak<TinyLm>, KvDtype, Arc<KvPool>);
+
 /// The registry: zoo access plus a cache of materialized models.
 pub struct ModelRegistry {
     zoo: Zoo,
@@ -345,7 +349,7 @@ pub struct ModelRegistry {
     /// same weights draw from separate pools. Keys are weak so an evicted
     /// model's pools die with their last session; dead slots are pruned on
     /// access.
-    kv_pools: Mutex<Vec<(Weak<TinyLm>, KvDtype, Arc<KvPool>)>>,
+    kv_pools: Mutex<Vec<KvPoolSlot>>,
     /// Shape of pools created by [`ModelRegistry::kv_pool`].
     kv_pool_cfg: KvPoolConfig,
 }
@@ -776,11 +780,10 @@ impl ModelRegistry {
                 Ok(TinyLm::from_checkpoint(&merged)?)
             }
             ModelSpec::File(path) => {
-                let ckpt = format::load(path).map_err(|e| {
-                    if is_integrity_error(&e) {
+                let ckpt = format::load(path).inspect_err(|e| {
+                    if is_integrity_error(e) {
                         self.note_integrity_failure();
                     }
-                    e
                 })?;
                 Ok(TinyLm::from_checkpoint(&ckpt)?)
             }

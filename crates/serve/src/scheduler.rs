@@ -234,6 +234,9 @@ pub type SessionOutcome = Result<SessionResult, ServeError>;
 /// stepping dispatches on the variant. Batched slices advance `Plain`
 /// members jointly through `step_batch` and `Spec` members individually —
 /// a speculative round is inherently per-session work.
+// One per session, moved only between the queue and a worker; boxing either
+// variant would put an indirection on every decode step.
+#[allow(clippy::large_enum_variant)]
 enum SessionDecoder {
     Plain(StepDecoder),
     Spec(SpecDecoder),
@@ -316,10 +319,11 @@ impl Drop for Task {
         if self.finished {
             return;
         }
+        // Slot first, reply second: see `finish`.
+        self.active.fetch_sub(1, Ordering::SeqCst);
         let _ = self.reply.send(Err(ServeError::Internal {
             detail: "session lost: worker died mid-slice".to_string(),
         }));
-        self.active.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -1111,12 +1115,14 @@ fn watchdog_tick(inner: &Inner, task: &mut Task) -> Result<SliceStatus, ServeErr
     Ok(SliceStatus::Continue)
 }
 
-/// Sends the outcome and releases the admission slot exactly once.
+/// Releases the admission slot and sends the outcome, exactly once and in
+/// that order: a caller that has received its reply must already see the
+/// slot free (`active()` drops before `recv()` returns).
 fn finish(inner: &Inner, mut task: Task, outcome: SessionOutcome) {
     task.finished = true;
+    inner.active.fetch_sub(1, Ordering::SeqCst);
     // The receiver may have given up (client gone); that's not an error.
     let _ = task.reply.send(outcome);
-    inner.active.fetch_sub(1, Ordering::SeqCst);
 }
 
 /// Renders a caught panic payload for the structured error (panics carry

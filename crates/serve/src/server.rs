@@ -260,7 +260,7 @@ fn dispatch(inner: &Arc<ServerInner>, req: Request) -> Response {
         Request::Ping => Response::Pong {
             version: PROTOCOL_VERSION,
         },
-        Request::Metrics => Response::Metrics(inner.metrics.snapshot()),
+        Request::Metrics => Response::Metrics(Box::new(inner.metrics.snapshot())),
         Request::Models => Response::Models {
             loaded: inner.registry.loaded(),
             zoo: crate::registry::all_zoo_models()

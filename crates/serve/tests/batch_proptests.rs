@@ -1,11 +1,13 @@
-//! Property tests for the batched scheduler: random admission/completion
+//! Seeded property tests for the batched scheduler: random admission/completion
 //! interleavings, random session mixes, and every `max_batch` in
 //! `{1, 2, 4}` must be invisible in the per-session transcripts — each one
 //! byte-identical to a single-threaded `generate()` — while the metrics
 //! stay internally consistent.
 //!
 //! These drive the [`Scheduler`] directly (no TCP) so each case is cheap
-//! enough to run dozens of random schedules.
+//! enough to run dozens of random schedules: [`CASES`] seeded cases per
+//! property ([`chipalign_tensor::rng::cases`]); a failure reports its case
+//! number.
 
 use std::sync::Arc;
 
@@ -13,13 +15,14 @@ use chipalign_model::ArchSpec;
 use chipalign_nn::generate::{generate, GenerateConfig};
 use chipalign_nn::{KvDtype, KvPool, KvPoolConfig, StepDecoder, TinyLm};
 use chipalign_serve::{Metrics, Scheduler, SchedulerConfig, SessionRequest};
-use chipalign_tensor::rng::Pcg32;
-use proptest::prelude::*;
+use chipalign_tensor::rng::{cases, Pcg32};
 
-fn model(seed: u64) -> Arc<TinyLm> {
+const CASES: u64 = 24;
+
+fn model(rng: &mut Pcg32) -> Arc<TinyLm> {
     let mut arch = ArchSpec::tiny("batch-prop");
     arch.vocab_size = 99;
-    Arc::new(TinyLm::new(&arch, &mut Pcg32::seed(seed)).expect("model"))
+    Arc::new(TinyLm::new(&arch, rng).expect("model"))
 }
 
 fn greedy(max_new_tokens: usize) -> GenerateConfig {
@@ -42,34 +45,29 @@ struct Job {
     pooled: bool,
 }
 
-fn job_strategy() -> impl Strategy<Value = Job> {
-    (
-        1usize..24,
-        proptest::collection::vec(4u32..90, 1..6),
-        proptest::bool::ANY,
-        proptest::bool::ANY,
-    )
-        .prop_map(|(budget, prompt, wait_first, pooled)| Job {
-            budget,
-            prompt,
-            wait_first,
-            pooled,
+/// Between `lo` and `hi` (inclusive) random jobs: budgets 1..=23, prompts
+/// of 1..=5 ordinary tokens.
+fn random_jobs(rng: &mut Pcg32, lo: usize, hi: usize) -> Vec<Job> {
+    let n = rng.range(lo, hi);
+    (0..n)
+        .map(|_| Job {
+            budget: rng.range(1, 23),
+            prompt: (0..rng.range(1, 5))
+                .map(|_| rng.range(4, 89) as u32)
+                .collect(),
+            wait_first: rng.chance(0.5),
+            pooled: rng.chance(0.5),
         })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn random_interleavings_are_invisible_at_every_max_batch(
-        seed in 0u64..20,
-        jobs in proptest::collection::vec(job_strategy(), 2..10),
-        max_batch_idx in 0usize..3,
-        workers in 1usize..3,
-        slice_tokens in 1usize..4,
-    ) {
-        let max_batch = [1usize, 2, 4][max_batch_idx];
-        let m = model(seed);
+#[test]
+fn random_interleavings_are_invisible_at_every_max_batch() {
+    for mut rng in cases(1, CASES) {
+        let m = model(&mut rng);
+        let jobs = random_jobs(&mut rng, 2, 9);
+        let max_batch = *rng.choose(&[1usize, 2, 4]);
+        let (workers, slice_tokens) = (rng.range(1, 2), rng.range(1, 3));
         // Generous pool: these cases probe bit-identity of paged storage
         // under random interleavings, not admission pressure.
         let pool = KvPool::new(KvPoolConfig {
@@ -121,46 +119,40 @@ proptest! {
 
         for (tokens, job) in &results {
             let reference = generate(&m, &job.prompt, &greedy(job.budget)).expect("reference");
-            prop_assert_eq!(
-                tokens,
-                &reference,
-                "transcript changed under max_batch={} workers={}",
-                max_batch,
-                workers
+            assert_eq!(
+                tokens, &reference,
+                "transcript changed under max_batch={max_batch} workers={workers}"
             );
         }
 
-        prop_assert_eq!(scheduler.active(), 0);
+        assert_eq!(scheduler.active(), 0);
         scheduler.join();
         let snap = metrics.snapshot();
-        prop_assert_eq!(snap.completed, jobs.len() as u64);
-        prop_assert_eq!(snap.failed, 0);
-        prop_assert_eq!(snap.worker_panics, 0);
-        prop_assert_eq!(snap.watchdog_cancels, 0);
+        assert_eq!(snap.completed, jobs.len() as u64);
+        assert_eq!(snap.failed, 0);
+        assert_eq!(snap.worker_panics, 0);
+        assert_eq!(snap.watchdog_cancels, 0);
         let expected_tokens: u64 = jobs.iter().map(|j| j.budget as u64).sum();
-        prop_assert_eq!(snap.tokens_out, expected_tokens);
+        assert_eq!(snap.tokens_out, expected_tokens);
         // Occupancy bookkeeping: every dequeued slice lands in exactly one
         // bucket, batched_slices counts exactly the multi-session ones, and
         // no slice can exceed the configured batch width.
         let occupied: u64 = snap.batch_occupancy.iter().sum();
-        prop_assert_eq!(occupied, snap.batch_occupancy[1] + snap.batched_slices);
+        assert_eq!(occupied, snap.batch_occupancy[1] + snap.batched_slices);
         for (n, &count) in snap.batch_occupancy.iter().enumerate() {
             if n > max_batch {
-                prop_assert_eq!(count, 0, "slice wider than max_batch={}", max_batch);
+                assert_eq!(count, 0, "slice wider than max_batch={max_batch}");
             }
         }
         if max_batch == 1 {
-            prop_assert_eq!(snap.batched_slices, 0);
+            assert_eq!(snap.batched_slices, 0);
         }
     }
+}
 
-    #[test]
-    fn mixed_dtype_sessions_coexist_without_cross_talk(
-        seed in 0u64..20,
-        jobs in proptest::collection::vec(job_strategy(), 2..8),
-        workers in 1usize..3,
-        slice_tokens in 1usize..4,
-    ) {
+#[test]
+fn mixed_dtype_sessions_coexist_without_cross_talk() {
+    for mut rng in cases(2, CASES) {
         // f32-paged and int8-paged sessions share one scheduler, and the
         // int8 ones share one pool; each transcript must match a fresh
         // single-threaded decode *at the same dtype*, bitwise. f32 paged
@@ -169,7 +161,9 @@ proptest! {
         // pool (block seals are positional, so chunked scheduler prefill
         // and sliced decode quantize identically to the sequential run).
         // `Job::pooled` picks the dtype here: true → int8, false → f32.
-        let m = model(seed);
+        let m = model(&mut rng);
+        let jobs = random_jobs(&mut rng, 2, 7);
+        let (workers, slice_tokens) = (rng.range(1, 2), rng.range(1, 3));
         let f32_pool = KvPool::new(KvPoolConfig {
             block_tokens: 4,
             max_blocks: 4096,
@@ -241,7 +235,7 @@ proptest! {
             } else {
                 generate(&m, &job.prompt, &cfg).expect("reference")
             };
-            prop_assert_eq!(
+            assert_eq!(
                 tokens,
                 &reference,
                 "{} transcript changed under shared mixed-dtype scheduling",
@@ -249,16 +243,19 @@ proptest! {
             );
         }
 
-        prop_assert_eq!(scheduler.active(), 0);
+        assert_eq!(scheduler.active(), 0);
         scheduler.join();
         let snap = metrics.snapshot();
-        prop_assert_eq!(snap.completed, jobs.len() as u64);
-        prop_assert_eq!(snap.failed, 0);
-        // Both pools drained: every block (and byte) went back.
-        prop_assert_eq!(f32_pool.blocks_in_use(), 0);
-        prop_assert_eq!(int8_pool.blocks_in_use(), 0);
-        prop_assert_eq!(f32_pool.bytes_in_use(), 0);
-        prop_assert_eq!(int8_pool.bytes_in_use(), 0);
+        assert_eq!(snap.completed, jobs.len() as u64);
+        assert_eq!(snap.failed, 0);
+        // The scheduler's prefix cache keeps donated prompt snapshots (and
+        // their blocks) alive by design; once it is gone too, both pools
+        // must be drained: every block (and byte) went back.
+        drop(scheduler);
+        assert_eq!(f32_pool.blocks_in_use(), 0);
+        assert_eq!(int8_pool.blocks_in_use(), 0);
+        assert_eq!(f32_pool.bytes_in_use(), 0);
+        assert_eq!(int8_pool.bytes_in_use(), 0);
     }
 }
 

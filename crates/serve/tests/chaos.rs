@@ -471,10 +471,9 @@ fn abandoned_sessions_are_absorbed() {
     {
         use std::io::Write;
         let mut raw = std::net::TcpStream::connect(addr).expect("connect");
-        let line = serde_json::to_string(&chipalign_serve::Request::Generate(
+        let line = chipalign_model::json::to_string(&chipalign_serve::Request::Generate(
             GenerateRequest::greedy("healthy", "never read", 16),
-        ))
-        .expect("serialize");
+        ));
         raw.write_all(line.as_bytes()).expect("write");
         raw.write_all(b"\n").expect("write");
         // Dropped here, before the response arrives.

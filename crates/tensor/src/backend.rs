@@ -23,9 +23,9 @@
 //! decode all accumulate in the *same* backend's order, so transcripts
 //! never depend on which code path computed a given dot product.
 //!
-//! Backends can also be driven directly (e.g. `bench_kernels` times all
-//! three in one process via [`all`]) — direct calls bypass the global
-//! selection entirely.
+//! Backends can also be driven directly (the benchmark times all three in
+//! one process via [`all`]) — direct calls bypass the global selection
+//! entirely.
 
 use std::sync::OnceLock;
 
@@ -34,7 +34,7 @@ use crate::tune;
 /// The kernel primitives a backend must provide. Implementations differ in
 /// instruction selection, not semantics: all compute the same products to
 /// within floating-point reassociation (bounded at 1e-4 relative by the
-/// backend-equivalence proptests).
+/// backend-equivalence property tests).
 pub trait KernelBackend: Send + Sync {
     /// Short stable identifier (`"scalar"`, `"blocked"`, `"simd"`), used in
     /// logs, metrics, and bench labels.

@@ -12,7 +12,7 @@
 //!   platforms without pulling an RNG dependency into the numerics core.
 //! * [`stats`] — scalar statistics over weight matrices (cosine similarity,
 //!   the interpolation angle Θ used by geodesic merging, simple summaries).
-//! * [`tune`] — every kernel block size and parallel-dispatch threshold as a
+//! * [`tune`] — every kernel block size and shape cut-off as a
 //!   named, documented constant, plus the matvec fast-path call counter that
 //!   lets decode paths prove which kernel they ran on.
 //! * [`reference`] — the retained naive kernels, used as differential-test

@@ -1,7 +1,5 @@
 use std::fmt;
 
-use rayon::prelude::*;
-
 use crate::rng::Pcg32;
 use crate::{tune, TensorError};
 
@@ -380,8 +378,7 @@ impl Matrix {
     ///
     /// The kernel processes each output row in fixed-width column tiles
     /// ([`tune::GEMM_COL_TILE`]) whose partial sums live in a stack array the
-    /// compiler keeps in vector registers, and parallelises across output
-    /// rows with rayon once `m·n·k` reaches [`tune::PAR_FLOP_THRESHOLD`].
+    /// compiler keeps in vector registers, one output row at a time.
     /// Vector-shaped products (`m == 1` or `n == 1`) dispatch to the
     /// [`Matrix::vecmat`]/[`Matrix::matvec`] fast paths.
     ///
@@ -407,13 +404,8 @@ impl Matrix {
         if out.is_empty() {
             return Matrix::from_vec(m, n, out);
         }
-        let body = |(r, out_row): (usize, &mut [f32])| {
+        for (r, out_row) in out.chunks_mut(n).enumerate() {
             gemm_row_tiled(&self.data[r * k..(r + 1) * k], &other.data, n, out_row);
-        };
-        if m * n * k >= tune::PAR_FLOP_THRESHOLD {
-            out.par_chunks_mut(n).enumerate().for_each(body);
-        } else {
-            out.chunks_mut(n).enumerate().for_each(body);
         }
         Matrix::from_vec(m, n, out)
     }
@@ -423,9 +415,8 @@ impl Matrix {
     /// Each output row is a batch of dot products against the rows of
     /// `other`; the kernel blocks over `k` ([`tune::GEMM_K_BLOCK`]) so a
     /// panel of the left-hand row stays cache-hot while it sweeps `other`,
-    /// computes every dot with the lane-split reduction
-    /// ([`tune::DOT_LANES`]), and parallelises across output rows above
-    /// [`tune::PAR_FLOP_THRESHOLD`]. `m == 1` (the KV-cached decode shape)
+    /// and computes every dot with the lane-split reduction
+    /// ([`tune::DOT_LANES`]). `m == 1` (the KV-cached decode shape)
     /// dispatches to [`Matrix::matvec`]; `2 ≤ m ≤
     /// [`tune::GEMM_SKINNY_M_MAX`]` (the *batched* decode shape) takes a
     /// skinny kernel whose whole-row dots accumulate in exactly
@@ -455,18 +446,13 @@ impl Matrix {
             return Matrix::from_vec(m, n, out);
         }
         let skinny = m <= tune::GEMM_SKINNY_M_MAX;
-        let body = |(r, out_row): (usize, &mut [f32])| {
+        for (r, out_row) in out.chunks_mut(n).enumerate() {
             let a_row = &self.data[r * k..(r + 1) * k];
             if skinny {
                 gemm_bt_skinny_row(a_row, &other.data, k, out_row);
             } else {
                 gemm_bt_row(a_row, &other.data, k, out_row);
             }
-        };
-        if m * n * k >= tune::PAR_FLOP_THRESHOLD {
-            out.par_chunks_mut(n).enumerate().for_each(body);
-        } else {
-            out.chunks_mut(n).enumerate().for_each(body);
         }
         Matrix::from_vec(m, n, out)
     }
@@ -475,10 +461,8 @@ impl Matrix {
     ///
     /// Rank-1-free formulation: output row `r` reads column `r` of `self`
     /// (stride `m`) against the rows of `other`, so every output row is
-    /// written by exactly one task and the kernel gets the same
-    /// parallel-vs-serial dispatch as its siblings (rayon across output rows
-    /// above [`tune::PAR_FLOP_THRESHOLD`]), with the same column-tiled
-    /// register accumulation as [`Matrix::matmul`].
+    /// written exactly once, with the same column-tiled register
+    /// accumulation as [`Matrix::matmul`].
     ///
     /// # Errors
     ///
@@ -496,13 +480,8 @@ impl Matrix {
         if out.is_empty() {
             return Matrix::from_vec(m, n, out);
         }
-        let body = |(r, out_row): (usize, &mut [f32])| {
+        for (r, out_row) in out.chunks_mut(n).enumerate() {
             gemm_at_row(&self.data, &other.data, r, m, k, n, out_row);
-        };
-        if m * n * k >= tune::PAR_FLOP_THRESHOLD {
-            out.par_chunks_mut(n).enumerate().for_each(body);
-        } else {
-            out.chunks_mut(n).enumerate().for_each(body);
         }
         Matrix::from_vec(m, n, out)
     }
@@ -513,8 +492,7 @@ impl Matrix {
     /// This is the fast path that dominates KV-cached decode: every
     /// projection of a single token is a `(out × in) · in` product, and
     /// skipping the `Matrix` wrapper avoids both the `1 × n` allocation and
-    /// the general kernel's tiling overhead. Parallelises across rows above
-    /// [`tune::PAR_FLOP_THRESHOLD`]. Each call is counted in
+    /// the general kernel's tiling overhead. Each call is counted in
     /// [`tune::matvec_calls`] so decode paths can prove they use it.
     ///
     /// # Errors
@@ -529,14 +507,7 @@ impl Matrix {
             });
         }
         tune::note_matvec();
-        if self.rows * self.cols >= tune::PAR_FLOP_THRESHOLD {
-            Ok((0..self.rows)
-                .into_par_iter()
-                .map(|r| dot_lanes(self.row(r), x))
-                .collect())
-        } else {
-            Ok((0..self.rows).map(|r| dot_lanes(self.row(r), x)).collect())
-        }
+        Ok((0..self.rows).map(|r| dot_lanes(self.row(r), x)).collect())
     }
 
     /// Vector–matrix product `xᵀ · self` (with `x` a row vector of length
@@ -727,7 +698,7 @@ fn gemm_bt_skinny_row(a_row: &[f32], b: &[f32], k: usize, out_row: &mut [f32]) {
 
 /// One output row of `Aᵀ·B`: output row `r` reads column `r` of `A` (stride
 /// `m`) against the rows of `B`, column-tiled like [`gemm_row_tiled`]. No
-/// rank-1 updates, so rows never alias and row-parallelism is safe.
+/// rank-1 updates, so every output row is written exactly once.
 fn gemm_at_row(a: &[f32], b: &[f32], r: usize, m: usize, k: usize, n: usize, out_row: &mut [f32]) {
     let mut j0 = 0;
     while j0 < n {
@@ -901,13 +872,11 @@ mod tests {
     }
 
     #[test]
-    fn matmul_parallel_path_agrees_with_serial() {
-        // Large enough to cross PAR_THRESHOLD.
+    fn matmul_large_shape_agrees_with_per_element_dots() {
         let mut rng = Pcg32::seed(3);
         let a = Matrix::randn(64, 64, 0.5, &mut rng);
         let b = Matrix::randn(64, 64, 0.5, &mut rng);
         let big = a.matmul(&b).expect("conformable");
-        // Serial reference via per-element dot products.
         let reference = Matrix::from_fn(64, 64, |r, c| {
             (0..64).map(|k| a.row(r)[k] * b.row(k)[c]).sum()
         });
@@ -915,13 +884,10 @@ mod tests {
     }
 
     #[test]
-    fn matmul_at_parallel_path_crosses_threshold() {
-        // 40·40·40 = 64000 >= PAR_FLOP_THRESHOLD, so this exercises the
-        // rayon dispatch that replaced the old always-serial rank-1 loop.
+    fn matmul_at_large_shape_agrees_with_transpose_matmul() {
         let mut rng = Pcg32::seed(11);
         let a = Matrix::randn(40, 40, 0.5, &mut rng);
         let b = Matrix::randn(40, 40, 0.5, &mut rng);
-        assert!(a.rows() * a.cols() * b.cols() >= tune::PAR_FLOP_THRESHOLD);
         let fast = a.matmul_at(&b).expect("conformable");
         let slow = a.transpose().matmul(&b).expect("conformable");
         assert!(fast.approx_eq(&slow, 1e-3));

@@ -19,8 +19,6 @@
 //! quantized checkpoints are reconstructed from stored codes + scales via
 //! [`QuantizedMatrix::from_parts`] rather than re-quantized.
 
-use rayon::prelude::*;
-
 use crate::backend;
 use crate::error::TensorError;
 use crate::matrix::Matrix;
@@ -195,9 +193,8 @@ impl QuantizedMatrix {
 
     /// Matrix–vector product `self · x`: one whole-row int8×f32 dot per
     /// output element, through the process-wide backend. The decode fast
-    /// path for quantized weights — counted in [`tune::matvec_calls`] and
-    /// parallelised across rows above [`tune::PAR_FLOP_THRESHOLD`] exactly
-    /// like [`Matrix::matvec`].
+    /// path for quantized weights — counted in [`tune::matvec_calls`]
+    /// exactly like [`Matrix::matvec`].
     ///
     /// # Errors
     ///
@@ -212,16 +209,9 @@ impl QuantizedMatrix {
         }
         tune::note_matvec();
         let b = backend::active();
-        if self.rows * self.cols >= tune::PAR_FLOP_THRESHOLD {
-            Ok((0..self.rows)
-                .into_par_iter()
-                .map(|r| b.dot_q8(self.row(r), self.scales[r], x))
-                .collect())
-        } else {
-            Ok((0..self.rows)
-                .map(|r| b.dot_q8(self.row(r), self.scales[r], x))
-                .collect())
-        }
+        Ok((0..self.rows)
+            .map(|r| b.dot_q8(self.row(r), self.scales[r], x))
+            .collect())
     }
 
     /// Skinny GEMM `a · selfᵀ` (activations times quantized weights, the
@@ -249,16 +239,11 @@ impl QuantizedMatrix {
         tune::note_matvec();
         let b = backend::active();
         let mut out = vec![0.0f32; m * n];
-        let body = |(r, out_row): (usize, &mut [f32])| {
+        for (r, out_row) in out.chunks_mut(n).enumerate() {
             let a_row = &a.data()[r * k..(r + 1) * k];
             for (c, o) in out_row.iter_mut().enumerate() {
                 *o = b.dot_q8(self.row(c), self.scales[c], a_row);
             }
-        };
-        if m * n * k >= tune::PAR_FLOP_THRESHOLD {
-            out.par_chunks_mut(n).enumerate().for_each(body);
-        } else {
-            out.chunks_mut(n).enumerate().for_each(body);
         }
         Matrix::from_vec(m, n, out)
     }

@@ -6,7 +6,8 @@
 //! numerics core, this module implements the PCG-XSH-RR 64/32 generator
 //! ([`Pcg32`]) — a small, statistically solid PRNG with a 64-bit state — plus
 //! the sampling helpers the workspace needs (uniform floats, normal variates
-//! via Box–Muller, integer ranges, shuffles, weighted choice).
+//! via Box–Muller, integer ranges, shuffles, weighted choice) and the seeded
+//! case streams ([`cases`]) every property test in the workspace loops over.
 //!
 //! # Example
 //!
@@ -197,6 +198,75 @@ impl Pcg32 {
         // last positive-weight index (which exists because `total > 0`).
         last_positive.expect("total > 0 implies at least one positive weight")
     }
+}
+
+/// One case of a seeded property test: its own generator stream (it
+/// dereferences to a [`Pcg32`]) and its position in the loop. If an
+/// assertion fails while the case is live, dropping it reports which case
+/// it was, which is all a failure needs to reproduce — so the assertions
+/// themselves need not carry it.
+#[derive(Debug)]
+pub struct Case {
+    property: u64,
+    index: u64,
+    rng: Pcg32,
+}
+
+impl Case {
+    /// Position of this case in its loop, from zero.
+    #[must_use]
+    pub fn index(&self) -> u64 {
+        self.index
+    }
+}
+
+impl std::ops::Deref for Case {
+    type Target = Pcg32;
+    fn deref(&self) -> &Pcg32 {
+        &self.rng
+    }
+}
+
+impl std::ops::DerefMut for Case {
+    fn deref_mut(&mut self) -> &mut Pcg32 {
+        &mut self.rng
+    }
+}
+
+impl Drop for Case {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!(
+                "seeded property {} failed at case {} (stream seed {:#x})",
+                self.property,
+                self.index,
+                case_seed(self.property, self.index)
+            );
+        }
+    }
+}
+
+fn case_seed(property: u64, index: u64) -> u64 {
+    (property << 32) | index
+}
+
+/// The `count` cases of one seeded property test. `property` keeps the
+/// streams of different properties in one file apart.
+///
+/// ```
+/// use chipalign_tensor::rng::cases;
+///
+/// for mut rng in cases(1, 64) {
+///     let n = rng.range(1, 8);
+///     assert!((1..=8).contains(&n));
+/// }
+/// ```
+pub fn cases(property: u64, count: u64) -> impl Iterator<Item = Case> {
+    (0..count).map(move |index| Case {
+        property,
+        index,
+        rng: Pcg32::seed(case_seed(property, index)),
+    })
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Kernel tuning knobs: every block size and dispatch threshold used by the
+//! Kernel tuning knobs: every block size and shape cut-off used by the
 //! dense kernels in [`crate::Matrix`], in one place.
 //!
 //! The values below were chosen for the small-to-medium matrices this
@@ -7,17 +7,9 @@
 //! ordinary x86-64/aarch64 cores. They are compile-time constants rather
 //! than runtime configuration so the optimizer can fully unroll the tiled
 //! inner loops; changing them only requires re-running
-//! `cargo run -p chipalign-bench --bin bench_kernels` to re-baseline.
+//! `benchmark/run.sh` (the `tensor.*` per-layer metrics) to re-baseline.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Minimum `m · n · k` multiply-accumulate count before a GEMM-family kernel
-/// parallelises across output rows with rayon.
-///
-/// Below this, the rayon fork/join overhead (~microseconds) exceeds the work
-/// itself; above it, row-parallelism is embarrassingly parallel because each
-/// output row is written by exactly one task.
-pub const PAR_FLOP_THRESHOLD: usize = 32 * 1024;
 
 /// Width (in `f32` elements) of the fixed output-column tile used by the
 /// `A·B` and `Aᵀ·B` kernels.
@@ -108,16 +100,18 @@ mod tests {
 
     #[test]
     fn constants_are_sane() {
-        assert!(GEMM_COL_TILE.is_power_of_two());
-        assert!(DOT_LANES.is_power_of_two());
-        assert!(GEMM_K_BLOCK >= GEMM_COL_TILE);
-        assert!(GEMM_SKINNY_M_MAX >= 2);
-        assert!(GEMM_SKINNY_M_MAX.is_power_of_two());
-        assert!(TRANSPOSE_BLOCK >= 8);
-        assert!(PAR_FLOP_THRESHOLD > GEMM_COL_TILE * GEMM_K_BLOCK);
-        assert!(SIMD_DOT_UNROLL.is_power_of_two());
-        assert!(SIMD_DOT_UNROLL * 8 <= GEMM_K_BLOCK);
-        assert!(QUANT_MAX == 127.0, "i8 symmetric range is fixed");
+        // Evaluated at compile time: a bad edit fails the build, not the run.
+        const {
+            assert!(GEMM_COL_TILE.is_power_of_two());
+            assert!(DOT_LANES.is_power_of_two());
+            assert!(GEMM_K_BLOCK >= GEMM_COL_TILE);
+            assert!(GEMM_SKINNY_M_MAX >= 2);
+            assert!(GEMM_SKINNY_M_MAX.is_power_of_two());
+            assert!(TRANSPOSE_BLOCK >= 8);
+            assert!(SIMD_DOT_UNROLL.is_power_of_two());
+            assert!(SIMD_DOT_UNROLL * 8 <= GEMM_K_BLOCK);
+            assert!(QUANT_MAX == 127.0, "i8 symmetric range is fixed");
+        }
     }
 
     #[test]

@@ -1,18 +1,23 @@
-//! Property-based tests for the tensor substrate.
+//! Seeded property tests for the tensor substrate.
 //!
 //! These check algebraic invariants that the unit tests only probe pointwise:
 //! matmul associativity/distributivity, norm homogeneity, Cauchy–Schwarz,
 //! and the triangle inequality — each of which the merging math silently
-//! relies on.
+//! relies on. Every property runs [`CASES`] seeded cases
+//! ([`chipalign_tensor::rng::cases`]); a failure reports its case number.
 
-use chipalign_tensor::rng::Pcg32;
+use chipalign_tensor::rng::{cases, Pcg32};
 use chipalign_tensor::{reference, stats, Matrix};
-use proptest::prelude::*;
 
-/// Builds a deterministic random matrix from a proptest-chosen seed.
-fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut rng = Pcg32::seed(seed);
-    Matrix::randn(rows, cols, 1.0, &mut rng)
+const CASES: u64 = 64;
+
+fn mat(rows: usize, cols: usize, rng: &mut Pcg32) -> Matrix {
+    Matrix::randn(rows, cols, 1.0, rng)
+}
+
+/// A uniform draw from `[lo, hi)`.
+fn uniform_in(rng: &mut Pcg32, lo: f32, hi: f32) -> f32 {
+    lo + rng.uniform() * (hi - lo)
 }
 
 /// `|a - b| <= 1e-4 · max(|b|, 1)` elementwise — the documented tolerance the
@@ -24,177 +29,229 @@ fn close_rel(a: &[f32], b: &[f32]) -> bool {
             .all(|(&x, &y)| (x - y).abs() <= 1e-4 * y.abs().max(1.0))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn matmul_distributes_over_addition(seed in 0u64..1000, m in 1usize..6, k in 1usize..6, n in 1usize..6) {
-        let a = mat(m, k, seed);
-        let b = mat(k, n, seed.wrapping_add(1));
-        let c = mat(k, n, seed.wrapping_add(2));
+#[test]
+fn matmul_distributes_over_addition() {
+    for mut rng in cases(1, CASES) {
+        let (m, k, n) = (rng.range(1, 5), rng.range(1, 5), rng.range(1, 5));
+        let a = mat(m, k, &mut rng);
+        let b = mat(k, n, &mut rng);
+        let c = mat(k, n, &mut rng);
         let lhs = a.matmul(&b.add(&c).unwrap()).unwrap();
         let rhs = a.matmul(&b).unwrap().add(&a.matmul(&c).unwrap()).unwrap();
-        prop_assert!(lhs.approx_eq(&rhs, 1e-3));
+        assert!(lhs.approx_eq(&rhs, 1e-3));
     }
+}
 
-    #[test]
-    fn matmul_associates(seed in 0u64..1000, m in 1usize..5, k in 1usize..5, l in 1usize..5, n in 1usize..5) {
-        let a = mat(m, k, seed);
-        let b = mat(k, l, seed.wrapping_add(1));
-        let c = mat(l, n, seed.wrapping_add(2));
+#[test]
+fn matmul_associates() {
+    for mut rng in cases(2, CASES) {
+        let (m, k, l, n) = (
+            rng.range(1, 4),
+            rng.range(1, 4),
+            rng.range(1, 4),
+            rng.range(1, 4),
+        );
+        let a = mat(m, k, &mut rng);
+        let b = mat(k, l, &mut rng);
+        let c = mat(l, n, &mut rng);
         let lhs = a.matmul(&b).unwrap().matmul(&c).unwrap();
         let rhs = a.matmul(&b.matmul(&c).unwrap()).unwrap();
-        prop_assert!(lhs.approx_eq(&rhs, 1e-2));
+        assert!(lhs.approx_eq(&rhs, 1e-2));
     }
+}
 
-    #[test]
-    fn transpose_reverses_matmul(seed in 0u64..1000, m in 1usize..6, k in 1usize..6, n in 1usize..6) {
-        let a = mat(m, k, seed);
-        let b = mat(k, n, seed.wrapping_add(1));
+#[test]
+fn transpose_reverses_matmul() {
+    for mut rng in cases(3, CASES) {
+        let (m, k, n) = (rng.range(1, 5), rng.range(1, 5), rng.range(1, 5));
+        let a = mat(m, k, &mut rng);
+        let b = mat(k, n, &mut rng);
         let lhs = a.matmul(&b).unwrap().transpose();
         let rhs = b.transpose().matmul(&a.transpose()).unwrap();
-        prop_assert!(lhs.approx_eq(&rhs, 1e-3));
+        assert!(lhs.approx_eq(&rhs, 1e-3));
     }
+}
 
-    #[test]
-    fn frobenius_norm_is_homogeneous(seed in 0u64..1000, s in -4.0f32..4.0) {
-        let a = mat(3, 4, seed);
+#[test]
+fn frobenius_norm_is_homogeneous() {
+    for mut rng in cases(4, CASES) {
+        let s = uniform_in(&mut rng, -4.0, 4.0);
+        let a = mat(3, 4, &mut rng);
         let scaled = a.scale(s);
         let expected = a.frobenius_norm() * s.abs();
-        prop_assert!((scaled.frobenius_norm() - expected).abs() < 1e-3 * (1.0 + expected));
+        assert!((scaled.frobenius_norm() - expected).abs() < 1e-3 * (1.0 + expected));
     }
+}
 
-    #[test]
-    fn cauchy_schwarz(seed in 0u64..1000) {
-        let a = mat(4, 4, seed);
-        let b = mat(4, 4, seed.wrapping_add(1));
+#[test]
+fn cauchy_schwarz() {
+    for mut rng in cases(5, CASES) {
+        let a = mat(4, 4, &mut rng);
+        let b = mat(4, 4, &mut rng);
         let dot = a.frobenius_dot(&b).unwrap().abs();
         let bound = f64::from(a.frobenius_norm()) * f64::from(b.frobenius_norm());
-        prop_assert!(dot <= bound * (1.0 + 1e-5));
+        assert!(dot <= bound * (1.0 + 1e-5));
     }
+}
 
-    #[test]
-    fn triangle_inequality(seed in 0u64..1000) {
-        let a = mat(5, 3, seed);
-        let b = mat(5, 3, seed.wrapping_add(1));
+#[test]
+fn triangle_inequality() {
+    for mut rng in cases(6, CASES) {
+        let a = mat(5, 3, &mut rng);
+        let b = mat(5, 3, &mut rng);
         let sum_norm = a.add(&b).unwrap().frobenius_norm();
-        prop_assert!(sum_norm <= a.frobenius_norm() + b.frobenius_norm() + 1e-4);
+        assert!(sum_norm <= a.frobenius_norm() + b.frobenius_norm() + 1e-4);
     }
+}
 
-    #[test]
-    fn cosine_similarity_bounded(seed in 0u64..1000) {
-        let a = mat(3, 5, seed);
-        let b = mat(3, 5, seed.wrapping_add(1));
+#[test]
+fn cosine_similarity_bounded() {
+    for mut rng in cases(7, CASES) {
+        let a = mat(3, 5, &mut rng);
+        let b = mat(3, 5, &mut rng);
         let cos = stats::cosine_similarity(&a, &b).unwrap();
-        prop_assert!((-1.0..=1.0).contains(&cos));
+        assert!((-1.0..=1.0).contains(&cos));
         let theta = stats::interpolation_angle(&a, &b).unwrap();
-        prop_assert!((0.0..=std::f64::consts::PI).contains(&theta));
+        assert!((0.0..=std::f64::consts::PI).contains(&theta));
     }
+}
 
-    #[test]
-    fn lerp_stays_between_endpoint_norms(seed in 0u64..1000, t in 0.0f32..=1.0) {
-        let a = mat(4, 4, seed);
-        let b = mat(4, 4, seed.wrapping_add(1));
+#[test]
+fn lerp_stays_between_endpoint_norms() {
+    for mut rng in cases(8, CASES) {
+        // The first two cases pin the endpoints of t ∈ [0, 1].
+        let t = match rng.index() {
+            0 => 0.0,
+            1 => 1.0,
+            _ => rng.uniform(),
+        };
+        let a = mat(4, 4, &mut rng);
+        let b = mat(4, 4, &mut rng);
         let l = a.lerp(&b, t).unwrap();
         // Convexity: ||lerp|| <= max endpoint norm (plus fp slack).
         let bound = a.frobenius_norm().max(b.frobenius_norm());
-        prop_assert!(l.frobenius_norm() <= bound + 1e-4);
+        assert!(l.frobenius_norm() <= bound + 1e-4);
     }
+}
 
-    #[test]
-    fn blocked_matmul_matches_reference(seed in 0u64..1000, m in 1usize..40, k in 1usize..70, n in 1usize..40) {
+#[test]
+fn blocked_matmul_matches_reference() {
+    for mut rng in cases(9, CASES) {
         // Ranges deliberately straddle GEMM_COL_TILE (16) and DOT_LANES (8)
         // multiples, and m == 1 hits the vecmat dispatch.
-        let a = mat(m, k, seed);
-        let b = mat(k, n, seed.wrapping_add(1));
+        let (m, k, n) = (rng.range(1, 39), rng.range(1, 69), rng.range(1, 39));
+        let a = mat(m, k, &mut rng);
+        let b = mat(k, n, &mut rng);
         let fast = a.matmul(&b).unwrap();
         let slow = reference::matmul(&a, &b).unwrap();
-        prop_assert!(close_rel(fast.data(), slow.data()));
+        assert!(close_rel(fast.data(), slow.data()));
     }
+}
 
-    #[test]
-    fn blocked_matmul_bt_matches_reference(seed in 0u64..1000, m in 1usize..40, k in 1usize..70, n in 1usize..40) {
-        let a = mat(m, k, seed);
-        let b = mat(n, k, seed.wrapping_add(1));
+#[test]
+fn blocked_matmul_bt_matches_reference() {
+    for mut rng in cases(10, CASES) {
+        let (m, k, n) = (rng.range(1, 39), rng.range(1, 69), rng.range(1, 39));
+        let a = mat(m, k, &mut rng);
+        let b = mat(n, k, &mut rng);
         let fast = a.matmul_bt(&b).unwrap();
         let slow = reference::matmul_bt(&a, &b).unwrap();
-        prop_assert!(close_rel(fast.data(), slow.data()));
+        assert!(close_rel(fast.data(), slow.data()));
     }
+}
 
-    #[test]
-    fn skinny_matmul_bt_matches_reference(seed in 0u64..1000, m in 2usize..=32, k in 1usize..300, n in 1usize..24) {
+#[test]
+fn skinny_matmul_bt_matches_reference() {
+    for mut rng in cases(11, CASES) {
         // The batched-decode shape: tall-skinny A, with k crossing
         // GEMM_K_BLOCK so the skinny dispatch (not the panelled kernel) is
         // what gets exercised at large depth.
-        let a = mat(m, k, seed);
-        let b = mat(n, k, seed.wrapping_add(1));
+        let (m, k, n) = (rng.range(2, 32), rng.range(1, 299), rng.range(1, 23));
+        let a = mat(m, k, &mut rng);
+        let b = mat(n, k, &mut rng);
         let fast = a.matmul_bt(&b).unwrap();
         let slow = reference::matmul_bt(&a, &b).unwrap();
-        prop_assert!(close_rel(fast.data(), slow.data()));
+        assert!(close_rel(fast.data(), slow.data()));
     }
+}
 
-    #[test]
-    fn skinny_matmul_bt_rows_equal_matvec_bitwise(seed in 0u64..1000, m in 2usize..=32, k in 200usize..300, n in 1usize..16) {
+#[test]
+fn skinny_matmul_bt_rows_equal_matvec_bitwise() {
+    for mut rng in cases(12, CASES) {
         // Bit-identity, not tolerance: stacking rows into one GEMM must not
         // change any row's accumulation order relative to matvec. Batched
         // decode equivalence in chipalign-nn is built on exactly this.
-        let a = mat(m, k, seed);
-        let b = mat(n, k, seed.wrapping_add(1));
+        let (m, k, n) = (rng.range(2, 32), rng.range(200, 299), rng.range(1, 15));
+        let a = mat(m, k, &mut rng);
+        let b = mat(n, k, &mut rng);
         let batched = a.matmul_bt(&b).unwrap();
         for r in 0..m {
             let single = b.matvec(a.row(r)).unwrap();
-            prop_assert_eq!(batched.row(r), &single[..]);
+            assert_eq!(batched.row(r), &single[..], "row {r}");
         }
     }
+}
 
-    #[test]
-    fn blocked_matmul_at_matches_reference(seed in 0u64..1000, k in 1usize..70, m in 1usize..40, n in 1usize..40) {
-        let a = mat(k, m, seed);
-        let b = mat(k, n, seed.wrapping_add(1));
+#[test]
+fn blocked_matmul_at_matches_reference() {
+    for mut rng in cases(13, CASES) {
+        let (k, m, n) = (rng.range(1, 69), rng.range(1, 39), rng.range(1, 39));
+        let a = mat(k, m, &mut rng);
+        let b = mat(k, n, &mut rng);
         let fast = a.matmul_at(&b).unwrap();
         let slow = reference::matmul_at(&a, &b).unwrap();
-        prop_assert!(close_rel(fast.data(), slow.data()));
+        assert!(close_rel(fast.data(), slow.data()));
     }
+}
 
-    #[test]
-    fn single_row_matmul_matches_reference(seed in 0u64..1000, k in 1usize..300, n in 1usize..40) {
+#[test]
+fn single_row_matmul_matches_reference() {
+    for mut rng in cases(14, CASES) {
         // The m == 1 decode shape, with k crossing GEMM_K_BLOCK-free and
         // lane-remainder territory.
-        let a = mat(1, k, seed);
-        let b = mat(k, n, seed.wrapping_add(1));
+        let (k, n) = (rng.range(1, 299), rng.range(1, 39));
+        let a = mat(1, k, &mut rng);
+        let b = mat(k, n, &mut rng);
         let fast = a.matmul(&b).unwrap();
         let slow = reference::matmul(&a, &b).unwrap();
-        prop_assert!(close_rel(fast.data(), slow.data()));
+        assert!(close_rel(fast.data(), slow.data()));
     }
+}
 
-    #[test]
-    fn matvec_and_vecmat_match_reference(seed in 0u64..1000, rows in 1usize..60, cols in 1usize..60) {
-        let w = mat(rows, cols, seed);
-        let x = mat(1, cols, seed.wrapping_add(1));
+#[test]
+fn matvec_and_vecmat_match_reference() {
+    for mut rng in cases(15, CASES) {
+        let (rows, cols) = (rng.range(1, 59), rng.range(1, 59));
+        let w = mat(rows, cols, &mut rng);
+        let x = mat(1, cols, &mut rng);
         let fast = w.matvec(x.data()).unwrap();
         let slow = reference::matvec(&w, x.data()).unwrap();
-        prop_assert!(close_rel(&fast, &slow));
-        let y = mat(1, rows, seed.wrapping_add(2));
+        assert!(close_rel(&fast, &slow), "matvec");
+        let y = mat(1, rows, &mut rng);
         let fast = w.vecmat(y.data()).unwrap();
         let slow = reference::vecmat(y.data(), &w).unwrap();
-        prop_assert!(close_rel(&fast, &slow));
+        assert!(close_rel(&fast, &slow), "vecmat");
     }
+}
 
-    #[test]
-    fn blocked_transpose_matches_reference(seed in 0u64..1000, rows in 1usize..80, cols in 1usize..80) {
-        let a = mat(rows, cols, seed);
-        let fast = a.transpose();
-        let slow = reference::transpose(&a);
-        prop_assert!(fast == slow);
+#[test]
+fn blocked_transpose_matches_reference() {
+    for mut rng in cases(16, CASES) {
+        let (rows, cols) = (rng.range(1, 79), rng.range(1, 79));
+        let a = mat(rows, cols, &mut rng);
+        assert!(a.transpose() == reference::transpose(&a));
     }
+}
 
-    #[test]
-    fn axpy_matches_scale_add(seed in 0u64..1000, alpha in -3.0f32..3.0) {
-        let a = mat(3, 3, seed);
-        let b = mat(3, 3, seed.wrapping_add(1));
+#[test]
+fn axpy_matches_scale_add() {
+    for mut rng in cases(17, CASES) {
+        let alpha = uniform_in(&mut rng, -3.0, 3.0);
+        let a = mat(3, 3, &mut rng);
+        let b = mat(3, 3, &mut rng);
         let mut fast = a.clone();
         fast.axpy(alpha, &b).unwrap();
         let slow = a.add(&b.scale(alpha)).unwrap();
-        prop_assert!(fast.approx_eq(&slow, 1e-5));
+        assert!(fast.approx_eq(&slow, 1e-5));
     }
 }
