@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use chipalign_serve::protocol::{
-    self, LoadedModel, ReplicaHealth, ReplicaStatus, Request, Response,
+    self, LineReader, LoadedModel, ReplicaHealth, ReplicaStatus, Request, Response,
 };
 use chipalign_serve::{
     ErrorCode, GenerateRequest, Generation, MetricsSnapshot, RetryPolicy, ServeError,
@@ -363,35 +363,17 @@ impl Router {
         req: &GenerateRequest,
         attempt: u32,
     ) -> Result<Generation, ServeError> {
-        candidate.inflight.fetch_add(1, Ordering::Relaxed);
-        let result = self.exchange(candidate, req, attempt);
-        candidate.inflight.fetch_sub(1, Ordering::Relaxed);
-        result
-    }
-
-    fn exchange(
-        &self,
-        candidate: &Candidate,
-        req: &GenerateRequest,
-        attempt: u32,
-    ) -> Result<Generation, ServeError> {
-        let stream = connect_timeout(&candidate.addr, self.cfg.connect_timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(self.cfg.request_timeout)?;
-        let mut writer = stream.try_clone()?;
-        let mut reader = std::io::BufReader::new(stream);
         let mut routed = req.clone();
         routed.retry_attempt = attempt;
-        protocol::write_line(&mut writer, &Request::Generate(routed))?;
-        let mut line = String::new();
-        let n = std::io::BufRead::read_line(&mut reader, &mut line)?;
-        if n == 0 {
-            return Err(ServeError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "replica closed the connection",
-            )));
-        }
-        match protocol::parse_line::<Response>(&line)? {
+        candidate.inflight.fetch_add(1, Ordering::Relaxed);
+        let reply = round_trip(
+            &candidate.addr,
+            self.cfg.connect_timeout,
+            self.cfg.request_timeout,
+            &Request::Generate(routed),
+        );
+        candidate.inflight.fetch_sub(1, Ordering::Relaxed);
+        match reply? {
             Response::Generation(g) => Ok(g),
             Response::Error(w) => Err(ServeError::Remote(w)),
             other => Err(ServeError::Protocol {
@@ -423,21 +405,8 @@ impl Router {
     }
 
     fn probe(&self, addr: &str) -> Result<(), ServeError> {
-        let stream = connect_timeout(addr, self.cfg.probe_timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(self.cfg.probe_timeout))?;
-        let mut writer = stream.try_clone()?;
-        let mut reader = std::io::BufReader::new(stream);
-        protocol::write_line(&mut writer, &Request::Ping)?;
-        let mut line = String::new();
-        let n = std::io::BufRead::read_line(&mut reader, &mut line)?;
-        if n == 0 {
-            return Err(ServeError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "replica closed the connection",
-            )));
-        }
-        match protocol::parse_line::<Response>(&line)? {
+        let timeout = self.cfg.probe_timeout;
+        match round_trip(addr, timeout, Some(timeout), &Request::Ping)? {
             Response::Pong { .. } => Ok(()),
             other => Err(ServeError::Protocol {
                 detail: format!("unexpected ping reply: {other:?}"),
@@ -453,15 +422,7 @@ impl Router {
     pub fn fleet_metrics(&self) -> MetricsSnapshot {
         let mut aggregate = MetricsSnapshot::default();
         for (_, addr) in self.reachable_replicas() {
-            if let Ok(snap) = self
-                .admin_request(&addr, &Request::Metrics)
-                .and_then(|r| match r {
-                    Response::Metrics(snap) => Ok(*snap),
-                    other => Err(ServeError::Protocol {
-                        detail: format!("unexpected metrics reply: {other:?}"),
-                    }),
-                })
-            {
+            if let Ok(Response::Metrics(snap)) = self.admin_request(&addr, &Request::Metrics) {
                 aggregate.absorb(&snap);
             }
         }
@@ -570,24 +531,11 @@ impl Router {
             .collect()
     }
 
-    /// One admin exchange (metrics/models/load/unload) with one replica,
-    /// under the probe timeout.
+    /// One admin exchange (metrics/models/load/unload) with one replica:
+    /// connect under the probe timeout, then wait without one — admin ops
+    /// can be slow (a load may train/merge).
     fn admin_request(&self, addr: &str, req: &Request) -> Result<Response, ServeError> {
-        let stream = connect_timeout(addr, self.cfg.probe_timeout)?;
-        stream.set_nodelay(true)?;
-        // Admin ops can be slow (a load may train/merge); no read timeout.
-        let mut writer = stream.try_clone()?;
-        let mut reader = std::io::BufReader::new(stream);
-        protocol::write_line(&mut writer, req)?;
-        let mut line = String::new();
-        let n = std::io::BufRead::read_line(&mut reader, &mut line)?;
-        if n == 0 {
-            return Err(ServeError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "replica closed the connection",
-            )));
-        }
-        protocol::parse_line(&line)
+        round_trip(addr, self.cfg.probe_timeout, None, req)
     }
 }
 
@@ -623,8 +571,16 @@ fn classify(e: &ServeError) -> AttemptVerdict {
     }
 }
 
-/// `TcpStream::connect_timeout` over a `host:port` string.
-fn connect_timeout(addr: &str, timeout: Duration) -> Result<TcpStream, ServeError> {
+/// The router's one exchange with a replica: a fresh connection to the
+/// `host:port` string `addr`, `req` out, one reply line back (bounded by
+/// `protocol::MAX_LINE_BYTES`, so a misbehaving replica cannot balloon the
+/// router). Connect-per-request is deliberate: see DESIGN.md, "Wire".
+fn round_trip(
+    addr: &str,
+    connect_timeout: Duration,
+    read_timeout: Option<Duration>,
+    req: &Request,
+) -> Result<Response, ServeError> {
     use std::net::ToSocketAddrs;
     let resolved = addr
         .to_socket_addrs()?
@@ -632,7 +588,17 @@ fn connect_timeout(addr: &str, timeout: Duration) -> Result<TcpStream, ServeErro
         .ok_or_else(|| ServeError::Protocol {
             detail: format!("unresolvable replica address: {addr}"),
         })?;
-    Ok(TcpStream::connect_timeout(&resolved, timeout)?)
+    let mut stream = TcpStream::connect_timeout(&resolved, connect_timeout)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(read_timeout)?;
+    protocol::write_line(&mut stream, req)?;
+    match LineReader::new(stream).read_line()? {
+        Some(line) => protocol::parse_line(line),
+        None => Err(ServeError::Io(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "replica closed the connection",
+        ))),
+    }
 }
 
 #[cfg(test)]

@@ -10,12 +10,20 @@
 
 use std::time::{Duration, Instant};
 
+use chipalign_model::ArchSpec;
+use chipalign_nn::TinyLm;
 use chipalign_pipeline::zoo::{Quality, Zoo, ZooConfig};
 use chipalign_router::{affinity_key, HashRing, RouterConfig, RouterServer};
 use chipalign_serve::protocol::ReplicaHealth;
 use chipalign_serve::{
     Client, GenerateRequest, ModelRegistry, SchedulerConfig, Server, ServerConfig,
 };
+use chipalign_tensor::rng::Pcg32;
+
+/// The framing and promptness checks `chipalign-serve` runs against a
+/// `Server`: one wire, so one set of assertions.
+#[path = "../../serve/tests/support/wire.rs"]
+mod wire;
 
 const MERGE_SPEC: &str = "merge:eda-qwen+instruct-qwen@0.6";
 const ZOO_SEED: u64 = 2025;
@@ -298,6 +306,78 @@ fn drain_rebalances_new_traffic_and_preserves_inflight_sessions() {
     assert_eq!(statuses[home].state, ReplicaHealth::Draining);
 
     front.shutdown();
+    for s in servers {
+        s.shutdown();
+    }
+}
+
+/// Two replicas serving one tiny random model as `tiny` (nothing trains),
+/// behind a router.
+fn tiny_fleet() -> (Vec<Server>, RouterServer) {
+    let (servers, addrs) = fleet(2, 1, 4);
+    let mut arch = ArchSpec::tiny("router-e2e");
+    arch.vocab_size = 99;
+    let model = TinyLm::new(&arch, &mut Pcg32::seed(7)).expect("model");
+    for s in &servers {
+        s.registry().register("tiny", model.clone());
+    }
+    let front = router_over(addrs, Duration::from_millis(200));
+    (servers, front)
+}
+
+/// The router frames request lines with the replica's reader: a line split
+/// across a pause (even inside a multi-byte character) is answered whole,
+/// and a newline-free stream gets one `bad_request` and a closed
+/// connection at `MAX_LINE_BYTES`.
+#[test]
+fn the_router_frames_split_and_over_long_lines_like_a_replica() {
+    let (servers, front) = tiny_fleet();
+    wire::assert_split_lines_are_answered_whole(front.local_addr(), "tiny");
+    wire::assert_an_over_long_line_is_refused_once(front.local_addr());
+    front.shutdown();
+    for s in servers {
+        s.shutdown();
+    }
+}
+
+/// No timer sits on a routed request's path: 20 one-token generations,
+/// each a fresh router → replica connection, take milliseconds — not 20
+/// accept-poll ticks plus a delayed ACK per hop.
+#[test]
+fn routed_requests_pay_no_accept_poll_or_nagle_stall() {
+    let (servers, front) = tiny_fleet();
+    let mut client = Client::connect(front.local_addr()).expect("connect router");
+    let took = wire::best_of_three(|| {
+        for i in 0..20 {
+            let prompt = format!("Q:question {i};A:");
+            let gen = client
+                .generate(GenerateRequest::greedy("tiny", &prompt, 1))
+                .expect("routed generate");
+            assert_eq!(gen.tokens, 1);
+        }
+    });
+    assert!(
+        took < Duration::from_secs(1),
+        "20 routed one-token generations took {took:?}"
+    );
+    assert_eq!(front.router().metrics().snapshot().failovers, 0);
+
+    front.shutdown();
+    for s in servers {
+        s.shutdown();
+    }
+}
+
+/// Blocking accept and a prober that waits on its stop signal must not
+/// cost shutdown its promptness: the 120 s probe interval is not waited
+/// out.
+#[test]
+fn router_shutdown_is_prompt_idempotent_and_closes_the_port() {
+    let (servers, addrs) = fleet(2, 1, 4);
+    let front = router_over(addrs, Duration::from_secs(120));
+    let addr = front.local_addr();
+    let idle = Client::connect(addr).expect("connect");
+    wire::assert_shutdown_is_prompt(addr, idle, || front.shutdown());
     for s in servers {
         s.shutdown();
     }

@@ -16,7 +16,6 @@
 //! deterministic for a given (model, prompt, config, seed): the retry
 //! reproduces the same bytes the dead replica would have sent.
 
-use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
@@ -25,7 +24,8 @@ use chipalign_tensor::rng::Pcg32;
 
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::protocol::{
-    self, ErrorCode, GenerateRequest, Generation, LoadedModel, ReplicaStatus, Request, Response,
+    self, ErrorCode, GenerateRequest, Generation, LineReader, LoadedModel, ReplicaStatus, Request,
+    Response,
 };
 use crate::ServeError;
 
@@ -33,7 +33,7 @@ use crate::ServeError;
 #[derive(Debug)]
 pub struct Client {
     writer: TcpStream,
-    reader: BufReader<TcpStream>,
+    reader: LineReader<TcpStream>,
 }
 
 impl Client {
@@ -48,7 +48,7 @@ impl Client {
         let writer = stream.try_clone()?;
         Ok(Client {
             writer,
-            reader: BufReader::new(stream),
+            reader: LineReader::new(stream),
         })
     }
 
@@ -60,15 +60,13 @@ impl Client {
     /// [`ServeError::Protocol`] on an unparsable reply.
     pub fn request(&mut self, req: &Request) -> Result<Response, ServeError> {
         protocol::write_line(&mut self.writer, req)?;
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
-        if n == 0 {
-            return Err(ServeError::Io(std::io::Error::new(
+        match self.reader.read_line()? {
+            Some(line) => protocol::parse_line(line),
+            None => Err(ServeError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
-            )));
+            ))),
         }
-        protocol::parse_line(&line)
     }
 
     /// Runs one generation, surfacing wire errors as [`ServeError::Remote`].
@@ -647,6 +645,7 @@ mod tests {
     }
 
     use crate::protocol::{FinishReason, WireError};
+    use std::io::BufRead;
     use std::net::TcpListener;
     use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -1,6 +1,7 @@
 //! The wire protocol: newline-delimited JSON over TCP.
 //!
-//! Every message is one JSON object on one line, terminated by `\n`. A
+//! Every message is one JSON object on one line, terminated by `\n` and at
+//! most [`MAX_LINE_BYTES`] long ([`LineReader`] is the one framer). A
 //! client writes a [`Request`] line and reads exactly one [`Response`] line
 //! back; requests on one connection are handled in order. The `type` field
 //! discriminates variants, e.g.:
@@ -9,6 +10,8 @@
 //! → {"type":"generate","model":"merge:eda-qwen+instruct-qwen@0.6","prompt":"Q:...;A:"}
 //! ← {"type":"generation","model":"merge:eda-qwen+instruct-qwen@0.6000","text":"...","tokens":24,...}
 //! ```
+
+use std::io::{BufRead, BufReader, Read, Write};
 
 use chipalign_model::json::{self, FromJson, JsonError, ToJson, Value};
 use chipalign_model::{json_struct, json_unit_enum};
@@ -435,17 +438,85 @@ impl FromJson for Response {
     }
 }
 
-/// Serializes `msg` as one newline-terminated compact JSON line.
+/// Serializes `msg` as one newline-terminated compact JSON line and hands
+/// it to `w` in a single write, so a line is never split across segments.
 ///
 /// # Errors
 ///
 /// Returns [`ServeError::Io`] on write failure.
-pub fn write_line<W: std::io::Write, T: ToJson>(w: &mut W, msg: &T) -> Result<(), ServeError> {
-    let json = json::to_string(msg);
-    w.write_all(json.as_bytes())?;
-    w.write_all(b"\n")?;
+pub fn write_line<W: Write, T: ToJson>(w: &mut W, msg: &T) -> Result<(), ServeError> {
+    let mut line = json::to_string(msg);
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
     w.flush()?;
     Ok(())
+}
+
+/// The longest line, newline included, that [`LineReader`] will buffer:
+/// the largest legitimate message is a prompt plus a model spec.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The one line framer of the wire: both servers' request reads, the
+/// router's reads of replica replies and the [`crate::Client`] all go
+/// through it. It frames on bytes, so a read timeout that lands mid-line —
+/// even inside a multi-byte character — loses nothing.
+#[derive(Debug)]
+pub struct LineReader<R> {
+    inner: BufReader<R>,
+    line: Vec<u8>,
+    /// `line` was handed out by the previous call; the next one starts over.
+    handed_out: bool,
+}
+
+impl<R: Read> LineReader<R> {
+    /// Wraps a byte stream.
+    pub fn new(inner: R) -> Self {
+        LineReader {
+            inner: BufReader::new(inner),
+            line: Vec::new(),
+            handed_out: false,
+        }
+    }
+
+    /// Blocks for the next line (terminator included; an unterminated last
+    /// line before EOF counts). `Ok(None)` is a clean EOF.
+    ///
+    /// # Errors
+    ///
+    /// `WouldBlock` / `TimedOut` when the stream's read timeout expires —
+    /// bytes read so far are kept, so calling again resumes the same line.
+    /// `InvalidData` for a line that is not UTF-8 or that reaches
+    /// [`MAX_LINE_BYTES`] without a newline; the rest of an over-long line
+    /// is never buffered, so the stream cannot be re-framed and must be
+    /// closed. Any other error is the stream's own.
+    pub fn read_line(&mut self) -> std::io::Result<Option<&str>> {
+        if std::mem::take(&mut self.handed_out) {
+            self.line.clear();
+        }
+        let room = (MAX_LINE_BYTES - self.line.len()) as u64;
+        (&mut self.inner)
+            .take(room)
+            .read_until(b'\n', &mut self.line)?;
+        if self.line.last() != Some(&b'\n') {
+            if self.line.len() >= MAX_LINE_BYTES {
+                return Err(invalid_data(format!(
+                    "line exceeds the {MAX_LINE_BYTES}-byte limit"
+                )));
+            }
+            if self.line.is_empty() {
+                return Ok(None);
+            }
+        }
+        self.handed_out = true;
+        match std::str::from_utf8(&self.line) {
+            Ok(line) => Ok(Some(line)),
+            Err(_) => Err(invalid_data("line is not valid UTF-8".to_string())),
+        }
+    }
+}
+
+fn invalid_data(detail: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, detail)
 }
 
 /// Parses one JSON line into a message.
@@ -604,6 +675,105 @@ mod tests {
             }
             other => panic!("wrong variant: {other:?}"),
         }
+    }
+
+    /// A stream that hands out scripted chunks; an empty chunk is a read
+    /// timeout, the end of the script is EOF.
+    struct Script(std::collections::VecDeque<&'static [u8]>);
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some([]) => Err(std::io::ErrorKind::WouldBlock.into()),
+                Some(chunk) => {
+                    let n = chunk.len().min(buf.len());
+                    buf[..n].copy_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        self.0.push_front(&chunk[n..]);
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    fn script(chunks: &[&'static [u8]]) -> LineReader<Script> {
+        LineReader::new(Script(chunks.iter().copied().collect()))
+    }
+
+    #[test]
+    fn line_reader_keeps_a_partial_line_across_timeouts() {
+        // The second cut lands inside the three bytes of '→'.
+        let mut reader = script(&[
+            b"{\"type\":",
+            b"",
+            b"\"ping\"}\nQ:a \xE2",
+            b"",
+            b"",
+            b"\x86\x92 b\n",
+        ]);
+        let timed_out = |r: std::io::Result<Option<&str>>| matches!(r, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock);
+        assert!(timed_out(reader.read_line()));
+        assert_eq!(
+            reader.read_line().expect("line"),
+            Some("{\"type\":\"ping\"}\n")
+        );
+        assert!(timed_out(reader.read_line()));
+        assert!(timed_out(reader.read_line()));
+        assert_eq!(reader.read_line().expect("line"), Some("Q:a \u{2192} b\n"));
+        assert_eq!(reader.read_line().expect("eof"), None);
+    }
+
+    #[test]
+    fn line_reader_refuses_an_over_long_line_without_buffering_the_rest() {
+        let mut reader = LineReader::new(std::io::repeat(b'a'));
+        let err = reader.read_line().expect_err("no newline ever comes");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(&MAX_LINE_BYTES.to_string()));
+        assert_eq!(reader.line.len(), MAX_LINE_BYTES, "read no further");
+
+        // The limit counts the newline: exactly MAX_LINE_BYTES still fits.
+        let mut fits = vec![b'a'; MAX_LINE_BYTES - 1];
+        fits.extend_from_slice(b"\nnext\n");
+        let mut reader = LineReader::new(fits.as_slice());
+        assert_eq!(
+            reader.read_line().expect("fits").map(str::len),
+            Some(MAX_LINE_BYTES)
+        );
+        assert_eq!(reader.read_line().expect("next"), Some("next\n"));
+    }
+
+    #[test]
+    fn line_reader_ends_on_eof_and_rejects_non_utf8() {
+        // An unterminated last line is still a line, as with `read_line`.
+        let mut reader = script(&[b"a\n\nlast"]);
+        assert_eq!(reader.read_line().expect("a"), Some("a\n"));
+        assert_eq!(reader.read_line().expect("blank"), Some("\n"));
+        assert_eq!(reader.read_line().expect("last"), Some("last"));
+        assert_eq!(reader.read_line().expect("eof"), None);
+        assert_eq!(reader.read_line().expect("eof again"), None);
+
+        let mut reader = script(&[b"\xFF\xFE\n"]);
+        let err = reader.read_line().expect_err("not UTF-8");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn write_line_issues_one_write_per_line() {
+        struct CountWrites(Vec<Vec<u8>>);
+        impl Write for CountWrites {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = CountWrites(Vec::new());
+        write_line(&mut w, &Request::Ping).expect("write");
+        assert_eq!(w.0, vec![b"{\"type\":\"ping\"}\n".to_vec()]);
     }
 
     #[test]

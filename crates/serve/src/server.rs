@@ -1,20 +1,24 @@
-//! The TCP front end: accept loop, connection handlers, request dispatch.
+//! The TCP front end: the line server, and this replica's request dispatch.
 //!
-//! The server owns a [`ModelRegistry`] and a [`Scheduler`]. Each accepted
-//! connection gets its own handler thread that reads newline-delimited JSON
-//! [`Request`]s and answers each with exactly one [`Response`] line, in
-//! order. Generation requests are tokenized, resolved against the registry
-//! (materializing geodesic merges on demand), and submitted to the
-//! scheduler; everything else (`models`, `load`, `unload`, `metrics`,
-//! `ping`) is answered inline.
+//! [`LineServer`] is the one accept loop and connection handler in the
+//! workspace (`chipalign-router` runs its front end on it too): a thread
+//! blocked in `accept()`, and per connection a handler thread that reads
+//! newline-delimited JSON [`Request`]s and answers each with exactly one
+//! [`Response`] line, in order. Nothing between a request byte arriving
+//! and its reply byte leaving sleeps or waits for a timer.
 //!
-//! Shutdown is graceful by construction: [`Server::shutdown`] flips a stop
-//! flag the accept loop polls, then the scheduler drains every admitted
-//! session before its workers exit, so no accepted generation is ever
-//! dropped mid-flight.
+//! The [`Server`] owns a [`ModelRegistry`] and a [`Scheduler`]. Generation
+//! requests are tokenized, resolved against the registry (materializing
+//! geodesic merges on demand), and submitted to the scheduler; everything
+//! else (`models`, `load`, `unload`, `metrics`, `ping`) is answered inline.
+//!
+//! Shutdown is graceful by construction: [`Server::shutdown`] sets the stop
+//! flag and wakes the blocked accept with a connection to its own address,
+//! then the scheduler drains every admitted session before its workers
+//! exit, so no accepted generation is ever dropped mid-flight.
 
-use std::io::{BufRead, BufReader, ErrorKind};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::ErrorKind;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -23,12 +27,17 @@ use std::time::{Duration, Instant};
 use chipalign_nn::{CharTokenizer, BOS};
 
 use crate::metrics::Metrics;
-use crate::protocol::{self, GenerateRequest, Generation, Request, Response, PROTOCOL_VERSION};
+use crate::protocol::{
+    self, GenerateRequest, Generation, LineReader, Request, Response, PROTOCOL_VERSION,
+};
 use crate::registry::ModelRegistry;
 use crate::scheduler::{Scheduler, SchedulerConfig, SessionRequest, SpecDraft};
 use crate::ServeError;
 
-/// How often the accept loop and idle connections poll the stop flag.
+/// How often an idle connection (no request line in progress) and a
+/// handler waiting on a killed scheduler re-read their flag. Neither wait
+/// is on a request's path: a request's bytes end the first, its reply the
+/// second.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Server configuration.
@@ -69,7 +78,6 @@ struct ServerInner {
     metrics: Arc<Metrics>,
     tokenizer: CharTokenizer,
     cfg: ServerConfig,
-    stop: AtomicBool,
     /// Set by [`Server::kill`]: connection handlers abandon their wait for
     /// in-flight replies instead of draining.
     killed: AtomicBool,
@@ -78,13 +86,12 @@ struct ServerInner {
 /// A running inference server.
 pub struct Server {
     inner: Arc<ServerInner>,
-    addr: SocketAddr,
-    accept_thread: Mutex<Option<JoinHandle<()>>>,
+    front: LineServer,
 }
 
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Server({})", self.addr)
+        write!(f, "Server({})", self.front.local_addr())
     }
 }
 
@@ -97,7 +104,6 @@ impl Server {
     /// Returns [`ServeError::Io`] if the address cannot be bound.
     pub fn bind(cfg: ServerConfig, registry: ModelRegistry) -> Result<Self, ServeError> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         // The backend choice is process-wide and made exactly once; saying
         // it at startup is the only way an operator learns whether the
@@ -115,25 +121,19 @@ impl Server {
             metrics,
             tokenizer: CharTokenizer::new(),
             cfg,
-            stop: AtomicBool::new(false),
             killed: AtomicBool::new(false),
         });
-        let accept_inner = Arc::clone(&inner);
-        let accept_thread = std::thread::Builder::new()
-            .name("chipalign-serve-accept".to_string())
-            .spawn(move || accept_loop(&listener, &accept_inner))
-            .map_err(ServeError::Io)?;
-        Ok(Server {
-            inner,
-            addr,
-            accept_thread: Mutex::new(Some(accept_thread)),
-        })
+        let dispatch_inner = Arc::clone(&inner);
+        let front = LineServer::start(listener, "chipalign-serve", move |req| {
+            dispatch(&dispatch_inner, req)
+        })?;
+        Ok(Server { inner, front })
     }
 
     /// The bound address (useful with ephemeral ports).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.front.local_addr()
     }
 
     /// A handle to the server's metrics core.
@@ -151,15 +151,7 @@ impl Server {
     /// Stops accepting connections and drains every admitted session, then
     /// returns. Safe to call more than once.
     pub fn shutdown(&self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        let handle = self
-            .accept_thread
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
+        self.front.shutdown();
         self.inner.scheduler.join();
     }
 
@@ -174,17 +166,8 @@ impl Server {
     /// `shutdown` after `kill` is a no-op.
     pub fn kill(&self) {
         self.inner.killed.store(true, Ordering::SeqCst);
-        self.inner.stop.store(true, Ordering::SeqCst);
         self.inner.scheduler.abort();
-        let handle = self
-            .accept_thread
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
-        self.inner.scheduler.join();
+        self.shutdown();
     }
 }
 
@@ -194,63 +177,159 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(listener: &TcpListener, inner: &Arc<ServerInner>) {
+/// A blocking newline-JSON listener: one accept thread, one handler thread
+/// per connection, every request line answered by `dispatch` with one
+/// reply line. `chipalign-serve` and `chipalign-router` differ only in the
+/// `dispatch` they pass.
+pub struct LineServer {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    accept_thread: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl LineServer {
+    /// Starts serving `listener` on threads named `<name>-accept` and
+    /// `<name>-conn`, and returns immediately.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServeError::Io`] if the listener's address cannot be read
+    /// or the accept thread cannot be spawned.
+    pub fn start<D>(listener: TcpListener, name: &str, dispatch: D) -> Result<Self, ServeError>
+    where
+        D: Fn(Request) -> Response + Send + Sync + 'static,
+    {
+        let addr = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let (accept_stop, conn_name) = (Arc::clone(&stop), format!("{name}-conn"));
+        let accept_thread = std::thread::Builder::new()
+            .name(format!("{name}-accept"))
+            .spawn(move || accept_loop(listener, &conn_name, &accept_stop, &Arc::new(dispatch)))?;
+        Ok(LineServer {
+            addr,
+            stop,
+            accept_thread: Mutex::new(Some(accept_thread)),
+        })
+    }
+
+    /// The bound address (useful with ephemeral ports).
+    #[must_use]
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stops accepting, lets every handler finish the request it is
+    /// answering, and returns once the listener is closed (later connects
+    /// are refused) and all handlers have exited. Safe to call more than
+    /// once.
+    pub fn shutdown(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let handle = self
+            .accept_thread
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        let Some(handle) = handle else { return };
+        // The accept thread re-reads the flag only when `accept()` returns,
+        // so hand it a connection (dropped unserved). A wake that cannot
+        // connect is retried until one lands or the thread is gone.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        while !handle.is_finished() && TcpStream::connect_timeout(&wake, WAKE_TIMEOUT).is_err() {
+            std::thread::sleep(ACCEPT_ERROR_PAUSE);
+        }
+        let _ = handle.join();
+    }
+}
+
+impl Drop for LineServer {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+/// Pause after `accept()` itself fails (descriptor exhaustion, say), so the
+/// loop cannot spin on an error that will not clear by retrying at once. No
+/// request waits on it: an arriving connection makes `accept()` succeed.
+const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(10);
+
+/// Connect timeout of one shutdown wake-up (loopback answers at once; this
+/// bounds the attempt when the listen backlog is full).
+const WAKE_TIMEOUT: Duration = Duration::from_millis(250);
+
+fn accept_loop<D>(listener: TcpListener, name: &str, stop: &Arc<AtomicBool>, dispatch: &Arc<D>)
+where
+    D: Fn(Request) -> Response + Send + Sync + 'static,
+{
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    while !inner.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            break; // the shutdown wake-up, or a client that came too late
+        }
+        match accepted {
             Ok((stream, _peer)) => {
-                let conn_inner = Arc::clone(inner);
+                let (stop, dispatch) = (Arc::clone(stop), Arc::clone(dispatch));
                 if let Ok(handle) = std::thread::Builder::new()
-                    .name("chipalign-serve-conn".to_string())
-                    .spawn(move || handle_connection(stream, &conn_inner))
+                    .name(name.to_string())
+                    .spawn(move || handle_connection(stream, &stop, &*dispatch))
                 {
                     handlers.push(handle);
                 }
                 handlers.retain(|h| !h.is_finished());
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_PAUSE),
         }
     }
+    drop(listener);
     for h in handlers {
         let _ = h.join();
     }
 }
 
-fn handle_connection(stream: TcpStream, inner: &Arc<ServerInner>) {
-    // A short read timeout doubles as the stop-flag poll interval for idle
-    // connections.
+fn handle_connection(
+    stream: TcpStream,
+    stop: &AtomicBool,
+    dispatch: &impl Fn(Request) -> Response,
+) {
+    // Replies are one small write each; leaving Nagle on would hold every
+    // one back for the peer's delayed ACK.
+    let _ = stream.set_nodelay(true);
+    // The read timeout only lets an idle connection notice the stop flag;
+    // the reader keeps what it has read across it.
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let (mut reader, mut writer) = (LineReader::new(&stream), &stream);
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // client closed
-            Ok(_) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let response = match protocol::parse_line::<Request>(&line) {
-                    Ok(req) => dispatch(inner, req),
-                    Err(e) => Response::Error(e.to_wire()),
-                };
-                if protocol::write_line(&mut writer, &response).is_err() {
-                    return; // client gone
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if inner.stop.load(Ordering::SeqCst) {
+        let response = match reader.read_line() {
+            Ok(None) => return, // client closed
+            Ok(Some(line)) if line.trim().is_empty() => continue,
+            Ok(Some(line)) => match protocol::parse_line::<Request>(line) {
+                Ok(req) => dispatch(req),
+                Err(e) => Response::Error(e.to_wire()),
+            },
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if stop.load(Ordering::SeqCst) {
                     return;
                 }
+                continue;
+            }
+            // An over-long or non-UTF-8 line: say so once, then close —
+            // the reader cannot find the next line boundary.
+            Err(e) if e.kind() == ErrorKind::InvalidData => {
+                let detail = e.to_string();
+                let refusal = Response::Error(ServeError::BadRequest { detail }.to_wire());
+                let _ = protocol::write_line(&mut writer, &refusal);
+                return;
             }
             Err(_) => return,
+        };
+        if protocol::write_line(&mut writer, &response).is_err() {
+            return; // client gone
         }
     }
 }

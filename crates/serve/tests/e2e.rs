@@ -16,6 +16,9 @@ use chipalign_serve::{
 };
 use chipalign_tensor::rng::Pcg32;
 
+#[path = "support/wire.rs"]
+mod wire;
+
 fn smoke_zoo(seed: u64) -> Zoo {
     Zoo::new(ZooConfig {
         quality: Quality::Smoke,
@@ -325,4 +328,68 @@ fn hot_swap_replaces_a_served_model_without_restart() {
         "got {gone:?}"
     );
     server.shutdown();
+}
+
+/// A request whose bytes straddle the idle-read timeout is parsed whole,
+/// wherever the cut falls — inside a multi-byte character included.
+#[test]
+fn a_request_line_split_across_a_pause_is_answered_whole() {
+    let registry = ModelRegistry::new(smoke_zoo(21));
+    registry.register("canary", random_model(5));
+    let server = Server::bind(server_config(1, 4), registry).expect("bind");
+    wire::assert_split_lines_are_answered_whole(server.local_addr(), "canary");
+    server.shutdown();
+}
+
+/// A newline-free stream is refused at `MAX_LINE_BYTES` with one structured
+/// error and a closed connection; the server buffers none of the rest and
+/// keeps serving everyone else.
+#[test]
+fn an_over_long_line_gets_one_bad_request_and_a_closed_connection() {
+    let server =
+        Server::bind(server_config(1, 4), ModelRegistry::new(smoke_zoo(22))).expect("bind");
+    wire::assert_an_over_long_line_is_refused_once(server.local_addr());
+    server.shutdown();
+}
+
+/// No timer sits on the request path: 20 pings, each on a fresh connection
+/// (accept + handler spawn + read + reply), take milliseconds — not 20
+/// accept-poll ticks.
+#[test]
+fn fresh_connections_pay_no_accept_poll() {
+    let server =
+        Server::bind(server_config(1, 4), ModelRegistry::new(smoke_zoo(23))).expect("bind");
+    let addr = server.local_addr();
+    let took = wire::best_of_three(|| {
+        for _ in 0..20 {
+            let mut client = Client::connect(addr).expect("connect");
+            assert_eq!(
+                client.ping().expect("ping"),
+                chipalign_serve::PROTOCOL_VERSION
+            );
+        }
+    });
+    assert!(
+        took < Duration::from_millis(500),
+        "20 fresh-connection pings took {took:?}"
+    );
+    server.shutdown();
+}
+
+/// Blocking accept must not cost shutdown its promptness, whether or not
+/// `kill()` came first.
+#[test]
+fn shutdown_is_prompt_idempotent_and_closes_the_port() {
+    for kill_first in [false, true] {
+        let server =
+            Server::bind(server_config(1, 4), ModelRegistry::new(smoke_zoo(24))).expect("bind");
+        let addr = server.local_addr();
+        let idle = Client::connect(addr).expect("connect");
+        wire::assert_shutdown_is_prompt(addr, idle, || {
+            if kill_first {
+                server.kill();
+            }
+            server.shutdown();
+        });
+    }
 }

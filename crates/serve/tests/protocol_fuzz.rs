@@ -3,7 +3,7 @@
 //! panic — and the lines real peers write keep their exact shape.
 
 use chipalign_model::json;
-use chipalign_serve::protocol::parse_line;
+use chipalign_serve::protocol::{parse_line, LineReader, MAX_LINE_BYTES};
 use chipalign_serve::{FinishReason, GenerateRequest, Generation, Request, Response, ServeError};
 use chipalign_tensor::rng::{cases, Pcg32};
 
@@ -99,6 +99,73 @@ fn mutated_lines_never_panic() {
             Ok(_) | Err(ServeError::Protocol { .. }) => {}
             Err(other) => panic!("{line:?}: {other:?}"),
         }
+    }
+}
+
+/// A byte stream delivered in random small reads with read timeouts
+/// sprinkled between them, the way a socket with a read timeout does.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    rng: Pcg32,
+}
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if !self.bytes.is_empty() && self.rng.below(4) == 0 {
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        let most = self.bytes.len().min(buf.len());
+        let n = if most == 0 {
+            0
+        } else {
+            self.rng.range(1, 1 << 16).min(most)
+        };
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+#[test]
+fn framed_mutated_lines_arrive_whole_and_oversize_ones_are_refused() {
+    let seeds = seed_lines();
+    let filler = "a".repeat(MAX_LINE_BYTES);
+    for mut rng in cases(2, 400) {
+        let mut wire = mutate(&seeds[rng.below(seeds.len())], &mut rng);
+        // One case in eight carries a line over the limit (the mutation's
+        // own newlines removed, so the long line is the first).
+        let oversize = rng.below(8) == 0;
+        if oversize {
+            wire = wire.replace('\n', " ");
+            let mut at = rng.below(wire.len() + 1);
+            while !wire.is_char_boundary(at) {
+                at -= 1;
+            }
+            wire.insert_str(at, &filler);
+        }
+        wire.push('\n');
+        let mut reader = LineReader::new(Trickle {
+            bytes: wire.as_bytes(),
+            rng: rng.derive(1),
+        });
+        // Timeouts lose nothing: the next call resumes the same line.
+        let mut next = || loop {
+            match reader.read_line() {
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => continue,
+                other => return other.map(|line| line.map(str::to_string)),
+            }
+        };
+        if oversize {
+            let err = next().expect_err("over the limit");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            continue;
+        }
+        for expected in wire.split_inclusive('\n') {
+            let line = next().expect("a line").expect("not yet EOF");
+            assert_eq!(line, expected);
+            check_request(&line);
+        }
+        assert_eq!(next().expect("eof"), None);
     }
 }
 

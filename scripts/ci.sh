@@ -20,6 +20,26 @@ bench_quick() { # [run.sh args...]
     echo "ci: benchmark/run.sh --quick $* reported a wrong or failed operation" >&2
     return 1
   fi
+  # The wire must not sleep. The traced fleet_mixed leg prints what TCP adds
+  # to an in-process reply and what the router adds to that; each is a
+  # fraction of a millisecond here, and one accept-poll tick or one
+  # write-write-read Nagle stall is 20-100 ms, so 15 ms catches either.
+  if grep -q '^== fleet_mixed .* trace 1' <<<"$out"; then
+    awk '$1 == "metric" { m[$2] = $4 }
+      END {
+        if (!("router.hop_ms_p50" in m && "serve.loopback_latency_p50_ms" in m &&
+              "serve.direct_latency_p50_ms" in m)) {
+          print "ci: the traced fleet_mixed leg printed no wire metrics" > "/dev/stderr"
+          exit 1
+        }
+        wire = m["serve.loopback_latency_p50_ms"] - m["serve.direct_latency_p50_ms"]
+        hop = m["router.hop_ms_p50"]
+        if (wire > 15 || hop > 15) {
+          printf "ci: a timer is back on the wire: loopback - direct = %.1f ms, router hop = %.1f ms (limit 15)\n", wire, hop > "/dev/stderr"
+          exit 1
+        }
+      }' <<<"$out"
+  fi
 }
 bench_quick
 # Stacked-row ≡ single-row end to end on the non-AVX2 tiers too: prefill
@@ -33,6 +53,11 @@ done
 # committed lock file proves it.
 if grep -q '^source = "registry' Cargo.lock; then
   echo "ci: Cargo.lock names a registry package; the workspace must stay dependency-free" >&2
+  exit 1
+fi
+# One blocking line-server: no front end goes back to a polled listener.
+if grep -rn 'set_nonblocking(true)' crates/serve/src crates/router/src; then
+  echo "ci: a listener is non-blocking again; accept must block (see DESIGN.md, Wire)" >&2
   exit 1
 fi
 cargo build --release --offline --locked
