@@ -584,7 +584,13 @@ impl Merger for Dare {
     }
 }
 
-/// Zeroes all but the top-`density` fraction of entries by magnitude.
+/// Zeroes all but the top-`density` fraction of entries by magnitude; among
+/// equal magnitudes the lower index survives.
+///
+/// Only the cut matters, so one selection (linear on average) finds it
+/// instead of a sort. Ranking by (|v| descending, index ascending) is a
+/// total order, so the survivors are exactly the first `keep` of a stable
+/// sort by magnitude.
 fn trim_to_density(values: &[f32], density: f32) -> Vec<f32> {
     let n = values.len();
     let keep = ((n as f32 * density).ceil() as usize).clamp(usize::from(n > 0), n);
@@ -592,7 +598,9 @@ fn trim_to_density(values: &[f32], density: f32) -> Vec<f32> {
         return values.to_vec();
     }
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| values[b].abs().total_cmp(&values[a].abs()));
+    order.select_nth_unstable_by(keep - 1, |&a, &b| {
+        values[b].abs().total_cmp(&values[a].abs()).then(a.cmp(&b))
+    });
     let mut out = vec![0.0f32; n];
     for &i in &order[..keep] {
         out[i] = values[i];
@@ -715,6 +723,46 @@ mod tests {
     fn trim_density_one_is_identity() {
         let values = vec![1.0, -2.0, 0.5];
         assert_eq!(trim_to_density(&values, 1.0), values);
+    }
+
+    #[test]
+    fn trim_selection_matches_a_stable_sort_bit_for_bit() {
+        // The former implementation: a stable sort by magnitude, keep the
+        // first `keep`.
+        fn sorted_trim(values: &[f32], density: f32) -> Vec<f32> {
+            let n = values.len();
+            let keep = ((n as f32 * density).ceil() as usize).clamp(usize::from(n > 0), n);
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by(|&a, &b| values[b].abs().total_cmp(&values[a].abs()));
+            let mut out = vec![0.0f32; n];
+            for &i in &order[..keep] {
+                out[i] = values[i];
+            }
+            out
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for mut rng in chipalign_tensor::rng::cases(5, 64) {
+            let n = rng.below(300);
+            // Few distinct magnitudes, both signs and ±0: ties everywhere.
+            let levels = 1 + rng.below(6);
+            let values: Vec<f32> = (0..n)
+                .map(|_| {
+                    let magnitude = rng.below(levels) as f32 * 0.25;
+                    if rng.chance(0.5) {
+                        -magnitude
+                    } else {
+                        magnitude
+                    }
+                })
+                .collect();
+            for density in [0.01, 0.2, 0.5, 0.9, 1.0] {
+                assert_eq!(
+                    bits(&trim_to_density(&values, density)),
+                    bits(&sorted_trim(&values, density)),
+                    "n {n}, density {density}"
+                );
+            }
+        }
     }
 
     #[test]

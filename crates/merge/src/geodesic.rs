@@ -1,7 +1,10 @@
 //! The ChipAlign merge: geodesic interpolation on the weight manifold.
 
+use std::collections::BTreeMap;
+
 use chipalign_model::Checkpoint;
-use chipalign_tensor::Matrix;
+use chipalign_tensor::reduce::{self, Moments};
+use chipalign_tensor::{parallelize, parallelize_with, Matrix};
 
 use crate::report::{MergeReport, TensorGeometry};
 use crate::{check_conformable, MergeError, Merger};
@@ -44,7 +47,12 @@ pub enum NormRestore {
 /// 3. **Restore**: `W_merge = Norm_chip^λ · Norm_instruct^(1−λ) · W̄_merge`.
 ///
 /// `λ = 1` returns the chip model exactly and `λ = 0` the instruction
-/// model; the paper recommends `λ = 0.6`.
+/// model (both by copy); the paper recommends `λ = 0.6`.
+///
+/// The three steps depend on a pair only through `(‖W_chip‖², ‖W_instruct‖²,
+/// ⟨W_chip, W_instruct⟩)`, so they fold into `W_merge = α·W_chip +
+/// β·W_instruct`: one read sweep for the three moments, one write sweep for
+/// the output, and no temporary matrix.
 ///
 /// When `Θ` is numerically tiny (nearly parallel weights — common for norm
 /// gains) the `sin` ratios degenerate, so the implementation falls back to
@@ -146,6 +154,15 @@ impl GeodesicMerge {
 
     /// Merges and also returns the per-tensor geometry report.
     ///
+    /// Each tensor pair costs two sweeps: sweep 1 reads both weights once
+    /// and returns their moments `(‖c‖², ‖i‖², ⟨c, i⟩)`
+    /// ([`reduce::moments`]); Θ, the Lemma III.2 coefficients, the
+    /// fallbacks and the norm restoration then fold into two scalars, and
+    /// sweep 2 writes `α·c + β·i` into the tensor's only allocation
+    /// ([`reduce::axpby_into`]). Tensors fan out over every core
+    /// ([`parallelize`]); each is computed by one thread, so the result
+    /// does not depend on the core count.
+    ///
     /// # Errors
     ///
     /// Returns [`MergeError::NotConformable`] if the checkpoints differ in
@@ -155,35 +172,63 @@ impl GeodesicMerge {
         chip: &Checkpoint,
         instruct: &Checkpoint,
     ) -> Result<(Checkpoint, MergeReport), MergeError> {
+        self.merge_on(chip, instruct, None)
+    }
+
+    /// [`GeodesicMerge::merge_with_report`] on every core (`workers:
+    /// None`), or on exactly that many threads for the tests that pin that
+    /// the result does not depend on the count.
+    fn merge_on(
+        &self,
+        chip: &Checkpoint,
+        instruct: &Checkpoint,
+        workers: Option<usize>,
+    ) -> Result<(Checkpoint, MergeReport), MergeError> {
         check_conformable(chip, instruct)?;
-        let names: Vec<String> = chip.names().iter().map(|s| s.to_string()).collect();
-
-        // For global granularity, precompute the whole-model angle once.
-        let global_angle = match self.granularity {
-            Granularity::PerTensor => None,
-            Granularity::Global => Some(self.global_geometry(chip, instruct)),
-        };
-
-        let results: Vec<(String, Matrix, TensorGeometry)> = names
+        let pairs: Vec<(&str, &Matrix, &Matrix)> = chip
             .iter()
-            .map(|name| {
-                let wc = chip.get(name).expect("conformable");
-                let wi = instruct.get(name).expect("conformable");
-                let (merged, geom) = self.merge_tensor(name, wc, wi, global_angle);
-                (name.clone(), merged, geom)
-            })
+            .map(|(name, wc)| (name, wc, instruct.get(name).expect("conformable")))
             .collect();
 
-        let mut merged_ckpt = chip.clone();
-        let mut geoms = Vec::with_capacity(results.len());
-        for (name, tensor, geom) in results {
-            merged_ckpt
-                .insert(&name, tensor)
-                .expect("shape preserved by interpolation");
+        // One angle for the whole model needs every tensor's sweep 1 first;
+        // sweep 2 then reuses those moments.
+        let global = match self.granularity {
+            Granularity::PerTensor => None,
+            Granularity::Global => {
+                let moments = fan_out(workers, pairs.clone(), |_, (_, wc, wi)| {
+                    reduce::moments(wc.data(), wi.data())
+                });
+                let angle = global_angle(&moments);
+                Some((moments, angle))
+            }
+        };
+
+        // The memory plan: every output buffer is reserved here, on the
+        // calling thread. A buffer a worker allocated would come from that
+        // worker's malloc arena, and its space would not serve the next
+        // checkpoint the caller loads or merges.
+        let jobs: Vec<_> = pairs
+            .into_iter()
+            .map(|(name, wc, wi)| (name, wc, wi, Vec::with_capacity(wc.len())))
+            .collect();
+        let merged = fan_out(workers, jobs, |k, (name, wc, wi, out)| {
+            let (moments, angle) = match &global {
+                Some((moments, angle)) => (moments[k], Some(*angle)),
+                None => (reduce::moments(wc.data(), wi.data()), None),
+            };
+            self.merge_tensor(name, wc, wi, moments, angle, out)
+        });
+
+        let mut tensors = BTreeMap::new();
+        let mut geoms = Vec::with_capacity(merged.len());
+        for (tensor, geom) in merged {
+            tensors.insert(geom.name.clone(), tensor);
             geoms.push(geom);
         }
-        merged_ckpt.set_metadata("merge.method", self.name());
-        merged_ckpt.set_metadata("merge.lambda", &format!("{}", self.lambda));
+        let mut metadata = chip.metadata().clone();
+        metadata.insert("merge.method".into(), self.name().into());
+        metadata.insert("merge.lambda".into(), format!("{}", self.lambda));
+        let merged_ckpt = Checkpoint::from_parts(chip.arch().clone(), tensors, metadata)?;
         let report = MergeReport {
             lambda: self.lambda,
             method: self.name(),
@@ -192,114 +237,151 @@ impl GeodesicMerge {
         Ok((merged_ckpt, report))
     }
 
-    /// Whole-model cosine/angle: all tensors flattened into one vector.
-    fn global_geometry(&self, chip: &Checkpoint, instruct: &Checkpoint) -> f64 {
-        let mut dot = 0.0f64;
-        let mut nc2 = 0.0f64;
-        let mut ni2 = 0.0f64;
-        for (name, wc) in chip.iter() {
-            let wi = instruct.get(name).expect("conformable");
-            dot += wc.frobenius_dot(wi).expect("same shape");
-            let c = f64::from(wc.frobenius_norm());
-            let i = f64::from(wi.frobenius_norm());
-            nc2 += c * c;
-            ni2 += i * i;
-        }
-        let denom = nc2.sqrt() * ni2.sqrt();
-        if denom == 0.0 {
-            0.0
-        } else {
-            (dot / denom).clamp(-1.0, 1.0).acos()
-        }
-    }
-
-    /// Merges one tensor pair and records its geometry.
+    /// Merges one tensor pair, given its sweep-1 moments, into `out` (empty,
+    /// with capacity reserved) and records its geometry.
     fn merge_tensor(
         &self,
         name: &str,
         wc: &Matrix,
         wi: &Matrix,
+        moments: Moments,
         global_angle: Option<f64>,
+        mut out: Vec<f32>,
     ) -> (Matrix, TensorGeometry) {
+        let fold = self.fold(&moments, global_angle);
+        // λ ∈ {0, 1} are the inputs themselves, bit for bit (except under
+        // the no-restore ablation, which leaves them on the unit sphere).
+        let endpoint = if self.project && self.norm_restore == NormRestore::None {
+            None
+        } else if self.lambda == 1.0 {
+            Some((wc, moments.aa))
+        } else if self.lambda == 0.0 {
+            Some((wi, moments.bb))
+        } else {
+            None
+        };
+        let merged_sq = match endpoint {
+            Some((input, input_sq)) => {
+                out.extend_from_slice(input.data());
+                input_sq
+            }
+            None => reduce::axpby_into(&mut out, fold.alpha, wc.data(), fold.beta, wi.data()),
+        };
+        let merged = Matrix::from_vec(wc.rows(), wc.cols(), out).expect("one value per weight");
+        let geom = TensorGeometry {
+            name: name.to_string(),
+            cosine: fold.cosine,
+            theta: fold.theta,
+            norm_chip: moments.aa.sqrt() as f32,
+            norm_instruct: moments.bb.sqrt() as f32,
+            norm_merged: merged_sq.sqrt() as f32,
+            lerp_fallback: fold.fallback,
+        };
+        (merged, geom)
+    }
+
+    /// Everything between the two sweeps: Θ, the Lemma III.2 coefficients
+    /// with their Θ→0 / Θ→π limits, the zero-norm fallback, the norm
+    /// restoration and the raw-SLERP ablation, folded into the `α`, `β` of
+    /// `merged = α·chip + β·instruct`.
+    fn fold(&self, m: &Moments, global_angle: Option<f64>) -> Fold {
         let lambda = f64::from(self.lambda);
-        let norm_c = wc.frobenius_norm();
-        let norm_i = wi.frobenius_norm();
+        let (norm_c, norm_i) = (m.aa.sqrt(), m.bb.sqrt());
 
         // Degenerate magnitudes: a zero-norm weight has no sphere projection.
         // Fall back to plain linear interpolation of the raw weights.
         if self.project && (norm_c == 0.0 || norm_i == 0.0) {
-            let merged = wi.lerp(wc, self.lambda).expect("conformable");
-            let geom = TensorGeometry {
-                name: name.to_string(),
+            return Fold {
+                alpha: self.lambda,
+                beta: 1.0 - self.lambda,
                 cosine: 0.0,
                 theta: 0.0,
-                norm_chip: norm_c,
-                norm_instruct: norm_i,
-                norm_merged: merged.frobenius_norm(),
-                lerp_fallback: true,
+                fallback: true,
             };
-            return (merged, geom);
         }
 
-        let (bar_c, bar_i): (Matrix, Matrix) = if self.project {
-            (wc.scale(1.0 / norm_c), wi.scale(1.0 / norm_i))
+        let denom = norm_c * norm_i;
+        let cosine = if denom == 0.0 {
+            1.0
         } else {
-            (wc.clone(), wi.clone())
-        };
-
-        let cosine = {
-            let dot = bar_c.frobenius_dot(&bar_i).expect("same shape");
-            let denom = f64::from(bar_c.frobenius_norm()) * f64::from(bar_i.frobenius_norm());
-            if denom == 0.0 {
-                1.0
-            } else {
-                (dot / denom).clamp(-1.0, 1.0)
-            }
+            (m.ab / denom).clamp(-1.0, 1.0)
         };
         let theta = global_angle.unwrap_or_else(|| cosine.acos());
 
         // Lemma III.2 coefficients, with the analytic Θ→0 / Θ→π limits.
         let near_degenerate =
             theta < self.small_angle_eps || theta > std::f64::consts::PI - self.small_angle_eps;
-        let (coef_chip, coef_instruct, fallback) = if near_degenerate {
-            (lambda, 1.0 - lambda, true)
+        let (coef_chip, coef_instruct) = if near_degenerate {
+            (lambda, 1.0 - lambda)
         } else {
             let sin_theta = theta.sin();
             (
                 (lambda * theta).sin() / sin_theta,
                 ((1.0 - lambda) * theta).sin() / sin_theta,
-                false,
             )
         };
 
-        let mut merged = bar_c.scale(coef_chip as f32);
-        merged
-            .axpy(coef_instruct as f32, &bar_i)
-            .expect("conformable");
-
-        if self.project {
+        // Projection onto the unit sphere and the restored magnitude fold
+        // into the coefficients: α = coef_chip · ρ / ‖chip‖, and so on.
+        let (alpha, beta) = if self.project {
             let restore = match self.norm_restore {
-                NormRestore::Geometric => {
-                    f64::from(norm_c).powf(lambda) * f64::from(norm_i).powf(1.0 - lambda)
-                }
-                NormRestore::Arithmetic => {
-                    lambda * f64::from(norm_c) + (1.0 - lambda) * f64::from(norm_i)
-                }
+                NormRestore::Geometric => norm_c.powf(lambda) * norm_i.powf(1.0 - lambda),
+                NormRestore::Arithmetic => lambda * norm_c + (1.0 - lambda) * norm_i,
                 NormRestore::None => 1.0,
             };
-            merged.scale_inplace(restore as f32);
-        }
-
-        let geom = TensorGeometry {
-            name: name.to_string(),
+            (
+                coef_chip * restore / norm_c,
+                coef_instruct * restore / norm_i,
+            )
+        } else {
+            (coef_chip, coef_instruct)
+        };
+        Fold {
+            alpha: alpha as f32,
+            beta: beta as f32,
             cosine,
             theta,
-            norm_chip: norm_c,
-            norm_instruct: norm_i,
-            norm_merged: merged.frobenius_norm(),
-            lerp_fallback: fallback,
-        };
-        (merged, geom)
+            fallback: near_degenerate,
+        }
+    }
+}
+
+/// One tensor's merge, reduced to two scalars and its reported geometry.
+struct Fold {
+    alpha: f32,
+    beta: f32,
+    cosine: f64,
+    theta: f64,
+    fallback: bool,
+}
+
+/// Whole-model angle from every tensor's moments: all tensors flattened
+/// into one vector.
+fn global_angle(moments: &[Moments]) -> f64 {
+    let (mut dot, mut nc2, mut ni2) = (0.0f64, 0.0f64, 0.0f64);
+    for m in moments {
+        dot += m.ab;
+        nc2 += m.aa;
+        ni2 += m.bb;
+    }
+    let denom = nc2.sqrt() * ni2.sqrt();
+    if denom == 0.0 {
+        0.0
+    } else {
+        (dot / denom).clamp(-1.0, 1.0).acos()
+    }
+}
+
+/// [`parallelize`] on every core, or [`parallelize_with`] a fixed worker
+/// count in tests.
+fn fan_out<I: Send, T: Send>(
+    workers: Option<usize>,
+    items: Vec<I>,
+    work: impl Fn(usize, I) -> T + Sync,
+) -> Vec<T> {
+    match workers {
+        None => parallelize(items, work),
+        Some(n) => parallelize_with(n, items, work),
     }
 }
 
@@ -357,6 +439,71 @@ mod tests {
             .merge_pair(&chip, &instruct)
             .expect("conformable");
         assert!(at_zero.approx_eq(&instruct, 1e-5));
+    }
+
+    #[test]
+    fn endpoints_are_exact_copies_with_geometry_reported() {
+        let (chip, instruct) = pair();
+        for granularity in [Granularity::PerTensor, Granularity::Global] {
+            let merge = |lambda| {
+                GeodesicMerge::new(lambda)
+                    .expect("valid")
+                    .with_granularity(granularity)
+                    .merge_with_report(&chip, &instruct)
+                    .expect("conformable")
+            };
+            let (at_one, report) = merge(1.0);
+            assert!(at_one.approx_eq(&chip, 0.0), "{granularity:?}");
+            assert!(merge(0.0).0.approx_eq(&instruct, 0.0), "{granularity:?}");
+            assert!(report.mean_angle() > 0.0, "geometry is still measured");
+            for t in &report.tensors {
+                assert_eq!(t.norm_merged, t.norm_chip, "{}", t.name);
+            }
+        }
+    }
+
+    #[test]
+    fn merge_does_not_depend_on_the_worker_count() {
+        let (chip, instruct) = pair();
+        let arch = ArchSpec::tiny("geo");
+        let fixtures = [
+            ("random", chip.clone(), instruct),
+            (
+                "zero-norm",
+                Checkpoint::zeros(&arch),
+                Checkpoint::random(&arch, &mut Pcg32::seed(32)),
+            ),
+            (
+                "antipodal",
+                chip.clone(),
+                chip.map_tensors(|_, t| t.scale(-1.0)),
+            ),
+        ];
+        for (what, chip, instruct) in &fixtures {
+            for granularity in [Granularity::PerTensor, Granularity::Global] {
+                let merger = GeodesicMerge::new(0.6)
+                    .expect("valid")
+                    .with_granularity(granularity);
+                // Bits, not values: the encoded checkpoint and every digit
+                // of the report.
+                let run = |workers| {
+                    let (ckpt, report) = merger
+                        .merge_on(chip, instruct, workers)
+                        .expect("conformable");
+                    (
+                        chipalign_model::format::encode(&ckpt),
+                        format!("{report:?}"),
+                    )
+                };
+                let one = run(Some(1));
+                for workers in [Some(2), Some(5), None] {
+                    assert!(
+                        run(workers) == one,
+                        "{what}, {granularity:?}: {workers:?} workers differ from one"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

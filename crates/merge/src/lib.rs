@@ -22,7 +22,9 @@
 //!
 //! All mergers run in `O(n)` time and space in the total parameter count
 //! `n`, matching the paper's complexity analysis (§III-C). Tensors are
-//! independent; they run sequentially today.
+//! independent: [`GeodesicMerge`] reads each input pair twice and writes
+//! each output once (20 bytes per parameter), and fans tensors out over
+//! every core; the baselines run them sequentially.
 //!
 //! # Example
 //!

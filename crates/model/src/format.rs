@@ -43,8 +43,8 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::fs;
-use std::io::Write;
+use std::fs::{self, File};
+use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use chipalign_tensor::Matrix;
@@ -57,8 +57,15 @@ const MAGIC: &[u8; 4] = b"CALT";
 const VERSION: u32 = 2;
 /// Oldest version [`decode`] accepts.
 const MIN_VERSION: u32 = 1;
+/// Magic, version and trailing checksum: no file of this format or of
+/// `qformat` is shorter.
+const MIN_FILE_LEN: u64 = 4 + 4 + 8;
+/// Bytes per read, write and checksum step when streaming. Large enough
+/// that a system call moves a useful amount, small next to any tensor.
+const CHUNK: usize = 1 << 16;
 
-/// Serializes a checkpoint to its binary representation (version 2).
+/// Serializes a checkpoint to its binary representation (version 2): the
+/// bytes [`save`] writes to disk.
 #[must_use]
 pub fn encode(ckpt: &Checkpoint) -> Vec<u8> {
     encode_with_version(ckpt, VERSION)
@@ -66,40 +73,29 @@ pub fn encode(ckpt: &Checkpoint) -> Vec<u8> {
 
 fn encode_with_version(ckpt: &Checkpoint, version: u32) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64 + ckpt.scalar_count() * 4);
-    buf.extend_from_slice(MAGIC);
-    put_u32(&mut buf, version);
-    let arch = ckpt.arch();
-    put_str(&mut buf, &arch.name);
-    for dim in [
-        arch.vocab_size,
-        arch.d_model,
-        arch.n_layers,
-        arch.n_heads,
-        arch.d_ff,
-        arch.max_seq_len,
-    ] {
-        put_u64(&mut buf, dim as u64);
-    }
-    put_u32(&mut buf, ckpt.metadata().len() as u32);
-    for (k, v) in ckpt.metadata() {
-        put_str(&mut buf, k);
-        put_str(&mut buf, v);
-    }
-    put_u32(&mut buf, ckpt.param_count() as u32);
+    write_checkpoint(ckpt, version, &mut buf).expect("writing to a Vec cannot fail");
+    buf
+}
+
+/// The one encoder: [`encode`] runs it into a `Vec`, [`save`] into a
+/// buffered file.
+fn write_checkpoint(ckpt: &Checkpoint, version: u32, out: &mut impl Write) -> io::Result<()> {
+    let mut sink = Sink::new(out);
+    sink.bytes(MAGIC)?;
+    sink.u32(version)?;
+    sink.arch_and_metadata(ckpt.arch(), ckpt.metadata())?;
+    sink.u32(ckpt.param_count() as u32)?;
     for (name, tensor) in ckpt.iter() {
-        put_str(&mut buf, name);
-        put_u64(&mut buf, tensor.rows() as u64);
-        put_u64(&mut buf, tensor.cols() as u64);
-        let data_start = buf.len();
-        put_f32s(&mut buf, tensor.data());
+        sink.str(name)?;
+        sink.u64(tensor.rows() as u64)?;
+        sink.u64(tensor.cols() as u64)?;
+        sink.begin_payload();
+        sink.f32s(tensor.data())?;
         if version >= 2 {
-            let tcrc = fnv1a(&buf[data_start..]);
-            put_u64(&mut buf, tcrc);
+            sink.end_payload()?;
         }
     }
-    let crc = fnv1a(&buf);
-    put_u64(&mut buf, crc);
-    buf
+    sink.finish()
 }
 
 /// Deserializes a checkpoint from bytes produced by [`encode`] (either
@@ -114,97 +110,102 @@ fn encode_with_version(ckpt: &Checkpoint, version: u32) -> Vec<u8> {
 /// infinite weights; and the usual validation errors if the decoded tensors
 /// do not instantiate the decoded architecture.
 pub fn decode(data: &[u8]) -> Result<Checkpoint, ModelError> {
-    if data.len() < MAGIC.len() + 4 + 8 {
-        return Err(corrupt("shorter than minimum header"));
-    }
-    let (body, crc_bytes) = data.split_at(data.len() - 8);
-    let stored_crc = u64::from_le_bytes(crc_bytes.try_into().expect("8 bytes"));
-    if fnv1a(body) != stored_crc {
-        return Err(corrupt("checksum mismatch"));
-    }
+    read_bytes(data, parse_checkpoint)
+}
 
-    let mut buf = body;
-    if take(&mut buf, 4)? != MAGIC {
+/// The one decoder: [`decode`] runs it over a byte slice, [`load`] over a
+/// buffered file, both after the whole-file checksum has passed.
+fn parse_checkpoint(src: &mut Source<impl Read>) -> Result<Checkpoint, ModelError> {
+    if src.bytes(4)? != MAGIC {
         return Err(corrupt("bad magic"));
     }
-    let version = get_u32(&mut buf)?;
+    let version = src.u32()?;
     if !(MIN_VERSION..=VERSION).contains(&version) {
         return Err(corrupt(&format!("unsupported version {version}")));
     }
 
-    let name = get_str(&mut buf)?;
-    let mut dims = [0usize; 6];
-    for d in &mut dims {
-        *d = usize::try_from(get_u64(&mut buf)?)
-            .map_err(|_| corrupt("dimension overflows usize"))?;
-    }
-    let arch = ArchSpec {
-        name,
-        vocab_size: dims[0],
-        d_model: dims[1],
-        n_layers: dims[2],
-        n_heads: dims[3],
-        d_ff: dims[4],
-        max_seq_len: dims[5],
-    };
+    let (arch, metadata) = src.arch_and_metadata()?;
 
-    let meta_count = get_u32(&mut buf)?;
-    let mut metadata = BTreeMap::new();
-    for _ in 0..meta_count {
-        let k = get_str(&mut buf)?;
-        let v = get_str(&mut buf)?;
-        metadata.insert(k, v);
-    }
-
-    let tensor_count = get_u32(&mut buf)?;
+    let tensor_count = src.u32()?;
     let mut tensors = BTreeMap::new();
     for _ in 0..tensor_count {
-        let tname = get_str(&mut buf)?;
-        let rows = usize::try_from(get_u64(&mut buf)?).map_err(|_| corrupt("rows overflow"))?;
-        let cols = usize::try_from(get_u64(&mut buf)?).map_err(|_| corrupt("cols overflow"))?;
+        let tname = src.str()?;
+        let rows = usize::try_from(src.u64()?).map_err(|_| corrupt("rows overflow"))?;
+        let cols = usize::try_from(src.u64()?).map_err(|_| corrupt("cols overflow"))?;
         let n = rows
             .checked_mul(cols)
             .ok_or_else(|| corrupt("tensor size overflow"))?;
-        let byte_len = n
-            .checked_mul(4)
-            .ok_or_else(|| corrupt("tensor byte size overflow"))?;
-        let payload_bytes = take(&mut buf, byte_len)?;
-        if version >= 2 {
-            let stored_tcrc = get_u64(&mut buf)?;
-            if fnv1a(payload_bytes) != stored_tcrc {
-                return Err(ModelError::ChecksumMismatch { tensor: tname });
-            }
+        src.begin_payload();
+        let values = src.f32s(n)?;
+        if version >= 2 && src.payload_crc() != src.u64()? {
+            return Err(ModelError::ChecksumMismatch { tensor: tname });
         }
-        let values = get_f32s(payload_bytes);
         if values.iter().any(|v| !v.is_finite()) {
             return Err(ModelError::NonFinite { tensor: tname });
         }
         let m = Matrix::from_vec(rows, cols, values)?;
         tensors.insert(tname, m);
     }
-    if !buf.is_empty() {
-        return Err(corrupt("trailing bytes after last tensor"));
-    }
+    src.finish()?;
     Checkpoint::from_parts(arch, tensors, metadata)
 }
 
-/// Writes a checkpoint to a file, crash-safely: the bytes land in a
+/// Writes a checkpoint to a file, crash-safely: the bytes stream into a
 /// temporary sibling (`<name>.<pid>.tmp`), are fsynced, and are renamed
-/// into place, so a crash mid-save never leaves a torn file at `path`.
+/// into place, so a crash mid-save never leaves a torn file at `path`. The
+/// file holds exactly the bytes of [`encode`], which is never materialised.
 ///
 /// # Errors
 ///
 /// Returns [`ModelError::Io`] on filesystem failures; the temporary file is
 /// removed on any failure.
 pub fn save(ckpt: &Checkpoint, path: impl AsRef<Path>) -> Result<(), ModelError> {
-    let path = path.as_ref();
+    write_file(path.as_ref(), |out| write_checkpoint(ckpt, VERSION, out))
+}
+
+/// Reads a checkpoint from a file written by [`save`], streaming: one pass
+/// verifies the whole-file checksum, a second parses, so memory holds the
+/// checkpoint plus a fixed-size buffer, never the file's bytes.
+///
+/// # Errors
+///
+/// Returns [`ModelError::Io`] on filesystem failures and exactly the
+/// [`decode`] errors on malformed content.
+pub fn load(path: impl AsRef<Path>) -> Result<Checkpoint, ModelError> {
+    read_file(path.as_ref(), parse_checkpoint)
+}
+
+/// The temporary sibling a [`save`] to `path` stages its bytes in. The pid
+/// suffix keeps concurrent saves from different processes from clobbering
+/// each other's staging file.
+fn tmp_sibling(path: &Path) -> PathBuf {
+    let mut name = path
+        .file_name()
+        .map_or_else(|| std::ffi::OsString::from("ckpt"), |n| n.to_os_string());
+    name.push(format!(".{}.tmp", std::process::id()));
+    path.with_file_name(name)
+}
+
+/// Stages `write`'s bytes in [`tmp_sibling`], fsyncs them, renames them
+/// onto `path` and fsyncs the directory; on failure removes the staging
+/// file.
+pub(crate) fn write_file(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> Result<(), ModelError> {
     let tmp = tmp_sibling(path);
     let result = (|| -> Result<(), ModelError> {
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(&encode(ckpt))?;
+        let mut out = BufWriter::with_capacity(CHUNK, File::create(&tmp)?);
+        write(&mut out)?;
+        let file = out.into_inner().map_err(io::IntoInnerError::into_error)?;
         file.sync_all()?;
         drop(file);
         fs::rename(&tmp, path)?;
+        #[cfg(unix)]
+        {
+            let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+            File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+        }
         Ok(())
     })();
     if result.is_err() {
@@ -213,80 +214,297 @@ pub fn save(ckpt: &Checkpoint, path: impl AsRef<Path>) -> Result<(), ModelError>
     result
 }
 
-/// Reads a checkpoint from a file written by [`save`].
-///
-/// # Errors
-///
-/// Returns [`ModelError::Io`] on filesystem failures and the [`decode`]
-/// errors on malformed content.
-pub fn load(path: impl AsRef<Path>) -> Result<Checkpoint, ModelError> {
-    let data = fs::read(path)?;
-    decode(&data)
+/// Checks the whole-file checksum of `data`, then runs `parse` over it.
+pub(crate) fn read_bytes<'d, T>(
+    data: &'d [u8],
+    parse: impl FnOnce(&mut Source<&'d [u8]>) -> Result<T, ModelError>,
+) -> Result<T, ModelError> {
+    let body_len = verify_file_crc(data, data.len() as u64)?;
+    parse(&mut Source::new(data, body_len))
 }
 
-/// The temporary sibling a [`save`] to `path` stages its bytes in. The pid
-/// suffix keeps concurrent saves from different processes from clobbering
-/// each other's staging file.
-pub(crate) fn tmp_sibling(path: &Path) -> PathBuf {
-    let mut name = path
-        .file_name()
-        .map_or_else(|| std::ffi::OsString::from("ckpt"), |n| n.to_os_string());
-    name.push(format!(".{}.tmp", std::process::id()));
-    path.with_file_name(name)
+/// [`read_bytes`] for a file: the checksum pass and the parse each stream
+/// the file from its start.
+pub(crate) fn read_file<T>(
+    path: &Path,
+    parse: impl FnOnce(&mut Source<BufReader<File>>) -> Result<T, ModelError>,
+) -> Result<T, ModelError> {
+    let mut file = File::open(path)?;
+    let len = file.metadata()?.len();
+    let body_len = verify_file_crc(BufReader::with_capacity(CHUNK, &file), len)?;
+    file.seek(SeekFrom::Start(0))?;
+    parse(&mut Source::new(
+        BufReader::with_capacity(CHUNK, file),
+        body_len,
+    ))
 }
 
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Streams the `len - 8` body bytes of a file through FNV-1a and compares
+/// the result with the trailing 8; returns the body length.
+fn verify_file_crc(mut input: impl Read, len: u64) -> Result<u64, ModelError> {
+    if len < MIN_FILE_LEN {
+        return Err(corrupt("shorter than minimum header"));
+    }
+    let body_len = len - 8;
+    let mut buf = vec![0u8; CHUNK];
+    let (mut hash, mut left) = (FNV_OFFSET, body_len);
+    while left > 0 {
+        let step = &mut buf[..left.min(CHUNK as u64) as usize];
+        input.read_exact(step)?;
+        hash = fnv1a_extend(hash, step);
+        left -= step.len() as u64;
+    }
+    let mut stored = [0u8; 8];
+    input.read_exact(&mut stored)?;
+    if hash != u64::from_le_bytes(stored) {
+        return Err(corrupt("checksum mismatch"));
+    }
+    Ok(body_len)
 }
 
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// The writing half of the one encoder: everything goes through `out`
+/// while FNV-1a runs over it twice — once for the trailing whole-file
+/// checksum, once for the current tensor's payload checksum.
+pub(crate) struct Sink<'a, W: Write> {
+    out: &'a mut W,
+    file_crc: u64,
+    payload_crc: u64,
+    scratch: Vec<u8>,
 }
 
-pub(crate) fn put_f32s(buf: &mut Vec<u8>, values: &[f32]) {
-    for &x in values {
-        buf.extend_from_slice(&x.to_le_bytes());
+impl<'a, W: Write> Sink<'a, W> {
+    pub(crate) fn new(out: &'a mut W) -> Self {
+        Sink {
+            out,
+            file_crc: FNV_OFFSET,
+            payload_crc: FNV_OFFSET,
+            scratch: Vec::new(),
+        }
+    }
+
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
+        fnv1a_extend_both(&mut self.file_crc, &mut self.payload_crc, bytes);
+        self.out.write_all(bytes)
+    }
+
+    pub(crate) fn u32(&mut self, v: u32) -> io::Result<()> {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    pub(crate) fn u64(&mut self, v: u64) -> io::Result<()> {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    pub(crate) fn str(&mut self, s: &str) -> io::Result<()> {
+        self.u32(s.len() as u32)?;
+        self.bytes(s.as_bytes())
+    }
+
+    /// The architecture and metadata blocks both formats start with.
+    pub(crate) fn arch_and_metadata(
+        &mut self,
+        arch: &ArchSpec,
+        metadata: &BTreeMap<String, String>,
+    ) -> io::Result<()> {
+        self.str(&arch.name)?;
+        for dim in [
+            arch.vocab_size,
+            arch.d_model,
+            arch.n_layers,
+            arch.n_heads,
+            arch.d_ff,
+            arch.max_seq_len,
+        ] {
+            self.u64(dim as u64)?;
+        }
+        self.u32(metadata.len() as u32)?;
+        for (k, v) in metadata {
+            self.str(k)?;
+            self.str(v)?;
+        }
+        Ok(())
+    }
+
+    pub(crate) fn f32s(&mut self, values: &[f32]) -> io::Result<()> {
+        self.little_endian(values, |x| x.to_le_bytes())
+    }
+
+    pub(crate) fn i8s(&mut self, values: &[i8]) -> io::Result<()> {
+        self.little_endian(values, |x| x.to_le_bytes())
+    }
+
+    /// Writes `values` converted a chunk at a time, never the whole slice
+    /// at once.
+    fn little_endian<T, const N: usize>(
+        &mut self,
+        values: &[T],
+        to_le: impl Fn(&T) -> [u8; N],
+    ) -> io::Result<()> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        for chunk in values.chunks(CHUNK / N) {
+            scratch.resize(chunk.len() * N, 0);
+            for (le, x) in scratch.chunks_exact_mut(N).zip(chunk) {
+                le.copy_from_slice(&to_le(x));
+            }
+            self.bytes(&scratch)?;
+        }
+        self.scratch = scratch;
+        Ok(())
+    }
+
+    /// Starts a tensor payload: [`Sink::end_payload`] checksums what is
+    /// written from here on.
+    pub(crate) fn begin_payload(&mut self) {
+        self.payload_crc = FNV_OFFSET;
+    }
+
+    /// Writes the checksum of the payload begun by [`Sink::begin_payload`].
+    pub(crate) fn end_payload(&mut self) -> io::Result<()> {
+        self.u64(self.payload_crc)
+    }
+
+    /// Writes the whole-file checksum.
+    pub(crate) fn finish(self) -> io::Result<()> {
+        self.out.write_all(&self.file_crc.to_le_bytes())
     }
 }
 
-pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
+/// The reading half of the one decoder: at most `remaining` body bytes
+/// (everything before the whole-file checksum) from `input`. Every length
+/// is checked against what is left before anything is allocated for it,
+/// so a hostile header cannot request a buffer larger than its file.
+pub(crate) struct Source<R: Read> {
+    input: R,
+    remaining: u64,
+    payload_crc: u64,
+    scratch: Vec<u8>,
 }
 
-pub(crate) fn get_u32(buf: &mut &[u8]) -> Result<u32, ModelError> {
-    let raw = take(buf, 4)?.try_into().expect("take returned 4 bytes");
-    Ok(u32::from_le_bytes(raw))
-}
-
-pub(crate) fn get_u64(buf: &mut &[u8]) -> Result<u64, ModelError> {
-    let raw = take(buf, 8)?.try_into().expect("take returned 8 bytes");
-    Ok(u64::from_le_bytes(raw))
-}
-
-/// Decodes a run of little-endian `f32`s; `bytes.len()` must be a multiple
-/// of 4 (callers size it as `n * 4` before calling [`take`]).
-pub(crate) fn get_f32s(bytes: &[u8]) -> Vec<f32> {
-    bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("chunks_exact(4)")))
-        .collect()
-}
-
-pub(crate) fn get_str(buf: &mut &[u8]) -> Result<String, ModelError> {
-    let len = get_u32(buf)? as usize;
-    let bytes = take(buf, len)?.to_vec();
-    String::from_utf8(bytes).map_err(|_| corrupt("invalid utf-8 in string"))
-}
-
-/// Splits `n` bytes off the front of `buf`, failing on underrun.
-pub(crate) fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], ModelError> {
-    if buf.len() < n {
-        return Err(corrupt("unexpected end of data"));
+impl<R: Read> Source<R> {
+    fn new(input: R, remaining: u64) -> Self {
+        Source {
+            input,
+            remaining,
+            payload_crc: FNV_OFFSET,
+            scratch: Vec::new(),
+        }
     }
-    let (head, tail) = buf.split_at(n);
-    *buf = tail;
-    Ok(head)
+
+    /// Reserves `n` of the remaining bytes, or fails without reading.
+    fn claim(&mut self, n: usize) -> Result<(), ModelError> {
+        match u64::try_from(n) {
+            Ok(n) if n <= self.remaining => {
+                self.remaining -= n;
+                Ok(())
+            }
+            _ => Err(corrupt("unexpected end of data")),
+        }
+    }
+
+    pub(crate) fn bytes(&mut self, n: usize) -> Result<Vec<u8>, ModelError> {
+        self.claim(n)?;
+        let mut out = vec![0u8; n];
+        read_hashed(&mut self.input, &mut self.payload_crc, &mut out)?;
+        Ok(out)
+    }
+
+    pub(crate) fn u8(&mut self) -> Result<u8, ModelError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    pub(crate) fn u32(&mut self) -> Result<u32, ModelError> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    pub(crate) fn u64(&mut self) -> Result<u64, ModelError> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ModelError> {
+        self.claim(N)?;
+        let mut out = [0u8; N];
+        read_hashed(&mut self.input, &mut self.payload_crc, &mut out)?;
+        Ok(out)
+    }
+
+    pub(crate) fn str(&mut self) -> Result<String, ModelError> {
+        let len = self.u32()? as usize;
+        String::from_utf8(self.bytes(len)?).map_err(|_| corrupt("invalid utf-8 in string"))
+    }
+
+    /// The architecture and metadata blocks both formats start with.
+    pub(crate) fn arch_and_metadata(
+        &mut self,
+    ) -> Result<(ArchSpec, BTreeMap<String, String>), ModelError> {
+        let name = self.str()?;
+        let mut dims = [0usize; 6];
+        for d in &mut dims {
+            *d = usize::try_from(self.u64()?).map_err(|_| corrupt("dimension overflows usize"))?;
+        }
+        let arch = ArchSpec {
+            name,
+            vocab_size: dims[0],
+            d_model: dims[1],
+            n_layers: dims[2],
+            n_heads: dims[3],
+            d_ff: dims[4],
+            max_seq_len: dims[5],
+        };
+        let meta_count = self.u32()?;
+        let mut metadata = BTreeMap::new();
+        for _ in 0..meta_count {
+            let k = self.str()?;
+            let v = self.str()?;
+            metadata.insert(k, v);
+        }
+        Ok((arch, metadata))
+    }
+
+    /// `n` little-endian `f32`s, read and converted a chunk at a time.
+    pub(crate) fn f32s(&mut self, n: usize) -> Result<Vec<f32>, ModelError> {
+        let byte_len = n
+            .checked_mul(4)
+            .ok_or_else(|| corrupt("tensor byte size overflow"))?;
+        self.claim(byte_len)?;
+        let mut values = Vec::with_capacity(n);
+        self.scratch.resize(CHUNK, 0);
+        let mut left = byte_len;
+        while left > 0 {
+            let step = &mut self.scratch[..CHUNK.min(left)];
+            read_hashed(&mut self.input, &mut self.payload_crc, step)?;
+            values.extend(
+                step.chunks_exact(4)
+                    .map(|c| f32::from_le_bytes(c.try_into().expect("chunks_exact(4)"))),
+            );
+            left -= step.len();
+        }
+        Ok(values)
+    }
+
+    /// Starts a tensor payload: [`Source::payload_crc`] checksums what is
+    /// read from here on.
+    pub(crate) fn begin_payload(&mut self) {
+        self.payload_crc = FNV_OFFSET;
+    }
+
+    pub(crate) fn payload_crc(&self) -> u64 {
+        self.payload_crc
+    }
+
+    /// Fails unless the whole body was consumed.
+    pub(crate) fn finish(&self) -> Result<(), ModelError> {
+        if self.remaining == 0 {
+            Ok(())
+        } else {
+            Err(corrupt("trailing bytes after last tensor"))
+        }
+    }
+}
+
+fn read_hashed(input: &mut impl Read, crc: &mut u64, buf: &mut [u8]) -> Result<(), ModelError> {
+    input.read_exact(buf)?;
+    *crc = fnv1a_extend(*crc, buf);
+    Ok(())
 }
 
 pub(crate) fn corrupt(detail: &str) -> ModelError {
@@ -295,14 +513,34 @@ pub(crate) fn corrupt(detail: &str) -> ModelError {
     }
 }
 
-/// FNV-1a 64-bit hash.
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+const FNV_PRIME: u64 = 0x100000001b3;
+
+/// FNV-1a 64-bit hash of a whole buffer (tests refit checksums with it).
+#[cfg(test)]
 pub(crate) fn fnv1a(data: &[u8]) -> u64 {
-    let mut hash = 0xcbf29ce484222325u64;
+    fnv1a_extend(FNV_OFFSET, data)
+}
+
+/// Continues an FNV-1a hash over more bytes: hashing a stream chunk by
+/// chunk gives the hash of the whole.
+fn fnv1a_extend(mut hash: u64, data: &[u8]) -> u64 {
     for &b in data {
         hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100000001b3);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// [`fnv1a_extend`] of two hashes over the same bytes in one pass: the two
+/// multiply chains are independent, so the second costs little.
+fn fnv1a_extend_both(a: &mut u64, b: &mut u64, data: &[u8]) {
+    let (mut x, mut y) = (*a, *b);
+    for &byte in data {
+        x = (x ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        y = (y ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+    }
+    (*a, *b) = (x, y);
 }
 
 #[cfg(test)]
@@ -345,6 +583,64 @@ mod tests {
         save(&ckpt, &path).expect("save");
         let back = load(&path).expect("load");
         assert!(ckpt.approx_eq(&back, 0.0));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn saved_bytes_are_the_encoded_bytes() {
+        let dir = std::env::temp_dir().join("chipalign-fmt-bytes");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("bytes.calt");
+        let ckpt = sample();
+        save(&ckpt, &path).expect("save");
+        assert!(std::fs::read(&path).expect("read") == encode(&ckpt));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn hostile_lengths_fail_before_allocating() {
+        // A well-formed header, then one length far beyond the file: a
+        // 2^62-byte tensor, or a 4 GiB metadata key. Either must be refused
+        // as truncation, not attempted as an allocation.
+        let file = |tail: &dyn Fn(&mut Sink<Vec<u8>>) -> io::Result<()>| {
+            let mut bytes = Vec::new();
+            let mut sink = Sink::new(&mut bytes);
+            sink.bytes(MAGIC)
+                .and_then(|()| sink.u32(VERSION))
+                .expect("vec");
+            sink.str("hostile").expect("vec");
+            for _ in 0..6 {
+                sink.u64(1).expect("vec");
+            }
+            tail(&mut sink).expect("vec");
+            sink.finish().expect("vec");
+            bytes
+        };
+        let huge_tensor = file(&|s| {
+            s.u32(0)?;
+            s.u32(1)?;
+            s.str("w")?;
+            s.u64(1 << 40)?;
+            s.u64(1 << 20)
+        });
+        let huge_key = file(&|s| {
+            s.u32(1)?;
+            s.u32(u32::MAX)
+        });
+        let dir = std::env::temp_dir().join("chipalign-fmt-hostile");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("hostile.calt");
+        for bytes in [huge_tensor, huge_key] {
+            std::fs::write(&path, &bytes).expect("write");
+            for result in [decode(&bytes), load(&path)] {
+                match result {
+                    Err(ModelError::Corrupt { detail }) => {
+                        assert_eq!(detail, "unexpected end of data");
+                    }
+                    other => panic!("expected a truncation error, got {other:?}"),
+                }
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -32,16 +32,14 @@
 //! of the in-memory quantized model that was saved.
 
 use std::collections::BTreeMap;
-use std::fs;
-use std::io::Write;
+use std::io::{self, Read, Write};
 use std::path::Path;
 
 use chipalign_tensor::{Matrix, QuantizedMatrix};
 
-use crate::format::{
-    corrupt, fnv1a, get_f32s, get_str, get_u32, get_u64, put_f32s, put_str, put_u32, put_u64, take,
-    tmp_sibling,
-};
+#[cfg(test)]
+use crate::format::fnv1a;
+use crate::format::{corrupt, read_bytes, read_file, write_file, Sink, Source};
 use crate::{ArchSpec, Checkpoint, ModelError, ParamKind};
 
 const MAGIC: &[u8; 4] = b"CALQ";
@@ -190,53 +188,41 @@ impl QuantCheckpoint {
     }
 }
 
-/// Serializes a quantized checkpoint to its binary representation.
+/// Serializes a quantized checkpoint to its binary representation: the
+/// bytes [`save`] writes to disk.
 #[must_use]
 pub fn encode(ckpt: &QuantCheckpoint) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64 + ckpt.weights_bytes() as usize);
-    buf.extend_from_slice(MAGIC);
-    put_u32(&mut buf, VERSION);
-    let arch = ckpt.arch();
-    put_str(&mut buf, &arch.name);
-    for dim in [
-        arch.vocab_size,
-        arch.d_model,
-        arch.n_layers,
-        arch.n_heads,
-        arch.d_ff,
-        arch.max_seq_len,
-    ] {
-        put_u64(&mut buf, dim as u64);
-    }
-    put_u32(&mut buf, ckpt.metadata().len() as u32);
-    for (k, v) in ckpt.metadata() {
-        put_str(&mut buf, k);
-        put_str(&mut buf, v);
-    }
-    put_u32(&mut buf, ckpt.param_count() as u32);
+    write_quant(ckpt, &mut buf).expect("writing to a Vec cannot fail");
+    buf
+}
+
+fn write_quant(ckpt: &QuantCheckpoint, out: &mut impl Write) -> io::Result<()> {
+    let mut sink = Sink::new(out);
+    sink.bytes(MAGIC)?;
+    sink.u32(VERSION)?;
+    sink.arch_and_metadata(ckpt.arch(), ckpt.metadata())?;
+    sink.u32(ckpt.param_count() as u32)?;
     for (name, tensor) in ckpt.iter() {
-        put_str(&mut buf, name);
+        sink.str(name)?;
         let (rows, cols) = tensor.shape();
-        buf.push(match tensor {
+        sink.bytes(&[match tensor {
             QuantTensor::F32(_) => DTYPE_F32,
             QuantTensor::Int8(_) => DTYPE_INT8,
-        });
-        put_u64(&mut buf, rows as u64);
-        put_u64(&mut buf, cols as u64);
-        let data_start = buf.len();
+        }])?;
+        sink.u64(rows as u64)?;
+        sink.u64(cols as u64)?;
+        sink.begin_payload();
         match tensor {
-            QuantTensor::F32(m) => put_f32s(&mut buf, m.data()),
+            QuantTensor::F32(m) => sink.f32s(m.data())?,
             QuantTensor::Int8(q) => {
-                put_f32s(&mut buf, q.scales());
-                buf.extend(q.data().iter().map(|&c| c as u8));
+                sink.f32s(q.scales())?;
+                sink.i8s(q.data())?;
             }
         }
-        let tcrc = fnv1a(&buf[data_start..]);
-        put_u64(&mut buf, tcrc);
+        sink.end_payload()?;
     }
-    let crc = fnv1a(&buf);
-    put_u64(&mut buf, crc);
-    buf
+    sink.finish()
 }
 
 /// Deserializes a quantized checkpoint from bytes produced by [`encode`].
@@ -252,92 +238,61 @@ pub fn encode(ckpt: &QuantCheckpoint) -> Vec<u8> {
 /// checksum; and [`ModelError::NonFinite`] when an f32 tensor or an int8
 /// tensor's scales hold NaN or infinite values.
 pub fn decode(data: &[u8]) -> Result<QuantCheckpoint, ModelError> {
-    if data.len() < MAGIC.len() + 4 + 8 {
-        return Err(corrupt("shorter than minimum header"));
-    }
-    let (body, crc_bytes) = data.split_at(data.len() - 8);
-    let stored_crc = u64::from_le_bytes(crc_bytes.try_into().expect("8 bytes"));
-    if fnv1a(body) != stored_crc {
-        return Err(corrupt("checksum mismatch"));
-    }
+    read_bytes(data, parse_quant)
+}
 
-    let mut buf = body;
-    if take(&mut buf, 4)? != MAGIC {
+fn parse_quant(src: &mut Source<impl Read>) -> Result<QuantCheckpoint, ModelError> {
+    if src.bytes(4)? != MAGIC {
         return Err(corrupt("bad magic"));
     }
-    let version = get_u32(&mut buf)?;
+    let version = src.u32()?;
     if version != VERSION {
         return Err(corrupt(&format!("unsupported version {version}")));
     }
 
-    let name = get_str(&mut buf)?;
-    let mut dims = [0usize; 6];
-    for d in &mut dims {
-        *d = usize::try_from(get_u64(&mut buf)?)
-            .map_err(|_| corrupt("dimension overflows usize"))?;
-    }
-    let arch = ArchSpec {
-        name,
-        vocab_size: dims[0],
-        d_model: dims[1],
-        n_layers: dims[2],
-        n_heads: dims[3],
-        d_ff: dims[4],
-        max_seq_len: dims[5],
-    };
+    let (arch, metadata) = src.arch_and_metadata()?;
 
-    let meta_count = get_u32(&mut buf)?;
-    let mut metadata = BTreeMap::new();
-    for _ in 0..meta_count {
-        let k = get_str(&mut buf)?;
-        let v = get_str(&mut buf)?;
-        metadata.insert(k, v);
-    }
-
-    let tensor_count = get_u32(&mut buf)?;
+    let tensor_count = src.u32()?;
     let mut tensors = BTreeMap::new();
     for _ in 0..tensor_count {
-        let tname = get_str(&mut buf)?;
-        let dtype = take(&mut buf, 1)?[0];
-        let rows = usize::try_from(get_u64(&mut buf)?).map_err(|_| corrupt("rows overflow"))?;
-        let cols = usize::try_from(get_u64(&mut buf)?).map_err(|_| corrupt("cols overflow"))?;
+        let tname = src.str()?;
+        let dtype = src.u8()?;
+        let rows = usize::try_from(src.u64()?).map_err(|_| corrupt("rows overflow"))?;
+        let cols = usize::try_from(src.u64()?).map_err(|_| corrupt("cols overflow"))?;
         let n = rows
             .checked_mul(cols)
             .ok_or_else(|| corrupt("tensor size overflow"))?;
-        let payload_len = match dtype {
+        match dtype {
             DTYPE_F32 => n.checked_mul(4),
             DTYPE_INT8 => rows.checked_mul(4).and_then(|s| s.checked_add(n)),
             _ => return Err(corrupt(&format!("unknown dtype {dtype}"))),
         }
         .ok_or_else(|| corrupt("tensor byte size overflow"))?;
-        let payload_bytes = take(&mut buf, payload_len)?;
-        let stored_tcrc = get_u64(&mut buf)?;
-        if fnv1a(payload_bytes) != stored_tcrc {
-            return Err(ModelError::ChecksumMismatch { tensor: tname });
-        }
-        let tensor = match dtype {
-            DTYPE_F32 => {
-                let values = get_f32s(payload_bytes);
-                if values.iter().any(|v| !v.is_finite()) {
-                    return Err(ModelError::NonFinite { tensor: tname });
-                }
-                QuantTensor::F32(Matrix::from_vec(rows, cols, values)?)
+        src.begin_payload();
+        let tensor = if dtype == DTYPE_F32 {
+            let values = src.f32s(n)?;
+            if src.payload_crc() != src.u64()? {
+                return Err(ModelError::ChecksumMismatch { tensor: tname });
             }
-            _ => {
-                let (scale_bytes, code_bytes) = payload_bytes.split_at(rows * 4);
-                let scales = get_f32s(scale_bytes);
-                if scales.iter().any(|s| !s.is_finite()) {
-                    return Err(ModelError::NonFinite { tensor: tname });
-                }
-                let codes = code_bytes.iter().map(|&b| b as i8).collect();
-                QuantTensor::Int8(QuantizedMatrix::from_parts(rows, cols, codes, scales)?)
+            if values.iter().any(|v| !v.is_finite()) {
+                return Err(ModelError::NonFinite { tensor: tname });
             }
+            QuantTensor::F32(Matrix::from_vec(rows, cols, values)?)
+        } else {
+            let scales = src.f32s(rows)?;
+            let codes = src.bytes(n)?;
+            if src.payload_crc() != src.u64()? {
+                return Err(ModelError::ChecksumMismatch { tensor: tname });
+            }
+            if scales.iter().any(|s| !s.is_finite()) {
+                return Err(ModelError::NonFinite { tensor: tname });
+            }
+            let codes = codes.into_iter().map(|b| b as i8).collect();
+            QuantTensor::Int8(QuantizedMatrix::from_parts(rows, cols, codes, scales)?)
         };
         tensors.insert(tname, tensor);
     }
-    if !buf.is_empty() {
-        return Err(corrupt("trailing bytes after last tensor"));
-    }
+    src.finish()?;
     Ok(QuantCheckpoint {
         arch,
         tensors,
@@ -345,39 +300,26 @@ pub fn decode(data: &[u8]) -> Result<QuantCheckpoint, ModelError> {
     })
 }
 
-/// Writes a quantized checkpoint to a file, crash-safely (same
-/// staging-and-rename protocol as the f32 format).
+/// Writes a quantized checkpoint to a file, crash-safely and streaming
+/// (same staging-and-rename protocol as the f32 format).
 ///
 /// # Errors
 ///
 /// Returns [`ModelError::Io`] on filesystem failures; the temporary file is
 /// removed on any failure.
 pub fn save(ckpt: &QuantCheckpoint, path: impl AsRef<Path>) -> Result<(), ModelError> {
-    let path = path.as_ref();
-    let tmp = tmp_sibling(path);
-    let result = (|| -> Result<(), ModelError> {
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(&encode(ckpt))?;
-        file.sync_all()?;
-        drop(file);
-        fs::rename(&tmp, path)?;
-        Ok(())
-    })();
-    if result.is_err() {
-        let _ = fs::remove_file(&tmp);
-    }
-    result
+    write_file(path.as_ref(), |out| write_quant(ckpt, out))
 }
 
-/// Reads a quantized checkpoint from a file written by [`save`].
+/// Reads a quantized checkpoint from a file written by [`save`], streaming
+/// (checksum pass, then parse).
 ///
 /// # Errors
 ///
 /// Returns [`ModelError::Io`] on filesystem failures and the [`decode`]
 /// errors on malformed content.
 pub fn load(path: impl AsRef<Path>) -> Result<QuantCheckpoint, ModelError> {
-    let data = fs::read(path)?;
-    decode(&data)
+    read_file(path.as_ref(), parse_quant)
 }
 
 #[cfg(test)]

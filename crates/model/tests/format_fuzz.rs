@@ -67,6 +67,84 @@ fn appended_junk_is_detected() {
     }
 }
 
+/// FNV-1a, to refit the trailing whole-file checksum after a mutation so
+/// that the damage reaches the parser instead of stopping at the checksum.
+fn refit_file_crc(data: &mut [u8]) {
+    let Some(body_len) = data.len().checked_sub(8) else {
+        return;
+    };
+    let crc = data[..body_len]
+        .iter()
+        .fold(0xcbf29ce484222325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+        });
+    data[body_len..].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// One seeded mutation of `clean`, drawn from every kind above, half the
+/// time with the whole-file checksum refitted.
+fn mutate(clean: &[u8], rng: &mut Pcg32) -> Vec<u8> {
+    let mut data = match rng.below(4) {
+        0 => {
+            let mut d = clean.to_vec();
+            let pos = rng.below(d.len());
+            d[pos] ^= 1 << rng.below(8);
+            d
+        }
+        1 => clean[..rng.below(clean.len())].to_vec(),
+        2 => {
+            let len = rng.below(512);
+            random_bytes(rng, len)
+        }
+        _ => {
+            let mut d = clean.to_vec();
+            let len = rng.range(1, 63);
+            d.extend(random_bytes(rng, len));
+            d
+        }
+    };
+    if rng.chance(0.5) {
+        refit_file_crc(&mut data);
+    }
+    data
+}
+
+/// The outcome of a decode, bit for bit: the re-encoded checkpoint, or the
+/// error's variant and message.
+fn outcome<T>(result: Result<T, chipalign_model::ModelError>, encode: fn(&T) -> Vec<u8>) -> String {
+    match result {
+        Ok(ckpt) => format!("ok {:?}", encode(&ckpt)),
+        Err(e) => format!("err {e:?}"),
+    }
+}
+
+#[test]
+fn load_and_decode_agree_on_every_mutation() {
+    let dir = std::env::temp_dir().join(format!("chipalign-fuzz-load-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join("case.calt");
+    let clean = encoded();
+    let qclean = qformat::encode(&QuantCheckpoint::quantize(&checkpoint()));
+    let mut refused = 0;
+    for mut rng in cases(5, CASES) {
+        for data in [clean.clone(), mutate(&clean, &mut rng)] {
+            std::fs::write(&path, &data).expect("write case");
+            let decoded = outcome(format::decode(&data), format::encode);
+            refused += usize::from(decoded.starts_with("err"));
+            assert_eq!(outcome(format::load(&path), format::encode), decoded);
+        }
+        let qdata = mutate(&qclean, &mut rng);
+        std::fs::write(&path, &qdata).expect("write case");
+        assert_eq!(
+            outcome(qformat::load(&path), qformat::encode),
+            outcome(qformat::decode(&qdata), qformat::encode),
+            "int8 format"
+        );
+    }
+    assert!(refused > 0, "the mutations must reach the error paths");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn re_encoding_a_decoded_file_reproduces_its_bytes() {
     let bytes = encoded();

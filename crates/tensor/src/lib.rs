@@ -24,6 +24,12 @@
 //! * [`QuantizedMatrix`] — per-row-scaled symmetric int8 weights with
 //!   int8×f32 matvec/skinny-GEMM kernels for the decode path; f32 kernels
 //!   stay as differential oracles.
+//! * [`reduce`] — the one lane-split `f64` reduction kernel: Frobenius
+//!   norms and inner products, and the two sweeps of the geodesic merge
+//!   ([`reduce::moments`], [`reduce::axpby_into`]).
+//! * [`parallelize`] — fan-out of independent items over every core on
+//!   scoped threads, results placed by index so they do not depend on the
+//!   worker count.
 //!
 //! The ChipAlign paper (DAC 2025) treats each weight matrix
 //! `W ∈ R^{p×q}` as a point that can be projected onto the unit
@@ -61,7 +67,9 @@ pub mod backend;
 mod error;
 mod matrix;
 pub mod ops;
+mod par;
 mod quant;
+pub mod reduce;
 pub mod reference;
 pub mod rng;
 pub mod stats;
@@ -69,4 +77,7 @@ pub mod tune;
 
 pub use error::TensorError;
 pub use matrix::Matrix;
+pub use par::parallelize;
+#[doc(hidden)]
+pub use par::parallelize_with;
 pub use quant::QuantizedMatrix;

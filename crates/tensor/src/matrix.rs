@@ -556,21 +556,18 @@ impl Matrix {
         }
     }
 
-    /// Frobenius norm `||W||_F = sqrt(Σ w_ij²)`, accumulated in `f64`.
+    /// Frobenius norm `||W||_F = sqrt(Σ w_ij²)`, accumulated in `f64` by
+    /// the lane-split kernel of [`crate::reduce`].
     ///
     /// This is the projection denominator in ChipAlign's unit-sphere
     /// normalisation.
     #[must_use]
     pub fn frobenius_norm(&self) -> f32 {
-        self.data
-            .iter()
-            .map(|&x| f64::from(x) * f64::from(x))
-            .sum::<f64>()
-            .sqrt() as f32
+        crate::reduce::sum_of_squares(&self.data).sqrt() as f32
     }
 
     /// Frobenius inner product `⟨A, B⟩ = Σ a_ij · b_ij`, accumulated in
-    /// `f64`.
+    /// `f64` by the lane-split kernel of [`crate::reduce`].
     ///
     /// Used to compute the geodesic angle `Θ = arccos⟨Ā, B̄⟩` between two
     /// unit-normalised weight matrices.
@@ -580,12 +577,7 @@ impl Matrix {
     /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
     pub fn frobenius_dot(&self, other: &Matrix) -> Result<f64, TensorError> {
         self.check_same_shape(other, "frobenius_dot")?;
-        Ok(self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| f64::from(a) * f64::from(b))
-            .sum())
+        Ok(crate::reduce::dot(&self.data, &other.data))
     }
 
     /// Sum of absolute values (entrywise L1 norm).

@@ -107,13 +107,10 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
-/// Euclidean norm of a slice.
+/// Euclidean norm of a slice, accumulated in `f64` by [`crate::reduce`].
 #[must_use]
 pub fn l2_norm(xs: &[f32]) -> f32 {
-    xs.iter()
-        .map(|&x| f64::from(x) * f64::from(x))
-        .sum::<f64>()
-        .sqrt() as f32
+    crate::reduce::sum_of_squares(xs).sqrt() as f32
 }
 
 /// Scales `xs` so its Euclidean norm becomes 1; leaves an all-zero slice

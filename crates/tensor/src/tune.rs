@@ -34,6 +34,17 @@ pub const GEMM_K_BLOCK: usize = 256;
 /// 256-bit vector of `f32`.
 pub const DOT_LANES: usize = 8;
 
+/// Number of `f64` partial sums per quantity in [`crate::reduce`], the one
+/// reduction kernel behind Frobenius norms, Frobenius inner products and
+/// both sweeps of the geodesic merge.
+///
+/// Element `k` always lands in partial `k % REDUCE_LANES` and the partials
+/// combine in one fixed tree, so a reduction's bits depend only on its
+/// input, never on the caller or the thread. 8 independent chains hide the
+/// f64 add latency; a product of two `f32`s is exact in `f64`, so the order
+/// of additions is the only rounding choice there is.
+pub const REDUCE_LANES: usize = 8;
+
 /// Largest left-hand row count `m` routed to the skinny `A·Bᵀ` kernel
 /// (`2 ≤ m ≤ GEMM_SKINNY_M_MAX`; `m == 1` already takes the matvec path).
 ///
@@ -104,6 +115,7 @@ mod tests {
         const {
             assert!(GEMM_COL_TILE.is_power_of_two());
             assert!(DOT_LANES.is_power_of_two());
+            assert!(REDUCE_LANES.is_power_of_two());
             assert!(GEMM_K_BLOCK >= GEMM_COL_TILE);
             assert!(GEMM_SKINNY_M_MAX >= 2);
             assert!(GEMM_SKINNY_M_MAX.is_power_of_two());

@@ -63,6 +63,10 @@ fi
 cargo build --release --offline --locked
 cargo test -q
 cargo test -q --workspace
+# Once more on one core: `available_parallelism()` is then 1, so
+# `tensor::parallelize` takes its single-worker path in every merge test,
+# which must give the same bits as the fan-out above.
+taskset -c 0 cargo test -q -p chipalign-tensor -p chipalign-merge
 
 # Chaos suites: deterministic fault injection behind the fault-inject
 # feature (never part of release builds). The router's fleet chaos suite
