@@ -103,6 +103,13 @@ impl Checkpoint {
         Ok(ckpt)
     }
 
+    /// Splits the checkpoint into the parts [`Checkpoint::from_parts`]
+    /// takes, moving the tensors out rather than copying them.
+    #[must_use]
+    pub fn into_parts(self) -> (ArchSpec, BTreeMap<String, Matrix>, BTreeMap<String, String>) {
+        (self.arch, self.tensors, self.metadata)
+    }
+
     /// The architecture this checkpoint instantiates.
     #[must_use]
     pub fn arch(&self) -> &ArchSpec {

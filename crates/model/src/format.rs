@@ -8,20 +8,23 @@
 //!
 //! ```text
 //! magic   b"CALT"
-//! version u32 (currently 2; version-1 files remain readable)
+//! version u32 (currently 3; versions 1 and 2 remain readable)
 //! arch    name:str vocab:u64 d_model:u64 n_layers:u64 n_heads:u64 d_ff:u64 max_seq:u64
 //! meta    count:u32 { key:str value:str }*
 //! tensors count:u32 { name:str rows:u64 cols:u64 data:[f32]* tcrc:u64 }*
-//! crc     u64  FNV-1a over everything before it
+//! crc     u64  checksum over everything before it
 //! str     len:u32 utf8-bytes
 //! ```
 //!
-//! Version 2 embeds a per-tensor FNV-1a checksum (`tcrc`) over each tensor's
-//! payload bytes, so a load failure names the damaged tensor instead of just
-//! "file corrupt"; version-1 files (no `tcrc`) still decode. Loads also
-//! reject non-finite weights — a checkpoint with NaN/Inf can only produce
-//! garbage generations, so it is refused up front with
-//! [`ModelError::NonFinite`].
+//! Every tensor carries a checksum (`tcrc`) over its payload bytes, so a
+//! load failure names the damaged tensor instead of just "file corrupt".
+//! Version 3 computes `tcrc` and `crc` with XXH64 ([`crate::checksum`]), a
+//! word-parallel hash that runs at memory speed. Version 2 used FNV-1a, a
+//! serial byte-at-a-time hash; version 1 had no `tcrc`. Both still decode:
+//! the checksum pass reads the 8-byte header first and verifies with the
+//! algorithm its version names. Loads also reject non-finite weights — a
+//! checkpoint with NaN/Inf can only produce garbage generations, so it is
+//! refused up front with [`ModelError::NonFinite`].
 //!
 //! [`save`] is crash-safe: bytes are written to a temporary sibling file,
 //! fsynced, and renamed into place, so a crash or torn write mid-save can
@@ -46,17 +49,21 @@ use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use chipalign_tensor::Matrix;
 
+use crate::checksum::{Algo, Hasher, Xxh64};
 use crate::{ArchSpec, Checkpoint, ModelError};
 
 const MAGIC: &[u8; 4] = b"CALT";
-/// Current on-disk version. Version 1 (no per-tensor checksums) is still
-/// accepted by [`decode`].
-const VERSION: u32 = 2;
-/// Oldest version [`decode`] accepts.
-const MIN_VERSION: u32 = 1;
+/// Current on-disk version, the only one [`encode`] writes.
+const VERSION: u32 = 3;
+/// Every version [`decode`] accepts, with the checksum it carries.
+const LAYOUT: Layout = Layout {
+    magic: MAGIC,
+    versions: &[(1, Algo::Fnv1a), (2, Algo::Fnv1a), (VERSION, Algo::Xxh64)],
+};
 /// Magic, version and trailing checksum: no file of this format or of
 /// `qformat` is shorter.
 const MIN_FILE_LEN: u64 = 4 + 4 + 8;
@@ -64,25 +71,21 @@ const MIN_FILE_LEN: u64 = 4 + 4 + 8;
 /// that a system call moves a useful amount, small next to any tensor.
 const CHUNK: usize = 1 << 16;
 
-/// Serializes a checkpoint to its binary representation (version 2): the
+/// Serializes a checkpoint to its binary representation (version 3): the
 /// bytes [`save`] writes to disk.
 #[must_use]
 pub fn encode(ckpt: &Checkpoint) -> Vec<u8> {
-    encode_with_version(ckpt, VERSION)
-}
-
-fn encode_with_version(ckpt: &Checkpoint, version: u32) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64 + ckpt.scalar_count() * 4);
-    write_checkpoint(ckpt, version, &mut buf).expect("writing to a Vec cannot fail");
+    write_checkpoint(ckpt, &mut buf).expect("writing to a Vec cannot fail");
     buf
 }
 
 /// The one encoder: [`encode`] runs it into a `Vec`, [`save`] into a
 /// buffered file.
-fn write_checkpoint(ckpt: &Checkpoint, version: u32, out: &mut impl Write) -> io::Result<()> {
+fn write_checkpoint(ckpt: &Checkpoint, out: &mut impl Write) -> io::Result<()> {
     let mut sink = Sink::new(out);
     sink.bytes(MAGIC)?;
-    sink.u32(version)?;
+    sink.u32(VERSION)?;
     sink.arch_and_metadata(ckpt.arch(), ckpt.metadata())?;
     sink.u32(ckpt.param_count() as u32)?;
     for (name, tensor) in ckpt.iter() {
@@ -91,39 +94,30 @@ fn write_checkpoint(ckpt: &Checkpoint, version: u32, out: &mut impl Write) -> io
         sink.u64(tensor.cols() as u64)?;
         sink.begin_payload();
         sink.f32s(tensor.data())?;
-        if version >= 2 {
-            sink.end_payload()?;
-        }
+        sink.end_payload()?;
     }
     sink.finish()
 }
 
-/// Deserializes a checkpoint from bytes produced by [`encode`] (either
-/// format version).
+/// Deserializes a checkpoint from bytes produced by [`encode`] (or by an
+/// older writer: versions 1 and 2 still decode).
 ///
 /// # Errors
 ///
 /// Returns [`ModelError::Corrupt`] for truncated data, a bad magic/version,
 /// a whole-file checksum mismatch, or invalid UTF-8;
-/// [`ModelError::ChecksumMismatch`] when a version-2 tensor fails its
-/// embedded checksum; [`ModelError::NonFinite`] when a tensor holds NaN or
+/// [`ModelError::ChecksumMismatch`] when a tensor fails its embedded
+/// checksum; [`ModelError::NonFinite`] when a tensor holds NaN or
 /// infinite weights; and the usual validation errors if the decoded tensors
 /// do not instantiate the decoded architecture.
 pub fn decode(data: &[u8]) -> Result<Checkpoint, ModelError> {
-    read_bytes(data, parse_checkpoint)
+    read_bytes(data, &LAYOUT, parse_checkpoint)
 }
 
 /// The one decoder: [`decode`] runs it over a byte slice, [`load`] over a
-/// buffered file, both after the whole-file checksum has passed.
+/// buffered file, both after the header and the whole-file checksum have
+/// passed.
 fn parse_checkpoint(src: &mut Source<impl Read>) -> Result<Checkpoint, ModelError> {
-    if src.bytes(4)? != MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let version = src.u32()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(corrupt(&format!("unsupported version {version}")));
-    }
-
     let (arch, metadata) = src.arch_and_metadata()?;
 
     let tensor_count = src.u32()?;
@@ -137,7 +131,7 @@ fn parse_checkpoint(src: &mut Source<impl Read>) -> Result<Checkpoint, ModelErro
             .ok_or_else(|| corrupt("tensor size overflow"))?;
         src.begin_payload();
         let values = src.f32s(n)?;
-        if version >= 2 && src.payload_crc() != src.u64()? {
+        if src.version() >= 2 && src.payload_crc() != src.u64()? {
             return Err(ModelError::ChecksumMismatch { tensor: tname });
         }
         if values.iter().any(|v| !v.is_finite()) {
@@ -151,16 +145,17 @@ fn parse_checkpoint(src: &mut Source<impl Read>) -> Result<Checkpoint, ModelErro
 }
 
 /// Writes a checkpoint to a file, crash-safely: the bytes stream into a
-/// temporary sibling (`<name>.<pid>.tmp`), are fsynced, and are renamed
-/// into place, so a crash mid-save never leaves a torn file at `path`. The
-/// file holds exactly the bytes of [`encode`], which is never materialised.
+/// temporary sibling (`<name>.<pid>.<seq>.tmp`), are fsynced, and are
+/// renamed into place, so a crash mid-save never leaves a torn file at
+/// `path`. The file holds exactly the bytes of [`encode`], which is never
+/// materialised.
 ///
 /// # Errors
 ///
 /// Returns [`ModelError::Io`] on filesystem failures; the temporary file is
 /// removed on any failure.
 pub fn save(ckpt: &Checkpoint, path: impl AsRef<Path>) -> Result<(), ModelError> {
-    write_file(path.as_ref(), |out| write_checkpoint(ckpt, VERSION, out))
+    write_file(path.as_ref(), |out| write_checkpoint(ckpt, out))
 }
 
 /// Reads a checkpoint from a file written by [`save`], streaming: one pass
@@ -172,17 +167,20 @@ pub fn save(ckpt: &Checkpoint, path: impl AsRef<Path>) -> Result<(), ModelError>
 /// Returns [`ModelError::Io`] on filesystem failures and exactly the
 /// [`decode`] errors on malformed content.
 pub fn load(path: impl AsRef<Path>) -> Result<Checkpoint, ModelError> {
-    read_file(path.as_ref(), parse_checkpoint)
+    read_file(path.as_ref(), &LAYOUT, parse_checkpoint)
 }
 
 /// The temporary sibling a [`save`] to `path` stages its bytes in. The pid
-/// suffix keeps concurrent saves from different processes from clobbering
-/// each other's staging file.
+/// keeps saves from different processes apart, and a process-wide sequence
+/// number keeps apart concurrent saves from threads of one process, which
+/// would otherwise truncate and rename each other's staging file.
 fn tmp_sibling(path: &Path) -> PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
     let mut name = path
         .file_name()
         .map_or_else(|| std::ffi::OsString::from("ckpt"), |n| n.to_os_string());
-    name.push(format!(".{}.tmp", std::process::id()));
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    name.push(format!(".{}.{seq}.tmp", std::process::id()));
     path.with_file_name(name)
 }
 
@@ -214,61 +212,107 @@ pub(crate) fn write_file(
     result
 }
 
-/// Checks the whole-file checksum of `data`, then runs `parse` over it.
-pub(crate) fn read_bytes<'d, T>(
-    data: &'d [u8],
-    parse: impl FnOnce(&mut Source<&'d [u8]>) -> Result<T, ModelError>,
-) -> Result<T, ModelError> {
-    let body_len = verify_file_crc(data, data.len() as u64)?;
-    parse(&mut Source::new(data, body_len))
+/// A format's magic and every version its reader accepts, each with the
+/// checksum that version carries.
+pub(crate) struct Layout {
+    pub(crate) magic: &'static [u8; 4],
+    pub(crate) versions: &'static [(u32, Algo)],
 }
 
-/// [`read_bytes`] for a file: the checksum pass and the parse each stream
-/// the file from its start.
+/// What a verified header selects for the parse.
+#[derive(Clone, Copy)]
+struct Header {
+    version: u32,
+    algo: Algo,
+}
+
+impl Layout {
+    /// Checks the 8-byte `magic version` header and names the version's
+    /// checksum.
+    fn header(&self, bytes: [u8; 8]) -> Result<Header, ModelError> {
+        let (magic, version) = bytes.split_at(4);
+        if magic != self.magic {
+            return Err(corrupt("bad magic"));
+        }
+        let version = u32::from_le_bytes(version.try_into().expect("four bytes"));
+        let algo = self
+            .versions
+            .iter()
+            .find_map(|&(v, algo)| (v == version).then_some(algo))
+            .ok_or_else(|| corrupt(&format!("unsupported version {version}")))?;
+        Ok(Header { version, algo })
+    }
+}
+
+/// Checks the header and whole-file checksum of `data`, then runs `parse`
+/// over the rest of its body.
+pub(crate) fn read_bytes<'d, T>(
+    data: &'d [u8],
+    layout: &Layout,
+    parse: impl FnOnce(&mut Source<&'d [u8]>) -> Result<T, ModelError>,
+) -> Result<T, ModelError> {
+    let (header, body_len) = verify_file(data, data.len() as u64, layout)?;
+    parse(&mut Source::new(&data[8..], body_len - 8, header))
+}
+
+/// [`read_bytes`] for a file: the checksum pass streams the file from its
+/// start, the parse from just past the header.
 pub(crate) fn read_file<T>(
     path: &Path,
+    layout: &Layout,
     parse: impl FnOnce(&mut Source<BufReader<File>>) -> Result<T, ModelError>,
 ) -> Result<T, ModelError> {
     let mut file = File::open(path)?;
     let len = file.metadata()?.len();
-    let body_len = verify_file_crc(BufReader::with_capacity(CHUNK, &file), len)?;
-    file.seek(SeekFrom::Start(0))?;
+    let (header, body_len) = verify_file(&file, len, layout)?;
+    file.seek(SeekFrom::Start(8))?;
     parse(&mut Source::new(
         BufReader::with_capacity(CHUNK, file),
-        body_len,
+        body_len - 8,
+        header,
     ))
 }
 
-/// Streams the `len - 8` body bytes of a file through FNV-1a and compares
-/// the result with the trailing 8; returns the body length.
-fn verify_file_crc(mut input: impl Read, len: u64) -> Result<u64, ModelError> {
+/// Reads the header of a `len`-byte file, streams its `len - 8` body bytes
+/// through the checksum that header names, and compares the result with
+/// the trailing 8; returns the header and the body length.
+fn verify_file(
+    mut input: impl Read,
+    len: u64,
+    layout: &Layout,
+) -> Result<(Header, u64), ModelError> {
     if len < MIN_FILE_LEN {
         return Err(corrupt("shorter than minimum header"));
     }
+    let mut head = [0u8; 8];
+    input.read_exact(&mut head)?;
+    let header = layout.header(head)?;
+    let mut hash = Hasher::new(header.algo);
+    hash.update(&head);
     let body_len = len - 8;
     let mut buf = vec![0u8; CHUNK];
-    let (mut hash, mut left) = (FNV_OFFSET, body_len);
+    let mut left = body_len - 8;
     while left > 0 {
         let step = &mut buf[..left.min(CHUNK as u64) as usize];
         input.read_exact(step)?;
-        hash = fnv1a_extend(hash, step);
+        hash.update(step);
         left -= step.len() as u64;
     }
     let mut stored = [0u8; 8];
     input.read_exact(&mut stored)?;
-    if hash != u64::from_le_bytes(stored) {
+    if hash.finish() != u64::from_le_bytes(stored) {
         return Err(corrupt("checksum mismatch"));
     }
-    Ok(body_len)
+    Ok((header, body_len))
 }
 
 /// The writing half of the one encoder: everything goes through `out`
-/// while FNV-1a runs over it twice — once for the trailing whole-file
+/// while XXH64 runs over it twice — once for the trailing whole-file
 /// checksum, once for the current tensor's payload checksum.
 pub(crate) struct Sink<'a, W: Write> {
     out: &'a mut W,
-    file_crc: u64,
-    payload_crc: u64,
+    file_crc: Xxh64,
+    payload_crc: Xxh64,
     scratch: Vec<u8>,
 }
 
@@ -276,14 +320,15 @@ impl<'a, W: Write> Sink<'a, W> {
     pub(crate) fn new(out: &'a mut W) -> Self {
         Sink {
             out,
-            file_crc: FNV_OFFSET,
-            payload_crc: FNV_OFFSET,
+            file_crc: Xxh64::new(),
+            payload_crc: Xxh64::new(),
             scratch: Vec::new(),
         }
     }
 
     pub(crate) fn bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
-        fnv1a_extend_both(&mut self.file_crc, &mut self.payload_crc, bytes);
+        self.file_crc.update(bytes);
+        self.payload_crc.update(bytes);
         self.out.write_all(bytes)
     }
 
@@ -333,20 +378,21 @@ impl<'a, W: Write> Sink<'a, W> {
         self.little_endian(values, |x| x.to_le_bytes())
     }
 
-    /// Writes `values` converted a chunk at a time, never the whole slice
-    /// at once.
-    fn little_endian<T, const N: usize>(
+    /// Writes `values` converted a chunk at a time into one `CHUNK`-byte
+    /// buffer, never the whole slice at once.
+    fn little_endian<T: Copy, const N: usize>(
         &mut self,
         values: &[T],
-        to_le: impl Fn(&T) -> [u8; N],
+        to_le: impl Fn(T) -> [u8; N],
     ) -> io::Result<()> {
         let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.resize(CHUNK, 0);
         for chunk in values.chunks(CHUNK / N) {
-            scratch.resize(chunk.len() * N, 0);
-            for (le, x) in scratch.chunks_exact_mut(N).zip(chunk) {
-                le.copy_from_slice(&to_le(x));
+            let le = &mut scratch[..chunk.len() * N];
+            for (dst, &x) in le.chunks_exact_mut(N).zip(chunk) {
+                dst.copy_from_slice(&to_le(x));
             }
-            self.bytes(&scratch)?;
+            self.bytes(le)?;
         }
         self.scratch = scratch;
         Ok(())
@@ -355,39 +401,47 @@ impl<'a, W: Write> Sink<'a, W> {
     /// Starts a tensor payload: [`Sink::end_payload`] checksums what is
     /// written from here on.
     pub(crate) fn begin_payload(&mut self) {
-        self.payload_crc = FNV_OFFSET;
+        self.payload_crc = Xxh64::new();
     }
 
     /// Writes the checksum of the payload begun by [`Sink::begin_payload`].
     pub(crate) fn end_payload(&mut self) -> io::Result<()> {
-        self.u64(self.payload_crc)
+        self.u64(self.payload_crc.finish())
     }
 
     /// Writes the whole-file checksum.
     pub(crate) fn finish(self) -> io::Result<()> {
-        self.out.write_all(&self.file_crc.to_le_bytes())
+        self.out.write_all(&self.file_crc.finish().to_le_bytes())
     }
 }
 
 /// The reading half of the one decoder: at most `remaining` body bytes
-/// (everything before the whole-file checksum) from `input`. Every length
-/// is checked against what is left before anything is allocated for it,
-/// so a hostile header cannot request a buffer larger than its file.
+/// (everything between the header and the whole-file checksum) from
+/// `input`. Every length is checked against what is left before anything
+/// is allocated for it, so a hostile header cannot request a buffer larger
+/// than its file.
 pub(crate) struct Source<R: Read> {
     input: R,
     remaining: u64,
-    payload_crc: u64,
+    header: Header,
+    payload_crc: Hasher,
     scratch: Vec<u8>,
 }
 
 impl<R: Read> Source<R> {
-    fn new(input: R, remaining: u64) -> Self {
+    fn new(input: R, remaining: u64, header: Header) -> Self {
         Source {
             input,
             remaining,
-            payload_crc: FNV_OFFSET,
+            header,
+            payload_crc: Hasher::new(header.algo),
             scratch: Vec::new(),
         }
+    }
+
+    /// The format version the header named.
+    pub(crate) fn version(&self) -> u32 {
+        self.header.version
     }
 
     /// Reserves `n` of the remaining bytes, or fails without reading.
@@ -401,10 +455,17 @@ impl<R: Read> Source<R> {
         }
     }
 
+    /// Reads into `buf` and checksums it; the caller has claimed its bytes.
+    fn read_hashed(&mut self, buf: &mut [u8]) -> Result<(), ModelError> {
+        self.input.read_exact(buf)?;
+        self.payload_crc.update(buf);
+        Ok(())
+    }
+
     pub(crate) fn bytes(&mut self, n: usize) -> Result<Vec<u8>, ModelError> {
         self.claim(n)?;
         let mut out = vec![0u8; n];
-        read_hashed(&mut self.input, &mut self.payload_crc, &mut out)?;
+        self.read_hashed(&mut out)?;
         Ok(out)
     }
 
@@ -423,7 +484,7 @@ impl<R: Read> Source<R> {
     fn array<const N: usize>(&mut self) -> Result<[u8; N], ModelError> {
         self.claim(N)?;
         let mut out = [0u8; N];
-        read_hashed(&mut self.input, &mut self.payload_crc, &mut out)?;
+        self.read_hashed(&mut out)?;
         Ok(out)
     }
 
@@ -460,35 +521,49 @@ impl<R: Read> Source<R> {
         Ok((arch, metadata))
     }
 
-    /// `n` little-endian `f32`s, read and converted a chunk at a time.
+    /// `n` little-endian `f32`s.
     pub(crate) fn f32s(&mut self, n: usize) -> Result<Vec<f32>, ModelError> {
+        self.little_endian(n, f32::from_le_bytes)
+    }
+
+    /// `n` `i8`s.
+    pub(crate) fn i8s(&mut self, n: usize) -> Result<Vec<i8>, ModelError> {
+        self.little_endian(n, i8::from_le_bytes)
+    }
+
+    /// `n` values of `N` little-endian bytes each, read a chunk at a time
+    /// and converted straight into the pre-sized result.
+    fn little_endian<T: Copy + Default, const N: usize>(
+        &mut self,
+        n: usize,
+        from_le: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, ModelError> {
         let byte_len = n
-            .checked_mul(4)
+            .checked_mul(N)
             .ok_or_else(|| corrupt("tensor byte size overflow"))?;
         self.claim(byte_len)?;
-        let mut values = Vec::with_capacity(n);
-        self.scratch.resize(CHUNK, 0);
-        let mut left = byte_len;
-        while left > 0 {
-            let step = &mut self.scratch[..CHUNK.min(left)];
-            read_hashed(&mut self.input, &mut self.payload_crc, step)?;
-            values.extend(
-                step.chunks_exact(4)
-                    .map(|c| f32::from_le_bytes(c.try_into().expect("chunks_exact(4)"))),
-            );
-            left -= step.len();
+        let mut values = vec![T::default(); n];
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.resize(CHUNK, 0);
+        for chunk in values.chunks_mut(CHUNK / N) {
+            let le = &mut scratch[..chunk.len() * N];
+            self.read_hashed(le)?;
+            for (dst, src) in chunk.iter_mut().zip(le.chunks_exact(N)) {
+                *dst = from_le(src.try_into().expect("chunks_exact(N)"));
+            }
         }
+        self.scratch = scratch;
         Ok(values)
     }
 
     /// Starts a tensor payload: [`Source::payload_crc`] checksums what is
     /// read from here on.
     pub(crate) fn begin_payload(&mut self) {
-        self.payload_crc = FNV_OFFSET;
+        self.payload_crc = Hasher::new(self.header.algo);
     }
 
     pub(crate) fn payload_crc(&self) -> u64 {
-        self.payload_crc
+        self.payload_crc.finish()
     }
 
     /// Fails unless the whole body was consumed.
@@ -501,51 +576,16 @@ impl<R: Read> Source<R> {
     }
 }
 
-fn read_hashed(input: &mut impl Read, crc: &mut u64, buf: &mut [u8]) -> Result<(), ModelError> {
-    input.read_exact(buf)?;
-    *crc = fnv1a_extend(*crc, buf);
-    Ok(())
-}
-
 pub(crate) fn corrupt(detail: &str) -> ModelError {
     ModelError::Corrupt {
         detail: detail.to_string(),
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-/// FNV-1a 64-bit hash of a whole buffer (tests refit checksums with it).
-#[cfg(test)]
-pub(crate) fn fnv1a(data: &[u8]) -> u64 {
-    fnv1a_extend(FNV_OFFSET, data)
-}
-
-/// Continues an FNV-1a hash over more bytes: hashing a stream chunk by
-/// chunk gives the hash of the whole.
-fn fnv1a_extend(mut hash: u64, data: &[u8]) -> u64 {
-    for &b in data {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// [`fnv1a_extend`] of two hashes over the same bytes in one pass: the two
-/// multiply chains are independent, so the second costs little.
-fn fnv1a_extend_both(a: &mut u64, b: &mut u64, data: &[u8]) {
-    let (mut x, mut y) = (*a, *b);
-    for &byte in data {
-        x = (x ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        y = (y ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-    }
-    (*a, *b) = (x, y);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checksum::{fnv1a, xxh64};
     use chipalign_tensor::rng::Pcg32;
 
     fn sample() -> Checkpoint {
@@ -558,8 +598,17 @@ mod tests {
     /// not masked by the outer checksum.
     fn refit_file_crc(data: &mut [u8]) {
         let body_len = data.len() - 8;
-        let crc = fnv1a(&data[..body_len]);
+        let crc = xxh64(&data[..body_len]);
         data[body_len..].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// The checkpoint `tests/fixtures/calt-v*.bin` hold, as the writer of
+    /// each version encoded it.
+    fn fixture() -> Checkpoint {
+        let mut ckpt = Checkpoint::random(&ArchSpec::tiny("fixture"), &mut Pcg32::seed(28));
+        ckpt.set_metadata("origin", "format-fixture");
+        ckpt.set_metadata("recipe", "seeded-random");
+        ckpt
     }
 
     #[test]
@@ -705,10 +754,10 @@ mod tests {
 
     #[test]
     fn old_version_1_files_still_load() {
-        let ckpt = sample();
-        let v1 = encode_with_version(&ckpt, 1);
+        let ckpt = fixture();
+        let v1 = include_bytes!("../tests/fixtures/calt-v1.bin");
         assert_ne!(v1.len(), encode(&ckpt).len(), "v1 carries no tensor crcs");
-        let back = decode(&v1).expect("v1 decode");
+        let back = decode(v1).expect("v1 decode");
         assert!(ckpt.approx_eq(&back, 0.0));
     }
 
@@ -764,5 +813,84 @@ mod tests {
     fn encoding_is_deterministic() {
         let ckpt = sample();
         assert_eq!(encode(&ckpt), encode(&ckpt));
+    }
+
+    #[test]
+    fn writes_version_3_checksummed_with_xxh64() {
+        let data = encode(&sample());
+        assert_eq!(&data[..8], b"CALT\x03\0\0\0");
+        let body_len = data.len() - 8;
+        assert_eq!(
+            data[body_len..],
+            xxh64(&data[..body_len]).to_le_bytes(),
+            "trailing checksum is XXH64"
+        );
+        let mut v2 = data.clone();
+        v2[4] = 2;
+        refit_file_crc(&mut v2);
+        assert!(
+            matches!(decode(&v2), Err(ModelError::Corrupt { .. })),
+            "a v3 body relabelled v2 fails the FNV-1a file checksum"
+        );
+    }
+
+    #[test]
+    fn unknown_version_fails_in_the_checksum_pass() {
+        // No checksum algorithm is known for version 4, so the header alone
+        // decides, whatever the trailing bytes hold.
+        let mut data = encode(&sample());
+        data[4] = 4;
+        match decode(&data) {
+            Err(ModelError::Corrupt { detail }) => assert_eq!(detail, "unsupported version 4"),
+            other => panic!("expected corrupt-version, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn concurrent_saves_to_one_path_never_tear() {
+        let dir = std::env::temp_dir().join(format!("chipalign-fmt-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("shared.calt");
+        let inputs: Vec<Checkpoint> = (0..4)
+            .map(|i| Checkpoint::random(&ArchSpec::tiny("race"), &mut Pcg32::seed(100 + i)))
+            .collect();
+        for round in 0..8 {
+            // Every saver starts together, so their staging files overlap.
+            let start = std::sync::Barrier::new(inputs.len());
+            let results: Vec<Result<(), ModelError>> = std::thread::scope(|s| {
+                let handles: Vec<_> = inputs
+                    .iter()
+                    .map(|ckpt| {
+                        let (start, path) = (&start, &path);
+                        s.spawn(move || {
+                            start.wait();
+                            save(ckpt, path)
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("saver thread"))
+                    .collect()
+            });
+            for r in results {
+                r.unwrap_or_else(|e| panic!("round {round}: a concurrent save failed: {e}"));
+            }
+            let back = load(&path).unwrap_or_else(|e| panic!("round {round}: torn file: {e}"));
+            assert!(
+                inputs.iter().any(|c| c.approx_eq(&back, 0.0)),
+                "round {round}: the file must be one of the saved checkpoints"
+            );
+        }
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .expect("readdir")
+            .filter_map(Result::ok)
+            .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
+            .collect();
+        assert!(
+            leftovers.is_empty(),
+            "staging files left behind: {leftovers:?}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -13,8 +13,10 @@
 //!   conformability checks, and whole-model statistics.
 //! * [`format`](mod@format) — a compact binary serialization ("safetensors-lite": magic,
 //!   versioned header, name/shape directory, little-endian `f32` payload,
-//!   FNV-1a checksum) standing in for the safetensors files real LLM
+//!   XXH64 checksums) standing in for the safetensors files real LLM
 //!   checkpoints ship as.
+//! * [`checksum`] — the streaming XXH64 those formats checksum with (and
+//!   the FNV-1a that verifies files of their older versions).
 //! * [`qformat`](mod@qformat) — the int8 sibling format ("CALQ"):
 //!   [`QuantCheckpoint`] stores projection weights as per-row-scaled int8
 //!   (norms and the embedding stay f32), quartering decode weight traffic;
@@ -44,6 +46,7 @@
 
 mod arch;
 mod checkpoint;
+pub mod checksum;
 pub mod diff;
 mod error;
 pub mod format;

@@ -16,14 +16,17 @@
 //!
 //! ```text
 //! magic   b"CALQ"
-//! version u32 (currently 1)
+//! version u32 (currently 2; version 1 remains readable)
 //! arch    name:str vocab:u64 d_model:u64 n_layers:u64 n_heads:u64 d_ff:u64 max_seq:u64
 //! meta    count:u32 { key:str value:str }*
 //! tensors count:u32 { name:str dtype:u8 rows:u64 cols:u64 payload tcrc:u64 }*
 //!         dtype 0 payload: [f32]*                      (rows·cols values)
 //!         dtype 1 payload: scales:[f32]* codes:[i8]*   (rows, then rows·cols)
-//! crc     u64  FNV-1a over everything before it
+//! crc     u64  checksum over everything before it
 //! ```
+//!
+//! Version 2 computes `tcrc` and `crc` with XXH64 ([`crate::checksum`]);
+//! version-1 files carry FNV-1a checksums and are verified with that.
 //!
 //! Loads rebuild each int8 tensor from its stored codes and scales
 //! ([`QuantizedMatrix::from_parts`]) — never by re-quantizing a dequantized
@@ -37,13 +40,18 @@ use std::path::Path;
 
 use chipalign_tensor::{Matrix, QuantizedMatrix};
 
-#[cfg(test)]
-use crate::format::fnv1a;
-use crate::format::{corrupt, read_bytes, read_file, write_file, Sink, Source};
+use crate::checksum::Algo;
+use crate::format::{corrupt, read_bytes, read_file, write_file, Layout, Sink, Source};
 use crate::{ArchSpec, Checkpoint, ModelError, ParamKind};
 
 const MAGIC: &[u8; 4] = b"CALQ";
-const VERSION: u32 = 1;
+/// Current on-disk version, the only one [`encode`] writes.
+const VERSION: u32 = 2;
+/// Every version [`decode`] accepts, with the checksum it carries.
+const LAYOUT: Layout = Layout {
+    magic: MAGIC,
+    versions: &[(1, Algo::Fnv1a), (VERSION, Algo::Xxh64)],
+};
 
 const DTYPE_F32: u8 = 0;
 const DTYPE_INT8: u8 = 1;
@@ -238,18 +246,10 @@ fn write_quant(ckpt: &QuantCheckpoint, out: &mut impl Write) -> io::Result<()> {
 /// checksum; and [`ModelError::NonFinite`] when an f32 tensor or an int8
 /// tensor's scales hold NaN or infinite values.
 pub fn decode(data: &[u8]) -> Result<QuantCheckpoint, ModelError> {
-    read_bytes(data, parse_quant)
+    read_bytes(data, &LAYOUT, parse_quant)
 }
 
 fn parse_quant(src: &mut Source<impl Read>) -> Result<QuantCheckpoint, ModelError> {
-    if src.bytes(4)? != MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let version = src.u32()?;
-    if version != VERSION {
-        return Err(corrupt(&format!("unsupported version {version}")));
-    }
-
     let (arch, metadata) = src.arch_and_metadata()?;
 
     let tensor_count = src.u32()?;
@@ -280,14 +280,13 @@ fn parse_quant(src: &mut Source<impl Read>) -> Result<QuantCheckpoint, ModelErro
             QuantTensor::F32(Matrix::from_vec(rows, cols, values)?)
         } else {
             let scales = src.f32s(rows)?;
-            let codes = src.bytes(n)?;
+            let codes = src.i8s(n)?;
             if src.payload_crc() != src.u64()? {
                 return Err(ModelError::ChecksumMismatch { tensor: tname });
             }
             if scales.iter().any(|s| !s.is_finite()) {
                 return Err(ModelError::NonFinite { tensor: tname });
             }
-            let codes = codes.into_iter().map(|b| b as i8).collect();
             QuantTensor::Int8(QuantizedMatrix::from_parts(rows, cols, codes, scales)?)
         };
         tensors.insert(tname, tensor);
@@ -319,12 +318,13 @@ pub fn save(ckpt: &QuantCheckpoint, path: impl AsRef<Path>) -> Result<(), ModelE
 /// Returns [`ModelError::Io`] on filesystem failures and the [`decode`]
 /// errors on malformed content.
 pub fn load(path: impl AsRef<Path>) -> Result<QuantCheckpoint, ModelError> {
-    read_file(path.as_ref(), parse_quant)
+    read_file(path.as_ref(), &LAYOUT, parse_quant)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checksum::xxh64;
     use chipalign_tensor::rng::Pcg32;
 
     fn sample() -> QuantCheckpoint {
@@ -335,7 +335,7 @@ mod tests {
 
     fn refit_file_crc(data: &mut [u8]) {
         let body_len = data.len() - 8;
-        let crc = fnv1a(&data[..body_len]);
+        let crc = xxh64(&data[..body_len]);
         data[body_len..].copy_from_slice(&crc.to_le_bytes());
     }
 

@@ -97,21 +97,16 @@ impl TinyLm {
         })
     }
 
-    /// Reconstructs a model from a checkpoint.
+    /// Reconstructs a model from a checkpoint, copying its tensors; an
+    /// owner that is done with the checkpoint moves it in with
+    /// `TinyLm::try_from` instead.
     ///
     /// # Errors
     ///
     /// Returns the underlying validation error if the checkpoint does not
     /// instantiate its architecture.
     pub fn from_checkpoint(ckpt: &Checkpoint) -> Result<Self, NnError> {
-        ckpt.arch()
-            .check()
-            .map_err(|detail| NnError::BadConfig { detail })?;
-        Ok(TinyLm {
-            arch: ckpt.arch().clone(),
-            params: ParamSet::from_checkpoint(ckpt)?,
-            quant: None,
-        })
+        Self::try_from(ckpt.clone())
     }
 
     /// Reconstructs a quantized model from an int8 checkpoint: the f32
@@ -634,6 +629,23 @@ fn softmax_backward_rows(probs: &Matrix, dprobs: &Matrix) -> Matrix {
     out
 }
 
+impl TryFrom<Checkpoint> for TinyLm {
+    type Error = NnError;
+
+    /// Reconstructs a model from a checkpoint, moving its tensors into the
+    /// model's parameters instead of copying them.
+    fn try_from(ckpt: Checkpoint) -> Result<Self, NnError> {
+        ckpt.arch()
+            .check()
+            .map_err(|detail| NnError::BadConfig { detail })?;
+        Ok(TinyLm {
+            arch: ckpt.arch().clone(),
+            params: ParamSet::try_from(ckpt)?,
+            quant: None,
+        })
+    }
+}
+
 /// Extracts a contiguous block of columns as its own matrix.
 fn col_block(m: &Matrix, start: usize, width: usize) -> Matrix {
     let rows = m.rows();
@@ -906,6 +918,22 @@ mod tests {
         let a = m.logits(&[3, 7, 11]).expect("ok");
         let b = m2.logits(&[3, 7, 11]).expect("ok");
         assert!(a.approx_eq(&b, 0.0));
+    }
+
+    #[test]
+    fn moving_a_checkpoint_in_equals_copying_it() {
+        let ckpt = model(8).to_checkpoint().expect("ok");
+        let copied = TinyLm::from_checkpoint(&ckpt).expect("ok");
+        let moved = TinyLm::try_from(ckpt).expect("ok");
+        let bits = |m: &TinyLm| -> Vec<u32> {
+            m.params()
+                .tensors()
+                .iter()
+                .flat_map(|t| t.data().iter().map(|x| x.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&moved), bits(&copied));
+        assert_eq!(moved.arch(), copied.arch());
     }
 
     #[test]

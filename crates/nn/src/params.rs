@@ -208,18 +208,28 @@ impl ParamSet {
         Checkpoint::from_parts(arch.clone(), tensors, Default::default())
     }
 
-    /// Reconstructs a parameter set from a checkpoint.
+    /// Reconstructs a parameter set from a checkpoint, copying its tensors
+    /// (`ParamSet::try_from` moves them instead).
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::MissingParam`] if the checkpoint lacks any of
     /// the architecture's parameters.
     pub fn from_checkpoint(ckpt: &Checkpoint) -> Result<Self, ModelError> {
+        Self::try_from(ckpt.clone())
+    }
+}
+
+impl TryFrom<Checkpoint> for ParamSet {
+    type Error = ModelError;
+
+    /// Reconstructs a parameter set from a checkpoint, moving its tensors.
+    fn try_from(ckpt: Checkpoint) -> Result<Self, ModelError> {
         ckpt.validate()?;
-        let arch = ckpt.arch();
-        let grab = |name: &str| -> Result<Matrix, ModelError> {
-            ckpt.get(name)
-                .cloned()
+        let (arch, mut tensors, _) = ckpt.into_parts();
+        let mut grab = |name: &str| -> Result<Matrix, ModelError> {
+            tensors
+                .remove(name)
                 .ok_or_else(|| ModelError::MissingParam { name: name.into() })
         };
         let mut layers = Vec::with_capacity(arch.n_layers);

@@ -306,8 +306,7 @@ impl Zoo {
         if !path.exists() {
             return Ok(None);
         }
-        let ckpt = format::load(&path)?;
-        Ok(Some(TinyLm::from_checkpoint(&ckpt)?))
+        Ok(Some(TinyLm::try_from(format::load(&path)?)?))
     }
 
     fn save_to_disk(&self, key: &str, model: &TinyLm) -> Result<(), PipelineError> {

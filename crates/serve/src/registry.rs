@@ -777,7 +777,7 @@ impl ModelRegistry {
                     }));
                 }
                 self.persist(key, &merged);
-                Ok(TinyLm::from_checkpoint(&merged)?)
+                Ok(TinyLm::try_from(merged)?)
             }
             ModelSpec::File(path) => {
                 let ckpt = format::load(path).inspect_err(|e| {
@@ -785,7 +785,7 @@ impl ModelRegistry {
                         self.note_integrity_failure();
                     }
                 })?;
-                Ok(TinyLm::from_checkpoint(&ckpt)?)
+                Ok(TinyLm::try_from(ckpt)?)
             }
             ModelSpec::Quantized(inner) => {
                 // The f32 ingredient resolves through the cache under its
@@ -824,7 +824,7 @@ impl ModelRegistry {
             return Ok(None);
         }
         match format::load(&path) {
-            Ok(ckpt) => Ok(Some(TinyLm::from_checkpoint(&ckpt)?)),
+            Ok(ckpt) => Ok(Some(TinyLm::try_from(ckpt)?)),
             Err(e) if is_integrity_error(&e) => {
                 self.note_integrity_failure();
                 let _ = std::fs::remove_file(&path);

@@ -60,6 +60,18 @@ if grep -rn 'set_nonblocking(true)' crates/serve/src crates/router/src; then
   echo "ci: a listener is non-blocking again; accept must block (see DESIGN.md, Wire)" >&2
   exit 1
 fi
+# Non-test lines per crate: every line above a file's `#[cfg(test)] mod`
+# block (a whole file when it has none). These are the sizes ROADMAP quotes.
+echo "ci: non-test lines per crate"
+for src in src crates/*/src; do
+  find "$src" -name '*.rs' -exec awk '
+    FNR == 1 { prev = "" }
+    prev == "#[cfg(test)]" && /^mod / { n--; nextfile }
+    { n++; prev = $0 }
+    END { print n }' {} + |
+    awk -v name="${src%/src}" '{ printf "  %-20s %6d\n", (name == "src" ? "chipalign" : name), $1 }'
+done
+
 cargo build --release --offline --locked
 cargo test -q
 cargo test -q --workspace

@@ -116,9 +116,11 @@ fn parse_flags(args: &[String]) -> Result<std::collections::HashMap<String, Stri
 }
 
 fn cmd_merge(args: &[String]) -> Result<(), String> {
+    // Every flag is checked before the first checkpoint is read: a typo
+    // must not cost two full loads.
     let flags = parse_flags(args)?;
-    let chip = load(flags.get("chip").ok_or("--chip is required")?)?;
-    let instruct = load(flags.get("instruct").ok_or("--instruct is required")?)?;
+    let chip_path = flags.get("chip").ok_or("--chip is required")?;
+    let instruct_path = flags.get("instruct").ok_or("--instruct is required")?;
     let out = flags.get("o").or(flags.get("out")).ok_or("-o is required")?;
     let lambda: f32 = flags
         .get("lambda")
@@ -143,6 +145,8 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
         other => return Err(format!("unknown method `{other}`")),
     };
 
+    let chip = load(chip_path)?;
+    let instruct = load(instruct_path)?;
     let merged = merger.merge_pair(&chip, &instruct).map_err(err)?;
     format::save(&merged, out).map_err(|e| e.to_string())?;
     println!(
@@ -154,10 +158,12 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Merges, saves and drops one λ at a time, so memory holds the two inputs
+/// and one merge however many steps the sweep has.
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
-    let chip = load(flags.get("chip").ok_or("--chip is required")?)?;
-    let instruct = load(flags.get("instruct").ok_or("--instruct is required")?)?;
+    let chip_path = flags.get("chip").ok_or("--chip is required")?;
+    let instruct_path = flags.get("instruct").ok_or("--instruct is required")?;
     let out_dir = PathBuf::from(flags.get("o").or(flags.get("out")).ok_or("-o is required")?);
     let steps: usize = flags
         .get("steps")
@@ -165,13 +171,20 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     if steps < 2 {
         return Err("--steps must be at least 2".to_string());
     }
+    let chip = load(chip_path)?;
+    let instruct = load(instruct_path)?;
     std::fs::create_dir_all(&out_dir).map_err(|e| e.to_string())?;
-    let points =
-        sweep::lambda_sweep(&chip, &instruct, &sweep::lambda_grid(steps)).map_err(err)?;
-    for p in points {
-        let path = out_dir.join(format!("lambda-{:.2}.calt", p.lambda));
-        format::save(&p.model, &path).map_err(|e| e.to_string())?;
-        println!("lambda {:.2} -> {} (norm {:.4})", p.lambda, path.display(), p.model.global_norm());
+    for lambda in sweep::lambda_grid(steps) {
+        let model = GeodesicMerge::new(lambda)
+            .and_then(|m| m.merge_pair(&chip, &instruct))
+            .map_err(err)?;
+        let path = out_dir.join(format!("lambda-{lambda:.2}.calt"));
+        format::save(&model, &path).map_err(|e| e.to_string())?;
+        println!(
+            "lambda {lambda:.2} -> {} (norm {:.4})",
+            path.display(),
+            model.global_norm()
+        );
     }
     Ok(())
 }
