@@ -35,12 +35,15 @@
 //!
 //! # One bit-identity argument
 //!
-//! A row's result never depends on what it was stacked with: for at most
-//! `GEMM_SKINNY_M_MAX` rows `matmul_bt` (f32 and the int8
-//! [`QuantizedMatrix`] twin) computes each output element with the same
-//! whole-row dot as [`Matrix::matvec`] — a single row *is* dispatched to
-//! `matvec`, which [`chipalign_tensor::tune::matvec_calls`] lets a test
-//! observe — and the norm, RoPE, attention and residual code is per row.
+//! A row's result never depends on what it was stacked with. Every
+//! projection of at most `GEMM_SKINNY_M_MAX` rows — `matmul_bt`, f32 and
+//! the int8 [`QuantizedMatrix`] twin, and `matvec` as its one-row case —
+//! is one call to the backend's `gemm_bt` / `gemm_bt_q8`, and tiles reuse
+//! loads, never reorder a dot: each output element is the same whole-row
+//! dot whether its row came alone or in a stack (a single row *is*
+//! dispatched to `matvec`, which [`chipalign_tensor::tune::matvec_calls`]
+//! lets a test observe). The norm, RoPE, attention and residual code is per
+//! row.
 //! A row's K/V depend only on the tokens before it, and both storage
 //! layouts feed [`fused_attention`] the same rows in the same order. Hence
 //! batched ≡ single-step, chunked ≡ one-shot prefill, verify ≡ sequential
@@ -970,8 +973,8 @@ struct Row {
 /// `Y = X · Wᵀ` for a stack of at most `GEMM_SKINNY_M_MAX` rows, over the
 /// int8 sidecar weight when one is supplied (the f32 matrix is then not
 /// touched). Row `r` of the result is bitwise `w.matvec(x.row(r))`: both
-/// the f32 skinny-m kernel and the quantized batched kernel accumulate in
-/// matvec order, and a single row is dispatched to `matvec` itself.
+/// dtypes run the backend's one `X·Wᵀ` tile, whose tiles reuse loads but
+/// never reorder a dot, and a single row is dispatched to `matvec` itself.
 fn project_rows(x: &Matrix, w: &Matrix, q: Option<&QuantizedMatrix>) -> Matrix {
     match q {
         Some(qw) => qw.matmul_bt(x),

@@ -17,11 +17,27 @@
 //! Selection happens exactly once per process via [`active`]: the
 //! `CHIPALIGN_BACKEND` environment variable (`scalar` | `blocked` | `simd`)
 //! wins when set to a known value, otherwise AVX2+FMA machines get the SIMD
-//! tier and everything else gets the blocked tier. Pinning the choice for
-//! the whole process is what keeps the serving stack's bit-identity
-//! invariants intact: batched decode, chunked prefill, and per-session
-//! decode all accumulate in the *same* backend's order, so transcripts
-//! never depend on which code path computed a given dot product.
+//! tier and everything else gets the blocked tier.
+//!
+//! # Tiles reuse loads, never reorder a dot
+//!
+//! Every projection — a matvec, a batched-decode step, a prefill block —
+//! is one call to [`KernelBackend::gemm_bt`] (f32) or
+//! [`KernelBackend::gemm_bt_q8`] (int8), and each output element of either
+//! is, bit for bit, that backend's [`KernelBackend::dot`] /
+//! [`KernelBackend::dot_q8`] of one activation row with one weight row. The
+//! default methods *are* that per-element loop, so the `scalar` and
+//! `blocked` tiers keep their bits with no code of their own. The `simd`
+//! tier overrides both with register tiles that load each weight vector
+//! once for several activation rows (and, for int8, keep several
+//! independent FMA chains in flight), but every output still runs its dot's
+//! accumulation order step for step; the orders are written down once, in
+//! the `x86` module docs. Hence a row's result never depends on how many
+//! rows it was stacked with, and pinning one backend for the whole process
+//! keeps the serving stack's bit-identity invariants intact: batched
+//! decode, chunked prefill and per-session decode all accumulate in the
+//! *same* order, so transcripts never depend on which code path computed a
+//! given row.
 //!
 //! Backends can also be driven directly (the benchmark times all three in
 //! one process via [`all`]) — direct calls bypass the global selection
@@ -57,6 +73,63 @@ pub trait KernelBackend: Send + Sync {
     /// one KV row; `scale · codes[i]` dequantizes that row in-register, so
     /// the V stream moves 1 byte per element instead of 4.
     fn axpy_q8(&self, weight: f32, codes: &[i8], scale: f32, out: &mut [f32]);
+
+    /// `out = X · Wᵀ`: `x` holds `m` rows of length `k`, `w` holds `n` rows
+    /// of length `k` (both row-major), and `out[r·n + c]` is exactly
+    /// `self.dot(x_row(r), w_row(c))` — the default method is that loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `x.len() == m·k`, `w.len() == n·k` and
+    /// `out.len() == m·n`.
+    fn gemm_bt(&self, x: &[f32], m: usize, w: &[f32], n: usize, k: usize, out: &mut [f32]) {
+        check_gemm_bt(x.len(), m, w.len(), n, k, out.len());
+        for r in 0..m {
+            let x_row = &x[r * k..(r + 1) * k];
+            for c in 0..n {
+                out[r * n + c] = self.dot(x_row, &w[c * k..(c + 1) * k]);
+            }
+        }
+    }
+
+    /// `out = X · Wᵀ` over per-row-scaled int8 weights: `codes` holds `n`
+    /// rows of length `k` with one entry of `scales` each, and
+    /// `out[r·n + c]` is exactly `self.dot_q8(codes_row(c), scales[c],
+    /// x_row(r))` — the default method is that loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `x.len() == m·k`, `codes.len() == n·k`,
+    /// `scales.len() == n` and `out.len() == m·n`.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_bt_q8(
+        &self,
+        x: &[f32],
+        m: usize,
+        codes: &[i8],
+        scales: &[f32],
+        n: usize,
+        k: usize,
+        out: &mut [f32],
+    ) {
+        check_gemm_bt(x.len(), m, codes.len(), n, k, out.len());
+        assert_eq!(scales.len(), n, "gemm_bt_q8: one scale per weight row");
+        for r in 0..m {
+            let x_row = &x[r * k..(r + 1) * k];
+            for c in 0..n {
+                out[r * n + c] = self.dot_q8(&codes[c * k..(c + 1) * k], scales[c], x_row);
+            }
+        }
+    }
+}
+
+/// The shape contract of [`KernelBackend::gemm_bt`] and
+/// [`KernelBackend::gemm_bt_q8`].
+fn check_gemm_bt(x_len: usize, m: usize, w_len: usize, n: usize, k: usize, out_len: usize) {
+    assert!(
+        x_len == m * k && w_len == n * k && out_len == m * n,
+        "gemm_bt: x {x_len}, w {w_len}, out {out_len} do not fit m={m} n={n} k={k}"
+    );
 }
 
 /// Naive reference backend: single-accumulator loops in source order.
@@ -174,6 +247,31 @@ impl KernelBackend for SimdBackend {
             return;
         }
         axpy_q8_blocked(weight, codes, scale, out);
+    }
+
+    fn gemm_bt(&self, x: &[f32], m: usize, w: &[f32], n: usize, k: usize, out: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if x86::gemm_bt(x, m, w, n, k, out) {
+            return;
+        }
+        BLOCKED.gemm_bt(x, m, w, n, k, out);
+    }
+
+    fn gemm_bt_q8(
+        &self,
+        x: &[f32],
+        m: usize,
+        codes: &[i8],
+        scales: &[f32],
+        n: usize,
+        k: usize,
+        out: &mut [f32],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if x86::gemm_bt_q8(x, m, codes, scales, n, k, out) {
+            return;
+        }
+        BLOCKED.gemm_bt_q8(x, m, codes, scales, n, k, out);
     }
 }
 
@@ -310,6 +408,29 @@ pub(crate) fn gemm_row_blocked(a_row: &[f32], b: &[f32], n: usize, j0: usize, ou
 /// `#![deny(unsafe_code)]`); every intrinsic call is reachable only after
 /// [`simd_supported`] has confirmed AVX2+FMA at runtime, and the
 /// raw-pointer loops never read past the slice lengths they check.
+///
+/// # The two accumulation orders
+///
+/// Every dot this module computes, alone or inside a tile, runs one of two
+/// orders, and the tiles are the single-dot bodies instantiated for more
+/// than one row (or column) at a time, so a tile's output is bitwise the
+/// dot's:
+///
+/// * **f32** (`dot_rows_avx2`): four independent 8-lane FMA accumulators
+///   over stride 32 (accumulator `j` takes elements `i + 8j .. i + 8j + 8`),
+///   then an 8-wide cleanup loop FMA'd into accumulator 0, the fold
+///   `(acc0 + acc1) + (acc2 + acc3)`, `hsum256`, and the last `k % 8`
+///   elements added one by one as unfused products.
+/// * **q8** (`dot_q8_tile_avx2`): one 8-lane FMA chain of widened codes
+///   (`i8 → i32 → f32`) times activations, `hsum256`, the last `k % 8`
+///   elements added one by one as unfused products, then one multiply by
+///   the row scale.
+///
+/// What the tiles change is only which loads are shared: the f32 tile
+/// keeps one weight vector in a register for up to three activation rows,
+/// and the q8 tile widens each weight vector once for up to four rows and
+/// runs up to eight independent chains (one per output) so the FMA latency
+/// of a single chain no longer sets the pace at `m = 1`.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86 {
@@ -318,13 +439,60 @@ mod x86 {
         _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _mm_loadl_epi64,
     };
 
-    /// Dispatches to the AVX2 dot when supported.
+    /// Dispatches to the AVX2 dot when supported. Like the portable tiers'
+    /// `zip`, it reads the first `min(a.len(), b.len())` elements of each.
     pub(super) fn dot(a: &[f32], b: &[f32]) -> Option<f32> {
         if !super::simd_supported() {
             return None;
         }
-        // SAFETY: AVX2+FMA presence was verified just above.
-        Some(unsafe { dot_avx2(a, b) })
+        let k = a.len().min(b.len());
+        // SAFETY: AVX2+FMA presence was verified just above; both slices
+        // hold at least `k` elements.
+        Some(unsafe { dot_rows_avx2::<1>(a.as_ptr(), k, b.as_ptr(), k)[0] })
+    }
+
+    /// Dispatches to the AVX2 `X · Wᵀ` tile when supported; `false` means
+    /// the caller must run the portable kernel instead.
+    pub(super) fn gemm_bt(
+        x: &[f32],
+        m: usize,
+        w: &[f32],
+        n: usize,
+        k: usize,
+        out: &mut [f32],
+    ) -> bool {
+        if !super::simd_supported() {
+            return false;
+        }
+        super::check_gemm_bt(x.len(), m, w.len(), n, k, out.len());
+        // SAFETY: AVX2+FMA presence was verified just above, and the shape
+        // check bounds every row the kernel reads and every element it
+        // writes.
+        unsafe { gemm_bt_avx2(x, m, w, n, k, out) };
+        true
+    }
+
+    /// Dispatches to the AVX2 int8 `X · Wᵀ` tile when supported; `false`
+    /// means the caller must run the portable kernel instead.
+    pub(super) fn gemm_bt_q8(
+        x: &[f32],
+        m: usize,
+        codes: &[i8],
+        scales: &[f32],
+        n: usize,
+        k: usize,
+        out: &mut [f32],
+    ) -> bool {
+        if !super::simd_supported() {
+            return false;
+        }
+        super::check_gemm_bt(x.len(), m, codes.len(), n, k, out.len());
+        assert_eq!(scales.len(), n, "gemm_bt_q8: one scale per weight row");
+        // SAFETY: AVX2+FMA presence was verified just above, and the shape
+        // checks bound every row and scale the kernel reads and every
+        // element it writes.
+        unsafe { gemm_bt_q8_avx2(x, m, codes, scales, n, k, out) };
+        true
     }
 
     /// Dispatches to the AVX2 GEMM row when supported; `false` means the
@@ -338,13 +506,16 @@ mod x86 {
         true
     }
 
-    /// Dispatches to the AVX2 int8×f32 dot when supported.
+    /// Dispatches to the AVX2 int8×f32 dot when supported, over the first
+    /// `min(w.len(), x.len())` elements.
     pub(super) fn dot_q8(w: &[i8], scale: f32, x: &[f32]) -> Option<f32> {
         if !super::simd_supported() {
             return None;
         }
-        // SAFETY: AVX2+FMA presence was verified just above.
-        Some(unsafe { dot_q8_avx2(w, scale, x) })
+        let k = w.len().min(x.len());
+        // SAFETY: AVX2+FMA presence was verified just above; both slices
+        // hold at least `k` elements.
+        Some(unsafe { dot_q8_tile_avx2::<1, 1>(x.as_ptr(), k, w.as_ptr(), &scale, k)[0][0] })
     }
 
     /// Dispatches to the AVX2 scaled int8 accumulate when supported;
@@ -372,87 +543,203 @@ mod x86 {
         tmp.iter().sum()
     }
 
-    /// AVX2/FMA dot product: [`crate::tune::SIMD_DOT_UNROLL`] independent
-    /// 8-lane FMA accumulators (32 elements per iteration), an 8-wide
-    /// cleanup loop, then a scalar tail.
+    /// The f32 dot of the module docs, for `R` activation rows (at `x`,
+    /// `x + x_stride`, …) against one weight row `w`, all of length `k`:
+    /// each row has its own four accumulators and each weight vector is
+    /// loaded once for all `R` rows. `R = 1` is the plain dot; `R = 3` is
+    /// 12 accumulators plus the weight register.
     ///
     /// # Safety
     ///
-    /// Caller must have verified AVX2+FMA support; `a` and `b` must be
-    /// equal-length.
+    /// Caller must have verified AVX2+FMA support; `w` and every row
+    /// `x + r·x_stride` (`r < R`) must be readable for `k` elements.
+    #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let pa = a.as_ptr();
-        let pb = b.as_ptr();
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut acc2 = _mm256_setzero_ps();
-        let mut acc3 = _mm256_setzero_ps();
+    unsafe fn dot_rows_avx2<const R: usize>(
+        x: *const f32,
+        x_stride: usize,
+        w: *const f32,
+        k: usize,
+    ) -> [f32; R] {
+        let mut acc = [[_mm256_setzero_ps(); 4]; R];
         let mut i = 0usize;
-        while i + 32 <= n {
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)), acc0);
-            acc1 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(pa.add(i + 8)),
-                _mm256_loadu_ps(pb.add(i + 8)),
-                acc1,
-            );
-            acc2 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(pa.add(i + 16)),
-                _mm256_loadu_ps(pb.add(i + 16)),
-                acc2,
-            );
-            acc3 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(pa.add(i + 24)),
-                _mm256_loadu_ps(pb.add(i + 24)),
-                acc3,
-            );
+        while i + 32 <= k {
+            for j in 0..4 {
+                let wv = _mm256_loadu_ps(w.add(i + 8 * j));
+                for (r, acc_r) in acc.iter_mut().enumerate() {
+                    let xv = _mm256_loadu_ps(x.add(r * x_stride + i + 8 * j));
+                    acc_r[j] = _mm256_fmadd_ps(xv, wv, acc_r[j]);
+                }
+            }
             i += 32;
         }
-        while i + 8 <= n {
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)), acc0);
+        while i + 8 <= k {
+            let wv = _mm256_loadu_ps(w.add(i));
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                acc_r[0] = _mm256_fmadd_ps(_mm256_loadu_ps(x.add(r * x_stride + i)), wv, acc_r[0]);
+            }
             i += 8;
         }
-        let folded = _mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3));
-        let mut total = hsum256(folded);
-        while i < n {
-            total += *pa.add(i) * *pb.add(i);
-            i += 1;
+        let mut out = [0.0f32; R];
+        for (r, (o, a)) in out.iter_mut().zip(&acc).enumerate() {
+            let folded = _mm256_add_ps(_mm256_add_ps(a[0], a[1]), _mm256_add_ps(a[2], a[3]));
+            let mut total = hsum256(folded);
+            let xr = x.add(r * x_stride);
+            for t in i..k {
+                total += *xr.add(t) * *w.add(t);
+            }
+            *o = total;
         }
-        total
+        out
     }
 
-    /// AVX2/FMA int8×f32 dot: 8 weights at a time are widened
-    /// `i8 → i32 → f32` in-register (`vpmovsxbd` + `vcvtdq2ps`) and FMA'd
-    /// against the activations; the per-row scale is applied once at the
-    /// end. This is the decode kernel that moves 1 byte per weight instead
-    /// of 4.
+    /// The q8 dot of the module docs as an `MR × NR` tile: `MR` activation
+    /// rows (at `x + r·x_stride`) against `NR` consecutive int8 weight rows
+    /// (at `codes + c·k`, scales at `scales + c`), one independent chain
+    /// per output. Each weight vector is widened once for all `MR` rows.
+    /// `1 × 1` is the plain `dot_q8`.
     ///
     /// # Safety
     ///
-    /// Caller must have verified AVX2+FMA support; `w` and `x` must be
-    /// equal-length.
+    /// Caller must have verified AVX2+FMA support; every activation row
+    /// and weight row must be readable for `k` elements and `scales` for
+    /// `NR`.
+    #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn dot_q8_avx2(w: &[i8], scale: f32, x: &[f32]) -> f32 {
-        debug_assert_eq!(w.len(), x.len());
-        let n = w.len();
-        let pw = w.as_ptr();
-        let px = x.as_ptr();
-        let mut acc = _mm256_setzero_ps();
+    unsafe fn dot_q8_tile_avx2<const MR: usize, const NR: usize>(
+        x: *const f32,
+        x_stride: usize,
+        codes: *const i8,
+        scales: *const f32,
+        k: usize,
+    ) -> [[f32; NR]; MR] {
+        let mut acc = [[_mm256_setzero_ps(); NR]; MR];
         let mut i = 0usize;
-        while i + 8 <= n {
-            let q8 = _mm_loadl_epi64(pw.add(i).cast::<__m128i>());
-            let wf = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(q8));
-            acc = _mm256_fmadd_ps(wf, _mm256_loadu_ps(px.add(i)), acc);
+        while i + 8 <= k {
+            let mut xv = [_mm256_setzero_ps(); MR];
+            for (r, v) in xv.iter_mut().enumerate() {
+                *v = _mm256_loadu_ps(x.add(r * x_stride + i));
+            }
+            for c in 0..NR {
+                let q8 = _mm_loadl_epi64(codes.add(c * k + i).cast::<__m128i>());
+                let wf = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(q8));
+                for (acc_r, &x_r) in acc.iter_mut().zip(&xv) {
+                    acc_r[c] = _mm256_fmadd_ps(wf, x_r, acc_r[c]);
+                }
+            }
             i += 8;
         }
-        let mut total = hsum256(acc);
-        while i < n {
-            total += f32::from(*pw.add(i)) * *px.add(i);
-            i += 1;
+        let mut out = [[0.0f32; NR]; MR];
+        for (r, (out_r, acc_r)) in out.iter_mut().zip(&acc).enumerate() {
+            let xr = x.add(r * x_stride);
+            for (c, (o, &a)) in out_r.iter_mut().zip(acc_r).enumerate() {
+                let wc = codes.add(c * k);
+                let mut total = hsum256(a);
+                for t in i..k {
+                    total += f32::from(*wc.add(t)) * *xr.add(t);
+                }
+                *o = *scales.add(c) * total;
+            }
         }
-        scale * total
+        out
+    }
+
+    /// Writes an `MR × NR` tile whose top-left output is `(r, c)` into the
+    /// row-major `m × n` result.
+    fn store<const MR: usize, const NR: usize>(
+        out: &mut [f32],
+        n: usize,
+        r: usize,
+        c: usize,
+        tile: [[f32; NR]; MR],
+    ) {
+        for (i, row) in tile.iter().enumerate() {
+            let at = (r + i) * n + c;
+            out[at..at + NR].copy_from_slice(row);
+        }
+    }
+
+    /// `out = X · Wᵀ` in f32, column-outer: weight row `c` stays in L1
+    /// while the activation rows pass over it in groups of 3 (then 2 or 1),
+    /// every output through [`dot_rows_avx2`].
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2+FMA support and the shapes
+    /// (`x` is `m × k`, `w` is `n × k`, `out` is `m × n`).
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn gemm_bt_avx2(x: &[f32], m: usize, w: &[f32], n: usize, k: usize, out: &mut [f32]) {
+        let px = x.as_ptr();
+        for c in 0..n {
+            let wc = w.as_ptr().add(c * k);
+            let mut r = 0;
+            while r < m {
+                let xr = px.add(r * k);
+                let mr = match m - r {
+                    1 => {
+                        store(out, n, r, c, dot_rows_avx2::<1>(xr, k, wc, k).map(|v| [v]));
+                        1
+                    }
+                    2 => {
+                        store(out, n, r, c, dot_rows_avx2::<2>(xr, k, wc, k).map(|v| [v]));
+                        2
+                    }
+                    _ => {
+                        store(out, n, r, c, dot_rows_avx2::<3>(xr, k, wc, k).map(|v| [v]));
+                        3
+                    }
+                };
+                r += mr;
+            }
+        }
+    }
+
+    /// `out = X · Wᵀ` over int8 weights, column-outer: a block of weight
+    /// rows stays in L1 while the activation rows pass over it in tiles of
+    /// [`dot_q8_tile_avx2`] — `1 × 8` for a single row (eight chains in
+    /// flight), `4 × 2` (then 3, 2 or 1 rows) otherwise, and one column at
+    /// a time for the columns left over.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2+FMA support and the shapes (`x` is
+    /// `m × k`, `codes` is `n × k`, `scales` has `n` entries, `out` is
+    /// `m × n`).
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn gemm_bt_q8_avx2(
+        x: &[f32],
+        m: usize,
+        codes: &[i8],
+        scales: &[f32],
+        n: usize,
+        k: usize,
+        out: &mut [f32],
+    ) {
+        let px = x.as_ptr();
+        let wide = if m == 1 { 8 } else { 2 };
+        let mut c = 0;
+        while c < n {
+            let nr = if c + wide <= n { wide } else { 1 };
+            let (pw, ps) = (codes.as_ptr().add(c * k), scales.as_ptr().add(c));
+            let mut r = 0;
+            while r < m {
+                let mr = (m - r).min(4);
+                let xr = px.add(r * k);
+                match (mr, nr) {
+                    (1, 8) => store(out, n, r, c, dot_q8_tile_avx2::<1, 8>(xr, k, pw, ps, k)),
+                    (4, 2) => store(out, n, r, c, dot_q8_tile_avx2::<4, 2>(xr, k, pw, ps, k)),
+                    (3, 2) => store(out, n, r, c, dot_q8_tile_avx2::<3, 2>(xr, k, pw, ps, k)),
+                    (2, 2) => store(out, n, r, c, dot_q8_tile_avx2::<2, 2>(xr, k, pw, ps, k)),
+                    (1, 2) => store(out, n, r, c, dot_q8_tile_avx2::<1, 2>(xr, k, pw, ps, k)),
+                    (4, _) => store(out, n, r, c, dot_q8_tile_avx2::<4, 1>(xr, k, pw, ps, k)),
+                    (3, _) => store(out, n, r, c, dot_q8_tile_avx2::<3, 1>(xr, k, pw, ps, k)),
+                    (2, _) => store(out, n, r, c, dot_q8_tile_avx2::<2, 1>(xr, k, pw, ps, k)),
+                    _ => store(out, n, r, c, dot_q8_tile_avx2::<1, 1>(xr, k, pw, ps, k)),
+                }
+                r += mr;
+            }
+            c += nr;
+        }
     }
 
     /// AVX2/FMA scaled int8 accumulate: 8 codes at a time are widened

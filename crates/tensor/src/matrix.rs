@@ -412,16 +412,16 @@ impl Matrix {
 
     /// Matrix product `self · otherᵀ` without materialising the transpose.
     ///
-    /// Each output row is a batch of dot products against the rows of
-    /// `other`; the kernel blocks over `k` ([`tune::GEMM_K_BLOCK`]) so a
-    /// panel of the left-hand row stays cache-hot while it sweeps `other`,
-    /// and computes every dot with the lane-split reduction
-    /// ([`tune::DOT_LANES`]). `m == 1` (the KV-cached decode shape)
-    /// dispatches to [`Matrix::matvec`]; `2 ≤ m ≤
-    /// [`tune::GEMM_SKINNY_M_MAX`]` (the *batched* decode shape) takes a
-    /// skinny kernel whose whole-row dots accumulate in exactly
-    /// [`Matrix::matvec`]'s order, so stacking rows never changes the bits
-    /// of any row's result.
+    /// `m == 1` (the KV-cached decode shape) dispatches to
+    /// [`Matrix::matvec`]. `2 ≤ m ≤ [`tune::GEMM_SKINNY_M_MAX`]` (batched
+    /// decode and prefill blocks) is one call to the active backend's
+    /// [`crate::backend::KernelBackend::gemm_bt`] tile, the same entry
+    /// `matvec` runs with one row. Tiles reuse loads, never reorder a dot:
+    /// each output element is the backend's whole-row dot, so stacking rows
+    /// never changes the bits of any row's result. Taller left-hand sides
+    /// (the training forward) block each output row over `k`
+    /// ([`tune::GEMM_K_BLOCK`]) so a panel of it stays cache-hot while it
+    /// sweeps `other`.
     ///
     /// # Errors
     ///
@@ -445,13 +445,11 @@ impl Matrix {
         if out.is_empty() {
             return Matrix::from_vec(m, n, out);
         }
-        let skinny = m <= tune::GEMM_SKINNY_M_MAX;
-        for (r, out_row) in out.chunks_mut(n).enumerate() {
-            let a_row = &self.data[r * k..(r + 1) * k];
-            if skinny {
-                gemm_bt_skinny_row(a_row, &other.data, k, out_row);
-            } else {
-                gemm_bt_row(a_row, &other.data, k, out_row);
+        if m <= tune::GEMM_SKINNY_M_MAX {
+            crate::backend::active().gemm_bt(&self.data, m, &other.data, n, k, &mut out);
+        } else {
+            for (r, out_row) in out.chunks_mut(n).enumerate() {
+                gemm_bt_row(&self.data[r * k..(r + 1) * k], &other.data, k, out_row);
             }
         }
         Matrix::from_vec(m, n, out)
@@ -487,13 +485,15 @@ impl Matrix {
     }
 
     /// Matrix–vector product `self · x` (with `x` a column vector of length
-    /// `self.cols()`), one lane-split dot product per row.
+    /// `self.cols()`): the `m = 1` call of the active backend's
+    /// [`crate::backend::KernelBackend::gemm_bt`], one whole-row dot per
+    /// output.
     ///
     /// This is the fast path that dominates KV-cached decode: every
     /// projection of a single token is a `(out × in) · in` product, and
-    /// skipping the `Matrix` wrapper avoids both the `1 × n` allocation and
-    /// the general kernel's tiling overhead. Each call is counted in
-    /// [`tune::matvec_calls`] so decode paths can prove they use it.
+    /// skipping the `Matrix` wrapper avoids the `1 × n` allocation. Each
+    /// call is counted in [`tune::matvec_calls`] so decode paths can prove
+    /// they use it.
     ///
     /// # Errors
     ///
@@ -507,7 +507,9 @@ impl Matrix {
             });
         }
         tune::note_matvec();
-        Ok((0..self.rows).map(|r| dot_lanes(self.row(r), x)).collect())
+        let mut out = vec![0.0f32; self.rows];
+        crate::backend::active().gemm_bt(x, 1, &self.data, self.rows, self.cols, &mut out);
+        Ok(out)
     }
 
     /// Vector–matrix product `xᵀ · self` (with `x` a row vector of length
@@ -635,17 +637,6 @@ impl Matrix {
     }
 }
 
-/// Dot product through the process-wide kernel backend
-/// ([`crate::backend::active`]). Historically this *was* the lane-split
-/// blocked reduction; that code now lives in the [`crate::backend`] module
-/// as the blocked tier, and this wrapper keeps every caller
-/// (`matvec`/`gemm_bt_row`/`gemm_bt_skinny_row`) on whichever tier was
-/// selected at startup — one backend per process, so accumulation order
-/// never varies between call sites.
-fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
-    crate::backend::active().dot(a, b)
-}
-
 /// One output row of `A·B` through the process-wide kernel backend (the
 /// column-tiled register accumulation lives in [`crate::backend`] as the
 /// blocked tier; the SIMD tier replaces it with 16-wide FMA tiles).
@@ -653,38 +644,24 @@ fn gemm_row_tiled(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
     crate::backend::active().gemm_row(a_row, b, n, out_row);
 }
 
-/// One output row of `A·Bᵀ`: block `a_row` into [`tune::GEMM_K_BLOCK`]-long
-/// panels that stay L1-resident while dotted against every row of `B`.
+/// One output row of `A·Bᵀ` for a left-hand side taller than
+/// [`tune::GEMM_SKINNY_M_MAX`]: block `a_row` into
+/// [`tune::GEMM_K_BLOCK`]-long panels that stay L1-resident while dotted,
+/// through the process-wide backend, against every row of `B`.
 ///
-/// For `k <= GEMM_K_BLOCK` this is a single whole-row [`dot_lanes`] per
-/// output element — the same accumulation order as [`Matrix::matvec`], which
-/// keeps full-sequence forward and KV-cached decode numerically identical.
+/// For `k <= GEMM_K_BLOCK` this is a single whole-row dot per output
+/// element — the same accumulation order as [`Matrix::matvec`], which keeps
+/// full-sequence forward and KV-cached decode numerically identical.
 fn gemm_bt_row(a_row: &[f32], b: &[f32], k: usize, out_row: &mut [f32]) {
+    let be = crate::backend::active();
     let mut k0 = 0;
     while k0 < k {
         let kw = tune::GEMM_K_BLOCK.min(k - k0);
         let a_panel = &a_row[k0..k0 + kw];
         for (c, o) in out_row.iter_mut().enumerate() {
-            *o += dot_lanes(a_panel, &b[c * k + k0..c * k + k0 + kw]);
+            *o += be.dot(a_panel, &b[c * k + k0..c * k + k0 + kw]);
         }
         k0 += kw;
-    }
-}
-
-/// One output row of `A·Bᵀ` for tall-skinny `A` (`2 ≤ m ≤
-/// [`tune::GEMM_SKINNY_M_MAX`]`, the batched-decode shape): one whole-row
-/// [`dot_lanes`] per output element, with no k-panel split.
-///
-/// A single dot per element keeps the accumulation order identical to
-/// [`Matrix::matvec`] at *any* `k` — [`gemm_bt_row`] only guarantees that
-/// for `k ≤ GEMM_K_BLOCK` — which is what lets batched decode stay
-/// bit-for-bit equal to per-session decode. It also writes each output
-/// element exactly once instead of once per k-panel; with at most 32
-/// left-hand rows the panelling has nothing to amortise, so its extra
-/// `out_row` read-modify-write traffic only costs.
-fn gemm_bt_skinny_row(a_row: &[f32], b: &[f32], k: usize, out_row: &mut [f32]) {
-    for (c, o) in out_row.iter_mut().enumerate() {
-        *o = dot_lanes(a_row, &b[c * k..(c + 1) * k]);
     }
 }
 

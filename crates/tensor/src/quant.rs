@@ -4,12 +4,12 @@
 //! token, not by arithmetic. [`QuantizedMatrix`] stores each weight row as
 //! `i8` codes plus one `f32` scale — `w ≈ scale · q` with
 //! `scale = max|row| / 127` — so a projection matrix moves 1 byte per
-//! weight instead of 4 (plus 4 bytes per row for the scale). The int8×f32
-//! kernels route through the same [`crate::backend`] selection as the f32
-//! kernels, and every output element is one whole-row
-//! [`crate::backend::KernelBackend::dot_q8`], which preserves the serving
-//! stack's bitwise invariant that batching rows never changes any single
-//! row's result.
+//! weight instead of 4 (plus 4 bytes per row for the scale). Both products
+//! run the one int8 entry of the process-wide backend,
+//! [`crate::backend::KernelBackend::gemm_bt_q8`], whose every output element
+//! is one whole-row [`crate::backend::KernelBackend::dot_q8`], which
+//! preserves the serving stack's bitwise invariant that batching rows never
+//! changes any single row's result.
 //!
 //! Quantization is symmetric (no zero point) and clamps to ±127, so the
 //! code range is sign-symmetric and `-q` is always representable.
@@ -191,10 +191,11 @@ impl QuantizedMatrix {
         self.data.len() as u64 + 4 * self.scales.len() as u64
     }
 
-    /// Matrix–vector product `self · x`: one whole-row int8×f32 dot per
-    /// output element, through the process-wide backend. The decode fast
-    /// path for quantized weights — counted in [`tune::matvec_calls`]
-    /// exactly like [`Matrix::matvec`].
+    /// Matrix–vector product `self · x`: the `m = 1` call of the active
+    /// backend's [`backend::KernelBackend::gemm_bt_q8`], one whole-row
+    /// int8×f32 dot per output element. The decode fast path for quantized
+    /// weights — counted in [`tune::matvec_calls`] exactly like
+    /// [`Matrix::matvec`].
     ///
     /// # Errors
     ///
@@ -208,18 +209,20 @@ impl QuantizedMatrix {
             });
         }
         tune::note_matvec();
-        let b = backend::active();
-        Ok((0..self.rows)
-            .map(|r| b.dot_q8(self.row(r), self.scales[r], x))
-            .collect())
+        let mut out = vec![0.0f32; self.rows];
+        self.gemm_bt_into(x, 1, &mut out);
+        Ok(out)
     }
 
-    /// Skinny GEMM `a · selfᵀ` (activations times quantized weights, the
-    /// batched-decode shape). Every output element is the same whole-row
-    /// [`backend::KernelBackend::dot_q8`] that [`QuantizedMatrix::matvec`]
-    /// computes, so stacking activation rows is bitwise identical to
-    /// calling `matvec` per row — the quantized twin of the f32 skinny
-    /// kernel's invariant.
+    /// GEMM `a · selfᵀ` (activations times quantized weights: batched
+    /// decode and prefill blocks) through the same
+    /// [`backend::KernelBackend::gemm_bt_q8`] entry as
+    /// [`QuantizedMatrix::matvec`]. Tiles reuse loads, never reorder a dot:
+    /// every output element is the whole-row
+    /// [`backend::KernelBackend::dot_q8`] that `matvec` computes, so
+    /// stacking activation rows is bitwise identical to calling `matvec`
+    /// per row — the quantized twin of the f32 skinny kernel's invariant.
+    /// Only `m == 1` counts in [`tune::matvec_calls`].
     ///
     /// # Errors
     ///
@@ -232,20 +235,18 @@ impl QuantizedMatrix {
                 rhs: self.shape(),
             });
         }
-        let (m, k, n) = (a.rows(), self.cols, self.rows);
+        let (m, n) = (a.rows(), self.rows);
         if m == 1 {
             return Matrix::from_vec(1, n, self.matvec(a.data())?);
         }
-        tune::note_matvec();
-        let b = backend::active();
         let mut out = vec![0.0f32; m * n];
-        for (r, out_row) in out.chunks_mut(n).enumerate() {
-            let a_row = &a.data()[r * k..(r + 1) * k];
-            for (c, o) in out_row.iter_mut().enumerate() {
-                *o = b.dot_q8(self.row(c), self.scales[c], a_row);
-            }
-        }
+        self.gemm_bt_into(a.data(), m, &mut out);
         Matrix::from_vec(m, n, out)
+    }
+
+    /// `out = X · selfᵀ` for `m` activation rows packed in `x`.
+    fn gemm_bt_into(&self, x: &[f32], m: usize, out: &mut [f32]) {
+        backend::active().gemm_bt_q8(x, m, &self.data, &self.scales, self.rows, self.cols, out);
     }
 }
 

@@ -45,18 +45,20 @@ pub const DOT_LANES: usize = 8;
 /// of additions is the only rounding choice there is.
 pub const REDUCE_LANES: usize = 8;
 
-/// Largest left-hand row count `m` routed to the skinny `A·Bᵀ` kernel
-/// (`2 ≤ m ≤ GEMM_SKINNY_M_MAX`; `m == 1` already takes the matvec path).
+/// Largest left-hand row count `m` for which [`crate::Matrix::matmul_bt`]
+/// runs the backend's `X·Wᵀ` tile
+/// ([`crate::backend::KernelBackend::gemm_bt`], which `m == 1` — the
+/// matvec — also runs) instead of the [`GEMM_K_BLOCK`]-panelled kernel.
 ///
-/// Batched decode stacks one hidden-state row per session, so its
-/// projections are exactly this tall-skinny shape. The skinny kernel dots
-/// whole rows with no [`GEMM_K_BLOCK`] panel split, which (a) accumulates
-/// every output element in the same order as [`crate::Matrix::matvec`] —
+/// Batched decode stacks one hidden-state row per session and prefill
+/// stacks up to this many prompt rows, so every serving projection has this
+/// tall-skinny shape. Tiles reuse loads, never reorder a dot: every output
+/// element of the tile is the backend's whole-row dot with no k-panel
+/// split, so it accumulates in exactly [`crate::Matrix::matvec`]'s order —
 /// the invariant that keeps batched decode bit-identical to per-session
-/// decode at any `k` — and (b) writes each output element once instead of
-/// once per k-panel, which is all the panelling buys when the whole
-/// left-hand side is at most 32 rows. 32 also bounds the decode batch the
-/// serve scheduler will form (`max_batch` is clamped to it upstream).
+/// decode at any `k` — while each weight row is loaded once for all the
+/// stacked rows. 32 also bounds the decode batch the serve scheduler will
+/// form (`max_batch` is clamped to it upstream).
 pub const GEMM_SKINNY_M_MAX: usize = 32;
 
 /// Side length of the square tiles used by the blocked transpose.
@@ -64,15 +66,6 @@ pub const GEMM_SKINNY_M_MAX: usize = 32;
 /// A 32×32 `f32` tile is 4 KiB — both the row-major reads and the
 /// column-major writes of one tile fit in L1 simultaneously.
 pub const TRANSPOSE_BLOCK: usize = 32;
-
-/// Number of independent 8-lane FMA accumulators in the explicit-SIMD dot
-/// kernel (so the main loop consumes `8 × SIMD_DOT_UNROLL` elements per
-/// iteration).
-///
-/// FMA latency on current x86 cores is 4–5 cycles at 2/cycle throughput;
-/// four in-flight accumulators are enough to hide the chain, and more
-/// would only lengthen the horizontal reduction at the end.
-pub const SIMD_DOT_UNROLL: usize = 4;
 
 /// Largest magnitude an int8 quantization code may take (symmetric range
 /// `[-127, 127]`; -128 is deliberately unused so every code has an exact
@@ -83,8 +76,10 @@ pub const SIMD_DOT_UNROLL: usize = 4;
 pub const QUANT_MAX: f32 = 127.0;
 
 /// Process-wide count of matrix–vector fast-path invocations
-/// ([`crate::Matrix::matvec`] and [`crate::Matrix::vecmat`], including the
-/// `m == 1`/`n == 1` dispatches inside the matmul family).
+/// ([`crate::Matrix::matvec`], [`crate::Matrix::vecmat`] and
+/// [`crate::QuantizedMatrix::matvec`], including the `m == 1`/`n == 1`
+/// dispatches inside the matmul family) — single-row products only; a
+/// stacked GEMM is never counted.
 static MATVEC_CALLS: AtomicU64 = AtomicU64::new(0);
 
 /// Records one matrix–vector fast-path hit. Relaxed ordering: the counter is
@@ -120,8 +115,6 @@ mod tests {
             assert!(GEMM_SKINNY_M_MAX >= 2);
             assert!(GEMM_SKINNY_M_MAX.is_power_of_two());
             assert!(TRANSPOSE_BLOCK >= 8);
-            assert!(SIMD_DOT_UNROLL.is_power_of_two());
-            assert!(SIMD_DOT_UNROLL * 8 <= GEMM_K_BLOCK);
             assert!(QUANT_MAX == 127.0, "i8 symmetric range is fixed");
         }
     }

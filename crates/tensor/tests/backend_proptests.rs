@@ -13,6 +13,14 @@
 //! On machines without AVX2/FMA the SIMD tier falls back to the blocked
 //! kernels, so these properties hold (trivially for that pair) everywhere.
 //!
+//! Within one tier there is no tolerance: tiles reuse loads, never reorder
+//! a dot, so every tier's block entries `gemm_bt` / `gemm_bt_q8` must equal
+//! that tier's unchanged per-element `dot` / `dot_q8` loop **bitwise** (the
+//! two accumulation orders are written down in the docs of `backend`'s
+//! `x86` module). Those pins cover every row count up to 32, `k` tails of
+//! every length, slices one element off their allocation's start, and the
+//! serving model's own projection shapes.
+//!
 //! Every property runs [`CASES`] seeded cases
 //! ([`chipalign_tensor::rng::cases`]); a failure reports its case number.
 
@@ -203,6 +211,136 @@ fn quant_matmul_bt_rows_equal_quant_matvec_bitwise() {
         for r in 0..m {
             let single = w.matvec(a.row(r)).unwrap();
             assert_eq!(batched.row(r), &single[..], "row {r}");
+        }
+    }
+}
+
+/// The unchanged per-element oracle of [`KernelBackend::gemm_bt`]: one
+/// `be.dot` of an activation row with a weight row per output.
+fn gemm_bt_by_dots(
+    be: &dyn KernelBackend,
+    x: &[f32],
+    m: usize,
+    w: &[f32],
+    n: usize,
+    k: usize,
+) -> Vec<f32> {
+    let mut out = Vec::with_capacity(m * n);
+    for r in 0..m {
+        for c in 0..n {
+            out.push(be.dot(&x[r * k..(r + 1) * k], &w[c * k..(c + 1) * k]));
+        }
+    }
+    out
+}
+
+/// The unchanged per-element oracle of [`KernelBackend::gemm_bt_q8`]: one
+/// `be.dot_q8` of a weight row with an activation row per output.
+fn gemm_bt_q8_by_dots(
+    be: &dyn KernelBackend,
+    x: &[f32],
+    m: usize,
+    q: &QuantizedMatrix,
+    k: usize,
+) -> Vec<f32> {
+    let mut out = Vec::with_capacity(m * q.rows());
+    for r in 0..m {
+        for c in 0..q.rows() {
+            out.push(be.dot_q8(q.row(c), q.scale(c), &x[r * k..(r + 1) * k]));
+        }
+    }
+    out
+}
+
+/// A `k` in `1..=700` that, by case index, is arbitrary, not a multiple of
+/// 8 (the scalar tail), or a multiple of 8 but not of 32 (the 8-wide
+/// cleanup loop).
+fn awkward_k(case: usize, rng: &mut Pcg32) -> usize {
+    match case % 3 {
+        0 => rng.range(1, 700),
+        1 => 8 * rng.range(0, 86) + rng.range(1, 7),
+        _ => 32 * rng.range(0, 20) + 8 * rng.range(1, 3),
+    }
+}
+
+/// `v` copied into a buffer at element offset `off`, so a slice of it can
+/// start one element past wherever the allocator put the buffer.
+fn at_offset<T: Copy + Default>(v: &[T], off: usize) -> Vec<T> {
+    let mut buf = vec![T::default(); off];
+    buf.extend_from_slice(v);
+    buf
+}
+
+fn assert_bitwise(be: &dyn KernelBackend, got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len());
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(
+            g.to_bits(),
+            w.to_bits(),
+            "{} {what} element {i}: {g} vs {w}",
+            be.name()
+        );
+    }
+}
+
+fn check_gemm_bt(m: usize, n: usize, k: usize, off: usize, rng: &mut Pcg32) {
+    let x = at_offset(&vecf(m * k, rng), off);
+    let w = at_offset(&vecf(n * k, rng), off);
+    let (x, w) = (&x[off..], &w[off..]);
+    for be in backend::all() {
+        let mut got = vec![f32::NAN; m * n];
+        be.gemm_bt(x, m, w, n, k, &mut got);
+        let what = format!("gemm_bt m={m} n={n} k={k} off={off}");
+        assert_bitwise(be, &got, &gemm_bt_by_dots(be, x, m, w, n, k), &what);
+    }
+}
+
+fn check_gemm_bt_q8(m: usize, n: usize, k: usize, off: usize, rng: &mut Pcg32) {
+    let q = QuantizedMatrix::quantize(&mat(n, k, rng));
+    let x = at_offset(&vecf(m * k, rng), off);
+    let codes = at_offset(q.data(), off);
+    let scales = at_offset(q.scales(), off);
+    let (x, codes, scales) = (&x[off..], &codes[off..], &scales[off..]);
+    for be in backend::all() {
+        let mut got = vec![f32::NAN; m * n];
+        be.gemm_bt_q8(x, m, codes, scales, n, k, &mut got);
+        let what = format!("gemm_bt_q8 m={m} n={n} k={k} off={off}");
+        assert_bitwise(be, &got, &gemm_bt_q8_by_dots(be, x, m, &q, k), &what);
+    }
+}
+
+#[test]
+fn gemm_bt_is_bitwise_the_per_element_dot_loop() {
+    for (i, mut rng) in cases(10, CASES).enumerate() {
+        // Tiles reuse loads, never reorder a dot: every tier's block entry
+        // must equal its own per-element dots bit for bit, at every row
+        // count a tile can leave over and every k tail.
+        let (m, n) = (rng.range(1, 32), rng.range(1, 70));
+        let k = awkward_k(i, &mut rng);
+        let off = rng.range(0, 1);
+        check_gemm_bt(m, n, k, off, &mut rng);
+    }
+}
+
+#[test]
+fn gemm_bt_q8_is_bitwise_the_per_element_dot_q8_loop() {
+    for (i, mut rng) in cases(11, CASES).enumerate() {
+        let (m, n) = (rng.range(1, 32), rng.range(1, 70));
+        let k = awkward_k(i, &mut rng);
+        let off = rng.range(0, 1);
+        check_gemm_bt_q8(m, n, k, off, &mut rng);
+    }
+}
+
+#[test]
+fn gemm_bt_is_bitwise_the_dot_loop_at_bench_384_shapes() {
+    // The serving model's projections: (n, k) of QKV/O, the MLP up and
+    // gate, and the MLP down, as a matvec and as an 8-session batch.
+    for (i, mut rng) in cases(12, 2).enumerate() {
+        let m = [1, 8][i];
+        for (n, k) in [(384, 384), (1024, 384), (384, 1024)] {
+            check_gemm_bt(m, n, k, 1, &mut rng);
+            check_gemm_bt_q8(m, n, k, 1, &mut rng);
         }
     }
 }

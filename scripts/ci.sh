@@ -79,6 +79,12 @@ cargo test -q --workspace
 # `tensor::parallelize` takes its single-worker path in every merge test,
 # which must give the same bits as the fan-out above.
 taskset -c 0 cargo test -q -p chipalign-tensor -p chipalign-merge
+# Once more per portable tier: there `gemm_bt` / `gemm_bt_q8` are the
+# trait's default per-element dot loops, not the AVX2 tiles, so every
+# stacked ≡ matvec ≡ forward pin in tensor and nn runs on that path too.
+for backend in scalar blocked; do
+  CHIPALIGN_BACKEND="$backend" cargo test -q -p chipalign-tensor -p chipalign-nn
+done
 
 # Chaos suites: deterministic fault injection behind the fault-inject
 # feature (never part of release builds). The router's fleet chaos suite
