@@ -166,40 +166,17 @@ impl StepDecoder {
         prompt: &[u32],
         cfg: &GenerateConfig,
     ) -> Result<Self, NnError> {
-        cfg.validate()?;
-        if prompt.is_empty() {
-            return Err(NnError::BadSequence {
-                detail: "generation requires a non-empty prompt".into(),
-            });
-        }
-        let max_ctx = model.arch().max_seq_len;
-        let context: Vec<u32> = prompt.to_vec();
-        // Schedule the most recent window for prefill, leaving one slot
-        // for the first generated token.
-        let start = context.len().saturating_sub(max_ctx.saturating_sub(1));
-        let end = context.len();
-        Ok(StepDecoder {
-            cfg: *cfg,
-            rng: Pcg32::seed(cfg.seed),
-            max_ctx,
-            context,
-            cache: KvCache::new(model),
-            last_logits: Vec::new(),
-            prefill_next: start,
-            prefill_end: end,
-            emitted: 0,
-            done: false,
-            saw_eos: false,
-        })
+        Self::with_cache(KvCache::new(model), prompt, cfg)
     }
 
     /// Like [`StepDecoder::new_chunked`], but the session's KV rows live
-    /// in blocks drawn from `pool` (see [`crate::kvpool::KvPool`]):
-    /// allocation is incremental and bounded, and a prefix adopted via
-    /// [`StepDecoder::adopt_prefix`] from a paged donor aliases blocks
-    /// instead of copying rows. Transcripts are bit-identical to the
-    /// contiguous constructors — storage layout never changes an output
-    /// byte (pinned by equivalence tests).
+    /// in blocks drawn from the shared `pool` (see
+    /// [`crate::kvpool::KvPool`]) instead of a private one: allocation is
+    /// bounded by the pool, and a prefix adopted via
+    /// [`StepDecoder::adopt_prefix`] from a donor on the same pool aliases
+    /// its blocks. Transcripts are bit-identical to the private-pool
+    /// constructors — block size never changes an output byte (pinned by
+    /// equivalence tests).
     ///
     /// # Errors
     ///
@@ -213,9 +190,37 @@ impl StepDecoder {
         cfg: &GenerateConfig,
         pool: &Arc<crate::kvpool::KvPool>,
     ) -> Result<Self, NnError> {
-        let mut session = Self::new_chunked(model, prompt, cfg)?;
-        session.cache = KvCache::new_paged(model, pool);
-        Ok(session)
+        Self::with_cache(KvCache::new_paged(model, pool), prompt, cfg)
+    }
+
+    /// The un-prefilled session over an empty `cache`, shared by both
+    /// chunked constructors.
+    fn with_cache(cache: KvCache, prompt: &[u32], cfg: &GenerateConfig) -> Result<Self, NnError> {
+        cfg.validate()?;
+        if prompt.is_empty() {
+            return Err(NnError::BadSequence {
+                detail: "generation requires a non-empty prompt".into(),
+            });
+        }
+        let max_ctx = cache.model().arch().max_seq_len;
+        let context: Vec<u32> = prompt.to_vec();
+        // Schedule the most recent window for prefill, leaving one slot
+        // for the first generated token.
+        let start = context.len().saturating_sub(max_ctx.saturating_sub(1));
+        let end = context.len();
+        Ok(StepDecoder {
+            cfg: *cfg,
+            rng: Pcg32::seed(cfg.seed),
+            max_ctx,
+            context,
+            cache,
+            last_logits: Vec::new(),
+            prefill_next: start,
+            prefill_end: end,
+            emitted: 0,
+            done: false,
+            saw_eos: false,
+        })
     }
 
     /// Whether the session still has prompt (or slide-replay) tokens to
@@ -313,46 +318,30 @@ impl StepDecoder {
     }
 
     /// Produces the next token, or `None` once the session has finished
-    /// (token budget exhausted, or `<eos>` with `stop_at_eos`).
+    /// (token budget exhausted, or `<eos>` with `stop_at_eos`): a batch of
+    /// one through [`StepDecoder::step_batch`].
     ///
     /// # Errors
     ///
     /// Forwards forward-pass failures from the underlying cache.
     pub fn step(&mut self) -> Result<Option<u32>, NnError> {
-        if self.done {
-            return Ok(None);
-        }
-        // Finish any pending prefill (initial prompt remainder or a
-        // deferred window-slide replay) before choosing a token.
-        self.prefill_pending(usize::MAX)?;
-        let next = self.choose_next();
-        self.commit(next);
-        if self.done {
-            return Ok(Some(next));
-        }
-        if self.cache.len() >= self.max_ctx {
-            self.begin_slide();
-        } else {
-            self.last_logits = self.cache.decode_step(next)?;
-        }
-        Ok(Some(next))
+        Ok(Self::step_batch(&mut [self])?.pop().flatten())
     }
 
     /// Advances many sessions by one token each, returning each session's
     /// new token in submission order (`None` for sessions that were already
     /// done).
     ///
-    /// This is `step()` run in lockstep: every live session first finishes
-    /// any pending prefill (initial prompt remainder or a deferred
-    /// window-slide replay), then chooses and commits its next token from
-    /// its own logits and RNG stream; the sessions that need an ordinary
-    /// decode are grouped by model allocation and advanced through
-    /// [`KvCache::decode_batch`] — one `N × d` GEMM per projection instead
-    /// of N matvecs. Sessions that hit a context-window boundary defer
-    /// their slide: the cache resets and the window replay is scheduled as
-    /// a pending chunked prefill, consumed at the next step. Token streams
-    /// are **bit-identical** to stepping each session alone, pinned by
-    /// tests.
+    /// Every live session first finishes any pending prefill (initial
+    /// prompt remainder or a deferred window-slide replay), then chooses
+    /// and commits its next token from its own logits and RNG stream; the
+    /// sessions that need an ordinary decode are grouped by model
+    /// allocation and advanced through [`KvCache::decode_batch`] — one
+    /// `N × d` GEMM per projection instead of N matvecs. Sessions that hit
+    /// a context-window boundary defer their slide: the cache resets and
+    /// the window replay is scheduled as a pending chunked prefill,
+    /// consumed at the next step. Token streams are **bit-identical** to
+    /// stepping each session alone, pinned by tests.
     ///
     /// # Errors
     ///
@@ -362,9 +351,8 @@ impl StepDecoder {
     pub fn step_batch(sessions: &mut [&mut StepDecoder]) -> Result<Vec<Option<u32>>, NnError> {
         let mut out = vec![None; sessions.len()];
         // Phase 1: complete pending prefill, then choose and commit each
-        // live session's next token — exactly the first half of `step()`,
-        // so RNG streams and stop conditions stay in lockstep with
-        // sequential stepping.
+        // live session's next token from its own logits and RNG stream, so
+        // stop conditions fall where a lone session's would.
         let mut group_of: Vec<Option<usize>> = vec![None; sessions.len()];
         let mut group_keys: Vec<usize> = Vec::new();
         for (i, s) in sessions.iter_mut().enumerate() {
@@ -448,9 +436,9 @@ impl StepDecoder {
     /// Context-window slide, deferred: resets the *existing* cache and
     /// schedules the most recent window as pending prefill, replayed (in
     /// whatever chunks the caller chooses) before the next token is
-    /// chosen. `reset()` keeps the per-layer bucket allocations, the score
-    /// scratch, and the shared model `Arc`, so a slide allocates no model
-    /// state — it is pure bookkeeping; the window replay happens through
+    /// chosen. `reset()` keeps the pool, the score scratch and the shared
+    /// model `Arc`, so a slide allocates no model state — it is pure
+    /// bookkeeping; the window replay happens through
     /// [`StepDecoder::prefill_pending`] like any other prefill.
     fn begin_slide(&mut self) {
         let start = self.context.len() - (self.max_ctx - 1);

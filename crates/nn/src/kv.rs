@@ -44,24 +44,26 @@
 //! dispatched to `matvec`, which [`chipalign_tensor::tune::matvec_calls`]
 //! lets a test observe). The norm, RoPE, attention and residual code is per
 //! row.
-//! A row's K/V depend only on the tokens before it, and both storage
-//! layouts feed [`fused_attention`] the same rows in the same order. Hence
+//! A row's K/V depend only on the tokens before it, and every block size
+//! feeds [`fused_attention`] the same rows in the same order. Hence
 //! batched ≡ single-step, chunked ≡ one-shot prefill, verify ≡ sequential
-//! and paged ≡ contiguous hold bitwise, for f32 and int8 weights alike;
-//! the serving scheduler relies on it to keep batched transcripts
+//! and any block size ≡ any other hold bitwise, for f32 and int8 weights
+//! alike; the serving scheduler relies on it to keep batched transcripts
 //! byte-equal to `generate()`. Tests below pin each of them.
 //!
 //! # Storage
 //!
-//! A cache from [`KvCache::new`] owns contiguous per-layer buffers; one
-//! from [`KvCache::new_paged`] keeps its rows in fixed-size blocks drawn
-//! from a shared [`crate::kvpool::KvPool`]. [`KvCache::fork_from`] clones
-//! the first P positions — copying rows, or for a paged cache aliasing
-//! blocks (refcounted, zero bytes copied; the first write into a shared
-//! tail block privatises it) — which is how a serving-layer prefix cache
-//! hands a new session an already-prefilled prompt prefix. The cache
-//! records the token at every position ([`KvCache::tokens`]) so reuse can
-//! be validated against the new prompt.
+//! Every cache keeps its rows in fixed-size blocks drawn from a
+//! [`crate::kvpool::KvPool`]. [`KvCache::new_paged`] binds a shared pool;
+//! [`KvCache::new`] binds a private, uncapped f32 pool of one-token
+//! blocks, so its bytes are per row, it truncates exactly anywhere and it
+//! never reports [`NnError::PoolExhausted`]. [`KvCache::fork_from`] clones
+//! the first P positions by aliasing blocks (refcounted, zero bytes
+//! copied; the first write into a shared tail block privatises it), which
+//! is how a serving-layer prefix cache hands a new session an
+//! already-prefilled prompt prefix. The cache records the token at every
+//! position ([`KvCache::tokens`]) so reuse can be validated against the
+//! new prompt.
 //!
 //! A pool created at [`crate::KvDtype::Int8`] seals each block layer to i8
 //! codes + per-head scales the moment its last position is written (the
@@ -80,7 +82,7 @@ use chipalign_tensor::ops;
 use chipalign_tensor::tune::GEMM_SKINNY_M_MAX;
 use chipalign_tensor::{backend, Matrix, QuantizedMatrix};
 
-use crate::kvpool::{BlockLayer, KvBlock, KvPool};
+use crate::kvpool::{BlockLayer, KvBlock, KvDtype, KvPool, KvPoolConfig};
 use crate::model::{rope_rotate, rope_sin_cos, TinyLm};
 use crate::NnError;
 
@@ -91,32 +93,11 @@ use crate::NnError;
 /// `2 × KV8_LOGIT_TOL`. This is the serving contract for `#kv8` models.
 pub const KV8_LOGIT_TOL: f32 = 0.5;
 
-/// Per-layer cached keys and values, one row per processed position.
-#[derive(Debug, Clone)]
-struct LayerKv {
-    /// `(T × d_model)` rotary-encoded keys.
-    k: Vec<Vec<f32>>,
-    /// `(T × d_model)` values.
-    v: Vec<Vec<f32>>,
-}
-
-/// Where a cache's K/V rows live. Both layouts feed the same attention
-/// code through [`fused_attention`]'s row iterators, so the choice of
-/// storage cannot change a single output bit.
-#[derive(Debug, Clone)]
-enum KvStore {
-    /// One growable buffer per layer, owned by this cache alone.
-    Contiguous(Vec<LayerKv>),
-    /// Fixed-size blocks drawn from a shared pool; rows gathered through
-    /// the block table, blocks aliased between caches via [`Arc`].
-    Paged(BlockTable),
-}
-
-/// A paged cache's view of its storage: an ordered list of refcounted
-/// block handles. Block `b` holds positions `[b·bt, (b+1)·bt)` for every
-/// layer, where `bt` is the pool's block size. Invariant outside of an
-/// in-flight `forward_rows`: `blocks.len()` equals
-/// `ceil(len / bt)` of the owning cache.
+/// A cache's storage: an ordered list of refcounted block handles. Block
+/// `b` holds positions `[b·bt, (b+1)·bt)` for every layer, where `bt` is
+/// the pool's block size. Invariant outside of an in-flight
+/// `forward_rows`: `blocks.len()` equals `ceil(len / bt)` of the owning
+/// cache.
 #[derive(Debug, Clone)]
 struct BlockTable {
     pool: Arc<KvPool>,
@@ -132,7 +113,8 @@ struct BlockTable {
 /// its own width.
 #[derive(Clone, Copy)]
 enum KvRowRef<'a> {
-    /// Row of an f32 buffer (contiguous store, or an open/unsealed block).
+    /// Row of an f32 block (every block of an f32 pool, the open tail of
+    /// an int8 one).
     F32(&'a [f32]),
     /// Row of a sealed block: `codes` is the `d_model`-wide i8 row,
     /// `scales` the owning block layer's `n_heads` absmax scales.
@@ -140,10 +122,29 @@ enum KvRowRef<'a> {
 }
 
 impl BlockTable {
+    /// Makes positions `len .. len + count` writable. On
+    /// [`NnError::PoolExhausted`] every block pushed on the way is
+    /// returned, so the table is left holding exactly `len` positions.
+    fn reserve(
+        &mut self,
+        len: usize,
+        count: usize,
+        n_layers: usize,
+        d: usize,
+    ) -> Result<(), NnError> {
+        for pos in len..len + count {
+            if let Err(e) = self.prepare_position(pos, n_layers, d) {
+                self.truncate(len);
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
     /// Makes position `pos` writable: pushes a fresh block when `pos`
     /// opens a new one, otherwise privatises a shared tail block
     /// (copy-on-write) or regrows a sealed one. The only fallible step of a
-    /// forward — [`KvStore::reserve`] runs it for every new position
+    /// forward — [`BlockTable::reserve`] runs it for every new position
     /// before any visible mutation. A replaced tail carries the same
     /// logical rows as the block it replaces, so only pushed blocks need
     /// undoing.
@@ -207,41 +208,38 @@ impl BlockTable {
         }
     }
 
-    /// Gathers the first `rows` cached rows of one layer, in position
-    /// order — the iterator [`fused_attention`] consumes. Each row is
-    /// served at its block's stored width: f32 for open/unsealed blocks,
-    /// i8 codes + scales for sealed ones.
-    fn rows<'a>(
-        &'a self,
+    /// The first `rows` cached (K, V) row pairs of one layer, in position
+    /// order. Each row is served at its block's stored width: f32 for
+    /// open/unsealed blocks, i8 codes + scales for sealed ones.
+    fn rows(
+        &self,
         li: usize,
         rows: usize,
         d: usize,
-        keys: bool,
-    ) -> impl Iterator<Item = KvRowRef<'a>> + Clone + 'a {
+    ) -> impl Iterator<Item = (KvRowRef<'_>, KvRowRef<'_>)> {
         let bt = self.pool.block_tokens();
         (0..rows).map(move |t| {
             let start = (t % bt) * d;
+            let span = start..start + d;
             match &self.blocks[t / bt].layers[li] {
                 BlockLayer::F32 { k, v } => {
-                    let buf = if keys { k } else { v };
-                    KvRowRef::F32(&buf[start..start + d])
+                    (KvRowRef::F32(&k[span.clone()]), KvRowRef::F32(&v[span]))
                 }
                 BlockLayer::Q8 {
                     k_codes,
                     v_codes,
                     k_scales,
                     v_scales,
-                } => {
-                    let (codes, scales) = if keys {
-                        (k_codes, k_scales)
-                    } else {
-                        (v_codes, v_scales)
-                    };
+                } => (
                     KvRowRef::Q8 {
-                        codes: &codes[start..start + d],
-                        scales,
-                    }
-                }
+                        codes: &k_codes[span.clone()],
+                        scales: k_scales,
+                    },
+                    KvRowRef::Q8 {
+                        codes: &v_codes[span],
+                        scales: v_scales,
+                    },
+                ),
             }
         })
     }
@@ -255,66 +253,17 @@ impl BlockTable {
             n_heads: self.n_heads,
         }
     }
-}
 
-impl KvStore {
-    /// Makes positions `len .. len + count` writable (a no-op for a
-    /// contiguous store). On [`NnError::PoolExhausted`] every block pushed
-    /// on the way is returned, so the store is left holding exactly `len`
-    /// positions.
-    fn reserve(
-        &mut self,
-        len: usize,
-        count: usize,
-        n_layers: usize,
-        d: usize,
-    ) -> Result<(), NnError> {
-        let KvStore::Paged(table) = self else {
-            return Ok(());
-        };
-        for pos in len..len + count {
-            if let Err(e) = table.prepare_position(pos, n_layers, d) {
-                self.truncate(len);
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
-    /// Drops every row (contiguous) or block (paged) wholly past the first
-    /// `len` positions: the rewind of [`KvCache::truncate`] and the undo of
-    /// [`KvStore::reserve`].
+    /// Drops every block wholly past the first `len` positions: the rewind
+    /// of [`KvCache::truncate`] and the undo of [`BlockTable::reserve`].
     fn truncate(&mut self, len: usize) {
-        match self {
-            KvStore::Contiguous(layers) => {
-                for kv in layers {
-                    kv.k.truncate(len);
-                    kv.v.truncate(len);
-                }
-            }
-            KvStore::Paged(table) => {
-                let keep = table.pool.blocks_for(len);
-                table.blocks.truncate(keep);
-            }
-        }
-    }
-
-    fn write_row(&mut self, li: usize, pos: usize, k: &[f32], v: &[f32]) {
-        match self {
-            KvStore::Contiguous(layers) => {
-                let kv = &mut layers[li];
-                debug_assert_eq!(kv.k.len(), pos);
-                kv.k.push(k.to_vec());
-                kv.v.push(v.to_vec());
-            }
-            KvStore::Paged(table) => table.write_row(li, pos, k, v),
-        }
+        let keep = self.pool.blocks_for(len);
+        self.blocks.truncate(keep);
     }
 
     /// Fused attention for one query row over the first `rows` cached
-    /// rows of layer `li`, dispatched to the layout's row iterator.
-    /// `head_dim` is recovered from the query width (`d = n_heads ×
-    /// head_dim` by construction of the architecture).
+    /// rows of layer `li`. `head_dim` is recovered from the query width
+    /// (`d = n_heads × head_dim` by construction of the architecture).
     fn attend(
         &self,
         li: usize,
@@ -324,34 +273,12 @@ impl KvStore {
         scores: &mut Vec<f32>,
         ctx: &mut [f32],
     ) {
-        let head_dim = q.len() / n_heads;
-        match self {
-            KvStore::Contiguous(layers) => {
-                let kv = &layers[li];
-                debug_assert_eq!(kv.k.len(), rows);
-                fused_attention(
-                    q,
-                    kv.k.iter().map(|r| KvRowRef::F32(r.as_slice())),
-                    kv.v.iter().map(|r| KvRowRef::F32(r.as_slice())),
-                    n_heads,
-                    head_dim,
-                    scores,
-                    ctx,
-                );
-            }
-            KvStore::Paged(table) => {
-                let d = q.len();
-                fused_attention(
-                    q,
-                    table.rows(li, rows, d, true),
-                    table.rows(li, rows, d, false),
-                    n_heads,
-                    head_dim,
-                    scores,
-                    ctx,
-                );
-            }
-        }
+        let d = q.len();
+        // Each row's block is looked up once here, not once per head in
+        // the kernel: with one-token blocks that lookup is most of a row's
+        // cost outside its dot products.
+        let (keys, vals): (Vec<_>, Vec<_>) = self.rows(li, rows, d).unzip();
+        fused_attention(q, &keys, &vals, n_heads, d / n_heads, scores, ctx);
     }
 }
 
@@ -382,7 +309,7 @@ impl KvStore {
 #[derive(Debug, Clone)]
 pub struct KvCache {
     model: Arc<TinyLm>,
-    store: KvStore,
+    table: BlockTable,
     len: usize,
     /// The token fed at each cached position, in order (`tokens.len() ==
     /// len`). Lets prefix reuse verify that a donated cache really holds
@@ -394,7 +321,12 @@ pub struct KvCache {
 }
 
 impl KvCache {
-    /// Creates an empty cache bound to a shared model.
+    /// Creates an empty cache bound to a shared model, its rows kept in a
+    /// private pool of its own: f32, one-token blocks, no block cap. Its
+    /// bytes are therefore per row ([`KvCache::kv_bytes`] equals the
+    /// pool's [`KvPool::bytes_in_use`]), it truncates exactly at any
+    /// position, it never fails with [`NnError::PoolExhausted`], and its
+    /// forks alias rows instead of copying them.
     ///
     /// The cache holds an [`Arc`] clone, so every concurrent session
     /// decodes against one model allocation and per-session memory is
@@ -402,94 +334,76 @@ impl KvCache {
     /// `Arc` are eligible for [`KvCache::decode_batch`].
     #[must_use]
     pub fn new(model: &Arc<TinyLm>) -> Self {
-        let n_layers = model.arch().n_layers;
-        KvCache {
-            model: Arc::clone(model),
-            store: KvStore::Contiguous(
-                (0..n_layers)
-                    .map(|_| LayerKv {
-                        k: Vec::new(),
-                        v: Vec::new(),
-                    })
-                    .collect(),
-            ),
-            len: 0,
-            tokens: Vec::new(),
-            score_buf: Vec::new(),
-        }
+        let pool = KvPool::new(KvPoolConfig {
+            block_tokens: 1,
+            max_blocks: usize::MAX,
+            dtype: KvDtype::F32,
+        })
+        .expect("one-token blocks with no cap are a valid pool shape");
+        Self::new_paged(model, &pool)
     }
 
-    /// Creates an empty *paged* cache: K/V rows live in fixed-size blocks
-    /// drawn from `pool` and [`KvCache::fork_from`] aliases blocks instead
-    /// of copying rows (copy-on-write on the first shared-tail write).
+    /// Creates an empty cache whose K/V rows live in fixed-size blocks
+    /// drawn from the shared `pool`; [`KvCache::fork_from`] aliases blocks
+    /// instead of copying rows (copy-on-write on the first shared-tail
+    /// write).
     ///
-    /// Decoding is bit-identical to a contiguous cache — same attention
-    /// accumulation order, pinned by equivalence tests — but allocation is
-    /// incremental (`ceil(len / block_tokens)` blocks, not a worst-case
-    /// buffer) and bounded by the pool: a decode step that needs a block
-    /// the pool cannot grant fails with [`NnError::PoolExhausted`]
-    /// *before* mutating the cache.
+    /// Decoding is bit-identical to a private cache from [`KvCache::new`]
+    /// — same attention accumulation order, pinned by equivalence tests —
+    /// and allocation is incremental (`ceil(len / block_tokens)` blocks)
+    /// and bounded by the pool: a decode step that needs a block the pool
+    /// cannot grant fails with [`NnError::PoolExhausted`] *before*
+    /// mutating the cache.
     #[must_use]
     pub fn new_paged(model: &Arc<TinyLm>, pool: &Arc<KvPool>) -> Self {
         KvCache {
             model: Arc::clone(model),
-            store: KvStore::Paged(BlockTable {
+            table: BlockTable {
                 pool: Arc::clone(pool),
                 blocks: Vec::new(),
                 n_heads: model.arch().n_heads,
-            }),
+            },
             len: 0,
             tokens: Vec::new(),
             score_buf: Vec::new(),
         }
     }
 
-    /// The block pool backing this cache, if it is paged.
+    /// The block pool backing this cache.
     #[must_use]
-    pub fn pool(&self) -> Option<&Arc<KvPool>> {
-        match &self.store {
-            KvStore::Contiguous(_) => None,
-            KvStore::Paged(table) => Some(&table.pool),
-        }
+    pub fn pool(&self) -> &Arc<KvPool> {
+        &self.table.pool
     }
 
-    /// Whether this cache stores its rows in pool blocks.
-    #[must_use]
-    pub fn is_paged(&self) -> bool {
-        matches!(self.store, KvStore::Paged(_))
-    }
-
-    /// Number of pool blocks currently held (0 for a contiguous cache).
-    /// Aliased blocks count once per *table*, so a fresh fork reports the
-    /// donor's block count without having allocated anything.
+    /// Number of pool blocks currently held. Aliased blocks count once per
+    /// *table*, so a fresh fork reports the donor's block count without
+    /// having allocated anything.
     #[must_use]
     pub fn block_count(&self) -> usize {
-        match &self.store {
-            KvStore::Contiguous(_) => 0,
-            KvStore::Paged(table) => table.blocks.len(),
-        }
+        self.table.blocks.len()
     }
 
     /// `(block id, block bytes)` for every block this cache holds, in
-    /// position order; empty for a contiguous cache. Ids are pool-unique
-    /// and never reused, which is what lets the serving layer charge a
-    /// byte budget per *physical* block: two caches aliasing a block
-    /// report the same id, so shared storage is counted once. Bytes are
-    /// each block's *current* representation — f32 for the open tail,
-    /// code + scale width for sealed int8 blocks — and sealed blocks are
-    /// immutable, so a charge taken from this list never goes stale.
+    /// position order. Ids are pool-unique and never reused, which is what
+    /// lets the serving layer charge a byte budget per *physical* block:
+    /// two caches aliasing a block report the same id, so shared storage
+    /// is counted once. Bytes are each block's *current* representation —
+    /// f32 for the open tail, code + scale width for sealed int8 blocks —
+    /// and sealed blocks are immutable, so a charge taken from this list
+    /// never goes stale.
     #[must_use]
     pub fn block_ids(&self) -> Vec<(u64, usize)> {
-        match &self.store {
-            KvStore::Contiguous(_) => Vec::new(),
-            KvStore::Paged(table) => table.blocks.iter().map(|b| (b.id, b.bytes())).collect(),
-        }
+        self.table
+            .blocks
+            .iter()
+            .map(|b| (b.id, b.bytes()))
+            .collect()
     }
 
     /// Largest prefix length `≤ positions` from which a fork continues
-    /// *bit-deterministically*. Contiguous and f32-paged caches fork
-    /// anywhere (`positions` comes back unchanged); on an int8 pool a fork
-    /// landing strictly inside a *sealed* block would regrow its tail from
+    /// *bit-deterministically*. A cache on an f32 pool forks anywhere
+    /// (`positions` comes back unchanged); on an int8 pool a fork landing
+    /// strictly inside a *sealed* block would regrow its tail from
     /// dequantized rows — within [`KV8_LOGIT_TOL`], but not bit-stable
     /// against a fresh prefill — so this rounds such a cut down to the
     /// preceding block boundary. The serving prefix cache trims donations
@@ -497,13 +411,11 @@ impl KvCache {
     #[must_use]
     pub fn aligned_fork_len(&self, positions: usize) -> usize {
         let positions = positions.min(self.len);
-        if let KvStore::Paged(table) = &self.store {
-            let bt = table.pool.block_tokens();
-            if !positions.is_multiple_of(bt) {
-                let b = positions / bt;
-                if table.blocks.get(b).is_some_and(|blk| blk.is_sealed()) {
-                    return b * bt;
-                }
+        let bt = self.table.pool.block_tokens();
+        if !positions.is_multiple_of(bt) {
+            let b = positions / bt;
+            if self.table.blocks.get(b).is_some_and(|blk| blk.is_sealed()) {
+                return b * bt;
             }
         }
         positions
@@ -537,32 +449,22 @@ impl KvCache {
     ///
     /// Counts the K and V rows (`len × n_layers × 2 × d_model` floats);
     /// bookkeeping (token history, scratch) is negligible next to them.
-    /// For a paged cache this is the *logical* size — physical usage is
-    /// whole blocks, possibly shared with other caches; use
-    /// [`KvCache::block_ids`] to account physical bytes per unique block
-    /// (the serving-layer prefix cache does exactly that).
+    /// This is the *logical* size — physical usage is whole blocks, possibly
+    /// shared with other caches; use [`KvCache::block_ids`] to account
+    /// physical bytes per unique block (the serving-layer prefix cache does
+    /// exactly that).
     #[must_use]
     pub fn kv_bytes(&self) -> usize {
         let arch = self.model.arch();
         arch.n_layers * self.len * 2 * arch.d_model * std::mem::size_of::<f32>()
     }
 
-    /// Clears every cached position while keeping the bound model (and,
-    /// for a contiguous cache, the per-layer bucket allocations), so a
-    /// decoding session can re-prefill after a context-window slide
-    /// without cloning the model again. A paged cache drops its block
-    /// handles, returning any block this was the last holder of to the
-    /// pool.
+    /// Clears every cached position while keeping the bound model and
+    /// pool, so a decoding session can re-prefill after a context-window
+    /// slide without cloning the model again. Drops the block handles,
+    /// returning any block this was the last holder of to the pool.
     pub fn reset(&mut self) {
-        match &mut self.store {
-            KvStore::Contiguous(layers) => {
-                for kv in layers {
-                    kv.k.clear();
-                    kv.v.clear();
-                }
-            }
-            KvStore::Paged(table) => table.blocks.clear(),
-        }
+        self.table.blocks.clear();
         self.len = 0;
         self.tokens.clear();
     }
@@ -596,9 +498,9 @@ impl KvCache {
     ///
     /// Returns [`NnError::BadSequence`] if the chunk (with the cache
     /// contents) exceeds the architecture's context length,
-    /// [`NnError::BadToken`] for out-of-vocabulary ids, and — for a paged
-    /// cache — [`NnError::PoolExhausted`] when the pool cannot back every
-    /// new position. The chunk is atomic: on any error the cache holds
+    /// [`NnError::BadToken`] for out-of-vocabulary ids, and
+    /// [`NnError::PoolExhausted`] when the pool cannot back every new
+    /// position. The chunk is atomic: on any error the cache holds
     /// exactly what it held before the call, so the same chunk can be
     /// retried.
     pub fn prefill_chunk(&mut self, tokens: &[u32]) -> Result<Vec<f32>, NnError> {
@@ -616,11 +518,10 @@ impl KvCache {
     /// primitive behind shared-prefix reuse: one prefill of a common
     /// prompt scaffold can seed many sessions.
     ///
-    /// For a contiguous cache the K/V rows are byte-for-byte copies
-    /// (O(bytes)). For a paged cache the covering blocks are *aliased* —
-    /// O(blocks) refcount bumps, zero K/V bytes moved — and the first
-    /// write either side makes into a shared tail block privatises it
-    /// first (copy-on-write), so neither branch can corrupt the other.
+    /// The covering blocks are *aliased* — O(blocks) refcount bumps, zero
+    /// K/V bytes moved — and the first write either side makes into a
+    /// shared tail block privatises it first (copy-on-write), so neither
+    /// branch can corrupt the other.
     ///
     /// # Errors
     ///
@@ -635,21 +536,9 @@ impl KvCache {
                 ),
             });
         }
-        let store = match &self.store {
-            KvStore::Contiguous(layers) => KvStore::Contiguous(
-                layers
-                    .iter()
-                    .map(|kv| LayerKv {
-                        k: kv.k[..positions].to_vec(),
-                        v: kv.v[..positions].to_vec(),
-                    })
-                    .collect(),
-            ),
-            KvStore::Paged(table) => KvStore::Paged(table.fork_prefix(positions)),
-        };
         Ok(KvCache {
             model: Arc::clone(&self.model),
-            store,
+            table: self.table.fork_prefix(positions),
             len: positions,
             tokens: self.tokens[..positions].to_vec(),
             score_buf: Vec::new(),
@@ -661,9 +550,9 @@ impl KvCache {
     /// # Errors
     ///
     /// Returns [`NnError::BadSequence`] if the context window is full,
-    /// [`NnError::BadToken`] for an out-of-vocabulary id, and — for a
-    /// paged cache — [`NnError::PoolExhausted`] when the pool cannot back
-    /// the new position. All errors leave the cache unadvanced.
+    /// [`NnError::BadToken`] for an out-of-vocabulary id, and
+    /// [`NnError::PoolExhausted`] when the pool cannot back the new
+    /// position. All errors leave the cache unadvanced.
     pub fn decode_step(&mut self, token: u32) -> Result<Vec<f32>, NnError> {
         let mut rows = Self::forward_rows(&mut [self], &[&[token]], Logits::All)?;
         Ok(rows.pop().expect("one row in, one row of logits out"))
@@ -672,8 +561,8 @@ impl KvCache {
     /// Advances N decoding sessions that share one model by one token each,
     /// returning each session's next-token logits in submission order —
     /// bit-identical to N independent [`KvCache::decode_step`] calls, at one
-    /// weight sweep per 32 sessions instead of one per session. Paged and
-    /// contiguous sessions may be mixed freely.
+    /// weight sweep per 32 sessions instead of one per session. Sessions on
+    /// different pools may be mixed freely.
     ///
     /// # Errors
     ///
@@ -681,8 +570,8 @@ impl KvCache {
     /// or the sessions do not all share one model allocation,
     /// [`NnError::BadSequence`] if any session's context window is full,
     /// [`NnError::BadToken`] for any out-of-vocabulary id, and
-    /// [`NnError::PoolExhausted`] if any paged session's pool cannot back
-    /// its new position. On error no session has advanced.
+    /// [`NnError::PoolExhausted`] if any session's pool cannot back its new
+    /// position. On error no session has advanced.
     pub fn decode_batch(
         sessions: &mut [&mut KvCache],
         tokens: &[u32],
@@ -715,7 +604,7 @@ impl KvCache {
     /// [`chipalign_tensor::tune::GEMM_SKINNY_M_MAX`] (a verification round
     /// is one weight sweep by contract), [`NnError::BadSequence`] if the
     /// chunk does not fit the context window, [`NnError::BadToken`] for
-    /// out-of-vocabulary ids, and [`NnError::PoolExhausted`] if a paged
+    /// out-of-vocabulary ids, and [`NnError::PoolExhausted`] if the
     /// cache's pool cannot back every new position. On error the cache is
     /// exactly as it was.
     pub fn verify_chunk(&mut self, tokens: &[u32]) -> Result<Vec<Vec<f32>>, NnError> {
@@ -780,10 +669,10 @@ impl KvCache {
         let (d, n_heads, head_dim) = (arch.d_model, arch.n_heads, arch.head_dim());
         for i in 0..sessions.len() {
             let s = &mut *sessions[i];
-            if let Err(e) = s.store.reserve(s.len, chunks[i].len(), arch.n_layers, d) {
+            if let Err(e) = s.table.reserve(s.len, chunks[i].len(), arch.n_layers, d) {
                 // `reserve` unwound its own session; unwind the earlier ones.
                 for s in &mut sessions[..i] {
-                    s.store.truncate(s.len);
+                    s.table.truncate(s.len);
                 }
                 return Err(e);
             }
@@ -838,8 +727,8 @@ impl KvCache {
                 let mut ctx = Matrix::zeros(m, d);
                 for (r, row) in block.iter().enumerate() {
                     let session = &mut *sessions[row.s];
-                    session.store.write_row(li, row.pos, k.row(r), v.row(r));
-                    session.store.attend(
+                    session.table.write_row(li, row.pos, k.row(r), v.row(r));
+                    session.table.attend(
                         li,
                         row.pos + 1,
                         q.row(r),
@@ -886,11 +775,11 @@ impl KvCache {
     /// with, the cache truncates back to the accepted prefix and continues
     /// **bit-identically** to a cache that never saw the rejected rows
     /// (K/V rows are per-position and causal, so dropped rows leave no
-    /// trace; any stale bytes past `len` in a paged tail block are
-    /// positionally overwritten before they could ever be attended).
+    /// trace; any stale bytes past `len` in a tail block are positionally
+    /// overwritten before they could ever be attended).
     ///
-    /// For a paged cache, blocks wholly past the cut are released to the
-    /// pool (or merely un-aliased, if forked copies still hold them).
+    /// Blocks wholly past the cut are released to the pool (or merely
+    /// un-aliased, if forked copies still hold them).
     ///
     /// # Errors
     ///
@@ -912,42 +801,34 @@ impl KvCache {
         if len == self.len {
             return Ok(());
         }
-        if let KvStore::Paged(table) = &self.store {
-            let bt = table.pool.block_tokens();
-            if !len.is_multiple_of(bt) && table.blocks[len / bt].is_sealed() {
-                return Err(NnError::BadSequence {
-                    detail: format!(
-                        "truncating to {len} positions cuts inside a sealed int8 block"
-                    ),
-                });
-            }
+        let bt = self.table.pool.block_tokens();
+        if !len.is_multiple_of(bt) && self.table.blocks[len / bt].is_sealed() {
+            return Err(NnError::BadSequence {
+                detail: format!("truncating to {len} positions cuts inside a sealed int8 block"),
+            });
         }
-        self.store.truncate(len);
+        self.table.truncate(len);
         self.tokens.truncate(len);
         self.len = len;
         Ok(())
     }
 
     /// How many positions can be written from here and still be rewound
-    /// *exactly* by [`KvCache::truncate`]. Contiguous and f32-paged caches
-    /// rewind anywhere (`usize::MAX` — f32 blocks never seal); on an int8
-    /// pool the answer is the distance to the next seal boundary, because
+    /// *exactly* by [`KvCache::truncate`]. A cache on an f32 pool rewinds
+    /// anywhere (`usize::MAX` — f32 blocks never seal); on an int8 pool
+    /// the answer is the distance to the next seal boundary, because
     /// writing a block's final position quantizes it irreversibly. The
     /// speculative decoder caps each draft burst at this, so rejection
     /// rollbacks stay bit-exact on every KV dtype (a zero here just means
     /// one plain decode step, after which a fresh block opens).
     #[must_use]
     pub fn lossless_run(&self) -> usize {
-        match &self.store {
-            KvStore::Contiguous(_) => usize::MAX,
-            KvStore::Paged(table) => {
-                if table.pool.dtype() == crate::KvDtype::Int8 {
-                    let bt = table.pool.block_tokens();
-                    bt - 1 - (self.len % bt)
-                } else {
-                    usize::MAX
-                }
-            }
+        let pool = &self.table.pool;
+        if pool.dtype() == KvDtype::Int8 {
+            let bt = pool.block_tokens();
+            bt - 1 - (self.len % bt)
+        } else {
+            usize::MAX
         }
     }
 }
@@ -1005,41 +886,37 @@ fn rmsnorm_rows<'a>(rows: impl Iterator<Item = &'a [f32]>, gain: &[f32]) -> Matr
 /// Fused per-head score→softmax→context for one query row against one
 /// session's cached K/V rows, accumulating into `ctx` (which must arrive
 /// zeroed). Scores go against every cached position (causal by
-/// construction: the iterators only yield positions `<= pos`), are
-/// normalised in place over the reusable scratch, and contracted against V
-/// without allocating a per-head vector. Generic over the row iterators so
-/// the contiguous and paged storage layouts run the *same* dot products in
-/// the *same* order, which is what makes paged decoding bit-identical to
-/// contiguous.
-fn fused_attention<'a, K, V>(
+/// construction: the rows stop at position `pos`), are normalised in place
+/// over the reusable scratch, and contracted against V without allocating
+/// a per-head vector. The rows are the same, in the same order, at every
+/// block size, so a shared pool's cache runs the *same* dot products as a
+/// private one — the reason decoding is bit-identical across pools.
+fn fused_attention(
     q: &[f32],
-    keys: K,
-    vals: V,
+    keys: &[KvRowRef<'_>],
+    vals: &[KvRowRef<'_>],
     n_heads: usize,
     head_dim: usize,
     scores: &mut Vec<f32>,
     ctx: &mut [f32],
-) where
-    K: Iterator<Item = KvRowRef<'a>> + Clone,
-    V: Iterator<Item = KvRowRef<'a>> + Clone,
-{
+) {
     let scale = 1.0 / (head_dim as f32).sqrt();
     let be = backend::active();
     for hh in 0..n_heads {
         let lo = hh * head_dim;
         let hi = lo + head_dim;
         scores.clear();
-        scores.extend(keys.clone().map(|krow| {
+        scores.extend(keys.iter().map(|&krow| {
             let s = match krow {
                 // The f32 arm is byte-for-byte the pre-quantization code
-                // path: it must stay bit-exact with the contiguous oracle.
+                // path: it must stay bit-exact with the f32 oracle.
                 KvRowRef::F32(k) => ops::dot(&q[lo..hi], &k[lo..hi]),
                 KvRowRef::Q8 { codes, scales } => be.dot_q8(&codes[lo..hi], scales[hh], &q[lo..hi]),
             };
             s * scale
         }));
         ops::softmax_inplace(scores);
-        for (w, vrow) in scores.iter().zip(vals.clone()) {
+        for (w, &vrow) in scores.iter().zip(vals) {
             match vrow {
                 KvRowRef::F32(v) => {
                     for (c, &vv) in ctx[lo..hi].iter_mut().zip(&v[lo..hi]) {
@@ -1504,7 +1381,10 @@ mod tests {
         let prompt: Vec<u32> = (0..13).map(|i| 4 + (i * 7) % 90).collect();
         let mut paged = KvCache::new_paged(&m, &pool);
         let mut flat = KvCache::new(&m);
-        assert!(paged.is_paged() && !flat.is_paged());
+        assert_eq!(
+            (paged.pool().block_tokens(), flat.pool().block_tokens()),
+            (4, 1)
+        );
         let a = paged.prefill(&prompt).expect("ok");
         let b = flat.prefill(&prompt).expect("ok");
         assert_eq!(a, b, "paged prefill logits must equal contiguous exactly");
@@ -1658,13 +1538,55 @@ mod tests {
     }
 
     #[test]
-    fn contiguous_cache_reports_no_pool_state() {
+    fn private_cache_reports_its_own_pool_state() {
         let m = model();
         let mut flat = KvCache::new(&m);
         flat.prefill(&[5, 6, 7]).expect("ok");
-        assert!(flat.pool().is_none());
-        assert_eq!(flat.block_count(), 0);
-        assert!(flat.block_ids().is_empty());
+        assert_eq!(flat.pool().dtype(), crate::KvDtype::F32);
+        assert_eq!(flat.pool().block_tokens(), 1);
+        assert_eq!(flat.block_count(), 3);
+        assert_eq!(flat.block_ids().len(), 3);
+        assert!(!Arc::ptr_eq(flat.pool(), KvCache::new(&m).pool()));
+    }
+
+    #[test]
+    fn private_pool_keeps_the_per_row_contract() {
+        let m = model();
+        let mut rng = Pcg32::seed(31);
+        let mut donor = KvCache::new(&m);
+        let prompt: Vec<u32> = (0..24).map(|i| 4 + (i * 7) % 90).collect();
+        donor.prefill(&prompt).expect("ok");
+        let pool = Arc::clone(donor.pool());
+        assert_eq!(pool.block_tokens(), 1);
+        assert_eq!(donor.kv_bytes(), pool.bytes_in_use(), "bytes are per row");
+
+        // Forks at random points alias whole rows: writing past any cut
+        // opens a fresh block, so nothing is ever copied, and an uncapped
+        // pool never refuses a block.
+        let forks: Vec<KvCache> = (0..64)
+            .map(|_| {
+                let mut fork = donor.fork_from(rng.below(donor.len() + 1)).expect("ok");
+                for _ in 0..8 {
+                    let t = 4 + rng.below(90) as u32;
+                    fork.decode_step(t).expect("a private pool never runs out");
+                }
+                fork
+            })
+            .collect();
+        assert_eq!(pool.cow_copies(), 0, "one-token blocks are never copied");
+
+        // Rewinds are exact at every position.
+        for len in 0..=donor.len() {
+            let mut c = donor.fork_from(donor.len()).expect("ok");
+            c.truncate(len).expect("truncation is exact anywhere");
+            assert_eq!((c.len(), c.block_count()), (len, len));
+        }
+
+        drop(forks);
+        assert_eq!(donor.kv_bytes(), pool.bytes_in_use());
+        drop(donor);
+        assert_eq!(pool.bytes_in_use(), 0, "every block went back");
+        assert_eq!(pool.blocks_in_use(), 0);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Block-based KV pool: paged allocation for decoding sessions.
 //!
-//! A contiguous [`crate::KvCache`] owns its K/V rows outright, so node
-//! capacity is bounded by `sessions × max_seq_len` even when most sessions
-//! are short, and every prefix fork pays a deep copy. [`KvPool`] is the
-//! vLLM-style alternative: K/V storage is carved into fixed-size *blocks*
-//! of [`KvPoolConfig::block_tokens`] positions (all layers of a block live
+//! Every [`crate::KvCache`] keeps its K/V rows in a [`KvPool`], vLLM
+//! style: K/V storage is carved into fixed-size *blocks* of
+//! [`KvPoolConfig::block_tokens`] positions (all layers of a block live
 //! together), sessions hold *block tables* — vectors of refcounted block
 //! handles — and forking a prefix aliases blocks instead of copying rows.
+//! Serving sessions share one bounded pool per model, so capacity is
+//! admitted by free blocks; a cache from [`crate::KvCache::new`] gets a
+//! private, uncapped f32 pool of one-token blocks, which is what a cache
+//! with per-row storage looks like in this scheme.
 //!
 //! Sharing is safe because blocks are copy-on-write: before a session
 //! writes into a partially filled tail block it checks whether the block
@@ -59,8 +61,9 @@ fn next_block_id() -> u64 {
 /// Storage element type for a pool's sealed KV blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KvDtype {
-    /// Plain `f32` rows, bit-exact with the contiguous cache. The default,
-    /// and the differential oracle for everything else.
+    /// Plain `f32` rows, bit-exact at every block size. The default, the
+    /// private pool behind [`crate::KvCache::new`], and the differential
+    /// oracle for everything else.
     #[default]
     F32,
     /// Sealed blocks hold `i8` codes with per-head, per-block absmax

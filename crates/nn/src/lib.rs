@@ -29,11 +29,11 @@
 //!   projections (built by [`TinyLm::quantize`]); when attached, KV-cached
 //!   decode streams int8 weights through the quantized kernels while
 //!   training and the full f32 forward pass stay untouched.
-//! * [`kvpool`] — a paged KV allocator: fixed-size token blocks, per-cache
-//!   block tables, refcounted prefix aliasing with copy-on-write, so a
-//!   prefix fork costs O(blocks) pointer clones instead of O(bytes) and
-//!   short sessions stop reserving worst-case contiguous buffers. Paged
-//!   decode is bit-identical to the contiguous path. Pools built with
+//! * [`kvpool`] — the paged KV allocator behind every cache: fixed-size
+//!   token blocks, per-cache block tables, refcounted prefix aliasing with
+//!   copy-on-write, so a prefix fork costs O(blocks) pointer clones instead
+//!   of O(bytes). Decode is bit-identical at every block size, down to the
+//!   one-token blocks of a private [`KvCache::new`] pool. Pools built with
 //!   [`KvDtype::Int8`] additionally quantize each block to per-head-scaled
 //!   i8 codes as it fills, shrinking resident KV bytes ~4× while pinning
 //!   logits within [`KV8_LOGIT_TOL`] of the f32 oracle.

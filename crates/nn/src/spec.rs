@@ -113,8 +113,9 @@ pub struct SpecStats {
 /// ```
 pub struct SpecDecoder {
     target: StepDecoder,
-    /// Contiguous cache over the draft model: truncation is exact at any
-    /// position, so draft state can rewind to any accepted prefix.
+    /// Private cache over the draft model ([`KvCache::new`]: one-token
+    /// blocks, so truncation is exact at any position and draft state can
+    /// rewind to any accepted prefix).
     draft: KvCache,
     /// Offset of the draft cache's first position into the target's
     /// context. Invariant between rounds: `draft.tokens()` is a slice of
@@ -294,12 +295,12 @@ impl SpecDecoder {
         let cache = self.target.spec_cache_mut();
         let base = cache.len();
         let room = max_ctx - base - 1;
-        let seal_room = match cache.pool() {
-            Some(pool) if pool.dtype() == KvDtype::Int8 => {
-                let bt = pool.block_tokens();
-                bt - 1 - ((base + 1) % bt)
-            }
-            _ => usize::MAX,
+        let pool = cache.pool();
+        let seal_room = if pool.dtype() == KvDtype::Int8 {
+            let bt = pool.block_tokens();
+            bt - 1 - ((base + 1) % bt)
+        } else {
+            usize::MAX
         };
         let budget = self.target.spec_budget_left();
         let m = self.k.min(budget).min(room).min(seal_room);
@@ -408,7 +409,7 @@ impl SpecDecoder {
 /// closure borrows only the fields it needs.
 ///
 /// Sync keeps the longest run of draft positions still matching
-/// `ctx[draft_base..]`, truncates any divergence (contiguous caches rewind
+/// `ctx[draft_base..]`, truncates any divergence (private caches rewind
 /// exactly anywhere), and feeds the missing tail. When the draft's own
 /// context window cannot hold the tail plus a round of proposals, the
 /// draft restarts on a recent window — draft state influences only the

@@ -25,15 +25,15 @@
 //!
 //! # Byte accounting under paged storage
 //!
-//! With a paged [`chipalign_nn::KvPool`], snapshots are block tables that
+//! Snapshots are block tables over a [`chipalign_nn::KvPool`] that
 //! *alias* blocks: the donating session's fork costs zero KV bytes, and
 //! two snapshots sharing a scaffold share its blocks. The byte budget
 //! therefore charges **blocks, refcounted**: an inserted snapshot is
 //! charged only for blocks no other entry already holds, and eviction
 //! frees a block's bytes only when its last referencing entry leaves.
-//! Contiguous snapshots (sessions without a pool) still charge their full
-//! logical size. This is what makes a zero-copy prefix hit actually free —
-//! the pre-pool accounting double-counted every aliased byte.
+//! A session without a shared pool decodes on a private pool of one-token
+//! blocks, so its snapshot is charged per row. This is what makes a
+//! zero-copy prefix hit actually free.
 //!
 //! Correctness note: the fork is validated again at adoption —
 //! [`chipalign_nn::generate::StepDecoder::adopt_prefix`] re-checks the
@@ -45,16 +45,6 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use chipalign_nn::{KvCache, KvDtype, TinyLm};
-
-/// The KV dtype a snapshot (or an adopting session) stores rows at:
-/// the pool's dtype for paged caches, f32 for contiguous ones.
-/// Contiguous and f32-paged storage are interchangeable — both are
-/// bit-identical — so they share one bucket; int8-paged snapshots are
-/// kept apart, because handing an int8 fork to an f32 session (or vice
-/// versa) would silently change which transcripts are bit-exact.
-fn storage_dtype(cache: &KvCache) -> KvDtype {
-    cache.pool().map_or(KvDtype::F32, |p| p.dtype())
-}
 
 /// Bounds for the [`PrefixCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,12 +84,9 @@ struct Entry {
     snapshot: KvCache,
     /// LRU stamp: bumped on every hit from a monotonic counter.
     stamp: u64,
-    /// Bytes charged for a contiguous snapshot (its full logical size);
-    /// zero for paged snapshots, which are charged per shared block.
-    flat_bytes: usize,
-    /// The paged snapshot's `(block id, block bytes)` pairs; empty for
-    /// contiguous snapshots. Referenced blocks are refcounted in
-    /// [`Inner::block_refs`] so shared bytes are charged exactly once.
+    /// The snapshot's `(block id, block bytes)` pairs. Referenced blocks
+    /// are refcounted in [`Inner::block_refs`] so shared bytes are charged
+    /// exactly once.
     block_ids: Vec<(u64, usize)>,
 }
 
@@ -168,8 +155,8 @@ impl PrefixCache {
     /// Longest-match lookup: returns a forked KV cache covering the
     /// longest cached prefix of `tokens` for this model allocation at
     /// the requested KV storage dtype, plus its length. `dtype` is the
-    /// storage the adopting session decodes at (its pool's dtype, or
-    /// [`KvDtype::F32`] for a contiguous session) — only same-dtype
+    /// storage the adopting session decodes at (its pool's dtype) — only
+    /// same-dtype
     /// snapshots are donated, so an int8-KV fork can never leak into an
     /// f32 session's transcript or vice versa. Only *proper* prefixes
     /// are donated (`len < tokens.len()`): the adopting session must
@@ -227,8 +214,8 @@ impl PrefixCache {
     /// history. No-op if the cache is disabled, the snapshot is empty or
     /// its *newly charged* bytes alone exceed the byte budget, or an
     /// identical prefix is already cached (its stamp is refreshed
-    /// instead). Paged snapshots are charged only for blocks no existing
-    /// entry holds — a fork of an already-cached prefix is free. Evicts
+    /// instead). Snapshots are charged only for blocks no existing entry
+    /// holds — a fork of an already-cached prefix is free. Evicts
     /// least-recently-used snapshots until both bounds hold.
     pub fn insert(&self, cache: &KvCache) {
         if !self.enabled() || cache.is_empty() {
@@ -238,28 +225,21 @@ impl PrefixCache {
             return;
         };
         let mut inner = self.inner.lock().expect("prefix cache poisoned");
-        // Charge = bytes this entry adds: the full logical size for a
-        // contiguous snapshot, or the bytes of blocks not yet referenced
-        // by any cached entry for a paged one. Computed before touching
-        // the trie so an oversized refusal allocates nothing.
+        // Charge = bytes this entry adds: the bytes of blocks not yet
+        // referenced by any cached entry. Computed before touching the
+        // trie so an oversized refusal allocates nothing.
         let block_ids = snapshot.block_ids();
-        let flat_bytes = if block_ids.is_empty() {
-            snapshot.kv_bytes()
-        } else {
-            0
-        };
-        let charge: usize = flat_bytes
-            + block_ids
-                .iter()
-                .filter(|(id, _)| !inner.block_refs.contains_key(id))
-                .map(|&(_, bytes)| bytes)
-                .sum::<usize>();
+        let charge: usize = block_ids
+            .iter()
+            .filter(|(id, _)| !inner.block_refs.contains_key(id))
+            .map(|&(_, bytes)| bytes)
+            .sum();
         if charge > self.cfg.max_total_bytes {
             return;
         }
         let key = (
             Arc::as_ptr(snapshot.model()) as usize,
-            storage_dtype(&snapshot),
+            snapshot.pool().dtype(),
         );
         let root = match inner.roots.get(&key) {
             Some(&r) => r,
@@ -293,7 +273,6 @@ impl PrefixCache {
         inner.nodes[node].entry = Some(Entry {
             snapshot,
             stamp,
-            flat_bytes,
             block_ids,
         });
         while inner.entries > self.cfg.max_entries || inner.total_bytes > self.cfg.max_total_bytes {
@@ -358,10 +337,10 @@ impl Inner {
         };
         let entry = self.nodes[idx].entry.take().expect("victim holds entry");
         self.entries -= 1;
-        // Free the contiguous charge plus every block whose last
-        // referencing entry this was — bytes still shared with a surviving
-        // entry stay charged (they are still held).
-        let mut freed = entry.flat_bytes;
+        // Free every block whose last referencing entry this was — bytes
+        // still shared with a surviving entry stay charged (they are still
+        // held).
+        let mut freed = 0;
         for &(id, bytes) in &entry.block_ids {
             let refs = self
                 .block_refs
@@ -679,7 +658,7 @@ mod tests {
 
         // One model allocation serving both dtypes at once (`spec` vs
         // `spec#kv8`): each donation lands in its own bucket.
-        cache.insert(&prefilled(&m, &[5, 6, 7])); // contiguous → f32 bucket
+        cache.insert(&prefilled(&m, &[5, 6, 7])); // private f32 pool → f32 bucket
         let pool = KvPool::new(KvPoolConfig {
             block_tokens: 2,
             max_blocks: 64,
@@ -697,7 +676,11 @@ mod tests {
             .lookup(&m, KvDtype::F32, &[5, 6, 7, 8, 9])
             .expect("hit");
         assert_eq!(len, 3, "the deeper int8 entry must be invisible at f32");
-        assert!(fork.pool().is_none(), "f32 hit hands back the f32 snapshot");
+        assert_eq!(
+            fork.pool().dtype(),
+            KvDtype::F32,
+            "f32 hit hands back the f32 snapshot"
+        );
 
         // And the int8 session sees only its own bucket.
         let (fork, len) = cache
@@ -705,8 +688,8 @@ mod tests {
             .expect("hit");
         assert_eq!(len, 4);
         assert_eq!(
-            fork.pool().map(|p| p.dtype()),
-            Some(KvDtype::Int8),
+            fork.pool().dtype(),
+            KvDtype::Int8,
             "int8 hit hands back the int8 snapshot"
         );
 

@@ -453,7 +453,7 @@ impl ModelRegistry {
     /// The KV dtype sessions resolved under `key` should use: canonical
     /// `…#kv8` keys get int8 KV, everything else the configured default.
     /// For `spec:` keys the *target* segment decides — the draft keeps its
-    /// own private contiguous cache and never touches a pool.
+    /// own private cache and never touches a shared pool.
     #[must_use]
     pub fn kv_dtype_for(&self, key: &str) -> KvDtype {
         if Self::spec_target_segment(key).ends_with("#kv8") {

@@ -11,16 +11,16 @@
 //!
 //! # Batched decoding
 //!
-//! With [`SchedulerConfig::max_batch`] above 1, a worker drains up to
-//! `max_batch` runnable sessions in one pop and advances them *together*
-//! through [`StepDecoder::step_batch`], which turns the per-token
-//! projection matvecs into one skinny GEMM per projection across the whole
-//! batch. Because the batched kernel is bit-identical to stepping each
-//! session alone (pinned by tests in `chipalign-nn` and `chipalign-tensor`),
+//! A worker drains up to [`SchedulerConfig::max_batch`] runnable sessions
+//! in one pop and advances them *together* through
+//! [`StepDecoder::step_batch`], which turns the per-token projection
+//! matvecs into one skinny GEMM per projection across the whole batch.
+//! Because the batched kernel is bit-identical to stepping each session
+//! alone (pinned by tests in `chipalign-nn` and `chipalign-tensor`),
 //! batching changes throughput and nothing else: greedy transcripts are
-//! byte-identical at every `max_batch`. A batch of one falls back to the
-//! unbatched [`run_slice`] path, so `max_batch == 1` reproduces the old
-//! scheduler exactly.
+//! byte-identical at every `max_batch`. A batch of one is just a batch:
+//! every slice, `max_batch == 1` included, runs through the one slice
+//! function, `run_batch_slice`.
 //!
 //! # Speculative sessions
 //!
@@ -37,18 +37,15 @@
 //! under their own panic guard while plain batch-mates share the joint
 //! batched step. A panicking draft disables speculation for that session
 //! only — it degrades to plain decoding mid-stream with no transcript
-//! change (the PR 2 fault contract); [`SchedulerConfig::spec_draft`] is
-//! the fleet-wide kill switch that makes every draft pairing a no-op.
+//! change. A client that wants plain decoding sends a plain model spec.
 //!
 //! # Chunked prefill and shared-prefix reuse
 //!
-//! Prompts are *not* prefilled monolithically: a session dequeued in
-//! [`TaskState::Pending`] state prefills at most
-//! [`SchedulerConfig::prefill_chunk`] tokens per slice and rotates in
-//! [`TaskState::Prefilling`] state until its prompt window is in the
-//! cache, so a long prompt never pins a worker for more than one chunk —
-//! short sessions behind it keep decoding (the head-of-line fix, pinned by
-//! a test). Deferred context-window slides replay through the same
+//! Prompts are *not* prefilled monolithically: a session prefills at most
+//! [`SchedulerConfig::prefill_chunk`] tokens per slice and rotates until
+//! its prompt window is in the cache, so a long prompt never pins a worker
+//! for more than one chunk — short sessions behind it keep decoding (the
+//! head-of-line fix, pinned by a test). Deferred context-window slides replay through the same
 //! chunked path. Before prefilling at all, the scheduler probes a
 //! [`PrefixCache`] with the prompt window: on a longest-match hit the
 //! session adopts a forked KV cache of the shared prefix and only
@@ -98,7 +95,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use chipalign_nn::generate::{GenerateConfig, StepDecoder};
-use chipalign_nn::{KvDtype, KvPool, SpecDecoder, TinyLm};
+use chipalign_nn::{KvPool, SpecDecoder, TinyLm};
 
 use crate::metrics::Metrics;
 use crate::prefix::{PrefixCache, PrefixCacheConfig};
@@ -127,27 +124,21 @@ pub struct SchedulerConfig {
     /// unit is slices, not seconds, so watchdog behaviour is deterministic
     /// in tests.
     pub stall_slices: u64,
-    /// Most sessions a worker advances together per slice. `1` reproduces
-    /// the unbatched scheduler exactly; larger values amortize weight
-    /// traversal across sessions via the skinny-GEMM decode path without
-    /// changing any output byte. Clamped at start-up to
-    /// `[1, GEMM_SKINNY_M_MAX]` — beyond the skinny tile the batched step
-    /// would leave the kernel that guarantees bit-identity.
+    /// Most sessions a worker advances together per slice. Larger values
+    /// amortize weight traversal across sessions via the skinny-GEMM
+    /// decode path without changing any output byte. Clamped at start-up
+    /// to `[1, GEMM_SKINNY_M_MAX]` — beyond the skinny tile the batched
+    /// step would leave the kernel that guarantees bit-identity.
     pub max_batch: usize,
     /// Most prompt (or window-slide replay) tokens prefilled per
     /// scheduling slice. A prompt longer than this rotates through the
-    /// queue in `Prefilling` state between chunks, so long prompts cannot
-    /// head-of-line-block other sessions' decode slices. Clamped to at
-    /// least 1. Chunking never changes output bytes.
+    /// queue between chunks, so long prompts cannot head-of-line-block
+    /// other sessions' decode slices. Clamped to at least 1. Chunking
+    /// never changes output bytes.
     pub prefill_chunk: usize,
     /// Bounds for the shared-prefix KV cache consulted at first dequeue;
     /// `max_entries: 0` disables prefix reuse.
     pub prefix_cache: PrefixCacheConfig,
-    /// Whether sessions carrying a [`SpecDraft`] actually speculate.
-    /// `false` is the kill switch: draft pairings are ignored and the
-    /// session decodes plainly. Flipping this is always output-safe —
-    /// speculative and plain greedy transcripts are byte-identical.
-    pub spec_draft: bool,
 }
 
 impl Default for SchedulerConfig {
@@ -167,7 +158,6 @@ impl Default for SchedulerConfig {
             max_batch: 8,
             prefill_chunk: 32,
             prefix_cache: PrefixCacheConfig::default(),
-            spec_draft: true,
         }
     }
 }
@@ -198,16 +188,16 @@ pub struct SessionRequest {
     /// key); used to scope injected faults to specific sessions in chaos
     /// tests.
     pub tag: String,
-    /// Paged KV pool backing this session's cache. `None` decodes with a
-    /// contiguous cache (library and test use); the server always attaches
-    /// the model's pool. With a pool, admission also requires enough free
-    /// blocks for the prompt window — evicting reusable prefix snapshots
-    /// first — and rejects with [`ServeError::PoolSaturated`] otherwise.
+    /// Shared KV pool backing this session's cache. `None` decodes on the
+    /// cache's own private pool (library and test use); the server always
+    /// attaches the model's pool. With a shared pool, admission also
+    /// requires enough free blocks for the prompt window — evicting
+    /// reusable prefix snapshots first — and rejects with
+    /// [`ServeError::PoolSaturated`] otherwise.
     pub pool: Option<Arc<KvPool>>,
-    /// Speculative draft pairing. `None` decodes plainly; with a draft
-    /// (and [`SchedulerConfig::spec_draft`] on), greedy sessions wrap
-    /// their decoder in a [`SpecDecoder`] — identical output bytes, fewer
-    /// target forwards when the draft agrees.
+    /// Speculative draft pairing. `None` decodes plainly; with a draft,
+    /// greedy sessions wrap their decoder in a [`SpecDecoder`] — identical
+    /// output bytes, fewer target forwards when the draft agrees.
     pub draft: Option<SpecDraft>,
 }
 
@@ -260,32 +250,19 @@ impl SessionDecoder {
     fn is_prefilling(&self) -> bool {
         self.target().is_prefilling()
     }
-
-    fn step(&mut self) -> Result<Option<u32>, chipalign_nn::NnError> {
-        match self {
-            SessionDecoder::Plain(d) => d.step(),
-            SessionDecoder::Spec(s) => s.step(),
-        }
-    }
 }
 
 enum TaskState {
     /// Prompt not yet prefilled (prefill happens on a worker, not on the
     /// submitting connection thread).
     Pending(SessionRequest),
-    /// Mid-prefill: part of the prompt window (or a deferred window-slide
-    /// replay) is still outside the KV cache. The session advances one
-    /// bounded chunk per slice and rotates, so other sessions' decode
-    /// slices interleave with a long prompt's prefill.
-    Prefilling {
-        decoder: SessionDecoder,
-        deadline: Option<Instant>,
-    },
-    /// Mid-generation.
-    Running {
-        decoder: SessionDecoder,
-        deadline: Option<Instant>,
-    },
+    /// Mid-prefill or mid-generation; the decoder knows which. While part
+    /// of the prompt window (or a deferred window-slide replay) is outside
+    /// the KV cache, the session advances one bounded chunk per slice and
+    /// rotates, so other sessions' decode slices interleave with a long
+    /// prompt's prefill. Boxed: the decoder is several times the size of
+    /// a pending request, and a queued task is moved on every pop.
+    Live(Box<SessionDecoder>),
     /// Placeholder left behind while a slice borrows the real state. Only
     /// observable after a panic interrupted a slice; decoding a tombstone
     /// is reported as a structured internal error, never a second panic.
@@ -297,6 +274,9 @@ struct Task {
     /// Session label for fault-rule matching (see [`SessionRequest::tag`]).
     #[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
     tag: String,
+    /// Absolute deadline ([`SessionRequest::deadline`]); checked before
+    /// every prefill chunk and decode round.
+    deadline: Option<Instant>,
     produced: Vec<u32>,
     reply: Sender<SessionOutcome>,
     admitted: Instant,
@@ -385,7 +365,6 @@ impl Scheduler {
                 .clamp(1, chipalign_tensor::tune::GEMM_SKINNY_M_MAX),
             prefill_chunk: cfg.prefill_chunk.max(1),
             prefix_cache: cfg.prefix_cache,
-            spec_draft: cfg.spec_draft,
         };
         let inner = Arc::new(Inner {
             cfg: cfg.clone(),
@@ -473,9 +452,11 @@ impl Scheduler {
         inner.metrics.on_admitted(req.prompt.len());
         let (tx, rx) = std::sync::mpsc::channel();
         let tag = req.tag.clone();
+        let deadline = req.deadline;
         let task = Task {
             state: TaskState::Pending(req),
             tag,
+            deadline,
             produced: Vec::new(),
             reply: tx,
             admitted: Instant::now(),
@@ -567,7 +548,7 @@ fn worker_main(inner: &Inner) {
 
 fn worker_loop(inner: &Inner) {
     loop {
-        let mut batch = {
+        let batch = {
             let mut queue = lock_queue(inner);
             loop {
                 // Abort beats a non-empty queue: the worker leaves
@@ -604,42 +585,7 @@ fn worker_loop(inner: &Inner) {
             }
         }
         inner.metrics.on_batch(batch.len());
-        if batch.len() == 1 {
-            if let Some(task) = batch.pop() {
-                run_slice(inner, task);
-            }
-        } else {
-            run_batch_slice(inner, batch);
-        }
-    }
-}
-
-/// Runs one decode slice under a panic guard and routes the outcome:
-/// requeue, completion, structured error, or panic-turned-error.
-fn run_slice(inner: &Inner, mut task: Task) {
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| decode_slice(inner, &mut task)));
-    match outcome {
-        Ok(Ok(SliceStatus::Continue)) => {
-            // Slice exhausted with the session still alive: rotate to the
-            // back of the queue so other sessions get their turn.
-            lock_queue(inner).push_back(task);
-            inner.available.notify_one();
-        }
-        Ok(Ok(SliceStatus::Done(result))) => {
-            inner
-                .metrics
-                .on_completed(result.tokens.len(), result.total_us);
-            finish(inner, task, Ok(result));
-        }
-        Ok(Err(e)) => fail_finish(inner, task, e),
-        Err(payload) => {
-            // The slice panicked. The decoder is gone (its frame unwound),
-            // but the task survived: cancel just this session and keep the
-            // worker serving.
-            inner.metrics.on_worker_panic();
-            let detail = panic_detail(payload.as_ref());
-            finish(inner, task, Err(ServeError::WorkerPanic { detail }));
-        }
+        run_batch_slice(inner, batch);
     }
 }
 
@@ -661,14 +607,13 @@ fn fail_finish(inner: &Inner, task: Task, e: ServeError) {
 struct BatchMember {
     task: Task,
     decoder: SessionDecoder,
-    deadline: Option<Instant>,
     /// `produced.len()` at slice start, for the zero-progress watchdog.
     before: usize,
     /// Whether this slice advanced the member's prefill — progress the
     /// watchdog must credit even though no token was produced.
     prefilled: bool,
     /// Injected stall: sit out every round this slice, then take a
-    /// watchdog tick — exactly like the unbatched stall site.
+    /// watchdog tick.
     stalled: bool,
     end: MemberEnd,
 }
@@ -683,31 +628,34 @@ enum MemberEnd {
     Failed(ServeError),
 }
 
-/// Advances a whole batch of sessions together for one slice.
+/// Advances a batch of sessions — one or more — together for one slice:
+/// at most one bounded prefill chunk per member, then (for members whose
+/// prompt window is cached) up to `slice_tokens` decode rounds. No locks
+/// are held while decoding, so a panic here cannot poison the queue.
 ///
-/// Fault semantics mirror the single-session path *per member*: decoder
-/// resolution and each member's prefill chunk run under per-session panic
-/// guards, so a poisoned session is cancelled alone while its batch-mates
-/// proceed; deadlines are checked before each prefill chunk and swept
-/// between decode rounds; members that end the slice with zero progress
-/// (neither a token nor a prefill chunk) take a watchdog tick. Members
-/// still mid-prefill after their chunk sit out the decode rounds — their
-/// prompts load across slices while batch-mates keep decoding. The one
-/// batch-wide hazard is a panic inside the joint batched step — it cannot
-/// be attributed to a single session and may leave batch-mates mid-token,
-/// so every session that was stepping is cancelled with a structured
-/// `WorkerPanic`.
+/// Fault semantics are *per member*: decoder resolution and each member's
+/// prefill chunk run under per-session panic guards, so a poisoned session
+/// is cancelled alone while its batch-mates proceed; deadlines are checked
+/// before each prefill chunk and swept between decode rounds; members that
+/// end the slice with zero progress (neither a token nor a prefill chunk)
+/// take a watchdog tick. Members still mid-prefill after their chunk sit
+/// out the decode rounds — their prompts load across slices while
+/// batch-mates keep decoding. The one batch-wide hazard is a failure
+/// inside the joint batched step: with more than one member stepping it
+/// cannot be attributed to a single session and may leave batch-mates
+/// mid-token, so every session that was stepping is cancelled with a
+/// structured error. A lone stepper gets its own error.
 fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
     // Phase 1: resolve every member's decoder under its own guard.
     let mut members: Vec<BatchMember> = Vec::with_capacity(batch.len());
     for mut task in batch {
         let resolved = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let pair = take_decoder(inner, &mut task)?;
+            let decoder = take_decoder(inner, &mut task)?;
             #[cfg(feature = "fault-inject")]
             if crate::faults::should_fire(crate::faults::Site::WorkerPanic, &task.tag) {
                 panic!("injected worker panic");
             }
-            Ok(pair)
+            Ok(decoder)
         }));
         match resolved {
             Err(payload) => {
@@ -716,7 +664,7 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
                 finish(inner, task, Err(ServeError::WorkerPanic { detail }));
             }
             Ok(Err(e)) => fail_finish(inner, task, e),
-            Ok(Ok((decoder, deadline))) => {
+            Ok(Ok(decoder)) => {
                 #[cfg(feature = "fault-inject")]
                 let stalled =
                     crate::faults::should_fire(crate::faults::Site::SessionStall, &task.tag);
@@ -726,7 +674,6 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
                 members.push(BatchMember {
                     task,
                     decoder,
-                    deadline,
                     before,
                     prefilled: false,
                     stalled,
@@ -744,7 +691,7 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
         if !matches!(m.end, MemberEnd::Live) || m.stalled || !m.decoder.is_prefilling() {
             continue;
         }
-        if past(m.deadline) {
+        if past(m.task.deadline) {
             m.end = MemberEnd::Failed(deadline_error(m.task.admitted));
             continue;
         }
@@ -771,9 +718,9 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
     // of later rounds — its replay is chunked on subsequent slices like
     // any other prefill.
     for _ in 0..inner.cfg.slice_tokens {
-        // Deadline sweep, mirroring the single-session between-step check.
+        // Deadline sweep between decode rounds.
         for m in &mut members {
-            if matches!(m.end, MemberEnd::Live) && past(m.deadline) {
+            if matches!(m.end, MemberEnd::Live) && past(m.task.deadline) {
                 m.end = MemberEnd::Failed(deadline_error(m.task.admitted));
             }
         }
@@ -828,9 +775,13 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
                 }
                 break;
             }
+            Ok(Err(e)) if stepped.len() == 1 => {
+                members[stepped[0]].end = MemberEnd::Failed(e.into());
+                break;
+            }
             Ok(Err(e)) => {
-                // A structured error from the joint step is also
-                // unattributable: a member may hold a committed but
+                // A structured error from a joint step of several members
+                // is unattributable: a member may hold a committed but
                 // unadvanced token. Cancel everyone who was stepping.
                 let detail = format!("batched decode step failed: {e}");
                 for &i in &stepped {
@@ -880,17 +831,12 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
         let BatchMember {
             mut task,
             decoder,
-            deadline,
             end,
             ..
         } = m;
         match end {
             MemberEnd::Live => {
-                task.state = if decoder.is_prefilling() {
-                    TaskState::Prefilling { decoder, deadline }
-                } else {
-                    TaskState::Running { decoder, deadline }
-                };
+                task.state = TaskState::Live(Box::new(decoder));
                 lock_queue(inner).push_back(task);
                 inner.available.notify_one();
             }
@@ -905,32 +851,19 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
     }
 }
 
-/// What one guarded decode slice did with its session.
-enum SliceStatus {
-    /// Session still alive; requeue it.
-    Continue,
-    /// Session finished with this payload.
-    Done(SessionResult),
-}
-
 /// Takes a task's decoder for one slice. For `Pending` it records the
 /// queue wait, checks the deadline *before doing any prefill work* (a
 /// session that expired in the queue costs nothing), builds an
 /// un-prefilled chunked decoder, and probes the shared-prefix cache —
 /// on a hit the session adopts a forked KV cache and skips that much
-/// prefill. `Prefilling` and `Running` pass through; `Tombstone` is a
-/// structured error. Shared by the single-session and batched slice
-/// paths.
-fn take_decoder(
-    inner: &Inner,
-    task: &mut Task,
-) -> Result<(SessionDecoder, Option<Instant>), ServeError> {
+/// prefill. `Live` passes through; `Tombstone` is a structured error.
+fn take_decoder(inner: &Inner, task: &mut Task) -> Result<SessionDecoder, ServeError> {
     match std::mem::replace(&mut task.state, TaskState::Tombstone) {
         TaskState::Pending(req) => {
             let queue_us = elapsed_us(task.admitted);
             task.queue_us = Some(queue_us);
             inner.metrics.on_first_slice(queue_us);
-            if past(req.deadline) {
+            if past(task.deadline) {
                 return Err(deadline_error(task.admitted));
             }
             let mut decoder = match &req.pool {
@@ -942,7 +875,7 @@ fn take_decoder(
             // Probe the dtype bucket the session will decode at: a
             // `#kv8` session must never adopt an f32 snapshot (or the
             // reverse) even though both resolve to one model allocation.
-            let dtype = req.pool.as_ref().map_or(KvDtype::F32, |p| p.dtype());
+            let dtype = decoder.cache().pool().dtype();
             if let Some((fork, _)) =
                 inner
                     .prefix
@@ -955,7 +888,7 @@ fn take_decoder(
                 }
             }
             let decoder = match &req.draft {
-                Some(draft) if inner.cfg.spec_draft => {
+                Some(draft) => {
                     #[cfg_attr(not(feature = "fault-inject"), allow(unused_mut))]
                     let mut spec = SpecDecoder::new(decoder, &draft.model, draft.k)?;
                     #[cfg(feature = "fault-inject")]
@@ -969,13 +902,11 @@ fn take_decoder(
                     }
                     SessionDecoder::Spec(spec)
                 }
-                _ => SessionDecoder::Plain(decoder),
+                None => SessionDecoder::Plain(decoder),
             };
-            Ok((decoder, req.deadline))
+            Ok(decoder)
         }
-        TaskState::Prefilling { decoder, deadline } | TaskState::Running { decoder, deadline } => {
-            Ok((decoder, deadline))
-        }
+        TaskState::Live(decoder) => Ok(*decoder),
         TaskState::Tombstone => Err(ServeError::Internal {
             detail: "scheduler invariant violated: task rescheduled in tombstone state".to_string(),
         }),
@@ -1027,84 +958,8 @@ fn session_result(task: &mut Task, decoder: &SessionDecoder) -> SessionResult {
     }
 }
 
-/// Advances one session for one slice: at most one bounded prefill chunk,
-/// then (once the prompt window is cached) up to `slice_tokens` decode
-/// steps. Pure with respect to scheduler structures: no locks are held
-/// while decoding, so a panic here cannot poison the queue.
-fn decode_slice(inner: &Inner, task: &mut Task) -> Result<SliceStatus, ServeError> {
-    let (mut decoder, deadline) = take_decoder(inner, task)?;
-
-    #[cfg(feature = "fault-inject")]
-    {
-        if crate::faults::should_fire(crate::faults::Site::WorkerPanic, &task.tag) {
-            panic!("injected worker panic");
-        }
-        if crate::faults::should_fire(crate::faults::Site::SessionStall, &task.tag) {
-            // Simulate a slice that makes no token progress: hand the
-            // decoder back untouched and let the watchdog account for it.
-            task.state = TaskState::Running { decoder, deadline };
-            return watchdog_tick(inner, task);
-        }
-    }
-
-    if decoder.is_prefilling() {
-        // Deadline check before spending any prefill compute, so a
-        // session that expired while queued (or mid-prefill) is cancelled
-        // without paying for another chunk.
-        if past(deadline) {
-            return Err(deadline_error(task.admitted));
-        }
-        run_prefill_chunk(inner, decoder.target_mut())?;
-        if decoder.is_prefilling() {
-            // More prompt to go: rotate so queued sessions get decode
-            // time between this session's chunks. Prefill progress counts
-            // as progress for the stall watchdog.
-            task.state = TaskState::Prefilling { decoder, deadline };
-            task.stalled_slices = 0;
-            return Ok(SliceStatus::Continue);
-        }
-    }
-
-    let before = task.produced.len();
-    for _ in 0..inner.cfg.slice_tokens {
-        if past(deadline) {
-            return Err(deadline_error(task.admitted));
-        }
-        match decoder.step()? {
-            Some(token) => {
-                task.produced.push(token);
-                if decoder.is_prefilling() {
-                    // The step landed on a context-window boundary and
-                    // deferred its slide: replay the window in bounded
-                    // chunks on later slices instead of inline.
-                    break;
-                }
-            }
-            None => {
-                flush_spec_stats(inner, &mut decoder);
-                return Ok(SliceStatus::Done(session_result(task, &decoder)));
-            }
-        }
-    }
-
-    flush_spec_stats(inner, &mut decoder);
-    task.state = if decoder.is_prefilling() {
-        TaskState::Prefilling { decoder, deadline }
-    } else {
-        TaskState::Running { decoder, deadline }
-    };
-    if task.produced.len() == before {
-        // A full slice with zero tokens produced. Impossible for today's
-        // StepDecoder (every step yields or finishes) but load-bearing for
-        // injected stalls and future cooperative decoders.
-        return watchdog_tick(inner, task);
-    }
-    task.stalled_slices = 0;
-    Ok(SliceStatus::Continue)
-}
-
 /// Accounts one zero-progress slice against the session's stall budget.
-fn watchdog_tick(inner: &Inner, task: &mut Task) -> Result<SliceStatus, ServeError> {
+fn watchdog_tick(inner: &Inner, task: &mut Task) -> Result<(), ServeError> {
     task.stalled_slices += 1;
     let limit = inner.cfg.stall_slices;
     if limit > 0 && task.stalled_slices >= limit {
@@ -1112,7 +967,7 @@ fn watchdog_tick(inner: &Inner, task: &mut Task) -> Result<SliceStatus, ServeErr
             slices: task.stalled_slices,
         });
     }
-    Ok(SliceStatus::Continue)
+    Ok(())
 }
 
 /// Releases the admission slot and sends the outcome, exactly once and in
@@ -1204,8 +1059,8 @@ mod tests {
         }
     }
 
-    /// Unbatched config: keeps the pre-batching tests pinned to the exact
-    /// single-session slice path.
+    /// Batches of one: each slice advances a single session, the way the
+    /// pre-batching tests were written.
     fn config(workers: usize, max_sessions: usize, slice_tokens: usize) -> SchedulerConfig {
         SchedulerConfig {
             workers,
@@ -1215,7 +1070,6 @@ mod tests {
             max_batch: 1,
             prefill_chunk: 32,
             prefix_cache: PrefixCacheConfig::default(),
-            spec_draft: true,
         }
     }
 
@@ -1555,6 +1409,37 @@ mod tests {
     }
 
     #[test]
+    fn lone_session_outgrowing_its_pool_keeps_its_own_error() {
+        use chipalign_nn::{KvPool, KvPoolConfig, NnError};
+        let m = model();
+        // Room for the 3-token prompt and one decoded position: the
+        // second decode step needs a fifth block.
+        let pool = KvPool::new(KvPoolConfig {
+            block_tokens: 1,
+            max_blocks: 4,
+            ..KvPoolConfig::default()
+        })
+        .expect("pool");
+        let scheduler = Scheduler::start(config(1, 8, 4), Arc::new(Metrics::new()));
+        let rx = scheduler
+            .submit(SessionRequest {
+                pool: Some(Arc::clone(&pool)),
+                ..request(&m, 8, None)
+            })
+            .expect("admit");
+        // A batch of one owns its step's error: the structured pool error
+        // (overloaded wire class, so clients back off), not the
+        // unattributable-joint-step `Internal`.
+        match rx.recv().expect("outcome") {
+            Err(e @ ServeError::Nn(NnError::PoolExhausted { .. })) => {
+                assert_eq!(e.code(), crate::protocol::ErrorCode::Overloaded);
+            }
+            other => panic!("expected mid-decode pool exhaustion, got {other:?}"),
+        }
+        scheduler.join();
+    }
+
+    #[test]
     fn shutdown_drains_in_flight_sessions_and_rejects_new_ones() {
         let m = model();
         let scheduler = Scheduler::start(config(2, 8, 2), Arc::new(Metrics::new()));
@@ -1707,26 +1592,6 @@ mod tests {
             "an identical draft is always accepted"
         );
         assert_eq!(snap.spec_fallbacks, 0);
-        scheduler.join();
-    }
-
-    #[test]
-    fn spec_draft_kill_switch_ignores_the_pairing() {
-        let m = model();
-        let metrics = Arc::new(Metrics::new());
-        let mut cfg = config(1, 4, 4);
-        cfg.spec_draft = false;
-        let scheduler = Scheduler::start(cfg, Arc::clone(&metrics));
-        let rx = scheduler.submit(drafted(&m, &m, 4, 16)).expect("admit");
-        let result = rx.recv().expect("outcome").expect("ok");
-        let reference = chipalign_nn::generate::generate(&m, &[5, 6, 7], &greedy(16)).expect("ok");
-        assert_eq!(result.tokens, reference);
-        let snap = metrics.snapshot();
-        assert_eq!(
-            snap.draft_tokens_proposed, 0,
-            "the kill switch must prevent any speculation"
-        );
-        assert_eq!(snap.accepted_draft_tokens, 0);
         scheduler.join();
     }
 

@@ -36,7 +36,7 @@ fn greedy(max_new_tokens: usize) -> GenerateConfig {
 /// One session in a random schedule: its budget, prompt, whether the
 /// submitting thread first waits for an *earlier* session to complete —
 /// which is what interleaves admissions with completions — and whether it
-/// decodes on the shared paged KV pool instead of a contiguous cache.
+/// decodes on the shared paged KV pool instead of a private one.
 #[derive(Debug, Clone)]
 struct Job {
     budget: usize,
@@ -155,8 +155,8 @@ fn mixed_dtype_sessions_coexist_without_cross_talk() {
     for mut rng in cases(2, CASES) {
         // f32-paged and int8-paged sessions share one scheduler, and the
         // int8 ones share one pool; each transcript must match a fresh
-        // single-threaded decode *at the same dtype*, bitwise. f32 paged
-        // decode is bit-identical to contiguous, so `generate()` is its
+        // single-threaded decode *at the same dtype*, bitwise. f32 decode
+        // is bit-identical at every block size, so `generate()` is its
         // reference; each int8 session replays through a private int8
         // pool (block seals are positional, so chunked scheduler prefill
         // and sliced decode quantize identically to the sequential run).

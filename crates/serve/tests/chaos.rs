@@ -39,8 +39,8 @@ fn smoke_zoo(seed: u64) -> Zoo {
 fn server_config(workers: usize, stall_slices: u64) -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        // max_batch 1 pins the single-session slice path; batched fault
-        // isolation has its own test below.
+        // max_batch 1: every slice is a batch of one session; batched
+        // fault isolation across batch-mates has its own test below.
         scheduler: SchedulerConfig {
             workers,
             max_sessions: 16,

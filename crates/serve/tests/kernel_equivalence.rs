@@ -338,8 +338,9 @@ fn batched_transcripts_identical_across_max_batch_sweep() {
     }
 }
 
-/// The paged-pool pin: a decoder on block-based KV storage produces the
-/// same bytes as the contiguous path and a single-threaded `generate()`,
+/// The shared-pool pin: a decoder on 4-token blocks of a shared pool
+/// produces the same bytes as a single-threaded `generate()` on its
+/// private one-token pool,
 /// through the context-window slide (reset + chunked replay on paged
 /// storage), and returns every block to the pool when it dies.
 #[test]
@@ -359,10 +360,10 @@ fn pooled_decoder_transcripts_identical_through_window_slide() {
         stop_at_eos: false,
         ..GenerateConfig::default()
     };
-    let expected = generate(&model, &ids, &cfg).expect("contiguous reference");
+    let expected = generate(&model, &ids, &cfg).expect("private-pool reference");
 
     let mut decoder = StepDecoder::new_chunked_pooled(&model, &ids, &cfg, &pool).expect("pooled");
-    assert!(decoder.cache().is_paged());
+    assert!(Arc::ptr_eq(decoder.cache().pool(), &pool));
     let mut got = Vec::with_capacity(cfg.max_new_tokens);
     while let Some(t) = decoder.step().expect("step") {
         got.push(t);
@@ -879,8 +880,8 @@ fn speculative_quantized_targets_match_their_plain_served_counterparts() {
     //
     // Guaranteed acceptance needs a draft whose logits are bit-identical
     // to the target's: `pinned#int8` drafting for `pinned#int8` qualifies
-    // (same quantized weights; the target's paged f32 KV equals the
-    // draft's contiguous f32 KV bitwise). A `#kv8` target attends over
+    // (same quantized weights; the target's shared-pool f32 KV equals
+    // the draft's private-pool f32 KV bitwise). A `#kv8` target attends over
     // int8 KV while every draft runs f32 KV, so acceptance there is
     // likely but not provable — those jobs pin byte-identity only.
     let jobs: &[(&str, &str, &str, usize, bool)] = &[

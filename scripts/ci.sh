@@ -73,6 +73,14 @@ for src in src crates/*/src; do
 done
 
 cargo build --release --offline --locked
+# One example end to end: the only leg that drives a real `Server` and the
+# default batched scheduler from outside the test harness.
+demo="$(cargo run --release --offline --example serve_demo)"
+printf '%s\n' "$demo"
+if ! grep -q '^served 4 generations' <<<"$demo"; then
+  echo "ci: examples/serve_demo did not print 'served 4 generations'" >&2
+  exit 1
+fi
 cargo test -q
 cargo test -q --workspace
 # Once more on one core: `available_parallelism()` is then 1, so
