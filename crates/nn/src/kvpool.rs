@@ -31,7 +31,7 @@
 //! trigger depends only on the token position, so chunked prefill, batched
 //! decode, and one-shot prefill all quantize the exact same rows at the
 //! exact same moment. Sealed blocks are immutable; the one way back is
-//! [`KvPool::alloc_block_unsealed`], used when a fork lands mid-way into a
+//! `KvPool::alloc_block_unsealed`, used when a fork lands mid-way into a
 //! sealed block and the adopting session must regrow an `f32` tail from
 //! the dequantized prefix.
 //!
@@ -39,7 +39,7 @@
 //! own heap buffers, and the pool tracks how many are alive against a
 //! configured capacity so the serving layer can admit sessions by free
 //! blocks and reject with a structured overload error instead of dying
-//! mid-prefill. A [`BlockPermit`] drop guard inside every block returns
+//! mid-prefill. A `BlockPermit` drop guard inside every block returns
 //! its slot (and its resident bytes, kept current across sealing) when the
 //! last [`Arc`] clone is dropped.
 

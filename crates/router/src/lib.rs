@@ -44,7 +44,7 @@ pub mod ring;
 pub mod router;
 pub mod server;
 
-pub use metrics::{RouterMetrics, RouterMetricsSnapshot};
+pub use metrics::{RouterCounter, RouterMetrics, RouterMetricsSnapshot};
 pub use ring::{affinity_key, HashRing};
 pub use router::{Router, RouterConfig, RoutingMode};
 pub use server::RouterServer;

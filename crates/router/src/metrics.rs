@@ -1,35 +1,47 @@
 //! Router-side counters: routing decisions, failovers, spills, probes.
 //!
 //! Same discipline as `serve::metrics`: relaxed atomics, no locks on the
-//! request path. These count *routing* events; per-replica serving metrics
-//! stay on the replicas and are aggregated over the wire with
-//! [`chipalign_serve::MetricsSnapshot::absorb`].
+//! request path, and one [`chipalign_serve::counter_table!`] row per counter
+//! (adding one is adding a row). These count *routing* events; per-replica
+//! serving metrics stay on the replicas and are aggregated over the wire
+//! with [`chipalign_serve::MetricsSnapshot::absorb`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use chipalign_model::json_struct;
+chipalign_serve::counter_table! {
+    /// A router counter: one atomic slot in [`RouterMetrics`] and one field
+    /// of [`RouterMetricsSnapshot`].
+    pub enum RouterCounter;
+
+    /// Serializable view of [`RouterMetrics`].
+    #[derive(Debug, Clone, Default)]
+    pub struct RouterMetricsSnapshot {}
+
+    /// Generate requests the router accepted for routing.
+    Routed => routed,
+    /// Requests answered by their first-choice (affinity) replica.
+    PrimaryHits => primary_hits,
+    /// Attempts moved to another replica after a transport fault or
+    /// retryable verdict.
+    Failovers => failovers,
+    /// Attempts moved because a replica reported `overloaded`; a subset of
+    /// `failovers`.
+    Spills => spills,
+    /// Requests that exhausted every candidate and returned an error.
+    Exhausted => exhausted,
+    /// Health probes that failed.
+    ProbeFailures => probe_failures,
+    /// Replica state transitions into `Down`.
+    MarksDown => marks_down,
+    /// Replica state transitions into `Degraded`.
+    MarksDegraded => marks_degraded,
+}
 
 /// Lock-free router counters.
 #[derive(Debug, Default)]
 pub struct RouterMetrics {
-    /// Generate requests the router accepted for routing.
-    routed: AtomicU64,
-    /// Requests answered by their first-choice (affinity) replica.
-    primary_hits: AtomicU64,
-    /// Attempts moved to another replica after a transport fault or
-    /// retryable verdict.
-    failovers: AtomicU64,
-    /// Attempts moved because a replica reported `overloaded`; a subset of
-    /// the work `failovers` also counts.
-    spills: AtomicU64,
-    /// Requests that exhausted every candidate and returned an error.
-    exhausted: AtomicU64,
-    /// Health probes that failed.
-    probe_failures: AtomicU64,
-    /// Replica state transitions into `Down`.
-    marks_down: AtomicU64,
-    /// Replica state transitions into `Degraded`.
-    marks_degraded: AtomicU64,
+    /// One slot per [`RouterCounter`], in table order.
+    counters: [AtomicU64; RouterCounter::ALL.len()],
 }
 
 impl RouterMetrics {
@@ -39,112 +51,82 @@ impl RouterMetrics {
         RouterMetrics::default()
     }
 
-    /// Records a request accepted for routing.
-    pub fn on_routed(&self) {
-        self.routed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a request answered by its affinity home.
-    pub fn on_primary_hit(&self) {
-        self.primary_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an attempt moved to the next ring candidate.
-    pub fn on_failover(&self) {
-        self.failovers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an overload spill (also a failover).
-    pub fn on_spill(&self) {
-        self.spills.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a request that ran out of candidates.
-    pub fn on_exhausted(&self) {
-        self.exhausted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a failed health probe.
-    pub fn on_probe_failure(&self) {
-        self.probe_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a replica transitioning into `Down`.
-    pub fn on_mark_down(&self) {
-        self.marks_down.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a replica transitioning into `Degraded`.
-    pub fn on_mark_degraded(&self) {
-        self.marks_degraded.fetch_add(1, Ordering::Relaxed);
+    /// Adds `n` to counter `c`.
+    pub fn add(&self, c: RouterCounter, n: u64) {
+        self.counters[c as usize].fetch_add(n, Ordering::Relaxed);
     }
 
     /// A point-in-time view.
     #[must_use]
     pub fn snapshot(&self) -> RouterMetricsSnapshot {
-        RouterMetricsSnapshot {
-            routed: self.routed.load(Ordering::Relaxed),
-            primary_hits: self.primary_hits.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            spills: self.spills.load(Ordering::Relaxed),
-            exhausted: self.exhausted.load(Ordering::Relaxed),
-            probe_failures: self.probe_failures.load(Ordering::Relaxed),
-            marks_down: self.marks_down.load(Ordering::Relaxed),
-            marks_degraded: self.marks_degraded.load(Ordering::Relaxed),
+        let mut snap = RouterMetricsSnapshot::default();
+        for (&c, slot) in RouterCounter::ALL.iter().zip(&self.counters) {
+            *snap.counter_mut(c) = slot.load(Ordering::Relaxed);
         }
-    }
-}
-
-json_struct! {
-    /// Serializable view of [`RouterMetrics`].
-    #[derive(Debug, Clone, Default)]
-    pub struct RouterMetricsSnapshot {
-        /// Generate requests accepted for routing.
-        pub routed: u64,
-        /// Requests answered by their affinity home.
-        pub primary_hits: u64,
-        /// Attempts moved to another replica.
-        pub failovers: u64,
-        /// Overload spills (subset of failovers).
-        pub spills: u64,
-        /// Requests that exhausted every candidate.
-        pub exhausted: u64,
-        /// Failed health probes.
-        pub probe_failures: u64,
-        /// Transitions into `Down`.
-        pub marks_down: u64,
-        /// Transitions into `Degraded`.
-        pub marks_degraded: u64,
+        snap
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chipalign_model::json::{self, FromJson, ToJson};
+
+    /// The wire shape: every key of a snapshot, and whether a snapshot
+    /// missing it is refused (`true`) or decodes it as its default.
+    const WIRE: &[(&str, bool)] = &[
+        ("routed", true),
+        ("primary_hits", true),
+        ("failovers", true),
+        ("spills", true),
+        ("exhausted", true),
+        ("probe_failures", true),
+        ("marks_down", true),
+        ("marks_degraded", true),
+    ];
 
     #[test]
-    fn counters_flow_into_snapshot_independently() {
-        let m = RouterMetrics::new();
-        m.on_routed();
-        m.on_routed();
-        m.on_primary_hit();
-        m.on_failover();
-        m.on_spill();
-        m.on_exhausted();
-        m.on_probe_failure();
-        m.on_mark_down();
-        m.on_mark_degraded();
-        let s = m.snapshot();
-        assert_eq!(s.routed, 2);
-        assert_eq!(s.primary_hits, 1);
-        assert_eq!(s.failovers, 1);
-        assert_eq!(s.spills, 1);
-        assert_eq!(s.exhausted, 1);
-        assert_eq!(s.probe_failures, 1);
-        assert_eq!(s.marks_down, 1);
-        assert_eq!(s.marks_degraded, 1);
-        let json = chipalign_model::json::to_string(&s);
-        let back: RouterMetricsSnapshot = chipalign_model::json::from_str(&json).expect("parse");
-        assert_eq!(back.routed, 2);
+    fn wire_shape_is_pinned() {
+        let default = RouterMetricsSnapshot::default().to_json();
+        let json::Value::Object(members) = &default else {
+            panic!("a snapshot encodes as an object");
+        };
+        let mut keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        let mut pinned: Vec<&str> = WIRE.iter().map(|&(k, _)| k).collect();
+        keys.sort_unstable();
+        pinned.sort_unstable();
+        assert_eq!(keys, pinned, "the snapshot's key set moved");
+        for &(key, required) in WIRE {
+            let rest = members.iter().filter(|(k, _)| k != key).cloned().collect();
+            match RouterMetricsSnapshot::from_json(&json::Value::Object(rest)) {
+                Err(_) => assert!(required, "{key} must decode as its default when absent"),
+                Ok(back) => {
+                    assert!(!required, "a snapshot without {key} must be refused");
+                    assert_eq!(back.to_json(), default, "{key} decodes as its default");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_counter_moves_alone_survives_the_wire_and_accumulates() {
+        let quiet = RouterMetrics::new().snapshot();
+        for (i, &c) in RouterCounter::ALL.iter().enumerate() {
+            let n = 1_000 + 37 * i as u64;
+            let m = RouterMetrics::new();
+            m.add(c, n);
+            let snap = m.snapshot();
+            for &other in RouterCounter::ALL {
+                let expected = if other == c { n } else { quiet.counter(other) };
+                assert_eq!(snap.counter(other), expected, "{c:?} moved {other:?}");
+            }
+            let back: RouterMetricsSnapshot =
+                json::from_str(&json::to_string(&snap)).expect("parse");
+            assert_eq!(back.counter(c), n, "{c:?} over the wire");
+            for k in 2..=3 {
+                m.add(c, k * n);
+            }
+            assert_eq!(m.snapshot().counter(c), 6 * n, "{c:?} accumulates");
+        }
     }
 }

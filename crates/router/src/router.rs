@@ -27,7 +27,7 @@ use chipalign_serve::{
 };
 use chipalign_tensor::rng::Pcg32;
 
-use crate::metrics::RouterMetrics;
+use crate::metrics::{RouterCounter, RouterMetrics};
 use crate::ring::{affinity_key, HashRing};
 
 /// How candidate replicas are ordered for a request.
@@ -272,11 +272,11 @@ impl Router {
             }
             if r.consecutive_failures >= self.cfg.down_after {
                 if r.state != ReplicaHealth::Down {
-                    self.metrics.on_mark_down();
+                    self.metrics.add(RouterCounter::MarksDown, 1);
                 }
                 r.state = ReplicaHealth::Down;
             } else if r.state == ReplicaHealth::Healthy {
-                self.metrics.on_mark_degraded();
+                self.metrics.add(RouterCounter::MarksDegraded, 1);
                 r.state = ReplicaHealth::Degraded;
             }
         }
@@ -289,7 +289,7 @@ impl Router {
         let mut fleet = self.fleet();
         if let Some(r) = fleet.replicas.get_mut(index) {
             if r.state == ReplicaHealth::Healthy {
-                self.metrics.on_mark_degraded();
+                self.metrics.add(RouterCounter::MarksDegraded, 1);
                 r.state = ReplicaHealth::Degraded;
             }
         }
@@ -311,10 +311,10 @@ impl Router {
     /// Returns the last attempt's error once every candidate (or the
     /// attempt budget) is exhausted, or the fatal verdict immediately.
     pub fn generate(&self, req: &GenerateRequest) -> Result<Generation, ServeError> {
-        self.metrics.on_routed();
+        self.metrics.add(RouterCounter::Routed, 1);
         let candidates = self.candidates(req);
         if candidates.is_empty() {
-            self.metrics.on_exhausted();
+            self.metrics.add(RouterCounter::Exhausted, 1);
             return Err(ServeError::ShuttingDown);
         }
         let budget = (self.cfg.failover.max_attempts.max(1) as usize).min(candidates.len());
@@ -326,13 +326,13 @@ impl Router {
                     self.cfg.failover.delay(attempt as u32, &mut rng)
                 };
                 std::thread::sleep(delay);
-                self.metrics.on_failover();
+                self.metrics.add(RouterCounter::Failovers, 1);
             }
             match self.try_replica(&candidate, req, attempt as u32) {
                 Ok(generation) => {
                     self.record_success(candidate.index);
                     if attempt == 0 {
-                        self.metrics.on_primary_hit();
+                        self.metrics.add(RouterCounter::PrimaryHits, 1);
                     }
                     return Ok(generation);
                 }
@@ -340,7 +340,7 @@ impl Router {
                     match classify(&e) {
                         AttemptVerdict::Fatal => return Err(e),
                         AttemptVerdict::Spill => {
-                            self.metrics.on_spill();
+                            self.metrics.add(RouterCounter::Spills, 1);
                             self.mark_degraded(candidate.index);
                         }
                         AttemptVerdict::Transport => self.record_failure(candidate.index),
@@ -350,7 +350,7 @@ impl Router {
                 }
             }
         }
-        self.metrics.on_exhausted();
+        self.metrics.add(RouterCounter::Exhausted, 1);
         Err(last_err.unwrap_or(ServeError::ShuttingDown))
     }
 
@@ -397,7 +397,7 @@ impl Router {
             match self.probe(&addr) {
                 Ok(()) => self.record_success(index),
                 Err(_) => {
-                    self.metrics.on_probe_failure();
+                    self.metrics.add(RouterCounter::ProbeFailures, 1);
                     self.record_failure(index);
                 }
             }

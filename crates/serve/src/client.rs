@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use chipalign_tensor::rng::Pcg32;
 
-use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::metrics::{Counter, Metrics, MetricsSnapshot};
 use crate::protocol::{
     self, ErrorCode, GenerateRequest, Generation, LineReader, LoadedModel, ReplicaStatus, Request,
     Response,
@@ -402,7 +402,7 @@ impl Retrier {
                     attempt += 1;
                     self.streak = self.streak.saturating_add(1);
                     if let Some(m) = &self.metrics {
-                        m.on_retry_attempted();
+                        m.add(Counter::RetriesAttempted, 1);
                     }
                     (self.sleeper)(policy.delay(self.streak, &mut self.rng));
                 }

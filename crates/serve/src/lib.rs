@@ -77,7 +77,7 @@ pub mod server;
 
 pub use client::{Client, Retrier, RetryPolicy};
 pub use error::ServeError;
-pub use metrics::{KvPoolDtypeGauges, Metrics, MetricsSnapshot};
+pub use metrics::{Counter, Hist, KvPoolDtypeGauges, Metrics, MetricsSnapshot};
 pub use prefix::{PrefixCache, PrefixCacheConfig};
 pub use protocol::{
     ErrorCode, FinishReason, GenerateRequest, Generation, LoadedModel, ReplicaHealth,

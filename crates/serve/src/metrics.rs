@@ -6,12 +6,18 @@
 //! recording O(1) and percentile queries a 48-element scan. Quantiles are
 //! therefore upper bounds with at most 2× resolution — good enough to spot
 //! regressions; the load generator computes exact percentiles client-side.
+//!
+//! Adding a counter is adding one row to the table below; its [`Counter`]
+//! variant, slot, wire field, snapshot and fleet [`MetricsSnapshot::absorb`]
+//! follow. Call sites name it: `metrics.add(Counter::WorkerPanics, 1)`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
-use chipalign_model::json_struct;
+// Re-exported so `counter_table!` expands in crates that do not name it.
+#[doc(hidden)]
+pub use chipalign_model::json_struct;
 use chipalign_nn::KvPool;
 
 /// Number of power-of-two buckets: covers 1 µs .. ~2^47 µs (~4 years).
@@ -22,518 +28,73 @@ const BUCKETS: usize = 48;
 /// last slot (the scheduler's `max_batch` rarely exceeds it in practice).
 const BATCH_BUCKETS: usize = 17;
 
-/// A lock-free power-of-two latency histogram over microseconds.
-#[derive(Debug)]
-pub struct Histogram {
-    counts: [AtomicU64; BUCKETS],
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
+/// Declares a counter table. Each row is a doc comment, `Variant =>
+/// wire_field`, and an optional `= default` for snapshots from servers that
+/// predate it (without one the field is required). The rows generate the
+/// counter enum (`ALL` in row order, so a slot index is `c as usize`) and,
+/// after the hand-written fields in braces, one `u64` snapshot field each,
+/// reached by `counter` / `counter_mut`.
+#[macro_export]
+macro_rules! counter_table {
+    (
+        $(#[$emeta:meta])*
+        $evis:vis enum $counter:ident;
+        $(#[$smeta:meta])*
+        $svis:vis struct $snap:ident { $($extra:tt)* }
+        $( $(#[$doc:meta])* $variant:ident => $field:ident $(= $default:expr)? ),* $(,)?
+    ) => {
+        $(#[$emeta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        $evis enum $counter {
+            $( $(#[$doc])* $variant, )*
         }
-    }
-}
 
-impl Histogram {
-    /// Records one observation in microseconds.
-    pub fn record(&self, us: u64) {
-        let bucket = (63 - us.max(1).leading_zeros() as usize).min(BUCKETS - 1);
-        self.counts[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total number of observations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-
-    /// The `p`-quantile (`0 < p <= 1`) as an upper bound in microseconds,
-    /// or 0 when the histogram is empty.
-    #[must_use]
-    pub fn quantile_upper_us(&self, p: f64) -> u64 {
-        quantile_upper_us_from(&self.bucket_counts(), p)
-    }
-
-    /// The raw per-bucket counts (always [`BUCKETS`] entries). Bucket `i`
-    /// covers `[2^i, 2^(i+1))` microseconds. Snapshots carry these so
-    /// fleet-level aggregation can sum histograms and recompute quantiles
-    /// instead of averaging per-replica percentiles (which is meaningless).
-    #[must_use]
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-}
-
-/// The `p`-quantile upper bound in microseconds over raw power-of-two
-/// bucket counts (as produced by [`Histogram::bucket_counts`]), or 0 when
-/// the counts are empty. Used to recompute fleet-wide quantiles after
-/// [`MetricsSnapshot::absorb`] has summed per-replica buckets.
-#[must_use]
-pub fn quantile_upper_us_from(counts: &[u64], p: f64) -> u64 {
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return 0;
-    }
-    let target = ((p.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-    let mut seen = 0u64;
-    for (i, c) in counts.iter().enumerate() {
-        seen += c;
-        if seen >= target {
-            // Upper edge of bucket i: 2^(i+1) - 1 µs. A newer-protocol
-            // replica may ship more than 64 buckets through
-            // `absorb_buckets`; clamp the shift instead of overflowing
-            // (which panics in debug builds) so fleet aggregation stays
-            // forward-compatible.
-            return if i >= 63 {
-                u64::MAX
-            } else {
-                (1u64 << (i + 1)) - 1
-            };
+        impl $counter {
+            /// Every counter, in table order.
+            pub const ALL: &'static [$counter] = &[$($counter::$variant),*];
         }
-    }
-    (1u64 << BUCKETS) - 1
-}
 
-/// Counters and histograms for one server instance.
-#[derive(Debug)]
-pub struct Metrics {
-    started: Instant,
-    /// Admission attempts (accepted or not).
-    requests: AtomicU64,
-    /// Sessions that finished and returned a generation.
-    completed: AtomicU64,
-    /// Admission-control rejections.
-    rejected_overload: AtomicU64,
-    /// Sessions rejected because the server was draining.
-    rejected_shutdown: AtomicU64,
-    /// Sessions that died on a decode error.
-    failed: AtomicU64,
-    /// Sessions that hit their deadline.
-    deadline_exceeded: AtomicU64,
-    /// Decode slices that panicked (session cancelled, worker survived).
-    worker_panics: AtomicU64,
-    /// Sessions cancelled by the stall watchdog.
-    watchdog_cancels: AtomicU64,
-    /// Checkpoint loads rejected for checksum/corruption/non-finite data.
-    checksum_failures: AtomicU64,
-    /// Generate requests that arrived flagged as client retries.
-    retries_attempted: AtomicU64,
-    /// Worker threads that died and re-entered their loop.
-    workers_respawned: AtomicU64,
-    /// Slices that advanced two or more sessions through one batched step.
-    batched_slices: AtomicU64,
-    /// How many sessions each dequeued slice advanced (index = batch size,
-    /// `>= 16` folded into the last bucket).
-    batch_occupancy: [AtomicU64; BATCH_BUCKETS],
-    /// New tokens produced by completed sessions.
-    tokens_out: AtomicU64,
-    /// Prompt tokens consumed by admitted sessions.
-    prompt_tokens: AtomicU64,
-    /// Sessions seeded from the shared-prefix cache.
-    prefix_hits: AtomicU64,
-    /// Prompt tokens whose prefill was skipped thanks to a prefix hit.
-    prefix_tokens_reused: AtomicU64,
-    /// Prefill chunks processed by the scheduler (initial prompt slices
-    /// and window-slide replays alike).
-    prefill_chunks: AtomicU64,
-    /// Draft tokens proposed by speculative-decoding rounds.
-    draft_tokens_proposed: AtomicU64,
-    /// Draft tokens the target model verified and accepted.
-    accepted_draft_tokens: AtomicU64,
-    /// Speculative rounds abandoned for plain decode (draft panic or a
-    /// draft-side decode error); the session itself continues.
-    spec_fallbacks: AtomicU64,
-    /// Merged models evicted from the registry's LRU cache.
-    merge_evictions: AtomicU64,
-    /// Prefix-cache snapshots evicted under KV-pool pressure (admission
-    /// reclaiming blocks for a live session).
-    pool_evictions: AtomicU64,
-    /// Total weight bytes of every model in the registry cache at its
-    /// decode dtype (int8 models count their quantized footprint). A
-    /// gauge, not a counter: the registry recomputes it on every insert
-    /// and evict.
-    weights_bytes: AtomicU64,
-    /// Paged KV pools whose gauges are summed into snapshots. Weak so the
-    /// metrics core never keeps a dead model's pool alive; dead entries
-    /// are pruned on registration and at snapshot time.
-    kv_pools: Mutex<Vec<Weak<KvPool>>>,
-    /// Admission-to-completion latency.
-    latency: Histogram,
-    /// Admission-to-first-decode-slice wait.
-    queue_wait: Histogram,
-    /// Per-chunk prefill compute time.
-    prefill: Histogram,
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics {
-            started: Instant::now(),
-            requests: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            rejected_overload: AtomicU64::new(0),
-            rejected_shutdown: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            worker_panics: AtomicU64::new(0),
-            watchdog_cancels: AtomicU64::new(0),
-            checksum_failures: AtomicU64::new(0),
-            retries_attempted: AtomicU64::new(0),
-            workers_respawned: AtomicU64::new(0),
-            batched_slices: AtomicU64::new(0),
-            batch_occupancy: std::array::from_fn(|_| AtomicU64::new(0)),
-            tokens_out: AtomicU64::new(0),
-            prompt_tokens: AtomicU64::new(0),
-            prefix_hits: AtomicU64::new(0),
-            prefix_tokens_reused: AtomicU64::new(0),
-            prefill_chunks: AtomicU64::new(0),
-            draft_tokens_proposed: AtomicU64::new(0),
-            accepted_draft_tokens: AtomicU64::new(0),
-            spec_fallbacks: AtomicU64::new(0),
-            merge_evictions: AtomicU64::new(0),
-            pool_evictions: AtomicU64::new(0),
-            weights_bytes: AtomicU64::new(0),
-            kv_pools: Mutex::new(Vec::new()),
-            latency: Histogram::default(),
-            queue_wait: Histogram::default(),
-            prefill: Histogram::default(),
+        $crate::metrics::json_struct! {
+            $(#[$smeta])*
+            $svis struct $snap {
+                $($extra)*
+                $( $(#[$doc])* pub $field: u64 $(= $default)?, )*
+            }
         }
-    }
-}
 
-impl Metrics {
-    /// Creates a fresh metrics core anchored at "now".
-    #[must_use]
-    pub fn new() -> Self {
-        Metrics::default()
-    }
-
-    /// Records an admission attempt.
-    pub fn on_request(&self) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an admission-control rejection.
-    pub fn on_rejected_overload(&self) {
-        self.rejected_overload.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a rejection because the server is draining.
-    pub fn on_rejected_shutdown(&self) {
-        self.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records the prompt size of an admitted session.
-    pub fn on_admitted(&self, prompt_tokens: usize) {
-        self.prompt_tokens
-            .fetch_add(prompt_tokens as u64, Ordering::Relaxed);
-    }
-
-    /// Records the queue wait of a session reaching its first decode slice.
-    pub fn on_first_slice(&self, queue_us: u64) {
-        self.queue_wait.record(queue_us);
-    }
-
-    /// Records a successful completion.
-    pub fn on_completed(&self, tokens: usize, latency_us: u64) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.tokens_out.fetch_add(tokens as u64, Ordering::Relaxed);
-        self.latency.record(latency_us);
-    }
-
-    /// Records a session that hit its deadline.
-    pub fn on_deadline_exceeded(&self) {
-        self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a session that failed with a decode error.
-    pub fn on_failed(&self) {
-        self.failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a decode slice cancelled by a caught panic.
-    pub fn on_worker_panic(&self) {
-        self.worker_panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a session cancelled by the stall watchdog.
-    pub fn on_watchdog_cancel(&self) {
-        self.watchdog_cancels.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a checkpoint rejected at load for checksum, corruption, or
-    /// non-finite weights.
-    pub fn on_checksum_failure(&self) {
-        self.checksum_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an incoming generate request that a client flagged as a
-    /// retry of an earlier attempt.
-    pub fn on_retry_attempted(&self) {
-        self.retries_attempted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a worker thread dying and re-entering its loop.
-    pub fn on_worker_respawned(&self) {
-        self.workers_respawned.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a session seeded from the shared-prefix cache with
-    /// `tokens_reused` already-prefilled positions.
-    pub fn on_prefix_hit(&self, tokens_reused: usize) {
-        self.prefix_hits.fetch_add(1, Ordering::Relaxed);
-        self.prefix_tokens_reused
-            .fetch_add(tokens_reused as u64, Ordering::Relaxed);
-    }
-
-    /// Records one prefill chunk and its compute time.
-    pub fn on_prefill_chunk(&self, us: u64) {
-        self.prefill_chunks.fetch_add(1, Ordering::Relaxed);
-        self.prefill.record(us);
-    }
-
-    /// Records the outcome of speculative-decoding rounds: `proposed` draft
-    /// tokens offered to the target, of which `accepted` survived
-    /// verification. The acceptance rate is derived at read time
-    /// (`accepted_draft_tokens / draft_tokens_proposed`), never stored, so
-    /// fleet `absorb` can sum both counters exactly.
-    pub fn on_spec_round(&self, proposed: u64, accepted: u64) {
-        self.draft_tokens_proposed
-            .fetch_add(proposed, Ordering::Relaxed);
-        self.accepted_draft_tokens
-            .fetch_add(accepted, Ordering::Relaxed);
-    }
-
-    /// Records speculative rounds degraded to plain decode (a panicking or
-    /// erroring draft cancels only speculation, never the session).
-    pub fn on_spec_fallback(&self, n: u64) {
-        self.spec_fallbacks.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records a merged model evicted from the registry's LRU cache.
-    pub fn on_merge_eviction(&self) {
-        self.merge_evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a prefix-cache snapshot evicted to reclaim KV blocks for a
-    /// session being admitted.
-    pub fn on_pool_eviction(&self) {
-        self.pool_evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Sets the resident-weights gauge (total bytes across every cached
-    /// model at its decode dtype). Called by the registry with a freshly
-    /// recomputed total, so this stores rather than accumulates.
-    pub fn set_weights_bytes(&self, bytes: u64) {
-        self.weights_bytes.store(bytes, Ordering::Relaxed);
-    }
-
-    /// Registers a paged KV pool so its block gauges flow into snapshots.
-    /// Idempotent per pool; holds only a weak reference, so a pool dies
-    /// with its model and silently leaves the gauges.
-    pub fn register_kv_pool(&self, pool: &Arc<KvPool>) {
-        let mut pools = self.kv_pools.lock().expect("kv pool list poisoned");
-        pools.retain(|w| w.strong_count() > 0);
-        if !pools
-            .iter()
-            .any(|w| std::ptr::eq(w.as_ptr(), Arc::as_ptr(pool)))
-        {
-            pools.push(Arc::downgrade(pool));
-        }
-    }
-
-    /// Sums the block, byte, and CoW gauges across live registered pools
-    /// (pruning dead ones), both in total and sliced per KV dtype.
-    fn pool_gauges(&self) -> PoolGauges {
-        let mut pools = self.kv_pools.lock().expect("kv pool list poisoned");
-        pools.retain(|w| w.strong_count() > 0);
-        let mut g = PoolGauges::default();
-        for pool in pools.iter().filter_map(Weak::upgrade) {
-            let in_use = pool.blocks_in_use() as u64;
-            let free = pool.blocks_free() as u64;
-            let bytes = pool.bytes_in_use() as u64;
-            g.in_use += in_use;
-            g.free += free;
-            g.bytes += bytes;
-            g.cow += pool.cow_copies();
-            let dtype = pool.dtype().name();
-            let row = match g.by_dtype.iter_mut().find(|r| r.dtype == dtype) {
-                Some(row) => row,
-                None => {
-                    g.by_dtype.push(KvPoolDtypeGauges {
-                        dtype: dtype.to_string(),
-                        ..KvPoolDtypeGauges::default()
-                    });
-                    g.by_dtype.last_mut().expect("just pushed")
+        impl $snap {
+            /// The field of counter `c`.
+            #[must_use]
+            pub fn counter(&self, c: $counter) -> u64 {
+                match c {
+                    $( $counter::$variant => self.$field, )*
                 }
-            };
-            row.blocks_in_use += in_use;
-            row.blocks_free += free;
-            row.bytes_in_use += bytes;
-        }
-        g.by_dtype.sort_by(|a, b| a.dtype.cmp(&b.dtype));
-        g
-    }
+            }
 
-    /// Records a dequeued slice that advanced `n` sessions together.
-    pub fn on_batch(&self, n: usize) {
-        self.batch_occupancy[n.min(BATCH_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
-        if n >= 2 {
-            self.batched_slices.fetch_add(1, Ordering::Relaxed);
+            /// The field of counter `c`, writable.
+            pub fn counter_mut(&mut self, c: $counter) -> &mut u64 {
+                match c {
+                    $( $counter::$variant => &mut self.$field, )*
+                }
+            }
         }
-    }
-
-    /// A consistent-enough point-in-time view (individual counters are read
-    /// relaxed; rates use wall-clock uptime).
-    #[must_use]
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let uptime = self.started.elapsed();
-        let uptime_s = uptime.as_secs_f64().max(1e-9);
-        let completed = self.completed.load(Ordering::Relaxed);
-        let tokens_out = self.tokens_out.load(Ordering::Relaxed);
-        let pools = self.pool_gauges();
-        MetricsSnapshot {
-            uptime_ms: uptime.as_millis() as u64,
-            requests: self.requests.load(Ordering::Relaxed),
-            completed,
-            rejected_overload: self.rejected_overload.load(Ordering::Relaxed),
-            rejected_shutdown: self.rejected_shutdown.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
-            watchdog_cancels: self.watchdog_cancels.load(Ordering::Relaxed),
-            checksum_failures: self.checksum_failures.load(Ordering::Relaxed),
-            retries_attempted: self.retries_attempted.load(Ordering::Relaxed),
-            workers_respawned: self.workers_respawned.load(Ordering::Relaxed),
-            batched_slices: self.batched_slices.load(Ordering::Relaxed),
-            batch_occupancy: self
-                .batch_occupancy
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            tokens_out,
-            prompt_tokens: self.prompt_tokens.load(Ordering::Relaxed),
-            prefix_hits: self.prefix_hits.load(Ordering::Relaxed),
-            prefix_tokens_reused: self.prefix_tokens_reused.load(Ordering::Relaxed),
-            prefill_chunks: self.prefill_chunks.load(Ordering::Relaxed),
-            draft_tokens_proposed: self.draft_tokens_proposed.load(Ordering::Relaxed),
-            accepted_draft_tokens: self.accepted_draft_tokens.load(Ordering::Relaxed),
-            spec_fallbacks: self.spec_fallbacks.load(Ordering::Relaxed),
-            merge_evictions: self.merge_evictions.load(Ordering::Relaxed),
-            pool_evictions: self.pool_evictions.load(Ordering::Relaxed),
-            weights_bytes: self.weights_bytes.load(Ordering::Relaxed),
-            simd_backend: chipalign_tensor::backend::active_name().to_string(),
-            kv_blocks_in_use: pools.in_use,
-            kv_blocks_free: pools.free,
-            kv_bytes_in_use: pools.bytes,
-            kv_pool_dtypes: pools.by_dtype,
-            cow_copies: pools.cow,
-            requests_per_sec: completed as f64 / uptime_s,
-            tokens_per_sec: tokens_out as f64 / uptime_s,
-            latency_p50_ms: self.latency.quantile_upper_us(0.50) as f64 / 1e3,
-            latency_p95_ms: self.latency.quantile_upper_us(0.95) as f64 / 1e3,
-            queue_p50_ms: self.queue_wait.quantile_upper_us(0.50) as f64 / 1e3,
-            queue_p95_ms: self.queue_wait.quantile_upper_us(0.95) as f64 / 1e3,
-            prefill_p50_ms: self.prefill.quantile_upper_us(0.50) as f64 / 1e3,
-            prefill_p95_ms: self.prefill.quantile_upper_us(0.95) as f64 / 1e3,
-            latency_buckets: self.latency.bucket_counts(),
-            queue_buckets: self.queue_wait.bucket_counts(),
-            prefill_buckets: self.prefill.bucket_counts(),
-        }
-    }
+    };
 }
 
-/// Summed pool gauges, total and per dtype (snapshot-internal).
-#[derive(Debug, Default)]
-struct PoolGauges {
-    in_use: u64,
-    free: u64,
-    bytes: u64,
-    cow: u64,
-    by_dtype: Vec<KvPoolDtypeGauges>,
-}
+counter_table! {
+    /// A serve counter: one atomic slot in [`Metrics`] and one field of
+    /// [`MetricsSnapshot`], summed by [`MetricsSnapshot::absorb`].
+    pub enum Counter;
 
-json_struct! {
-    /// Per-KV-dtype slice of the pool gauges: the dtype label on
-    /// `kv_blocks_in_use` / `kv_blocks_free`, plus the bytes those blocks pin
-    /// (int8 pools hold sealed blocks at ~¼ the f32 size, so block counts
-    /// alone no longer imply memory use).
-    #[derive(Debug, Clone, Default, PartialEq, Eq)]
-    pub struct KvPoolDtypeGauges {
-        /// KV dtype label (`"f32"` / `"int8"`).
-        pub dtype: String,
-        /// Blocks allocated across pools of this dtype.
-        pub blocks_in_use: u64,
-        /// Blocks still allocatable across pools of this dtype.
-        pub blocks_free: u64,
-        /// Bytes resident across pools of this dtype.
-        pub bytes_in_use: u64,
-    }
-}
-
-json_struct! {
     /// A point-in-time metrics view, as sent over the wire.
     #[derive(Debug, Clone, Default)]
     pub struct MetricsSnapshot {
         /// Milliseconds since the metrics core was created.
         pub uptime_ms: u64,
-        /// Admission attempts.
-        pub requests: u64,
-        /// Finished generations.
-        pub completed: u64,
-        /// Admission-control rejections.
-        pub rejected_overload: u64,
-        /// Draining-time rejections.
-        pub rejected_shutdown: u64,
-        /// Decode failures.
-        pub failed: u64,
-        /// Deadline expiries.
-        pub deadline_exceeded: u64,
-        /// Decode slices that panicked (the session was cancelled with a
-        /// structured error; the worker survived).
-        pub worker_panics: u64 = 0,
-        /// Sessions cancelled by the stall watchdog.
-        pub watchdog_cancels: u64 = 0,
-        /// Checkpoint loads rejected for checksum/corruption/non-finite data.
-        pub checksum_failures: u64 = 0,
-        /// Generate requests flagged by clients as retries.
-        pub retries_attempted: u64 = 0,
-        /// Worker threads that died and were respawned.
-        pub workers_respawned: u64 = 0,
-        /// Slices that advanced two or more sessions through one batched step.
-        pub batched_slices: u64 = 0,
         /// Batch-occupancy histogram: entry `n` counts slices that advanced
         /// exactly `n` sessions (`>= 16` folded into the last entry). Empty
         /// when the snapshot came from a server without batching.
         pub batch_occupancy: Vec<u64> = Vec::new(),
-        /// Total new tokens produced.
-        pub tokens_out: u64,
-        /// Total prompt tokens consumed.
-        pub prompt_tokens: u64,
-        /// Sessions seeded from the shared-prefix cache.
-        pub prefix_hits: u64 = 0,
-        /// Prompt tokens whose prefill was skipped thanks to prefix hits.
-        pub prefix_tokens_reused: u64 = 0,
-        /// Prefill chunks processed by the scheduler.
-        pub prefill_chunks: u64 = 0,
-        /// Draft tokens proposed by speculative-decoding rounds. The fleet
-        /// acceptance rate is `accepted_draft_tokens / draft_tokens_proposed`.
-        pub draft_tokens_proposed: u64 = 0,
-        /// Draft tokens the target model verified and accepted.
-        pub accepted_draft_tokens: u64 = 0,
-        /// Speculative rounds degraded to plain decode (draft panic or error).
-        pub spec_fallbacks: u64 = 0,
-        /// Merged models evicted from the registry's LRU cache.
-        pub merge_evictions: u64 = 0,
-        /// Prefix-cache snapshots evicted under KV-pool pressure.
-        pub pool_evictions: u64 = 0,
-        /// Total weight bytes resident in the registry cache at decode dtype.
-        pub weights_bytes: u64 = 0,
         /// The kernel backend this server selected at startup (`scalar`,
         /// `blocked`, `simd`, or `simd(blocked-fallback)` when AVX2 is
         /// absent). Empty from pre-v3 servers.
@@ -575,6 +136,283 @@ json_struct! {
         /// Raw prefill histogram buckets.
         pub prefill_buckets: Vec<u64> = Vec::new(),
     }
+
+    /// Admission attempts, accepted or not.
+    Requests => requests,
+    /// Sessions that finished and returned a generation.
+    Completed => completed,
+    /// Admission-control rejections.
+    RejectedOverload => rejected_overload,
+    /// Sessions turned away because the server was draining or aborted.
+    RejectedShutdown => rejected_shutdown,
+    /// Sessions that died on a decode error (a panic is not one).
+    Failed => failed,
+    /// Sessions that hit their deadline.
+    DeadlineExceeded => deadline_exceeded,
+    /// New tokens produced by completed sessions.
+    TokensOut => tokens_out,
+    /// Prompt tokens consumed by admitted sessions.
+    PromptTokens => prompt_tokens,
+    /// Caught panics: one per panic, however many sessions it ended.
+    WorkerPanics => worker_panics = 0,
+    /// Sessions a panic ended: caught in a slice, or their worker died.
+    PanickedSessions => panicked_sessions = 0,
+    /// Sessions cancelled by the stall watchdog.
+    WatchdogCancels => watchdog_cancels = 0,
+    /// Checkpoint loads rejected for checksum/corruption/non-finite data.
+    ChecksumFailures => checksum_failures = 0,
+    /// Generate requests flagged by clients as retries.
+    RetriesAttempted => retries_attempted = 0,
+    /// Worker threads that died and re-entered their loop.
+    WorkersRespawned => workers_respawned = 0,
+    /// Slices that advanced two or more sessions through one batched step.
+    BatchedSlices => batched_slices = 0,
+    /// Sessions seeded from the shared-prefix cache.
+    PrefixHits => prefix_hits = 0,
+    /// Prompt tokens whose prefill was skipped thanks to prefix hits.
+    PrefixTokensReused => prefix_tokens_reused = 0,
+    /// Prefill chunks processed, initial prompts and window-slide replays.
+    PrefillChunks => prefill_chunks = 0,
+    /// Draft tokens proposed (acceptance = accepted / proposed, at read time).
+    DraftTokensProposed => draft_tokens_proposed = 0,
+    /// Draft tokens the target model verified and accepted.
+    AcceptedDraftTokens => accepted_draft_tokens = 0,
+    /// Speculative rounds degraded to plain decode by a draft panic or error.
+    SpecFallbacks => spec_fallbacks = 0,
+    /// Merged models evicted from the registry's LRU cache.
+    MergeEvictions => merge_evictions = 0,
+    /// Prefix-cache snapshots evicted to reclaim KV blocks at admission.
+    PoolEvictions => pool_evictions = 0,
+    /// Weight bytes cached in the registry at decode dtype; a gauge, `set`.
+    WeightsBytes => weights_bytes = 0,
+}
+
+/// The latency histograms of a [`Metrics`] core.
+#[derive(Debug, Clone, Copy)]
+pub enum Hist {
+    /// Admission to completion.
+    Latency,
+    /// Admission to first decode slice.
+    QueueWait,
+    /// One prefill chunk's compute.
+    Prefill,
+}
+
+/// A lock-free power-of-two latency histogram over microseconds.
+#[derive(Debug)]
+pub struct Histogram {
+    counts: [AtomicU64; BUCKETS],
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram {
+            counts: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+}
+
+impl Histogram {
+    /// Records one observation in microseconds.
+    pub fn record(&self, us: u64) {
+        let bucket = (63 - us.max(1).leading_zeros() as usize).min(BUCKETS - 1);
+        self.counts[bucket].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Total number of observations.
+    #[must_use]
+    pub fn count(&self) -> u64 {
+        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+    }
+
+    /// The `p`-quantile (`0 < p <= 1`) as an upper bound in microseconds,
+    /// or 0 when the histogram is empty.
+    #[must_use]
+    pub fn quantile_upper_us(&self, p: f64) -> u64 {
+        quantile_upper_us_from(&self.bucket_counts(), p)
+    }
+
+    /// The raw per-bucket counts (always 48 entries). Bucket `i` covers
+    /// `[2^i, 2^(i+1))` microseconds. Snapshots carry these so fleet-level
+    /// aggregation can sum histograms and recompute quantiles instead of
+    /// averaging per-replica percentiles (which is meaningless).
+    #[must_use]
+    pub fn bucket_counts(&self) -> Vec<u64> {
+        load_all(&self.counts)
+    }
+}
+
+/// The `p`-quantile upper bound in microseconds over raw power-of-two
+/// bucket counts (as produced by [`Histogram::bucket_counts`]), or 0 when
+/// the counts are empty. Used to recompute fleet-wide quantiles after
+/// [`MetricsSnapshot::absorb`] has summed per-replica buckets.
+#[must_use]
+pub fn quantile_upper_us_from(counts: &[u64], p: f64) -> u64 {
+    let total: u64 = counts.iter().sum();
+    if total == 0 {
+        return 0;
+    }
+    let target = ((p.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+    let mut seen = 0u64;
+    for (i, c) in counts.iter().enumerate() {
+        seen += c;
+        if seen >= target {
+            // Upper edge of bucket i: 2^(i+1) - 1 µs. A newer-protocol
+            // replica may ship more than 64 buckets through
+            // `absorb_buckets`; clamp the shift instead of overflowing
+            // (which panics in debug builds) so fleet aggregation stays
+            // forward-compatible.
+            return if i >= 63 {
+                u64::MAX
+            } else {
+                (1u64 << (i + 1)) - 1
+            };
+        }
+    }
+    (1u64 << BUCKETS) - 1
+}
+
+/// Relaxed loads of a slot array.
+fn load_all(slots: &[AtomicU64]) -> Vec<u64> {
+    slots.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+}
+
+/// Counters and histograms for one server instance.
+#[derive(Debug)]
+pub struct Metrics {
+    started: Instant,
+    /// One slot per [`Counter`], in table order.
+    counters: [AtomicU64; Counter::ALL.len()],
+    /// How many sessions each dequeued slice advanced (index = batch size,
+    /// `>= 16` folded into the last bucket).
+    batch_occupancy: [AtomicU64; BATCH_BUCKETS],
+    /// Paged KV pools whose gauges are summed into snapshots. Weak so the
+    /// metrics core never keeps a dead model's pool alive; dead entries
+    /// are pruned on registration and at snapshot time.
+    kv_pools: Mutex<Vec<Weak<KvPool>>>,
+    /// One histogram per [`Hist`], in declaration order.
+    hists: [Histogram; 3],
+}
+
+impl Default for Metrics {
+    fn default() -> Self {
+        Metrics {
+            started: Instant::now(),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            batch_occupancy: std::array::from_fn(|_| AtomicU64::new(0)),
+            kv_pools: Mutex::new(Vec::new()),
+            hists: std::array::from_fn(|_| Histogram::default()),
+        }
+    }
+}
+
+impl Metrics {
+    /// Creates a fresh metrics core anchored at "now".
+    #[must_use]
+    pub fn new() -> Self {
+        Metrics::default()
+    }
+
+    /// Adds `n` to counter `c`.
+    pub fn add(&self, c: Counter, n: u64) {
+        self.counters[c as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Stores `v` in counter `c`, a gauge such as [`Counter::WeightsBytes`].
+    pub fn set(&self, c: Counter, v: u64) {
+        self.counters[c as usize].store(v, Ordering::Relaxed);
+    }
+
+    /// Records one observation of `us` microseconds in histogram `h`.
+    pub fn observe(&self, h: Hist, us: u64) {
+        self.hists[h as usize].record(us);
+    }
+
+    /// Records a dequeued slice that advanced `n` sessions together.
+    pub fn on_batch(&self, n: usize) {
+        self.batch_occupancy[n.min(BATCH_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
+        if n >= 2 {
+            self.add(Counter::BatchedSlices, 1);
+        }
+    }
+
+    /// Registers a paged KV pool so its block gauges flow into snapshots.
+    /// Idempotent per pool; holds only a weak reference, so a pool dies
+    /// with its model and silently leaves the gauges.
+    pub fn register_kv_pool(&self, pool: &Arc<KvPool>) {
+        let mut pools = self.kv_pools.lock().expect("kv pool list poisoned");
+        pools.retain(|w| w.strong_count() > 0);
+        if !pools
+            .iter()
+            .any(|w| std::ptr::eq(w.as_ptr(), Arc::as_ptr(pool)))
+        {
+            pools.push(Arc::downgrade(pool));
+        }
+    }
+
+    /// Sums the block, byte, and CoW gauges across live registered pools
+    /// (pruning dead ones) into `snap`, both in total and per KV dtype.
+    fn load_pool_gauges(&self, snap: &mut MetricsSnapshot) {
+        let mut pools = self.kv_pools.lock().expect("kv pool list poisoned");
+        pools.retain(|w| w.strong_count() > 0);
+        for pool in pools.iter().filter_map(Weak::upgrade) {
+            let row = KvPoolDtypeGauges {
+                dtype: pool.dtype().name().to_string(),
+                blocks_in_use: pool.blocks_in_use() as u64,
+                blocks_free: pool.blocks_free() as u64,
+                bytes_in_use: pool.bytes_in_use() as u64,
+            };
+            snap.kv_blocks_in_use += row.blocks_in_use;
+            snap.kv_blocks_free += row.blocks_free;
+            snap.kv_bytes_in_use += row.bytes_in_use;
+            snap.cow_copies += pool.cow_copies();
+            snap.merge_pool_row(&row);
+        }
+    }
+
+    /// A consistent-enough point-in-time view (individual counters are read
+    /// relaxed; rates use wall-clock uptime).
+    #[must_use]
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        let uptime = self.started.elapsed();
+        let uptime_s = uptime.as_secs_f64().max(1e-9);
+        let mut snap = MetricsSnapshot {
+            uptime_ms: uptime.as_millis() as u64,
+            batch_occupancy: load_all(&self.batch_occupancy),
+            simd_backend: chipalign_tensor::backend::active_name().to_string(),
+            ..MetricsSnapshot::default()
+        };
+        for (&c, slot) in Counter::ALL.iter().zip(&self.counters) {
+            *snap.counter_mut(c) = slot.load(Ordering::Relaxed);
+        }
+        self.load_pool_gauges(&mut snap);
+        for (h, (buckets, p50, p95)) in self.hists.iter().zip(snap.hists_mut()) {
+            *buckets = h.bucket_counts();
+            *p50 = quantile_upper_us_from(buckets, 0.50) as f64 / 1e3;
+            *p95 = quantile_upper_us_from(buckets, 0.95) as f64 / 1e3;
+        }
+        snap.requests_per_sec = snap.completed as f64 / uptime_s;
+        snap.tokens_per_sec = snap.tokens_out as f64 / uptime_s;
+        snap
+    }
+}
+
+json_struct! {
+    /// Per-KV-dtype slice of the pool gauges: the dtype label on
+    /// `kv_blocks_in_use` / `kv_blocks_free`, plus the bytes those blocks pin
+    /// (int8 pools hold sealed blocks at ~¼ the f32 size, so block counts
+    /// alone no longer imply memory use).
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct KvPoolDtypeGauges {
+        /// KV dtype label (`"f32"` / `"int8"`).
+        pub dtype: String,
+        /// Blocks allocated across pools of this dtype.
+        pub blocks_in_use: u64,
+        /// Blocks still allocatable across pools of this dtype.
+        pub blocks_free: u64,
+        /// Bytes resident across pools of this dtype.
+        pub bytes_in_use: u64,
+    }
 }
 
 /// Element-wise `a += b`, extending `a` when `b` is longer.
@@ -588,6 +426,44 @@ fn absorb_buckets(a: &mut Vec<u64>, b: &[u64]) {
 }
 
 impl MetricsSnapshot {
+    /// Each [`Hist`]'s buckets and p50 / p95 fields, in declaration order.
+    fn hists_mut(&mut self) -> [(&mut Vec<u64>, &mut f64, &mut f64); 3] {
+        [
+            (
+                &mut self.latency_buckets,
+                &mut self.latency_p50_ms,
+                &mut self.latency_p95_ms,
+            ),
+            (
+                &mut self.queue_buckets,
+                &mut self.queue_p50_ms,
+                &mut self.queue_p95_ms,
+            ),
+            (
+                &mut self.prefill_buckets,
+                &mut self.prefill_p50_ms,
+                &mut self.prefill_p95_ms,
+            ),
+        ]
+    }
+
+    /// Sums one dtype's pool gauges into its `kv_pool_dtypes` row, which
+    /// stays sorted by label.
+    fn merge_pool_row(&mut self, row: &KvPoolDtypeGauges) {
+        let rows = &mut self.kv_pool_dtypes;
+        match rows.iter_mut().find(|g| g.dtype == row.dtype) {
+            Some(g) => {
+                g.blocks_in_use = g.blocks_in_use.saturating_add(row.blocks_in_use);
+                g.blocks_free = g.blocks_free.saturating_add(row.blocks_free);
+                g.bytes_in_use = g.bytes_in_use.saturating_add(row.bytes_in_use);
+            }
+            None => {
+                rows.push(row.clone());
+                rows.sort_by(|a, b| a.dtype.cmp(&b.dtype));
+            }
+        }
+    }
+
     /// Folds another snapshot into this one, producing fleet-level totals.
     ///
     /// Counters and gauges sum (saturating). Histogram buckets sum
@@ -599,110 +475,39 @@ impl MetricsSnapshot {
     /// replica, not the sum), and the throughput rates are recomputed from
     /// the summed counts over that uptime.
     pub fn absorb(&mut self, other: &MetricsSnapshot) {
-        self.requests = self.requests.saturating_add(other.requests);
-        self.completed = self.completed.saturating_add(other.completed);
-        self.rejected_overload = self
-            .rejected_overload
-            .saturating_add(other.rejected_overload);
-        self.rejected_shutdown = self
-            .rejected_shutdown
-            .saturating_add(other.rejected_shutdown);
-        self.failed = self.failed.saturating_add(other.failed);
-        self.deadline_exceeded = self
-            .deadline_exceeded
-            .saturating_add(other.deadline_exceeded);
-        self.worker_panics = self.worker_panics.saturating_add(other.worker_panics);
-        self.watchdog_cancels = self.watchdog_cancels.saturating_add(other.watchdog_cancels);
-        self.checksum_failures = self
-            .checksum_failures
-            .saturating_add(other.checksum_failures);
-        self.retries_attempted = self
-            .retries_attempted
-            .saturating_add(other.retries_attempted);
-        self.workers_respawned = self
-            .workers_respawned
-            .saturating_add(other.workers_respawned);
-        self.batched_slices = self.batched_slices.saturating_add(other.batched_slices);
+        for &c in Counter::ALL {
+            let mine = self.counter_mut(c);
+            *mine = mine.saturating_add(other.counter(c));
+        }
         absorb_buckets(&mut self.batch_occupancy, &other.batch_occupancy);
-        self.tokens_out = self.tokens_out.saturating_add(other.tokens_out);
-        self.prompt_tokens = self.prompt_tokens.saturating_add(other.prompt_tokens);
-        self.prefix_hits = self.prefix_hits.saturating_add(other.prefix_hits);
-        self.prefix_tokens_reused = self
-            .prefix_tokens_reused
-            .saturating_add(other.prefix_tokens_reused);
-        self.prefill_chunks = self.prefill_chunks.saturating_add(other.prefill_chunks);
-        self.draft_tokens_proposed = self
-            .draft_tokens_proposed
-            .saturating_add(other.draft_tokens_proposed);
-        self.accepted_draft_tokens = self
-            .accepted_draft_tokens
-            .saturating_add(other.accepted_draft_tokens);
-        self.spec_fallbacks = self.spec_fallbacks.saturating_add(other.spec_fallbacks);
-        self.merge_evictions = self.merge_evictions.saturating_add(other.merge_evictions);
-        self.pool_evictions = self.pool_evictions.saturating_add(other.pool_evictions);
-        self.weights_bytes = self.weights_bytes.saturating_add(other.weights_bytes);
         if self.simd_backend.is_empty() {
             self.simd_backend.clone_from(&other.simd_backend);
         }
         self.kv_blocks_in_use = self.kv_blocks_in_use.saturating_add(other.kv_blocks_in_use);
         self.kv_blocks_free = self.kv_blocks_free.saturating_add(other.kv_blocks_free);
         self.kv_bytes_in_use = self.kv_bytes_in_use.saturating_add(other.kv_bytes_in_use);
-        for o in &other.kv_pool_dtypes {
-            match self.kv_pool_dtypes.iter_mut().find(|g| g.dtype == o.dtype) {
-                Some(g) => {
-                    g.blocks_in_use = g.blocks_in_use.saturating_add(o.blocks_in_use);
-                    g.blocks_free = g.blocks_free.saturating_add(o.blocks_free);
-                    g.bytes_in_use = g.bytes_in_use.saturating_add(o.bytes_in_use);
-                }
-                None => self.kv_pool_dtypes.push(o.clone()),
+        for row in &other.kv_pool_dtypes {
+            self.merge_pool_row(row);
+        }
+        self.cow_copies = self.cow_copies.saturating_add(other.cow_copies);
+        // A scratch copy, so both sides walk their histograms one way.
+        let mut theirs = other.clone();
+        for ((buckets, p50, p95), (their_buckets, their_p50, their_p95)) in
+            self.hists_mut().into_iter().zip(theirs.hists_mut())
+        {
+            absorb_buckets(buckets, their_buckets);
+            if buckets.iter().any(|&c| c > 0) {
+                *p50 = quantile_upper_us_from(buckets, 0.50) as f64 / 1e3;
+                *p95 = quantile_upper_us_from(buckets, 0.95) as f64 / 1e3;
+            } else {
+                *p50 = p50.max(*their_p50);
+                *p95 = p95.max(*their_p95);
             }
         }
-        self.kv_pool_dtypes.sort_by(|a, b| a.dtype.cmp(&b.dtype));
-        self.cow_copies = self.cow_copies.saturating_add(other.cow_copies);
-        absorb_buckets(&mut self.latency_buckets, &other.latency_buckets);
-        absorb_buckets(&mut self.queue_buckets, &other.queue_buckets);
-        absorb_buckets(&mut self.prefill_buckets, &other.prefill_buckets);
         self.uptime_ms = self.uptime_ms.max(other.uptime_ms);
         let uptime_s = (self.uptime_ms as f64 / 1e3).max(1e-9);
         self.requests_per_sec = self.completed as f64 / uptime_s;
         self.tokens_per_sec = self.tokens_out as f64 / uptime_s;
-        let requantile = |buckets: &[u64], fallback: f64, p: f64| {
-            if buckets.iter().any(|&c| c > 0) {
-                quantile_upper_us_from(buckets, p) as f64 / 1e3
-            } else {
-                fallback
-            }
-        };
-        self.latency_p50_ms = requantile(
-            &self.latency_buckets,
-            self.latency_p50_ms.max(other.latency_p50_ms),
-            0.50,
-        );
-        self.latency_p95_ms = requantile(
-            &self.latency_buckets,
-            self.latency_p95_ms.max(other.latency_p95_ms),
-            0.95,
-        );
-        self.queue_p50_ms = requantile(
-            &self.queue_buckets,
-            self.queue_p50_ms.max(other.queue_p50_ms),
-            0.50,
-        );
-        self.queue_p95_ms = requantile(
-            &self.queue_buckets,
-            self.queue_p95_ms.max(other.queue_p95_ms),
-            0.95,
-        );
-        self.prefill_p50_ms = requantile(
-            &self.prefill_buckets,
-            self.prefill_p50_ms.max(other.prefill_p50_ms),
-            0.50,
-        );
-        self.prefill_p95_ms = requantile(
-            &self.prefill_buckets,
-            self.prefill_p95_ms.max(other.prefill_p95_ms),
-            0.95,
-        );
     }
 }
 
@@ -710,6 +515,77 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
     use chipalign_model::json::{self, FromJson, ToJson};
+
+    /// The wire shape: every key of a snapshot, and whether a snapshot
+    /// missing it is refused (`true`) or decodes it as its default.
+    const WIRE: &[(&str, bool)] = &[
+        ("uptime_ms", true),
+        ("requests", true),
+        ("completed", true),
+        ("rejected_overload", true),
+        ("rejected_shutdown", true),
+        ("failed", true),
+        ("deadline_exceeded", true),
+        ("worker_panics", false),
+        ("panicked_sessions", false),
+        ("watchdog_cancels", false),
+        ("checksum_failures", false),
+        ("retries_attempted", false),
+        ("workers_respawned", false),
+        ("batched_slices", false),
+        ("batch_occupancy", false),
+        ("tokens_out", true),
+        ("prompt_tokens", true),
+        ("prefix_hits", false),
+        ("prefix_tokens_reused", false),
+        ("prefill_chunks", false),
+        ("draft_tokens_proposed", false),
+        ("accepted_draft_tokens", false),
+        ("spec_fallbacks", false),
+        ("merge_evictions", false),
+        ("pool_evictions", false),
+        ("weights_bytes", false),
+        ("simd_backend", false),
+        ("kv_blocks_in_use", false),
+        ("kv_blocks_free", false),
+        ("kv_bytes_in_use", false),
+        ("kv_pool_dtypes", false),
+        ("cow_copies", false),
+        ("requests_per_sec", true),
+        ("tokens_per_sec", true),
+        ("latency_p50_ms", true),
+        ("latency_p95_ms", true),
+        ("queue_p50_ms", true),
+        ("queue_p95_ms", true),
+        ("prefill_p50_ms", false),
+        ("prefill_p95_ms", false),
+        ("latency_buckets", false),
+        ("queue_buckets", false),
+        ("prefill_buckets", false),
+    ];
+
+    #[test]
+    fn wire_shape_is_pinned() {
+        let default = MetricsSnapshot::default().to_json();
+        let json::Value::Object(members) = &default else {
+            panic!("a snapshot encodes as an object");
+        };
+        let mut keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        let mut pinned: Vec<&str> = WIRE.iter().map(|&(k, _)| k).collect();
+        keys.sort_unstable();
+        pinned.sort_unstable();
+        assert_eq!(keys, pinned, "the snapshot's key set moved");
+        for &(key, required) in WIRE {
+            let rest = members.iter().filter(|(k, _)| k != key).cloned().collect();
+            match MetricsSnapshot::from_json(&json::Value::Object(rest)) {
+                Err(_) => assert!(required, "{key} must decode as its default when absent"),
+                Ok(back) => {
+                    assert!(!required, "a snapshot without {key} must be refused");
+                    assert_eq!(back.to_json(), default, "{key} decodes as its default");
+                }
+            }
+        }
+    }
 
     #[test]
     fn histogram_quantiles_bound_observations() {
@@ -741,43 +617,87 @@ mod tests {
         assert!(h.quantile_upper_us(1.0) > 0);
     }
 
-    #[test]
-    fn snapshot_reflects_counters() {
-        let m = Metrics::new();
-        m.on_request();
-        m.on_request();
-        m.on_admitted(12);
-        m.on_first_slice(500);
-        m.on_completed(32, 2_000);
-        m.on_rejected_overload();
-        let snap = m.snapshot();
-        assert_eq!(snap.requests, 2);
-        assert_eq!(snap.completed, 1);
-        assert_eq!(snap.rejected_overload, 1);
-        assert_eq!(snap.tokens_out, 32);
-        assert_eq!(snap.prompt_tokens, 12);
-        assert!(snap.latency_p50_ms > 0.0);
-        let json = json::to_string(&snap);
-        let back: MetricsSnapshot = json::from_str(&json).expect("parse");
-        assert_eq!(back.completed, 1);
+    /// Snapshot members that follow the wall clock, not a counter alone.
+    const TIMED: [&str; 3] = ["uptime_ms", "requests_per_sec", "tokens_per_sec"];
+
+    /// A snapshot's wire members, minus the [`TIMED`] ones.
+    fn untimed(snap: &MetricsSnapshot) -> Vec<(String, json::Value)> {
+        let json::Value::Object(members) = snap.to_json() else {
+            panic!("a snapshot encodes as an object");
+        };
+        members
+            .into_iter()
+            .filter(|(k, _)| !TIMED.contains(&k.as_str()))
+            .collect()
     }
 
     #[test]
-    fn fault_counters_are_independent() {
+    fn every_counter_moves_alone_and_survives_the_wire_and_absorb() {
+        let quiet = untimed(&Metrics::new().snapshot());
+        for (i, &c) in Counter::ALL.iter().enumerate() {
+            let n = 1_000 + 37 * i as u64;
+            let m = Metrics::new();
+            m.add(c, n);
+            let snap = m.snapshot();
+            assert_eq!(snap.counter(c), n, "{c:?}");
+            let moved: Vec<_> = untimed(&snap)
+                .into_iter()
+                .zip(&quiet)
+                .filter(|(now, before)| now != *before)
+                .map(|(now, _)| now)
+                .collect();
+            assert_eq!(moved.len(), 1, "{c:?} moved {moved:?}");
+            assert_eq!(moved[0].1, json::Value::UInt(n), "{c:?} moved {moved:?}");
+            let back: MetricsSnapshot = json::from_str(&json::to_string(&snap)).expect("parse");
+            assert_eq!(back.counter(c), n, "{c:?} over the wire");
+            let mut fleet = MetricsSnapshot::default();
+            for k in 1..=3 {
+                let replica = Metrics::new();
+                replica.add(c, k * n);
+                fleet.absorb(&replica.snapshot());
+            }
+            assert_eq!(fleet.counter(c), 6 * n, "{c:?} absorbed");
+        }
+        // The rates follow their counters over uptime.
         let m = Metrics::new();
-        m.on_worker_panic();
-        m.on_watchdog_cancel();
-        m.on_watchdog_cancel();
-        m.on_checksum_failure();
-        m.on_retry_attempted();
-        m.on_worker_respawned();
+        m.add(Counter::Completed, 1);
+        m.add(Counter::TokensOut, 32);
         let snap = m.snapshot();
-        assert_eq!(snap.worker_panics, 1);
-        assert_eq!(snap.watchdog_cancels, 2);
-        assert_eq!(snap.checksum_failures, 1);
-        assert_eq!(snap.retries_attempted, 1);
-        assert_eq!(snap.workers_respawned, 1);
-        assert_eq!(snap.failed, 0, "fault counters must not bleed into failed");
+        assert!(snap.requests_per_sec > 0.0 && snap.tokens_per_sec > snap.requests_per_sec);
+    }
+
+    #[test]
+    fn every_histogram_moves_alone() {
+        let quiet = untimed(&Metrics::new().snapshot());
+        for (h, keys) in [
+            (
+                Hist::Latency,
+                ["latency_p50_ms", "latency_p95_ms", "latency_buckets"],
+            ),
+            (
+                Hist::QueueWait,
+                ["queue_p50_ms", "queue_p95_ms", "queue_buckets"],
+            ),
+            (
+                Hist::Prefill,
+                ["prefill_p50_ms", "prefill_p95_ms", "prefill_buckets"],
+            ),
+        ] {
+            let m = Metrics::new();
+            m.observe(h, 1_000);
+            let snap = untimed(&m.snapshot());
+            for ((key, value), (_, before)) in snap.iter().zip(&quiet) {
+                assert_eq!(
+                    value != before,
+                    keys.contains(&key.as_str()),
+                    "{h:?} and {key}"
+                );
+                if key.ends_with("_ms") && value != before {
+                    // 1000 µs lands in [512, 1024): upper edge 1.023 ms.
+                    assert_eq!(value, &json::Value::Float(1.023), "{key}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -802,12 +722,13 @@ mod tests {
     #[test]
     fn prefill_and_prefix_counters_flow_into_snapshot() {
         let m = Metrics::new();
-        m.on_prefix_hit(24);
-        m.on_prefix_hit(8);
-        m.on_prefill_chunk(1_000);
-        m.on_prefill_chunk(2_000);
-        m.on_prefill_chunk(4_000);
-        m.on_merge_eviction();
+        m.add(Counter::PrefixHits, 2);
+        m.add(Counter::PrefixTokensReused, 24 + 8);
+        for us in [1_000, 2_000, 4_000] {
+            m.add(Counter::PrefillChunks, 1);
+            m.observe(Hist::Prefill, us);
+        }
+        m.add(Counter::MergeEvictions, 1);
         let snap = m.snapshot();
         assert_eq!(snap.prefix_hits, 2);
         assert_eq!(snap.prefix_tokens_reused, 32);
@@ -892,14 +813,18 @@ mod tests {
             .map(|i| {
                 let m = Metrics::new();
                 for _ in 0..=i {
-                    m.on_request();
-                    m.on_admitted(10);
-                    m.on_first_slice(300 * (i + 1));
-                    m.on_completed(8, 1_000 * (i + 1));
+                    m.add(Counter::Requests, 1);
+                    m.add(Counter::PromptTokens, 10);
+                    m.observe(Hist::QueueWait, 300 * (i + 1));
+                    m.add(Counter::Completed, 1);
+                    m.add(Counter::TokensOut, 8);
+                    m.observe(Hist::Latency, 1_000 * (i + 1));
                 }
-                m.on_rejected_overload();
-                m.on_prefix_hit(4);
-                m.on_prefill_chunk(500);
+                m.add(Counter::RejectedOverload, 1);
+                m.add(Counter::PrefixHits, 1);
+                m.add(Counter::PrefixTokensReused, 4);
+                m.add(Counter::PrefillChunks, 1);
+                m.observe(Hist::Prefill, 500);
                 m.on_batch(2);
                 m.snapshot()
             })
@@ -967,8 +892,8 @@ mod tests {
     #[test]
     fn weights_gauge_and_backend_flow_into_snapshot_and_absorb() {
         let m = Metrics::new();
-        m.set_weights_bytes(1_000);
-        m.set_weights_bytes(640); // a gauge: stores, never accumulates
+        m.set(Counter::WeightsBytes, 1_000);
+        m.set(Counter::WeightsBytes, 640); // a gauge: stores, never accumulates
         let snap = m.snapshot();
         assert_eq!(snap.weights_bytes, 640);
         assert!(
@@ -1030,27 +955,6 @@ mod tests {
     }
 
     #[test]
-    fn spec_counters_flow_into_snapshot_and_absorb() {
-        let m = Metrics::new();
-        m.on_spec_round(4, 3);
-        m.on_spec_round(4, 0);
-        m.on_spec_fallback(1);
-        let snap = m.snapshot();
-        assert_eq!(snap.draft_tokens_proposed, 8);
-        assert_eq!(snap.accepted_draft_tokens, 3);
-        assert_eq!(snap.spec_fallbacks, 1);
-        assert_eq!(snap.failed, 0, "spec counters must not bleed elsewhere");
-
-        // Fleet aggregation sums both sides of the acceptance rate.
-        let mut fleet = MetricsSnapshot::default();
-        fleet.absorb(&snap);
-        fleet.absorb(&snap);
-        assert_eq!(fleet.draft_tokens_proposed, 16);
-        assert_eq!(fleet.accepted_draft_tokens, 6);
-        assert_eq!(fleet.spec_fallbacks, 2);
-    }
-
-    #[test]
     fn pool_gauges_and_evictions_flow_into_snapshot() {
         use chipalign_model::ArchSpec;
         use chipalign_nn::{KvCache, KvPoolConfig, TinyLm};
@@ -1071,7 +975,7 @@ mod tests {
         let model = Arc::new(TinyLm::new(&arch, &mut Pcg32::seed(1)).expect("model"));
         let mut cache = KvCache::new_paged(&model, &pool);
         cache.prefill(&[5, 6, 7, 8, 9, 10]).expect("prefill");
-        m.on_pool_eviction();
+        m.add(Counter::PoolEvictions, 1);
 
         let snap = m.snapshot();
         assert_eq!(snap.kv_blocks_in_use, 2, "6 tokens at block size 4");

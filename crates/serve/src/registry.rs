@@ -71,7 +71,7 @@ use chipalign_model::{format, Checkpoint, ModelError};
 use chipalign_nn::{KvDtype, KvPool, KvPoolConfig, TinyLm, SPEC_K_MAX};
 use chipalign_pipeline::zoo::{Backbone, Zoo, ZooModel};
 
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Metrics};
 use crate::ServeError;
 
 /// Whether a load failure means the bytes on disk are damaged (as opposed
@@ -542,7 +542,7 @@ impl ModelRegistry {
                 break;
             }
             if let Some(m) = self.metrics.get() {
-                m.on_merge_eviction();
+                m.add(Counter::MergeEvictions, 1);
             }
         }
         self.refresh_weights_gauge(&cache);
@@ -559,7 +559,7 @@ impl ModelRegistry {
                 .values()
                 .map(|e| e.model.weights_bytes())
                 .sum();
-            m.set_weights_bytes(total);
+            m.set(Counter::WeightsBytes, total);
         }
     }
 
@@ -857,7 +857,7 @@ impl ModelRegistry {
 
     fn note_integrity_failure(&self) {
         if let Some(m) = self.metrics.get() {
-            m.on_checksum_failure();
+            m.add(Counter::ChecksumFailures, 1);
         }
     }
 

@@ -97,7 +97,7 @@ use std::time::Instant;
 use chipalign_nn::generate::{GenerateConfig, StepDecoder};
 use chipalign_nn::{KvPool, SpecDecoder, TinyLm};
 
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Hist, Metrics};
 use crate::prefix::{PrefixCache, PrefixCacheConfig};
 use crate::protocol::FinishReason;
 use crate::ServeError;
@@ -286,6 +286,8 @@ struct Task {
     /// Shared in-flight counter, held so the drop guard can release the
     /// admission slot even when the task dies with its worker.
     active: Arc<AtomicUsize>,
+    /// Held so the drop guard can count the session it answers.
+    metrics: Arc<Metrics>,
     /// Set by `finish`; suppresses the drop guard on the normal path.
     finished: bool,
 }
@@ -299,7 +301,8 @@ impl Drop for Task {
         if self.finished {
             return;
         }
-        // Slot first, reply second: see `finish`.
+        // Count and slot first, reply second: see `finish`.
+        self.metrics.add(Counter::PanickedSessions, 1);
         self.active.fetch_sub(1, Ordering::SeqCst);
         let _ = self.reply.send(Err(ServeError::Internal {
             detail: "session lost: worker died mid-slice".to_string(),
@@ -406,9 +409,9 @@ impl Scheduler {
     /// fail fast without queueing.
     pub fn submit(&self, req: SessionRequest) -> Result<Receiver<SessionOutcome>, ServeError> {
         let inner = &self.inner;
-        inner.metrics.on_request();
+        inner.metrics.add(Counter::Requests, 1);
         if inner.draining.load(Ordering::SeqCst) {
-            inner.metrics.on_rejected_shutdown();
+            inner.metrics.add(Counter::RejectedShutdown, 1);
             return Err(ServeError::ShuttingDown);
         }
         // Block-granular admission for pooled sessions: the prompt window
@@ -425,11 +428,11 @@ impl Scheduler {
                 if !inner.prefix.evict_one() {
                     break;
                 }
-                inner.metrics.on_pool_eviction();
+                inner.metrics.add(Counter::PoolEvictions, 1);
             }
             let free = pool.blocks_free();
             if free < needed {
-                inner.metrics.on_rejected_overload();
+                inner.metrics.add(Counter::RejectedOverload, 1);
                 return Err(ServeError::PoolSaturated { needed, free });
             }
         }
@@ -443,13 +446,15 @@ impl Scheduler {
             })
             .is_err()
         {
-            inner.metrics.on_rejected_overload();
+            inner.metrics.add(Counter::RejectedOverload, 1);
             return Err(ServeError::Overloaded {
                 active: inner.active.load(Ordering::SeqCst),
                 capacity,
             });
         }
-        inner.metrics.on_admitted(req.prompt.len());
+        inner
+            .metrics
+            .add(Counter::PromptTokens, req.prompt.len() as u64);
         let (tx, rx) = std::sync::mpsc::channel();
         let tag = req.tag.clone();
         let deadline = req.deadline;
@@ -463,6 +468,7 @@ impl Scheduler {
             queue_us: None,
             stalled_slices: 0,
             active: Arc::clone(&inner.active),
+            metrics: Arc::clone(&inner.metrics),
             finished: false,
         };
         lock_queue(inner).push_back(task);
@@ -536,7 +542,7 @@ fn worker_main(inner: &Inner) {
         match std::panic::catch_unwind(AssertUnwindSafe(|| worker_loop(inner))) {
             Ok(()) => return, // clean drain
             Err(_) => {
-                inner.metrics.on_worker_respawned();
+                inner.metrics.add(Counter::WorkersRespawned, 1);
                 respawns += 1;
                 if respawns > MAX_RESPAWNS {
                     return;
@@ -589,17 +595,19 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
-/// Routes a structured failure: classifies it for metrics, then delivers
-/// it. Panics are counted once where they are caught, not here.
+/// Routes a structured failure: counts the session under the counter its
+/// error names, then delivers it. A panic is counted here per session it
+/// ended, and once more, as one `worker_panics`, where it is caught.
 fn fail_finish(inner: &Inner, task: Task, e: ServeError) {
-    match &e {
-        ServeError::DeadlineExceeded { .. } => inner.metrics.on_deadline_exceeded(),
-        ServeError::Stalled { .. } => inner.metrics.on_watchdog_cancel(),
-        ServeError::WorkerPanic { .. } => {}
+    let counter = match &e {
+        ServeError::DeadlineExceeded { .. } => Counter::DeadlineExceeded,
+        ServeError::Stalled { .. } => Counter::WatchdogCancels,
+        ServeError::WorkerPanic { .. } => Counter::PanickedSessions,
         // Abort-path abandonment: the session was turned away, not broken.
-        ServeError::ShuttingDown => inner.metrics.on_rejected_shutdown(),
-        _ => inner.metrics.on_failed(),
-    }
+        ServeError::ShuttingDown => Counter::RejectedShutdown,
+        _ => Counter::Failed,
+    };
+    inner.metrics.add(counter, 1);
     finish(inner, task, Err(e));
 }
 
@@ -659,9 +667,9 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
         }));
         match resolved {
             Err(payload) => {
-                inner.metrics.on_worker_panic();
+                inner.metrics.add(Counter::WorkerPanics, 1);
                 let detail = panic_detail(payload.as_ref());
-                finish(inner, task, Err(ServeError::WorkerPanic { detail }));
+                fail_finish(inner, task, ServeError::WorkerPanic { detail });
             }
             Ok(Err(e)) => fail_finish(inner, task, e),
             Ok(Ok(decoder)) => {
@@ -700,7 +708,7 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
         }));
         match advanced {
             Err(payload) => {
-                inner.metrics.on_worker_panic();
+                inner.metrics.add(Counter::WorkerPanics, 1);
                 let detail = panic_detail(payload.as_ref());
                 m.end = MemberEnd::Failed(ServeError::WorkerPanic { detail });
             }
@@ -736,7 +744,7 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
             let step = std::panic::catch_unwind(AssertUnwindSafe(|| spec.step()));
             match step {
                 Err(payload) => {
-                    inner.metrics.on_worker_panic();
+                    inner.metrics.add(Counter::WorkerPanics, 1);
                     let detail = panic_detail(payload.as_ref());
                     m.end = MemberEnd::Failed(ServeError::WorkerPanic { detail });
                 }
@@ -766,7 +774,7 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
         drop(steppers);
         match round {
             Err(payload) => {
-                inner.metrics.on_worker_panic();
+                inner.metrics.add(Counter::WorkerPanics, 1);
                 let detail = panic_detail(payload.as_ref());
                 for &i in &stepped {
                     members[i].end = MemberEnd::Failed(ServeError::WorkerPanic {
@@ -841,9 +849,11 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
                 inner.available.notify_one();
             }
             MemberEnd::Done(result) => {
+                inner.metrics.add(Counter::Completed, 1);
                 inner
                     .metrics
-                    .on_completed(result.tokens.len(), result.total_us);
+                    .add(Counter::TokensOut, result.tokens.len() as u64);
+                inner.metrics.observe(Hist::Latency, result.total_us);
                 finish(inner, task, Ok(result));
             }
             MemberEnd::Failed(e) => fail_finish(inner, task, e),
@@ -862,7 +872,7 @@ fn take_decoder(inner: &Inner, task: &mut Task) -> Result<SessionDecoder, ServeE
         TaskState::Pending(req) => {
             let queue_us = elapsed_us(task.admitted);
             task.queue_us = Some(queue_us);
-            inner.metrics.on_first_slice(queue_us);
+            inner.metrics.observe(Hist::QueueWait, queue_us);
             if past(task.deadline) {
                 return Err(deadline_error(task.admitted));
             }
@@ -884,7 +894,10 @@ fn take_decoder(inner: &Inner, task: &mut Task) -> Result<SessionDecoder, ServeE
                 // Adoption re-validates tokens and model identity; a
                 // mismatch simply falls back to a cold prefill.
                 if let Ok(adopted) = decoder.adopt_prefix(fork) {
-                    inner.metrics.on_prefix_hit(adopted);
+                    inner.metrics.add(Counter::PrefixHits, 1);
+                    inner
+                        .metrics
+                        .add(Counter::PrefixTokensReused, adopted as u64);
                 }
             }
             let decoder = match &req.draft {
@@ -920,7 +933,8 @@ fn take_decoder(inner: &Inner, task: &mut Task) -> Result<SessionDecoder, ServeE
 fn run_prefill_chunk(inner: &Inner, decoder: &mut StepDecoder) -> Result<(), ServeError> {
     let t0 = Instant::now();
     decoder.prefill_pending(inner.cfg.prefill_chunk)?;
-    inner.metrics.on_prefill_chunk(elapsed_us(t0));
+    inner.metrics.add(Counter::PrefillChunks, 1);
+    inner.metrics.observe(Hist::Prefill, elapsed_us(t0));
     if !decoder.is_prefilling() && decoder.emitted() == 0 {
         inner.prefix.insert(decoder.cache());
     }
@@ -935,10 +949,15 @@ fn flush_spec_stats(inner: &Inner, decoder: &mut SessionDecoder) {
     if let SessionDecoder::Spec(s) = decoder {
         let stats = s.take_stats();
         if stats.proposed > 0 || stats.accepted > 0 {
-            inner.metrics.on_spec_round(stats.proposed, stats.accepted);
+            inner
+                .metrics
+                .add(Counter::DraftTokensProposed, stats.proposed);
+            inner
+                .metrics
+                .add(Counter::AcceptedDraftTokens, stats.accepted);
         }
         if stats.fallbacks > 0 {
-            inner.metrics.on_spec_fallback(stats.fallbacks);
+            inner.metrics.add(Counter::SpecFallbacks, stats.fallbacks);
         }
     }
 }

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use chipalign_nn::{CharTokenizer, BOS};
 
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Metrics};
 use crate::protocol::{
     self, GenerateRequest, Generation, LineReader, Request, Response, PROTOCOL_VERSION,
 };
@@ -395,7 +395,7 @@ fn serve_generation(
         });
     }
     if gen.retry_attempt > 0 {
-        inner.metrics.on_retry_attempted();
+        inner.metrics.add(Counter::RetriesAttempted, 1);
     }
     let cfg = gen.decode_config(inner.cfg.max_new_tokens_cap);
     cfg.validate().map_err(ServeError::from)?;

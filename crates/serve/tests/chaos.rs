@@ -6,7 +6,8 @@
 //! the three fault-tolerance invariants:
 //!
 //! 1. the *affected* sessions fail with the right structured error code
-//!    and exactly the right metric counter moves;
+//!    and exactly the right metric counter moves, while every request
+//!    stays accounted for by exactly one per-session counter;
 //! 2. *healthy* sessions are untouched — byte-identical to a
 //!    single-threaded `generate()` of the same model;
 //! 3. the server still drains cleanly afterward.
@@ -106,6 +107,19 @@ fn assert_fault_counters(snap: &MetricsSnapshot, expected: (u64, u64, u64, u64))
     );
 }
 
+/// Asserts every request is accounted for once every session is answered:
+/// each one ended under exactly one per-session counter.
+fn assert_conserved(snap: &MetricsSnapshot) {
+    let ended = snap.completed
+        + snap.failed
+        + snap.deadline_exceeded
+        + snap.watchdog_cancels
+        + snap.rejected_overload
+        + snap.rejected_shutdown
+        + snap.panicked_sessions;
+    assert_eq!(snap.requests, ended, "requests vs session ends in {snap:?}");
+}
+
 /// Shuts the server down and asserts the port actually closed.
 fn assert_clean_drain(server: Server) {
     let addr = server.local_addr();
@@ -144,6 +158,7 @@ fn worker_panic_cancels_only_the_poisoned_session() {
     assert_healthy(addr, "healthy", &healthy_model, "still fine");
     let snap = client.metrics().expect("metrics");
     assert_fault_counters(&snap, (1, 0, 0, 0));
+    assert_conserved(&snap);
     assert_eq!(snap.failed, 0, "a panic is not a decode failure");
     assert_eq!(snap.completed, 1);
     assert_clean_drain(server);
@@ -231,6 +246,7 @@ fn batched_panic_cancels_only_the_poisoned_batch_mate() {
 
     let snap = metrics.snapshot();
     assert_fault_counters(&snap, (1, 0, 0, 0));
+    assert_conserved(&snap);
     assert_eq!(snap.completed, 3, "three healthy batch-mates finished");
     assert_eq!(snap.failed, 0, "a panic is not a decode failure");
     assert!(
@@ -289,6 +305,7 @@ fn draft_panic_degrades_the_session_to_plain_decode() {
         "the draft died on its first phase; nothing was accepted"
     );
     assert_fault_counters(&snap, (0, 0, 0, 0));
+    assert_conserved(&snap);
     assert_eq!(snap.completed, 1, "the session completed normally");
     assert_eq!(snap.failed, 0, "a draft panic is not a session failure");
     assert_clean_drain(server);
@@ -316,6 +333,7 @@ fn watchdog_cancels_a_stalled_session() {
     assert_healthy(addr, "healthy", &healthy_model, "not stuck");
     let snap = client.metrics().expect("metrics");
     assert_fault_counters(&snap, (0, 1, 0, 0));
+    assert_conserved(&snap);
     assert_eq!(snap.deadline_exceeded, 0, "watchdog has its own counter");
     assert_clean_drain(server);
 }
@@ -359,6 +377,7 @@ fn corrupt_checkpoint_file_is_a_structured_error_not_a_crash() {
     assert_healthy(addr, "healthy", &healthy_model, "undamaged");
     let snap = client.metrics().expect("metrics");
     assert_fault_counters(&snap, (0, 0, 2, 0));
+    assert_conserved(&snap);
     assert_clean_drain(server);
 }
 
@@ -388,6 +407,7 @@ fn torn_persist_write_is_detected_and_rebuilt() {
     assert_eq!(client.load(SPEC).expect("reload"), KEY);
     let snap = client.metrics().expect("metrics");
     assert_fault_counters(&snap, (0, 0, 1, 0));
+    assert_conserved(&snap);
     let full_len = std::fs::metadata(&persist_path).expect("persisted").len();
     assert!(
         full_len > torn_len,
@@ -497,6 +517,7 @@ fn abandoned_sessions_are_absorbed() {
     assert_healthy(addr, "healthy", &healthy_model, "still served");
     let snap = client.metrics().expect("metrics");
     assert_fault_counters(&snap, (0, 0, 0, 0));
+    assert_conserved(&snap);
     assert_eq!(snap.completed, 3, "two orphans + one healthy");
     assert_clean_drain(server);
 }
@@ -523,6 +544,7 @@ fn dead_worker_respawns_and_the_pool_keeps_serving() {
     assert_healthy(addr, "healthy", &healthy_model, "served by respawn");
     let snap = client.metrics().expect("metrics");
     assert_fault_counters(&snap, (0, 0, 0, 1));
+    assert_conserved(&snap);
     assert_clean_drain(server);
 }
 
@@ -553,6 +575,7 @@ fn registry_resolve_failure_is_structured_and_scoped() {
     assert_healthy(addr, "healthy", &healthy_model, "unaffected");
     let snap = client.metrics().expect("metrics");
     assert_fault_counters(&snap, (0, 0, 0, 0));
+    assert_conserved(&snap);
     assert_clean_drain(server);
 }
 
@@ -621,5 +644,6 @@ fn retrier_rides_out_overload_against_a_live_server() {
         "server counted retry traffic: {snap:?}"
     );
     assert!(snap.rejected_overload >= 1);
+    assert_conserved(&snap);
     assert_clean_drain(server);
 }

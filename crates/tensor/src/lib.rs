@@ -15,7 +15,7 @@
 //! * [`tune`] — every kernel block size and shape cut-off as a
 //!   named, documented constant, plus the matvec fast-path call counter that
 //!   lets decode paths prove which kernel they ran on.
-//! * [`reference`] — the retained naive kernels, used as differential-test
+//! * [`reference`](mod@reference) — the retained naive kernels, used as differential-test
 //!   oracles for the blocked implementations (1e-4 relative tolerance).
 //! * [`backend`] — the pluggable kernel tier: scalar reference, the blocked
 //!   autovectorized kernels, and an explicit AVX2/FMA tier selected once per

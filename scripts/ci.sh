@@ -103,5 +103,8 @@ cargo test -q -p chipalign-router --features fault-inject
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy -p chipalign-serve --all-targets --features fault-inject -- -D warnings
 cargo clippy -p chipalign-router --all-targets --features fault-inject -- -D warnings
+# Rustdoc with warnings denied: an intra-doc link left stale by a moved
+# item or field fails here, not in a reader's browser.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "ci: benchmark smoke + build + tests + chaos + clippy all green"
+echo "ci: benchmark smoke + build + tests + chaos + clippy + rustdoc all green"
