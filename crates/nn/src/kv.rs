@@ -44,12 +44,20 @@
 //! dispatched to `matvec`, which [`chipalign_tensor::tune::matvec_calls`]
 //! lets a test observe). The norm, RoPE, attention and residual code is per
 //! row.
-//! A row's K/V depend only on the tokens before it, and every block size
-//! feeds [`fused_attention`] the same rows in the same order. Hence
+//! A row's K/V depend only on the tokens before it, and attention gives
+//! the same bits at every block size. Its K pass scores eight positions of
+//! a head at a time from the block's key tile, in eight lanes that each
+//! run `ops::dot`'s own fold — seeded with `-0.0`, adding `q[e] · k[e]` in
+//! element order, never fused into an FMA — so a lane holds exactly the
+//! score a lone `ops::dot` would, whichever positions share its group, and
+//! the positions a block leaves over take that fold one at a time. Softmax
+//! then runs per head over the same scores, and the V pass adds every
+//! position's weighted row into the context in position order. Hence
 //! batched ≡ single-step, chunked ≡ one-shot prefill, verify ≡ sequential
 //! and any block size ≡ any other hold bitwise, for f32 and int8 weights
 //! alike; the serving scheduler relies on it to keep batched transcripts
-//! byte-equal to `generate()`. Tests below pin each of them.
+//! byte-equal to `generate()`. Tests below pin each of them, and
+//! `tests/logits_pin.rs` pins the logits themselves across versions.
 //!
 //! # Storage
 //!
@@ -65,12 +73,20 @@
 //! position ([`KvCache::tokens`]) so reuse can be validated against the
 //! new prompt.
 //!
+//! Within an f32 block layer, V is row-major (`block_tokens × d_model`)
+//! and K is stored as `n_heads` tiles of `head_dim × block_tokens`,
+//! position-minor: element (t, h, e) sits at `h·hd·bt + e·bt + t`
+//! ([`crate::kvpool::key_slot`]). A head's keys for a run of positions are
+//! then consecutive floats, which is what lets the K pass score eight
+//! positions per load.
+//!
 //! A pool created at [`crate::KvDtype::Int8`] seals each block layer to i8
 //! codes + per-head scales the moment its last position is written (the
 //! open tail stays f32, so writes and copy-on-write are dtype-blind).
-//! Sealed rows reach [`fused_attention`] as `KvRowRef::Q8` and are
-//! dequantized in-register by the active
-//! [`chipalign_tensor::backend::KernelBackend`]'s `dot_q8` / `axpy_q8`.
+//! Sealing un-tiles K, so sealed codes are row-major for K and V alike;
+//! attention scores them with one `dot_q8` per (position, head) and
+//! accumulates V with `axpy_q8`, both dequantizing in-register in the
+//! active [`chipalign_tensor::backend::KernelBackend`].
 //! The seal trigger is a pure function of the position, so the identities
 //! above hold bitwise on an int8 pool too; against the *f32* oracle,
 //! int8-KV logits are pinned within [`KV8_LOGIT_TOL`] with margin-gated
@@ -82,7 +98,7 @@ use chipalign_tensor::ops;
 use chipalign_tensor::tune::GEMM_SKINNY_M_MAX;
 use chipalign_tensor::{backend, Matrix, QuantizedMatrix};
 
-use crate::kvpool::{BlockLayer, KvBlock, KvDtype, KvPool, KvPoolConfig};
+use crate::kvpool::{key_slot, BlockLayer, KvBlock, KvDtype, KvPool, KvPoolConfig};
 use crate::model::{rope_rotate, rope_sin_cos, TinyLm};
 use crate::NnError;
 
@@ -105,20 +121,6 @@ struct BlockTable {
     /// Attention heads of the bound model — the granularity at which int8
     /// pools compute seal-time scales (one absmax per head per block).
     n_heads: usize,
-}
-
-/// One cached K or V row as stored: a plain f32 slice, or a sealed block's
-/// i8 codes together with its per-head scales. [`fused_attention`] matches
-/// per row, so mixed tables (sealed body + f32 tail) stream each block at
-/// its own width.
-#[derive(Clone, Copy)]
-enum KvRowRef<'a> {
-    /// Row of an f32 block (every block of an f32 pool, the open tail of
-    /// an int8 one).
-    F32(&'a [f32]),
-    /// Row of a sealed block: `codes` is the `d_model`-wide i8 row,
-    /// `scales` the owning block layer's `n_heads` absmax scales.
-    Q8 { codes: &'a [i8], scales: &'a [f32] },
 }
 
 impl BlockTable {
@@ -183,21 +185,25 @@ impl BlockTable {
         Ok(())
     }
 
-    /// Scatters one position's K/V rows into the (prepared) tail block.
-    /// Writing a block's final position seals the layer on int8 pools
-    /// (a no-op on f32) — the trigger is a pure function of `pos`, so any
-    /// prefill chunking quantizes identical rows at identical moments.
+    /// Scatters one position's K/V rows into the (prepared) tail block: V
+    /// as a row, K one element per head-tile row (see
+    /// [`crate::kvpool::key_slot`]). Writing a block's final position seals
+    /// the layer on int8 pools (a no-op on f32) — the trigger is a pure
+    /// function of `pos`, so any prefill chunking quantizes identical rows
+    /// at identical moments.
     fn write_row(&mut self, li: usize, pos: usize, k: &[f32], v: &[f32]) {
         let bt = self.pool.block_tokens();
         let d = k.len();
         let n_heads = self.n_heads;
         let block = Arc::get_mut(&mut self.blocks[pos / bt])
             .expect("prepare_position left the tail block uniquely owned");
-        let start = (pos % bt) * d;
+        let t = pos % bt;
         match &mut block.layers[li] {
             BlockLayer::F32 { k: bk, v: bv } => {
-                bk[start..start + d].copy_from_slice(k);
-                bv[start..start + d].copy_from_slice(v);
+                for (col, &x) in k.iter().enumerate() {
+                    bk[key_slot(t, col, bt)] = x;
+                }
+                bv[t * d..(t + 1) * d].copy_from_slice(v);
             }
             BlockLayer::Q8 { .. } => {
                 unreachable!("prepare_position replaces a sealed tail before any write")
@@ -206,42 +212,6 @@ impl BlockTable {
         if pos % bt == bt - 1 {
             block.seal_layer(li, d, n_heads);
         }
-    }
-
-    /// The first `rows` cached (K, V) row pairs of one layer, in position
-    /// order. Each row is served at its block's stored width: f32 for
-    /// open/unsealed blocks, i8 codes + scales for sealed ones.
-    fn rows(
-        &self,
-        li: usize,
-        rows: usize,
-        d: usize,
-    ) -> impl Iterator<Item = (KvRowRef<'_>, KvRowRef<'_>)> {
-        let bt = self.pool.block_tokens();
-        (0..rows).map(move |t| {
-            let start = (t % bt) * d;
-            let span = start..start + d;
-            match &self.blocks[t / bt].layers[li] {
-                BlockLayer::F32 { k, v } => {
-                    (KvRowRef::F32(&k[span.clone()]), KvRowRef::F32(&v[span]))
-                }
-                BlockLayer::Q8 {
-                    k_codes,
-                    v_codes,
-                    k_scales,
-                    v_scales,
-                } => (
-                    KvRowRef::Q8 {
-                        codes: &k_codes[span.clone()],
-                        scales: k_scales,
-                    },
-                    KvRowRef::Q8 {
-                        codes: &v_codes[span],
-                        scales: v_scales,
-                    },
-                ),
-            }
-        })
     }
 
     /// Aliases the blocks covering the first `positions` positions: the
@@ -261,24 +231,121 @@ impl BlockTable {
         self.blocks.truncate(keep);
     }
 
-    /// Fused attention for one query row over the first `rows` cached
-    /// rows of layer `li`. `head_dim` is recovered from the query width
-    /// (`d = n_heads × head_dim` by construction of the architecture).
-    fn attend(
-        &self,
-        li: usize,
-        rows: usize,
-        q: &[f32],
-        n_heads: usize,
-        scores: &mut Vec<f32>,
-        ctx: &mut [f32],
-    ) {
+    /// Attention for one query row over the first `rows` cached positions
+    /// of layer `li`, accumulated into `ctx` (which must arrive zeroed).
+    /// `head_dim` is recovered from the query width (`d = n_heads ×
+    /// head_dim` by construction of the architecture).
+    ///
+    /// Two passes over the blocks, each block's layer resolved once per
+    /// pass: scores for every (head, position) into `scores` (`n_heads ×
+    /// rows`, head-major), a softmax per head, then every position's V row
+    /// weighted into `ctx`. Each score is bitwise `ops::dot` of the query
+    /// head with the key head (see [`score_tile`]) and each `ctx` element
+    /// receives its adds in position order, so every block size gives the
+    /// same bits.
+    fn attend(&self, li: usize, rows: usize, q: &[f32], scores: &mut Vec<f32>, ctx: &mut [f32]) {
         let d = q.len();
-        // Each row's block is looked up once here, not once per head in
-        // the kernel: with one-token blocks that lookup is most of a row's
-        // cost outside its dot products.
-        let (keys, vals): (Vec<_>, Vec<_>) = self.rows(li, rows, d).unzip();
-        fused_attention(q, &keys, &vals, n_heads, d / n_heads, scores, ctx);
+        let n_heads = self.n_heads;
+        let head_dim = d / n_heads;
+        let bt = self.pool.block_tokens();
+        let scale = 1.0 / (head_dim as f32).sqrt();
+        let be = backend::active();
+        let blocks = &self.blocks[..self.pool.blocks_for(rows)];
+        scores.clear();
+        scores.resize(n_heads * rows, 0.0);
+        for (b, block) in blocks.iter().enumerate() {
+            let t0 = b * bt;
+            let n = bt.min(rows - t0);
+            let heads = q.chunks_exact(head_dim).zip(scores.chunks_exact_mut(rows));
+            for (hh, (qh, head_scores)) in heads.enumerate() {
+                let out = &mut head_scores[t0..t0 + n];
+                match &block.layers[li] {
+                    BlockLayer::F32 { k, .. } => {
+                        let lo = key_slot(0, hh * head_dim, bt);
+                        score_tile(qh, &k[lo..lo + head_dim * bt], out);
+                    }
+                    BlockLayer::Q8 {
+                        k_codes, k_scales, ..
+                    } => {
+                        for (t, s) in out.iter_mut().enumerate() {
+                            let lo = t * d + hh * head_dim;
+                            *s = be.dot_q8(&k_codes[lo..lo + head_dim], k_scales[hh], qh);
+                        }
+                    }
+                }
+                for s in out {
+                    *s *= scale;
+                }
+            }
+        }
+        for head_scores in scores.chunks_exact_mut(rows) {
+            ops::softmax_inplace(head_scores);
+        }
+        for (b, block) in blocks.iter().enumerate() {
+            let t0 = b * bt;
+            for t in 0..bt.min(rows - t0) {
+                let row = t * d..(t + 1) * d;
+                let weights = scores[t0 + t..].iter().step_by(rows);
+                let heads = ctx.chunks_exact_mut(head_dim).zip(weights);
+                match &block.layers[li] {
+                    BlockLayer::F32 { v, .. } => {
+                        for ((c, &w), vh) in heads.zip(v[row].chunks_exact(head_dim)) {
+                            for (c, &vv) in c.iter_mut().zip(vh) {
+                                *c += w * vv;
+                            }
+                        }
+                    }
+                    BlockLayer::Q8 {
+                        v_codes, v_scales, ..
+                    } => {
+                        let v_heads = v_codes[row].chunks_exact(head_dim).zip(v_scales);
+                        for ((c, &w), (vh, &vs)) in heads.zip(v_heads) {
+                            be.axpy_q8(w, vh, vs, c);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Scores one head's key tile (`head_dim` rows of `block_tokens`
+/// positions, see [`crate::kvpool::key_slot`]) against the query head
+/// `q`, for the first `out.len()` positions.
+///
+/// Eight positions at a time go in eight independent accumulators, each
+/// seeded with `-0.0` and adding `q[e] · k[e]` in element order — exactly
+/// the fold `ops::dot` runs, so every lane is `ops::dot`'s value bit for
+/// bit (Rust never contracts `a * b + c` into an FMA). A group may reach
+/// past `out` into columns the block has not filled yet, as long as the
+/// tile has them: those lanes are computed and dropped. Positions no group
+/// can cover take the same fold one at a time; a one-position tile is the
+/// key head itself, so that is `ops::dot` outright.
+fn score_tile(q: &[f32], tile: &[f32], out: &mut [f32]) {
+    const LANES: usize = 8;
+    let bt = tile.len() / q.len();
+    let mut t = 0;
+    while t < out.len() && t + LANES <= bt {
+        let mut acc = [-0.0f32; LANES];
+        for (&qe, k_row) in q.iter().zip(tile.chunks_exact(bt)) {
+            let k: &[f32; LANES] = k_row[t..t + LANES].try_into().expect("eight columns");
+            for (a, &kv) in acc.iter_mut().zip(k) {
+                *a += qe * kv;
+            }
+        }
+        let width = LANES.min(out.len() - t);
+        out[t..t + width].copy_from_slice(&acc[..width]);
+        t += LANES;
+    }
+    for (t, s) in out.iter_mut().enumerate().skip(t) {
+        *s = if bt == 1 {
+            ops::dot(q, tile)
+        } else {
+            q.iter()
+                .zip(tile.chunks_exact(bt))
+                .map(|(&qe, k_row)| qe * k_row[t])
+                .sum()
+        };
     }
 }
 
@@ -315,8 +382,9 @@ pub struct KvCache {
     /// len`). Lets prefix reuse verify that a donated cache really holds
     /// the prompt it claims to.
     tokens: Vec<u32>,
-    /// Reusable per-head attention-score scratch (capacity grows to the
-    /// longest sequence seen), so decode steps allocate no score vectors.
+    /// Reusable attention-score scratch, `n_heads × len` (capacity grows
+    /// to the longest sequence seen), so decode steps allocate no score
+    /// vectors.
     score_buf: Vec<f32>,
 }
 
@@ -732,7 +800,6 @@ impl KvCache {
                         li,
                         row.pos + 1,
                         q.row(r),
-                        n_heads,
                         &mut session.score_buf,
                         ctx.row_mut(r),
                     );
@@ -881,54 +948,6 @@ fn rmsnorm_rows<'a>(rows: impl Iterator<Item = &'a [f32]>, gain: &[f32]) -> Matr
         out.extend(x.iter().zip(gain).map(|(&v, &g)| v * g / rms));
     }
     Matrix::from_vec(out.len() / d, d, out).expect("whole rows")
-}
-
-/// Fused per-head score→softmax→context for one query row against one
-/// session's cached K/V rows, accumulating into `ctx` (which must arrive
-/// zeroed). Scores go against every cached position (causal by
-/// construction: the rows stop at position `pos`), are normalised in place
-/// over the reusable scratch, and contracted against V without allocating
-/// a per-head vector. The rows are the same, in the same order, at every
-/// block size, so a shared pool's cache runs the *same* dot products as a
-/// private one — the reason decoding is bit-identical across pools.
-fn fused_attention(
-    q: &[f32],
-    keys: &[KvRowRef<'_>],
-    vals: &[KvRowRef<'_>],
-    n_heads: usize,
-    head_dim: usize,
-    scores: &mut Vec<f32>,
-    ctx: &mut [f32],
-) {
-    let scale = 1.0 / (head_dim as f32).sqrt();
-    let be = backend::active();
-    for hh in 0..n_heads {
-        let lo = hh * head_dim;
-        let hi = lo + head_dim;
-        scores.clear();
-        scores.extend(keys.iter().map(|&krow| {
-            let s = match krow {
-                // The f32 arm is byte-for-byte the pre-quantization code
-                // path: it must stay bit-exact with the f32 oracle.
-                KvRowRef::F32(k) => ops::dot(&q[lo..hi], &k[lo..hi]),
-                KvRowRef::Q8 { codes, scales } => be.dot_q8(&codes[lo..hi], scales[hh], &q[lo..hi]),
-            };
-            s * scale
-        }));
-        ops::softmax_inplace(scores);
-        for (w, &vrow) in scores.iter().zip(vals) {
-            match vrow {
-                KvRowRef::F32(v) => {
-                    for (c, &vv) in ctx[lo..hi].iter_mut().zip(&v[lo..hi]) {
-                        *c += w * vv;
-                    }
-                }
-                KvRowRef::Q8 { codes, scales } => {
-                    be.axpy_q8(*w, &codes[lo..hi], scales[hh], &mut ctx[lo..hi]);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2011,24 +2030,34 @@ mod tests {
         Arc::new(m)
     }
 
-    /// The four layouts every cross-path pin runs on; pools use the default
-    /// 16-token blocks.
-    const LAYOUTS: [&str; 4] = ["contiguous", "paged f32", "int8 weights", "int8 kv"];
+    /// The layouts every cross-path pin runs on; pools use the default
+    /// 16-token blocks, except the 5-token one, whose blocks are shorter
+    /// than an eight-position lane group, so every score takes the tile
+    /// kernel's tail path.
+    const LAYOUTS: [&str; 5] = [
+        "contiguous",
+        "paged f32",
+        "paged f32, 5-token blocks",
+        "int8 weights",
+        "int8 kv",
+    ];
 
     /// A fresh cache of the given layout, on a pool of its own.
     fn wide_cache(layout: &str, f32_m: &Arc<TinyLm>, int8_m: &Arc<TinyLm>) -> KvCache {
-        let pool = |dtype| {
+        let pool = |dtype, block_tokens| {
             crate::KvPool::new(crate::KvPoolConfig {
                 dtype,
+                block_tokens,
                 ..crate::KvPoolConfig::default()
             })
             .expect("valid pool config")
         };
         match layout {
             "contiguous" => KvCache::new(f32_m),
-            "paged f32" => KvCache::new_paged(f32_m, &pool(crate::KvDtype::F32)),
+            "paged f32" => KvCache::new_paged(f32_m, &pool(crate::KvDtype::F32, 16)),
+            "paged f32, 5-token blocks" => KvCache::new_paged(f32_m, &pool(crate::KvDtype::F32, 5)),
             "int8 weights" => KvCache::new(int8_m),
-            "int8 kv" => KvCache::new_paged(f32_m, &pool(crate::KvDtype::Int8)),
+            "int8 kv" => KvCache::new_paged(f32_m, &pool(crate::KvDtype::Int8, 16)),
             other => panic!("unknown layout {other}"),
         }
     }

@@ -357,17 +357,48 @@ fn quantize_per_head(values: &[f32], d: usize, n_heads: usize) -> (Vec<i8>, Vec<
     (codes, scales)
 }
 
-/// One layer's slice of a block: `block_tokens × d_model` rotary-encoded
-/// keys and as many values, row-major. Born [`BlockLayer::F32`]
+/// Where key element (`pos`, `col`) of an f32 block layer sits in its `k`
+/// buffer: column-major, `col · block_tokens + pos`. With `col = h·hd + e`
+/// that is `h·hd·bt + e·bt + pos`, so head `h` owns one contiguous
+/// `hd × bt` tile whose rows are key elements and whose columns are
+/// positions — attention scores consecutive positions of a head from
+/// consecutive floats. The one place the layout is spelled out.
+pub(crate) fn key_slot(pos: usize, col: usize, block_tokens: usize) -> usize {
+    col * block_tokens + pos
+}
+
+/// Row-major copy (`block_tokens × d`) of a tiled f32 key buffer.
+fn keys_row_major(k: &[f32], d: usize) -> Vec<f32> {
+    let bt = k.len() / d;
+    (0..k.len())
+        .map(|i| k[key_slot(i / d, i % d, bt)])
+        .collect()
+}
+
+/// Tiled copy of a row-major (`block_tokens × d`) key buffer; the inverse
+/// of [`keys_row_major`].
+fn keys_tiled(rows: &[f32], d: usize) -> Vec<f32> {
+    let bt = rows.len() / d;
+    let mut k = vec![0.0f32; rows.len()];
+    for (i, &x) in rows.iter().enumerate() {
+        k[key_slot(i / d, i % d, bt)] = x;
+    }
+    k
+}
+
+/// One layer's slice of a block: `block_tokens` rotary-encoded keys and
+/// as many values, each `d_model` wide. Born [`BlockLayer::F32`]
 /// (zero-filled until written); int8 pools convert the layer to
 /// [`BlockLayer::Q8`] in place the moment its last position is written.
 #[derive(Debug, Clone)]
 pub(crate) enum BlockLayer {
-    /// Plain rows — the only writable representation.
+    /// Plain f32 — the only writable representation.
     F32 {
-        /// Keys, `block_tokens × d_model` row-major.
+        /// Keys as `n_heads` per-head tiles of `head_dim × block_tokens`,
+        /// position-minor: element (position, column) sits at
+        /// [`key_slot`]. Sealing un-tiles them before quantizing.
         k: Vec<f32>,
-        /// Values, same shape as `k`.
+        /// Values, `block_tokens × d_model` row-major.
         v: Vec<f32>,
     },
     /// Sealed rows: i8 codes with one absmax scale per head (shared by
@@ -407,10 +438,11 @@ impl BlockLayer {
         matches!(self, BlockLayer::Q8 { .. })
     }
 
-    /// Quantizes the layer in place (no-op if already sealed).
+    /// Quantizes the layer in place (no-op if already sealed). Keys are
+    /// un-tiled first, so sealed codes are row-major like the values.
     fn seal(&mut self, d: usize, n_heads: usize) {
         if let BlockLayer::F32 { k, v } = self {
-            let (k_codes, k_scales) = quantize_per_head(k, d, n_heads);
+            let (k_codes, k_scales) = quantize_per_head(&keys_row_major(k, d), d, n_heads);
             let (v_codes, v_scales) = quantize_per_head(v, d, n_heads);
             *self = BlockLayer::Q8 {
                 k_codes,
@@ -422,7 +454,7 @@ impl BlockLayer {
     }
 
     /// An f32 working copy carrying the first `rows` positions (dequantized
-    /// when sealed), zero elsewhere.
+    /// and, for keys, re-tiled when sealed), zero elsewhere.
     fn to_f32(&self, rows: usize, row_floats: usize, d: usize, n_heads: usize) -> BlockLayer {
         match self {
             BlockLayer::F32 { k, v } => BlockLayer::F32 {
@@ -447,7 +479,7 @@ impl BlockLayer {
                     out
                 };
                 BlockLayer::F32 {
-                    k: expand(k_codes, k_scales),
+                    k: keys_tiled(&expand(k_codes, k_scales), d),
                     v: expand(v_codes, v_scales),
                 }
             }
@@ -544,13 +576,22 @@ mod tests {
         .expect("valid config")
     }
 
-    /// Writes `val` at flat index `i` of layer `li`'s K (or V) buffer;
-    /// only valid on unsealed layers.
+    /// Where row-major index `i` (position `i / d`, column `i % d`) of a
+    /// `k_len`-float K buffer lives under the tile layout.
+    fn k_at(i: usize, k_len: usize, block_tokens: usize) -> usize {
+        let d = k_len / block_tokens;
+        key_slot(i / d, i % d, block_tokens)
+    }
+
+    /// Writes `val` at row-major index `i` of layer `li`'s K (or V)
+    /// buffer; only valid on unsealed layers.
     fn poke(block: &mut KvBlock, li: usize, key_side: bool, i: usize, val: f32) {
+        let bt = block.permit.pool.block_tokens();
         match &mut block.layers[li] {
             BlockLayer::F32 { k, v } => {
                 if key_side {
-                    k[i] = val;
+                    let at = k_at(i, k.len(), bt);
+                    k[at] = val;
                 } else {
                     v[i] = val;
                 }
@@ -560,10 +601,11 @@ mod tests {
     }
 
     fn peek(block: &KvBlock, li: usize, key_side: bool, i: usize) -> f32 {
+        let bt = block.permit.pool.block_tokens();
         match &block.layers[li] {
             BlockLayer::F32 { k, v } => {
                 if key_side {
-                    k[i]
+                    k[k_at(i, k.len(), bt)]
                 } else {
                     v[i]
                 }

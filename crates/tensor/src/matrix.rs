@@ -314,15 +314,6 @@ impl Matrix {
         self.zip_map(other, |a, b| a - b)
     }
 
-    /// Elementwise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    pub fn hadamard(&self, other: &Matrix) -> Result<Self, TensorError> {
-        self.zip_map(other, |a, b| a * b)
-    }
-
     /// Adds `other` into `self` in place.
     ///
     /// # Errors
@@ -582,12 +573,6 @@ impl Matrix {
         Ok(crate::reduce::dot(&self.data, &other.data))
     }
 
-    /// Sum of absolute values (entrywise L1 norm).
-    #[must_use]
-    pub fn l1_norm(&self) -> f32 {
-        self.data.iter().map(|x| f64::from(x.abs())).sum::<f64>() as f32
-    }
-
     /// Largest absolute element, or 0 for an empty matrix.
     #[must_use]
     pub fn max_abs(&self) -> f32 {
@@ -790,7 +775,6 @@ mod tests {
         let b = a.scale(2.0);
         assert_eq!(a.add(&b).expect("same shape").data()[5], 18.0);
         assert_eq!(b.sub(&a).expect("same shape").data(), a.data());
-        assert_eq!(a.hadamard(&a).expect("same shape").data()[2], 9.0);
         let mut c = a.clone();
         c.axpy(0.5, &b).expect("same shape");
         assert_eq!(c.data()[0], 2.0);
@@ -1002,7 +986,6 @@ mod tests {
     #[test]
     fn norms_and_stats() {
         let m = Matrix::from_vec(1, 3, vec![-1.0, 2.0, -3.0]).expect("ok");
-        assert_eq!(m.l1_norm(), 6.0);
         assert_eq!(m.max_abs(), 3.0);
         assert!((m.mean().expect("non-empty") - (-2.0 / 3.0)).abs() < 1e-6);
         assert!(m.all_finite());

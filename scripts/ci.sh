@@ -93,6 +93,15 @@ taskset -c 0 cargo test -q -p chipalign-tensor -p chipalign-merge
 for backend in scalar blocked; do
   CHIPALIGN_BACKEND="$backend" cargo test -q -p chipalign-tensor -p chipalign-nn
 done
+# Once more under AddressSanitizer: the AVX2 tier is the workspace's only
+# `unsafe` code, and every tensor and nn test drives it, so an
+# out-of-bounds load there fails here instead of reading a neighbour's
+# bytes. Nightly-only flag, own target directory (instrumented artefacts
+# never mix with the plain ones); doctests stay out because they do not
+# link under ASan.
+RUSTFLAGS=-Zsanitizer=address CARGO_TARGET_DIR=target/asan \
+  cargo +nightly test -q --offline --target x86_64-unknown-linux-gnu \
+  -p chipalign-tensor -p chipalign-nn --lib --tests
 
 # Chaos suites: deterministic fault injection behind the fault-inject
 # feature (never part of release builds). The router's fleet chaos suite
