@@ -15,12 +15,15 @@
 //! exposes the same pairwise [`Merger`] interface used by the experiment
 //! pipeline.
 //!
-//! Like the geodesic path, every `merge_many` here materializes the merged
-//! tensors and then inserts them in canonical name order. Tensors are
-//! independent; they run sequentially today. The stochastic methods would
-//! stay deterministic under any fan-out because each (tensor, task) pair
-//! derives its own RNG stream from the seed — no RNG state is shared
-//! across tensors.
+//! Every `merge_many` here is one per-tensor rule over one driver,
+//! `merge_tensors`, which checks conformability, walks the tensors in
+//! canonical name order and writes each result into a clone of the first
+//! model. The task-vector rules come in two shapes: *summed*
+//! (`base + per_task · Σ_t keep(W_t − base)`, TA and DARE) and *elected*
+//! (`base + scale · elect(sparsify(W_t − base))`, TIES and DELLA). Tensors
+//! run sequentially. The stochastic methods would stay deterministic under
+//! any fan-out because each (tensor, task) pair derives its own RNG stream
+//! from the seed — no RNG state is shared across tensors.
 
 use chipalign_model::Checkpoint;
 use chipalign_tensor::rng::Pcg32;
@@ -65,47 +68,23 @@ impl ModelSoup {
     /// Returns [`MergeError::NotEnoughModels`] for fewer than two models and
     /// [`MergeError::NotConformable`] if any pair differs in shape.
     pub fn merge_many(&self, models: &[&Checkpoint]) -> Result<Checkpoint, MergeError> {
-        if models.len() < 2 {
-            return Err(MergeError::NotEnoughModels {
-                given: models.len(),
-                required: 2,
-            });
-        }
-        for other in &models[1..] {
-            check_conformable(models[0], other)?;
-        }
+        let (first, rest) = match models {
+            [first, rest @ ..] if !rest.is_empty() => (*first, rest),
+            _ => {
+                return Err(MergeError::NotEnoughModels {
+                    given: models.len(),
+                    required: 2,
+                })
+            }
+        };
         let weight = 1.0 / models.len() as f32;
-        let names: Vec<&str> = models[0].names();
-        let merged: Vec<(&str, Matrix)> = names
-            .iter()
-            .map(|&name| {
-                let mut acc = models[0].get(name).expect("conformable").scale(weight);
-                for model in &models[1..] {
-                    acc.axpy(weight, model.get(name).expect("conformable"))?;
-                }
-                Ok((name, acc))
-            })
-            .collect::<Result<_, MergeError>>()?;
-        let mut out = models[0].clone();
-        for (name, tensor) in merged {
-            out.insert(name, tensor).expect("shape preserved by mean");
-        }
-        out.set_metadata("merge.method", "ModelSoup");
-        Ok(out)
-    }
-}
-
-impl Merger for ModelSoup {
-    fn name(&self) -> &'static str {
-        "ModelSoup"
-    }
-
-    fn merge_pair(
-        &self,
-        chip: &Checkpoint,
-        instruct: &Checkpoint,
-    ) -> Result<Checkpoint, MergeError> {
-        self.merge_many(&[chip, instruct])
+        merge_tensors(self.name(), first, rest, |_, own, others| {
+            let mut acc = own.scale(weight);
+            for other in others {
+                acc.axpy(weight, other)?;
+            }
+            Ok(acc)
+        })
     }
 }
 
@@ -131,12 +110,7 @@ impl TaskArithmetic {
     /// Returns [`MergeError::BadHyperparameter`] for a non-finite or
     /// non-positive scale.
     pub fn new(base: Checkpoint, scale: f32) -> Result<Self, MergeError> {
-        if !scale.is_finite() || scale <= 0.0 {
-            return Err(MergeError::BadHyperparameter {
-                name: "scale",
-                value: f64::from(scale),
-            });
-        }
+        check_scale(scale)?;
         Ok(TaskArithmetic { base, scale })
     }
 
@@ -147,49 +121,10 @@ impl TaskArithmetic {
     /// Returns [`MergeError::NotEnoughModels`] for an empty task list and
     /// [`MergeError::NotConformable`] on shape mismatch with the base.
     pub fn merge_many(&self, tasks: &[&Checkpoint]) -> Result<Checkpoint, MergeError> {
-        if tasks.is_empty() {
-            return Err(MergeError::NotEnoughModels {
-                given: 0,
-                required: 1,
-            });
-        }
-        for t in tasks {
-            check_conformable(&self.base, t)?;
-        }
         let per_task = self.scale / tasks.len() as f32;
-        let names: Vec<&str> = self.base.names();
-        let merged: Vec<(&str, Matrix)> = names
-            .iter()
-            .map(|&name| {
-                let base_t = self.base.get(name).expect("conformable");
-                let mut acc = base_t.clone();
-                for task in tasks {
-                    let delta = task.get(name).expect("conformable").sub(base_t)?;
-                    acc.axpy(per_task, &delta)?;
-                }
-                Ok((name, acc))
-            })
-            .collect::<Result<_, MergeError>>()?;
-        let mut out = self.base.clone();
-        for (name, tensor) in merged {
-            out.insert(name, tensor).expect("shape preserved by update");
-        }
-        out.set_metadata("merge.method", "TA");
-        Ok(out)
-    }
-}
-
-impl Merger for TaskArithmetic {
-    fn name(&self) -> &'static str {
-        "TA"
-    }
-
-    fn merge_pair(
-        &self,
-        chip: &Checkpoint,
-        instruct: &Checkpoint,
-    ) -> Result<Checkpoint, MergeError> {
-        self.merge_many(&[chip, instruct])
+        merge_tensors(self.name(), &self.base, tasks, |_, base, tasks| {
+            summed(base, tasks, per_task, |_, delta| delta)
+        })
     }
 }
 
@@ -211,18 +146,8 @@ impl Ties {
     /// Returns [`MergeError::BadHyperparameter`] unless
     /// `density ∈ (0, 1]` and `scale` is finite and positive.
     pub fn new(base: Checkpoint, density: f32, scale: f32) -> Result<Self, MergeError> {
-        if !density.is_finite() || !(0.0..=1.0).contains(&density) || density == 0.0 {
-            return Err(MergeError::BadHyperparameter {
-                name: "density",
-                value: f64::from(density),
-            });
-        }
-        if !scale.is_finite() || scale <= 0.0 {
-            return Err(MergeError::BadHyperparameter {
-                name: "scale",
-                value: f64::from(scale),
-            });
-        }
+        require("density", density, density > 0.0 && density <= 1.0)?;
+        check_scale(scale)?;
         Ok(Ties {
             base,
             density,
@@ -245,55 +170,11 @@ impl Ties {
     ///
     /// Same contract as [`TaskArithmetic::merge_many`].
     pub fn merge_many(&self, tasks: &[&Checkpoint]) -> Result<Checkpoint, MergeError> {
-        if tasks.is_empty() {
-            return Err(MergeError::NotEnoughModels {
-                given: 0,
-                required: 1,
-            });
-        }
-        for t in tasks {
-            check_conformable(&self.base, t)?;
-        }
-        let names: Vec<&str> = self.base.names();
-        let merged: Vec<(&str, Matrix)> = names
-            .iter()
-            .map(|&name| {
-                let base_t = self.base.get(name).expect("conformable");
-                // 1. Trim each task vector to its top-density entries.
-                let trimmed: Vec<Vec<f32>> = tasks
-                    .iter()
-                    .map(|task| {
-                        let delta = task.get(name).expect("conformable").sub(base_t)?;
-                        Ok(trim_to_density(delta.data(), self.density))
-                    })
-                    .collect::<Result<_, MergeError>>()?;
-                let fused = elect_and_merge(&trimmed);
-                let fused_m = Matrix::from_vec(base_t.rows(), base_t.cols(), fused)?;
-                let mut acc = base_t.clone();
-                acc.axpy(self.scale, &fused_m)?;
-                Ok((name, acc))
+        merge_tensors(self.name(), &self.base, tasks, |_, base, tasks| {
+            elected(base, tasks, self.scale, |_, delta| {
+                trim_to_density(delta, self.density)
             })
-            .collect::<Result<_, MergeError>>()?;
-        let mut out = self.base.clone();
-        for (name, tensor) in merged {
-            out.insert(name, tensor).expect("shape preserved by update");
-        }
-        out.set_metadata("merge.method", "TIES");
-        Ok(out)
-    }
-}
-
-impl Merger for Ties {
-    fn name(&self) -> &'static str {
-        "TIES"
-    }
-
-    fn merge_pair(
-        &self,
-        chip: &Checkpoint,
-        instruct: &Checkpoint,
-    ) -> Result<Checkpoint, MergeError> {
-        self.merge_many(&[chip, instruct])
+        })
     }
 }
 
@@ -326,28 +207,10 @@ impl Della {
         scale: f32,
         seed: u64,
     ) -> Result<Self, MergeError> {
-        if !drop_rate.is_finite() || !(0.0..1.0).contains(&drop_rate) {
-            return Err(MergeError::BadHyperparameter {
-                name: "drop_rate",
-                value: f64::from(drop_rate),
-            });
-        }
-        if !window.is_finite()
-            || window < 0.0
-            || drop_rate - window / 2.0 < 0.0
-            || drop_rate + window / 2.0 >= 1.0
-        {
-            return Err(MergeError::BadHyperparameter {
-                name: "window",
-                value: f64::from(window),
-            });
-        }
-        if !scale.is_finite() || scale <= 0.0 {
-            return Err(MergeError::BadHyperparameter {
-                name: "scale",
-                value: f64::from(scale),
-            });
-        }
+        check_drop_rate(drop_rate)?;
+        let (lo, hi) = (drop_rate - window / 2.0, drop_rate + window / 2.0);
+        require("window", window, window >= 0.0 && lo >= 0.0 && hi < 1.0)?;
+        check_scale(scale)?;
         Ok(Della {
             base,
             drop_rate,
@@ -373,46 +236,13 @@ impl Della {
     ///
     /// Same contract as [`TaskArithmetic::merge_many`].
     pub fn merge_many(&self, tasks: &[&Checkpoint]) -> Result<Checkpoint, MergeError> {
-        if tasks.is_empty() {
-            return Err(MergeError::NotEnoughModels {
-                given: 0,
-                required: 1,
-            });
-        }
-        for t in tasks {
-            check_conformable(&self.base, t)?;
-        }
         let root = Pcg32::seed(self.seed);
-        let names: Vec<&str> = self.base.names();
-        let merged: Vec<(&str, Matrix)> = names
-            .iter()
-            .enumerate()
-            .map(|(tensor_idx, &name)| {
-                let base_t = self.base.get(name).expect("conformable");
-                let pruned: Vec<Vec<f32>> = tasks
-                    .iter()
-                    .enumerate()
-                    .map(|(task_idx, task)| {
-                        let delta = task.get(name).expect("conformable").sub(base_t)?;
-                        // Index-derived stream: independent of the order
-                        // tensors are visited in, so merging stays seeded.
-                        let mut rng = root.derive((tensor_idx as u64) << 16 | task_idx as u64);
-                        Ok(self.magprune(delta.data(), &mut rng))
-                    })
-                    .collect::<Result<_, MergeError>>()?;
-                let fused = elect_and_merge(&pruned);
-                let fused_m = Matrix::from_vec(base_t.rows(), base_t.cols(), fused)?;
-                let mut acc = base_t.clone();
-                acc.axpy(self.scale, &fused_m)?;
-                Ok((name, acc))
+        merge_tensors(self.name(), &self.base, tasks, |tensor_idx, base, tasks| {
+            elected(base, tasks, self.scale, |task_idx, delta| {
+                let mut rng = root.derive((tensor_idx as u64) << 16 | task_idx as u64);
+                self.magprune(delta, &mut rng)
             })
-            .collect::<Result<_, MergeError>>()?;
-        let mut out = self.base.clone();
-        for (name, tensor) in merged {
-            out.insert(name, tensor).expect("shape preserved by update");
-        }
-        out.set_metadata("merge.method", "DELLA");
-        Ok(out)
+        })
     }
 
     /// Magnitude-adaptive stochastic pruning of one flattened task vector.
@@ -446,20 +276,6 @@ impl Della {
     }
 }
 
-impl Merger for Della {
-    fn name(&self) -> &'static str {
-        "DELLA"
-    }
-
-    fn merge_pair(
-        &self,
-        chip: &Checkpoint,
-        instruct: &Checkpoint,
-    ) -> Result<Checkpoint, MergeError> {
-        self.merge_many(&[chip, instruct])
-    }
-}
-
 /// DARE ("Drop And REscale", Yu et al., 2024 — the paper's reference on
 /// absorbing abilities from homologous models): uniformly drop a fraction
 /// `p` of each task vector's entries, rescale the survivors by
@@ -487,18 +303,8 @@ impl Dare {
         scale: f32,
         seed: u64,
     ) -> Result<Self, MergeError> {
-        if !drop_rate.is_finite() || !(0.0..1.0).contains(&drop_rate) {
-            return Err(MergeError::BadHyperparameter {
-                name: "drop_rate",
-                value: f64::from(drop_rate),
-            });
-        }
-        if !scale.is_finite() || scale <= 0.0 {
-            return Err(MergeError::BadHyperparameter {
-                name: "scale",
-                value: f64::from(scale),
-            });
-        }
+        check_drop_rate(drop_rate)?;
+        check_scale(scale)?;
         Ok(Dare {
             base,
             drop_rate,
@@ -522,66 +328,146 @@ impl Dare {
     ///
     /// Same contract as [`TaskArithmetic::merge_many`].
     pub fn merge_many(&self, tasks: &[&Checkpoint]) -> Result<Checkpoint, MergeError> {
-        if tasks.is_empty() {
-            return Err(MergeError::NotEnoughModels {
-                given: 0,
-                required: 1,
-            });
-        }
-        for t in tasks {
-            check_conformable(&self.base, t)?;
-        }
         let root = Pcg32::seed(self.seed);
         let keep_scale = 1.0 / (1.0 - self.drop_rate);
         let per_task = self.scale / tasks.len() as f32;
-        let names: Vec<&str> = self.base.names();
-        let merged: Vec<(&str, Matrix)> = names
-            .iter()
-            .enumerate()
-            .map(|(tensor_idx, &name)| {
-                let base_t = self.base.get(name).expect("conformable");
-                let mut acc = base_t.clone();
-                for (task_idx, task) in tasks.iter().enumerate() {
-                    let delta = task.get(name).expect("conformable").sub(base_t)?;
-                    // Index-derived stream keeps the drops seeded whatever
-                    // order tensors are visited in.
-                    let mut rng = root.derive((tensor_idx as u64) << 20 | task_idx as u64);
-                    let (rows, cols) = delta.shape();
-                    let mut data = delta.into_vec();
-                    for v in &mut data {
-                        if rng.chance(self.drop_rate) {
-                            *v = 0.0;
-                        } else {
-                            *v *= keep_scale;
-                        }
+        merge_tensors(self.name(), &self.base, tasks, |tensor_idx, base, tasks| {
+            summed(base, tasks, per_task, |task_idx, mut delta| {
+                let mut rng = root.derive((tensor_idx as u64) << 20 | task_idx as u64);
+                for v in delta.data_mut() {
+                    if rng.chance(self.drop_rate) {
+                        *v = 0.0;
+                    } else {
+                        *v *= keep_scale;
                     }
-                    let dropped = Matrix::from_vec(rows, cols, data)?;
-                    acc.axpy(per_task, &dropped)?;
                 }
-                Ok((name, acc))
+                delta
             })
-            .collect::<Result<_, MergeError>>()?;
-        let mut out = self.base.clone();
-        for (name, tensor) in merged {
-            out.insert(name, tensor).expect("shape preserved by update");
-        }
-        out.set_metadata("merge.method", "DARE");
-        Ok(out)
+        })
     }
 }
 
-impl Merger for Dare {
-    fn name(&self) -> &'static str {
-        "DARE"
-    }
+/// Each baseline's pairwise form is its `merge_many` of the two models,
+/// and its name is the `merge.method` metadata it writes.
+macro_rules! pairwise_merger {
+    ($($method:ty => $name:literal),* $(,)?) => {$(
+        impl Merger for $method {
+            fn name(&self) -> &'static str {
+                $name
+            }
 
-    fn merge_pair(
-        &self,
-        chip: &Checkpoint,
-        instruct: &Checkpoint,
-    ) -> Result<Checkpoint, MergeError> {
-        self.merge_many(&[chip, instruct])
+            fn merge_pair(
+                &self,
+                chip: &Checkpoint,
+                instruct: &Checkpoint,
+            ) -> Result<Checkpoint, MergeError> {
+                self.merge_many(&[chip, instruct])
+            }
+        }
+    )*};
+}
+
+pairwise_merger! {
+    ModelSoup => "ModelSoup",
+    TaskArithmetic => "TA",
+    Ties => "TIES",
+    Della => "DELLA",
+    Dare => "DARE",
+}
+
+/// The one merge skeleton: `rule(tensor_idx, first's tensor, the others'
+/// tensors)` gives each merged tensor, visited in canonical name order and
+/// written into a clone of `first`, which is then tagged with
+/// `merge.method = method`.
+///
+/// # Errors
+///
+/// Returns [`MergeError::NotEnoughModels`] for no `others`,
+/// [`MergeError::NotConformable`] if any of them differs from `first` in
+/// names or shapes, and whatever `rule` returns.
+fn merge_tensors(
+    method: &str,
+    first: &Checkpoint,
+    others: &[&Checkpoint],
+    rule: impl Fn(usize, &Matrix, &[&Matrix]) -> Result<Matrix, MergeError>,
+) -> Result<Checkpoint, MergeError> {
+    if others.is_empty() {
+        return Err(MergeError::NotEnoughModels {
+            given: 0,
+            required: 1,
+        });
     }
+    for other in others {
+        check_conformable(first, other)?;
+    }
+    let mut out = first.clone();
+    for (tensor_idx, (name, own)) in first.iter().enumerate() {
+        let theirs: Vec<&Matrix> = others
+            .iter()
+            .map(|other| other.get(name).expect("conformable"))
+            .collect();
+        let merged = rule(tensor_idx, own, &theirs)?;
+        out.insert(name, merged)
+            .expect("a rule keeps its tensor's shape");
+    }
+    out.set_metadata("merge.method", method);
+    Ok(out)
+}
+
+/// `base + per_task · Σ_t keep(t, W_t − base)`, summed in task order (TA
+/// and DARE).
+fn summed(
+    base: &Matrix,
+    tasks: &[&Matrix],
+    per_task: f32,
+    keep: impl Fn(usize, Matrix) -> Matrix,
+) -> Result<Matrix, MergeError> {
+    let mut acc = base.clone();
+    for (task_idx, task) in tasks.iter().enumerate() {
+        acc.axpy(per_task, &keep(task_idx, task.sub(base)?))?;
+    }
+    Ok(acc)
+}
+
+/// `base + scale · elect(sparsify(t, W_t − base))` (TIES and DELLA).
+fn elected(
+    base: &Matrix,
+    tasks: &[&Matrix],
+    scale: f32,
+    sparsify: impl Fn(usize, &[f32]) -> Vec<f32>,
+) -> Result<Matrix, MergeError> {
+    let sparse: Vec<Vec<f32>> = tasks
+        .iter()
+        .enumerate()
+        .map(|(task_idx, task)| Ok(sparsify(task_idx, task.sub(base)?.data())))
+        .collect::<Result<_, MergeError>>()?;
+    let fused = Matrix::from_vec(base.rows(), base.cols(), elect_and_merge(&sparse))?;
+    let mut acc = base.clone();
+    acc.axpy(scale, &fused)?;
+    Ok(acc)
+}
+
+/// `Ok` when `valid`, else [`MergeError::BadHyperparameter`] naming
+/// `value`.
+fn require(name: &'static str, value: f32, valid: bool) -> Result<(), MergeError> {
+    if valid {
+        Ok(())
+    } else {
+        Err(MergeError::BadHyperparameter {
+            name,
+            value: f64::from(value),
+        })
+    }
+}
+
+/// A task-vector scale must be finite and positive.
+fn check_scale(scale: f32) -> Result<(), MergeError> {
+    require("scale", scale, scale.is_finite() && scale > 0.0)
+}
+
+/// A drop probability must lie in `[0, 1)`.
+fn check_drop_rate(drop_rate: f32) -> Result<(), MergeError> {
+    require("drop_rate", drop_rate, (0.0..1.0).contains(&drop_rate))
 }
 
 /// Zeroes all but the top-`density` fraction of entries by magnitude; among

@@ -24,7 +24,8 @@
 //! `n`, matching the paper's complexity analysis (§III-C). Tensors are
 //! independent: [`GeodesicMerge`] reads each input pair twice and writes
 //! each output once (20 bytes per parameter), and fans tensors out over
-//! every core; the baselines run them sequentially.
+//! every core. The baselines share one sequential driver, each method
+//! being just its per-tensor rule (see the `baselines` module).
 //!
 //! # Example
 //!

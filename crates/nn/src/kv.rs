@@ -36,13 +36,14 @@
 //! # One bit-identity argument
 //!
 //! A row's result never depends on what it was stacked with. Every
-//! projection of at most `GEMM_SKINNY_M_MAX` rows — `matmul_bt`, f32 and
-//! the int8 [`QuantizedMatrix`] twin, and `matvec` as its one-row case —
-//! is one call to the backend's `gemm_bt` / `gemm_bt_q8`, and tiles reuse
-//! loads, never reorder a dot: each output element is the same whole-row
-//! dot whether its row came alone or in a stack (a single row *is*
-//! dispatched to `matvec`, which [`chipalign_tensor::tune::matvec_calls`]
-//! lets a test observe). The norm, RoPE, attention and residual code is per
+//! projection — `matmul_bt` at any height, f32 and the int8
+//! [`QuantizedMatrix`] twin, and `matvec` as its one-row case — runs the
+//! backend's `gemm_bt` / `gemm_bt_q8` (one call per block here), and tiles
+//! reuse loads, never reorder a dot: each output element is the same
+//! whole-row dot whether its row came alone or in a stack of any height
+//! (a single row *is* dispatched to `matvec`, which
+//! [`chipalign_tensor::tune::matvec_calls`] lets a test observe). The
+//! block size is therefore a cost choice, not a correctness one. The norm, RoPE, attention and residual code is per
 //! row.
 //! A row's K/V depend only on the tokens before it, and attention gives
 //! the same bits at every block size. Its K pass scores eight positions of
@@ -762,10 +763,12 @@ impl KvCache {
         let quant = model.quant();
         let mut out = Vec::new();
         let mut rope = Vec::new();
-        // At most GEMM_SKINNY_M_MAX rows per GEMM: the bound under which a
-        // stacked row is bitwise a matvec. A block runs the whole layer
-        // stack before the next starts, so a long chunk's later rows find
-        // the earlier rows' K/V in place.
+        // At most GEMM_SKINNY_M_MAX rows per block: each projection of a
+        // block is one tile call, one sweep of the weights, and the block's
+        // scratch matrices stay that small however long the chunk is (bits
+        // do not depend on the size). A block runs the whole layer stack
+        // before the next starts, so a long chunk's later rows find the
+        // earlier rows' K/V in place.
         for block in rows.chunks(GEMM_SKINNY_M_MAX) {
             let m = block.len();
             let mut h = Matrix::zeros(m, d);
@@ -918,9 +921,9 @@ struct Row {
     wanted: bool,
 }
 
-/// `Y = X · Wᵀ` for a stack of at most `GEMM_SKINNY_M_MAX` rows, over the
-/// int8 sidecar weight when one is supplied (the f32 matrix is then not
-/// touched). Row `r` of the result is bitwise `w.matvec(x.row(r))`: both
+/// `Y = X · Wᵀ` for one block of rows, over the int8 sidecar weight when
+/// one is supplied (the f32 matrix is then not touched). Row `r` of the
+/// result is bitwise `w.matvec(x.row(r))` at any block height: both
 /// dtypes run the backend's one `X·Wᵀ` tile, whose tiles reuse loads but
 /// never reorder a dot, and a single row is dispatched to `matvec` itself.
 fn project_rows(x: &Matrix, w: &Matrix, q: Option<&QuantizedMatrix>) -> Matrix {
@@ -1866,8 +1869,7 @@ mod tests {
         ));
         assert_eq!(a.len(), 2);
 
-        // Chunks past the skinny-GEMM bound lose the bit-identity
-        // guarantee and are refused outright.
+        // Chunks past the one-sweep bound are refused outright.
         let huge = vec![1u32; chipalign_tensor::tune::GEMM_SKINNY_M_MAX + 1];
         assert!(matches!(
             a.verify_chunk(&huge),
@@ -2008,10 +2010,10 @@ mod tests {
         );
     }
 
-    /// Wider than `GEMM_K_BLOCK`, so a stack of more than
-    /// `GEMM_SKINNY_M_MAX` rows sent to `matmul_bt` would take the
-    /// k-panelled kernel and round differently from `matvec`: on this model
-    /// the pins below also prove long chunks are cut into skinny blocks.
+    /// Wider than 256, so reductions are deep enough that any split of one
+    /// (into 256-long k-panels, say) would round differently from
+    /// `matvec`: on this model the pins below also prove that every path,
+    /// long chunks included, runs whole-row dots.
     fn wide_model(int8_weights: bool) -> Arc<TinyLm> {
         let arch = ArchSpec {
             name: "kv-wide".into(),
@@ -2022,7 +2024,7 @@ mod tests {
             d_ff: 48,
             max_seq_len: 96,
         };
-        assert!(arch.d_model > chipalign_tensor::tune::GEMM_K_BLOCK);
+        assert!(arch.d_model > 256);
         let mut m = TinyLm::new(&arch, &mut Pcg32::seed(78)).expect("valid");
         if int8_weights {
             m.quantize();

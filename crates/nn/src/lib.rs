@@ -90,7 +90,7 @@ pub use kv::{KvCache, KV8_LOGIT_TOL};
 pub use kvpool::{KvDtype, KvPool, KvPoolConfig};
 pub use lora::{LoraConfig, LoraModel};
 pub use model::{ForwardCache, TinyLm};
-pub use optim::{Adam, AdamConfig};
+pub use optim::{Adam, AdamConfig, Tensors};
 pub use params::{LayerParams, ParamSet};
 pub use quant::{QuantLayer, QuantParamSet};
 pub use spec::{SpecDecoder, SpecStats, SPEC_K_MAX};

@@ -7,12 +7,11 @@
 //! `B ∈ R^{out×r}` (zero init, so training starts at the base model).
 //! Only `A` and `B` receive gradients; the base stays frozen.
 
-use chipalign_model::Checkpoint;
 use chipalign_tensor::rng::Pcg32;
 use chipalign_tensor::Matrix;
 
 use crate::model::TinyLm;
-use crate::optim::FlatAdam;
+use crate::optim::Adam;
 use crate::train::{Example, TrainConfig};
 use crate::{loss, NnError};
 
@@ -125,12 +124,6 @@ impl LoraModel {
         self.cfg.alpha as f32 / self.cfg.rank as f32
     }
 
-    /// Number of trainable adapter scalars.
-    #[must_use]
-    pub fn trainable_count(&self) -> usize {
-        self.adapters.iter().map(Matrix::len).sum()
-    }
-
     /// Materialises the adapted model `W + (α/r)·B·A` for every target.
     ///
     /// # Errors
@@ -162,18 +155,6 @@ impl LoraModel {
         Ok(model)
     }
 
-    /// Exports the adapted model as a checkpoint (adapters folded in).
-    ///
-    /// # Errors
-    ///
-    /// Propagates checkpoint conversion failures.
-    pub fn merged_checkpoint(&self) -> Result<Checkpoint, NnError> {
-        let mut ckpt = self.merged_model()?.to_checkpoint()?;
-        ckpt.set_metadata("lora.rank", &self.cfg.rank.to_string());
-        ckpt.set_metadata("lora.alpha", &self.cfg.alpha.to_string());
-        Ok(ckpt)
-    }
-
     /// Trains the adapters with prompt-masked cross-entropy while the base
     /// stays frozen. Returns the per-step mean losses.
     ///
@@ -188,7 +169,7 @@ impl LoraModel {
             });
         }
         let mut rng = Pcg32::seed(cfg.seed);
-        let mut adam = FlatAdam::new(&self.adapters, cfg.adam)?;
+        let mut adam = Adam::new(self.adapters.as_slice(), cfg.adam)?;
         let mut losses = Vec::with_capacity(cfg.steps);
         let scale = self.scale();
         let n_layers = self.base.arch().n_layers;
@@ -230,7 +211,7 @@ impl LoraModel {
             for g in &mut grad_acc {
                 g.scale_inplace(inv);
             }
-            adam.step(&mut self.adapters, &grad_acc)?;
+            adam.step(self.adapters.as_mut_slice(), &grad_acc)?;
             losses.push(batch_loss * inv);
         }
         Ok(losses)
@@ -279,20 +260,6 @@ mod tests {
             &mut Pcg32::seed(1)
         )
         .is_err());
-    }
-
-    #[test]
-    fn trainable_count_is_small_fraction() {
-        let b = base();
-        let total = b.params().scalar_count();
-        let lora =
-            LoraModel::new(b, LoraConfig { rank: 2, alpha: 4 }, &mut Pcg32::seed(1)).expect("ok");
-        assert!(lora.trainable_count() > 0);
-        assert!(
-            lora.trainable_count() < total / 2,
-            "LoRA must train far fewer parameters ({} vs {total})",
-            lora.trainable_count()
-        );
     }
 
     #[test]
@@ -350,12 +317,12 @@ mod tests {
         let still = lora.base().to_checkpoint().expect("ok");
         assert!(still.approx_eq(&base_ckpt, 0.0));
         // Merged model now differs from the base.
-        let merged = lora.merged_checkpoint().expect("ok");
+        let merged = lora
+            .merged_model()
+            .expect("ok")
+            .to_checkpoint()
+            .expect("ok");
         assert!(!merged.approx_eq(&base_ckpt, 1e-6));
-        assert_eq!(
-            merged.metadata().get("lora.rank").map(String::as_str),
-            Some("4")
-        );
     }
 
     #[test]
@@ -364,5 +331,33 @@ mod tests {
             LoraModel::new(base(), LoraConfig::default(), &mut Pcg32::seed(1)).expect("ok");
         let cfg = TrainConfig::default();
         assert!(lora.train(&[], &cfg).is_err());
+    }
+
+    #[test]
+    fn betas_outside_unit_interval_rejected_like_full_training() {
+        let data = vec![Example::pretrain(vec![10, 20, 30, 40])];
+        for (beta1, beta2) in [(1.0, 0.999), (0.9, 1.0)] {
+            let cfg = TrainConfig {
+                steps: 3,
+                batch_size: 1,
+                adam: AdamConfig {
+                    beta1,
+                    beta2,
+                    ..AdamConfig::default()
+                },
+                seed: 1,
+            };
+            let mut full = base();
+            assert!(matches!(
+                crate::train::train(&mut full, &data, &cfg),
+                Err(NnError::BadConfig { .. })
+            ));
+            let mut lora =
+                LoraModel::new(base(), LoraConfig::default(), &mut Pcg32::seed(1)).expect("ok");
+            assert!(
+                matches!(lora.train(&data, &cfg), Err(NnError::BadConfig { .. })),
+                "LoRA trained with beta1 {beta1}, beta2 {beta2}"
+            );
+        }
     }
 }

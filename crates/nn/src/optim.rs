@@ -1,5 +1,8 @@
 //! The Adam optimizer with global-norm gradient clipping and linear
-//! warmup.
+//! warmup: one implementation for full training (a [`ParamSet`]) and LoRA
+//! (a slice of adapter matrices), through the [`Tensors`] trait.
+
+use chipalign_tensor::Matrix;
 
 use crate::params::ParamSet;
 use crate::NnError;
@@ -34,7 +37,9 @@ impl Default for AdamConfig {
     }
 }
 
-/// Adam optimizer state for one [`ParamSet`].
+/// Adam optimizer state for one fixed-order list of tensors: a
+/// [`ParamSet`] for full training, LoRA's adapter matrices for
+/// low-rank training.
 ///
 /// # Example
 ///
@@ -56,8 +61,8 @@ impl Default for AdamConfig {
 #[derive(Debug, Clone)]
 pub struct Adam {
     cfg: AdamConfig,
-    m: ParamSet,
-    v: ParamSet,
+    m: Vec<Matrix>,
+    v: Vec<Matrix>,
     t: usize,
 }
 
@@ -68,7 +73,7 @@ impl Adam {
     ///
     /// Returns [`NnError::BadConfig`] for non-positive learning rate or
     /// betas outside `[0, 1)`.
-    pub fn new(params: &ParamSet, cfg: AdamConfig) -> Result<Self, NnError> {
+    pub fn new<P: Tensors + ?Sized>(params: &P, cfg: AdamConfig) -> Result<Self, NnError> {
         if !cfg.lr.is_finite() || cfg.lr <= 0.0 {
             return Err(NnError::BadConfig {
                 detail: format!("learning rate {} must be positive", cfg.lr),
@@ -81,10 +86,17 @@ impl Adam {
                 });
             }
         }
+        let zeros = || -> Vec<Matrix> {
+            params
+                .tensors()
+                .into_iter()
+                .map(|t| Matrix::zeros(t.rows(), t.cols()))
+                .collect()
+        };
         Ok(Adam {
             cfg,
-            m: params.zeros_like(),
-            v: params.zeros_like(),
+            m: zeros(),
+            v: zeros(),
             t: 0,
         })
     }
@@ -111,10 +123,25 @@ impl Adam {
     ///
     /// # Errors
     ///
-    /// Returns a shape error if `grads` does not match the optimizer state.
-    pub fn step(&mut self, params: &mut ParamSet, grads: &ParamSet) -> Result<(), NnError> {
-        // Global-norm clipping on a scaled copy when needed.
-        let gnorm = grads.global_norm();
+    /// Returns [`NnError::BadConfig`] if `params`, `grads` and the
+    /// optimizer state do not hold the same number of tensors.
+    pub fn step<P: Tensors + ?Sized>(&mut self, params: &mut P, grads: &P) -> Result<(), NnError> {
+        let p_tensors = params.tensors_mut();
+        let g_tensors = grads.tensors();
+        if p_tensors.len() != g_tensors.len() || p_tensors.len() != self.m.len() {
+            return Err(NnError::BadConfig {
+                detail: "gradient structure does not match parameters".into(),
+            });
+        }
+        // Global-norm clipping, folded into the per-element gradient read.
+        let gnorm = g_tensors
+            .iter()
+            .map(|g| {
+                let n = f64::from(g.frobenius_norm());
+                n * n
+            })
+            .sum::<f64>()
+            .sqrt();
         let clip_scale = if self.cfg.clip_norm > 0.0 && gnorm > f64::from(self.cfg.clip_norm) {
             (f64::from(self.cfg.clip_norm) / gnorm) as f32
         } else {
@@ -128,21 +155,11 @@ impl Adam {
         let bias1 = 1.0 - b1.powi(self.t as i32);
         let bias2 = 1.0 - b2.powi(self.t as i32);
 
-        let p_tensors = params.tensors_mut();
-        let m_tensors = self.m.tensors_mut();
-        let v_tensors = self.v.tensors_mut();
-        let g_tensors = grads.tensors();
-        if p_tensors.len() != g_tensors.len() {
-            return Err(NnError::BadConfig {
-                detail: "gradient structure does not match parameters".into(),
-            });
-        }
-
         for (((p, g), m), v) in p_tensors
             .into_iter()
             .zip(g_tensors)
-            .zip(m_tensors)
-            .zip(v_tensors)
+            .zip(&mut self.m)
+            .zip(&mut self.v)
         {
             let pd = p.data_mut();
             let gd = g.data();
@@ -161,99 +178,34 @@ impl Adam {
     }
 }
 
-/// Adam over a flat list of matrices (used for LoRA adapters, which do not
-/// form a [`ParamSet`]).
-///
-/// Shares the hyperparameter struct and semantics of [`Adam`].
-#[derive(Debug, Clone)]
-pub struct FlatAdam {
-    cfg: AdamConfig,
-    m: Vec<Matrix>,
-    v: Vec<Matrix>,
-    t: usize,
+/// A fixed-order list of tensors that [`Adam`] can optimize: the order of
+/// [`Tensors::tensors`] and [`Tensors::tensors_mut`] must agree, and must
+/// not change between steps.
+pub trait Tensors {
+    /// Every tensor, in the list's fixed order.
+    fn tensors(&self) -> Vec<&Matrix>;
+
+    /// Every tensor, mutably, in the same order.
+    fn tensors_mut(&mut self) -> Vec<&mut Matrix>;
 }
 
-use chipalign_tensor::Matrix;
-
-impl FlatAdam {
-    /// Creates optimizer state shaped like `params`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Adam::new`].
-    pub fn new(params: &[Matrix], cfg: AdamConfig) -> Result<Self, NnError> {
-        if !cfg.lr.is_finite() || cfg.lr <= 0.0 {
-            return Err(NnError::BadConfig {
-                detail: format!("learning rate {} must be positive", cfg.lr),
-            });
-        }
-        let zeros = |ms: &[Matrix]| -> Vec<Matrix> {
-            ms.iter()
-                .map(|m| Matrix::zeros(m.rows(), m.cols()))
-                .collect()
-        };
-        Ok(FlatAdam {
-            cfg,
-            m: zeros(params),
-            v: zeros(params),
-            t: 0,
-        })
+impl Tensors for ParamSet {
+    fn tensors(&self) -> Vec<&Matrix> {
+        ParamSet::tensors(self)
     }
 
-    /// Applies one update.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::BadConfig`] if `params` and `grads` disagree in
-    /// structure with the optimizer state.
-    pub fn step(&mut self, params: &mut [Matrix], grads: &[Matrix]) -> Result<(), NnError> {
-        if params.len() != grads.len() || params.len() != self.m.len() {
-            return Err(NnError::BadConfig {
-                detail: "flat gradient structure does not match parameters".into(),
-            });
-        }
-        let gnorm = grads
-            .iter()
-            .map(|g| {
-                let n = f64::from(g.frobenius_norm());
-                n * n
-            })
-            .sum::<f64>()
-            .sqrt();
-        let clip_scale = if self.cfg.clip_norm > 0.0 && gnorm > f64::from(self.cfg.clip_norm) {
-            (f64::from(self.cfg.clip_norm) / gnorm) as f32
-        } else {
-            1.0
-        };
-        let step = self.t + 1;
-        let lr = if self.cfg.warmup_steps > 0 && step <= self.cfg.warmup_steps {
-            self.cfg.lr * step as f32 / self.cfg.warmup_steps as f32
-        } else {
-            self.cfg.lr
-        };
-        self.t = step;
-        let b1 = self.cfg.beta1;
-        let b2 = self.cfg.beta2;
-        let bias1 = 1.0 - b1.powi(step as i32);
-        let bias2 = 1.0 - b2.powi(step as i32);
-        for (((p, g), m), v) in params
-            .iter_mut()
-            .zip(grads)
-            .zip(&mut self.m)
-            .zip(&mut self.v)
-        {
-            let pd = p.data_mut();
-            let gd = g.data();
-            let md = m.data_mut();
-            let vd = v.data_mut();
-            for i in 0..pd.len() {
-                let gi = gd[i] * clip_scale;
-                md[i] = b1 * md[i] + (1.0 - b1) * gi;
-                vd[i] = b2 * vd[i] + (1.0 - b2) * gi * gi;
-                pd[i] -= lr * (md[i] / bias1) / ((vd[i] / bias2).sqrt() + self.cfg.eps);
-            }
-        }
-        Ok(())
+    fn tensors_mut(&mut self) -> Vec<&mut Matrix> {
+        ParamSet::tensors_mut(self)
+    }
+}
+
+impl Tensors for [Matrix] {
+    fn tensors(&self) -> Vec<&Matrix> {
+        self.iter().collect()
+    }
+
+    fn tensors_mut(&mut self) -> Vec<&mut Matrix> {
+        self.iter_mut().collect()
     }
 }
 

@@ -1,10 +1,9 @@
-//! Flat parameter containers shared by the model, its gradients, and the
-//! optimizer state.
+//! Flat parameter containers shared by the model and its gradients.
 //!
 //! [`ParamSet`] holds one matrix per architecture parameter in a fixed
-//! order; the same type represents weights, gradients, and Adam moments, so
-//! the optimizer can walk all three in lockstep with
-//! [`ParamSet::tensors_mut`].
+//! order; the same type represents weights and gradients, and
+//! [`crate::Adam`] walks both, with its moments, in lockstep through
+//! [`ParamSet::tensors`] and [`ParamSet::tensors_mut`].
 
 use chipalign_model::{ArchSpec, Checkpoint, ModelError};
 use chipalign_tensor::rng::Pcg32;
@@ -74,8 +73,8 @@ impl ParamSet {
         }
     }
 
-    /// An all-zero set with the same shapes as `self` (for gradients and
-    /// optimizer moments).
+    /// An all-zero set with the same shapes as `self` (for gradient
+    /// accumulation).
     #[must_use]
     pub fn zeros_like(&self) -> Self {
         let z = |m: &Matrix| Matrix::zeros(m.rows(), m.cols());
@@ -172,26 +171,6 @@ impl ParamSet {
             mine.axpy(alpha, theirs)?;
         }
         Ok(())
-    }
-
-    /// Global L2 norm over all parameters (for gradient clipping).
-    #[must_use]
-    pub fn global_norm(&self) -> f64 {
-        self.tensors()
-            .iter()
-            .map(|t| {
-                let n = f64::from(t.frobenius_norm());
-                n * n
-            })
-            .sum::<f64>()
-            .sqrt()
-    }
-
-    /// Multiplies every tensor by `s` in place.
-    pub fn scale_inplace(&mut self, s: f32) {
-        for t in self.tensors_mut() {
-            t.scale_inplace(s);
-        }
     }
 
     /// Converts to a checkpoint for the given architecture.
@@ -303,7 +282,7 @@ mod tests {
         let p = ParamSet::init(&arch(), &mut Pcg32::seed(3));
         let z = p.zeros_like();
         assert_eq!(z.scalar_count(), p.scalar_count());
-        assert_eq!(z.global_norm(), 0.0);
+        assert!(z.tensors().iter().all(|t| t.max_abs() == 0.0));
     }
 
     #[test]
@@ -311,15 +290,9 @@ mod tests {
         let p = ParamSet::init(&arch(), &mut Pcg32::seed(4));
         let mut acc = p.zeros_like();
         acc.axpy(2.0, &p).expect("same shapes");
-        assert!((acc.global_norm() - 2.0 * p.global_norm()).abs() < 1e-3 * p.global_norm());
-    }
-
-    #[test]
-    fn scale_inplace_scales_norm() {
-        let mut p = ParamSet::init(&arch(), &mut Pcg32::seed(5));
-        let n0 = p.global_norm();
-        p.scale_inplace(0.5);
-        assert!((p.global_norm() - 0.5 * n0).abs() < 1e-3 * n0);
+        for (a, t) in acc.tensors().iter().zip(p.tensors()) {
+            assert_eq!(*a, &t.scale(2.0), "0 + 2·x is exactly 2·x");
+        }
     }
 
     #[test]

@@ -56,8 +56,9 @@ use crate::model::TinyLm;
 use crate::{KvDtype, NnError};
 
 /// Largest draft length a [`SpecDecoder`] accepts: the verified chunk is
-/// `k + 1` tokens (`t0` plus the drafts) and must stay within the skinny
-/// GEMM's bit-identity bound.
+/// `k + 1` tokens (`t0` plus the drafts) and must fit one
+/// [`KvCache::verify_chunk`], which is one weight sweep (one tile call per
+/// projection) by contract.
 pub const SPEC_K_MAX: usize = chipalign_tensor::tune::GEMM_SKINNY_M_MAX - 1;
 
 /// Counters accumulated by a [`SpecDecoder`] since the last

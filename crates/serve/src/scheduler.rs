@@ -127,8 +127,10 @@ pub struct SchedulerConfig {
     /// Most sessions a worker advances together per slice. Larger values
     /// amortize weight traversal across sessions via the skinny-GEMM
     /// decode path without changing any output byte. Clamped at start-up
-    /// to `[1, GEMM_SKINNY_M_MAX]` — beyond the skinny tile the batched
-    /// step would leave the kernel that guarantees bit-identity.
+    /// to `[1, GEMM_SKINNY_M_MAX]`, so a batched step is one block of
+    /// `KvCache::forward_rows`: one tile call and one weight sweep per
+    /// projection for the whole batch. (Output bytes would not change past
+    /// it either; a larger batch would only be cut into more sweeps.)
     pub max_batch: usize,
     /// Most prompt (or window-slide replay) tokens prefilled per
     /// scheduling slice. A prompt longer than this rotates through the
@@ -835,6 +837,9 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
     }
 
     // Settle: requeue survivors in their original order, deliver the rest.
+    // An ended member's decoder, and with it every KV block it holds, is
+    // dropped before its outcome is sent: a caller holding its reply sees
+    // those blocks back in the pool.
     for m in members {
         let BatchMember {
             mut task,
@@ -849,6 +854,7 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
                 inner.available.notify_one();
             }
             MemberEnd::Done(result) => {
+                drop(decoder);
                 inner.metrics.add(Counter::Completed, 1);
                 inner
                     .metrics
@@ -856,7 +862,10 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
                 inner.metrics.observe(Hist::Latency, result.total_us);
                 finish(inner, task, Ok(result));
             }
-            MemberEnd::Failed(e) => fail_finish(inner, task, e),
+            MemberEnd::Failed(e) => {
+                drop(decoder);
+                fail_finish(inner, task, e);
+            }
         }
     }
 }

@@ -367,9 +367,10 @@ impl Matrix {
 
     /// Matrix product `self · other`.
     ///
-    /// The kernel processes each output row in fixed-width column tiles
-    /// ([`tune::GEMM_COL_TILE`]) whose partial sums live in a stack array the
-    /// compiler keeps in vector registers, one output row at a time.
+    /// Each output row is one call to the active backend's
+    /// [`crate::backend::KernelBackend::gemm_row`], which sweeps it in
+    /// fixed-width column tiles ([`tune::GEMM_COL_TILE`]) whose partial sums
+    /// stay in vector registers.
     /// Vector-shaped products (`m == 1` or `n == 1`) dispatch to the
     /// [`Matrix::vecmat`]/[`Matrix::matvec`] fast paths.
     ///
@@ -395,8 +396,9 @@ impl Matrix {
         if out.is_empty() {
             return Matrix::from_vec(m, n, out);
         }
+        let be = crate::backend::active();
         for (r, out_row) in out.chunks_mut(n).enumerate() {
-            gemm_row_tiled(&self.data[r * k..(r + 1) * k], &other.data, n, out_row);
+            be.gemm_row(&self.data[r * k..(r + 1) * k], &other.data, n, out_row);
         }
         Matrix::from_vec(m, n, out)
     }
@@ -404,15 +406,15 @@ impl Matrix {
     /// Matrix product `self · otherᵀ` without materialising the transpose.
     ///
     /// `m == 1` (the KV-cached decode shape) dispatches to
-    /// [`Matrix::matvec`]. `2 ≤ m ≤ [`tune::GEMM_SKINNY_M_MAX`]` (batched
-    /// decode and prefill blocks) is one call to the active backend's
-    /// [`crate::backend::KernelBackend::gemm_bt`] tile, the same entry
-    /// `matvec` runs with one row. Tiles reuse loads, never reorder a dot:
-    /// each output element is the backend's whole-row dot, so stacking rows
-    /// never changes the bits of any row's result. Taller left-hand sides
-    /// (the training forward) block each output row over `k`
-    /// ([`tune::GEMM_K_BLOCK`]) so a panel of it stays cache-hot while it
-    /// sweeps `other`.
+    /// [`Matrix::matvec`], which counts the call in [`tune::matvec_calls`].
+    /// Every other height runs the active backend's
+    /// [`crate::backend::KernelBackend::gemm_bt`] — the same entry `matvec`
+    /// runs with one row — once per strip of at most
+    /// [`tune::GEMM_SKINNY_M_MAX`] rows, written in place, so a strip of
+    /// `self` stays cache-hot while `other` streams past it. Tiles reuse
+    /// loads, never reorder a dot: each output element is the backend's
+    /// whole-row dot, so at any height and any `k` a row's result is
+    /// bitwise its own `matvec`.
     ///
     /// # Errors
     ///
@@ -429,29 +431,23 @@ impl Matrix {
         if m == 1 {
             return Matrix::from_vec(1, n, other.matvec(&self.data)?);
         }
-        if n == 1 {
-            return Matrix::from_vec(m, 1, self.matvec(&other.data)?);
-        }
         let mut out = vec![0.0f32; m * n];
-        if out.is_empty() {
-            return Matrix::from_vec(m, n, out);
-        }
-        if m <= tune::GEMM_SKINNY_M_MAX {
-            crate::backend::active().gemm_bt(&self.data, m, &other.data, n, k, &mut out);
-        } else {
-            for (r, out_row) in out.chunks_mut(n).enumerate() {
-                gemm_bt_row(&self.data[r * k..(r + 1) * k], &other.data, k, out_row);
-            }
+        let be = crate::backend::active();
+        for r0 in (0..m).step_by(tune::GEMM_SKINNY_M_MAX) {
+            let rows = tune::GEMM_SKINNY_M_MAX.min(m - r0);
+            let x = &self.data[r0 * k..(r0 + rows) * k];
+            let y = &mut out[r0 * n..(r0 + rows) * n];
+            be.gemm_bt(x, rows, &other.data, n, k, y);
         }
         Matrix::from_vec(m, n, out)
     }
 
     /// Matrix product `selfᵀ · other` without materialising the transpose.
     ///
-    /// Rank-1-free formulation: output row `r` reads column `r` of `self`
-    /// (stride `m`) against the rows of `other`, so every output row is
-    /// written exactly once, with the same column-tiled register
-    /// accumulation as [`Matrix::matmul`].
+    /// Rank-1-free formulation: output row `r` is column `r` of `self`,
+    /// gathered into one reused buffer, times `other`, through the portable
+    /// column-tiled GEMM row (the `blocked` tier's `A·B` row, on every
+    /// tier), so every output row is written exactly once.
     ///
     /// # Errors
     ///
@@ -469,8 +465,12 @@ impl Matrix {
         if out.is_empty() {
             return Matrix::from_vec(m, n, out);
         }
+        let mut col = vec![0.0f32; k];
         for (r, out_row) in out.chunks_mut(n).enumerate() {
-            gemm_at_row(&self.data, &other.data, r, m, k, n, out_row);
+            for (c, &a) in col.iter_mut().zip(self.data.iter().skip(r).step_by(m)) {
+                *c = a;
+            }
+            crate::backend::gemm_row_blocked(&col, &other.data, n, 0, out_row);
         }
         Matrix::from_vec(m, n, out)
     }
@@ -504,8 +504,8 @@ impl Matrix {
     }
 
     /// Vector–matrix product `xᵀ · self` (with `x` a row vector of length
-    /// `self.rows()`), using the same column-tiled register accumulation as
-    /// [`Matrix::matmul`]. Counted in [`tune::matvec_calls`].
+    /// `self.rows()`): one backend `gemm_row`, as each row of
+    /// [`Matrix::matmul`] is. Counted in [`tune::matvec_calls`].
     ///
     /// # Errors
     ///
@@ -520,7 +520,7 @@ impl Matrix {
         }
         tune::note_matvec();
         let mut out = vec![0.0f32; self.cols];
-        gemm_row_tiled(x, &self.data, self.cols, &mut out);
+        crate::backend::active().gemm_row(x, &self.data, self.cols, &mut out);
         Ok(out)
     }
 
@@ -619,54 +619,6 @@ impl Matrix {
                 rhs: other.shape(),
             })
         }
-    }
-}
-
-/// One output row of `A·B` through the process-wide kernel backend (the
-/// column-tiled register accumulation lives in [`crate::backend`] as the
-/// blocked tier; the SIMD tier replaces it with 16-wide FMA tiles).
-fn gemm_row_tiled(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
-    crate::backend::active().gemm_row(a_row, b, n, out_row);
-}
-
-/// One output row of `A·Bᵀ` for a left-hand side taller than
-/// [`tune::GEMM_SKINNY_M_MAX`]: block `a_row` into
-/// [`tune::GEMM_K_BLOCK`]-long panels that stay L1-resident while dotted,
-/// through the process-wide backend, against every row of `B`.
-///
-/// For `k <= GEMM_K_BLOCK` this is a single whole-row dot per output
-/// element — the same accumulation order as [`Matrix::matvec`], which keeps
-/// full-sequence forward and KV-cached decode numerically identical.
-fn gemm_bt_row(a_row: &[f32], b: &[f32], k: usize, out_row: &mut [f32]) {
-    let be = crate::backend::active();
-    let mut k0 = 0;
-    while k0 < k {
-        let kw = tune::GEMM_K_BLOCK.min(k - k0);
-        let a_panel = &a_row[k0..k0 + kw];
-        for (c, o) in out_row.iter_mut().enumerate() {
-            *o += be.dot(a_panel, &b[c * k + k0..c * k + k0 + kw]);
-        }
-        k0 += kw;
-    }
-}
-
-/// One output row of `Aᵀ·B`: output row `r` reads column `r` of `A` (stride
-/// `m`) against the rows of `B`, column-tiled like [`gemm_row_tiled`]. No
-/// rank-1 updates, so every output row is written exactly once.
-fn gemm_at_row(a: &[f32], b: &[f32], r: usize, m: usize, k: usize, n: usize, out_row: &mut [f32]) {
-    let mut j0 = 0;
-    while j0 < n {
-        let w = tune::GEMM_COL_TILE.min(n - j0);
-        let mut acc = [0.0f32; tune::GEMM_COL_TILE];
-        for kk in 0..k {
-            let av = a[kk * m + r];
-            let b_strip = &b[kk * n + j0..kk * n + j0 + w];
-            for (ac, &bv) in acc.iter_mut().zip(b_strip) {
-                *ac += av * bv;
-            }
-        }
-        out_row[j0..j0 + w].copy_from_slice(&acc[..w]);
-        j0 += w;
     }
 }
 
@@ -890,8 +842,7 @@ mod tests {
 
     #[test]
     fn skinny_matmul_bt_rows_are_bitwise_matvec() {
-        // k = 700 > GEMM_K_BLOCK: the panelled kernel would split the
-        // reduction here, so this pins that the skinny path really is a
+        // k = 700: a deep reduction, so this pins that the tile really is a
         // single whole-row dot per element — every output row must equal
         // the standalone matvec of that row, bit for bit.
         let mut rng = Pcg32::seed(21);
@@ -907,8 +858,8 @@ mod tests {
 
     #[test]
     fn matmul_bt_agrees_across_skinny_boundary() {
-        // m = 2, the last skinny width, and the first panelled width must
-        // all agree with the explicit-transpose formulation.
+        // m = 2, the last one-strip width, and the first two-strip width
+        // must all agree with the explicit-transpose formulation.
         let mut rng = Pcg32::seed(22);
         for m in [2, tune::GEMM_SKINNY_M_MAX, tune::GEMM_SKINNY_M_MAX + 1] {
             let a = Matrix::randn(m, 300, 1.0, &mut rng);

@@ -20,13 +20,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// multiply-accumulate. 16 floats = one 512-bit or two 256-bit vectors.
 pub const GEMM_COL_TILE: usize = 16;
 
-/// Depth of the `k`-panel used by the `A·Bᵀ` kernel.
-///
-/// A panel of the left-hand row this long (1 KiB) stays L1-resident while it
-/// is dotted against every row of `B`, so large-`k` products stream `B`
-/// once per panel instead of thrashing the cache once per output element.
-pub const GEMM_K_BLOCK: usize = 256;
-
 /// Number of independent partial-sum lanes used by the blocked dot product.
 ///
 /// Splitting the reduction into this many accumulators breaks the serial
@@ -45,20 +38,23 @@ pub const DOT_LANES: usize = 8;
 /// of additions is the only rounding choice there is.
 pub const REDUCE_LANES: usize = 8;
 
-/// Largest left-hand row count `m` for which [`crate::Matrix::matmul_bt`]
-/// runs the backend's `X·Wᵀ` tile
-/// ([`crate::backend::KernelBackend::gemm_bt`], which `m == 1` — the
-/// matvec — also runs) instead of the [`GEMM_K_BLOCK`]-panelled kernel.
+/// Most left-hand rows one call of the backend's `X·Wᵀ` tile
+/// ([`crate::backend::KernelBackend::gemm_bt`]) receives from
+/// [`crate::Matrix::matmul_bt`]; a taller product runs the tile once per
+/// strip of this many rows.
 ///
-/// Batched decode stacks one hidden-state row per session and prefill
-/// stacks up to this many prompt rows, so every serving projection has this
-/// tall-skinny shape. Tiles reuse loads, never reorder a dot: every output
-/// element of the tile is the backend's whole-row dot with no k-panel
-/// split, so it accumulates in exactly [`crate::Matrix::matvec`]'s order —
-/// the invariant that keeps batched decode bit-identical to per-session
-/// decode at any `k` — while each weight row is loaded once for all the
-/// stacked rows. 32 also bounds the decode batch the serve scheduler will
-/// form (`max_batch` is clamped to it upstream).
+/// This is a cache bound, not a correctness one. The AVX2 tile walks
+/// weight rows in its outer loop and loads each once for every activation
+/// row of the call, so those rows should stay cache-resident while the
+/// weights stream past them: a 32-row strip is 8 KiB at `k` = 64 and
+/// 32 KiB at 256. Bits do not
+/// depend on it: tiles reuse loads, never reorder a dot, so every output
+/// element is the backend's whole-row dot, in exactly
+/// [`crate::Matrix::matvec`]'s order, at any height and any `k`. Batched
+/// decode and prefill blocks in the serving stack stay within one strip,
+/// so each of their projections is one call; `chipalign-nn` and
+/// `chipalign-serve` reuse the value for their block, batch and draft
+/// bounds, each for its own stated reason.
 pub const GEMM_SKINNY_M_MAX: usize = 32;
 
 /// Side length of the square tiles used by the blocked transpose.
@@ -111,7 +107,6 @@ mod tests {
             assert!(GEMM_COL_TILE.is_power_of_two());
             assert!(DOT_LANES.is_power_of_two());
             assert!(REDUCE_LANES.is_power_of_two());
-            assert!(GEMM_K_BLOCK >= GEMM_COL_TILE);
             assert!(GEMM_SKINNY_M_MAX >= 2);
             assert!(GEMM_SKINNY_M_MAX.is_power_of_two());
             assert!(TRANSPOSE_BLOCK >= 8);

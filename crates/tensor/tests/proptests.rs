@@ -163,9 +163,8 @@ fn blocked_matmul_bt_matches_reference() {
 #[test]
 fn skinny_matmul_bt_matches_reference() {
     for mut rng in cases(11, CASES) {
-        // The batched-decode shape: tall-skinny A, with k crossing
-        // GEMM_K_BLOCK so the skinny dispatch (not the panelled kernel) is
-        // what gets exercised at large depth.
+        // The batched-decode shape: tall-skinny A, one tile call, at depths
+        // up to 299.
         let (m, k, n) = (rng.range(2, 32), rng.range(1, 299), rng.range(1, 23));
         let a = mat(m, k, &mut rng);
         let b = mat(n, k, &mut rng);
@@ -176,12 +175,13 @@ fn skinny_matmul_bt_matches_reference() {
 }
 
 #[test]
-fn skinny_matmul_bt_rows_equal_matvec_bitwise() {
+fn matmul_bt_rows_equal_matvec_bitwise() {
     for mut rng in cases(12, CASES) {
         // Bit-identity, not tolerance: stacking rows into one GEMM must not
         // change any row's accumulation order relative to matvec. Batched
-        // decode equivalence in chipalign-nn is built on exactly this.
-        let (m, k, n) = (rng.range(2, 32), rng.range(200, 299), rng.range(1, 15));
+        // decode equivalence in chipalign-nn is built on exactly this, and
+        // past 32 rows (several strips) so is `TinyLm::forward` ≡ KvCache.
+        let (m, k, n) = (rng.range(2, 200), rng.range(200, 299), rng.range(1, 15));
         let a = mat(m, k, &mut rng);
         let b = mat(n, k, &mut rng);
         let batched = a.matmul_bt(&b).unwrap();
@@ -207,8 +207,8 @@ fn blocked_matmul_at_matches_reference() {
 #[test]
 fn single_row_matmul_matches_reference() {
     for mut rng in cases(14, CASES) {
-        // The m == 1 decode shape, with k crossing GEMM_K_BLOCK-free and
-        // lane-remainder territory.
+        // The m == 1 decode shape, with k in and out of lane-remainder
+        // territory.
         let (k, n) = (rng.range(1, 299), rng.range(1, 39));
         let a = mat(1, k, &mut rng);
         let b = mat(k, n, &mut rng);

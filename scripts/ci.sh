@@ -73,14 +73,23 @@ for src in src crates/*/src; do
 done
 
 cargo build --release --offline --locked
-# One example end to end: the only leg that drives a real `Server` and the
-# default batched scheduler from outside the test harness.
-demo="$(cargo run --release --offline --example serve_demo)"
-printf '%s\n' "$demo"
-if ! grep -q '^served 4 generations' <<<"$demo"; then
-  echo "ci: examples/serve_demo did not print 'served 4 generations'" >&2
-  exit 1
-fi
+# Examples end to end, each required to print its result line. serve_demo
+# is the only leg that drives a real `Server` and the default batched
+# scheduler from outside the test harness; quickstart and lambda_sweep are
+# the only ones that run `ModelSoup` and `GeodesicMerge` through the
+# `chipalign` facade. Each takes well under a second once built.
+run_example() { # NAME REQUIRED-LINE-PREFIX
+  local out
+  out="$(cargo run --release --offline --example "$1")"
+  printf '%s\n' "$out"
+  if ! grep -q "^$2" <<<"$out"; then
+    echo "ci: examples/$1 did not print '$2'" >&2
+    return 1
+  fi
+}
+run_example serve_demo 'served 4 generations'
+run_example quickstart 'model-soup norm:'
+run_example lambda_sweep 'at lambda = 0.6:'
 cargo test -q
 cargo test -q --workspace
 # Once more on one core: `available_parallelism()` is then 1, so
