@@ -44,15 +44,40 @@ impl BitHash {
 
 /// Four heads of 16 with room for a 70-token prompt and 80 decode steps.
 fn model(int8_weights: bool) -> Arc<TinyLm> {
-    let arch = ArchSpec {
-        name: "logits-pin".into(),
-        vocab_size: 99,
-        d_model: 64,
-        n_layers: 2,
-        n_heads: 4,
-        d_ff: 96,
-        max_seq_len: 160,
-    };
+    build(
+        ArchSpec {
+            name: "logits-pin".into(),
+            vocab_size: 99,
+            d_model: 64,
+            n_layers: 2,
+            n_heads: 4,
+            d_ff: 96,
+            max_seq_len: 160,
+        },
+        int8_weights,
+    )
+}
+
+/// The benchmark's `bench-384` widths on two layers: its attention
+/// projections (384 × 384) and MLP (1024 × 384) are large enough for
+/// `tensor` to split their output columns across the compute pool, which
+/// the 64-wide model above never reaches.
+fn wide_model(int8_weights: bool) -> Arc<TinyLm> {
+    build(
+        ArchSpec {
+            name: "logits-pin-wide".into(),
+            vocab_size: 99,
+            d_model: 384,
+            n_layers: 2,
+            n_heads: 6,
+            d_ff: 1024,
+            max_seq_len: 160,
+        },
+        int8_weights,
+    )
+}
+
+fn build(arch: ArchSpec, int8_weights: bool) -> Arc<TinyLm> {
     let mut m = TinyLm::new(&arch, &mut Pcg32::seed(33)).expect("valid arch");
     if int8_weights {
         m.quantize();
@@ -155,10 +180,21 @@ fn scenarios() -> Vec<(String, u64)> {
             fork_inside_sealed_block(&m),
         ));
     }
+    for (weights, int8) in [("f32", false), ("int8", true)] {
+        let m = wide_model(int8);
+        out.push((
+            format!("wide {weights} weights, private"),
+            prefill_then_decode(KvCache::new(&m), 1),
+        ));
+        out.push((
+            format!("wide {weights} weights, batch of 3"),
+            batch_of_three(&m),
+        ));
+    }
     out
 }
 
-const SCALAR: [u64; 14] = [
+const SCALAR: [u64; 18] = [
     0x8770a598c5384915, // f32 weights, private
     0x8770a598c5384915, // f32 weights, f32 pool bt16
     0x8770a598c5384915, // f32 weights, f32 pool bt5
@@ -173,9 +209,13 @@ const SCALAR: [u64; 14] = [
     0x0061ca26f83560eb, // int8 weights, int8 pool bt4
     0xbed46151912c8463, // int8 weights, batch of 3
     0x8dac54637af997fb, // int8 weights, fork inside sealed
+    0x9480dcddf77f4864, // wide f32 weights, private
+    0x380b285e2c56b52d, // wide f32 weights, batch of 3
+    0xfe0b0c61e44c5499, // wide int8 weights, private
+    0x1621cce85e0758a3, // wide int8 weights, batch of 3
 ];
 
-const BLOCKED: [u64; 14] = [
+const BLOCKED: [u64; 18] = [
     0xb906d1d2d9ba1338, // f32 weights, private
     0xb906d1d2d9ba1338, // f32 weights, f32 pool bt16
     0xb906d1d2d9ba1338, // f32 weights, f32 pool bt5
@@ -190,9 +230,13 @@ const BLOCKED: [u64; 14] = [
     0x162fd6f09654117d, // int8 weights, int8 pool bt4
     0xfbde55ab3c435064, // int8 weights, batch of 3
     0xee02107bdfb29ef5, // int8 weights, fork inside sealed
+    0x3667d27a4941cdaa, // wide f32 weights, private
+    0x492b9016854b1b10, // wide f32 weights, batch of 3
+    0x3d17ca1c20447627, // wide int8 weights, private
+    0xa4932d1179671672, // wide int8 weights, batch of 3
 ];
 
-const SIMD: [u64; 14] = [
+const SIMD: [u64; 18] = [
     0xcf503aa61c02ce9d, // f32 weights, private
     0xcf503aa61c02ce9d, // f32 weights, f32 pool bt16
     0xcf503aa61c02ce9d, // f32 weights, f32 pool bt5
@@ -207,6 +251,10 @@ const SIMD: [u64; 14] = [
     0xed3c61abc00e58dc, // int8 weights, int8 pool bt4
     0x62a3c0aa9a7cee52, // int8 weights, batch of 3
     0x3bac71f8fb523c30, // int8 weights, fork inside sealed
+    0xe3bd44b16cf6f7d4, // wide f32 weights, private
+    0xa056bf20add4a730, // wide f32 weights, batch of 3
+    0x5f603d5c55dcb68a, // wide int8 weights, private
+    0x91541ef5638712f1, // wide int8 weights, batch of 3
 ];
 
 #[test]

@@ -110,7 +110,10 @@ const MAX_RESPAWNS: u32 = 8;
 /// Scheduler tuning knobs.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// Worker threads decoding sessions in parallel.
+    /// Worker threads decoding sessions in parallel. They share the one
+    /// process-wide compute pool that splits each large projection across
+    /// the cores; a worker whose projection finds the pool busy with
+    /// another worker's runs it inline, with the same bits.
     pub workers: usize,
     /// Hard bound on sessions in flight (queued + running); submissions
     /// beyond it are rejected with `Overloaded`.

@@ -105,12 +105,14 @@ impl Server {
     pub fn bind(cfg: ServerConfig, registry: ModelRegistry) -> Result<Self, ServeError> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        // The backend choice is process-wide and made exactly once; saying
-        // it at startup is the only way an operator learns whether the
-        // AVX2 tier actually engaged on this host.
+        // The backend choice and the compute pool are process-wide and
+        // made exactly once; saying them at startup is the only way an
+        // operator learns whether the AVX2 tier and the second core
+        // actually engaged on this host.
         eprintln!(
-            "chipalign-serve: listening on {addr}, kernel backend {}",
-            chipalign_tensor::backend::active_name()
+            "chipalign-serve: listening on {addr}, kernel backend {}, compute threads {}",
+            chipalign_tensor::backend::active_name(),
+            chipalign_tensor::compute_threads()
         );
         let metrics = Arc::new(Metrics::new());
         registry.attach_metrics(Arc::clone(&metrics));

@@ -28,8 +28,10 @@
 //!   norms and inner products, and the two sweeps of the geodesic merge
 //!   ([`reduce::moments`], [`reduce::axpby_into`]).
 //! * [`parallelize`] — fan-out of independent items over every core on
-//!   scoped threads, results placed by index so they do not depend on the
-//!   worker count.
+//!   the process-wide compute pool, results placed by index so they do not
+//!   depend on the worker count. The same pool splits every large `X · Wᵀ`
+//!   by output columns ([`tune::SPLIT_MIN_WEIGHTS`]); [`compute_threads`]
+//!   says how many threads it runs on.
 //!
 //! The ChipAlign paper (DAC 2025) treats each weight matrix
 //! `W ∈ R^{p×q}` as a point that can be projected onto the unit
@@ -57,9 +59,10 @@
 //! ```
 
 // `deny` rather than `forbid`: the explicit-SIMD kernels in
-// `backend::x86` are the one sanctioned `unsafe` island (scoped
-// `#[allow(unsafe_code)]`, every intrinsic behind runtime feature
-// detection); everything else in the crate still refuses unsafe.
+// `backend::x86` (every intrinsic behind runtime feature detection) and the
+// compute pool's one lifetime erasure (`par::erase`) are the sanctioned
+// `unsafe` items, each under a scoped `#[allow(unsafe_code)]`; everything
+// else in the crate still refuses unsafe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -77,7 +80,7 @@ pub mod tune;
 
 pub use error::TensorError;
 pub use matrix::Matrix;
-pub use par::parallelize;
 #[doc(hidden)]
 pub use par::parallelize_with;
+pub use par::{compute_threads, parallelize};
 pub use quant::QuantizedMatrix;

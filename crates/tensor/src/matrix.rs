@@ -1,5 +1,9 @@
 use std::fmt;
+use std::ops::Range;
+use std::sync::Mutex;
 
+use crate::backend::KernelBackend;
+use crate::par::{self, Pool};
 use crate::rng::Pcg32;
 use crate::{tune, TensorError};
 
@@ -410,11 +414,13 @@ impl Matrix {
     /// Every other height runs the active backend's
     /// [`crate::backend::KernelBackend::gemm_bt`] — the same entry `matvec`
     /// runs with one row — once per strip of at most
-    /// [`tune::GEMM_SKINNY_M_MAX`] rows, written in place, so a strip of
-    /// `self` stays cache-hot while `other` streams past it. Tiles reuse
-    /// loads, never reorder a dot: each output element is the backend's
-    /// whole-row dot, so at any height and any `k` a row's result is
-    /// bitwise its own `matvec`.
+    /// [`tune::GEMM_SKINNY_M_MAX`] rows, so a strip of `self` stays
+    /// cache-hot while `other` streams past it, and above
+    /// [`tune::SPLIT_MIN_WEIGHTS`] splits `other`'s rows (the output
+    /// columns) across the compute pool. Tiles reuse loads, never reorder a
+    /// dot: each output element is the backend's whole-row dot, so at any
+    /// height, any `k` and on any thread a row's result is bitwise its own
+    /// `matvec`.
     ///
     /// # Errors
     ///
@@ -432,13 +438,7 @@ impl Matrix {
             return Matrix::from_vec(1, n, other.matvec(&self.data)?);
         }
         let mut out = vec![0.0f32; m * n];
-        let be = crate::backend::active();
-        for r0 in (0..m).step_by(tune::GEMM_SKINNY_M_MAX) {
-            let rows = tune::GEMM_SKINNY_M_MAX.min(m - r0);
-            let x = &self.data[r0 * k..(r0 + rows) * k];
-            let y = &mut out[r0 * n..(r0 + rows) * n];
-            be.gemm_bt(x, rows, &other.data, n, k, y);
-        }
+        gemm_bt(&self.data, m, &other.data, n, k, &mut out);
         Matrix::from_vec(m, n, out)
     }
 
@@ -478,7 +478,8 @@ impl Matrix {
     /// Matrix–vector product `self · x` (with `x` a column vector of length
     /// `self.cols()`): the `m = 1` call of the active backend's
     /// [`crate::backend::KernelBackend::gemm_bt`], one whole-row dot per
-    /// output.
+    /// output, split by output rows across the compute pool above
+    /// [`tune::SPLIT_MIN_WEIGHTS`].
     ///
     /// This is the fast path that dominates KV-cached decode: every
     /// projection of a single token is a `(out × in) · in` product, and
@@ -499,7 +500,7 @@ impl Matrix {
         }
         tune::note_matvec();
         let mut out = vec![0.0f32; self.rows];
-        crate::backend::active().gemm_bt(x, 1, &self.data, self.rows, self.cols, &mut out);
+        gemm_bt(x, 1, &self.data, self.rows, self.cols, &mut out);
         Ok(out)
     }
 
@@ -634,6 +635,109 @@ impl fmt::Debug for Matrix {
                 self.frobenius_norm(),
                 &self.data[..4.min(self.data.len())]
             )
+        }
+    }
+}
+
+/// `out = X · Wᵀ` in f32 on the active backend and the process-wide pool:
+/// `x` is `m × k`, `w` is `n × k`, `out` is `m × n`, all row-major.
+fn gemm_bt(x: &[f32], m: usize, w: &[f32], n: usize, k: usize, out: &mut [f32]) {
+    let tile = gemm_bt_tile(crate::backend::active(), x, w, k);
+    split_gemm_bt(par::global(), tune::SPLIT_MIN_WEIGHTS, m, n, k, out, &tile);
+}
+
+/// [`split_gemm_bt`]'s tile for f32 weights: `be`'s `gemm_bt` on a range of
+/// `x`'s rows and a range of `w`'s, both `k` wide.
+fn gemm_bt_tile<'a>(
+    be: &'a dyn KernelBackend,
+    x: &'a [f32],
+    w: &'a [f32],
+    k: usize,
+) -> impl Fn(Range<usize>, Range<usize>, &mut [f32]) + Sync + 'a {
+    move |rows, cols, y| {
+        be.gemm_bt(
+            &x[rows.start * k..rows.end * k],
+            rows.len(),
+            &w[cols.start * k..cols.end * k],
+            cols.len(),
+            k,
+            y,
+        );
+    }
+}
+
+/// One tile of an `X · Wᵀ`: `tile(rows, cols, block)` fills `block` with
+/// the row-major `rows.len() × cols.len()` product of those activation rows
+/// and weight rows.
+pub(crate) type Tile<'a> = dyn Fn(Range<usize>, Range<usize>, &mut [f32]) + Sync + 'a;
+
+/// The one strip-and-split routine behind every `X · Wᵀ` (f32 and int8):
+/// writes the `m × n` row-major `out` through `tile`.
+///
+/// Below `min_weights` weights (`n · k`) it is one tile call per strip of
+/// at most [`tune::GEMM_SKINNY_M_MAX`] rows, straight into `out`. At or
+/// above, the `n` output columns are cut into one range per pool thread,
+/// each a multiple of 8 wide (the int8 `1 × 8` tile) except the last, and
+/// every range runs its strips as one part of a pool job. With one row,
+/// the parts write their slices of `out` directly; with more, each fills a
+/// contiguous `m × width` block of one scratch buffer, which is then
+/// scattered into place (`m·n` copies against `m·n·k` multiply-adds).
+/// Every output element is still one whole-row dot of the backend, so no
+/// split changes a bit.
+pub(crate) fn split_gemm_bt(
+    pool: &Pool,
+    min_weights: usize,
+    m: usize,
+    n: usize,
+    k: usize,
+    out: &mut [f32],
+    tile: &Tile<'_>,
+) {
+    let strips = |cols: Range<usize>, block: &mut [f32]| {
+        let width = cols.len();
+        for r0 in (0..m).step_by(tune::GEMM_SKINNY_M_MAX) {
+            let r1 = (r0 + tune::GEMM_SKINNY_M_MAX).min(m);
+            tile(r0..r1, cols.clone(), &mut block[r0 * width..r1 * width]);
+        }
+    };
+    let threads = if n * k >= min_weights {
+        pool.threads()
+    } else {
+        1
+    };
+    let width = n.div_ceil(threads).next_multiple_of(8);
+    if width >= n {
+        strips(0..n, out);
+        return;
+    }
+    let parts = n.div_ceil(width);
+    let columns = |p: usize| p * width..((p + 1) * width).min(n);
+    let run = |buf: &mut [f32]| {
+        let mut blocks = Vec::with_capacity(parts);
+        let mut rest = buf;
+        for p in 0..parts {
+            let (block, tail) = rest.split_at_mut(m * columns(p).len());
+            blocks.push(Mutex::new(block));
+            rest = tail;
+        }
+        pool.run(parts, &|p| {
+            strips(
+                columns(p),
+                &mut blocks[p].lock().expect("one part per block"),
+            );
+        });
+    };
+    if m == 1 {
+        run(out);
+        return;
+    }
+    let mut scratch = vec![0.0f32; m * n];
+    run(&mut scratch);
+    for p in 0..parts {
+        let cols = columns(p);
+        let block = &scratch[m * cols.start..m * cols.end];
+        for (r, row) in block.chunks_exact(cols.len()).enumerate() {
+            out[r * n + cols.start..r * n + cols.end].copy_from_slice(row);
         }
     }
 }
@@ -867,6 +971,50 @@ mod tests {
             let fast = a.matmul_bt(&b).expect("conformable");
             let slow = a.matmul(&b.transpose()).expect("conformable");
             assert!(fast.approx_eq(&slow, 1e-3), "m = {m} diverged");
+        }
+    }
+
+    #[test]
+    fn split_products_are_bitwise_unsplit_on_any_pool() {
+        // A zero threshold forces the split at every shape. Random `n` up
+        // to 70 is odd about half the time (the last range is short) and
+        // often below 8 × parts (fewer ranges than threads); `m` up to 40
+        // crosses a strip boundary.
+        use crate::QuantizedMatrix;
+        let pools = [1, 2, 5].map(Pool::new);
+        let mut rng = Pcg32::seed(35);
+        for case in 0..40 {
+            let m = 1 + rng.below(40);
+            let n = 1 + rng.below(70);
+            let k = 1 + rng.below(90);
+            let x = Matrix::randn(m, k, 1.0, &mut rng);
+            let w = Matrix::randn(n, k, 1.0, &mut rng);
+            let q = QuantizedMatrix::quantize(&w);
+            for be in crate::backend::all() {
+                let mut want_f32 = vec![0.0f32; m * n];
+                be.gemm_bt(x.data(), m, w.data(), n, k, &mut want_f32);
+                let mut want_q8 = vec![0.0f32; m * n];
+                be.gemm_bt_q8(x.data(), m, q.data(), q.scales(), n, k, &mut want_q8);
+                let f32_tile = gemm_bt_tile(be, x.data(), w.data(), k);
+                let q8_tile = q.gemm_bt_tile(be, x.data());
+                for pool in &pools {
+                    for (dtype, tile, want) in [
+                        ("f32", &f32_tile as &Tile<'_>, &want_f32),
+                        ("int8", &q8_tile, &want_q8),
+                    ] {
+                        let mut got = vec![f32::NAN; m * n];
+                        split_gemm_bt(pool, 0, m, n, k, &mut got, tile);
+                        assert!(
+                            got.iter()
+                                .zip(want)
+                                .all(|(g, w)| g.to_bits() == w.to_bits()),
+                            "case {case}: {dtype} {m}×{k}·({n}×{k})ᵀ on {} with {} threads",
+                            be.name(),
+                            pool.threads()
+                        );
+                    }
+                }
+            }
         }
     }
 

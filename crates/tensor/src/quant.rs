@@ -19,10 +19,12 @@
 //! quantized checkpoints are reconstructed from stored codes + scales via
 //! [`QuantizedMatrix::from_parts`] rather than re-quantized.
 
+use std::ops::Range;
+
 use crate::backend;
 use crate::error::TensorError;
-use crate::matrix::Matrix;
-use crate::tune;
+use crate::matrix::{split_gemm_bt, Matrix};
+use crate::{par, tune};
 
 /// A row-major int8 matrix with one `f32` dequantization scale per row.
 ///
@@ -193,7 +195,8 @@ impl QuantizedMatrix {
 
     /// Matrix–vector product `self · x`: the `m = 1` call of the active
     /// backend's [`backend::KernelBackend::gemm_bt_q8`], one whole-row
-    /// int8×f32 dot per output element. The decode fast path for quantized
+    /// int8×f32 dot per output element, split across the compute pool as
+    /// [`Matrix::matvec`] is. The decode fast path for quantized
     /// weights — counted in [`tune::matvec_calls`] exactly like
     /// [`Matrix::matvec`].
     ///
@@ -217,8 +220,9 @@ impl QuantizedMatrix {
     /// GEMM `a · selfᵀ` (activations times quantized weights: batched
     /// decode and prefill blocks) through the same
     /// [`backend::KernelBackend::gemm_bt_q8`] entry as
-    /// [`QuantizedMatrix::matvec`]. Tiles reuse loads, never reorder a dot:
-    /// every output element is the whole-row
+    /// [`QuantizedMatrix::matvec`], stripped and split across the compute
+    /// pool exactly as [`Matrix::matmul_bt`]. Tiles reuse loads, never
+    /// reorder a dot: every output element is the whole-row
     /// [`backend::KernelBackend::dot_q8`] that `matvec` computes, so
     /// stacking activation rows is bitwise identical to calling `matvec`
     /// per row — the quantized twin of the f32 skinny kernel's invariant.
@@ -244,9 +248,40 @@ impl QuantizedMatrix {
         Matrix::from_vec(m, n, out)
     }
 
-    /// `out = X · selfᵀ` for `m` activation rows packed in `x`.
+    /// `out = X · selfᵀ` for `m` activation rows packed in `x`, through the
+    /// same strip-and-split routine as the f32 products.
     fn gemm_bt_into(&self, x: &[f32], m: usize, out: &mut [f32]) {
-        backend::active().gemm_bt_q8(x, m, &self.data, &self.scales, self.rows, self.cols, out);
+        let tile = self.gemm_bt_tile(backend::active(), x);
+        split_gemm_bt(
+            par::global(),
+            tune::SPLIT_MIN_WEIGHTS,
+            m,
+            self.rows,
+            self.cols,
+            out,
+            &tile,
+        );
+    }
+
+    /// [`split_gemm_bt`]'s tile for these weights: `be`'s `gemm_bt_q8` on a
+    /// range of `x`'s rows and a range of weight rows.
+    pub(crate) fn gemm_bt_tile<'a>(
+        &'a self,
+        be: &'a dyn backend::KernelBackend,
+        x: &'a [f32],
+    ) -> impl Fn(Range<usize>, Range<usize>, &mut [f32]) + Sync + 'a {
+        let k = self.cols;
+        move |rows, cols, y| {
+            be.gemm_bt_q8(
+                &x[rows.start * k..rows.end * k],
+                rows.len(),
+                &self.data[cols.start * k..cols.end * k],
+                &self.scales[cols.clone()],
+                cols.len(),
+                k,
+                y,
+            );
+        }
     }
 }
 

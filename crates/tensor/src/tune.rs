@@ -39,9 +39,10 @@ pub const DOT_LANES: usize = 8;
 pub const REDUCE_LANES: usize = 8;
 
 /// Most left-hand rows one call of the backend's `X·Wᵀ` tile
-/// ([`crate::backend::KernelBackend::gemm_bt`]) receives from
-/// [`crate::Matrix::matmul_bt`]; a taller product runs the tile once per
-/// strip of this many rows.
+/// ([`crate::backend::KernelBackend::gemm_bt`] / `gemm_bt_q8`) receives
+/// from [`crate::Matrix::matmul_bt`] or
+/// [`crate::QuantizedMatrix::matmul_bt`]; a taller product runs the tile
+/// once per strip of this many rows.
 ///
 /// This is a cache bound, not a correctness one. The AVX2 tile walks
 /// weight rows in its outer loop and loads each once for every activation
@@ -56,6 +57,24 @@ pub const REDUCE_LANES: usize = 8;
 /// `chipalign-serve` reuse the value for their block, batch and draft
 /// bounds, each for its own stated reason.
 pub const GEMM_SKINNY_M_MAX: usize = 32;
+
+/// Fewest weights (`n · k`) an `X · Wᵀ` must have before its output
+/// columns are split across the compute pool ([`crate::Matrix::matvec`],
+/// [`crate::Matrix::matmul_bt`] and both [`crate::QuantizedMatrix`]
+/// products).
+///
+/// A split pays a fixed hand-off whatever the shape, so small products stay
+/// on one thread. Measured on a 2-vCPU Xeon at `k` = 384, split against
+/// unsplit: with the worker still spinning from the previous call, a
+/// one-row product breaks even near 32 Ki weights and an eight-row one
+/// below 16 Ki; with the worker parked (50 µs between calls) the wake adds
+/// ~1.5 µs, a one-row product breaks even only near 144 Ki (~12 µs either
+/// way), and an eight-row one wins from 48 Ki. 64 Ki splits every
+/// `bench-384` attention projection (147 456 weights) and MLP matrix
+/// (393 216), and neither its `lm_head` (38 016) nor any zoo matrix
+/// (≤ 12 288). Bits do not depend on it: every output is one whole-row dot
+/// on whichever thread computes it.
+pub const SPLIT_MIN_WEIGHTS: usize = 65_536;
 
 /// Side length of the square tiles used by the blocked transpose.
 ///

@@ -92,10 +92,11 @@ run_example quickstart 'model-soup norm:'
 run_example lambda_sweep 'at lambda = 0.6:'
 cargo test -q
 cargo test -q --workspace
-# Once more on one core: `available_parallelism()` is then 1, so
-# `tensor::parallelize` takes its single-worker path in every merge test,
-# which must give the same bits as the fan-out above.
-taskset -c 0 cargo test -q -p chipalign-tensor -p chipalign-merge
+# Once more on one core: `available_parallelism()` is then 1, so the
+# compute pool has no workers and every job runs inline on its caller —
+# `tensor::parallelize` in every merge test, and every split projection in
+# every nn pin — which must give the same bits as the pooled runs above.
+taskset -c 0 cargo test -q -p chipalign-tensor -p chipalign-nn -p chipalign-merge
 # Once more per portable tier: there `gemm_bt` / `gemm_bt_q8` are the
 # trait's default per-element dot loops, not the AVX2 tiles, so every
 # stacked ≡ matvec ≡ forward pin in tensor and nn runs on that path too.
