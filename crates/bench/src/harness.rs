@@ -12,7 +12,7 @@ pub const BENCH_SEED: u64 = 2025;
 /// Resolves the on-disk zoo cache directory (`artifacts/zoo` under the
 /// workspace root, overridable with `CHIPALIGN_ZOO_DIR`).
 #[must_use]
-pub fn zoo_dir() -> PathBuf {
+pub(crate) fn zoo_dir() -> PathBuf {
     if let Ok(dir) = std::env::var("CHIPALIGN_ZOO_DIR") {
         return PathBuf::from(dir);
     }

@@ -7,7 +7,7 @@
 //!   the copy-from-context (induction) skill.
 //! * [`chip_corpus`] — the synthetic chip documentation (all OpenROAD-world
 //!   fact sentences), standing in for ChipNeMo's 24B-token DAPT corpus.
-//! * [`GENERAL_QA`] — a tiny general-knowledge QA pool used by the
+//! * `GENERAL_QA` — a tiny general-knowledge QA pool used by the
 //!   instruction SFT stage and the IFEval prompt generator.
 
 use chipalign_tensor::rng::Pcg32;
@@ -28,7 +28,7 @@ const OBJECTS: &[&str] = &[
 ];
 
 /// General-knowledge QA pairs (question, answer) used for instruction SFT.
-pub const GENERAL_QA: &[(&str, &str)] = &[
+pub(crate) const GENERAL_QA: &[(&str, &str)] = &[
     ("what color is the sky?", "the sky is blue"),
     ("what color is grass?", "grass is green"),
     ("what does a cat say?", "a cat says meow"),
@@ -49,7 +49,7 @@ pub const GENERAL_QA: &[(&str, &str)] = &[
 
 /// One random plain sentence from the general templates.
 #[must_use]
-pub fn general_sentence(rng: &mut Pcg32) -> String {
+pub(crate) fn general_sentence(rng: &mut Pcg32) -> String {
     format!(
         "{} {} {}",
         rng.choose(SUBJECTS),

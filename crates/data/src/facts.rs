@@ -7,7 +7,6 @@
 //! eval splits, while each individual fact stays short enough for a
 //! character-level context window.
 
-use chipalign_tensor::rng::Pcg32;
 
 /// The domain a fact belongs to. The first three are the ChipNeMo
 /// multi-choice domains (Figure 7); all five feed the OpenROAD QA category
@@ -28,6 +27,7 @@ pub enum Domain {
 
 impl Domain {
     /// All domains in canonical order.
+    #[cfg(test)]
     pub const ALL: [Domain; 5] = [
         Domain::EdaScripts,
         Domain::Bugs,
@@ -38,7 +38,7 @@ impl Domain {
 
     /// The OpenROAD QA category this domain reports under (Table 1).
     #[must_use]
-    pub fn openroad_category(self) -> &'static str {
+    pub(crate) fn openroad_category(self) -> &'static str {
         match self {
             Domain::EdaScripts | Domain::Circuits => "Functionality",
             Domain::Bugs | Domain::FlowStages => "VLSI Flow",
@@ -51,15 +51,15 @@ impl Domain {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fact {
     /// The entity name (command, bug id, cell, stage, or GUI item).
-    pub name: String,
+    pub(crate) name: String,
     /// The canonical question about the entity.
-    pub question: String,
+    pub(crate) question: String,
     /// The canonical answer (untagged, lowercase).
-    pub answer: String,
+    pub(crate) answer: String,
     /// The documentation sentence carrying the fact.
-    pub doc: String,
+    pub(crate) doc: String,
     /// The fact's domain.
-    pub domain: Domain,
+    pub(crate) domain: Domain,
 }
 
 const COMMAND_NAMES: &[&str] = &[
@@ -276,7 +276,7 @@ impl IndustrialCategory {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndustrialFact {
     /// Redacted-style entity name (the paper masks tools as ZZZ etc.).
-    pub name: String,
+    pub(crate) name: String,
     /// Canonical question.
     pub question: String,
     /// Canonical answer.
@@ -284,7 +284,7 @@ pub struct IndustrialFact {
     /// Documentation sentence.
     pub doc: String,
     /// Category.
-    pub category: IndustrialCategory,
+    pub(crate) category: IndustrialCategory,
     /// A follow-up question about the same entity (for the multi-turn
     /// setting) and its answer.
     pub followup: (String, String),
@@ -476,19 +476,6 @@ pub fn industrial_facts() -> Vec<IndustrialFact> {
     facts
 }
 
-/// Deterministically samples `n` distinct facts from a slice.
-///
-/// # Panics
-///
-/// Panics if `n > facts.len()`.
-#[must_use]
-pub fn sample_facts<'a, T>(facts: &'a [T], n: usize, rng: &mut Pcg32) -> Vec<&'a T> {
-    assert!(n <= facts.len(), "cannot sample {n} from {}", facts.len());
-    let mut indices: Vec<usize> = (0..facts.len()).collect();
-    rng.shuffle(&mut indices);
-    indices[..n].iter().map(|&i| &facts[i]).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -572,28 +559,5 @@ mod tests {
                 "followup must be grounded: {f:?}"
             );
         }
-    }
-
-    #[test]
-    fn sampling_is_deterministic_and_distinct() {
-        let facts = openroad_facts();
-        let a = sample_facts(&facts, 10, &mut Pcg32::seed(5));
-        let b = sample_facts(&facts, 10, &mut Pcg32::seed(5));
-        assert_eq!(
-            a.iter().map(|f| &f.name).collect::<Vec<_>>(),
-            b.iter().map(|f| &f.name).collect::<Vec<_>>()
-        );
-        let mut names: Vec<&str> = a.iter().map(|f| f.name.as_str()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot sample")]
-    fn oversampling_panics() {
-        let facts = openroad_facts();
-        let n = facts.len() + 1;
-        let _ = sample_facts(&facts, n, &mut Pcg32::seed(1));
     }
 }

@@ -13,7 +13,7 @@ use crate::prompt::format_prompt;
 use crate::tags::FormatTag;
 
 /// Number of prompts, matching IFEval.
-pub const NUM_PROMPTS: usize = 541;
+pub(crate) const NUM_PROMPTS: usize = 541;
 
 /// Fraction of prompts carrying two directives instead of one.
 const TWO_TAG_FRACTION: f32 = 0.2;
@@ -24,7 +24,7 @@ pub struct IfEvalPrompt {
     /// The rendered prompt.
     pub prompt: String,
     /// The format directives it carries (1 or 2).
-    pub tags: Vec<FormatTag>,
+    pub(crate) tags: Vec<FormatTag>,
     /// The corresponding verifiable checkers.
     pub instructions: Vec<Instruction>,
     /// A reference answer that satisfies all directives (not used for

@@ -7,7 +7,6 @@
 //! explicit instructions such as "answer only from the context chunks");
 //! responses are graded by the deterministic rubric grader.
 
-use chipalign_rag::Document;
 use chipalign_tensor::rng::Pcg32;
 
 use crate::facts::{industrial_facts, IndustrialCategory};
@@ -15,7 +14,7 @@ use crate::prompt::{format_followup, format_prompt};
 use crate::tags::FormatTag;
 
 /// Number of questions, matching the paper.
-pub const NUM_QUESTIONS: usize = 39;
+pub(crate) const NUM_QUESTIONS: usize = 39;
 
 /// One benchmark question with its follow-up turn.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,25 +90,6 @@ impl IndustrialBenchmark {
         questions.reverse();
         IndustrialBenchmark { questions }
     }
-
-    /// The internal documentation corpus as retrievable documents.
-    #[must_use]
-    pub fn corpus_documents() -> Vec<Document> {
-        industrial_facts()
-            .iter()
-            .enumerate()
-            .map(|(i, f)| Document::new(i, &f.name, &f.doc))
-            .collect()
-    }
-
-    /// Questions of one category.
-    #[must_use]
-    pub fn by_category(&self, category: IndustrialCategory) -> Vec<&IndustrialQuestion> {
-        self.questions
-            .iter()
-            .filter(|q| q.category == category)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -120,10 +100,11 @@ mod tests {
     fn thirty_nine_questions_with_paper_split() {
         let bench = IndustrialBenchmark::generate(7);
         assert_eq!(bench.questions.len(), NUM_QUESTIONS);
-        assert_eq!(bench.by_category(IndustrialCategory::Arch).len(), 10);
-        assert_eq!(bench.by_category(IndustrialCategory::Build).len(), 10);
-        assert_eq!(bench.by_category(IndustrialCategory::Lsf).len(), 10);
-        assert_eq!(bench.by_category(IndustrialCategory::Testgen).len(), 9);
+        let count = |c| bench.questions.iter().filter(|q| q.category == c).count();
+        assert_eq!(count(IndustrialCategory::Arch), 10);
+        assert_eq!(count(IndustrialCategory::Build), 10);
+        assert_eq!(count(IndustrialCategory::Lsf), 10);
+        assert_eq!(count(IndustrialCategory::Testgen), 9);
     }
 
     #[test]
@@ -181,14 +162,5 @@ mod tests {
             IndustrialBenchmark::generate(1),
             IndustrialBenchmark::generate(1)
         );
-    }
-
-    #[test]
-    fn corpus_covers_contexts() {
-        let docs = IndustrialBenchmark::corpus_documents();
-        let bench = IndustrialBenchmark::generate(7);
-        for q in &bench.questions {
-            assert!(docs.iter().any(|d| d.text == q.context));
-        }
     }
 }

@@ -18,7 +18,7 @@ use crate::prompt::format_prompt;
 use crate::tags::FormatTag;
 
 /// Number of evaluation triplets, matching the paper.
-pub const NUM_TRIPLETS: usize = 90;
+pub(crate) const NUM_TRIPLETS: usize = 90;
 
 /// One evaluation triplet.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,19 +107,6 @@ impl OpenRoadBenchmark {
             .map(|(i, f)| Document::new(i, &f.name, &f.doc))
             .collect()
     }
-
-    /// Triplets of one category.
-    #[must_use]
-    pub fn by_category(&self, category: &str) -> Vec<&QaTriplet> {
-        self.triplets
-            .iter()
-            .filter(|t| t.category == category)
-            .collect()
-    }
-
-    /// The paper's category columns in order.
-    pub const CATEGORIES: [&'static str; 3] =
-        ["Functionality", "VLSI Flow", "GUI & Install & Test"];
 }
 
 #[cfg(test)]
@@ -143,14 +130,13 @@ mod tests {
     #[test]
     fn all_categories_represented() {
         let bench = OpenRoadBenchmark::generate(42);
-        for cat in OpenRoadBenchmark::CATEGORIES {
-            let n = bench.by_category(cat).len();
+        let count = |c: &str| bench.triplets.iter().filter(|t| t.category == c).count();
+        let categories = ["Functionality", "VLSI Flow", "GUI & Install & Test"];
+        for cat in categories {
+            let n = count(cat);
             assert!(n >= 8, "category {cat} underrepresented: {n}");
         }
-        let total: usize = OpenRoadBenchmark::CATEGORIES
-            .iter()
-            .map(|c| bench.by_category(c).len())
-            .sum();
+        let total: usize = categories.iter().map(|c| count(c)).sum();
         assert_eq!(total, NUM_TRIPLETS);
     }
 

@@ -16,7 +16,7 @@
 use crate::tags::FormatTag;
 
 /// The answer cue every prompt ends with.
-pub const ANSWER_CUE: &str = "A:";
+pub(crate) const ANSWER_CUE: &str = "A:";
 
 /// Formats a single-turn prompt.
 ///
@@ -47,7 +47,7 @@ pub fn format_prompt(context: &str, question: &str, tags: &[FormatTag]) -> Strin
 /// The first turn's prompt and answer are replayed verbatim (the standard
 /// chat-history encoding), then the follow-up question opens a new cue.
 #[must_use]
-pub fn format_followup(
+pub(crate) fn format_followup(
     first_prompt: &str,
     first_answer: &str,
     question: &str,

@@ -20,7 +20,7 @@ use chipalign_eval::ifeval::Instruction;
 use chipalign_tensor::rng::Pcg32;
 
 /// Keywords the `Key` tag can demand; short, common, and in-vocabulary.
-pub const KEYWORDS: &[&str] = &["note", "check", "flow", "ref"];
+pub(crate) const KEYWORDS: &[&str] = &["note", "check", "flow", "ref"];
 
 /// One format directive.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,7 +56,7 @@ impl FormatTag {
 
     /// The content-affecting tags used by the ROUGE-scored QA benchmarks.
     #[must_use]
-    pub fn content_tags() -> Vec<FormatTag> {
+    pub(crate) fn content_tags() -> Vec<FormatTag> {
         let mut tags = vec![FormatTag::Pre, FormatTag::End];
         tags.extend(KEYWORDS.iter().map(|k| FormatTag::Key((*k).to_string())));
         tags
@@ -64,14 +64,14 @@ impl FormatTag {
 
     /// Samples a tag uniformly from [`FormatTag::all`].
     #[must_use]
-    pub fn sample(rng: &mut Pcg32) -> FormatTag {
+    pub(crate) fn sample(rng: &mut Pcg32) -> FormatTag {
         let all = FormatTag::all();
         all[rng.below(all.len())].clone()
     }
 
     /// Samples a content tag uniformly.
     #[must_use]
-    pub fn sample_content(rng: &mut Pcg32) -> FormatTag {
+    pub(crate) fn sample_content(rng: &mut Pcg32) -> FormatTag {
         let tags = FormatTag::content_tags();
         tags[rng.below(tags.len())].clone()
     }

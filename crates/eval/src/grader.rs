@@ -40,11 +40,11 @@ pub struct Grade {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rubric {
     /// Weight of content fidelity.
-    pub content_weight: f64,
+    pub(crate) content_weight: f64,
     /// Weight of grounding in the provided context.
-    pub grounding_weight: f64,
+    pub(crate) grounding_weight: f64,
     /// Weight of instruction compliance.
-    pub compliance_weight: f64,
+    pub(crate) compliance_weight: f64,
 }
 
 impl Default for Rubric {
@@ -150,16 +150,6 @@ fn quantise(composite: f64) -> u8 {
     }
 }
 
-/// Mean of a set of grades (0 for an empty set), the per-category statistic
-/// of Table 2.
-#[must_use]
-pub fn mean_score(grades: &[Grade]) -> f64 {
-    if grades.is_empty() {
-        return 0.0;
-    }
-    grades.iter().map(|g| f64::from(g.score)).sum::<f64>() / grades.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,18 +224,6 @@ mod tests {
         let a = r.grade("some answer", "golden answer", "context words", &[]);
         let b = r.grade("some answer", "golden answer", "context words", &[]);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn mean_score_math() {
-        let g = |score| Grade {
-            score,
-            content: 0.0,
-            grounding: 0.0,
-            compliance: 0.0,
-        };
-        assert_eq!(mean_score(&[g(100), g(50)]), 75.0);
-        assert_eq!(mean_score(&[]), 0.0);
     }
 
     #[test]

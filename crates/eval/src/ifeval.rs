@@ -6,10 +6,10 @@
 //! (length constraints, case constraints, keyword constraints, format and
 //! structure constraints), each with:
 //!
-//! * a natural-language [`Instruction::directive`] that the data generator
+//! * a natural-language `Instruction::directive` that the data generator
 //!   inserts into prompts, and
 //! * strict ([`Instruction::check_strict`]) and loose
-//!   ([`Instruction::check_loose`]) verification. The loose variant accepts
+//!   (`Instruction::check_loose`) verification. The loose variant accepts
 //!   a response if any of the benchmark's relaxations (markdown stripped,
 //!   first/last line dropped) passes the strict check.
 //!
@@ -72,7 +72,7 @@ impl Instruction {
     /// The natural-language directive inserted into prompts, e.g.
     /// `"Answer in at most 12 words."`.
     #[must_use]
-    pub fn directive(&self) -> String {
+    pub(crate) fn directive(&self) -> String {
         match self {
             Instruction::MaxWords(n) => format!("Answer in at most {n} words."),
             Instruction::MinWords(n) => format!("Answer in at least {n} words."),
@@ -183,7 +183,7 @@ impl Instruction {
     /// Loose verification: passes if any loose variant of the response
     /// passes the strict check.
     #[must_use]
-    pub fn check_loose(&self, response: &str) -> bool {
+    pub(crate) fn check_loose(&self, response: &str) -> bool {
         loose_variants(response)
             .iter()
             .any(|variant| self.check_strict(variant))
@@ -216,7 +216,7 @@ pub struct PromptVerdict {
     /// Strict pass/fail per instruction, in prompt order.
     pub strict: Vec<bool>,
     /// Loose pass/fail per instruction, in prompt order.
-    pub loose: Vec<bool>,
+    pub(crate) loose: Vec<bool>,
 }
 
 impl PromptVerdict {
@@ -251,7 +251,7 @@ pub struct IfEvalReport {
     /// Number of prompts evaluated.
     pub n_prompts: usize,
     /// Total number of instructions evaluated.
-    pub n_instructions: usize,
+    pub(crate) n_instructions: usize,
 }
 
 /// Aggregates per-prompt verdicts into the benchmark's four accuracies.

@@ -1,20 +1,15 @@
 //! Evaluation metrics and graders for the ChipAlign reproduction.
 //!
-//! The paper scores models four ways; each has a counterpart here:
+//! The paper scores the OpenROAD QA, industrial QA and IFEval benchmarks
+//! three ways; each has a counterpart here:
 //!
 //! * **ROUGE-L** ([`rouge`]) — the OpenROAD QA metric (Table 1, Figure 8):
 //!   longest-common-subsequence precision/recall/F1 between a generated
 //!   response and the golden answer.
-//! * **BLEU** ([`bleu`]) — reported by the paper as a considered-and-
-//!   rejected alternative; implemented for completeness and used in
-//!   ablation reporting.
 //! * **IFEval-style instruction checking** ([`ifeval`]) — a battery of
 //!   *verifiable* instructions (length, casing, keywords, structure, ...)
 //!   with the benchmark's strict/loose and prompt/instruction-level
 //!   accounting (Table 3).
-//! * **UniEval-style multi-dimensional scoring** ([`unieval`]) — the other
-//!   metric the paper evaluated for OpenROAD QA, as a deterministic
-//!   heuristic over the original's four dimensions.
 //! * **Rubric grading** ([`grader`]) — a deterministic stand-in for the
 //!   paper's GPT-4 grader on the industrial chip QA benchmark (Table 2),
 //!   scoring answers in `{0, 25, 50, 75, 100}` from content fidelity,
@@ -34,11 +29,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod bleu;
 pub mod grader;
 pub mod ifeval;
 pub mod rouge;
 pub mod significance;
 pub mod text;
-pub mod unieval;

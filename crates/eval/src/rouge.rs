@@ -12,9 +12,9 @@ use crate::text::{lcs_length, tokenize};
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RougeScore {
     /// LCS length over candidate length.
-    pub precision: f64,
+    pub(crate) precision: f64,
     /// LCS length over reference length.
-    pub recall: f64,
+    pub(crate) recall: f64,
     /// Weighted F-measure (β = 1.2, as in the ROUGE package).
     pub f1: f64,
 }
@@ -56,26 +56,6 @@ pub fn rouge_l(candidate: &str, reference: &str) -> RougeScore {
         precision,
         recall,
         f1,
-    }
-}
-
-/// Mean ROUGE-L F1 over a corpus of `(candidate, reference)` pairs.
-///
-/// Returns 0 for an empty corpus.
-#[must_use]
-pub fn corpus_rouge_l<'a>(
-    pairs: impl IntoIterator<Item = (&'a str, &'a str)>,
-) -> f64 {
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for (cand, refr) in pairs {
-        total += rouge_l(cand, refr).f1;
-        count += 1;
-    }
-    if count == 0 {
-        0.0
-    } else {
-        total / count as f64
     }
 }
 
@@ -133,13 +113,5 @@ mod tests {
         let good = rouge_l("navigate to timing report then select the setup tab", reference);
         let weak = rouge_l("open the gui and click around", reference);
         assert!(good.f1 > weak.f1 + 0.3);
-    }
-
-    #[test]
-    fn corpus_mean() {
-        let pairs = vec![("a b", "a b"), ("x", "y")];
-        let mean = corpus_rouge_l(pairs);
-        assert!((mean - 0.5).abs() < 1e-12);
-        assert_eq!(corpus_rouge_l(Vec::<(&str, &str)>::new()), 0.0);
     }
 }

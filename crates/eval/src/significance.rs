@@ -18,21 +18,12 @@ pub struct BootstrapResult {
     /// `mean_a − mean_b`.
     pub delta: f64,
     /// Fraction of resamples where A's mean exceeded B's.
-    pub win_rate_a: f64,
+    pub(crate) win_rate_a: f64,
     /// Two-sided p-value for the null hypothesis "no difference":
     /// `2 · min(P(A > B), P(B > A))` over resamples.
     pub p_value: f64,
     /// Number of bootstrap resamples drawn.
     pub resamples: usize,
-}
-
-impl BootstrapResult {
-    /// Whether the difference is significant at the given level (e.g.
-    /// `0.05`).
-    #[must_use]
-    pub fn significant_at(&self, alpha: f64) -> bool {
-        self.p_value < alpha
-    }
 }
 
 /// Runs a paired bootstrap over per-item scores of two systems.
@@ -49,7 +40,7 @@ impl BootstrapResult {
 /// let a = vec![0.9; 50];
 /// let b = vec![0.1; 50];
 /// let result = paired_bootstrap(&a, &b, 500, 7).expect("valid inputs");
-/// assert!(result.significant_at(0.05));
+/// assert!(result.p_value < 0.05);
 /// assert!(result.delta > 0.7);
 /// ```
 #[must_use]
@@ -108,7 +99,7 @@ mod tests {
         let a: Vec<f64> = (0..60).map(|i| 0.7 + 0.01 * (i % 3) as f64).collect();
         let b: Vec<f64> = (0..60).map(|i| 0.3 + 0.01 * (i % 5) as f64).collect();
         let r = paired_bootstrap(&a, &b, 1000, 1).expect("valid");
-        assert!(r.significant_at(0.01), "{r:?}");
+        assert!(r.p_value < 0.01, "{r:?}");
         assert!(r.win_rate_a > 0.99);
         assert!(r.delta > 0.3);
     }
@@ -117,7 +108,7 @@ mod tests {
     fn identical_systems_are_not_significant() {
         let a = vec![0.5, 0.6, 0.4, 0.7, 0.5, 0.3, 0.8];
         let r = paired_bootstrap(&a, &a, 500, 2).expect("valid");
-        assert!(!r.significant_at(0.05), "{r:?}");
+        assert!(r.p_value >= 0.05, "{r:?}");
         assert_eq!(r.delta, 0.0);
     }
 
@@ -145,7 +136,7 @@ mod tests {
         let b: Vec<f64> = (0..80).map(|_| f64::from(rng.uniform())).collect();
         let a: Vec<f64> = b.iter().map(|x| x + 0.02).collect();
         let r = paired_bootstrap(&a, &b, 1000, 4).expect("valid");
-        assert!(r.significant_at(0.01), "{r:?}");
+        assert!(r.p_value < 0.01, "{r:?}");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 /// Splits text into lowercase word tokens (alphanumeric runs; everything
 /// else separates).
 ///
-/// This is the tokenization used by both ROUGE-L and BLEU, mirroring the
-/// whitespace-and-punctuation handling of the reference implementations.
+/// This is ROUGE-L's tokenization, mirroring the whitespace-and-punctuation
+/// handling of the reference implementation.
 ///
 /// # Example
 ///
@@ -33,7 +33,7 @@ pub fn tokenize(text: &str) -> Vec<String> {
 /// Splits text into sentences on `.`, `!`, `?` boundaries, dropping empty
 /// fragments.
 #[must_use]
-pub fn split_sentences(text: &str) -> Vec<&str> {
+pub(crate) fn split_sentences(text: &str) -> Vec<&str> {
     text.split(['.', '!', '?'])
         .map(str::trim)
         .filter(|s| !s.is_empty())
@@ -42,7 +42,7 @@ pub fn split_sentences(text: &str) -> Vec<&str> {
 
 /// Counts whitespace-separated words.
 #[must_use]
-pub fn word_count(text: &str) -> usize {
+pub(crate) fn word_count(text: &str) -> usize {
     text.split_whitespace().count()
 }
 
@@ -51,7 +51,7 @@ pub fn word_count(text: &str) -> usize {
 /// `O(len(a) · len(b))` dynamic program with a rolling row, which is the
 /// whole cost model of corpus-scale ROUGE-L.
 #[must_use]
-pub fn lcs_length<T: PartialEq>(a: &[T], b: &[T]) -> usize {
+pub(crate) fn lcs_length<T: PartialEq>(a: &[T], b: &[T]) -> usize {
     if a.is_empty() || b.is_empty() {
         return 0;
     }
@@ -74,7 +74,7 @@ pub fn lcs_length<T: PartialEq>(a: &[T], b: &[T]) -> usize {
 /// original text plus variants with markdown emphasis stripped and with the
 /// first/last line removed. A loose check passes if *any* variant passes.
 #[must_use]
-pub fn loose_variants(text: &str) -> Vec<String> {
+pub(crate) fn loose_variants(text: &str) -> Vec<String> {
     let mut variants = vec![text.to_string()];
     let stripped: String = text.replace(['*', '_'], "");
     if stripped != text {

@@ -146,12 +146,6 @@ impl GeodesicMerge {
         self
     }
 
-    /// The interpolation coefficient λ.
-    #[must_use]
-    pub fn lambda(&self) -> f32 {
-        self.lambda
-    }
-
     /// Merges and also returns the per-tensor geometry report.
     ///
     /// Each tensor pair costs two sweeps: sweep 1 reads both weights once

@@ -48,6 +48,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod baselines;
 mod error;
@@ -58,7 +59,7 @@ pub mod sweep;
 pub use baselines::{Dare, Della, ModelSoup, TaskArithmetic, Ties};
 pub use error::MergeError;
 pub use geodesic::{GeodesicMerge, Granularity, NormRestore};
-pub use report::{MergeReport, TensorGeometry};
+pub use report::MergeReport;
 
 use chipalign_model::Checkpoint;
 

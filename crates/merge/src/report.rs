@@ -8,7 +8,7 @@ pub struct TensorGeometry {
     /// Canonical parameter name.
     pub name: String,
     /// Cosine between the unit-sphere projections of the two weights.
-    pub cosine: f64,
+    pub(crate) cosine: f64,
     /// Geodesic angle Θ in radians (`arccos` of [`TensorGeometry::cosine`]).
     pub theta: f64,
     /// Frobenius norm of the chip-model weight.
@@ -18,10 +18,10 @@ pub struct TensorGeometry {
     /// Frobenius norm of the merged weight after magnitude restoration.
     pub norm_merged: f32,
     /// Whether the small-angle LERP fallback was taken for this tensor.
-    pub lerp_fallback: bool,
+    pub(crate) lerp_fallback: bool,
 }
 
-/// A full merge report: one [`TensorGeometry`] per parameter, plus the
+/// A full merge report: one `TensorGeometry` per parameter, plus the
 /// merge configuration that produced it.
 ///
 /// Reports answer the diagnostic questions the paper's geometric argument
@@ -49,9 +49,9 @@ pub struct TensorGeometry {
 #[derive(Debug, Clone, PartialEq)]
 pub struct MergeReport {
     /// The λ used for the merge.
-    pub lambda: f32,
+    pub(crate) lambda: f32,
     /// Method name (always `"ChipAlign"` for geodesic merges).
-    pub method: &'static str,
+    pub(crate) method: &'static str,
     /// Per-tensor geometry in canonical parameter order.
     pub tensors: Vec<TensorGeometry>,
 }

@@ -262,15 +262,6 @@ impl ArchSpec {
             _ => None,
         }
     }
-
-    /// Extracts the layer index from a per-layer parameter name, or `None`
-    /// for global parameters.
-    #[must_use]
-    pub fn layer_of(&self, name: &str) -> Option<usize> {
-        let rest = name.strip_prefix("model.layers.")?;
-        let dot = rest.find('.')?;
-        rest[..dot].parse().ok().filter(|&l| l < self.n_layers)
-    }
 }
 
 impl fmt::Display for ArchSpec {
@@ -338,14 +329,6 @@ mod tests {
         assert_eq!(arch.kind_of("model.layers.x.self_attn.q_proj.weight"), None);
         assert_eq!(arch.kind_of("garbage"), None);
         assert_eq!(arch.shape_of("garbage"), None);
-    }
-
-    #[test]
-    fn layer_extraction() {
-        let arch = ArchSpec::tiny("t");
-        assert_eq!(arch.layer_of("model.layers.1.mlp.up_proj.weight"), Some(1));
-        assert_eq!(arch.layer_of("model.norm.weight"), None);
-        assert_eq!(arch.layer_of("model.layers.9.mlp.up_proj.weight"), None);
     }
 
     #[test]

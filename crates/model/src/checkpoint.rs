@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use chipalign_tensor::rng::Pcg32;
-use chipalign_tensor::{stats::WeightSummary, Matrix};
+use chipalign_tensor::Matrix;
 
 use crate::{ArchSpec, ModelError, ParamKind};
 
@@ -264,15 +264,6 @@ impl Checkpoint {
                 .collect(),
             metadata: self.metadata.clone(),
         }
-    }
-
-    /// Per-parameter numeric summaries, in canonical order.
-    #[must_use]
-    pub fn summaries(&self) -> Vec<(String, WeightSummary)> {
-        self.tensors
-            .iter()
-            .map(|(n, t)| (n.clone(), WeightSummary::of(t)))
-            .collect()
     }
 
     /// Whole-model Frobenius norm (flattening all parameters into one

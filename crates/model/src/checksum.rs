@@ -1,11 +1,11 @@
 //! The checkpoint checksums: XXH64 for every file written today, FNV-1a
 //! only to verify files of the older format versions.
 //!
-//! [`Xxh64`] is the 64-bit xxHash (seed 0) as a streaming hasher: four
+//! `Xxh64` is the 64-bit xxHash (seed 0) as a streaming hasher: four
 //! independent 64-bit lanes consume 32-byte stripes, so the multiply chains
 //! overlap and the hash runs at memory speed, where FNV-1a's one serial
 //! multiply per byte tops out near 500 MB/s. A stripe split across two
-//! [`Xxh64::update`] calls is carried over, so hashing a stream chunk by
+//! `Xxh64::update` calls is carried over, so hashing a stream chunk by
 //! chunk gives the hash of the whole. Each round is a bijection of its
 //! lane's accumulator in the input word, so a change confined to one
 //! 8-byte word always changes its lane; and every step after the last
@@ -16,13 +16,9 @@
 //! # Example
 //!
 //! ```
-//! use chipalign_model::checksum::{xxh64, Xxh64};
+//! use chipalign_model::checksum::xxh64;
 //!
 //! assert_eq!(xxh64(b"abc"), 0x44bc2cf5ad770999);
-//! let mut h = Xxh64::new();
-//! h.update(b"a");
-//! h.update(b"bc");
-//! assert_eq!(h.finish(), xxh64(b"abc"));
 //! ```
 
 const P1: u64 = 0x9E37_79B1_85EB_CA87;
@@ -36,7 +32,7 @@ const STRIPE: usize = 32;
 
 /// A streaming XXH64 hasher with seed 0.
 #[derive(Debug, Clone)]
-pub struct Xxh64 {
+pub(crate) struct Xxh64 {
     lanes: [u64; 4],
     /// The start of a stripe not yet complete.
     pending: [u8; STRIPE],
@@ -53,7 +49,7 @@ impl Default for Xxh64 {
 impl Xxh64 {
     /// A hasher that has seen no bytes.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Xxh64 {
             lanes: [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()],
             pending: [0; STRIPE],
@@ -63,7 +59,7 @@ impl Xxh64 {
     }
 
     /// Feeds more bytes.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub(crate) fn update(&mut self, mut data: &[u8]) {
         self.total_len += data.len() as u64;
         if self.pending_len > 0 {
             let take = (STRIPE - self.pending_len).min(data.len());
@@ -98,7 +94,7 @@ impl Xxh64 {
 
     /// The hash of every byte fed so far; the hasher may keep going.
     #[must_use]
-    pub fn finish(&self) -> u64 {
+    pub(crate) fn finish(&self) -> u64 {
         let mut h = if self.total_len >= STRIPE as u64 {
             let [a, b, c, d] = self.lanes;
             let mut h = a

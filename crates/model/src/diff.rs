@@ -17,7 +17,7 @@ pub struct TensorDiff {
     /// Parameter name.
     pub name: String,
     /// Frobenius norm of `b − a`.
-    pub delta_norm: f32,
+    pub(crate) delta_norm: f32,
     /// `‖b − a‖ / ‖a‖` (0 when `a` is zero).
     pub relative_delta: f32,
     /// Cosine similarity between the two tensors.
@@ -28,7 +28,7 @@ pub struct TensorDiff {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointDiff {
     /// Per-tensor differences in canonical parameter order.
-    pub tensors: Vec<TensorDiff>,
+    pub(crate) tensors: Vec<TensorDiff>,
     /// Global `‖b − a‖` over all parameters.
     pub global_delta: f64,
     /// Global relative delta `‖b − a‖ / ‖a‖`.

@@ -8,7 +8,7 @@
 //! experiment reports (`pipeline`) all depend on. The parser is the trust
 //! boundary for bytes arriving over TCP, so it is strict: trailing bytes,
 //! unknown escapes, lone surrogates, control characters inside strings,
-//! leading zeros and nesting deeper than [`MAX_DEPTH`] are all rejected with
+//! leading zeros and nesting deeper than `MAX_DEPTH` are all rejected with
 //! a [`JsonError`], never a panic. Non-negative integers that fit a `u64`
 //! are kept exact ([`Value::UInt`]) — a sampling seed must not round-trip
 //! through `f64`.
@@ -16,20 +16,20 @@
 //! # Example
 //!
 //! ```
-//! use chipalign_model::json::{self, Value};
+//! use chipalign_model::json;
 //!
-//! let text = r#"{"seed":18446744073709551615,"tags":["a","b"]}"#;
-//! let v = json::parse(text).unwrap();
-//! assert!(matches!(&v, Value::Object(m) if m[0] == ("seed".into(), Value::UInt(u64::MAX))));
-//! assert_eq!(v.to_string(), text);
-//! assert!(json::parse("[1] trailing").is_err());
+//! let seed: u64 = json::from_str("18446744073709551615").unwrap();
+//! assert_eq!(seed, u64::MAX);
+//! let tags: Vec<String> = json::from_str(r#"["a","b"]"#).unwrap();
+//! assert_eq!(json::to_string(&tags), r#"["a","b"]"#);
+//! assert!(json::from_str::<Vec<u64>>("[1] trailing").is_err());
 //! ```
 
 use std::fmt::{self, Write as _};
 
-/// Deepest array/object nesting [`parse`] accepts, so hostile input cannot
+/// Deepest array/object nesting `parse` accepts, so hostile input cannot
 /// overflow the parser's (or a later `Drop`'s) stack.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// An owned JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -212,7 +212,7 @@ fn write_string(s: &str, out: &mut String) {
 /// # Errors
 ///
 /// Returns [`JsonError`] naming the byte offset of the first violation.
-pub fn parse(text: &str) -> Result<Value, JsonError> {
+pub(crate) fn parse(text: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
         src: text.as_bytes(),
         pos: 0,

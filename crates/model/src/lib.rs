@@ -43,6 +43,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod arch;
 mod checkpoint;
@@ -56,4 +57,4 @@ pub mod qformat;
 pub use arch::{ArchSpec, ParamKind};
 pub use checkpoint::Checkpoint;
 pub use error::ModelError;
-pub use qformat::{QuantCheckpoint, QuantTensor};
+pub use qformat::QuantCheckpoint;

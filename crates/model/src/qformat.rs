@@ -8,7 +8,7 @@
 //! tiny and numerically sensitive; the embedding is a per-token row lookup
 //! that streams one row per token either way, so quantizing it saves no
 //! decode bandwidth. The policy is a pure function of [`ParamKind`]
-//! ([`should_quantize`]), so every layer of the stack — model, nn decode,
+//! (`should_quantize`), so every layer of the stack — model, nn decode,
 //! serve registry — agrees on which tensors are int8.
 //!
 //! On-disk layout mirrors the f32 format (`format`) with a new magic and a
@@ -41,7 +41,7 @@ use std::path::Path;
 use chipalign_tensor::{Matrix, QuantizedMatrix};
 
 use crate::checksum::Algo;
-use crate::format::{corrupt, read_bytes, read_file, write_file, Layout, Sink, Source};
+use crate::format::{corrupt, read_bytes, read_file, Layout, Sink, Source};
 use crate::{ArchSpec, Checkpoint, ModelError, ParamKind};
 
 const MAGIC: &[u8; 4] = b"CALQ";
@@ -60,7 +60,7 @@ const DTYPE_INT8: u8 = 1;
 /// checkpoint. Projections (attention, MLP, LM head) quantize; norm gains
 /// and the embedding table stay f32.
 #[must_use]
-pub fn should_quantize(kind: ParamKind) -> bool {
+pub(crate) fn should_quantize(kind: ParamKind) -> bool {
     !(kind.is_norm() || kind == ParamKind::Embedding)
 }
 
@@ -95,7 +95,7 @@ impl QuantTensor {
 
     /// A dense `f32` view (dequantized for int8 tensors).
     #[must_use]
-    pub fn to_f32(&self) -> Matrix {
+    pub(crate) fn to_f32(&self) -> Matrix {
         match self {
             QuantTensor::F32(m) => m.clone(),
             QuantTensor::Int8(q) => q.dequantize(),
@@ -114,7 +114,7 @@ pub struct QuantCheckpoint {
 }
 
 impl QuantCheckpoint {
-    /// Quantizes a validated f32 checkpoint under the [`should_quantize`]
+    /// Quantizes a validated f32 checkpoint under the `should_quantize`
     /// policy. Parameters whose kind the architecture cannot classify stay
     /// f32 (a validated checkpoint has none, but the conversion must not
     /// silently degrade an unknown tensor).
@@ -165,7 +165,7 @@ impl QuantCheckpoint {
 
     /// Number of named tensors.
     #[must_use]
-    pub fn param_count(&self) -> usize {
+    pub(crate) fn param_count(&self) -> usize {
         self.tensors.len()
     }
 
@@ -196,8 +196,8 @@ impl QuantCheckpoint {
     }
 }
 
-/// Serializes a quantized checkpoint to its binary representation: the
-/// bytes [`save`] writes to disk.
+/// Serializes a quantized checkpoint to its binary representation, the
+/// bytes [`load`] reads back.
 #[must_use]
 pub fn encode(ckpt: &QuantCheckpoint) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64 + ckpt.weights_bytes() as usize);
@@ -299,18 +299,7 @@ fn parse_quant(src: &mut Source<impl Read>) -> Result<QuantCheckpoint, ModelErro
     })
 }
 
-/// Writes a quantized checkpoint to a file, crash-safely and streaming
-/// (same staging-and-rename protocol as the f32 format).
-///
-/// # Errors
-///
-/// Returns [`ModelError::Io`] on filesystem failures; the temporary file is
-/// removed on any failure.
-pub fn save(ckpt: &QuantCheckpoint, path: impl AsRef<Path>) -> Result<(), ModelError> {
-    write_file(path.as_ref(), |out| write_quant(ckpt, out))
-}
-
-/// Reads a quantized checkpoint from a file written by [`save`], streaming
+/// Reads a quantized checkpoint from a file holding [`encode`]'s bytes, streaming
 /// (checksum pass, then parse).
 ///
 /// # Errors
@@ -419,7 +408,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("ckpt.calq");
         let q = sample();
-        save(&q, &path).expect("save");
+        std::fs::write(&path, encode(&q)).expect("write");
         let back = load(&path).expect("load");
         assert_eq!(back, q);
         std::fs::remove_file(&path).ok();

@@ -12,7 +12,7 @@ use chipalign_tensor::rng::Pcg32;
 
 use crate::kv::KvCache;
 use crate::model::TinyLm;
-use crate::tokenizer::{CharTokenizer, EOS};
+use crate::tokenizer::EOS;
 use crate::NnError;
 
 /// Decoding configuration.
@@ -468,7 +468,7 @@ impl StepDecoder {
 
     /// The full context (prompt plus generated tokens).
     #[must_use]
-    pub fn context(&self) -> &[u32] {
+    pub(crate) fn context(&self) -> &[u32] {
         &self.context
     }
 
@@ -476,7 +476,7 @@ impl StepDecoder {
     /// decoding only engages on greedy sessions — sampled sessions consume
     /// an RNG stream that a multi-token round cannot keep in lockstep.
     #[must_use]
-    pub fn is_greedy(&self) -> bool {
+    pub(crate) fn is_greedy(&self) -> bool {
         self.cfg.temperature <= 0.0
     }
 
@@ -545,22 +545,6 @@ pub fn generate(model: &TinyLm, prompt: &[u32], cfg: &GenerateConfig) -> Result<
         new_tokens.push(next);
     }
     Ok(new_tokens)
-}
-
-/// Convenience wrapper: encode a text prompt, generate, and decode.
-///
-/// # Errors
-///
-/// Same contract as [`generate`].
-pub fn complete_text(
-    model: &TinyLm,
-    tokenizer: &CharTokenizer,
-    prompt: &str,
-    cfg: &GenerateConfig,
-) -> Result<String, NnError> {
-    let ids = tokenizer.encode(prompt);
-    let new = generate(model, &ids, cfg)?;
-    Ok(tokenizer.decode(&new))
 }
 
 /// Temperature + top-k + nucleus (top-p) sampling from one logit row.
@@ -1269,17 +1253,5 @@ mod tests {
             seen[sample_from_logits(&flat, 1.0, 2, 1.0, &mut rng) as usize] = true;
         }
         assert_eq!(seen, [true, true, false, false]);
-    }
-
-    #[test]
-    fn complete_text_round_trip() {
-        let tok = CharTokenizer::new();
-        let model = trained_on(&tok.encode("abcabcabc"));
-        let cfg = GenerateConfig {
-            max_new_tokens: 3,
-            ..GenerateConfig::default()
-        };
-        let out = complete_text(&model, &tok, "abcabc", &cfg).expect("ok");
-        assert_eq!(out.len(), 3, "three new characters expected, got {out:?}");
     }
 }

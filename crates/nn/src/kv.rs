@@ -676,7 +676,7 @@ impl KvCache {
     /// out-of-vocabulary ids, and [`NnError::PoolExhausted`] if the
     /// cache's pool cannot back every new position. On error the cache is
     /// exactly as it was.
-    pub fn verify_chunk(&mut self, tokens: &[u32]) -> Result<Vec<Vec<f32>>, NnError> {
+    pub(crate) fn verify_chunk(&mut self, tokens: &[u32]) -> Result<Vec<Vec<f32>>, NnError> {
         if tokens.len() > GEMM_SKINNY_M_MAX {
             return Err(NnError::BadConfig {
                 detail: format!(
@@ -856,10 +856,10 @@ impl KvCache {
     /// Returns [`NnError::BadSequence`] if `len` exceeds the cached length,
     /// or if the cut lands strictly inside a *sealed* int8 block — sealed
     /// rows could only be re-opened by dequantizing (lossy, so the rewind
-    /// would no longer be exact). Callers pace writes with
-    /// [`KvCache::lossless_run`] to keep every speculative rewind on the
-    /// exact path. On error the cache is unchanged.
-    pub fn truncate(&mut self, len: usize) -> Result<(), NnError> {
+    /// would no longer be exact). The speculative decoder caps each round's
+    /// drafts at the seal-free run after its committed token, so its
+    /// rewinds always take the exact path. On error the cache is unchanged.
+    pub(crate) fn truncate(&mut self, len: usize) -> Result<(), NnError> {
         if len > self.len {
             return Err(NnError::BadSequence {
                 detail: format!(
@@ -881,25 +881,6 @@ impl KvCache {
         self.tokens.truncate(len);
         self.len = len;
         Ok(())
-    }
-
-    /// How many positions can be written from here and still be rewound
-    /// *exactly* by [`KvCache::truncate`]. A cache on an f32 pool rewinds
-    /// anywhere (`usize::MAX` — f32 blocks never seal); on an int8 pool
-    /// the answer is the distance to the next seal boundary, because
-    /// writing a block's final position quantizes it irreversibly. The
-    /// speculative decoder caps each draft burst at this, so rejection
-    /// rollbacks stay bit-exact on every KV dtype (a zero here just means
-    /// one plain decode step, after which a fresh block opens).
-    #[must_use]
-    pub fn lossless_run(&self) -> usize {
-        let pool = &self.table.pool;
-        if pool.dtype() == KvDtype::Int8 {
-            let bt = pool.block_tokens();
-            bt - 1 - (self.len % bt)
-        } else {
-            usize::MAX
-        }
     }
 }
 
@@ -1972,41 +1953,6 @@ mod tests {
             kv8.decode_step(50).expect("ok"),
             replay.decode_step(50).expect("ok"),
             "boundary-truncated kv8 cache drifted from a fresh replay"
-        );
-    }
-
-    #[test]
-    fn lossless_run_measures_distance_to_the_next_seal() {
-        let m = model();
-        assert_eq!(KvCache::new(&m).lossless_run(), usize::MAX);
-
-        let mut f32_paged = KvCache::new_paged(&m, &small_pool(64));
-        f32_paged.prefill(&[5, 6, 7]).expect("ok");
-        assert_eq!(
-            f32_paged.lossless_run(),
-            usize::MAX,
-            "f32 blocks never seal"
-        );
-
-        let mut kv8 = KvCache::new_paged(&m, &small_pool_q8(64)); // bt = 4
-        assert_eq!(kv8.lossless_run(), 3);
-        kv8.prefill(&[5, 6]).expect("ok");
-        assert_eq!(kv8.lossless_run(), 1);
-        kv8.decode_step(7).expect("ok");
-        assert_eq!(kv8.lossless_run(), 0, "the very next write would seal");
-        kv8.decode_step(8).expect("ok"); // seals block 0, opens nothing yet
-        assert_eq!(kv8.lossless_run(), 3, "a fresh block has 3 free rows");
-
-        // The contract in action: a run within the bound truncates exactly.
-        let run = kv8.lossless_run();
-        kv8.verify_chunk(&[30, 35, 40][..run]).expect("ok");
-        kv8.truncate(4)
-            .expect("rewind within the lossless run is exact");
-        let mut replay = KvCache::new_paged(&m, &small_pool_q8(64));
-        replay.prefill(&[5, 6, 7, 8]).expect("ok");
-        assert_eq!(
-            kv8.decode_step(60).expect("ok"),
-            replay.decode_step(60).expect("ok")
         );
     }
 

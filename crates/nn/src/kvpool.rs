@@ -206,8 +206,8 @@ impl KvPool {
     /// Heap bytes of one block's K/V buffers at f32 width for the given
     /// architecture shape: `n_layers × 2 (K and V) × block_tokens ×
     /// d_model` floats. Every block is born at this size (the open tail is
-    /// always f32); see [`KvPool::sealed_block_bytes`] for the steady-state
-    /// size after sealing.
+    /// always f32); an int8 pool shrinks a block to its `i8` codes plus
+    /// `2 × n_heads` f32 scales per layer once it seals.
     #[must_use]
     pub fn block_bytes(&self, n_layers: usize, d_model: usize) -> usize {
         n_layers * 2 * self.block_tokens * d_model * std::mem::size_of::<f32>()
@@ -217,8 +217,14 @@ impl KvPool {
     /// for [`KvDtype::F32`], or `i8` codes plus `2 × n_heads` f32 scales
     /// per layer for [`KvDtype::Int8`] — the number that determines
     /// sessions-per-GB at steady state.
+    #[cfg(test)]
     #[must_use]
-    pub fn sealed_block_bytes(&self, n_layers: usize, d_model: usize, n_heads: usize) -> usize {
+    pub(crate) fn sealed_block_bytes(
+        &self,
+        n_layers: usize,
+        d_model: usize,
+        n_heads: usize,
+    ) -> usize {
         match self.dtype {
             KvDtype::F32 => self.block_bytes(n_layers, d_model),
             KvDtype::Int8 => {

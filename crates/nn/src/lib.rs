@@ -25,11 +25,11 @@
 //!   sessions through one GEMM per projection — bit-identical to stepping
 //!   each session alone, which is what lets the serving scheduler batch
 //!   without changing a single output byte.
-//! * [`QuantParamSet`] — optional per-row-scaled int8 copies of the decode
+//! * `QuantParamSet` — optional per-row-scaled int8 copies of the decode
 //!   projections (built by [`TinyLm::quantize`]); when attached, KV-cached
 //!   decode streams int8 weights through the quantized kernels while
 //!   training and the full f32 forward pass stay untouched.
-//! * [`kvpool`] — the paged KV allocator behind every cache: fixed-size
+//! * `kvpool` — the paged KV allocator behind every cache: fixed-size
 //!   token blocks, per-cache block tables, refcounted prefix aliasing with
 //!   copy-on-write, so a prefix fork costs O(blocks) pointer clones instead
 //!   of O(bytes). Decode is bit-identical at every block size, down to the
@@ -37,10 +37,10 @@
 //!   [`KvDtype::Int8`] additionally quantize each block to per-head-scaled
 //!   i8 codes as it fills, shrinking resident KV bytes ~4× while pinning
 //!   logits within [`KV8_LOGIT_TOL`] of the f32 oracle.
-//! * [`spec`] — speculative decoding: a [`SpecDecoder`] wraps a target
+//! * `spec` — speculative decoding: a [`SpecDecoder`] wraps a target
 //!   [`StepDecoder`] and a cheap draft model (a merge-family sibling, or a
 //!   truncated-layer self-draft from [`TinyLm::truncate_layers`]), verifies
-//!   drafted tokens in one batched forward via [`KvCache::verify_chunk`],
+//!   drafted tokens in one batched forward via `KvCache::verify_chunk`,
 //!   and accepts the longest agreeing prefix — greedy output byte-identical
 //!   to plain decoding by construction, with panic-isolated drafts.
 //!
@@ -68,11 +68,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod error;
 pub mod generate;
 mod kv;
-pub mod kvpool;
+pub(crate) mod kvpool;
 mod lora;
 pub mod loss;
 mod model;
@@ -80,7 +81,7 @@ mod optim;
 mod params;
 mod quant;
 pub mod score;
-pub mod spec;
+pub(crate) mod spec;
 mod tokenizer;
 pub mod train;
 
@@ -89,9 +90,8 @@ pub use generate::{GenerateConfig, StepDecoder};
 pub use kv::{KvCache, KV8_LOGIT_TOL};
 pub use kvpool::{KvDtype, KvPool, KvPoolConfig};
 pub use lora::{LoraConfig, LoraModel};
-pub use model::{ForwardCache, TinyLm};
+pub use model::TinyLm;
 pub use optim::{Adam, AdamConfig, Tensors};
-pub use params::{LayerParams, ParamSet};
-pub use quant::{QuantLayer, QuantParamSet};
-pub use spec::{SpecDecoder, SpecStats, SPEC_K_MAX};
-pub use tokenizer::{CharTokenizer, BOS, EOS, PAD, UNK};
+pub(crate) use params::ParamSet;
+pub use spec::{SpecDecoder, SPEC_K_MAX};
+pub use tokenizer::{CharTokenizer, BOS, EOS};

@@ -19,9 +19,9 @@ use crate::{loss, NnError};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoraConfig {
     /// Adapter rank `r`.
-    pub rank: usize,
+    pub(crate) rank: usize,
     /// Scaling numerator `α`; the effective scale is `α / r`.
-    pub alpha: usize,
+    pub(crate) alpha: usize,
 }
 
 impl Default for LoraConfig {
@@ -110,12 +110,6 @@ impl LoraModel {
             (d_ff, d_model),    // up
             (d_model, d_ff),    // down
         ]
-    }
-
-    /// The frozen base model.
-    #[must_use]
-    pub fn base(&self) -> &TinyLm {
-        &self.base
     }
 
     /// The adapter scale `α / r`.
@@ -314,7 +308,7 @@ mod tests {
             "LoRA training failed to learn: first {first}, last {last}"
         );
         // Base is untouched.
-        let still = lora.base().to_checkpoint().expect("ok");
+        let still = lora.base.to_checkpoint().expect("ok");
         assert!(still.approx_eq(&base_ckpt, 0.0));
         // Merged model now differs from the base.
         let merged = lora

@@ -18,8 +18,6 @@ pub struct LossResult {
     pub loss: f32,
     /// `∂loss/∂logits`, shape `(seq × vocab)`.
     pub dlogits: Matrix,
-    /// How many target positions contributed.
-    pub target_count: usize,
 }
 
 /// Computes masked next-token cross-entropy and its gradient.
@@ -86,7 +84,6 @@ pub fn masked_cross_entropy(
     Ok(LossResult {
         loss: (total / count as f64) as f32,
         dlogits,
-        target_count: count,
     })
 }
 
@@ -109,7 +106,6 @@ mod tests {
         let logits = Matrix::zeros(3, 10);
         let result = cross_entropy(&logits, &[1, 2, 3]).expect("ok");
         assert!((result.loss - (10.0f32).ln()).abs() < 1e-5);
-        assert_eq!(result.target_count, 2);
     }
 
     #[test]
@@ -136,7 +132,6 @@ mod tests {
         // Only token 3 (position 3) is a target -> only position 2 trains.
         let mask = [false, false, false, true];
         let result = masked_cross_entropy(&logits, &tokens, &mask).expect("ok");
-        assert_eq!(result.target_count, 1);
         // Gradient must be zero except at row 2.
         for r in [0usize, 1, 3] {
             let norm: f32 = result.dlogits.row(r).iter().map(|v| v * v).sum();

@@ -10,7 +10,7 @@
 //! dispatch, with the same accumulation order as the KV-cached decode in
 //! [`crate::KvCache`], so the two paths agree numerically.
 
-use chipalign_model::{ArchSpec, Checkpoint, ModelError, QuantCheckpoint};
+use chipalign_model::{ArchSpec, Checkpoint, ModelError};
 use chipalign_tensor::ops;
 use chipalign_tensor::rng::Pcg32;
 use chipalign_tensor::Matrix;
@@ -109,34 +109,11 @@ impl TinyLm {
         Self::try_from(ckpt.clone())
     }
 
-    /// Reconstructs a quantized model from an int8 checkpoint: the f32
-    /// parameters come from dequantization (the decode path never reads the
-    /// dequantized projections, but norms, the embedding, and the training
-    /// oracle do), while the int8 sidecar reuses the checkpoint's stored
-    /// codes and scales exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying validation error if the checkpoint does not
-    /// instantiate its architecture, or [`NnError::BadConfig`] if a
-    /// projection tensor is missing or not int8.
-    pub fn from_quant_checkpoint(qckpt: &QuantCheckpoint) -> Result<Self, NnError> {
-        let mut model = TinyLm::from_checkpoint(&qckpt.dequantize()?)?;
-        model.quant = Some(QuantParamSet::from_quant_checkpoint(qckpt)?);
-        Ok(model)
-    }
-
     /// Attaches (or refreshes) the int8 decode sidecar, quantizing every
     /// projection weight at per-row scale. Idempotent; cheap relative to a
     /// checkpoint load.
     pub fn quantize(&mut self) {
         self.quant = Some(QuantParamSet::quantize(&self.params));
-    }
-
-    /// Whether decode runs on the int8 weights.
-    #[must_use]
-    pub fn is_quantized(&self) -> bool {
-        self.quant.is_some()
     }
 
     /// The dtype decode streams for projection weights: `"int8"` when the
@@ -152,7 +129,7 @@ impl TinyLm {
 
     /// The int8 decode sidecar, if attached.
     #[must_use]
-    pub fn quant(&self) -> Option<&QuantParamSet> {
+    pub(crate) fn quant(&self) -> Option<&QuantParamSet> {
         self.quant.as_ref()
     }
 
@@ -699,11 +676,11 @@ mod tests {
     #[test]
     fn quantize_attaches_and_mutation_drops_the_sidecar() {
         let mut m = model(1);
-        assert!(!m.is_quantized());
+        assert_eq!(m.dtype(), "f32");
         assert_eq!(m.dtype(), "f32");
         let f32_bytes = m.weights_bytes();
         m.quantize();
-        assert!(m.is_quantized());
+        assert_eq!(m.dtype(), "int8");
         assert_eq!(m.dtype(), "int8");
         assert!(
             m.weights_bytes() < f32_bytes,
@@ -711,19 +688,8 @@ mod tests {
         );
         // Touching the f32 weights invalidates the quantized codes.
         let _ = m.params_mut();
-        assert!(!m.is_quantized());
+        assert_eq!(m.dtype(), "f32");
         assert_eq!(m.weights_bytes(), f32_bytes);
-    }
-
-    #[test]
-    fn quant_checkpoint_round_trip_preserves_sidecar() {
-        let mut m = model(2);
-        m.quantize();
-        let qckpt = chipalign_model::QuantCheckpoint::quantize(&m.to_checkpoint().expect("valid"));
-        let back = TinyLm::from_quant_checkpoint(&qckpt).expect("loads");
-        assert!(back.is_quantized());
-        // Same f32 source, same quantizer: the sidecars agree exactly.
-        assert_eq!(back.quant(), m.quant());
     }
 
     #[test]
@@ -736,7 +702,7 @@ mod tests {
         assert_eq!(half.params().layers[0], m.params().layers[0]);
         assert_eq!(half.params().embed, m.params().embed);
         assert_eq!(half.params().lm_head, m.params().lm_head);
-        assert!(!half.is_quantized());
+        assert_eq!(half.dtype(), "f32");
         // The truncated clone still runs a valid forward pass.
         let logits = half.logits(&[1, 4, 9]).expect("ok");
         assert_eq!(logits.shape(), (3, 99));
@@ -747,7 +713,7 @@ mod tests {
         // A quantized source yields a quantized draft.
         m.quantize();
         let qhalf = m.truncate_layers(1).expect("ok");
-        assert!(qhalf.is_quantized());
+        assert_eq!(qhalf.dtype(), "int8");
         // Bounds are enforced.
         assert!(matches!(
             m.truncate_layers(0),

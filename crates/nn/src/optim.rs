@@ -38,23 +38,23 @@ impl Default for AdamConfig {
 }
 
 /// Adam optimizer state for one fixed-order list of tensors: a
-/// [`ParamSet`] for full training, LoRA's adapter matrices for
+/// `ParamSet` for full training, LoRA's adapter matrices for
 /// low-rank training.
 ///
 /// # Example
 ///
 /// ```
 /// use chipalign_model::ArchSpec;
-/// use chipalign_nn::{Adam, AdamConfig, ParamSet};
+/// use chipalign_nn::{Adam, AdamConfig, TinyLm};
 /// use chipalign_tensor::rng::Pcg32;
 ///
 /// # fn main() -> Result<(), chipalign_nn::NnError> {
 /// let mut arch = ArchSpec::tiny("demo");
 /// arch.vocab_size = 99;
-/// let mut params = ParamSet::init(&arch, &mut Pcg32::seed(1));
-/// let grads = params.zeros_like();
-/// let mut adam = Adam::new(&params, AdamConfig::default())?;
-/// adam.step(&mut params, &grads)?; // zero grads -> (almost) no movement
+/// let mut model = TinyLm::new(&arch, &mut Pcg32::seed(1))?;
+/// let grads = model.params().clone();
+/// let mut adam = Adam::new(model.params(), AdamConfig::default())?;
+/// adam.step(model.params_mut(), &grads)?;
 /// # Ok(())
 /// # }
 /// ```
@@ -101,16 +101,10 @@ impl Adam {
         })
     }
 
-    /// Number of steps taken so far.
-    #[must_use]
-    pub fn steps(&self) -> usize {
-        self.t
-    }
-
     /// The learning rate that will apply to the *next* step (after
     /// warmup scaling).
     #[must_use]
-    pub fn current_lr(&self) -> f32 {
+    pub(crate) fn current_lr(&self) -> f32 {
         let step = self.t + 1;
         if self.cfg.warmup_steps > 0 && step <= self.cfg.warmup_steps {
             self.cfg.lr * step as f32 / self.cfg.warmup_steps as f32
@@ -305,16 +299,5 @@ mod tests {
         for (a, b) in p.tensors().iter().zip(before.tensors()) {
             assert!(a.approx_eq(b, 1e-7));
         }
-    }
-
-    #[test]
-    fn steps_counter_advances() {
-        let mut p = params();
-        let g = p.zeros_like();
-        let mut adam = Adam::new(&p, AdamConfig::default()).expect("ok");
-        assert_eq!(adam.steps(), 0);
-        adam.step(&mut p, &g).expect("ok");
-        adam.step(&mut p, &g).expect("ok");
-        assert_eq!(adam.steps(), 2);
     }
 }

@@ -15,7 +15,7 @@ use crate::NnError;
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerParams {
     /// RMSNorm gain before attention (`1 × d_model`).
-    pub norm1: Matrix,
+    pub(crate) norm1: Matrix,
     /// Query projection (`d_model × d_model`).
     pub wq: Matrix,
     /// Key projection (`d_model × d_model`).
@@ -25,7 +25,7 @@ pub struct LayerParams {
     /// Output projection (`d_model × d_model`).
     pub wo: Matrix,
     /// RMSNorm gain before the MLP (`1 × d_model`).
-    pub norm2: Matrix,
+    pub(crate) norm2: Matrix,
     /// SwiGLU gate projection (`d_ff × d_model`).
     pub wg: Matrix,
     /// SwiGLU up projection (`d_ff × d_model`).
@@ -38,11 +38,11 @@ pub struct LayerParams {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParamSet {
     /// Token embedding table (`vocab × d_model`).
-    pub embed: Matrix,
+    pub(crate) embed: Matrix,
     /// Transformer blocks.
     pub layers: Vec<LayerParams>,
     /// Final RMSNorm gain (`1 × d_model`).
-    pub final_norm: Matrix,
+    pub(crate) final_norm: Matrix,
     /// LM head (`vocab × d_model`).
     pub lm_head: Matrix,
 }
@@ -51,7 +51,7 @@ impl ParamSet {
     /// Randomly initialises a parameter set for an architecture
     /// (Xavier projections, small-normal embeddings, unit norm gains).
     #[must_use]
-    pub fn init(arch: &ArchSpec, rng: &mut Pcg32) -> Self {
+    pub(crate) fn init(arch: &ArchSpec, rng: &mut Pcg32) -> Self {
         let layers = (0..arch.n_layers)
             .map(|_| LayerParams {
                 norm1: Matrix::ones(1, arch.d_model),
@@ -76,7 +76,7 @@ impl ParamSet {
     /// An all-zero set with the same shapes as `self` (for gradient
     /// accumulation).
     #[must_use]
-    pub fn zeros_like(&self) -> Self {
+    pub(crate) fn zeros_like(&self) -> Self {
         let z = |m: &Matrix| Matrix::zeros(m.rows(), m.cols());
         ParamSet {
             embed: z(&self.embed),
@@ -165,7 +165,7 @@ impl ParamSet {
     /// # Errors
     ///
     /// Returns a tensor shape error if the two sets do not match.
-    pub fn axpy(&mut self, alpha: f32, other: &ParamSet) -> Result<(), NnError> {
+    pub(crate) fn axpy(&mut self, alpha: f32, other: &ParamSet) -> Result<(), NnError> {
         let others = other.tensors();
         for (mine, theirs) in self.tensors_mut().into_iter().zip(others) {
             mine.axpy(alpha, theirs)?;
@@ -185,17 +185,6 @@ impl ParamSet {
             .zip(self.tensors().into_iter().cloned())
             .collect();
         Checkpoint::from_parts(arch.clone(), tensors, Default::default())
-    }
-
-    /// Reconstructs a parameter set from a checkpoint, copying its tensors
-    /// (`ParamSet::try_from` moves them instead).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::MissingParam`] if the checkpoint lacks any of
-    /// the architecture's parameters.
-    pub fn from_checkpoint(ckpt: &Checkpoint) -> Result<Self, ModelError> {
-        Self::try_from(ckpt.clone())
     }
 }
 
@@ -273,7 +262,7 @@ mod tests {
         let a = arch();
         let p = ParamSet::init(&a, &mut Pcg32::seed(2));
         let ckpt = p.to_checkpoint(&a).expect("valid");
-        let back = ParamSet::from_checkpoint(&ckpt).expect("round trip");
+        let back = ParamSet::try_from(ckpt).expect("round trip");
         assert_eq!(p, back);
     }
 

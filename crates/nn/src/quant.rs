@@ -13,31 +13,28 @@
 //! the int8 kernels while training and the full f32 forward pass stay
 //! untouched.
 
-use chipalign_model::qformat::QuantTensor;
-use chipalign_model::QuantCheckpoint;
 use chipalign_tensor::QuantizedMatrix;
 
 use crate::params::{LayerParams, ParamSet};
-use crate::NnError;
 
 /// Int8 projections of one transformer block (same shapes as the
 /// corresponding [`LayerParams`] fields).
 #[derive(Debug, Clone, PartialEq)]
-pub struct QuantLayer {
+pub(crate) struct QuantLayer {
     /// Query projection.
-    pub wq: QuantizedMatrix,
+    pub(crate) wq: QuantizedMatrix,
     /// Key projection.
-    pub wk: QuantizedMatrix,
+    pub(crate) wk: QuantizedMatrix,
     /// Value projection.
-    pub wv: QuantizedMatrix,
+    pub(crate) wv: QuantizedMatrix,
     /// Output projection.
-    pub wo: QuantizedMatrix,
+    pub(crate) wo: QuantizedMatrix,
     /// SwiGLU gate projection.
-    pub wg: QuantizedMatrix,
+    pub(crate) wg: QuantizedMatrix,
     /// SwiGLU up projection.
-    pub wu: QuantizedMatrix,
+    pub(crate) wu: QuantizedMatrix,
     /// SwiGLU down projection.
-    pub wd: QuantizedMatrix,
+    pub(crate) wd: QuantizedMatrix,
 }
 
 impl QuantLayer {
@@ -66,65 +63,26 @@ impl QuantLayer {
 /// All int8 decode weights of a model: one [`QuantLayer`] per transformer
 /// block plus the quantized LM head.
 #[derive(Debug, Clone, PartialEq)]
-pub struct QuantParamSet {
+pub(crate) struct QuantParamSet {
     /// Per-block int8 projections, index-aligned with [`ParamSet::layers`].
-    pub layers: Vec<QuantLayer>,
+    pub(crate) layers: Vec<QuantLayer>,
     /// Quantized LM head (`vocab × d_model`).
-    pub lm_head: QuantizedMatrix,
+    pub(crate) lm_head: QuantizedMatrix,
 }
 
 impl QuantParamSet {
     /// Quantizes the projection weights of an f32 parameter set.
     #[must_use]
-    pub fn quantize(params: &ParamSet) -> Self {
+    pub(crate) fn quantize(params: &ParamSet) -> Self {
         QuantParamSet {
             layers: params.layers.iter().map(QuantLayer::quantize).collect(),
             lm_head: QuantizedMatrix::quantize(&params.lm_head),
         }
     }
 
-    /// Rebuilds the set from a persisted [`QuantCheckpoint`], reusing the
-    /// *stored* codes and scales rather than re-quantizing — the property
-    /// that makes a saved int8 artifact decode bit-identically to the model
-    /// that produced it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::BadConfig`] if any projection tensor is missing
-    /// or was not stored as int8.
-    pub fn from_quant_checkpoint(ckpt: &QuantCheckpoint) -> Result<Self, NnError> {
-        let grab = |name: String| -> Result<QuantizedMatrix, NnError> {
-            match ckpt.get(&name) {
-                Some(QuantTensor::Int8(q)) => Ok(q.clone()),
-                Some(QuantTensor::F32(_)) => Err(NnError::BadConfig {
-                    detail: format!("projection {name} stored as f32 in quantized checkpoint"),
-                }),
-                None => Err(NnError::BadConfig {
-                    detail: format!("quantized checkpoint missing {name}"),
-                }),
-            }
-        };
-        let mut layers = Vec::with_capacity(ckpt.arch().n_layers);
-        for i in 0..ckpt.arch().n_layers {
-            layers.push(QuantLayer {
-                wq: grab(format!("model.layers.{i}.self_attn.q_proj.weight"))?,
-                wk: grab(format!("model.layers.{i}.self_attn.k_proj.weight"))?,
-                wv: grab(format!("model.layers.{i}.self_attn.v_proj.weight"))?,
-                wo: grab(format!("model.layers.{i}.self_attn.o_proj.weight"))?,
-                wg: grab(format!("model.layers.{i}.mlp.gate_proj.weight"))?,
-                wu: grab(format!("model.layers.{i}.mlp.up_proj.weight"))?,
-                wd: grab(format!("model.layers.{i}.mlp.down_proj.weight"))?,
-            });
-        }
-        Ok(QuantParamSet {
-            layers,
-            lm_head: grab("lm_head.weight".to_string())?,
-        })
-    }
-
     /// Bytes the int8 projections stream from memory per decoded token.
     #[must_use]
-    pub fn weights_bytes(&self) -> u64 {
+    pub(crate) fn weights_bytes(&self) -> u64 {
         self.layers
             .iter()
             .map(QuantLayer::weights_bytes)
@@ -136,7 +94,7 @@ impl QuantParamSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chipalign_model::{ArchSpec, Checkpoint};
+    use chipalign_model::ArchSpec;
     use chipalign_tensor::rng::Pcg32;
 
     fn arch() -> ArchSpec {
@@ -178,27 +136,5 @@ mod tests {
             q.weights_bytes() < f32_proj_bytes / 2,
             "int8 projections must stream under half the f32 bytes"
         );
-    }
-
-    #[test]
-    fn quant_checkpoint_round_trip_preserves_codes() {
-        let a = arch();
-        let p = ParamSet::init(&a, &mut Pcg32::seed(3));
-        let ckpt = p.to_checkpoint(&a).expect("valid");
-        let qckpt = QuantCheckpoint::quantize(&ckpt);
-        let from_ckpt = QuantParamSet::from_quant_checkpoint(&qckpt).expect("complete");
-        let direct = QuantParamSet::quantize(&p);
-        // Same f32 source, same quantizer: codes and scales agree exactly.
-        assert_eq!(from_ckpt, direct);
-    }
-
-    #[test]
-    fn from_quant_checkpoint_loads_every_layer() {
-        let a = arch();
-        let ckpt = Checkpoint::random(&a, &mut Pcg32::seed(4));
-        let q = QuantCheckpoint::quantize(&ckpt);
-        let set = QuantParamSet::from_quant_checkpoint(&q).expect("complete checkpoint");
-        assert_eq!(set.layers.len(), a.n_layers);
-        assert_eq!(set.lm_head.shape(), (a.vocab_size, a.d_model));
     }
 }

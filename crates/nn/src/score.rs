@@ -19,7 +19,7 @@ use crate::NnError;
 /// Returns [`NnError::BadSequence`] for empty inputs or a combined sequence
 /// longer than the context window, and [`NnError::BadToken`] for
 /// out-of-vocabulary ids.
-pub fn continuation_logprob(
+pub(crate) fn continuation_logprob(
     model: &TinyLm,
     prompt: &[u32],
     continuation: &[u32],

@@ -28,9 +28,10 @@
 //! batched together, never what they produce. The verified row after the
 //! accepted prefix doubles as the next round's pending logits, so a
 //! rejection costs nothing extra: the "bonus" token the target wanted
-//! instead is simply next round's `t0`. Rounds are paced with
-//! [`KvCache::lossless_run`] so rewinds stay exact on int8-KV pools, and
-//! window-slide points land exactly where plain decoding puts them.
+//! instead is simply next round's `t0`. On an int8-KV pool a round drafts
+//! no further than the seal-free run after `t0`'s position, so every
+//! rewind stays exact, and window-slide points land exactly where plain
+//! decoding puts them.
 //!
 //! Sampled sessions (temperature > 0) consume an RNG stream that a
 //! multi-token round cannot keep in lockstep, so they transparently
@@ -57,7 +58,7 @@ use crate::{KvDtype, NnError};
 
 /// Largest draft length a [`SpecDecoder`] accepts: the verified chunk is
 /// `k + 1` tokens (`t0` plus the drafts) and must fit one
-/// [`KvCache::verify_chunk`], which is one weight sweep (one tile call per
+/// `KvCache::verify_chunk`, which is one weight sweep (one tile call per
 /// projection) by contract.
 pub const SPEC_K_MAX: usize = chipalign_tensor::tune::GEMM_SKINNY_M_MAX - 1;
 
@@ -78,7 +79,7 @@ pub struct SpecStats {
     pub fallbacks: u64,
     /// Draft panics caught (each also disables speculation for the
     /// session and counts as a fallback).
-    pub draft_panics: u64,
+    pub(crate) draft_panics: u64,
 }
 
 /// A speculative decoding session: same `step()` contract as
@@ -92,8 +93,7 @@ pub struct SpecStats {
 ///
 /// use chipalign_model::ArchSpec;
 /// use chipalign_nn::generate::{GenerateConfig, StepDecoder};
-/// use chipalign_nn::spec::SpecDecoder;
-/// use chipalign_nn::TinyLm;
+/// use chipalign_nn::{SpecDecoder, TinyLm};
 /// use chipalign_tensor::rng::Pcg32;
 ///
 /// # fn main() -> Result<(), chipalign_nn::NnError> {
@@ -207,26 +207,6 @@ impl SpecDecoder {
     /// draining ([`StepDecoder::prefill_pending`]) and prefix adoption.
     pub fn target_mut(&mut self) -> &mut StepDecoder {
         &mut self.target
-    }
-
-    /// Whether speculation is still live (a caught draft panic clears
-    /// this permanently; the session then finishes as a plain stepper).
-    #[must_use]
-    pub fn spec_enabled(&self) -> bool {
-        self.spec_enabled
-    }
-
-    /// Maximum draft tokens per round.
-    #[must_use]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Whether the session has produced its final token and the burst
-    /// buffer is drained.
-    #[must_use]
-    pub fn is_done(&self) -> bool {
-        self.burst.is_empty() && self.target.is_done()
     }
 
     /// Counters accumulated since the last [`SpecDecoder::take_stats`].
@@ -489,7 +469,7 @@ mod tests {
         while let Some(tok) = s.step().expect("ok") {
             out.push(tok);
         }
-        assert!(s.is_done());
+        assert!(s.burst.is_empty() && s.target.is_done());
         assert!(s.step().expect("ok").is_none(), "done stays done");
         (out, s.stats())
     }
@@ -628,7 +608,7 @@ mod tests {
         let target = StepDecoder::new(&model, &[5, 6], &cfg).expect("ok");
         let mut spec = SpecDecoder::new(target, &draft, 4).expect("ok");
         spec.set_draft_probe(Box::new(|| panic!("injected draft fault")));
-        assert!(spec.spec_enabled());
+        assert!(spec.spec_enabled);
         let mut out = Vec::new();
         while let Some(tok) = spec.step().expect("ok") {
             out.push(tok);
@@ -636,7 +616,7 @@ mod tests {
         let stats = spec.stats();
         assert_eq!(out, expected, "degraded transcript drifted from plain");
         assert!(
-            !spec.spec_enabled(),
+            !spec.spec_enabled,
             "a draft panic must disable speculation"
         );
         assert_eq!(stats.draft_panics, 1, "exactly one panic (then disabled)");

@@ -30,13 +30,13 @@ pub struct CharTokenizer {
 }
 
 /// Padding token id.
-pub const PAD: u32 = 0;
+pub(crate) const PAD: u32 = 0;
 /// Beginning-of-sequence token id.
 pub const BOS: u32 = 1;
 /// End-of-sequence token id.
 pub const EOS: u32 = 2;
 /// Unknown-character token id.
-pub const UNK: u32 = 3;
+pub(crate) const UNK: u32 = 3;
 
 const FIRST_CHAR: u8 = b' ';
 const LAST_CHAR: u8 = b'~';
@@ -57,21 +57,10 @@ impl CharTokenizer {
 
     /// Encodes text, mapping characters outside printable ASCII to `<unk>`.
     ///
-    /// No `<bos>`/`<eos>` markers are added; callers that need them use
-    /// [`CharTokenizer::encode_with_specials`].
+    /// No `<bos>`/`<eos>` markers are added.
     #[must_use]
     pub fn encode(&self, text: &str) -> Vec<u32> {
         text.chars().map(|c| self.char_to_id(c)).collect()
-    }
-
-    /// Encodes text wrapped in `<bos> ... <eos>`.
-    #[must_use]
-    pub fn encode_with_specials(&self, text: &str) -> Vec<u32> {
-        let mut ids = Vec::with_capacity(text.len() + 2);
-        ids.push(BOS);
-        ids.extend(self.encode(text));
-        ids.push(EOS);
-        ids
     }
 
     /// Decodes ids back to text. Special tokens decode to nothing except
@@ -83,7 +72,7 @@ impl CharTokenizer {
 
     /// Maps one character to its token id.
     #[must_use]
-    pub fn char_to_id(&self, c: char) -> u32 {
+    pub(crate) fn char_to_id(&self, c: char) -> u32 {
         if c.is_ascii() {
             let b = c as u8;
             if (FIRST_CHAR..=LAST_CHAR).contains(&b) {
@@ -101,7 +90,7 @@ impl CharTokenizer {
     /// Maps a token id back to its character, or `None` for pure-control
     /// specials.
     #[must_use]
-    pub fn id_to_char(&self, id: u32) -> Option<char> {
+    pub(crate) fn id_to_char(&self, id: u32) -> Option<char> {
         match id {
             PAD | BOS | EOS => None,
             UNK => Some('\u{FFFD}'),
@@ -111,12 +100,6 @@ impl CharTokenizer {
                 (b <= LAST_CHAR).then(|| char::from(b))
             }
         }
-    }
-
-    /// `true` if the id is inside the vocabulary.
-    #[must_use]
-    pub fn is_valid(&self, id: u32) -> bool {
-        (id as usize) < self.vocab_size()
     }
 }
 
@@ -139,9 +122,9 @@ mod tests {
     #[test]
     fn specials_wrap_sequence() {
         let tok = CharTokenizer::new();
-        let ids = tok.encode_with_specials("ab");
-        assert_eq!(ids.first(), Some(&BOS));
-        assert_eq!(ids.last(), Some(&EOS));
+        let mut ids = vec![BOS];
+        ids.extend(tok.encode("ab"));
+        ids.push(EOS);
         assert_eq!(tok.decode(&ids), "ab");
     }
 
@@ -175,7 +158,5 @@ mod tests {
     fn out_of_range_ids_decode_to_nothing() {
         let tok = CharTokenizer::new();
         assert_eq!(tok.id_to_char(999), None);
-        assert!(!tok.is_valid(999));
-        assert!(tok.is_valid(98));
     }
 }

@@ -42,18 +42,6 @@ impl Example {
         mask.extend(std::iter::repeat_n(true, completion.len()));
         Example { tokens, mask }
     }
-
-    /// Length of the full sequence.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.tokens.len()
-    }
-
-    /// Whether the sequence is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
-    }
 }
 
 /// Training-loop configuration.
@@ -131,48 +119,6 @@ pub fn train(model: &mut TinyLm, data: &[Example], cfg: &TrainConfig) -> Result<
     Ok(losses)
 }
 
-/// Mean masked cross-entropy of `model` over a dataset (no gradient).
-///
-/// # Errors
-///
-/// Forwards evaluation failures; an empty dataset is a
-/// [`NnError::BadConfig`].
-pub fn evaluate_loss(model: &TinyLm, data: &[Example]) -> Result<f32, NnError> {
-    if data.is_empty() {
-        return Err(NnError::BadConfig {
-            detail: "evaluation requires a non-empty dataset".into(),
-        });
-    }
-    let results: Vec<Result<f32, NnError>> = data
-        .iter()
-        .map(|ex| {
-            let logits = model.logits(&ex.tokens)?;
-            Ok(loss::masked_cross_entropy(&logits, &ex.tokens, &ex.mask)?.loss)
-        })
-        .collect();
-    let mut total = 0.0f32;
-    for r in &results {
-        match r {
-            Ok(l) => total += l,
-            Err(_) => {
-                return Err(NnError::BadConfig {
-                    detail: "an evaluation example failed the forward pass".into(),
-                })
-            }
-        }
-    }
-    Ok(total / data.len() as f32)
-}
-
-/// Perplexity of `model` over a dataset: `exp(mean masked cross-entropy)`.
-///
-/// # Errors
-///
-/// Same contract as [`evaluate_loss`].
-pub fn perplexity(model: &TinyLm, data: &[Example]) -> Result<f32, NnError> {
-    Ok(evaluate_loss(model, data)?.exp())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,8 +135,6 @@ mod tests {
         let ex = Example::sft(vec![1, 2, 3], vec![4, 5]);
         assert_eq!(ex.tokens, vec![1, 2, 3, 4, 5]);
         assert_eq!(ex.mask, vec![false, false, false, true, true]);
-        assert_eq!(ex.len(), 5);
-        assert!(!ex.is_empty());
     }
 
     #[test]
@@ -263,41 +207,5 @@ mod tests {
         };
         let data = vec![Example::pretrain(vec![1, 2])];
         assert!(train(&mut model, &data, &cfg).is_err());
-        assert!(evaluate_loss(&model, &[]).is_err());
-    }
-
-    #[test]
-    fn perplexity_of_uniform_model_is_near_vocab_size() {
-        // A fresh model with near-zero logits is near-uniform over 99
-        // tokens, so perplexity should be within a factor of ~2 of 99.
-        let model = TinyLm::new(&arch(), &mut Pcg32::seed(77)).expect("valid");
-        let data = vec![Example::pretrain(vec![10, 20, 30, 40, 50, 60, 70, 80])];
-        let ppl = perplexity(&model, &data).expect("ok");
-        assert!(
-            (40.0..200.0).contains(&ppl),
-            "uniform-ish perplexity expected near 99, got {ppl}"
-        );
-    }
-
-    #[test]
-    fn evaluate_loss_drops_after_training() {
-        let mut model = TinyLm::new(&arch(), &mut Pcg32::seed(5)).expect("valid");
-        let data = vec![
-            Example::pretrain(vec![11, 12, 13, 14, 15]),
-            Example::pretrain(vec![21, 22, 23, 24, 25]),
-        ];
-        let before = evaluate_loss(&model, &data).expect("ok");
-        let cfg = TrainConfig {
-            steps: 60,
-            batch_size: 2,
-            adam: AdamConfig {
-                lr: 3e-3,
-                ..AdamConfig::default()
-            },
-            seed: 2,
-        };
-        train(&mut model, &data, &cfg).expect("ok");
-        let after = evaluate_loss(&model, &data).expect("ok");
-        assert!(after < before * 0.5, "eval loss {before} -> {after}");
     }
 }

@@ -49,7 +49,7 @@ pub fn respond(model: &TinyLm, prompt: &str) -> Result<String, PipelineError> {
 /// # Errors
 ///
 /// Propagates scoring failures.
-pub fn choose_option(
+pub(crate) fn choose_option(
     model: &TinyLm,
     prompt: &str,
     choices: &[String],
@@ -64,7 +64,7 @@ pub fn choose_option(
 
 /// Mean of a slice of `f64` (0 for empty input).
 #[must_use]
-pub fn mean(values: &[f64]) -> f64 {
+pub(crate) fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
         0.0
     } else {

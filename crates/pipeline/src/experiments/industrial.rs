@@ -20,7 +20,7 @@ pub struct IndustrialScores {
     /// "All" column, single turn.
     pub single_all: f64,
     /// Mean grade per category, multi turn (the follow-up answer).
-    pub multi: Vec<f64>,
+    pub(crate) multi: Vec<f64>,
     /// "All" column, multi turn.
     pub multi_all: f64,
 }

@@ -86,7 +86,7 @@ pub fn merged_variants(
 /// # Errors
 ///
 /// Propagates zoo training and merge failures.
-pub fn chipalign_large(zoo: &Zoo) -> Result<TinyLm, PipelineError> {
+pub(crate) fn chipalign_large(zoo: &Zoo) -> Result<TinyLm, PipelineError> {
     let chat = zoo.model(ZooModel::Instruct(Backbone::LlamaLarge))?;
     let chipnemo = zoo.model(ZooModel::ChipNemo)?;
     let merged = GeodesicMerge::new(PAPER_LAMBDA)?

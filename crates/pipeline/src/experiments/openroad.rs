@@ -24,11 +24,11 @@ pub enum ContextMode {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CategoryScores {
     /// "Functionality" column.
-    pub functionality: f64,
+    pub(crate) functionality: f64,
     /// "VLSI Flow" column.
-    pub vlsi_flow: f64,
+    pub(crate) vlsi_flow: f64,
     /// "GUI & Install & Test" column.
-    pub gui: f64,
+    pub(crate) gui: f64,
     /// "All" column (mean over all triplets).
     pub all: f64,
 }
@@ -36,7 +36,7 @@ pub struct CategoryScores {
 impl CategoryScores {
     /// The four columns in the paper's order.
     #[must_use]
-    pub fn as_row(&self) -> Vec<f64> {
+    pub(crate) fn as_row(&self) -> Vec<f64> {
         vec![self.functionality, self.vlsi_flow, self.gui, self.all]
     }
 }
@@ -81,27 +81,21 @@ impl OpenRoadEval {
         triplets: &[QaTriplet],
         mode: ContextMode,
     ) -> Result<CategoryScores, PipelineError> {
-        let mut per_cat: std::collections::HashMap<&str, Vec<f64>> = Default::default();
-        let mut all = Vec::with_capacity(triplets.len());
-        for t in triplets {
-            let prompt = match mode {
-                ContextMode::Golden => t.prompt(),
-                ContextMode::Rag => {
-                    let ctx = self.retriever.retrieve_context(&t.question, self.rag_top_k);
-                    t.prompt_with_context(&ctx)
-                }
-            };
-            let response = respond(model, &prompt)?;
-            let f1 = rouge_l(&response, &t.golden).f1;
-            per_cat.entry(t.category).or_default().push(f1);
-            all.push(f1);
-        }
-        let cat = |name: &str| mean(per_cat.get(name).map_or(&[][..], Vec::as_slice));
+        let items = self.eval_items(model, triplets, mode)?;
+        let cat = |name: &str| {
+            let scores: Vec<f64> = triplets
+                .iter()
+                .zip(&items)
+                .filter(|(t, _)| t.category == name)
+                .map(|(_, &f1)| f1)
+                .collect();
+            mean(&scores)
+        };
         Ok(CategoryScores {
             functionality: cat("Functionality"),
             vlsi_flow: cat("VLSI Flow"),
             gui: cat("GUI & Install & Test"),
-            all: mean(&all),
+            all: mean(&items),
         })
     }
 
@@ -124,7 +118,7 @@ impl OpenRoadEval {
     /// # Errors
     ///
     /// Propagates generation failures.
-    pub fn eval_items(
+    pub(crate) fn eval_items(
         &self,
         model: &TinyLm,
         triplets: &[QaTriplet],

@@ -15,24 +15,24 @@ use crate::PipelineError;
 #[derive(Debug, Clone, PartialEq)]
 pub struct QualitativeResponse {
     /// Model label.
-    pub model: String,
+    pub(crate) model: String,
     /// The raw response text.
-    pub response: String,
+    pub(crate) response: String,
     /// ROUGE-L F1 vs the golden answer.
-    pub rouge_f1: f64,
+    pub(crate) rouge_f1: f64,
     /// Rubric grade (the Figure-6 style evaluation score).
-    pub grade: u8,
+    pub(crate) grade: u8,
     /// Whether every directive in the prompt was strictly followed.
-    pub follows_instructions: bool,
+    pub(crate) follows_instructions: bool,
 }
 
 /// A rendered qualitative comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Comparison {
     /// The full prompt shown to every model.
-    pub prompt: String,
+    pub(crate) prompt: String,
     /// The golden answer.
-    pub golden: String,
+    pub(crate) golden: String,
     /// One entry per model.
     pub responses: Vec<QualitativeResponse>,
 }

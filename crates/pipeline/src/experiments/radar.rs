@@ -18,7 +18,7 @@ use crate::PipelineError;
 use super::{ifeval, industrial, multichoice};
 
 /// The radar's axes, in display order.
-pub const AXES: [&str; 5] = [
+pub(crate) const AXES: [&str; 5] = [
     "IFEval (strict)",
     "Industrial QA (single)",
     "Industrial QA (multi)",

@@ -14,13 +14,13 @@ json_struct! {
     #[derive(Debug, Clone)]
     pub struct TextTable {
         /// Table caption.
-        pub title: String,
+        pub(crate) title: String,
         /// Column headers (first column is the row label).
-        pub columns: Vec<String>,
+        pub(crate) columns: Vec<String>,
         /// Rows: label + one value per column.
-        pub rows: Vec<(String, Vec<f64>)>,
+        pub(crate) rows: Vec<(String, Vec<f64>)>,
         /// Decimal places to print.
-        pub precision: usize,
+        pub(crate) precision: usize,
     }
 }
 

@@ -251,12 +251,6 @@ impl Zoo {
         })
     }
 
-    /// The configured quality level.
-    #[must_use]
-    pub fn quality(&self) -> Quality {
-        self.cfg.quality
-    }
-
     /// Fetches (or trains) a model.
     ///
     /// # Errors
@@ -529,7 +523,7 @@ impl Zoo {
 /// Encodes a raw document as a pretraining example
 /// (`<bos> text <eos>`, all positions trained).
 #[must_use]
-pub fn pretrain_example(text: &str) -> Example {
+pub(crate) fn pretrain_example(text: &str) -> Example {
     let tok = CharTokenizer::new();
     let mut ids = vec![BOS];
     ids.extend(tok.encode(text));
@@ -540,7 +534,7 @@ pub fn pretrain_example(text: &str) -> Example {
 
 /// Encodes an SFT pair (`<bos> prompt` masked, `completion <eos>` trained).
 #[must_use]
-pub fn sft_example(pair: &SftPair) -> Example {
+pub(crate) fn sft_example(pair: &SftPair) -> Example {
     let tok = CharTokenizer::new();
     let mut prompt_ids = vec![BOS];
     prompt_ids.extend(tok.encode(&pair.prompt));

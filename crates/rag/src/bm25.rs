@@ -10,23 +10,8 @@ const K1: f64 = 1.2;
 const B: f64 = 0.75;
 
 /// An inverted-index BM25 scorer over a fixed chunk set.
-///
-/// # Example
-///
-/// ```
-/// use chipalign_rag::{Bm25Index, Document, Chunker};
-///
-/// let docs = vec![
-///     Document::new(0, "a", "global placement optimizes wirelength"),
-///     Document::new(1, "b", "clock tree synthesis balances skew"),
-/// ];
-/// let chunks = Chunker::default().chunk_all(&docs);
-/// let index = Bm25Index::build(&chunks);
-/// let hits = index.query("what balances clock skew?", 1);
-/// assert_eq!(chunks[hits[0].0].doc_id, 1);
-/// ```
 #[derive(Debug, Clone)]
-pub struct Bm25Index {
+pub(crate) struct Bm25Index {
     /// term -> (chunk index, term frequency) postings.
     postings: HashMap<String, Vec<(usize, usize)>>,
     /// Words per chunk.
@@ -37,7 +22,7 @@ pub struct Bm25Index {
 impl Bm25Index {
     /// Builds the index over a chunk corpus.
     #[must_use]
-    pub fn build(chunks: &[DocumentChunk]) -> Self {
+    pub(crate) fn build(chunks: &[DocumentChunk]) -> Self {
         let mut postings: HashMap<String, Vec<(usize, usize)>> = HashMap::new();
         let mut doc_lens = Vec::with_capacity(chunks.len());
         for (i, chunk) in chunks.iter().enumerate() {
@@ -63,23 +48,11 @@ impl Bm25Index {
         }
     }
 
-    /// Number of indexed chunks.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.doc_lens.len()
-    }
-
-    /// Whether the index is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.doc_lens.is_empty()
-    }
-
     /// Scores all chunks against a query and returns the `top_k` as
     /// `(chunk_index, score)` in descending score order (ties broken by
     /// index for determinism). Chunks with zero score are omitted.
     #[must_use]
-    pub fn query(&self, query: &str, top_k: usize) -> Vec<(usize, f64)> {
+    pub(crate) fn query(&self, query: &str, top_k: usize) -> Vec<(usize, f64)> {
         let n = self.doc_lens.len();
         if n == 0 || top_k == 0 {
             return Vec::new();
@@ -163,8 +136,7 @@ mod tests {
     #[test]
     fn empty_index_is_safe() {
         let index = Bm25Index::build(&[]);
-        assert!(index.is_empty());
-        assert_eq!(index.len(), 0);
+        assert!(index.doc_lens.is_empty());
         assert!(index.query("anything", 3).is_empty());
     }
 

@@ -4,9 +4,9 @@
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Document {
     /// Stable document id.
-    pub id: usize,
+    pub(crate) id: usize,
     /// Short title (used in chunk provenance).
-    pub title: String,
+    pub(crate) title: String,
     /// Full text.
     pub text: String,
 }
@@ -27,11 +27,11 @@ impl Document {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DocumentChunk {
     /// Id of the source document.
-    pub doc_id: usize,
+    pub(crate) doc_id: usize,
     /// Title of the source document.
-    pub title: String,
+    pub(crate) title: String,
     /// Chunk text.
-    pub text: String,
+    pub(crate) text: String,
 }
 
 /// Overlapping word-window chunker.
@@ -42,16 +42,15 @@ pub struct DocumentChunk {
 /// use chipalign_rag::{Chunker, Document};
 ///
 /// let doc = Document::new(0, "t", "one two three four five six seven eight");
-/// let chunks = Chunker { max_words: 4, overlap: 1 }.chunk(&doc);
-/// assert_eq!(chunks.len(), 3);
-/// assert!(chunks[0].text.starts_with("one"));
+/// let chunks = Chunker::default().chunk_all(&[doc]);
+/// assert_eq!(chunks.len(), 1, "eight words fit one default window");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Chunker {
     /// Maximum words per chunk.
-    pub max_words: usize,
+    pub(crate) max_words: usize,
     /// Words of overlap between consecutive chunks.
-    pub overlap: usize,
+    pub(crate) overlap: usize,
 }
 
 impl Default for Chunker {
@@ -70,7 +69,7 @@ impl Chunker {
     ///
     /// Panics if `overlap >= max_words` (the window would not advance).
     #[must_use]
-    pub fn chunk(&self, doc: &Document) -> Vec<DocumentChunk> {
+    pub(crate) fn chunk(&self, doc: &Document) -> Vec<DocumentChunk> {
         assert!(
             self.overlap < self.max_words,
             "chunk overlap must be smaller than the window"

@@ -18,32 +18,16 @@ use crate::chunk::DocumentChunk;
 const DIM: usize = 256;
 
 /// A cosine-similarity index over hashed TF-IDF chunk embeddings.
-///
-/// # Example
-///
-/// ```
-/// use chipalign_rag::{Chunker, Document, EmbeddingIndex};
-///
-/// let docs = vec![
-///     Document::new(0, "a", "the timing report shows slack"),
-///     Document::new(1, "b", "power analysis measures switching"),
-/// ];
-/// let chunks = Chunker::default().chunk_all(&docs);
-/// let index = EmbeddingIndex::build(&chunks);
-/// let hits = index.query("where can I see slack?", 1);
-/// assert_eq!(chunks[hits[0].0].doc_id, 0);
-/// ```
 #[derive(Debug, Clone)]
-pub struct EmbeddingIndex {
+pub(crate) struct EmbeddingIndex {
     vectors: Vec<[f32; DIM]>,
     idf: HashMap<String, f64>,
-    n_docs: usize,
 }
 
 impl EmbeddingIndex {
     /// Builds the index over a chunk corpus.
     #[must_use]
-    pub fn build(chunks: &[DocumentChunk]) -> Self {
+    pub(crate) fn build(chunks: &[DocumentChunk]) -> Self {
         let n_docs = chunks.len();
         let mut df: HashMap<String, usize> = HashMap::new();
         let tokenized: Vec<Vec<String>> =
@@ -67,28 +51,12 @@ impl EmbeddingIndex {
             .iter()
             .map(|tokens| embed_tokens(tokens, &idf))
             .collect();
-        EmbeddingIndex {
-            vectors,
-            idf,
-            n_docs,
-        }
-    }
-
-    /// Number of indexed chunks.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.n_docs
-    }
-
-    /// Whether the index is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.n_docs == 0
+        EmbeddingIndex { vectors, idf }
     }
 
     /// Embeds arbitrary text with the corpus IDF table.
     #[must_use]
-    pub fn embed(&self, text: &str) -> [f32; DIM] {
+    pub(crate) fn embed(&self, text: &str) -> [f32; DIM] {
         embed_tokens(&tokenize(text), &self.idf)
     }
 
@@ -96,7 +64,7 @@ impl EmbeddingIndex {
     /// `(chunk_index, similarity)`, descending, ties toward lower index.
     /// Zero-similarity chunks are omitted.
     #[must_use]
-    pub fn query(&self, query: &str, top_k: usize) -> Vec<(usize, f64)> {
+    pub(crate) fn query(&self, query: &str, top_k: usize) -> Vec<(usize, f64)> {
         if top_k == 0 {
             return Vec::new();
         }
@@ -201,7 +169,7 @@ mod tests {
     #[test]
     fn empty_index_is_safe() {
         let index = EmbeddingIndex::build(&[]);
-        assert!(index.is_empty());
+        assert!(index.vectors.is_empty());
         assert!(index.query("anything", 3).is_empty());
     }
 

@@ -13,17 +13,17 @@ const CANDIDATES_PER_STAGE: usize = 20;
 
 /// A retrieved chunk with its fused score.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ScoredChunk {
+pub(crate) struct ScoredChunk {
     /// Index into the retriever's chunk corpus.
-    pub chunk_index: usize,
+    pub(crate) chunk_index: usize,
     /// Source document id.
-    pub doc_id: usize,
+    pub(crate) doc_id: usize,
     /// Source document title.
-    pub title: String,
+    pub(crate) title: String,
     /// Chunk text.
-    pub text: String,
+    pub(crate) text: String,
     /// Fused RRF score.
-    pub score: f64,
+    pub(crate) score: f64,
 }
 
 /// The two-stage retrieval pipeline.
@@ -38,8 +38,8 @@ pub struct ScoredChunk {
 ///     Document::new(1, "cts", "clock tree synthesis balances skew"),
 /// ];
 /// let retriever = Retriever::build(Chunker::default().chunk_all(&docs));
-/// let hits = retriever.retrieve("what optimizes wirelength?", 2);
-/// assert_eq!(hits[0].doc_id, 0);
+/// let context = retriever.retrieve_context("what optimizes wirelength?", 1);
+/// assert!(context.contains("global placement"));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Retriever {
@@ -70,7 +70,7 @@ impl Retriever {
     /// Retrieves the `top_k` chunks for a query by fusing BM25 and
     /// embedding rankings with RRF.
     #[must_use]
-    pub fn retrieve(&self, query: &str, top_k: usize) -> Vec<ScoredChunk> {
+    pub(crate) fn retrieve(&self, query: &str, top_k: usize) -> Vec<ScoredChunk> {
         if top_k == 0 || self.chunks.is_empty() {
             return Vec::new();
         }

@@ -5,8 +5,8 @@
 //! *bge-reranker-large* re-ranking stage. The equivalent stack here:
 //!
 //! * [`Chunker`] — splits documents into overlapping word-window chunks.
-//! * [`Bm25Index`] — Okapi BM25 lexical retrieval (`k1 = 1.2`, `b = 0.75`).
-//! * [`EmbeddingIndex`] — hashed TF-IDF embeddings with cosine similarity,
+//! * `Bm25Index` — Okapi BM25 lexical retrieval (`k1 = 1.2`, `b = 0.75`).
+//! * `EmbeddingIndex` — hashed TF-IDF embeddings with cosine similarity,
 //!   the deterministic stand-in for the dense bge encoder.
 //! * [`Retriever`] — runs both retrievers and fuses their rankings with
 //!   reciprocal-rank fusion (the re-ranking stage).
@@ -22,20 +22,18 @@
 //! ];
 //! let chunks = Chunker::default().chunk_all(&docs);
 //! let retriever = Retriever::build(chunks);
-//! let hits = retriever.retrieve("how do I open the timing report?", 1);
-//! assert_eq!(hits[0].doc_id, 0);
+//! let context = retriever.retrieve_context("how do I open the timing report?", 1);
+//! assert!(context.contains("Timing icon"));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod bm25;
 mod chunk;
 mod embed;
 mod fuse;
-pub mod metrics;
 
-pub use bm25::Bm25Index;
-pub use chunk::{Chunker, Document, DocumentChunk};
-pub use embed::EmbeddingIndex;
-pub use fuse::{Retriever, ScoredChunk};
+pub use chunk::{Chunker, Document};
+pub use fuse::Retriever;

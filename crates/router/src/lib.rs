@@ -37,14 +37,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used)]
 
 pub mod metrics;
-pub mod ring;
+pub(crate) mod ring;
 pub mod router;
 pub mod server;
 
-pub use metrics::{RouterCounter, RouterMetrics, RouterMetricsSnapshot};
 pub use ring::{affinity_key, HashRing};
 pub use router::{Router, RouterConfig, RoutingMode};
 pub use server::RouterServer;

@@ -18,7 +18,7 @@
 /// short routing keys; stability across runs matters (routing tables must
 /// be reproducible), which rules out `std`'s randomized `DefaultHasher`.
 #[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         hash ^= u64::from(b);
@@ -84,12 +84,6 @@ impl HashRing {
         }
         points.sort_unstable();
         HashRing { points }
-    }
-
-    /// Whether the ring has no points (no replicas).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
     }
 
     /// Every distinct replica index in ring order starting clockwise from
@@ -206,7 +200,7 @@ mod tests {
     #[test]
     fn empty_ring_yields_no_candidates() {
         let ring = HashRing::build(&[], 16);
-        assert!(ring.is_empty());
+        assert!(ring.points.is_empty());
         assert!(ring.candidates(42).is_empty());
     }
 

@@ -385,7 +385,7 @@ impl Router {
     /// One probe pass over the whole fleet: ping every replica (draining
     /// ones included, to keep their failure counters honest), promote on
     /// success, count toward `Down` on failure.
-    pub fn probe_once(&self) {
+    pub(crate) fn probe_once(&self) {
         let targets: Vec<(usize, String)> = self
             .fleet()
             .replicas
@@ -419,7 +419,7 @@ impl Router {
     /// Replicas that fail to answer are skipped; fleet counters are the
     /// sum over the ones that did.
     #[must_use]
-    pub fn fleet_metrics(&self) -> MetricsSnapshot {
+    pub(crate) fn fleet_metrics(&self) -> MetricsSnapshot {
         let mut aggregate = MetricsSnapshot::default();
         for (_, addr) in self.reachable_replicas() {
             if let Ok(Response::Metrics(snap)) = self.admin_request(&addr, &Request::Metrics) {
@@ -429,17 +429,11 @@ impl Router {
         aggregate
     }
 
-    /// Union of every reachable replica's loaded models and zoo slugs.
+    /// Union of every reachable replica's loaded models and zoo slugs, plus
+    /// the per-model detail rows (dtype, weight bytes) deduplicated by model
+    /// key across replicas.
     #[must_use]
-    pub fn fleet_models(&self) -> (Vec<String>, Vec<String>) {
-        let (loaded, zoo, _) = self.fleet_models_detailed();
-        (loaded, zoo)
-    }
-
-    /// Like [`Router::fleet_models`], plus the per-model detail rows
-    /// (dtype, weight bytes) deduplicated by model key across replicas.
-    #[must_use]
-    pub fn fleet_models_detailed(&self) -> (Vec<String>, Vec<String>, Vec<LoadedModel>) {
+    pub(crate) fn fleet_models(&self) -> (Vec<String>, Vec<String>, Vec<LoadedModel>) {
         let mut loaded: Vec<String> = Vec::new();
         let mut zoo: Vec<String> = Vec::new();
         let mut details: Vec<LoadedModel> = Vec::new();
@@ -477,7 +471,7 @@ impl Router {
     ///
     /// Returns the first per-replica error if *no* replica loaded the
     /// model; succeeds with the canonical key if at least one did.
-    pub fn fleet_load(&self, model: &str) -> Result<String, ServeError> {
+    pub(crate) fn fleet_load(&self, model: &str) -> Result<String, ServeError> {
         let req = Request::Load {
             model: model.to_string(),
         };
@@ -507,7 +501,7 @@ impl Router {
 
     /// Broadcasts an `unload`; returns whether any replica evicted.
     #[must_use]
-    pub fn fleet_unload(&self, model: &str) -> bool {
+    pub(crate) fn fleet_unload(&self, model: &str) -> bool {
         let req = Request::Unload {
             model: model.to_string(),
         };

@@ -125,7 +125,7 @@ fn dispatch(router: &Router, req: Request) -> Response {
         },
         Request::Metrics => Response::Metrics(Box::new(router.fleet_metrics())),
         Request::Models => {
-            let (loaded, zoo, models) = router.fleet_models_detailed();
+            let (loaded, zoo, models) = router.fleet_models();
             Response::Models {
                 loaded,
                 zoo,

@@ -17,12 +17,11 @@
 //! reproduces the same bytes the dead replica would have sent.
 
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::Arc;
 use std::time::Duration;
 
 use chipalign_tensor::rng::Pcg32;
 
-use crate::metrics::{Counter, Metrics, MetricsSnapshot};
+use crate::metrics::MetricsSnapshot;
 use crate::protocol::{
     self, ErrorCode, GenerateRequest, Generation, LineReader, LoadedModel, ReplicaStatus, Request,
     Response,
@@ -277,7 +276,6 @@ pub struct Retrier {
     policy: RetryPolicy,
     rng: Pcg32,
     sleeper: Sleeper,
-    metrics: Option<Arc<Metrics>>,
     /// Consecutive retryable failures observed across calls; indexes into
     /// [`RetryPolicy::delay`] and is cleared by any successful operation.
     streak: u32,
@@ -298,48 +296,8 @@ impl Retrier {
             policy,
             rng: Pcg32::seed(seed).derive(0x5e77),
             sleeper: Box::new(std::thread::sleep),
-            metrics: None,
             streak: 0,
         }
-    }
-
-    /// Replaces the sleep function (tests inject a recorder instead of
-    /// blocking).
-    #[must_use]
-    pub fn with_sleeper(mut self, sleeper: impl FnMut(Duration) + Send + 'static) -> Self {
-        self.sleeper = Box::new(sleeper);
-        self
-    }
-
-    /// Attaches a metrics core; each retry (not first attempts) increments
-    /// `retries_attempted`.
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: Arc<Metrics>) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Connects with retry on I/O failure, under the retrier's policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns the final attempt's error once the attempt budget is spent.
-    pub fn connect<A: ToSocketAddrs>(&mut self, addr: A) -> Result<Client, ServeError> {
-        let policy = self.policy.clone();
-        self.connect_with(addr, &policy)
-    }
-
-    /// [`Retrier::connect`] with a per-call policy override.
-    ///
-    /// # Errors
-    ///
-    /// Returns the final attempt's error once the attempt budget is spent.
-    pub fn connect_with<A: ToSocketAddrs>(
-        &mut self,
-        addr: A,
-        policy: &RetryPolicy,
-    ) -> Result<Client, ServeError> {
-        self.run(policy, retry_connect_errors, |_| Client::connect(&addr))
     }
 
     /// Runs one generation over a fresh connection, retrying connect
@@ -366,7 +324,7 @@ impl Retrier {
     ///
     /// Returns the final attempt's error once the attempt budget is spent;
     /// non-transient errors return immediately.
-    pub fn generate_with<A: ToSocketAddrs>(
+    pub(crate) fn generate_with<A: ToSocketAddrs>(
         &mut self,
         addr: A,
         req: &GenerateRequest,
@@ -401,9 +359,6 @@ impl Retrier {
                 Err(e) if attempt + 1 < attempts && retry_on(&e) => {
                     attempt += 1;
                     self.streak = self.streak.saturating_add(1);
-                    if let Some(m) = &self.metrics {
-                        m.add(Counter::RetriesAttempted, 1);
-                    }
                     (self.sleeper)(policy.delay(self.streak, &mut self.rng));
                 }
                 Err(e) => {
@@ -418,12 +373,6 @@ impl Retrier {
             }
         }
     }
-}
-
-/// Connect path: any I/O error is worth retrying (server restarting, SYN
-/// backlog full, transient network trouble).
-fn retry_connect_errors(e: &ServeError) -> bool {
-    matches!(e, ServeError::Io(_))
 }
 
 /// Generate path: retry I/O trouble — connect failures *and* connections
@@ -445,7 +394,7 @@ fn retry_generate_errors(e: &ServeError) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
+    use std::sync::{Arc, Mutex};
 
     /// A sleeper that records every requested delay instead of blocking.
     fn recording_sleeper() -> (Arc<Mutex<Vec<Duration>>>, Sleeper) {
@@ -630,18 +579,6 @@ mod tests {
             vec![100, 200, 100, 200],
             "the success between the failing calls reset the streak"
         );
-    }
-
-    #[test]
-    fn retries_are_counted_in_metrics() {
-        let metrics = Arc::new(Metrics::new());
-        let (_log, sleeper) = recording_sleeper();
-        let mut retrier = Retrier::new(policy(3, 0.0), 4).with_metrics(Arc::clone(&metrics));
-        retrier.sleeper = sleeper;
-        let _ = retrier.run(&policy(3, 0.0), retry_generate_errors, |_| {
-            Err::<(), _>(overloaded())
-        });
-        assert_eq!(metrics.snapshot().retries_attempted, 2);
     }
 
     use crate::protocol::{FinishReason, WireError};

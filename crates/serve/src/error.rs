@@ -88,7 +88,7 @@ pub enum ServeError {
 impl ServeError {
     /// The wire-protocol error code this error maps to.
     #[must_use]
-    pub fn code(&self) -> ErrorCode {
+    pub(crate) fn code(&self) -> ErrorCode {
         match self {
             ServeError::Protocol { .. } | ServeError::BadRequest { .. } => ErrorCode::BadRequest,
             ServeError::UnknownModel { .. } => ErrorCode::UnknownModel,

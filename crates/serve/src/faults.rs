@@ -183,7 +183,7 @@ pub fn arm(site: Site, tag: Option<&str>, trigger: Trigger) {
 /// interleaving *given* a deterministic hit order (which the chaos tests
 /// arrange via single-worker schedulers or per-tag rules).
 #[must_use]
-pub fn should_fire(site: Site, tag: &str) -> bool {
+pub(crate) fn should_fire(site: Site, tag: &str) -> bool {
     let mut p = plan();
     let mut fire = false;
     for rule in &mut p.rules {

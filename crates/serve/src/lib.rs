@@ -17,7 +17,7 @@
 //!   Long *prompts* don't starve anyone either: prefill runs in bounded
 //!   chunks interleaved with other sessions' decode slices, and repeated
 //!   prompt scaffolding is served from a shared-prefix KV cache
-//!   ([`prefix::PrefixCache`]) instead of being re-prefilled. Admission
+//!   (`prefix::PrefixCache`) instead of being re-prefilled. Admission
 //!   control bounds sessions in flight and rejects the rest with a
 //!   structured `overloaded` error; per-request deadlines are enforced at
 //!   dequeue, before every prefill chunk, and between decode steps.
@@ -62,27 +62,27 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used)]
 
-pub mod client;
+pub(crate) mod client;
 pub mod error;
 #[cfg(feature = "fault-inject")]
 pub mod faults;
 pub mod metrics;
 pub mod prefix;
 pub mod protocol;
-pub mod registry;
+pub(crate) mod registry;
 pub mod scheduler;
 pub mod server;
 
 pub use client::{Client, Retrier, RetryPolicy};
 pub use error::ServeError;
-pub use metrics::{Counter, Hist, KvPoolDtypeGauges, Metrics, MetricsSnapshot};
-pub use prefix::{PrefixCache, PrefixCacheConfig};
+pub use metrics::{Counter, Metrics, MetricsSnapshot};
 pub use protocol::{
     ErrorCode, FinishReason, GenerateRequest, Generation, LoadedModel, ReplicaHealth,
-    ReplicaStatus, Request, Response, WireError, PROTOCOL_VERSION,
+    ReplicaStatus, Request, Response, PROTOCOL_VERSION,
 };
-pub use registry::{all_zoo_models, ModelRegistry, ModelSpec, SpecResolution};
-pub use scheduler::{Scheduler, SchedulerConfig, SessionRequest, SessionResult, SpecDraft};
+pub use registry::ModelRegistry;
+pub use scheduler::{Scheduler, SchedulerConfig, SessionRequest, SpecDraft};
 pub use server::{Server, ServerConfig};

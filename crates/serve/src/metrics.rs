@@ -65,14 +65,14 @@ macro_rules! counter_table {
         impl $snap {
             /// The field of counter `c`.
             #[must_use]
-            pub fn counter(&self, c: $counter) -> u64 {
+            pub(crate) fn counter(&self, c: $counter) -> u64 {
                 match c {
                     $( $counter::$variant => self.$field, )*
                 }
             }
 
             /// The field of counter `c`, writable.
-            pub fn counter_mut(&mut self, c: $counter) -> &mut u64 {
+            pub(crate) fn counter_mut(&mut self, c: $counter) -> &mut u64 {
                 match c {
                     $( $counter::$variant => &mut self.$field, )*
                 }
@@ -90,7 +90,7 @@ counter_table! {
     #[derive(Debug, Clone, Default)]
     pub struct MetricsSnapshot {
         /// Milliseconds since the metrics core was created.
-        pub uptime_ms: u64,
+        pub(crate) uptime_ms: u64,
         /// Batch-occupancy histogram: entry `n` counts slices that advanced
         /// exactly `n` sessions (`>= 16` folded into the last entry). Empty
         /// when the snapshot came from a server without batching.
@@ -113,28 +113,28 @@ counter_table! {
         /// shared tail block privatised before a divergent write).
         pub cow_copies: u64 = 0,
         /// Completions per second of uptime.
-        pub requests_per_sec: f64,
+        pub(crate) requests_per_sec: f64,
         /// New tokens per second of uptime.
         pub tokens_per_sec: f64,
         /// Median admission-to-completion latency (upper bound, ms).
-        pub latency_p50_ms: f64,
+        pub(crate) latency_p50_ms: f64,
         /// 95th-percentile admission-to-completion latency (upper bound, ms).
         pub latency_p95_ms: f64,
         /// Median queue wait (upper bound, ms).
-        pub queue_p50_ms: f64,
+        pub(crate) queue_p50_ms: f64,
         /// 95th-percentile queue wait (upper bound, ms).
-        pub queue_p95_ms: f64,
+        pub(crate) queue_p95_ms: f64,
         /// Median per-chunk prefill compute time (upper bound, ms).
-        pub prefill_p50_ms: f64 = 0.0,
+        pub(crate) prefill_p50_ms: f64 = 0.0,
         /// 95th-percentile per-chunk prefill compute time (upper bound, ms).
-        pub prefill_p95_ms: f64 = 0.0,
+        pub(crate) prefill_p95_ms: f64 = 0.0,
         /// Raw latency histogram buckets (power-of-two, µs; see
         /// [`Histogram::bucket_counts`]). Empty from pre-v3 servers.
-        pub latency_buckets: Vec<u64> = Vec::new(),
+        pub(crate) latency_buckets: Vec<u64> = Vec::new(),
         /// Raw queue-wait histogram buckets.
-        pub queue_buckets: Vec<u64> = Vec::new(),
+        pub(crate) queue_buckets: Vec<u64> = Vec::new(),
         /// Raw prefill histogram buckets.
-        pub prefill_buckets: Vec<u64> = Vec::new(),
+        pub(crate) prefill_buckets: Vec<u64> = Vec::new(),
     }
 
     /// Admission attempts, accepted or not.
@@ -189,7 +189,7 @@ counter_table! {
 
 /// The latency histograms of a [`Metrics`] core.
 #[derive(Debug, Clone, Copy)]
-pub enum Hist {
+pub(crate) enum Hist {
     /// Admission to completion.
     Latency,
     /// Admission to first decode slice.
@@ -200,7 +200,7 @@ pub enum Hist {
 
 /// A lock-free power-of-two latency histogram over microseconds.
 #[derive(Debug)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     counts: [AtomicU64; BUCKETS],
 }
 
@@ -214,22 +214,9 @@ impl Default for Histogram {
 
 impl Histogram {
     /// Records one observation in microseconds.
-    pub fn record(&self, us: u64) {
+    pub(crate) fn record(&self, us: u64) {
         let bucket = (63 - us.max(1).leading_zeros() as usize).min(BUCKETS - 1);
         self.counts[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total number of observations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-
-    /// The `p`-quantile (`0 < p <= 1`) as an upper bound in microseconds,
-    /// or 0 when the histogram is empty.
-    #[must_use]
-    pub fn quantile_upper_us(&self, p: f64) -> u64 {
-        quantile_upper_us_from(&self.bucket_counts(), p)
     }
 
     /// The raw per-bucket counts (always 48 entries). Bucket `i` covers
@@ -237,7 +224,7 @@ impl Histogram {
     /// aggregation can sum histograms and recompute quantiles instead of
     /// averaging per-replica percentiles (which is meaningless).
     #[must_use]
-    pub fn bucket_counts(&self) -> Vec<u64> {
+    pub(crate) fn bucket_counts(&self) -> Vec<u64> {
         load_all(&self.counts)
     }
 }
@@ -247,7 +234,7 @@ impl Histogram {
 /// the counts are empty. Used to recompute fleet-wide quantiles after
 /// [`MetricsSnapshot::absorb`] has summed per-replica buckets.
 #[must_use]
-pub fn quantile_upper_us_from(counts: &[u64], p: f64) -> u64 {
+pub(crate) fn quantile_upper_us_from(counts: &[u64], p: f64) -> u64 {
     let total: u64 = counts.iter().sum();
     if total == 0 {
         return 0;
@@ -324,12 +311,12 @@ impl Metrics {
     }
 
     /// Records one observation of `us` microseconds in histogram `h`.
-    pub fn observe(&self, h: Hist, us: u64) {
+    pub(crate) fn observe(&self, h: Hist, us: u64) {
         self.hists[h as usize].record(us);
     }
 
     /// Records a dequeued slice that advanced `n` sessions together.
-    pub fn on_batch(&self, n: usize) {
+    pub(crate) fn on_batch(&self, n: usize) {
         self.batch_occupancy[n.min(BATCH_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
         if n >= 2 {
             self.add(Counter::BatchedSlices, 1);
@@ -339,7 +326,7 @@ impl Metrics {
     /// Registers a paged KV pool so its block gauges flow into snapshots.
     /// Idempotent per pool; holds only a weak reference, so a pool dies
     /// with its model and silently leaves the gauges.
-    pub fn register_kv_pool(&self, pool: &Arc<KvPool>) {
+    pub(crate) fn register_kv_pool(&self, pool: &Arc<KvPool>) {
         let mut pools = self.kv_pools.lock().expect("kv pool list poisoned");
         pools.retain(|w| w.strong_count() > 0);
         if !pools
@@ -593,19 +580,19 @@ mod tests {
         for us in [10u64, 100, 1_000, 10_000, 100_000] {
             h.record(us);
         }
-        assert_eq!(h.count(), 5);
+        assert_eq!(h.bucket_counts().iter().sum::<u64>(), 5);
         // p50 of {10,100,1000,10000,100000}: the 3rd observation (1000 µs)
         // lands in bucket [512, 1024), upper edge 1023.
-        assert_eq!(h.quantile_upper_us(0.5), 1023);
-        assert!(h.quantile_upper_us(1.0) >= 100_000);
-        assert!(h.quantile_upper_us(0.01) >= 10);
+        assert_eq!(quantile_upper_us_from(&h.bucket_counts(), 0.5), 1023);
+        assert!(quantile_upper_us_from(&h.bucket_counts(), 1.0) >= 100_000);
+        assert!(quantile_upper_us_from(&h.bucket_counts(), 0.01) >= 10);
     }
 
     #[test]
     fn empty_histogram_is_zero() {
         let h = Histogram::default();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.quantile_upper_us(0.95), 0);
+        assert_eq!(h.bucket_counts().iter().sum::<u64>(), 0);
+        assert_eq!(quantile_upper_us_from(&h.bucket_counts(), 0.95), 0);
     }
 
     #[test]
@@ -613,8 +600,8 @@ mod tests {
         let h = Histogram::default();
         h.record(0);
         h.record(u64::MAX);
-        assert_eq!(h.count(), 2);
-        assert!(h.quantile_upper_us(1.0) > 0);
+        assert_eq!(h.bucket_counts().iter().sum::<u64>(), 2);
+        assert!(quantile_upper_us_from(&h.bucket_counts(), 1.0) > 0);
     }
 
     /// Snapshot members that follow the wall clock, not a counter alone.
@@ -921,9 +908,6 @@ mod tests {
         let counts = h.bucket_counts();
         assert_eq!(counts.len(), BUCKETS);
         assert_eq!(counts.iter().sum::<u64>(), 5);
-        for p in [0.01, 0.5, 0.95, 1.0] {
-            assert_eq!(quantile_upper_us_from(&counts, p), h.quantile_upper_us(p));
-        }
         assert_eq!(quantile_upper_us_from(&[], 0.5), 0);
     }
 

@@ -46,15 +46,15 @@ use std::sync::{Arc, Mutex};
 
 use chipalign_nn::{KvCache, KvDtype, TinyLm};
 
-/// Bounds for the [`PrefixCache`].
+/// Bounds for the `PrefixCache`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefixCacheConfig {
     /// Maximum number of cached prefix snapshots across all models;
     /// `0` disables the cache entirely.
-    pub max_entries: usize,
+    pub(crate) max_entries: usize,
     /// Maximum total KV bytes across all snapshots (approximate, counting
     /// K/V rows). A single oversized snapshot is simply not admitted.
-    pub max_total_bytes: usize,
+    pub(crate) max_total_bytes: usize,
 }
 
 impl Default for PrefixCacheConfig {
@@ -116,7 +116,7 @@ struct Inner {
 /// A bounded, thread-safe longest-match cache of prefilled prompt
 /// prefixes. See the module docs for the design.
 #[derive(Debug)]
-pub struct PrefixCache {
+pub(crate) struct PrefixCache {
     cfg: PrefixCacheConfig,
     inner: Mutex<Inner>,
 }
@@ -124,7 +124,7 @@ pub struct PrefixCache {
 impl PrefixCache {
     /// Creates an empty cache with the given bounds.
     #[must_use]
-    pub fn new(cfg: PrefixCacheConfig) -> Self {
+    pub(crate) fn new(cfg: PrefixCacheConfig) -> Self {
         PrefixCache {
             cfg,
             inner: Mutex::new(Inner::default()),
@@ -133,19 +133,21 @@ impl PrefixCache {
 
     /// Whether the cache is configured to store anything at all.
     #[must_use]
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.cfg.max_entries > 0 && self.cfg.max_total_bytes > 0
     }
 
     /// Number of cached snapshots.
+    #[cfg(test)]
     #[must_use]
-    pub fn entries(&self) -> usize {
+    pub(crate) fn entries(&self) -> usize {
         self.inner.lock().expect("prefix cache poisoned").entries
     }
 
     /// Approximate total KV bytes held by cached snapshots.
+    #[cfg(test)]
     #[must_use]
-    pub fn total_bytes(&self) -> usize {
+    pub(crate) fn total_bytes(&self) -> usize {
         self.inner
             .lock()
             .expect("prefix cache poisoned")
@@ -166,7 +168,7 @@ impl PrefixCache {
     /// `tokens.len() - 1` positions. Hits refresh the snapshot's LRU
     /// stamp.
     #[must_use]
-    pub fn lookup(
+    pub(crate) fn lookup(
         &self,
         model: &Arc<TinyLm>,
         dtype: KvDtype,
@@ -217,7 +219,7 @@ impl PrefixCache {
     /// instead). Snapshots are charged only for blocks no existing entry
     /// holds — a fork of an already-cached prefix is free. Evicts
     /// least-recently-used snapshots until both bounds hold.
-    pub fn insert(&self, cache: &KvCache) {
+    pub(crate) fn insert(&self, cache: &KvCache) {
         if !self.enabled() || cache.is_empty() {
             return;
         }
@@ -290,7 +292,7 @@ impl PrefixCache {
     /// snapshot releases its block aliases so admission can hand the
     /// freed blocks to a live session. Returns whether anything was
     /// evicted.
-    pub fn evict_one(&self) -> bool {
+    pub(crate) fn evict_one(&self) -> bool {
         self.inner
             .lock()
             .expect("prefix cache poisoned")

@@ -46,7 +46,7 @@
 //! parallel (the old registry serialized every build behind one global
 //! lock). If a builder fails, a waiter takes over and retries rather than
 //! echoing the stale error. The cache itself is bounded for merge keys:
-//! beyond [`ModelRegistry::with_merge_capacity`] (default 32) the
+//! beyond 32 cached merges (a bound tests lower) the
 //! least-recently-used `merge:` entry is evicted and counted in the
 //! `merge_evictions` metric — a λ-sweep can no longer grow the cache
 //! without limit. Zoo slugs and registered names are never evicted.
@@ -88,7 +88,7 @@ fn is_integrity_error(e: &ModelError) -> bool {
 
 /// Every zoo model the registry can name.
 #[must_use]
-pub fn all_zoo_models() -> Vec<ZooModel> {
+pub(crate) fn all_zoo_models() -> Vec<ZooModel> {
     let mut models = Vec::new();
     for b in [
         Backbone::QwenTiny,
@@ -141,7 +141,7 @@ fn strip_kv8(spec: &str) -> Result<Option<String>, ServeError> {
 
 /// A parsed model specification.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ModelSpec {
+pub(crate) enum ModelSpec {
     /// A zoo model by slug.
     Zoo(ZooModel),
     /// A ChipAlign geodesic merge of two zoo models at `lambda`.
@@ -171,7 +171,7 @@ impl ModelSpec {
     /// Returns [`ServeError::UnknownModel`] for unknown slugs and
     /// [`ServeError::BadRequest`] for malformed merge specs or a stacked
     /// `#int8#int8` suffix.
-    pub fn parse(spec: &str) -> Result<Self, ServeError> {
+    pub(crate) fn parse(spec: &str) -> Result<Self, ServeError> {
         let spec = spec.trim();
         if let Some(inner) = spec.strip_suffix("#int8") {
             if inner.ends_with("#int8") {
@@ -230,7 +230,7 @@ impl ModelSpec {
     /// The canonical cache key (λ normalized to four decimals so `0.6` and
     /// `0.60` hit the same entry).
     #[must_use]
-    pub fn key(&self) -> String {
+    pub(crate) fn key(&self) -> String {
         match self {
             ModelSpec::Zoo(m) => m.slug(),
             ModelSpec::Merged {
@@ -250,7 +250,7 @@ impl ModelSpec {
 #[derive(Debug, Clone)]
 pub struct SpecResolution {
     /// The canonical spec key, `spec:<target-key>|<draft-key>@<k>`.
-    pub key: String,
+    pub(crate) key: String,
     /// The canonical key of the target alone — KV pool and dtype selection
     /// follow this, so speculative and plain traffic against one target
     /// share pools.
@@ -406,8 +406,9 @@ impl ModelRegistry {
     /// `merge_evictions`); the next resolve of an evicted λ rebuilds it —
     /// or reloads it from the persist directory when one is configured.
     /// Clamped to at least 1. Zoo slugs and registered names are exempt.
+    #[cfg(test)]
     #[must_use]
-    pub fn with_merge_capacity(mut self, capacity: usize) -> Self {
+    pub(crate) fn with_merge_capacity(mut self, capacity: usize) -> Self {
         self.merge_capacity = capacity.max(1);
         self
     }
@@ -429,8 +430,9 @@ impl ModelRegistry {
     /// [`ModelRegistry::kv_pool`] (block size and per-model block
     /// capacity). Zero fields are clamped to 1. Pools already created keep
     /// their old shape, so call this before serving traffic.
+    #[cfg(test)]
     #[must_use]
-    pub fn with_kv_pool_config(mut self, cfg: KvPoolConfig) -> Self {
+    pub(crate) fn with_kv_pool_config(mut self, cfg: KvPoolConfig) -> Self {
         self.kv_pool_cfg = KvPoolConfig {
             block_tokens: cfg.block_tokens.max(1),
             max_blocks: cfg.max_blocks.max(1),
@@ -455,7 +457,7 @@ impl ModelRegistry {
     /// For `spec:` keys the *target* segment decides — the draft keeps its
     /// own private cache and never touches a shared pool.
     #[must_use]
-    pub fn kv_dtype_for(&self, key: &str) -> KvDtype {
+    pub(crate) fn kv_dtype_for(&self, key: &str) -> KvDtype {
         if Self::spec_target_segment(key).ends_with("#kv8") {
             KvDtype::Int8
         } else {
@@ -508,12 +510,6 @@ impl ModelRegistry {
         let _ = self.metrics.set(metrics);
         let cache = self.cache_lock();
         self.refresh_weights_gauge(&cache);
-    }
-
-    /// The backing zoo.
-    #[must_use]
-    pub fn zoo(&self) -> &Zoo {
-        &self.zoo
     }
 
     /// Locks the model cache, recovering from poisoning: cache mutations
@@ -698,7 +694,7 @@ impl ModelRegistry {
     /// # Errors
     ///
     /// Forwards zoo-training, merge, and checkpoint-I/O failures.
-    pub fn resolve(&self, spec: &ModelSpec) -> Result<Arc<TinyLm>, ServeError> {
+    pub(crate) fn resolve(&self, spec: &ModelSpec) -> Result<Arc<TinyLm>, ServeError> {
         let key = spec.key();
         loop {
             if let Some(m) = self.cache_get(&key) {
@@ -864,7 +860,7 @@ impl ModelRegistry {
     /// Evicts a materialized model; returns whether anything was removed.
     /// The next request for the spec rebuilds it (hot-swap after a zoo
     /// cache update).
-    pub fn evict(&self, spec: &str) -> bool {
+    pub(crate) fn evict(&self, spec: &str) -> bool {
         let key = match ModelSpec::parse(spec) {
             Ok(parsed) => parsed.key(),
             Err(_) => spec.trim().to_string(),
@@ -880,7 +876,7 @@ impl ModelRegistry {
 
     /// Cache keys of every materialized model, sorted.
     #[must_use]
-    pub fn loaded(&self) -> Vec<String> {
+    pub(crate) fn loaded(&self) -> Vec<String> {
         let mut keys: Vec<String> = self.cache_lock().entries.keys().cloned().collect();
         keys.sort();
         keys
@@ -889,7 +885,7 @@ impl ModelRegistry {
     /// `(key, decode dtype, weight bytes)` for every materialized model,
     /// sorted by key — the admin `models` surface.
     #[must_use]
-    pub fn loaded_details(&self) -> Vec<(String, &'static str, u64)> {
+    pub(crate) fn loaded_details(&self) -> Vec<(String, &'static str, u64)> {
         let cache = self.cache_lock();
         let mut rows: Vec<(String, &'static str, u64)> = cache
             .entries

@@ -47,7 +47,7 @@
 //! for more than one chunk — short sessions behind it keep decoding (the
 //! head-of-line fix, pinned by a test). Deferred context-window slides replay through the same
 //! chunked path. Before prefilling at all, the scheduler probes a
-//! [`PrefixCache`] with the prompt window: on a longest-match hit the
+//! `PrefixCache` with the prompt window: on a longest-match hit the
 //! session adopts a forked KV cache of the shared prefix and only
 //! prefills the remainder. Both mechanisms are bit-transparent: chunked,
 //! prefix-seeded transcripts are byte-identical to cold monolithic
@@ -212,11 +212,11 @@ pub struct SessionResult {
     /// The new tokens, in order.
     pub tokens: Vec<u32>,
     /// Why decoding stopped.
-    pub finish: FinishReason,
+    pub(crate) finish: FinishReason,
     /// Microseconds between admission and the first decode slice.
     pub queue_us: u64,
     /// Microseconds between admission and completion.
-    pub total_us: u64,
+    pub(crate) total_us: u64,
 }
 
 /// What a worker sends back when a session leaves the system.
@@ -497,7 +497,7 @@ impl Scheduler {
     /// mid-decode — and every admitted session still gets exactly one
     /// structured (retryable) reply, never silence or a truncated
     /// transcript.
-    pub fn abort(&self) {
+    pub(crate) fn abort(&self) {
         self.inner.aborting.store(true, Ordering::SeqCst);
         self.inner.draining.store(true, Ordering::SeqCst);
         let abandoned: Vec<Task> = lock_queue(&self.inner).drain(..).collect();
@@ -508,7 +508,7 @@ impl Scheduler {
     }
 
     /// Initiates shutdown and blocks until every worker has drained the
-    /// queue and exited. After an [`Scheduler::abort`], workers exit
+    /// queue and exited. After an `Scheduler::abort`, workers exit
     /// without draining; any session they requeued on the way out is
     /// answered here with `ShuttingDown` so no admitted session is ever
     /// left unanswered.

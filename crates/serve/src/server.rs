@@ -159,7 +159,7 @@ impl Server {
 
     /// Kills the replica abruptly: no drain. Queued and in-flight sessions
     /// are answered with a structured `shutting_down` error (the
-    /// scheduler's [`Scheduler::abort`] path) and connection handlers stop
+    /// scheduler's `Scheduler::abort` path) and connection handlers stop
     /// waiting on replies, so from a client's perspective the replica
     /// either returns a retryable verdict or drops the connection —
     /// exactly the two faults the [`crate::client::Retrier`] and the

@@ -6,10 +6,10 @@
 //!
 //! * [`ScalarBackend`] — the naive single-accumulator loops; the
 //!   differential-testing oracle, never fast.
-//! * [`BlockedBackend`] — the autovectorized lane-split/column-tiled kernels
+//! * `BlockedBackend` — the autovectorized lane-split/column-tiled kernels
 //!   this workspace shipped with (see [`crate::tune`]); the portable fast
 //!   tier.
-//! * [`SimdBackend`] — explicit `std::arch` x86_64 AVX2/FMA intrinsics,
+//! * `SimdBackend` — explicit `std::arch` x86_64 AVX2/FMA intrinsics,
 //!   used only when runtime feature detection confirms the CPU supports
 //!   them; on any other machine its methods fall back to the blocked
 //!   kernels, so the type exists (and benches) everywhere.
@@ -139,20 +139,20 @@ pub struct ScalarBackend;
 /// The autovectorized blocked backend: [`tune::DOT_LANES`]-way lane-split
 /// reductions and [`tune::GEMM_COL_TILE`]-wide register-tiled GEMM rows.
 #[derive(Debug, Clone, Copy)]
-pub struct BlockedBackend;
+pub(crate) struct BlockedBackend;
 
 /// Explicit AVX2/FMA backend (x86_64 only); falls back to
-/// [`BlockedBackend`]'s kernels per call when the CPU (or architecture)
+/// `BlockedBackend`'s kernels per call when the CPU (or architecture)
 /// lacks the features, so it is safe to invoke unconditionally.
 #[derive(Debug, Clone, Copy)]
-pub struct SimdBackend;
+pub(crate) struct SimdBackend;
 
 /// The scalar backend singleton.
 pub static SCALAR: ScalarBackend = ScalarBackend;
 /// The blocked backend singleton.
-pub static BLOCKED: BlockedBackend = BlockedBackend;
+pub(crate) static BLOCKED: BlockedBackend = BlockedBackend;
 /// The explicit-SIMD backend singleton.
-pub static SIMD: SimdBackend = SimdBackend;
+pub(crate) static SIMD: SimdBackend = SimdBackend;
 
 impl KernelBackend for ScalarBackend {
     fn name(&self) -> &'static str {
@@ -278,7 +278,7 @@ impl KernelBackend for SimdBackend {
 /// Whether the explicit-SIMD tier can actually run AVX2/FMA code on this
 /// machine. Always `false` off x86_64.
 #[must_use]
-pub fn simd_supported() -> bool {
+pub(crate) fn simd_supported() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")

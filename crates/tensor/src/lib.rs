@@ -30,7 +30,7 @@
 //! * [`parallelize`] — fan-out of independent items over every core on
 //!   the process-wide compute pool, results placed by index so they do not
 //!   depend on the worker count. The same pool splits every large `X · Wᵀ`
-//!   by output columns ([`tune::SPLIT_MIN_WEIGHTS`]); [`compute_threads`]
+//!   by output columns (`tune::SPLIT_MIN_WEIGHTS`); [`compute_threads`]
 //!   says how many threads it runs on.
 //!
 //! The ChipAlign paper (DAC 2025) treats each weight matrix
@@ -65,6 +65,7 @@
 // else in the crate still refuses unsafe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod backend;
 mod error;

@@ -25,7 +25,7 @@ use crate::{tune, TensorError};
 ///
 /// # fn main() -> Result<(), chipalign_tensor::TensorError> {
 /// let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0])?;
-/// let b = Matrix::identity(2);
+/// let b = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0])?;
 /// let c = a.matmul(&b)?;
 /// assert_eq!(c, a);
 /// # Ok(())
@@ -65,16 +65,6 @@ impl Matrix {
         }
     }
 
-    /// Creates the `n × n` identity matrix.
-    #[must_use]
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1.0;
-        }
-        m
-    }
-
     /// Wraps an existing buffer as a `rows × cols` matrix.
     ///
     /// # Errors
@@ -101,32 +91,6 @@ impl Matrix {
             }
         }
         Matrix { rows, cols, data }
-    }
-
-    /// Builds a matrix from equal-length rows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::BadBuffer`] if the rows have differing lengths.
-    pub fn from_rows(rows: &[Vec<f32>]) -> Result<Self, TensorError> {
-        let nrows = rows.len();
-        let ncols = rows.first().map_or(0, Vec::len);
-        let mut data = Vec::with_capacity(nrows * ncols);
-        for row in rows {
-            if row.len() != ncols {
-                return Err(TensorError::BadBuffer {
-                    rows: nrows,
-                    cols: ncols,
-                    len: row.len(),
-                });
-            }
-            data.extend_from_slice(row);
-        }
-        Ok(Matrix {
-            rows: nrows,
-            cols: ncols,
-            data,
-        })
     }
 
     /// Creates a matrix of i.i.d. normal samples with standard deviation
@@ -191,12 +155,6 @@ impl Matrix {
     /// Mutable access to the underlying row-major buffer.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the matrix, returning its buffer.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Returns the element at `(row, col)`, or `None` if out of bounds.
@@ -373,7 +331,7 @@ impl Matrix {
     ///
     /// Each output row is one call to the active backend's
     /// [`crate::backend::KernelBackend::gemm_row`], which sweeps it in
-    /// fixed-width column tiles ([`tune::GEMM_COL_TILE`]) whose partial sums
+    /// fixed-width column tiles (`tune::GEMM_COL_TILE`) whose partial sums
     /// stay in vector registers.
     /// Vector-shaped products (`m == 1` or `n == 1`) dispatch to the
     /// [`Matrix::vecmat`]/[`Matrix::matvec`] fast paths.
@@ -416,7 +374,7 @@ impl Matrix {
     /// runs with one row — once per strip of at most
     /// [`tune::GEMM_SKINNY_M_MAX`] rows, so a strip of `self` stays
     /// cache-hot while `other` streams past it, and above
-    /// [`tune::SPLIT_MIN_WEIGHTS`] splits `other`'s rows (the output
+    /// `tune::SPLIT_MIN_WEIGHTS` splits `other`'s rows (the output
     /// columns) across the compute pool. Tiles reuse loads, never reorder a
     /// dot: each output element is the backend's whole-row dot, so at any
     /// height, any `k` and on any thread a row's result is bitwise its own
@@ -479,7 +437,7 @@ impl Matrix {
     /// `self.cols()`): the `m = 1` call of the active backend's
     /// [`crate::backend::KernelBackend::gemm_bt`], one whole-row dot per
     /// output, split by output rows across the compute pool above
-    /// [`tune::SPLIT_MIN_WEIGHTS`].
+    /// `tune::SPLIT_MIN_WEIGHTS`.
     ///
     /// This is the fast path that dominates KV-cached decode: every
     /// projection of a single token is a `(out × in) · in` product, and
@@ -527,7 +485,7 @@ impl Matrix {
 
     /// Returns the transposed matrix.
     ///
-    /// Blocked over [`tune::TRANSPOSE_BLOCK`]-sided square tiles so both the
+    /// Blocked over `tune::TRANSPOSE_BLOCK`-sided square tiles so both the
     /// row-major reads and the column-major writes of a tile stay in L1.
     #[must_use]
     pub fn transpose(&self) -> Self {
@@ -578,18 +536,6 @@ impl Matrix {
     #[must_use]
     pub fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
-    }
-
-    /// Mean of all elements.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::Empty`] for an empty matrix.
-    pub fn mean(&self) -> Result<f32, TensorError> {
-        if self.is_empty() {
-            return Err(TensorError::Empty { op: "mean" });
-        }
-        Ok((self.data.iter().map(|&x| f64::from(x)).sum::<f64>() / self.data.len() as f64) as f32)
     }
 
     /// `true` if every element is finite (no NaN/inf).
@@ -765,12 +711,16 @@ mod tests {
         Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).expect("valid")
     }
 
+    fn identity(n: usize) -> Matrix {
+        Matrix::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })
+    }
+
     #[test]
     fn constructors_shapes() {
         assert_eq!(Matrix::zeros(2, 3).shape(), (2, 3));
         assert_eq!(Matrix::ones(1, 4).data(), &[1.0; 4]);
         assert_eq!(Matrix::filled(2, 2, 7.5).data(), &[7.5; 4]);
-        let id = Matrix::identity(3);
+        let id = identity(3);
         assert_eq!(id.get(0, 0), Some(1.0));
         assert_eq!(id.get(0, 1), Some(0.0));
     }
@@ -781,14 +731,6 @@ mod tests {
             Matrix::from_vec(2, 2, vec![1.0; 3]),
             Err(TensorError::BadBuffer { len: 3, .. })
         ));
-    }
-
-    #[test]
-    fn from_rows_rejects_ragged() {
-        let err = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0]]);
-        assert!(err.is_err());
-        let ok = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).expect("rect");
-        assert_eq!(ok.shape(), (2, 2));
     }
 
     #[test]
@@ -856,7 +798,7 @@ mod tests {
     #[test]
     fn matmul_identity_is_noop() {
         let a = small();
-        let c = a.matmul(&Matrix::identity(3)).expect("conformable");
+        let c = a.matmul(&identity(3)).expect("conformable");
         assert!(c.approx_eq(&a, 1e-6));
     }
 
@@ -1086,16 +1028,9 @@ mod tests {
     fn norms_and_stats() {
         let m = Matrix::from_vec(1, 3, vec![-1.0, 2.0, -3.0]).expect("ok");
         assert_eq!(m.max_abs(), 3.0);
-        assert!((m.mean().expect("non-empty") - (-2.0 / 3.0)).abs() < 1e-6);
         assert!(m.all_finite());
         let bad = Matrix::from_vec(1, 1, vec![f32::NAN]).expect("ok");
         assert!(!bad.all_finite());
-    }
-
-    #[test]
-    fn mean_of_empty_errors() {
-        let empty = Matrix::zeros(0, 5);
-        assert!(matches!(empty.mean(), Err(TensorError::Empty { .. })));
     }
 
     #[test]
@@ -1115,7 +1050,7 @@ mod tests {
 
     #[test]
     fn display_formats_rows() {
-        let s = format!("{}", Matrix::identity(2));
+        let s = format!("{}", identity(2));
         assert_eq!(s.lines().count(), 2);
     }
 

@@ -87,7 +87,7 @@ pub fn silu_grad(x: f32) -> f32 {
 
 /// Logistic sigmoid `1 / (1 + e^{-x})`.
 #[must_use]
-pub fn sigmoid(x: f32) -> f32 {
+pub(crate) fn sigmoid(x: f32) -> f32 {
     if x >= 0.0 {
         1.0 / (1.0 + (-x).exp())
     } else {
@@ -105,33 +105,6 @@ pub fn sigmoid(x: f32) -> f32 {
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot requires equal-length slices");
     a.iter().zip(b).map(|(&x, &y)| x * y).sum()
-}
-
-/// Euclidean norm of a slice, accumulated in `f64` by [`crate::reduce`].
-#[must_use]
-pub fn l2_norm(xs: &[f32]) -> f32 {
-    crate::reduce::sum_of_squares(xs).sqrt() as f32
-}
-
-/// Scales `xs` so its Euclidean norm becomes 1; leaves an all-zero slice
-/// unchanged. Returns the original norm.
-pub fn normalize_inplace(xs: &mut [f32]) -> f32 {
-    let norm = l2_norm(xs);
-    if norm > 0.0 {
-        for x in xs.iter_mut() {
-            *x /= norm;
-        }
-    }
-    norm
-}
-
-/// Clips every element of `xs` into `[-bound, bound]`.
-///
-/// Gradient clipping for the Adam training loop.
-pub fn clip_inplace(xs: &mut [f32], bound: f32) {
-    for x in xs.iter_mut() {
-        *x = x.clamp(-bound, bound);
-    }
 }
 
 #[cfg(test)]
@@ -207,32 +180,13 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_l2() {
+    fn dot_of_known_slices() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert!((l2_norm(&[3.0, 4.0]) - 5.0).abs() < 1e-6);
     }
 
     #[test]
     #[should_panic(expected = "equal-length")]
     fn dot_length_mismatch_panics() {
         let _ = dot(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn normalize_returns_norm_and_unit_length() {
-        let mut xs = vec![3.0, 4.0];
-        let norm = normalize_inplace(&mut xs);
-        assert!((norm - 5.0).abs() < 1e-6);
-        assert!((l2_norm(&xs) - 1.0).abs() < 1e-6);
-        let mut zeros = vec![0.0; 3];
-        assert_eq!(normalize_inplace(&mut zeros), 0.0);
-        assert_eq!(zeros, vec![0.0; 3]);
-    }
-
-    #[test]
-    fn clip_bounds() {
-        let mut xs = vec![-10.0, 0.5, 10.0];
-        clip_inplace(&mut xs, 1.0);
-        assert_eq!(xs, vec![-1.0, 0.5, 1.0]);
     }
 }

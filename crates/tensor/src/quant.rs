@@ -137,12 +137,6 @@ impl QuantizedMatrix {
         self.rows
     }
 
-    /// Number of columns.
-    #[must_use]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// `(rows, cols)`.
     #[must_use]
     pub fn shape(&self) -> (usize, usize) {
@@ -362,7 +356,7 @@ mod tests {
     fn from_parts_round_trips_and_validates() {
         let q = QuantizedMatrix::quantize(&random_matrix(3, 7, 7));
         let rebuilt =
-            QuantizedMatrix::from_parts(q.rows(), q.cols(), q.data().to_vec(), q.scales().to_vec())
+            QuantizedMatrix::from_parts(q.rows(), q.cols, q.data().to_vec(), q.scales().to_vec())
                 .unwrap();
         assert_eq!(rebuilt, q);
         assert!(QuantizedMatrix::from_parts(2, 3, vec![0; 5], vec![0.0; 2]).is_err());

@@ -2,7 +2,7 @@
 //!
 //! Frobenius norms, Frobenius inner products and both sweeps of the
 //! geodesic merge are instances of one lane-split body: element `k` of a
-//! reduction is added to partial `k % `[`tune::REDUCE_LANES`] of each
+//! reduction is added to partial `k % ``tune::REDUCE_LANES` of each
 //! quantity, and the partials combine in one fixed tree. The bits of a
 //! result therefore depend only on the input slices — not on the caller,
 //! not on the thread, and not on how many quantities are reduced together —
@@ -61,7 +61,7 @@ pub fn moments(a: &[f32], b: &[f32]) -> Moments {
 
 /// `Σ aₖ²`, accumulated in `f64`.
 #[must_use]
-pub fn sum_of_squares(a: &[f32]) -> f64 {
+pub(crate) fn sum_of_squares(a: &[f32]) -> f64 {
     let [aa] = lane_sums(a, a, |x, _| (0.0, [f64::from(x) * f64::from(x)]), |_| {});
     aa
 }

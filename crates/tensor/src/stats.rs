@@ -2,8 +2,7 @@
 //!
 //! Geodesic merging needs two geometric quantities per weight: the cosine
 //! similarity between the Frobenius-normalised matrices and the resulting
-//! interpolation angle `Θ`. This module also provides a compact
-//! [`WeightSummary`] used by merge reports and debugging output.
+//! interpolation angle `Θ`.
 //!
 //! # Example
 //!
@@ -51,38 +50,6 @@ pub fn interpolation_angle(a: &Matrix, b: &Matrix) -> Result<f64, TensorError> {
     Ok(cosine_similarity(a, b)?.acos())
 }
 
-/// A compact numerical summary of one weight matrix.
-///
-/// Produced for merge reports so that per-layer geometry (norms, extremes)
-/// can be inspected without holding the weights themselves.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WeightSummary {
-    /// Shape as `(rows, cols)`.
-    pub shape: (usize, usize),
-    /// Frobenius norm.
-    pub frobenius_norm: f32,
-    /// Mean element value.
-    pub mean: f32,
-    /// Largest absolute element.
-    pub max_abs: f32,
-}
-
-impl WeightSummary {
-    /// Summarises a matrix.
-    ///
-    /// An empty matrix yields a zero summary rather than an error, because
-    /// summaries are diagnostics and should never abort a merge.
-    #[must_use]
-    pub fn of(m: &Matrix) -> Self {
-        WeightSummary {
-            shape: m.shape(),
-            frobenius_norm: m.frobenius_norm(),
-            mean: m.mean().unwrap_or(0.0),
-            max_abs: m.max_abs(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,22 +93,5 @@ mod tests {
         let b = Matrix::zeros(2, 1);
         assert!(cosine_similarity(&a, &b).is_err());
         assert!(interpolation_angle(&a, &b).is_err());
-    }
-
-    #[test]
-    fn summary_values() {
-        let m = Matrix::from_vec(1, 2, vec![3.0, -4.0]).expect("ok");
-        let s = WeightSummary::of(&m);
-        assert_eq!(s.shape, (1, 2));
-        assert!((s.frobenius_norm - 5.0).abs() < 1e-6);
-        assert_eq!(s.max_abs, 4.0);
-        assert!((s.mean + 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn summary_of_empty_is_zero() {
-        let s = WeightSummary::of(&Matrix::zeros(0, 3));
-        assert_eq!(s.frobenius_norm, 0.0);
-        assert_eq!(s.mean, 0.0);
     }
 }

@@ -18,14 +18,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// compiler keeps in vector registers across the whole `k` loop — the store
 /// to the output row happens once per tile instead of once per
 /// multiply-accumulate. 16 floats = one 512-bit or two 256-bit vectors.
-pub const GEMM_COL_TILE: usize = 16;
+pub(crate) const GEMM_COL_TILE: usize = 16;
 
 /// Number of independent partial-sum lanes used by the blocked dot product.
 ///
 /// Splitting the reduction into this many accumulators breaks the serial
 /// floating-point dependency chain so the loop vectorises; 8 lanes = one
 /// 256-bit vector of `f32`.
-pub const DOT_LANES: usize = 8;
+pub(crate) const DOT_LANES: usize = 8;
 
 /// Number of `f64` partial sums per quantity in [`crate::reduce`], the one
 /// reduction kernel behind Frobenius norms, Frobenius inner products and
@@ -36,7 +36,7 @@ pub const DOT_LANES: usize = 8;
 /// input, never on the caller or the thread. 8 independent chains hide the
 /// f64 add latency; a product of two `f32`s is exact in `f64`, so the order
 /// of additions is the only rounding choice there is.
-pub const REDUCE_LANES: usize = 8;
+pub(crate) const REDUCE_LANES: usize = 8;
 
 /// Most left-hand rows one call of the backend's `X·Wᵀ` tile
 /// ([`crate::backend::KernelBackend::gemm_bt`] / `gemm_bt_q8`) receives
@@ -74,13 +74,13 @@ pub const GEMM_SKINNY_M_MAX: usize = 32;
 /// (393 216), and neither its `lm_head` (38 016) nor any zoo matrix
 /// (≤ 12 288). Bits do not depend on it: every output is one whole-row dot
 /// on whichever thread computes it.
-pub const SPLIT_MIN_WEIGHTS: usize = 65_536;
+pub(crate) const SPLIT_MIN_WEIGHTS: usize = 65_536;
 
 /// Side length of the square tiles used by the blocked transpose.
 ///
 /// A 32×32 `f32` tile is 4 KiB — both the row-major reads and the
 /// column-major writes of one tile fit in L1 simultaneously.
-pub const TRANSPOSE_BLOCK: usize = 32;
+pub(crate) const TRANSPOSE_BLOCK: usize = 32;
 
 /// Largest magnitude an int8 quantization code may take (symmetric range
 /// `[-127, 127]`; -128 is deliberately unused so every code has an exact
@@ -88,7 +88,7 @@ pub const TRANSPOSE_BLOCK: usize = 32;
 ///
 /// Kept as `f32` because it only ever appears in the scale computation
 /// (`scale = max|row| / QUANT_MAX`) and the pre-cast clamp.
-pub const QUANT_MAX: f32 = 127.0;
+pub(crate) const QUANT_MAX: f32 = 127.0;
 
 /// Process-wide count of matrix–vector fast-path invocations
 /// ([`crate::Matrix::matvec`], [`crate::Matrix::vecmat`] and

@@ -73,11 +73,13 @@ for src in src crates/*/src; do
 done
 
 cargo build --release --offline --locked
-# Examples end to end, each required to print its result line. serve_demo
-# is the only leg that drives a real `Server` and the default batched
-# scheduler from outside the test harness; quickstart and lambda_sweep are
-# the only ones that run `ModelSoup` and `GeodesicMerge` through the
-# `chipalign` facade. Each takes well under a second once built.
+# Every example end to end, each required to print its result line.
+# serve_demo is the only leg that drives a real `Server` and the default
+# batched scheduler from outside the test harness; quickstart and
+# lambda_sweep run `ModelSoup` and `GeodesicMerge` through the `chipalign`
+# facade; openroad_qa and industrial_chatbot are its only train → merge →
+# answer demos (a few seconds each at smoke quality, the others well
+# under one).
 run_example() { # NAME REQUIRED-LINE-PREFIX
   local out
   out="$(cargo run --release --offline --example "$1")"
@@ -90,6 +92,8 @@ run_example() { # NAME REQUIRED-LINE-PREFIX
 run_example serve_demo 'served 4 generations'
 run_example quickstart 'model-soup norm:'
 run_example lambda_sweep 'at lambda = 0.6:'
+run_example openroad_qa 'chipalign  (rouge '
+run_example industrial_chatbot 'grade    : '
 cargo test -q
 cargo test -q --workspace
 # Once more on one core: `available_parallelism()` is then 1, so the

@@ -11,7 +11,7 @@
 //! * [`merge`] — **the paper's contribution**: geodesic (SLERP-on-the-
 //!   Frobenius-sphere) weight interpolation, plus the Model Soup, Task
 //!   Arithmetic, TIES, and DELLA baselines.
-//! * [`eval`] — ROUGE-L, BLEU, IFEval-style verifiable instruction
+//! * [`eval`] — ROUGE-L, IFEval-style verifiable instruction
 //!   checking, and a deterministic rubric grader.
 //! * [`rag`] — BM25 + hashed-TF-IDF retrieval with reciprocal-rank fusion.
 //! * [`data`] — synthetic EDA corpora and the four benchmarks (OpenROAD

@@ -147,3 +147,33 @@ fn a_missing_output_is_reported_before_any_load() {
     assert!(!err.contains("no-such-file"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn diff_reports_the_delta_and_checks_its_arguments() {
+    let (dir, _, _) = workdir("diff");
+    let said = stdout(&cli(&dir, &["diff", "chip.calt", "instruct.calt"]));
+    assert!(said.starts_with("global delta "), "{said}");
+    let listed: Vec<&str> = said
+        .lines()
+        .skip_while(|l| *l != "most changed tensors:")
+        .skip(1)
+        .collect();
+    assert!(!listed.is_empty(), "{said}");
+    assert!(
+        listed.iter().all(|l| l.contains(" rel ") && l.contains(" cos ")),
+        "{said}"
+    );
+
+    let same = stdout(&cli(&dir, &["diff", "chip.calt", "chip.calt"]));
+    assert!(
+        same.starts_with("global delta 0.0000 (relative 0.0000), mean cosine 1.0000"),
+        "{same}"
+    );
+
+    let out = cli(&dir, &["diff", "chip.calt"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("diff takes exactly two checkpoint paths"), "{err}");
+    assert!(err.contains("usage:"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
