@@ -113,7 +113,11 @@ mod tests {
 
     #[test]
     fn conversions_preserve_source() {
-        let err: MergeError = TensorError::Empty { op: "x" }.into();
+        let err: MergeError = TensorError::OutOfBounds {
+            index: (2, 0),
+            shape: (1, 1),
+        }
+        .into();
         assert!(err.source().is_some());
     }
 

@@ -135,7 +135,11 @@ mod tests {
 
     #[test]
     fn tensor_error_converts_and_sources() {
-        let err: ModelError = TensorError::Empty { op: "mean" }.into();
+        let err: ModelError = TensorError::OutOfBounds {
+            index: (2, 0),
+            shape: (1, 1),
+        }
+        .into();
         assert!(err.source().is_some());
         assert!(err.to_string().contains("tensor error"));
     }

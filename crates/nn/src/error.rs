@@ -111,7 +111,11 @@ mod tests {
 
     #[test]
     fn sources_preserved() {
-        let e: NnError = TensorError::Empty { op: "x" }.into();
+        let e: NnError = TensorError::OutOfBounds {
+            index: (2, 0),
+            shape: (1, 1),
+        }
+        .into();
         assert!(e.source().is_some());
     }
 }

@@ -84,6 +84,10 @@
 //! A pool created at [`crate::KvDtype::Int8`] seals each block layer to i8
 //! codes + per-head scales the moment its last position is written (the
 //! open tail stays f32, so writes and copy-on-write are dtype-blind).
+//! Sealed blocks are never re-opened: [`KvCache::fork_from`] and the
+//! speculative rewind refuse a cut strictly inside one, so every fork and
+//! rewind is exact, and [`KvCache::aligned_fork_len`] gives the longest
+//! cut a fork accepts.
 //! Sealing un-tiles K, so sealed codes are row-major for K and V alike;
 //! attention scores them with one `dot_q8` per (position, head) and
 //! accumulates V with `axpy_q8`, both dequantizing in-register in the
@@ -146,11 +150,12 @@ impl BlockTable {
 
     /// Makes position `pos` writable: pushes a fresh block when `pos`
     /// opens a new one, otherwise privatises a shared tail block
-    /// (copy-on-write) or regrows a sealed one. The only fallible step of a
-    /// forward — [`BlockTable::reserve`] runs it for every new position
-    /// before any visible mutation. A replaced tail carries the same
-    /// logical rows as the block it replaces, so only pushed blocks need
-    /// undoing.
+    /// (copy-on-write). A tail is never sealed: an int8 block seals when
+    /// its last position is written, and forks and truncations refuse to
+    /// cut inside a sealed block. The only fallible step of a forward —
+    /// [`BlockTable::reserve`] runs it for every new position before any
+    /// visible mutation. A copied tail carries the same rows as the block
+    /// it replaces, so only pushed blocks need undoing.
     fn prepare_position(&mut self, pos: usize, n_layers: usize, d: usize) -> Result<(), NnError> {
         let bt = self.pool.block_tokens();
         let b = pos / bt;
@@ -165,16 +170,7 @@ impl BlockTable {
             self.blocks.len(),
             "writes only land in the tail block"
         );
-        if self.blocks[b].is_sealed() {
-            // A fork landed mid-way into a sealed (int8) block, making it
-            // this table's tail: sealed blocks are immutable, so regrow an
-            // f32 working tail seeded with the already-filled rows
-            // dequantized.
-            let copy =
-                self.pool
-                    .alloc_block_unsealed(&self.blocks[b], pos % bt, d, self.n_heads)?;
-            self.blocks[b] = Arc::new(copy);
-        } else if Arc::get_mut(&mut self.blocks[b]).is_none() {
+        if Arc::get_mut(&mut self.blocks[b]).is_none() {
             // The tail is aliased (fork donor, prefix-cache snapshot, or a
             // plain clone): copy it before the first write. Forks take
             // `&self` and writes `&mut self`, so a racing fork can only
@@ -207,7 +203,7 @@ impl BlockTable {
                 bv[t * d..(t + 1) * d].copy_from_slice(v);
             }
             BlockLayer::Q8 { .. } => {
-                unreachable!("prepare_position replaces a sealed tail before any write")
+                unreachable!("a tail block is never sealed (cuts inside sealed blocks are refused)")
             }
         }
         if pos % bt == bt - 1 {
@@ -469,25 +465,32 @@ impl KvCache {
             .collect()
     }
 
-    /// Largest prefix length `≤ positions` from which a fork continues
-    /// *bit-deterministically*. A cache on an f32 pool forks anywhere
-    /// (`positions` comes back unchanged); on an int8 pool a fork landing
-    /// strictly inside a *sealed* block would regrow its tail from
-    /// dequantized rows — within [`KV8_LOGIT_TOL`], but not bit-stable
-    /// against a fresh prefill — so this rounds such a cut down to the
-    /// preceding block boundary. The serving prefix cache trims donations
-    /// with this, keeping int8 served transcripts deterministic.
+    /// Largest prefix length `≤ positions` (clamped to the cache) that
+    /// [`KvCache::fork_from`] accepts. A cache on an f32 pool forks
+    /// anywhere (`positions` comes back unchanged); on an int8 pool a cut
+    /// strictly inside a *sealed* block is rounded down to the block's
+    /// start, since sealed rows could only be re-opened lossily. The
+    /// serving prefix cache trims donations with this.
     #[must_use]
     pub fn aligned_fork_len(&self, positions: usize) -> usize {
         let positions = positions.min(self.len);
-        let bt = self.table.pool.block_tokens();
-        if !positions.is_multiple_of(bt) {
-            let b = positions / bt;
-            if self.table.blocks.get(b).is_some_and(|blk| blk.is_sealed()) {
-                return b * bt;
-            }
+        if self.cuts_sealed(positions) {
+            positions - positions % self.table.pool.block_tokens()
+        } else {
+            positions
         }
-        positions
+    }
+
+    /// Whether keeping only the first `len` positions would cut strictly
+    /// inside a sealed int8 block.
+    fn cuts_sealed(&self, len: usize) -> bool {
+        let bt = self.table.pool.block_tokens();
+        !len.is_multiple_of(bt)
+            && self
+                .table
+                .blocks
+                .get(len / bt)
+                .is_some_and(|blk| blk.is_sealed())
     }
 
     /// The shared model this cache decodes against.
@@ -595,7 +598,10 @@ impl KvCache {
     /// # Errors
     ///
     /// Returns [`NnError::BadSequence`] if `positions` exceeds the donor's
-    /// cached length.
+    /// cached length, or if the cut lands strictly inside a *sealed* int8
+    /// block ([`KvCache::aligned_fork_len`] gives the longest cut that is
+    /// accepted) — sealed rows could only be re-opened by dequantizing,
+    /// and the fork would no longer continue like a fresh prefill.
     pub fn fork_from(&self, positions: usize) -> Result<KvCache, NnError> {
         if positions > self.len {
             return Err(NnError::BadSequence {
@@ -603,6 +609,11 @@ impl KvCache {
                     "cannot fork {positions} positions from a cache holding {}",
                     self.len
                 ),
+            });
+        }
+        if self.cuts_sealed(positions) {
+            return Err(NnError::BadSequence {
+                detail: format!("forking {positions} positions cuts inside a sealed int8 block"),
             });
         }
         Ok(KvCache {
@@ -871,8 +882,7 @@ impl KvCache {
         if len == self.len {
             return Ok(());
         }
-        let bt = self.table.pool.block_tokens();
-        if !len.is_multiple_of(bt) && self.table.blocks[len / bt].is_sealed() {
+        if self.cuts_sealed(len) {
             return Err(NnError::BadSequence {
                 detail: format!("truncating to {len} positions cuts inside a sealed int8 block"),
             });
@@ -1684,44 +1694,6 @@ mod tests {
     }
 
     #[test]
-    fn kv8_fork_inside_sealed_block_unseals_and_stays_within_tolerance() {
-        // Cutting strictly inside a sealed block forces the lossy unseal
-        // path (dequant the kept prefix rows back to f32). The branch must
-        // still track the f32 oracle within the serving tolerance.
-        let m = model();
-        let pool = small_pool_q8(64);
-        let prompt = [5u32, 10, 15, 20, 25, 30, 35, 40];
-        let mut donor = KvCache::new_paged(&m, &pool);
-        donor.prefill(&prompt).expect("ok");
-        assert_eq!(
-            donor.aligned_fork_len(6),
-            4,
-            "cut at 6 lands in a sealed block"
-        );
-
-        let cows_before = pool.cow_copies();
-        let mut fork = donor.fork_from(6).expect("ok");
-        let mut oracle = KvCache::new(&m);
-        oracle.prefill(&prompt[..6]).expect("ok");
-        for t in [50u32, 51, 52] {
-            let a = oracle.decode_step(t).expect("ok");
-            let b = fork.decode_step(t).expect("ok");
-            assert_kv8_tracks(&a, &b, &format!("unsealed fork at token {t}"));
-        }
-        assert!(
-            pool.cow_copies() > cows_before,
-            "unsealing must be counted as a CoW copy"
-        );
-        // The donor's own blocks are untouched by the fork's unseal.
-        let mut ref_donor = KvCache::new_paged(&m, &small_pool_q8(64));
-        ref_donor.prefill(&prompt).expect("ok");
-        assert_eq!(
-            donor.decode_step(60).expect("ok"),
-            ref_donor.decode_step(60).expect("ok")
-        );
-    }
-
-    #[test]
     fn kv8_window_slide_replay_stays_within_tolerance() {
         // Window slide = reset + replay of the kept window, exactly how
         // StepDecoder::begin_slide drives it.
@@ -1954,6 +1926,51 @@ mod tests {
             replay.decode_step(50).expect("ok"),
             "boundary-truncated kv8 cache drifted from a fresh replay"
         );
+    }
+
+    #[test]
+    fn fork_from_refuses_cuts_inside_sealed_blocks() {
+        // The fork rule is truncate's: a cut strictly inside a sealed int8
+        // block is refused and leaves the donor as it was.
+        let m = model();
+        let pool = small_pool_q8(64);
+        let mut donor = KvCache::new_paged(&m, &pool);
+        donor.prefill(&[5, 6, 7, 8, 9, 10]).expect("ok"); // sealed + 2-row tail
+        let (blocks, cows) = (pool.blocks_in_use(), pool.cow_copies());
+        for cut in 1..4 {
+            let err = donor.fork_from(cut).expect_err("mid-sealed cut");
+            assert!(
+                matches!(&err, NnError::BadSequence { detail } if detail.contains("sealed")),
+                "cut {cut}: {err}"
+            );
+        }
+        assert_eq!(donor.len(), 6);
+        assert_eq!((pool.blocks_in_use(), pool.cow_copies()), (blocks, cows));
+        let mut ref_donor = KvCache::new_paged(&m, &small_pool_q8(64));
+        ref_donor.prefill(&[5, 6, 7, 8, 9, 10]).expect("ok");
+        assert_eq!(
+            donor.decode_step(60).expect("ok"),
+            ref_donor.decode_step(60).expect("ok"),
+            "a refused fork must leave the donor unchanged"
+        );
+
+        // A boundary cut and a cut in the open f32 tail still fork, and
+        // continue like a fresh int8 prefill of the same tokens.
+        for cut in [0, 4, 5] {
+            let mut fork = donor.fork_from(cut).expect("exact cut");
+            assert_eq!(fork.len(), cut);
+            let mut fresh = KvCache::new_paged(&m, &small_pool_q8(64));
+            if cut > 0 {
+                fresh.prefill(&[5, 6, 7, 8, 9][..cut]).expect("ok");
+            }
+            for t in [50u32, 51, 52] {
+                assert_eq!(
+                    fork.decode_step(t).expect("ok"),
+                    fresh.decode_step(t).expect("ok"),
+                    "fork at {cut} drifted at token {t}"
+                );
+            }
+        }
     }
 
     /// Wider than 256, so reductions are deep enough that any split of one

@@ -30,10 +30,9 @@
 //! and copy-on-write semantics are identical across dtypes, and the seal
 //! trigger depends only on the token position, so chunked prefill, batched
 //! decode, and one-shot prefill all quantize the exact same rows at the
-//! exact same moment. Sealed blocks are immutable; the one way back is
-//! `KvPool::alloc_block_unsealed`, used when a fork lands mid-way into a
-//! sealed block and the adopting session must regrow an `f32` tail from
-//! the dequantized prefix.
+//! exact same moment. Sealed blocks are immutable and never re-opened:
+//! `KvCache` refuses to fork or truncate strictly inside one, so every
+//! table's tail is an f32 block and every cut is exact.
 //!
 //! The pool itself is an accounting object, not an arena: blocks own their
 //! own heap buffers, and the pool tracks how many are alive against a
@@ -190,8 +189,7 @@ impl KvPool {
     }
 
     /// Copy-on-write block duplications performed so far (a shared tail
-    /// block was about to be written and had to be privatised first, or a
-    /// sealed tail had to be dequantized back to an `f32` working copy).
+    /// block was about to be written and had to be privatised first).
     #[must_use]
     pub fn cow_copies(&self) -> u64 {
         self.cow_copies.load(Ordering::Relaxed)
@@ -278,37 +276,6 @@ impl KvPool {
         })
     }
 
-    /// Allocates a fresh f32 block seeded with the first `rows` positions
-    /// of `src` dequantized (the *unseal* step: a fork landed mid-way into
-    /// a sealed block, so the adopting session needs a writable f32 tail
-    /// carrying the aliased prefix rows). Counted as a copy-on-write.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::PoolExhausted`] when the pool is at capacity.
-    pub(crate) fn alloc_block_unsealed(
-        self: &Arc<Self>,
-        src: &KvBlock,
-        rows: usize,
-        d_model: usize,
-        n_heads: usize,
-    ) -> Result<KvBlock, NnError> {
-        let n_layers = src.layers.len();
-        let bytes = self.block_bytes(n_layers, d_model);
-        let permit = self.take_permit(bytes)?;
-        self.cow_copies.fetch_add(1, Ordering::Relaxed);
-        let row_floats = self.block_tokens * d_model;
-        Ok(KvBlock {
-            layers: src
-                .layers
-                .iter()
-                .map(|layer| layer.to_f32(rows, row_floats, d_model, n_heads))
-                .collect(),
-            id: next_block_id(),
-            permit,
-        })
-    }
-
     fn take_permit(self: &Arc<Self>, bytes: usize) -> Result<BlockPermit, NnError> {
         let admitted = self
             .in_use
@@ -381,17 +348,6 @@ fn keys_row_major(k: &[f32], d: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Tiled copy of a row-major (`block_tokens × d`) key buffer; the inverse
-/// of [`keys_row_major`].
-fn keys_tiled(rows: &[f32], d: usize) -> Vec<f32> {
-    let bt = rows.len() / d;
-    let mut k = vec![0.0f32; rows.len()];
-    for (i, &x) in rows.iter().enumerate() {
-        k[key_slot(i / d, i % d, bt)] = x;
-    }
-    k
-}
-
 /// One layer's slice of a block: `block_tokens` rotary-encoded keys and
 /// as many values, each `d_model` wide. Born [`BlockLayer::F32`]
 /// (zero-filled until written); int8 pools convert the layer to
@@ -458,39 +414,6 @@ impl BlockLayer {
             };
         }
     }
-
-    /// An f32 working copy carrying the first `rows` positions (dequantized
-    /// and, for keys, re-tiled when sealed), zero elsewhere.
-    fn to_f32(&self, rows: usize, row_floats: usize, d: usize, n_heads: usize) -> BlockLayer {
-        match self {
-            BlockLayer::F32 { k, v } => BlockLayer::F32 {
-                k: k.clone(),
-                v: v.clone(),
-            },
-            BlockLayer::Q8 {
-                k_codes,
-                v_codes,
-                k_scales,
-                v_scales,
-            } => {
-                let head_dim = d / n_heads;
-                let expand = |codes: &[i8], scales: &[f32]| {
-                    let mut out = vec![0.0f32; row_floats];
-                    for (o, (i, &q)) in out.iter_mut().zip(codes.iter().enumerate()) {
-                        if i >= rows * d {
-                            break;
-                        }
-                        *o = f32::from(q) * scales[(i % d) / head_dim];
-                    }
-                    out
-                };
-                BlockLayer::F32 {
-                    k: keys_tiled(&expand(k_codes, k_scales), d),
-                    v: expand(v_codes, v_scales),
-                }
-            }
-        }
-    }
 }
 
 /// A fixed-size span of KV storage: `block_tokens` positions across every
@@ -514,8 +437,8 @@ impl KvBlock {
 
     /// Whether the block has been fully quantized (layer 0 stands for all:
     /// layers seal in ascending order within one decode step, so a block
-    /// is either all-f32 or all-q8 between steps, and the tail check in
-    /// `prepare_position` runs only between steps).
+    /// is either all-f32 or all-q8 between steps, which is when a fork or
+    /// truncation tests it).
     pub(crate) fn is_sealed(&self) -> bool {
         self.layers.first().is_some_and(BlockLayer::is_sealed)
     }
@@ -761,32 +684,5 @@ mod tests {
         let (codes, scales) = quantize_per_head(&values, 4, 2);
         assert_eq!(scales, vec![0.0, 0.0]);
         assert!(codes.iter().all(|&q| q == 0));
-    }
-
-    #[test]
-    fn unseal_recovers_prefix_rows_and_counts_cow() {
-        let q = pool_q8(4);
-        let mut block = q.alloc_block(1, 4).expect("alloc");
-        // Fill 4 rows of d=4 with a recognisable ramp, then seal.
-        for i in 0..16 {
-            poke(&mut block, 0, true, i, i as f32 * 0.5);
-            poke(&mut block, 0, false, i, -(i as f32) * 0.25);
-        }
-        block.seal_layer(0, 4, 2);
-        let thawed = q
-            .alloc_block_unsealed(&block, 2, 4, 2)
-            .expect("unseal copy");
-        assert!(!thawed.is_sealed());
-        assert_eq!(q.cow_copies(), 1);
-        // First 2 rows (8 values) round-trip within a quant step; the rest
-        // are zeroed (they will be overwritten by the new tail's writes).
-        for i in 0..8 {
-            let step_k = 7.5 / 127.0; // absmax of the K ramp is 15·0.5
-            assert!((peek(&thawed, 0, true, i) - i as f32 * 0.5).abs() <= step_k + 1e-6);
-        }
-        for i in 8..16 {
-            assert_eq!(peek(&thawed, 0, true, i), 0.0);
-            assert_eq!(peek(&thawed, 0, false, i), 0.0);
-        }
     }
 }

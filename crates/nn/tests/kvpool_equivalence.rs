@@ -193,9 +193,9 @@ fn fork_then_diverge_both_branches_matches_contiguous_twins() {
 }
 
 /// The interleaving sweep: chunked prefill, single-token decode, zero-copy
-/// fork (kept live and stepped alongside its donor, exercising CoW and —
-/// on int8 pools with unaligned fork points — the sealed-block unseal
-/// path), and window-slide-style reset+replay, in arbitrary order, against
+/// fork (cut at `aligned_fork_len`, so on int8 pools never inside a sealed
+/// block, and kept live and stepped alongside its donor, exercising CoW),
+/// and window-slide-style reset+replay, in arbitrary order, against
 /// the contiguous-f32 oracle. The block table must track
 /// `ceil(len / block_tokens)` exactly, and every block and byte must return
 /// to the pool.
@@ -229,7 +229,7 @@ fn sweep_random_ops(rng: &mut Pcg32, dtype: KvDtype) {
                 check_row(&oracle, &got, int8, &at("prefill_chunk"));
             }
             2 => {
-                let fork_at = k.min(paged.len());
+                let fork_at = paged.aligned_fork_len(k);
                 forks = Some((
                     paged.fork_from(fork_at).unwrap(),
                     flat.fork_from(fork_at).unwrap(),

@@ -16,20 +16,19 @@
 //!
 //! Flags: `--listen ADDR` (default `127.0.0.1:7400`), `--replica ADDR`
 //! (repeatable), `--spawn N` (in-process smoke-quality replicas on
-//! ephemeral ports), `--random` (locality-free routing baseline),
-//! `--vnodes N`, `--probe-interval-ms MS`, `--request-timeout-ms MS`,
+//! ephemeral ports), `--vnodes N`, `--probe-interval-ms MS`, `--request-timeout-ms MS`,
 //! `--seed N`.
 
 use std::time::Duration;
 
 use chipalign_pipeline::zoo::{Quality, Zoo, ZooConfig};
-use chipalign_router::{RouterConfig, RouterServer, RoutingMode};
+use chipalign_router::{RouterConfig, RouterServer};
 use chipalign_serve::{ModelRegistry, SchedulerConfig, Server, ServerConfig};
 
 fn usage() -> ! {
     eprintln!(
         "usage: chipalign-router [--listen ADDR] [--replica ADDR]... [--spawn N] \
-         [--random] [--vnodes N] [--probe-interval-ms MS] [--request-timeout-ms MS] [--seed N]"
+         [--vnodes N] [--probe-interval-ms MS] [--request-timeout-ms MS] [--seed N]"
     );
     std::process::exit(2);
 }
@@ -57,7 +56,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--listen" => cfg.listen = parse("--listen", args.next()),
             "--replica" => replicas.push(parse("--replica", args.next())),
             "--spawn" => spawn = parse("--spawn", args.next()),
-            "--random" => cfg.routing = RoutingMode::Random,
             "--vnodes" => cfg.vnodes = parse("--vnodes", args.next()),
             "--probe-interval-ms" => {
                 cfg.probe_interval =
@@ -115,10 +113,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         usage();
     }
 
-    let mode = cfg.routing;
     let front = RouterServer::bind(cfg, replicas)?;
     println!(
-        "chipalign-router on {} ({} replicas, {mode:?} routing)",
+        "chipalign-router on {} ({} replicas, affinity routing)",
         front.local_addr(),
         front.router().fleet_status().len()
     );

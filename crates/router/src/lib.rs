@@ -46,5 +46,5 @@ pub mod router;
 pub mod server;
 
 pub use ring::{affinity_key, HashRing};
-pub use router::{Router, RouterConfig, RoutingMode};
+pub use router::{Router, RouterConfig};
 pub use server::RouterServer;

@@ -30,18 +30,6 @@ use chipalign_tensor::rng::Pcg32;
 use crate::metrics::{RouterCounter, RouterMetrics};
 use crate::ring::{affinity_key, HashRing};
 
-/// How candidate replicas are ordered for a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoutingMode {
-    /// Consistent-hash ring order keyed on (model, prompt prefix): merge
-    /// and prefix-KV locality. The default.
-    Affinity,
-    /// A seeded random order per request: the locality-free baseline
-    /// (`chipalign-router --random`); failover and health handling work
-    /// identically.
-    Random,
-}
-
 /// Router configuration.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
@@ -51,8 +39,6 @@ pub struct RouterConfig {
     pub vnodes: usize,
     /// Prompt characters (not bytes) hashed into the affinity key.
     pub affinity_chars: usize,
-    /// Candidate ordering strategy.
-    pub routing: RoutingMode,
     /// How often the health prober pings every replica.
     pub probe_interval: Duration,
     /// Connect + read timeout for one health probe.
@@ -70,7 +56,7 @@ pub struct RouterConfig {
     /// Backoff schedule between failover attempts. `max_attempts` bounds
     /// how many replicas are tried per request (clamped to fleet size).
     pub failover: RetryPolicy,
-    /// Seed for backoff jitter and `Random` routing order.
+    /// Seed for backoff jitter.
     pub seed: u64,
 }
 
@@ -80,7 +66,6 @@ impl Default for RouterConfig {
             listen: "127.0.0.1:0".to_string(),
             vnodes: 32,
             affinity_chars: 16,
-            routing: RoutingMode::Affinity,
             probe_interval: Duration::from_millis(500),
             probe_timeout: Duration::from_millis(250),
             down_after: 2,
@@ -204,24 +189,16 @@ impl Router {
         }
     }
 
-    /// Candidate replicas for `req`, best first: ring (or random) order,
+    /// Candidate replicas for `req`, best first: consistent-hash ring order
+    /// keyed on (model, prompt prefix) — merge and prefix-KV locality —
     /// stably partitioned Healthy → Degraded → Down. Draining replicas are
     /// excluded entirely. The stable partition preserves ring order inside
     /// each health class, so a degraded affinity home is still preferred
     /// over other degraded replicas.
     fn candidates(&self, req: &GenerateRequest) -> Vec<Candidate> {
         let fleet = self.fleet();
-        let order: Vec<usize> = match self.cfg.routing {
-            RoutingMode::Affinity => {
-                let key = affinity_key(&req.model, &req.prompt, self.cfg.affinity_chars);
-                fleet.ring.candidates(key)
-            }
-            RoutingMode::Random => {
-                let mut order: Vec<usize> = (0..fleet.replicas.len()).collect();
-                self.rng().shuffle(&mut order);
-                order
-            }
-        };
+        let key = affinity_key(&req.model, &req.prompt, self.cfg.affinity_chars);
+        let order = fleet.ring.candidates(key);
         let class = |state: ReplicaHealth| match state {
             ReplicaHealth::Healthy => 0u8,
             ReplicaHealth::Degraded => 1,

@@ -10,18 +10,16 @@
 //! other session with the same leading tokens would compute. This module
 //! stores those rows once and hands out [`KvCache::fork_from`] clones.
 //!
-//! Structure: one token trie per `(model allocation, KV storage dtype)`,
-//! arena-allocated — a model served at both f32 and int8 KV (`spec` vs
-//! `spec#kv8` share the allocation) keeps separate tries, since a
-//! snapshot's rows are only bit-faithful to sessions of its own dtype.
-//! Every
-//! node corresponds to a token prefix; nodes that were actually prefilled
-//! carry a donor [`KvCache`] snapshot. A lookup walks the query tokens
-//! from the root and returns a fork of the **deepest** snapshot passed —
-//! longest-match, so a cached full prompt also serves queries that share
-//! only its scaffold. Bounds: entry count and total KV bytes, evicting the
-//! least-recently-used snapshot (and pruning its now-bare trie branch)
-//! when either would overflow.
+//! Structure: one flat table of at most `max_entries` snapshots (32 by
+//! default), scanned linearly. An entry serves a query when it holds the same model
+//! allocation (`Arc::ptr_eq`; the entry's own `Arc` clone keeps the
+//! address from being reused), the same KV storage dtype — `spec` and
+//! `spec#kv8` share an allocation, and a snapshot's rows are bit-faithful
+//! only to sessions of its own dtype — and tokens that prefix the query.
+//! A lookup forks the **longest** such entry, so a cached full prompt also
+//! serves queries that share only its scaffold. Bounds: entry count and
+//! total KV bytes, evicting the least-recently-used snapshot when either
+//! would overflow.
 //!
 //! # Byte accounting under paged storage
 //!
@@ -66,19 +64,6 @@ impl Default for PrefixCacheConfig {
     }
 }
 
-/// One arena-allocated trie node. `children` maps the next token to a
-/// node index; a node holding `entry` is a cached snapshot whose token
-/// path from the root is exactly `snapshot.tokens()`.
-#[derive(Debug)]
-struct Node {
-    children: HashMap<u32, usize>,
-    entry: Option<Entry>,
-    /// Arena index of the parent (`usize::MAX` for roots) and the token
-    /// edge leading here — lets eviction prune bare branches bottom-up.
-    parent: usize,
-    token: u32,
-}
-
 #[derive(Debug)]
 struct Entry {
     snapshot: KvCache,
@@ -90,25 +75,21 @@ struct Entry {
     block_ids: Vec<(u64, usize)>,
 }
 
+impl Entry {
+    /// Whether this snapshot may be donated to a session of `model` at
+    /// KV storage `dtype`.
+    fn serves(&self, model: &Arc<TinyLm>, dtype: KvDtype) -> bool {
+        Arc::ptr_eq(self.snapshot.model(), model) && self.snapshot.pool().dtype() == dtype
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
-    nodes: Vec<Node>,
-    /// Free arena slots left behind by pruned nodes, reused before growth.
-    free: Vec<usize>,
+    entries: Vec<Entry>,
     /// How many cached entries reference each live KV block (keyed by the
     /// block's process-unique id). A block's bytes are charged when its
     /// refcount rises to one and freed when it falls to zero.
     block_refs: HashMap<u64, usize>,
-    /// Root node per `(model allocation, KV storage dtype)`. The first
-    /// key component is the model's `Arc` pointer; safe as an identity
-    /// because every snapshot under a root holds a clone of that `Arc`,
-    /// so the allocation cannot be reused while its subtree is non-empty
-    /// (roots are dropped with their last snapshot). The dtype component
-    /// keeps int8-KV snapshots from being donated to f32 sessions (and
-    /// vice versa): one served model can run both dtypes at once
-    /// (`spec` vs `spec#kv8` resolve to the same allocation).
-    roots: HashMap<(usize, KvDtype), usize>,
-    entries: usize,
     total_bytes: usize,
     clock: u64,
 }
@@ -141,7 +122,11 @@ impl PrefixCache {
     #[cfg(test)]
     #[must_use]
     pub(crate) fn entries(&self) -> usize {
-        self.inner.lock().expect("prefix cache poisoned").entries
+        self.inner
+            .lock()
+            .expect("prefix cache poisoned")
+            .entries
+            .len()
     }
 
     /// Approximate total KV bytes held by cached snapshots.
@@ -154,18 +139,14 @@ impl PrefixCache {
             .total_bytes
     }
 
-    /// Longest-match lookup: returns a forked KV cache covering the
-    /// longest cached prefix of `tokens` for this model allocation at
-    /// the requested KV storage dtype, plus its length. `dtype` is the
-    /// storage the adopting session decodes at (its pool's dtype) — only
-    /// same-dtype
-    /// snapshots are donated, so an int8-KV fork can never leak into an
-    /// f32 session's transcript or vice versa. Only *proper* prefixes
-    /// are donated (`len < tokens.len()`): the adopting session must
-    /// keep at least one token to prefill so it has logits to decode
-    /// from. A cached entry equal to the whole query (the
-    /// repeated-prompt case) still hits — its fork is trimmed to
-    /// `tokens.len() - 1` positions. Hits refresh the snapshot's LRU
+    /// Longest-match lookup: a fork of the longest cached prefix of
+    /// `tokens` for this model allocation at KV storage `dtype` (the
+    /// adopting session's pool dtype), plus its length. Only *proper*
+    /// prefixes are donated, so the session keeps a token to prefill and
+    /// has logits to decode from: an entry equal to the whole query (a
+    /// repeated prompt) is trimmed to `tokens.len() - 1` positions, and
+    /// on int8 pools to [`KvCache::aligned_fork_len`] of that; a donation
+    /// trimmed to nothing is a miss. A match refreshes the entry's LRU
     /// stamp.
     #[must_use]
     pub(crate) fn lookup(
@@ -178,47 +159,32 @@ impl PrefixCache {
             return None;
         }
         let mut inner = self.inner.lock().expect("prefix cache poisoned");
-        let mut node = *inner.roots.get(&(Arc::as_ptr(model) as usize, dtype))?;
-        let mut best: Option<usize> = None;
-        for &t in tokens {
-            let Some(&child) = inner.nodes[node].children.get(&t) else {
-                break;
-            };
-            node = child;
-            if inner.nodes[node].entry.is_some() {
-                best = Some(node);
-            }
-        }
-        let best = best?;
+        let best = inner
+            .entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.serves(model, dtype) && tokens.starts_with(e.snapshot.tokens()))
+            .max_by_key(|(_, e)| e.snapshot.len())?
+            .0;
         let stamp = inner.next_stamp();
-        let entry = inner.nodes[best].entry.as_mut().expect("matched above");
+        let entry = &mut inner.entries[best];
         entry.stamp = stamp;
-        // Belt and braces: identity keyed by pointer, verified by Arc.
-        if !Arc::ptr_eq(entry.snapshot.model(), model) {
-            return None;
-        }
-        // On int8-KV pools a cut strictly inside a sealed block would
-        // dequantize→requantize the kept rows — lossy, so the adopted
-        // session would no longer replay bit-identically to a cold
-        // prefill. Round the donation down to the block boundary instead;
-        // a donation rounded to nothing is a miss.
-        let len = entry
-            .snapshot
-            .aligned_fork_len(entry.snapshot.len().min(tokens.len() - 1));
+        let snapshot = &entry.snapshot;
+        let len = snapshot.aligned_fork_len(snapshot.len().min(tokens.len() - 1));
         if len == 0 {
             return None;
         }
-        let fork = entry.snapshot.fork_from(len).ok()?;
+        let fork = snapshot.fork_from(len).ok()?;
         Some((fork, len))
     }
 
-    /// Inserts a snapshot of `cache`'s full contents, keyed by its token
-    /// history. No-op if the cache is disabled, the snapshot is empty or
-    /// its *newly charged* bytes alone exceed the byte budget, or an
-    /// identical prefix is already cached (its stamp is refreshed
-    /// instead). Snapshots are charged only for blocks no existing entry
-    /// holds — a fork of an already-cached prefix is free. Evicts
-    /// least-recently-used snapshots until both bounds hold.
+    /// Inserts a snapshot of `cache`'s full contents, keyed by its model,
+    /// KV dtype and token history. No-op if the cache is disabled, the
+    /// snapshot is empty or its *newly charged* bytes alone exceed the
+    /// byte budget, or an identical prefix is already cached (its stamp
+    /// is refreshed instead). Snapshots are charged only for blocks no
+    /// existing entry holds — a fork of an already-cached prefix is free.
+    /// Evicts least-recently-used snapshots until both bounds hold.
     pub(crate) fn insert(&self, cache: &KvCache) {
         if !self.enabled() || cache.is_empty() {
             return;
@@ -228,8 +194,7 @@ impl PrefixCache {
         };
         let mut inner = self.inner.lock().expect("prefix cache poisoned");
         // Charge = bytes this entry adds: the bytes of blocks not yet
-        // referenced by any cached entry. Computed before touching the
-        // trie so an oversized refusal allocates nothing.
+        // referenced by any cached entry.
         let block_ids = snapshot.block_ids();
         let charge: usize = block_ids
             .iter()
@@ -239,45 +204,28 @@ impl PrefixCache {
         if charge > self.cfg.max_total_bytes {
             return;
         }
-        let key = (
-            Arc::as_ptr(snapshot.model()) as usize,
-            snapshot.pool().dtype(),
-        );
-        let root = match inner.roots.get(&key) {
-            Some(&r) => r,
-            None => {
-                let r = inner.alloc(usize::MAX, 0);
-                inner.roots.insert(key, r);
-                r
-            }
-        };
-        let mut node = root;
-        for &t in snapshot.tokens() {
-            node = match inner.nodes[node].children.get(&t) {
-                Some(&child) => child,
-                None => {
-                    let child = inner.alloc(node, t);
-                    inner.nodes[node].children.insert(t, child);
-                    child
-                }
-            };
-        }
         let stamp = inner.next_stamp();
-        if let Some(entry) = inner.nodes[node].entry.as_mut() {
+        let dtype = snapshot.pool().dtype();
+        if let Some(entry) = inner
+            .entries
+            .iter_mut()
+            .find(|e| e.serves(snapshot.model(), dtype) && e.snapshot.tokens() == snapshot.tokens())
+        {
             entry.stamp = stamp;
             return;
         }
-        inner.entries += 1;
         inner.total_bytes += charge;
         for &(id, _) in &block_ids {
             *inner.block_refs.entry(id).or_insert(0) += 1;
         }
-        inner.nodes[node].entry = Some(Entry {
+        inner.entries.push(Entry {
             snapshot,
             stamp,
             block_ids,
         });
-        while inner.entries > self.cfg.max_entries || inner.total_bytes > self.cfg.max_total_bytes {
+        while inner.entries.len() > self.cfg.max_entries
+            || inner.total_bytes > self.cfg.max_total_bytes
+        {
             // The just-inserted snapshot is the most recent; bounds are
             // restored by evicting older ones (it alone fits, checked
             // above).
@@ -306,43 +254,14 @@ impl Inner {
         self.clock
     }
 
-    fn alloc(&mut self, parent: usize, token: u32) -> usize {
-        let node = Node {
-            children: HashMap::new(),
-            entry: None,
-            parent,
-            token,
-        };
-        if let Some(slot) = self.free.pop() {
-            self.nodes[slot] = node;
-            slot
-        } else {
-            self.nodes.push(node);
-            self.nodes.len() - 1
-        }
-    }
-
-    /// Evicts the least-recently-used snapshot and prunes its branch up to
-    /// the nearest ancestor that still serves another snapshot or fork.
-    /// Returns false when the cache holds nothing to evict.
+    /// Evicts the least-recently-used snapshot, freeing the bytes of every
+    /// block no surviving entry still holds. Returns false when the cache
+    /// holds nothing to evict.
     fn evict_lru(&mut self) -> bool {
-        let mut victim: Option<(usize, u64)> = None;
-        for (i, n) in self.nodes.iter().enumerate() {
-            if let Some(entry) = &n.entry {
-                if victim.is_none_or(|(_, stamp)| entry.stamp < stamp) {
-                    victim = Some((i, entry.stamp));
-                }
-            }
-        }
-        let Some((idx, _)) = victim else {
+        let Some((idx, _)) = self.entries.iter().enumerate().min_by_key(|(_, e)| e.stamp) else {
             return false;
         };
-        let entry = self.nodes[idx].entry.take().expect("victim holds entry");
-        self.entries -= 1;
-        // Free every block whose last referencing entry this was — bytes
-        // still shared with a surviving entry stay charged (they are still
-        // held).
-        let mut freed = 0;
+        let entry = self.entries.swap_remove(idx);
         for &(id, bytes) in &entry.block_ids {
             let refs = self
                 .block_refs
@@ -351,30 +270,8 @@ impl Inner {
             *refs -= 1;
             if *refs == 0 {
                 self.block_refs.remove(&id);
-                freed += bytes;
+                self.total_bytes -= bytes;
             }
-        }
-        self.total_bytes -= freed;
-        drop(entry);
-        // Prune bottom-up: remove nodes that now carry no entry and no
-        // children. Roots are dropped too so a stale model pointer can
-        // never match a future allocation at the same address.
-        let mut node = idx;
-        while node != usize::MAX {
-            let n = &self.nodes[node];
-            if n.entry.is_some() || !n.children.is_empty() {
-                break;
-            }
-            let parent = n.parent;
-            let token = n.token;
-            if parent == usize::MAX {
-                self.roots.retain(|_, &mut r| r != node);
-            } else {
-                self.nodes[parent].children.remove(&token);
-            }
-            self.nodes[node].children = HashMap::new();
-            self.free.push(node);
-            node = parent;
         }
         true
     }
@@ -698,6 +595,72 @@ mod tests {
         // A prompt cached only at f32 is a clean miss at int8.
         cache.insert(&prefilled(&m, &[20, 21, 22]));
         assert!(cache.lookup(&m, KvDtype::Int8, &[20, 21, 22, 23]).is_none());
+    }
+
+    /// A seeded trace of 400 `insert` / `lookup` / `evict_one` calls over
+    /// two model allocations, an f32 and an int8 pool of 4-token blocks,
+    /// 8 entries and a 12-block byte budget; both bounds bind along the
+    /// way. Every op folds `(hit length, entries, total bytes)` into one
+    /// FNV-1a hash, pinned across versions of the cache's internals.
+    #[test]
+    fn seeded_op_trace_is_pinned() {
+        use chipalign_nn::{KvPool, KvPoolConfig};
+        let models = [model(1), model(2)];
+        let pools = [KvDtype::F32, KvDtype::Int8].map(|dtype| {
+            KvPool::new(KvPoolConfig {
+                block_tokens: 4,
+                max_blocks: 4096,
+                dtype,
+            })
+            .expect("pool")
+        });
+        let max_total_bytes = 12 * 1024;
+        let cache = PrefixCache::new(PrefixCacheConfig {
+            max_entries: 8,
+            max_total_bytes,
+        });
+        let mut rng = Pcg32::seed(37);
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for _ in 0..400 {
+            let m = &models[rng.below(2)];
+            let pool = &pools[rng.below(2)];
+            // One of three scaffolds (3, 6 or 9 tokens), then 0–4 tokens
+            // from a small alphabet, so queries share stems and repeat.
+            let k = rng.below(3);
+            let mut tokens: Vec<u32> = (0..3 * (k + 1)).map(|i| (5 + 7 * k + i) as u32).collect();
+            let tail = rng.below(5);
+            tokens.extend((0..tail).map(|_| 40 + rng.below(4) as u32));
+            let hit = match rng.below(10) {
+                0 => usize::from(cache.evict_one()),
+                1..=4 => cache
+                    .lookup(m, pool.dtype(), &tokens)
+                    .map_or(0, |(fork, len)| {
+                        assert_eq!(fork.tokens(), &tokens[..len]);
+                        len
+                    }),
+                _ => {
+                    // Half the inserts extend a hit (sharing its blocks),
+                    // half prefill cold.
+                    let hit = if rng.chance(0.5) {
+                        cache.lookup(m, pool.dtype(), &tokens)
+                    } else {
+                        None
+                    };
+                    let (mut c, len) = hit.unwrap_or_else(|| (KvCache::new_paged(m, pool), 0));
+                    c.prefill_chunk(&tokens[len..]).expect("fits the pool");
+                    cache.insert(&c);
+                    len
+                }
+            };
+            let (entries, bytes) = (cache.entries(), cache.total_bytes());
+            assert!(entries <= 8 && bytes <= max_total_bytes);
+            for x in [hit, entries, bytes] {
+                for byte in (x as u64).to_le_bytes() {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(hash, 0x76ea_6b71_ce4d_3e90, "op trace moved: {hash:#018x}");
     }
 
     #[test]

@@ -520,8 +520,6 @@ impl ModelRegistry {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Inserts into the cache and restores the merge-capacity bound,
-    /// counting any evictions.
     /// Cache lookup that releases the lock before returning: a
     /// `cache_lock().get(..)` written straight into an `if let` scrutinee
     /// keeps its guard alive to the end of the block, which deadlocks the
@@ -530,6 +528,8 @@ impl ModelRegistry {
         self.cache_lock().get(key)
     }
 
+    /// Inserts into the cache and restores the merge-capacity bound,
+    /// counting any evictions.
     fn cache_insert(&self, key: String, model: Arc<TinyLm>) {
         let mut cache = self.cache_lock();
         cache.insert(key, model);

@@ -48,11 +48,6 @@ pub enum TensorError {
         /// The matrix shape.
         shape: (usize, usize),
     },
-    /// An operation that requires a non-empty matrix was given an empty one.
-    Empty {
-        /// Name of the operation that failed.
-        op: &'static str,
-    },
 }
 
 impl fmt::Display for TensorError {
@@ -72,9 +67,6 @@ impl fmt::Display for TensorError {
                 "index ({}, {}) out of bounds for {}x{} matrix",
                 index.0, index.1, shape.0, shape.1
             ),
-            TensorError::Empty { op } => {
-                write!(f, "operation {op} requires a non-empty matrix")
-            }
         }
     }
 }
@@ -118,15 +110,6 @@ mod tests {
             shape: (2, 2),
         };
         assert_eq!(err.to_string(), "index (5, 0) out of bounds for 2x2 matrix");
-    }
-
-    #[test]
-    fn display_empty() {
-        let err = TensorError::Empty { op: "argmax" };
-        assert_eq!(
-            err.to_string(),
-            "operation argmax requires a non-empty matrix"
-        );
     }
 
     #[test]

@@ -94,6 +94,17 @@ run_example quickstart 'model-soup norm:'
 run_example lambda_sweep 'at lambda = 0.6:'
 run_example openroad_qa 'chipalign  (rouge '
 run_example industrial_chatbot 'grade    : '
+# The paper's loop end to end, bit for bit: every smoke zoo checkpoint and
+# result JSON the eight experiment binaries write must hash to the committed
+# manifest of its kernel tier. A change that moves a bit anywhere between
+# a kernel and a table fails here, naming the artefacts that moved.
+for backend in simd scalar; do
+  if ! CHIPALIGN_BACKEND="$backend" scripts/smoke_manifest.sh |
+    diff "results/smoke-manifest.$backend.txt" -; then
+    echo "ci: the $backend smoke loop no longer matches results/smoke-manifest.$backend.txt" >&2
+    exit 1
+  fi
+done
 cargo test -q
 cargo test -q --workspace
 # Once more on one core: `available_parallelism()` is then 1, so the
@@ -130,4 +141,4 @@ cargo clippy -p chipalign-router --all-targets --features fault-inject -- -D war
 # item or field fails here, not in a reader's browser.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "ci: benchmark smoke + build + tests + chaos + clippy + rustdoc all green"
+echo "ci: benchmark smoke + build + smoke manifest + tests + chaos + clippy + rustdoc all green"
