@@ -23,8 +23,16 @@ const VERBS: &[&str] = &[
     "sees", "likes", "finds", "moves", "holds", "makes", "takes", "keeps", "shows", "meets",
 ];
 const OBJECTS: &[&str] = &[
-    "a red box", "the old map", "a warm meal", "the long road", "a small key",
-    "the blue door", "a quiet song", "the fast train", "a round stone", "the green field",
+    "a red box",
+    "the old map",
+    "a warm meal",
+    "the long road",
+    "a small key",
+    "the blue door",
+    "a quiet song",
+    "the fast train",
+    "a round stone",
+    "the green field",
 ];
 
 /// General-knowledge QA pairs (question, answer) used for instruction SFT.
@@ -90,9 +98,7 @@ pub fn random_word(rng: &mut Pcg32) -> String {
     } else if style < 0.85 {
         // Uniform random letters.
         let len = rng.range(2, 8);
-        (0..len)
-            .map(|_| char::from(*rng.choose(LETTERS)))
-            .collect()
+        (0..len).map(|_| char::from(*rng.choose(LETTERS))).collect()
     } else {
         // Identifier with digits (b106-style).
         let head_len = rng.range(1, 3);
@@ -222,10 +228,7 @@ mod tests {
         let docs = general_corpus(200, &mut Pcg32::seed(3));
         let copies = docs.iter().filter(|d| d.contains("Q:say it;")).count();
         let qa = docs.iter().filter(|d| d.starts_with("Q:")).count();
-        let plain = docs
-            .iter()
-            .filter(|d| !d.contains("Q:"))
-            .count();
+        let plain = docs.iter().filter(|d| !d.contains("Q:")).count();
         assert!(copies > 30, "copy tasks underrepresented: {copies}");
         assert!(qa > 20, "generic QA underrepresented: {qa}");
         assert!(plain > 30, "plain text underrepresented: {plain}");

@@ -7,7 +7,6 @@
 //! eval splits, while each individual fact stays short enough for a
 //! character-level context window.
 
-
 /// The domain a fact belongs to. The first three are the ChipNeMo
 /// multi-choice domains (Figure 7); all five feed the OpenROAD QA category
 /// split.
@@ -63,8 +62,8 @@ pub struct Fact {
 }
 
 const COMMAND_NAMES: &[&str] = &[
-    "gpl", "dpl", "cts", "grt", "drt", "rsz", "ifp", "tap", "pdn", "mpl", "sta", "psm",
-    "fin", "dft", "eco", "lec",
+    "gpl", "dpl", "cts", "grt", "drt", "rsz", "ifp", "tap", "pdn", "mpl", "sta", "psm", "fin",
+    "dft", "eco", "lec",
 ];
 const COMMAND_ACTIONS: &[&str] = &[
     "runs global placement",
@@ -86,8 +85,7 @@ const COMMAND_ACTIONS: &[&str] = &[
 ];
 
 const BUG_NAMES: &[&str] = &[
-    "b101", "b102", "b103", "b104", "b105", "b106", "b107", "b108", "b109", "b110",
-    "b111", "b112",
+    "b101", "b102", "b103", "b104", "b105", "b106", "b107", "b108", "b109", "b110", "b111", "b112",
 ];
 const BUG_FIXES: &[&str] = &[
     "fixed by a rerun of cts",
@@ -105,8 +103,8 @@ const BUG_FIXES: &[&str] = &[
 ];
 
 const CELL_NAMES: &[&str] = &[
-    "nand2", "nor3", "aoi21", "oai22", "dffrs", "latq", "mux4", "xor2", "invx8", "bufx4",
-    "clkgt", "isow",
+    "nand2", "nor3", "aoi21", "oai22", "dffrs", "latq", "mux4", "xor2", "invx8", "bufx4", "clkgt",
+    "isow",
 ];
 const CELL_FUNCS: &[&str] = &[
     "drives a two input nand",
@@ -140,8 +138,16 @@ const STAGE_ROLES: &[&str] = &[
 ];
 
 const GUI_NAMES: &[&str] = &[
-    "timing icon", "heat map", "find box", "layer list", "path view", "log pane",
-    "zoom tool", "ruler tool", "help menu", "test tab",
+    "timing icon",
+    "heat map",
+    "find box",
+    "layer list",
+    "path view",
+    "log pane",
+    "zoom tool",
+    "ruler tool",
+    "help menu",
+    "test tab",
 ];
 const GUI_ACTIONS: &[&str] = &[
     "opens the timing report",
@@ -290,7 +296,9 @@ pub struct IndustrialFact {
     pub followup: (String, String),
 }
 
-const ARCH_UNITS: &[&str] = &["fetch", "decode", "issue", "alu", "lsu", "rob", "tlb", "l2c", "noc", "pmu"];
+const ARCH_UNITS: &[&str] = &[
+    "fetch", "decode", "issue", "alu", "lsu", "rob", "tlb", "l2c", "noc", "pmu",
+];
 const ARCH_ROLES: &[&str] = &[
     "pulls ops from the icache",
     "cracks ops into uops",
@@ -316,7 +324,9 @@ const ARCH_EXTRA: &[&str] = &[
     "it has 8 counters",
 ];
 
-const BUILD_TOOLS: &[&str] = &["zbld", "zgen", "zpak", "zsync", "zlint", "zsig", "zrun", "zmap", "zdep", "zver"];
+const BUILD_TOOLS: &[&str] = &[
+    "zbld", "zgen", "zpak", "zsync", "zlint", "zsig", "zrun", "zmap", "zdep", "zver",
+];
 const BUILD_USES: &[&str] = &[
     "use -build plus the target name",
     "use -gen to emit the tree",
@@ -342,7 +352,9 @@ const BUILD_EXTRA: &[&str] = &[
     "add -long for full hash",
 ];
 
-const LSF_CMDS: &[&str] = &["qsub", "qstat", "qdel", "qhold", "qmove", "qpri", "qlim", "qlog", "qres", "qping"];
+const LSF_CMDS: &[&str] = &[
+    "qsub", "qstat", "qdel", "qhold", "qmove", "qpri", "qlim", "qlog", "qres", "qping",
+];
 const LSF_USES: &[&str] = &[
     "sends a job to the farm",
     "lists the queue state",
@@ -368,7 +380,9 @@ const LSF_EXTRA: &[&str] = &[
     "pass -v for verbose",
 ];
 
-const TEST_KITS: &[&str] = &["tgen", "tseq", "tcov", "trand", "tchk", "tfmt", "tbus", "tirq", "tmem", "tioq"];
+const TEST_KITS: &[&str] = &[
+    "tgen", "tseq", "tcov", "trand", "tchk", "tfmt", "tbus", "tirq", "tmem", "tioq",
+];
 const TEST_USES: &[&str] = &[
     "emits directed stimulus",
     "orders test sequences",

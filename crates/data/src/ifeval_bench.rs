@@ -137,9 +137,7 @@ mod tests {
                 let content = p
                     .tags
                     .iter()
-                    .filter(|t| {
-                        matches!(t, FormatTag::Pre | FormatTag::End | FormatTag::Key(_))
-                    })
+                    .filter(|t| matches!(t, FormatTag::Pre | FormatTag::End | FormatTag::Key(_)))
                     .count();
                 assert_eq!(content, 1, "exactly one content tag expected: {:?}", p.tags);
             }

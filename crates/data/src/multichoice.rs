@@ -88,7 +88,9 @@ mod tests {
         for item in generate(9) {
             let answer = &item.choices[item.correct];
             assert!(
-                facts.iter().any(|f| item.prompt.contains(&f.question) && &f.answer == answer),
+                facts
+                    .iter()
+                    .any(|f| item.prompt.contains(&f.question) && &f.answer == answer),
                 "correct option must be the fact's answer: {item:?}"
             );
         }

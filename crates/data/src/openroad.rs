@@ -178,8 +178,14 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic_and_seed_sensitive() {
-        assert_eq!(OpenRoadBenchmark::generate(1), OpenRoadBenchmark::generate(1));
-        assert_ne!(OpenRoadBenchmark::generate(1), OpenRoadBenchmark::generate(2));
+        assert_eq!(
+            OpenRoadBenchmark::generate(1),
+            OpenRoadBenchmark::generate(1)
+        );
+        assert_ne!(
+            OpenRoadBenchmark::generate(1),
+            OpenRoadBenchmark::generate(2)
+        );
     }
 
     #[test]

@@ -53,9 +53,8 @@ pub(crate) fn format_followup(
     question: &str,
     tags: &[FormatTag],
 ) -> String {
-    let mut out = String::with_capacity(
-        first_prompt.len() + first_answer.len() + question.len() + 16,
-    );
+    let mut out =
+        String::with_capacity(first_prompt.len() + first_answer.len() + question.len() + 16);
     out.push_str(first_prompt);
     out.push_str(first_answer);
     out.push(';');

@@ -57,8 +57,7 @@ pub fn instruct_sft(n: usize, rng: &mut Pcg32) -> Vec<SftPair> {
             vec![FormatTag::sample(rng)]
         };
         let apply = |answer: &str| -> String {
-            tags.iter()
-                .fold(answer.to_string(), |acc, t| t.apply(&acc))
+            tags.iter().fold(answer.to_string(), |acc, t| t.apply(&acc))
         };
         let roll = rng.uniform();
         if roll < 0.4 {
@@ -94,12 +93,7 @@ pub fn instruct_sft(n: usize, rng: &mut Pcg32) -> Vec<SftPair> {
 /// correspondingly formatted golden), modelling instruction data blended
 /// into the chip finetune.
 #[must_use]
-pub fn chip_sft(
-    facts: &[&Fact],
-    n: usize,
-    tag_fraction: f32,
-    rng: &mut Pcg32,
-) -> Vec<SftPair> {
+pub fn chip_sft(facts: &[&Fact], n: usize, tag_fraction: f32, rng: &mut Pcg32) -> Vec<SftPair> {
     let mut pairs = Vec::with_capacity(n);
     for _ in 0..n {
         let fact = facts[rng.below(facts.len())];
@@ -166,14 +160,20 @@ mod tests {
     #[test]
     fn instruct_mixes_all_three_modes() {
         let pairs = instruct_sft(300, &mut Pcg32::seed(2));
-        let copies = pairs.iter().filter(|p| p.prompt.contains("Q:say it;")).count();
+        let copies = pairs
+            .iter()
+            .filter(|p| p.prompt.contains("Q:say it;"))
+            .count();
         let extraction = pairs
             .iter()
             .filter(|p| p.prompt.starts_with("C:") && !p.prompt.contains("Q:say it;"))
             .count();
         let plain_qa = pairs.iter().filter(|p| p.prompt.starts_with("Q:")).count();
         assert!(copies > 50, "copy mode underrepresented: {copies}");
-        assert!(extraction > 70, "extraction mode underrepresented: {extraction}");
+        assert!(
+            extraction > 70,
+            "extraction mode underrepresented: {extraction}"
+        );
         assert!(plain_qa > 50, "generic QA underrepresented: {plain_qa}");
     }
 

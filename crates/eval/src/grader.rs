@@ -234,6 +234,10 @@ mod tests {
             "",
             &[],
         );
-        assert!(grade.score >= 25 && grade.score <= 75, "got {}", grade.score);
+        assert!(
+            grade.score >= 25 && grade.score <= 75,
+            "got {}",
+            grade.score
+        );
     }
 }

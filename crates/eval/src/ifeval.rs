@@ -91,9 +91,9 @@ impl Instruction {
             Instruction::ExcludeKeyword(k) => {
                 format!("Do not use the word \"{k}\" anywhere in your answer.")
             }
-            Instruction::KeywordFrequency { keyword, at_least } => format!(
-                "Use the word \"{keyword}\" at least {at_least} times in your answer."
-            ),
+            Instruction::KeywordFrequency { keyword, at_least } => {
+                format!("Use the word \"{keyword}\" at least {at_least} times in your answer.")
+            }
             Instruction::AllUppercase => {
                 "Write your entire answer in uppercase letters.".to_string()
             }
@@ -106,9 +106,7 @@ impl Instruction {
             Instruction::NumParagraphs(n) => format!(
                 "Structure your answer into exactly {n} paragraphs separated by blank lines."
             ),
-            Instruction::JsonObject => {
-                "Format your entire answer as a JSON object.".to_string()
-            }
+            Instruction::JsonObject => "Format your entire answer as a JSON object.".to_string(),
             Instruction::QuotedResponse => {
                 "Wrap your entire answer in double quotation marks.".to_string()
             }
@@ -137,15 +135,11 @@ impl Instruction {
                 let t = trimmed.trim_end_matches(['.', '!', '?', '"']);
                 t.to_lowercase().ends_with(&p.to_lowercase())
             }
-            Instruction::StartsWith(p) => {
-                trimmed
-                    .trim_start_matches('"')
-                    .to_lowercase()
-                    .starts_with(&p.to_lowercase())
-            }
-            Instruction::IncludeKeyword(k) =>
-
-                contains_word(trimmed, k),
+            Instruction::StartsWith(p) => trimmed
+                .trim_start_matches('"')
+                .to_lowercase()
+                .starts_with(&p.to_lowercase()),
+            Instruction::IncludeKeyword(k) => contains_word(trimmed, k),
             Instruction::ExcludeKeyword(k) => !contains_word(trimmed, k),
             Instruction::KeywordFrequency { keyword, at_least } => {
                 word_frequency(trimmed, keyword) >= *at_least
@@ -331,7 +325,10 @@ mod tests {
     fn keyword_constraints() {
         let inc = Instruction::IncludeKeyword("timing".into());
         assert!(inc.check_strict("check the TIMING report"));
-        assert!(!inc.check_strict("check the timings report"), "whole word only");
+        assert!(
+            !inc.check_strict("check the timings report"),
+            "whole word only"
+        );
         let exc = Instruction::ExcludeKeyword("gui".into());
         assert!(exc.check_strict("use the command line"));
         assert!(!exc.check_strict("open the GUI now"));

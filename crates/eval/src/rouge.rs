@@ -110,7 +110,10 @@ mod tests {
     #[test]
     fn longer_overlap_scores_higher() {
         let reference = "navigate to timing report and select setup tab";
-        let good = rouge_l("navigate to timing report then select the setup tab", reference);
+        let good = rouge_l(
+            "navigate to timing report then select the setup tab",
+            reference,
+        );
         let weak = rouge_l("open the gui and click around", reference);
         assert!(good.f1 > weak.f1 + 0.3);
     }

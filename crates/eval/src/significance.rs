@@ -125,7 +125,10 @@ mod tests {
             .map(|x| x + (f64::from(rng.uniform()) - 0.5) * 0.8)
             .collect();
         let r = paired_bootstrap(&a_noisy, &b, 500, 3).expect("valid");
-        assert!(r.p_value > 0.001, "tiny noisy deltas should not be certain: {r:?}");
+        assert!(
+            r.p_value > 0.001,
+            "tiny noisy deltas should not be certain: {r:?}"
+        );
     }
 
     #[test]

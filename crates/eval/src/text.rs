@@ -140,7 +140,9 @@ mod tests {
     fn loose_variants_include_stripped_and_trimmed() {
         let text = "*Title*\nbody line\nlast line";
         let variants = loose_variants(text);
-        assert!(variants.iter().any(|v| v.contains("Title") && !v.contains('*')));
+        assert!(variants
+            .iter()
+            .any(|v| v.contains("Title") && !v.contains('*')));
         assert!(variants.iter().any(|v| !v.contains("Title")));
         assert!(variants.iter().any(|v| !v.contains("last line")));
         // Single-line plain text yields just itself.

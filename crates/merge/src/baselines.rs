@@ -541,9 +541,8 @@ mod tests {
     fn soup_is_elementwise_mean() {
         let (_, a, b) = trio();
         let soup = ModelSoup::new().merge_pair(&a, &b).expect("ok");
-        let expected = a.map_tensors(|name, t| {
-            t.lerp(b.get(name).expect("conformable"), 0.5).expect("ok")
-        });
+        let expected =
+            a.map_tensors(|name, t| t.lerp(b.get(name).expect("conformable"), 0.5).expect("ok"));
         assert!(soup.approx_eq(&expected, 1e-5));
     }
 
@@ -735,7 +734,10 @@ mod tests {
     fn della_rejects_bad_probabilities() {
         let (base, _, _) = trio();
         assert!(Della::new(base.clone(), 1.0, 0.0, 1.0, 1).is_err());
-        assert!(Della::new(base.clone(), 0.1, 0.5, 1.0, 1).is_err(), "window escapes [0,1)");
+        assert!(
+            Della::new(base.clone(), 0.1, 0.5, 1.0, 1).is_err(),
+            "window escapes [0,1)"
+        );
         assert!(Della::new(base, 0.5, 0.2, 0.0, 1).is_err());
     }
 

@@ -92,11 +92,9 @@ mod tests {
         assert!(MergeError::BadLambda { lambda: 1.5 }
             .to_string()
             .contains("1.5"));
-        assert!(MergeError::NotConformable {
-            reason: "x".into()
-        }
-        .to_string()
-        .contains("not conformable"));
+        assert!(MergeError::NotConformable { reason: "x".into() }
+            .to_string()
+            .contains("not conformable"));
         assert!(MergeError::NotEnoughModels {
             given: 1,
             required: 2

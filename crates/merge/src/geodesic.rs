@@ -642,7 +642,10 @@ mod tests {
             .expect("valid")
             .merge_pair(&chip, &instruct)
             .expect("ok");
-        assert!(!geo.approx_eq(&raw, 1e-4), "ablation must be distinguishable");
+        assert!(
+            !geo.approx_eq(&raw, 1e-4),
+            "ablation must be distinguishable"
+        );
     }
 
     #[test]

@@ -89,10 +89,7 @@ pub trait Merger {
 }
 
 /// Verifies the conformability precondition shared by all mergers.
-pub(crate) fn check_conformable(
-    a: &Checkpoint,
-    b: &Checkpoint,
-) -> Result<(), MergeError> {
+pub(crate) fn check_conformable(a: &Checkpoint, b: &Checkpoint) -> Result<(), MergeError> {
     match a.conformability_error(b) {
         None => Ok(()),
         Some(reason) => Err(MergeError::NotConformable { reason }),

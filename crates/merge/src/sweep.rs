@@ -27,9 +27,7 @@ pub struct SweepPoint {
 #[must_use]
 pub fn lambda_grid(steps: usize) -> Vec<f32> {
     assert!(steps >= 2, "a lambda sweep needs at least both endpoints");
-    (0..steps)
-        .map(|i| i as f32 / (steps - 1) as f32)
-        .collect()
+    (0..steps).map(|i| i as f32 / (steps - 1) as f32).collect()
 }
 
 /// Merges `chip` and `instruct` at every λ in `lambdas`.
@@ -79,7 +77,10 @@ mod tests {
         let chip = Checkpoint::random(&arch, &mut Pcg32::seed(1));
         let instruct = Checkpoint::random(&arch, &mut Pcg32::seed(2));
         let points = lambda_sweep(&chip, &instruct, &lambda_grid(3)).expect("ok");
-        assert!(points[0].model.approx_eq(&instruct, 1e-5), "λ=0 is instruct");
+        assert!(
+            points[0].model.approx_eq(&instruct, 1e-5),
+            "λ=0 is instruct"
+        );
         assert!(points[2].model.approx_eq(&chip, 1e-5), "λ=1 is chip");
         assert!(!points[1].model.approx_eq(&chip, 1e-5));
     }
@@ -94,7 +95,10 @@ mod tests {
         let points = lambda_sweep(&chip, &instruct, &lambda_grid(5)).expect("ok");
         let norms: Vec<f64> = points.iter().map(|p| p.model.global_norm()).collect();
         for w in norms.windows(2) {
-            assert!(w[1] > w[0], "norms must increase along the sweep: {norms:?}");
+            assert!(
+                w[1] > w[0],
+                "norms must increase along the sweep: {norms:?}"
+            );
         }
     }
 

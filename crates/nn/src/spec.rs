@@ -615,10 +615,7 @@ mod tests {
         }
         let stats = spec.stats();
         assert_eq!(out, expected, "degraded transcript drifted from plain");
-        assert!(
-            !spec.spec_enabled,
-            "a draft panic must disable speculation"
-        );
+        assert!(!spec.spec_enabled, "a draft panic must disable speculation");
         assert_eq!(stats.draft_panics, 1, "exactly one panic (then disabled)");
         assert_eq!(stats.fallbacks, 1);
         assert_eq!(stats.proposed, 0);

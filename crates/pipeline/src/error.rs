@@ -78,10 +78,7 @@ mod tests {
 
     #[test]
     fn display_and_source() {
-        let e: PipelineError = NnError::BadConfig {
-            detail: "x".into(),
-        }
-        .into();
+        let e: PipelineError = NnError::BadConfig { detail: "x".into() }.into();
         assert!(e.to_string().contains("nn error"));
         assert!(e.source().is_some());
         let b = PipelineError::BadConfig {

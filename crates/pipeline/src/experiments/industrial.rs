@@ -40,16 +40,13 @@ pub fn eval_subset(
     questions: &[IndustrialQuestion],
 ) -> Result<IndustrialScores, PipelineError> {
     let rubric = Rubric::default();
-    let mut single: std::collections::HashMap<IndustrialCategory, Vec<f64>> =
-        Default::default();
-    let mut multi: std::collections::HashMap<IndustrialCategory, Vec<f64>> =
-        Default::default();
+    let mut single: std::collections::HashMap<IndustrialCategory, Vec<f64>> = Default::default();
+    let mut multi: std::collections::HashMap<IndustrialCategory, Vec<f64>> = Default::default();
     let mut single_all = Vec::new();
     let mut multi_all = Vec::new();
 
     for q in questions {
-        let instructions: Vec<Instruction> =
-            q.tags.iter().map(|t| t.instruction()).collect();
+        let instructions: Vec<Instruction> = q.tags.iter().map(|t| t.instruction()).collect();
         let first_answer = respond(model, &q.prompt())?;
         let g1: Grade = rubric.grade(&first_answer, &q.golden, &q.context, &instructions);
         single
@@ -92,8 +89,16 @@ pub fn table2(zoo: &Zoo, bench_seed: u64) -> Result<TextTable, PipelineError> {
     let mut table = TextTable::new(
         "Table 2: graded scores on the industrial chip QA benchmark (single | multi turn)",
         &[
-            "S-ARCH", "S-BUILD", "S-LSF", "S-TESTGEN", "S-All", "M-ARCH", "M-BUILD",
-            "M-LSF", "M-TESTGEN", "M-All",
+            "S-ARCH",
+            "S-BUILD",
+            "S-LSF",
+            "S-TESTGEN",
+            "S-All",
+            "M-ARCH",
+            "M-BUILD",
+            "M-LSF",
+            "M-TESTGEN",
+            "M-All",
         ],
         2,
     );

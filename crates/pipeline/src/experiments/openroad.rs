@@ -216,10 +216,7 @@ pub fn table1(zoo: &Zoo, bench_seed: u64) -> Result<TextTable, PipelineError> {
     Ok(table)
 }
 
-fn merged_rows(
-    zoo: &Zoo,
-    backbone: Backbone,
-) -> Result<Vec<(String, TinyLm)>, PipelineError> {
+fn merged_rows(zoo: &Zoo, backbone: Backbone) -> Result<Vec<(String, TinyLm)>, PipelineError> {
     super::merged_variants(zoo, backbone)
 }
 
@@ -243,10 +240,7 @@ pub fn fig8(zoo: &Zoo, bench_seed: u64, steps: usize) -> Result<TextTable, Pipel
         let eda = zoo.model(ZooModel::Eda(backbone))?.to_checkpoint()?;
         let mut scores = Vec::with_capacity(lambdas.len());
         for &lambda in &lambdas {
-            eprintln!(
-                "[fig8] {} lambda={lambda:.1}...",
-                backbone.paper_name()
-            );
+            eprintln!("[fig8] {} lambda={lambda:.1}...", backbone.paper_name());
             let merged = GeodesicMerge::new(lambda)?.merge_pair(&eda, &instruct)?;
             let model = TinyLm::from_checkpoint(&merged)?;
             let s = eval.eval_model(&model, ContextMode::Golden)?;

@@ -70,9 +70,7 @@ fn compare(
             model: label.clone(),
             rouge_f1: rouge_l(&response, golden).f1,
             grade: grade.score,
-            follows_instructions: instructions
-                .iter()
-                .all(|i| i.check_strict(&response)),
+            follows_instructions: instructions.iter().all(|i| i.check_strict(&response)),
             response,
         });
     }
@@ -114,8 +112,7 @@ pub fn fig5(zoo: &Zoo, bench_seed: u64) -> Result<Comparison, PipelineError> {
         ),
         chipalign,
     ];
-    let instructions: Vec<Instruction> =
-        triplet.tags.iter().map(|t| t.instruction()).collect();
+    let instructions: Vec<Instruction> = triplet.tags.iter().map(|t| t.instruction()).collect();
     compare(
         &models,
         &triplet.prompt(),
@@ -152,8 +149,7 @@ pub fn fig6(zoo: &Zoo, bench_seed: u64) -> Result<Comparison, PipelineError> {
             super::chipalign_large(zoo)?,
         ),
     ];
-    let instructions: Vec<Instruction> =
-        question.tags.iter().map(|t| t.instruction()).collect();
+    let instructions: Vec<Instruction> = question.tags.iter().map(|t| t.instruction()).collect();
     compare(
         &models,
         &question.prompt(),

@@ -550,7 +550,11 @@ mod tests {
     #[test]
     fn arch_sizes_are_valid_and_distinct() {
         for q in [Quality::Smoke, Quality::Paper] {
-            for b in [Backbone::QwenTiny, Backbone::LlamaTiny, Backbone::LlamaLarge] {
+            for b in [
+                Backbone::QwenTiny,
+                Backbone::LlamaTiny,
+                Backbone::LlamaLarge,
+            ] {
                 let arch = b.arch(q);
                 arch.check().expect("zoo arch must be valid");
                 assert_eq!(arch.vocab_size, 99);

@@ -96,10 +96,22 @@ mod tests {
 
     fn corpus() -> Vec<DocumentChunk> {
         vec![
-            chunk(0, "global placement optimizes the wirelength of standard cells"),
-            chunk(1, "clock tree synthesis balances skew across the clock network"),
-            chunk(2, "detailed routing resolves design rule violations after track assignment"),
-            chunk(3, "the timing report window shows setup and hold slack per path"),
+            chunk(
+                0,
+                "global placement optimizes the wirelength of standard cells",
+            ),
+            chunk(
+                1,
+                "clock tree synthesis balances skew across the clock network",
+            ),
+            chunk(
+                2,
+                "detailed routing resolves design rule violations after track assignment",
+            ),
+            chunk(
+                3,
+                "the timing report window shows setup and hold slack per path",
+            ),
         ]
     }
 

@@ -134,7 +134,9 @@ mod tests {
         // Every word appears in some chunk.
         for w in &words {
             assert!(
-                chunks.iter().any(|c| c.text.split_whitespace().any(|x| x == w)),
+                chunks
+                    .iter()
+                    .any(|c| c.text.split_whitespace().any(|x| x == w)),
                 "word {w} lost"
             );
         }

@@ -30,8 +30,7 @@ impl EmbeddingIndex {
     pub(crate) fn build(chunks: &[DocumentChunk]) -> Self {
         let n_docs = chunks.len();
         let mut df: HashMap<String, usize> = HashMap::new();
-        let tokenized: Vec<Vec<String>> =
-            chunks.iter().map(|c| tokenize(&c.text)).collect();
+        let tokenized: Vec<Vec<String>> = chunks.iter().map(|c| tokenize(&c.text)).collect();
         for tokens in &tokenized {
             let mut seen: Vec<&String> = tokens.iter().collect();
             seen.sort_unstable();

@@ -76,8 +76,7 @@ impl Retriever {
         }
         let lexical = self.bm25.query(query, CANDIDATES_PER_STAGE);
         let dense = self.embeddings.query(query, CANDIDATES_PER_STAGE);
-        let mut fused: std::collections::HashMap<usize, f64> =
-            std::collections::HashMap::new();
+        let mut fused: std::collections::HashMap<usize, f64> = std::collections::HashMap::new();
         for (rank, (idx, _)) in lexical.iter().enumerate() {
             *fused.entry(*idx).or_insert(0.0) += 1.0 / (RRF_K + rank as f64 + 1.0);
         }
@@ -121,10 +120,26 @@ mod tests {
 
     fn retriever() -> Retriever {
         let docs = vec![
-            Document::new(0, "placement", "global placement optimizes the wirelength of standard cells across the die"),
-            Document::new(1, "cts", "clock tree synthesis balances skew across the clock distribution network"),
-            Document::new(2, "routing", "detailed routing resolves design rule violations after track assignment"),
-            Document::new(3, "timing", "the timing report window shows setup and hold slack for each path group"),
+            Document::new(
+                0,
+                "placement",
+                "global placement optimizes the wirelength of standard cells across the die",
+            ),
+            Document::new(
+                1,
+                "cts",
+                "clock tree synthesis balances skew across the clock distribution network",
+            ),
+            Document::new(
+                2,
+                "routing",
+                "detailed routing resolves design rule violations after track assignment",
+            ),
+            Document::new(
+                3,
+                "timing",
+                "the timing report window shows setup and hold slack for each path group",
+            ),
         ];
         Retriever::build(Chunker::default().chunk_all(&docs))
     }
@@ -132,7 +147,10 @@ mod tests {
     #[test]
     fn fused_retrieval_finds_relevant_doc() {
         let r = retriever();
-        assert_eq!(r.retrieve("how to view setup and hold slack", 1)[0].doc_id, 3);
+        assert_eq!(
+            r.retrieve("how to view setup and hold slack", 1)[0].doc_id,
+            3
+        );
         assert_eq!(r.retrieve("balancing clock skew", 1)[0].doc_id, 1);
     }
 

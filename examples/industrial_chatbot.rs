@@ -25,8 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bench = IndustrialBenchmark::generate(3);
     let question = &bench.questions[0];
     let rubric = Rubric::default();
-    let instructions: Vec<Instruction> =
-        question.tags.iter().map(|t| t.instruction()).collect();
+    let instructions: Vec<Instruction> = question.tags.iter().map(|t| t.instruction()).collect();
 
     println!("\n--- turn 1 ({}) ---", question.category.label());
     println!("engineer : {}", question.question);

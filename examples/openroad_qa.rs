@@ -25,7 +25,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cache_dir: None,
     })?;
     let backbone = Backbone::LlamaTiny;
-    println!("training the {} chain at smoke scale...", backbone.paper_name());
+    println!(
+        "training the {} chain at smoke scale...",
+        backbone.paper_name()
+    );
     let instruct = zoo.model(ZooModel::Instruct(backbone))?;
     let eda = zoo.model(ZooModel::Eda(backbone))?;
     let chipalign = merged_variants(&zoo, backbone)?

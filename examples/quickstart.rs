@@ -50,7 +50,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Contrast with naive averaging: the soup's norms collapse toward the
     // chord, the geodesic merge stays on the manifold.
     let soup = ModelSoup::new().merge_pair(&chip, &instruct)?;
-    println!("model-soup norm:   {:.4} (chord shrinkage)", soup.global_norm());
+    println!(
+        "model-soup norm:   {:.4} (chord shrinkage)",
+        soup.global_norm()
+    );
     println!(
         "input norms:       {:.4} / {:.4}",
         chip.global_norm(),

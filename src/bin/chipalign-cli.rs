@@ -63,7 +63,11 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     };
     let ckpt = load(path)?;
     println!("architecture : {}", ckpt.arch());
-    println!("parameters   : {} tensors, {} scalars", ckpt.param_count(), ckpt.scalar_count());
+    println!(
+        "parameters   : {} tensors, {} scalars",
+        ckpt.param_count(),
+        ckpt.scalar_count()
+    );
     println!("global norm  : {:.4}", ckpt.global_norm());
     println!("finite       : {}", ckpt.all_finite());
     if !ckpt.metadata().is_empty() {
@@ -121,7 +125,10 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
     let chip_path = flags.get("chip").ok_or("--chip is required")?;
     let instruct_path = flags.get("instruct").ok_or("--instruct is required")?;
-    let out = flags.get("o").or(flags.get("out")).ok_or("-o is required")?;
+    let out = flags
+        .get("o")
+        .or(flags.get("out"))
+        .ok_or("-o is required")?;
     let lambda: f32 = flags
         .get("lambda")
         .map_or(Ok(0.6), |s| s.parse().map_err(|_| "bad --lambda"))?;
@@ -164,7 +171,12 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
     let chip_path = flags.get("chip").ok_or("--chip is required")?;
     let instruct_path = flags.get("instruct").ok_or("--instruct is required")?;
-    let out_dir = PathBuf::from(flags.get("o").or(flags.get("out")).ok_or("-o is required")?);
+    let out_dir = PathBuf::from(
+        flags
+            .get("o")
+            .or(flags.get("out"))
+            .ok_or("-o is required")?,
+    );
     let steps: usize = flags
         .get("steps")
         .map_or(Ok(11), |s| s.parse().map_err(|_| "bad --steps"))?;

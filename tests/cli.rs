@@ -160,7 +160,9 @@ fn diff_reports_the_delta_and_checks_its_arguments() {
         .collect();
     assert!(!listed.is_empty(), "{said}");
     assert!(
-        listed.iter().all(|l| l.contains(" rel ") && l.contains(" cos ")),
+        listed
+            .iter()
+            .all(|l| l.contains(" rel ") && l.contains(" cos ")),
         "{said}"
     );
 
@@ -173,7 +175,10 @@ fn diff_reports_the_delta_and_checks_its_arguments() {
     let out = cli(&dir, &["diff", "chip.calt"]);
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("diff takes exactly two checkpoint paths"), "{err}");
+    assert!(
+        err.contains("diff takes exactly two checkpoint paths"),
+        "{err}"
+    );
     assert!(err.contains("usage:"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -2,9 +2,7 @@
 //! flow from the transformer substrate through serialization into every
 //! merging method and back into a runnable model.
 
-use chipalign::merge::{
-    sweep, Della, GeodesicMerge, Merger, ModelSoup, TaskArithmetic, Ties,
-};
+use chipalign::merge::{sweep, Della, GeodesicMerge, Merger, ModelSoup, TaskArithmetic, Ties};
 use chipalign::model::{format, ArchSpec};
 use chipalign::nn::TinyLm;
 use chipalign::tensor::rng::Pcg32;
@@ -69,7 +67,11 @@ fn trained_models_round_trip_through_serialization_and_merge() {
             .merge_pair(&chip_ckpt, &instruct_ckpt)
             .unwrap_or_else(|e| panic!("{} failed: {e}", merger.name()));
         merged.validate().expect("merged checkpoint validates");
-        assert!(merged.all_finite(), "{} produced non-finite weights", merger.name());
+        assert!(
+            merged.all_finite(),
+            "{} produced non-finite weights",
+            merger.name()
+        );
         let model = TinyLm::from_checkpoint(&merged).expect("runnable");
         let logits = model.logits(&[1, 10, 60]).expect("forward works");
         assert!(logits.all_finite(), "{} model produced NaNs", merger.name());
@@ -103,9 +105,8 @@ fn benchmarks_and_metrics_compose() {
     use chipalign::rag::{Chunker, Retriever};
 
     let bench = OpenRoadBenchmark::generate(123);
-    let retriever = Retriever::build(
-        Chunker::default().chunk_all(&OpenRoadBenchmark::corpus_documents()),
-    );
+    let retriever =
+        Retriever::build(Chunker::default().chunk_all(&OpenRoadBenchmark::corpus_documents()));
     // RAG retrieval finds the golden fact for most questions.
     let mut hits = 0;
     for t in &bench.triplets {

@@ -39,9 +39,13 @@ fn zoo_trains_and_merges_end_to_end() {
     // OpenROAD eval on a small subset, both context modes.
     let eval = OpenRoadEval::new(11);
     let subset = &eval.triplets()[..6];
-    let instruct = zoo.model(ZooModel::Instruct(Backbone::LlamaTiny)).expect("ok");
+    let instruct = zoo
+        .model(ZooModel::Instruct(Backbone::LlamaTiny))
+        .expect("ok");
     for mode in [ContextMode::Golden, ContextMode::Rag] {
-        let scores = eval.eval_subset(&instruct, subset, mode).expect("eval runs");
+        let scores = eval
+            .eval_subset(&instruct, subset, mode)
+            .expect("eval runs");
         assert!(
             (0.0..=1.0).contains(&scores.all),
             "rouge must be a fraction, got {}",
@@ -53,7 +57,9 @@ fn zoo_trains_and_merges_end_to_end() {
 #[test]
 fn ifeval_and_multichoice_runners_produce_valid_reports() {
     let zoo = smoke_zoo();
-    let model = zoo.model(ZooModel::Instruct(Backbone::LlamaTiny)).expect("ok");
+    let model = zoo
+        .model(ZooModel::Instruct(Backbone::LlamaTiny))
+        .expect("ok");
 
     let prompts = ifeval_bench::generate(11);
     let report = ifeval::eval_subset(&model, &prompts[..12]).expect("runs");
