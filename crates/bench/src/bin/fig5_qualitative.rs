@@ -7,6 +7,7 @@
 //! ```
 
 use chipalign_bench::harness;
+use chipalign_model::json::ToJson;
 use chipalign_pipeline::experiments::qualitative;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -14,5 +15,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let comparison = qualitative::fig5(&zoo, harness::BENCH_SEED)?;
     println!("Figure 5: OpenROAD QA qualitative comparison\n");
     println!("{}", comparison.render());
+    let out = harness::results_dir()?.join("fig5.json");
+    std::fs::write(&out, comparison.to_json().to_pretty())?;
+    println!("saved {}", out.display());
     Ok(())
 }

@@ -6,6 +6,7 @@
 //! ```
 
 use chipalign_bench::harness;
+use chipalign_model::json::ToJson;
 use chipalign_pipeline::experiments::qualitative;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -13,5 +14,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let comparison = qualitative::fig6(&zoo, harness::BENCH_SEED)?;
     println!("Figure 6: industrial chip QA qualitative comparison\n");
     println!("{}", comparison.render());
+    let out = harness::results_dir()?.join("fig6.json");
+    std::fs::write(&out, comparison.to_json().to_pretty())?;
+    println!("saved {}", out.display());
     Ok(())
 }

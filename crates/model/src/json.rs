@@ -474,7 +474,7 @@ macro_rules! unsigned {
         }
     )*};
 }
-unsigned!(u32, u64, usize);
+unsigned!(u8, u32, u64, usize);
 
 impl ToJson for f64 {
     fn to_json(&self) -> Value {

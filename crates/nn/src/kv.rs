@@ -104,7 +104,7 @@ use chipalign_tensor::tune::GEMM_SKINNY_M_MAX;
 use chipalign_tensor::{backend, Matrix, QuantizedMatrix};
 
 use crate::kvpool::{key_slot, BlockLayer, KvBlock, KvDtype, KvPool, KvPoolConfig};
-use crate::model::{rope_rotate, rope_sin_cos, TinyLm};
+use crate::model::{rmsnorm_row, rope_rotate, rope_sin_cos, TinyLm};
 use crate::NnError;
 
 /// Pinned per-logit tolerance for int8-KV decoding against the f32
@@ -931,15 +931,15 @@ fn add_rows(h: &mut Matrix, delta: &Matrix) {
         .expect("residual shapes are fixed by the architecture");
 }
 
-/// RMSNorm of each given row (same ε as [`crate::TinyLm::forward`]),
-/// stacked into a matrix.
+/// RMSNorm of each given row ([`rmsnorm_row`], as in
+/// [`crate::TinyLm::forward`]), stacked into a matrix.
 fn rmsnorm_rows<'a>(rows: impl Iterator<Item = &'a [f32]>, gain: &[f32]) -> Matrix {
     let d = gain.len();
     let mut out = Vec::with_capacity(rows.size_hint().0 * d);
     for x in rows {
-        let ms = x.iter().map(|&v| v * v).sum::<f32>() / x.len() as f32;
-        let rms = (ms + 1e-5).sqrt();
-        out.extend(x.iter().zip(gain).map(|(&v, &g)| v * g / rms));
+        let start = out.len();
+        out.resize(start + d, 0.0);
+        rmsnorm_row(x, gain, &mut out[start..]);
     }
     Matrix::from_vec(out.len() / d, d, out).expect("whole rows")
 }

@@ -55,7 +55,6 @@ pub struct TinyLm {
 #[derive(Debug, Clone)]
 pub struct ForwardCache {
     tokens: Vec<u32>,
-    h0: Matrix,
     layers: Vec<LayerCache>,
     final_rms: Vec<f32>,
     h_final_in: Matrix,
@@ -269,7 +268,6 @@ impl TinyLm {
             h.row_mut(t)
                 .copy_from_slice(self.params.embed.row(tok as usize));
         }
-        let h0 = h.clone();
 
         let mut layer_caches = Vec::with_capacity(self.arch.n_layers);
         for layer in &self.params.layers {
@@ -336,7 +334,6 @@ impl TinyLm {
 
         let cache = ForwardCache {
             tokens: tokens.to_vec(),
-            h0,
             layers: layer_caches,
             final_rms,
             h_final_in,
@@ -468,7 +465,6 @@ impl TinyLm {
                 *g += v;
             }
         }
-        let _ = &cache.h0; // h0 retained for diagnostics; embedding grad uses token ids.
         Ok(grads)
     }
 }
@@ -487,24 +483,26 @@ fn itertools_rev<'a>(
         .map(|((l, c), g)| (l, c, g))
 }
 
-/// RMSNorm forward: `y_t = g ⊙ x_t / rms(x_t)` with
-/// `rms = sqrt(mean(x²) + ε)`. Returns the output and per-row rms values.
+/// RMSNorm of one row, the one every forward runs: writes
+/// `y = g ⊙ x / rms` into `y` and returns `rms = sqrt(mean(x²) + ε)`.
+pub(crate) fn rmsnorm_row(x: &[f32], gain: &[f32], y: &mut [f32]) -> f32 {
+    let ms = x.iter().map(|&v| v * v).sum::<f32>() / x.len() as f32;
+    let rms = (ms + RMS_EPS).sqrt();
+    for ((y, &v), &g) in y.iter_mut().zip(x).zip(gain) {
+        *y = g * v / rms;
+    }
+    rms
+}
+
+/// RMSNorm forward over every row of `x`. Returns the output and per-row
+/// rms values.
 fn rmsnorm_forward(x: &Matrix, gain: &Matrix) -> (Matrix, Vec<f32>) {
     let (rows, cols) = x.shape();
     let mut y = Matrix::zeros(rows, cols);
-    let mut rms_all = Vec::with_capacity(rows);
-    let g = gain.data();
-    for r in 0..rows {
-        let xr = x.row(r);
-        let ms = xr.iter().map(|&v| v * v).sum::<f32>() / cols as f32;
-        let rms = (ms + RMS_EPS).sqrt();
-        let yr = y.row_mut(r);
-        for c in 0..cols {
-            yr[c] = g[c] * xr[c] / rms;
-        }
-        rms_all.push(rms);
-    }
-    (y, rms_all)
+    let rms = (0..rows)
+        .map(|r| rmsnorm_row(x.row(r), gain.data(), y.row_mut(r)))
+        .collect();
+    (y, rms)
 }
 
 /// RMSNorm backward. Returns `(dx, dgain)`.

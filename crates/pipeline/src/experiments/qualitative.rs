@@ -5,36 +5,42 @@ use chipalign_data::openroad::OpenRoadBenchmark;
 use chipalign_eval::grader::Rubric;
 use chipalign_eval::ifeval::Instruction;
 use chipalign_eval::rouge::rouge_l;
+use chipalign_model::json_struct;
 use chipalign_nn::TinyLm;
 
 use crate::evalkit::respond;
 use crate::zoo::{Backbone, Zoo, ZooModel};
 use crate::PipelineError;
 
-/// One model's response with its scores.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QualitativeResponse {
-    /// Model label.
-    pub(crate) model: String,
-    /// The raw response text.
-    pub(crate) response: String,
-    /// ROUGE-L F1 vs the golden answer.
-    pub(crate) rouge_f1: f64,
-    /// Rubric grade (the Figure-6 style evaluation score).
-    pub(crate) grade: u8,
-    /// Whether every directive in the prompt was strictly followed.
-    pub(crate) follows_instructions: bool,
+json_struct! {
+    /// One model's response with its scores.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct QualitativeResponse {
+        /// Model label.
+        pub(crate) model: String,
+        /// The raw response text.
+        pub(crate) response: String,
+        /// ROUGE-L F1 vs the golden answer.
+        pub(crate) rouge_f1: f64,
+        /// Rubric grade (the Figure-6 style evaluation score).
+        pub(crate) grade: u8,
+        /// Whether every directive in the prompt was strictly followed.
+        pub(crate) follows_instructions: bool,
+    }
 }
 
-/// A rendered qualitative comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Comparison {
-    /// The full prompt shown to every model.
-    pub(crate) prompt: String,
-    /// The golden answer.
-    pub(crate) golden: String,
-    /// One entry per model.
-    pub responses: Vec<QualitativeResponse>,
+json_struct! {
+    /// A rendered qualitative comparison; its JSON form is what the
+    /// Figure 5 and 6 binaries write.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Comparison {
+        /// The full prompt shown to every model.
+        pub(crate) prompt: String,
+        /// The golden answer.
+        pub(crate) golden: String,
+        /// One entry per model.
+        pub responses: Vec<QualitativeResponse>,
+    }
 }
 
 impl Comparison {

@@ -1,66 +1,62 @@
 //! The model registry: every checkpoint the server can put behind a spec.
 //!
-//! Three kinds of spec resolve to a servable model:
+//! # Spec grammar
 //!
-//! * **Zoo slugs** (`instruct-qwen`, `eda-qwen`, `chipnemo`, …) — trained
-//!   on demand by [`chipalign_pipeline::zoo::Zoo`] and loaded from its
-//!   on-disk cache (`artifacts/zoo`) when present.
-//! * **Geodesic merges** (`merge:<chip>+<instruct>@<λ>`) — materialized on
-//!   demand with [`chipalign_merge::GeodesicMerge`] from two zoo
-//!   ingredients and cached per λ, so hot-swapping a served model to a new
-//!   interpolation point is one `load` request, no restart.
-//! * **Checkpoint files** (`file:<path>.calt`) — loaded with
-//!   [`chipalign_model::format`].
-//! * **Int8 variants** (`<spec>#int8`) — any of the above with the decode
-//!   projections quantized to per-row-scaled int8 at load. The f32
-//!   ingredient resolves through the same cache first (so it is shared
-//!   with f32 traffic), then a quantized clone is cached under its own
-//!   `…#int8` key. A quantized merge key still starts with `merge:` and
-//!   therefore counts toward, and can be evicted by, the merge bound.
-//! * **Int8 KV variants** (`<spec>#kv8`) — any of the above served with an
-//!   int8-quantized paged KV pool ([`chipalign_nn::KvDtype::Int8`]).
-//!   Unlike `#int8`, the suffix does not change the weights: the base spec
-//!   resolves (and is cached) under its own key, and only the *returned*
-//!   key carries `#kv8`, which [`ModelRegistry::kv_pool_for`] maps to a
-//!   separate int8 pool for the same model allocation. Composes with
-//!   `#int8` in either order; the canonical key is `…#int8#kv8`.
-//! * **Speculative specs** (`spec:<target>|<draft>@<k>`) — target and
-//!   draft are any two of the forms above (their vocabularies must
-//!   match). Sessions decode the *target*, with the draft proposing `k`
-//!   tokens per round for batched verification
-//!   ([`chipalign_nn::SpecDecoder`]); greedy output stays byte-identical
-//!   to serving the target alone. Resolving warms both models
-//!   ([`ModelRegistry::resolve_spec_str`]); KV pool and dtype selection
-//!   follow the target segment, so `spec:m#kv8|d@4` verifies against an
-//!   int8 KV pool exactly like plain `m#kv8` traffic.
+//! Every spec the server accepts and every key it hands back is a
+//! sentence of this grammar. [`ModelSpec::parse`] is the only code that
+//! reads it, into one tree, and [`ModelSpec::key`] prints that tree back:
 //!
-//! All materialized models live behind `Arc`s in one cache keyed by a
-//! canonical spec string; [`ModelRegistry::register`] inserts programmatic
-//! models (tests, canaries) under arbitrary names.
+//! ```text
+//! spec    = "spec:" model "|" model "@" k      (* k binds to the last "@" *)
+//!         | model ;
+//! model   = weights [ "#int8" ] [ "#kv8" ] ;   (* either order, each once *)
+//! weights = "merge:" slug "+" slug "@" lambda  (* lambda binds to the last "@" *)
+//!         | "file:" path                       (* a .calt checkpoint *)
+//!         | slug                               (* a zoo model *)
+//!         | name ;                             (* a registered model *)
+//! lambda  = a float in [0, 1], keyed to four decimals ;
+//! k       = an integer in [1, SPEC_K_MAX] ;
+//! ```
+//!
+//! Whitespace around a spec, a pair segment or a suffix is dropped, `#kv8`
+//! anywhere but in the suffix is rejected, and pairs do not nest. A key
+//! is canonical: `@0.6` and `@0.60` both print `@0.6000`, and the
+//! suffixes print `#int8#kv8`.
+//!
+//! Zoo slugs (`instruct-qwen`, `chipnemo`, …) are trained on demand by
+//! [`chipalign_pipeline::zoo::Zoo`] or loaded from its disk cache. A merge
+//! is built with [`chipalign_merge::GeodesicMerge`] at the λ its key names
+//! and cached per λ, so moving a served model along the geodesic is one
+//! `load` request. Names are models inserted with
+//! [`ModelRegistry::register`]. `#int8` resolves the f32 weights under
+//! their own key (shared with f32 traffic), then caches a clone with
+//! int8-quantized projections under the `…#int8` key. `#kv8` changes no
+//! weights: only the returned key carries it, and
+//! [`ModelRegistry::kv_pool_for`] maps it to an int8 KV pool
+//! ([`chipalign_nn::KvDtype::Int8`]). A pair's sessions decode the target
+//! while the draft proposes `k` tokens a round
+//! ([`chipalign_nn::SpecDecoder`]), with output byte-identical to the
+//! target alone; the vocabularies must match, and pool and KV dtype follow
+//! the target.
 //!
 //! # Concurrency and bounds
 //!
 //! Materialization is deduplicated *per key*: concurrent resolves of the
 //! same spec elect one builder while the rest wait on a latch and adopt
 //! the builder's result, and resolves of *different* specs build in
-//! parallel (the old registry serialized every build behind one global
-//! lock). If a builder fails, a waiter takes over and retries rather than
-//! echoing the stale error. The cache itself is bounded for merge keys:
-//! beyond 32 cached merges (a bound tests lower) the
-//! least-recently-used `merge:` entry is evicted and counted in the
-//! `merge_evictions` metric — a λ-sweep can no longer grow the cache
-//! without limit. Zoo slugs and registered names are never evicted.
+//! parallel. If a builder fails, a waiter takes over and retries rather
+//! than echoing the stale error. Beyond 32 cached merges (a bound tests
+//! lower), f32 and `#int8` alike, the least-recently-used merge is evicted
+//! and counted in `merge_evictions`. Other entries are never evicted.
 //!
 //! # Integrity
 //!
-//! The registry never serves a checkpoint it hasn't vetted: merged models
-//! are validated ([`Checkpoint::validate`]) and scanned for non-finite
-//! weights before they are cached, and a poisoned merge is reported as a
-//! structured error rather than entering the cache. With a persist
-//! directory configured ([`ModelRegistry::with_persist_dir`]), merges are
-//! saved crash-safely and a torn or corrupted persisted file is detected
-//! at load, counted in `checksum_failures`, removed, and rebuilt from its
-//! ingredients.
+//! Merged models are validated ([`Checkpoint::validate`]) and scanned for
+//! non-finite weights before they are cached; a poisoned merge is a
+//! structured error. With a persist directory
+//! ([`ModelRegistry::with_persist_dir`]), merges are saved crash-safely,
+//! and a torn or corrupted persisted file is counted in
+//! `checksum_failures`, removed, and rebuilt from its ingredients.
 
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -89,157 +85,204 @@ fn is_integrity_error(e: &ModelError) -> bool {
 /// Every zoo model the registry can name.
 #[must_use]
 pub(crate) fn all_zoo_models() -> Vec<ZooModel> {
-    let mut models = Vec::new();
-    for b in [
-        Backbone::QwenTiny,
-        Backbone::LlamaTiny,
-        Backbone::LlamaLarge,
-    ] {
-        models.push(ZooModel::Base(b));
-        models.push(ZooModel::Instruct(b));
-    }
-    models.push(ZooModel::Eda(Backbone::QwenTiny));
-    models.push(ZooModel::Eda(Backbone::LlamaTiny));
-    models.push(ZooModel::ChipNemo);
-    models.push(ZooModel::GeneralStrong);
-    models.push(ZooModel::RagEda);
-    models
+    use Backbone::{LlamaLarge, LlamaTiny, QwenTiny};
+    use ZooModel::{Base, ChipNemo, Eda, GeneralStrong, Instruct, RagEda};
+    let pairs = [QwenTiny, LlamaTiny, LlamaLarge].map(|b| [Base(b), Instruct(b)]);
+    let eda = [Eda(QwenTiny), Eda(LlamaTiny)];
+    let rest = [ChipNemo, GeneralStrong, RagEda];
+    pairs.into_iter().flatten().chain(eda).chain(rest).collect()
 }
 
 fn zoo_model_from_slug(slug: &str) -> Option<ZooModel> {
     all_zoo_models().into_iter().find(|m| m.slug() == slug)
 }
 
-/// Strips an int8-KV request from a spec string: returns the base spec
-/// with the `#kv8` marker removed when present (`None` when the spec does
-/// not request int8 KV). `#kv8` composes with `#int8` in either order —
-/// the base is normalized to trailing `#int8` so both orders share one
-/// cache entry — but stacking `#kv8` twice or burying it mid-spec is
-/// rejected.
-fn strip_kv8(spec: &str) -> Result<Option<String>, ServeError> {
-    match spec.matches("#kv8").count() {
-        0 => return Ok(None),
-        1 => {}
-        _ => {
-            return Err(ServeError::BadRequest {
-                detail: format!("spec {spec:?} stacks #kv8 more than once"),
-            })
-        }
-    }
-    if let Some(base) = spec.strip_suffix("#kv8") {
-        return Ok(Some(base.to_string()));
-    }
-    if let Some(tail) = spec.strip_suffix("#int8") {
-        if let Some(base) = tail.strip_suffix("#kv8") {
-            return Ok(Some(format!("{base}#int8")));
-        }
-    }
-    Err(ServeError::BadRequest {
-        detail: format!("#kv8 must suffix the spec, got {spec:?}"),
-    })
+fn bad_request(detail: String) -> ServeError {
+    ServeError::BadRequest { detail }
 }
 
-/// A parsed model specification.
+/// Locks a registry mutex, recovering from poisoning: every critical
+/// section is a single map or set operation that cannot be observed
+/// half-done, even if a panic interrupted a previous holder.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The weights a model spec names.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum ModelSpec {
+pub(crate) enum Weights {
     /// A zoo model by slug.
     Zoo(ZooModel),
-    /// A ChipAlign geodesic merge of two zoo models at `lambda`.
+    /// A geodesic merge of `chip` and `instruct` at `lambda`, already
+    /// rounded to the four decimals its key prints.
     Merged {
-        /// The domain-adapted ingredient (first merge argument).
         chip: ZooModel,
-        /// The instruction-aligned ingredient.
         instruct: ZooModel,
-        /// The interpolation point in `[0, 1]`.
         lambda: f32,
     },
     /// A checkpoint file in the crate's `.calt` format.
     File(PathBuf),
-    /// An int8-quantized variant of another spec (`<spec>#int8`).
-    Quantized(Box<ModelSpec>),
+    /// A model inserted with [`ModelRegistry::register`].
+    Named(String),
+}
+
+/// One servable model: weights, whether they are quantized to int8 at
+/// load, and whether its sessions use an int8 KV pool.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Variant {
+    pub(crate) weights: Weights,
+    pub(crate) int8: bool,
+    pub(crate) kv8: bool,
+}
+
+/// A parsed spec: the one tree every registry entry point starts from.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum ModelSpec {
+    One(Variant),
+    /// `spec:<target>|<draft>@<k>`.
+    Pair {
+        target: Variant,
+        draft: Variant,
+        k: usize,
+    },
 }
 
 impl ModelSpec {
-    /// Parses a spec string.
-    ///
-    /// Grammar: `<zoo-slug>` | `merge:<chip-slug>+<instruct-slug>@<λ>` |
-    /// `file:<path>`, each optionally suffixed `#int8` for the quantized
-    /// variant.
+    /// Parses a spec (the grammar is in the module docs).
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::UnknownModel`] for unknown slugs and
-    /// [`ServeError::BadRequest`] for malformed merge specs or a stacked
-    /// `#int8#int8` suffix.
-    pub(crate) fn parse(spec: &str) -> Result<Self, ServeError> {
-        let spec = spec.trim();
-        if let Some(inner) = spec.strip_suffix("#int8") {
-            if inner.ends_with("#int8") {
-                return Err(ServeError::BadRequest {
-                    detail: format!("spec {spec:?} stacks #int8 more than once"),
-                });
-            }
-            return Ok(ModelSpec::Quantized(Box::new(ModelSpec::parse(inner)?)));
+    /// [`ServeError::UnknownModel`] for an unknown merge ingredient,
+    /// [`ServeError::BadRequest`] for anything else malformed. Any other
+    /// name parses; it fails at resolve if nothing is registered under it.
+    pub(crate) fn parse(text: &str) -> Result<Self, ServeError> {
+        let text = text.trim();
+        let Some(rest) = text.strip_prefix("spec:") else {
+            return Variant::parse(text).map(ModelSpec::One);
+        };
+        let needs = |what| bad_request(format!("speculative spec {text:?} needs {what}"));
+        let (pair, k) = rest.rsplit_once('@').ok_or_else(|| needs("`@<k>`"))?;
+        let (target, draft) = pair
+            .split_once('|')
+            .ok_or_else(|| needs("`<target>|<draft>`"))?;
+        match k.parse() {
+            Ok(k) if (1..=SPEC_K_MAX).contains(&k) => Ok(ModelSpec::Pair {
+                target: Variant::parse(target)?,
+                draft: Variant::parse(draft)?,
+                k,
+            }),
+            _ => Err(needs("a draft length in [1, SPEC_K_MAX]")),
         }
-        if let Some(path) = spec.strip_prefix("file:") {
-            if path.is_empty() {
-                return Err(ServeError::BadRequest {
-                    detail: "file: spec needs a path".into(),
-                });
-            }
-            return Ok(ModelSpec::File(PathBuf::from(path)));
-        }
-        if let Some(rest) = spec.strip_prefix("merge:") {
-            let (pair, lambda_str) =
-                rest.rsplit_once('@')
-                    .ok_or_else(|| ServeError::BadRequest {
-                        detail: format!("merge spec {spec:?} needs `@<lambda>`"),
-                    })?;
-            let (chip_slug, instruct_slug) =
-                pair.split_once('+').ok_or_else(|| ServeError::BadRequest {
-                    detail: format!("merge spec {spec:?} needs `<chip>+<instruct>`"),
-                })?;
-            let chip = zoo_model_from_slug(chip_slug).ok_or_else(|| ServeError::UnknownModel {
-                spec: chip_slug.to_string(),
-            })?;
-            let instruct =
-                zoo_model_from_slug(instruct_slug).ok_or_else(|| ServeError::UnknownModel {
-                    spec: instruct_slug.to_string(),
-                })?;
-            let lambda: f32 = lambda_str.parse().map_err(|_| ServeError::BadRequest {
-                detail: format!("bad lambda {lambda_str:?} in {spec:?}"),
-            })?;
-            if !lambda.is_finite() || !(0.0..=1.0).contains(&lambda) {
-                return Err(ServeError::BadRequest {
-                    detail: format!("lambda must lie in [0, 1], got {lambda}"),
-                });
-            }
-            return Ok(ModelSpec::Merged {
-                chip,
-                instruct,
-                lambda,
-            });
-        }
-        zoo_model_from_slug(spec)
-            .map(ModelSpec::Zoo)
-            .ok_or_else(|| ServeError::UnknownModel {
-                spec: spec.to_string(),
-            })
     }
 
-    /// The canonical cache key (λ normalized to four decimals so `0.6` and
-    /// `0.60` hit the same entry).
+    /// The canonical key: `parse(key())` gives this tree back.
     #[must_use]
     pub(crate) fn key(&self) -> String {
         match self {
-            ModelSpec::Zoo(m) => m.slug(),
-            ModelSpec::Merged {
+            ModelSpec::One(v) => v.key(),
+            ModelSpec::Pair { target, draft, k } => {
+                format!("spec:{}|{}@{k}", target.key(), draft.key())
+            }
+        }
+    }
+
+    /// The model sessions decode: the only one, or a pair's target.
+    fn target(&self) -> &Variant {
+        match self {
+            ModelSpec::One(v) | ModelSpec::Pair { target: v, .. } => v,
+        }
+    }
+}
+
+impl Variant {
+    fn parse(text: &str) -> Result<Self, ServeError> {
+        let bad = |why: &str| bad_request(format!("spec {text:?} {why}"));
+        let mut rest = text.trim();
+        let (mut int8, mut kv8) = (false, false);
+        loop {
+            let (flag, base) = if let Some(base) = rest.strip_suffix("#int8") {
+                (&mut int8, base)
+            } else if let Some(base) = rest.strip_suffix("#kv8") {
+                (&mut kv8, base)
+            } else {
+                break;
+            };
+            if std::mem::replace(flag, true) {
+                return Err(bad("stacks a suffix more than once"));
+            }
+            rest = base.trim_end();
+        }
+        let weights = if rest.contains("#kv8") {
+            return Err(bad("has #kv8 before its end"));
+        } else if rest.starts_with("spec:") {
+            return Err(bad("nests a speculative pair"));
+        } else if let Some(path) = rest.strip_prefix("file:") {
+            if path.is_empty() {
+                return Err(bad("needs a path"));
+            }
+            Weights::File(PathBuf::from(path))
+        } else if let Some(merge) = rest.strip_prefix("merge:") {
+            Weights::parse_merge(merge, bad)?
+        } else if let Some(m) = zoo_model_from_slug(rest) {
+            Weights::Zoo(m)
+        } else {
+            Weights::Named(rest.to_string())
+        };
+        Ok(Variant { weights, int8, kv8 })
+    }
+
+    /// The canonical key sessions and pools are routed by.
+    fn key(&self) -> String {
+        let kv8 = if self.kv8 { "#kv8" } else { "" };
+        format!("{}{kv8}", self.cache_key())
+    }
+
+    /// The key the weights are cached under: `#kv8` picks a pool, not
+    /// weights, so it never has a cache entry of its own.
+    fn cache_key(&self) -> String {
+        let int8 = if self.int8 { "#int8" } else { "" };
+        match &self.weights {
+            Weights::Zoo(m) => format!("{}{int8}", m.slug()),
+            Weights::Merged {
                 chip,
                 instruct,
                 lambda,
-            } => format!("merge:{}+{}@{:.4}", chip.slug(), instruct.slug(), lambda),
-            ModelSpec::File(p) => format!("file:{}", p.display()),
-            ModelSpec::Quantized(inner) => format!("{}#int8", inner.key()),
+            } => format!(
+                "merge:{}+{}@{lambda:.4}{int8}",
+                chip.slug(),
+                instruct.slug()
+            ),
+            Weights::File(path) => format!("file:{}{int8}", path.display()),
+            Weights::Named(name) => format!("{name}{int8}"),
+        }
+    }
+}
+
+impl Weights {
+    /// `<chip>+<instruct>@<λ>`, the text after `merge:`.
+    fn parse_merge(merge: &str, bad: impl Fn(&str) -> ServeError) -> Result<Self, ServeError> {
+        let (pair, lambda) = merge
+            .rsplit_once('@')
+            .ok_or_else(|| bad("needs `@<lambda>`"))?;
+        let (chip, instruct) = pair
+            .split_once('+')
+            .ok_or_else(|| bad("needs `<chip>+<instruct>`"))?;
+        let zoo = |slug: &str| {
+            zoo_model_from_slug(slug).ok_or_else(|| ServeError::UnknownModel {
+                spec: slug.to_string(),
+            })
+        };
+        let (chip, instruct) = (zoo(chip)?, zoo(instruct)?);
+        match lambda.parse::<f32>() {
+            // The key prints four decimals; building the merge at that λ
+            // makes a cached model the one its key names, whoever asked
+            // first.
+            Ok(l) if (0.0..=1.0).contains(&l) => Ok(Weights::Merged {
+                chip,
+                instruct,
+                lambda: format!("{l:.4}").parse().expect("a printed f32"),
+            }),
+            _ => Err(bad("needs a lambda in [0, 1]")),
         }
     }
 }
@@ -263,11 +306,12 @@ pub struct SpecResolution {
     pub k: usize,
 }
 
-/// One cached model plus its LRU stamp (bumped on every hit; only merge
-/// keys are ever evicted by stamp).
+/// One cached model, its LRU stamp (bumped on every hit), and whether it
+/// is a merge: only merges count toward, and are evicted by, the bound.
 struct CacheEntry {
     model: Arc<TinyLm>,
     stamp: u64,
+    merge: bool,
 }
 
 /// The materialized-model cache: entries plus the monotonic LRU clock.
@@ -280,42 +324,34 @@ struct ModelCache {
 impl ModelCache {
     fn get(&mut self, key: &str) -> Option<Arc<TinyLm>> {
         self.clock += 1;
-        let stamp = self.clock;
         let entry = self.entries.get_mut(key)?;
-        entry.stamp = stamp;
+        entry.stamp = self.clock;
         Some(Arc::clone(&entry.model))
     }
 
-    fn insert(&mut self, key: String, model: Arc<TinyLm>) {
+    /// Inserts a model, then evicts least-recently-used merges until at
+    /// most `capacity` remain; returns how many went.
+    fn insert(&mut self, key: String, model: Arc<TinyLm>, merge: bool, capacity: usize) -> u64 {
         self.clock += 1;
         let stamp = self.clock;
-        self.entries.insert(key, CacheEntry { model, stamp });
-    }
-
-    fn merge_count(&self) -> usize {
-        self.entries
-            .keys()
-            .filter(|k| k.starts_with("merge:"))
-            .count()
-    }
-
-    /// Removes the least-recently-used `merge:` entry; returns whether one
-    /// existed. Non-merge entries (zoo slugs, registered names) are never
-    /// victims.
-    fn evict_lru_merge(&mut self) -> bool {
-        let victim = self
+        let entry = CacheEntry {
+            model,
+            stamp,
+            merge,
+        };
+        self.entries.insert(key, entry);
+        let mut merges: Vec<(u64, String)> = self
             .entries
             .iter()
-            .filter(|(k, _)| k.starts_with("merge:"))
-            .min_by_key(|(_, e)| e.stamp)
-            .map(|(k, _)| k.clone());
-        match victim {
-            Some(key) => {
-                self.entries.remove(&key);
-                true
-            }
-            None => false,
+            .filter(|(_, e)| e.merge)
+            .map(|(k, e)| (e.stamp, k.clone()))
+            .collect();
+        let excess = merges.len().saturating_sub(capacity);
+        merges.sort_unstable();
+        for (_, key) in &merges[..excess] {
+            self.entries.remove(key);
         }
+        excess as u64
     }
 }
 
@@ -335,7 +371,7 @@ pub struct ModelRegistry {
     /// waiters re-check the cache — or claim the build themselves if the
     /// previous builder failed.
     build_ready: Condvar,
-    /// Most `merge:` entries kept in the cache before LRU eviction.
+    /// Most merges kept in the cache before LRU eviction.
     merge_capacity: usize,
     /// When set, merged checkpoints are persisted here (crash-safely) and
     /// reloaded instead of re-merged on later resolves.
@@ -343,12 +379,9 @@ pub struct ModelRegistry {
     /// Attached by the server so integrity failures show up in
     /// `checksum_failures`; absent in library use.
     metrics: OnceLock<Arc<Metrics>>,
-    /// One paged KV pool per (model *allocation*, KV dtype), created
-    /// lazily by [`ModelRegistry::kv_pool`] /
-    /// [`ModelRegistry::kv_pool_for`] — f32 and `#kv8` traffic against the
-    /// same weights draw from separate pools. Keys are weak so an evicted
-    /// model's pools die with their last session; dead slots are pruned on
-    /// access.
+    /// One paged KV pool per (model *allocation*, KV dtype), created on
+    /// first use. Keys are weak so an evicted model's pools die with their
+    /// last session; dead slots are pruned on access.
     kv_pools: Mutex<Vec<KvPoolSlot>>,
     /// Shape of pools created by [`ModelRegistry::kv_pool`].
     kv_pool_cfg: KvPoolConfig,
@@ -363,24 +396,15 @@ struct BuildGuard<'a> {
 
 impl Drop for BuildGuard<'_> {
     fn drop(&mut self) {
-        let mut building = self
-            .registry
-            .building
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        building.remove(self.key);
+        lock(&self.registry.building).remove(self.key);
         self.registry.build_ready.notify_all();
     }
 }
 
 impl std::fmt::Debug for ModelRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ModelRegistry({:?}, {} cached)",
-            self.zoo,
-            self.loaded().len()
-        )
+        let cached = lock(&self.cache).entries.len();
+        write!(f, "ModelRegistry({:?}, {cached} cached)", self.zoo)
     }
 }
 
@@ -401,18 +425,6 @@ impl ModelRegistry {
         }
     }
 
-    /// Bounds the number of cached `merge:` models (default 32). Beyond
-    /// it the least-recently-used merge is evicted (and counted in
-    /// `merge_evictions`); the next resolve of an evicted λ rebuilds it —
-    /// or reloads it from the persist directory when one is configured.
-    /// Clamped to at least 1. Zoo slugs and registered names are exempt.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn with_merge_capacity(mut self, capacity: usize) -> Self {
-        self.merge_capacity = capacity.max(1);
-        self
-    }
-
     /// Configures a directory where merged checkpoints are persisted
     /// (crash-safely, via write-to-temp-then-rename) and reloaded from on
     /// later resolves instead of re-merging. The directory is created if
@@ -423,21 +435,6 @@ impl ModelRegistry {
         let dir = dir.into();
         let _ = std::fs::create_dir_all(&dir);
         self.persist_dir = Some(dir);
-        self
-    }
-
-    /// Configures the shape of paged KV pools handed out by
-    /// [`ModelRegistry::kv_pool`] (block size and per-model block
-    /// capacity). Zero fields are clamped to 1. Pools already created keep
-    /// their old shape, so call this before serving traffic.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn with_kv_pool_config(mut self, cfg: KvPoolConfig) -> Self {
-        self.kv_pool_cfg = KvPoolConfig {
-            block_tokens: cfg.block_tokens.max(1),
-            max_blocks: cfg.max_blocks.max(1),
-            dtype: cfg.dtype,
-        };
         self
     }
 
@@ -452,37 +449,20 @@ impl ModelRegistry {
         self.pool_with_dtype(model, self.kv_pool_cfg.dtype)
     }
 
-    /// The KV dtype sessions resolved under `key` should use: canonical
-    /// `…#kv8` keys get int8 KV, everything else the configured default.
-    /// For `spec:` keys the *target* segment decides — the draft keeps its
-    /// own private cache and never touches a shared pool.
+    /// Like [`ModelRegistry::kv_pool`], but honours a `#kv8` suffix on the
+    /// canonical key returned by [`ModelRegistry::resolve_str`] — the
+    /// server's session-pool lookup. For a `spec:` key the *target*
+    /// decides; the draft keeps its own private cache.
     #[must_use]
-    pub(crate) fn kv_dtype_for(&self, key: &str) -> KvDtype {
-        if Self::spec_target_segment(key).ends_with("#kv8") {
-            KvDtype::Int8
-        } else {
-            self.kv_pool_cfg.dtype
+    pub fn kv_pool_for(&self, key: &str, model: &Arc<TinyLm>) -> Arc<KvPool> {
+        match ModelSpec::parse(key) {
+            Ok(spec) if spec.target().kv8 => self.pool_with_dtype(model, KvDtype::Int8),
+            _ => self.kv_pool(model),
         }
     }
 
-    /// The target segment of a canonical `spec:` key (the whole key when
-    /// it is not speculative). KV pool and dtype routing follow it.
-    fn spec_target_segment(key: &str) -> &str {
-        key.strip_prefix("spec:")
-            .and_then(|rest| rest.split_once('|'))
-            .map_or(key, |(target, _)| target)
-    }
-
-    /// Like [`ModelRegistry::kv_pool`], but honours a `#kv8` suffix on the
-    /// canonical key returned by [`ModelRegistry::resolve_str`] — the
-    /// server's session-pool lookup.
-    #[must_use]
-    pub fn kv_pool_for(&self, key: &str, model: &Arc<TinyLm>) -> Arc<KvPool> {
-        self.pool_with_dtype(model, self.kv_dtype_for(key))
-    }
-
     fn pool_with_dtype(&self, model: &Arc<TinyLm>, dtype: KvDtype) -> Arc<KvPool> {
-        let mut pools = self.kv_pools.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut pools = lock(&self.kv_pools);
         pools.retain(|(w, _, _)| w.strong_count() > 0);
         if let Some((_, _, pool)) = pools
             .iter()
@@ -508,38 +488,25 @@ impl ModelRegistry {
     /// is already cached.
     pub fn attach_metrics(&self, metrics: Arc<Metrics>) {
         let _ = self.metrics.set(metrics);
-        let cache = self.cache_lock();
-        self.refresh_weights_gauge(&cache);
-    }
-
-    /// Locks the model cache, recovering from poisoning: cache mutations
-    /// are single map operations that cannot be observed half-done, so the
-    /// map is always consistent even if a panic interrupted a previous
-    /// holder.
-    fn cache_lock(&self) -> MutexGuard<'_, ModelCache> {
-        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+        self.refresh_weights_gauge(&lock(&self.cache));
     }
 
     /// Cache lookup that releases the lock before returning: a
-    /// `cache_lock().get(..)` written straight into an `if let` scrutinee
-    /// keeps its guard alive to the end of the block, which deadlocks the
-    /// moment that block calls [`Self::cache_insert`].
+    /// `lock(&self.cache).get(..)` written straight into an `if let`
+    /// scrutinee keeps its guard alive to the end of the block, which
+    /// deadlocks the moment that block calls [`Self::cache_insert`].
     fn cache_get(&self, key: &str) -> Option<Arc<TinyLm>> {
-        self.cache_lock().get(key)
+        lock(&self.cache).get(key)
     }
 
     /// Inserts into the cache and restores the merge-capacity bound,
-    /// counting any evictions.
-    fn cache_insert(&self, key: String, model: Arc<TinyLm>) {
-        let mut cache = self.cache_lock();
-        cache.insert(key, model);
-        while cache.merge_count() > self.merge_capacity {
-            if !cache.evict_lru_merge() {
-                break;
-            }
-            if let Some(m) = self.metrics.get() {
-                m.add(Counter::MergeEvictions, 1);
-            }
+    /// counting any evictions. `merge` says whether the entry counts
+    /// toward that bound.
+    fn cache_insert(&self, key: String, model: Arc<TinyLm>, merge: bool) {
+        let mut cache = lock(&self.cache);
+        let evicted = cache.insert(key, model, merge, self.merge_capacity);
+        if let Some(m) = self.metrics.get() {
+            m.add(Counter::MergeEvictions, evicted);
         }
         self.refresh_weights_gauge(&cache);
     }
@@ -559,131 +526,73 @@ impl ModelRegistry {
         }
     }
 
-    /// Registers a model under an arbitrary name (hot-swap path for
-    /// programmatically built checkpoints), replacing any previous entry.
+    /// Registers a model under a name (hot-swap path for programmatically
+    /// built checkpoints), replacing any previous entry. Specs reach it as
+    /// a `name` of the grammar in the module docs, `#int8` and `#kv8`
+    /// included.
     pub fn register(&self, name: &str, model: TinyLm) -> Arc<TinyLm> {
         let arc = Arc::new(model);
-        self.cache_insert(name.to_string(), Arc::clone(&arc));
+        self.cache_insert(name.to_string(), Arc::clone(&arc), false);
         arc
     }
 
     /// Resolves a spec string to a servable model, materializing it on
-    /// first use. Returns the canonical key together with the model.
+    /// first use. Returns the canonical key together with the model; a
+    /// `spec:` pair resolves to its *target* (the draft is warmed too, so a
+    /// `load` request readies both).
     ///
     /// # Errors
     ///
     /// Returns spec-parse errors, and forwards zoo-training, merge, and
     /// checkpoint-I/O failures.
     pub fn resolve_str(&self, spec: &str) -> Result<(String, Arc<TinyLm>), ServeError> {
-        // Registered names take priority and need no parse.
-        let trimmed = spec.trim();
-        if let Some(m) = self.cache_get(trimmed) {
-            return Ok((trimmed.to_string(), m));
+        let spec = ModelSpec::parse(spec)?;
+        match self.resolve_pair(&spec)? {
+            Some(res) => Ok((res.key, res.target)),
+            None => Ok((spec.key(), self.resolve(spec.target())?)),
         }
-        // `spec:` keys resolve to their *target* model (the draft is warmed
-        // too, so a `load` request readies both); sessions that want the
-        // draft pairing go through `resolve_spec_str` instead.
-        if trimmed.starts_with("spec:") {
-            let res = self
-                .resolve_spec_str(trimmed)?
-                .expect("spec: prefix was just checked");
-            return Ok((res.key, res.target));
-        }
-        // `#kv8` selects the int8 KV pool, not different weights: resolve
-        // (and cache) the base spec under its own key, and only the
-        // returned key carries the suffix — no `…#kv8` cache entry, so the
-        // weights gauge never double-counts the shared allocation.
-        if let Some(base) = strip_kv8(trimmed)? {
-            let (key, model) = self.resolve_str(&base)?;
-            return Ok((format!("{key}#kv8"), model));
-        }
-        let parsed = match ModelSpec::parse(trimmed) {
-            Ok(parsed) => parsed,
-            Err(err) => {
-                // `<registered-name>#int8`: a quantized variant of a model
-                // that was registered programmatically, so the inner name
-                // has no spec grammar. Two concurrent callers may both
-                // quantize; the second insert wins — same bytes either way.
-                if let Some(inner) = trimmed.strip_suffix("#int8") {
-                    if let Some(base) = self.cache_get(inner) {
-                        let mut model = (*base).clone();
-                        model.quantize();
-                        let arc = Arc::new(model);
-                        self.cache_insert(trimmed.to_string(), Arc::clone(&arc));
-                        return Ok((trimmed.to_string(), arc));
-                    }
-                }
-                return Err(err);
-            }
-        };
-        let model = self.resolve(&parsed)?;
-        Ok((parsed.key(), model))
     }
 
     /// Resolves a speculative-decoding spec, `spec:<target>|<draft>@<k>`.
     ///
-    /// Returns `Ok(None)` when `spec` has no `spec:` prefix — callers that
+    /// Returns `Ok(None)` for any other well-formed spec — callers that
     /// accept both plain and speculative specs try this first and fall
-    /// through to [`ModelRegistry::resolve_str`]. Target and draft are any
-    /// two non-speculative specs (zoo slugs, merges, files, registered
-    /// names, `#int8`/`#kv8` variants); `@<k>` binds to the *last* `@`, so
-    /// merge λs inside the target parse unambiguously. Both models
-    /// materialize through the shared cache.
+    /// through to [`ModelRegistry::resolve_str`]. Both models materialize
+    /// through the shared cache.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::BadRequest`] for a malformed pairing, a draft
-    /// length outside `[1, SPEC_K_MAX]`, or a draft whose vocabulary
-    /// differs from the target's (its proposals could never be verified),
-    /// and forwards resolution failures of either ingredient.
+    /// Returns spec-parse errors, [`ServeError::BadRequest`] for a draft
+    /// whose vocabulary differs from the target's (its proposals could
+    /// never be verified), and forwards resolution failures of either
+    /// ingredient.
     pub fn resolve_spec_str(&self, spec: &str) -> Result<Option<SpecResolution>, ServeError> {
-        let trimmed = spec.trim();
-        let Some(rest) = trimmed.strip_prefix("spec:") else {
+        self.resolve_pair(&ModelSpec::parse(spec)?)
+    }
+
+    fn resolve_pair(&self, spec: &ModelSpec) -> Result<Option<SpecResolution>, ServeError> {
+        let ModelSpec::Pair { target, draft, k } = spec else {
             return Ok(None);
         };
-        let (pair, k_str) = rest
-            .rsplit_once('@')
-            .ok_or_else(|| ServeError::BadRequest {
-                detail: format!("speculative spec {trimmed:?} needs `@<k>`"),
-            })?;
-        let (target_spec, draft_spec) =
-            pair.split_once('|').ok_or_else(|| ServeError::BadRequest {
-                detail: format!("speculative spec {trimmed:?} needs `<target>|<draft>`"),
-            })?;
-        if target_spec.starts_with("spec:") || draft_spec.starts_with("spec:") {
-            return Err(ServeError::BadRequest {
-                detail: format!("speculative specs do not nest, got {trimmed:?}"),
-            });
-        }
-        let k: usize = k_str.parse().map_err(|_| ServeError::BadRequest {
-            detail: format!("bad draft length {k_str:?} in {trimmed:?}"),
-        })?;
-        if !(1..=SPEC_K_MAX).contains(&k) {
-            return Err(ServeError::BadRequest {
-                detail: format!("draft length must lie in [1, {SPEC_K_MAX}], got {k}"),
-            });
-        }
-        let (target_key, target) = self.resolve_str(target_spec)?;
-        let (draft_key, draft) = self.resolve_str(draft_spec)?;
-        if draft.arch().vocab_size != target.arch().vocab_size {
-            return Err(ServeError::BadRequest {
-                detail: format!(
-                    "draft vocab ({}) must match target vocab ({})",
-                    draft.arch().vocab_size,
-                    target.arch().vocab_size
-                ),
-            });
+        let (target_model, draft_model) = (self.resolve(target)?, self.resolve(draft)?);
+        let vocab = |m: &TinyLm| m.arch().vocab_size;
+        if vocab(&draft_model) != vocab(&target_model) {
+            return Err(bad_request(format!(
+                "draft vocab ({}) must match target vocab ({})",
+                vocab(&draft_model),
+                vocab(&target_model)
+            )));
         }
         Ok(Some(SpecResolution {
-            key: format!("spec:{target_key}|{draft_key}@{k}"),
-            target_key,
-            target,
-            draft,
-            k,
+            key: spec.key(),
+            target_key: target.key(),
+            target: target_model,
+            draft: draft_model,
+            k: *k,
         }))
     }
 
-    /// Resolves a parsed spec, materializing it on first use.
+    /// Resolves one parsed model, materializing its weights on first use.
     ///
     /// Concurrent resolves of the same key build it exactly once: one
     /// caller is elected builder, the rest block until the build ends and
@@ -694,13 +603,13 @@ impl ModelRegistry {
     /// # Errors
     ///
     /// Forwards zoo-training, merge, and checkpoint-I/O failures.
-    pub(crate) fn resolve(&self, spec: &ModelSpec) -> Result<Arc<TinyLm>, ServeError> {
-        let key = spec.key();
+    fn resolve(&self, spec: &Variant) -> Result<Arc<TinyLm>, ServeError> {
+        let key = spec.cache_key();
         loop {
             if let Some(m) = self.cache_get(&key) {
                 return Ok(m);
             }
-            let mut building = self.building.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut building = lock(&self.building);
             if building.insert(key.clone()) {
                 break; // we are the builder for this key
             }
@@ -727,22 +636,33 @@ impl ModelRegistry {
         // Materialization (training, merging, disk I/O) runs without any
         // lock held — only the per-key claim above guards it.
         let built = Arc::new(self.materialize(spec, &key)?);
-        self.cache_insert(key.clone(), Arc::clone(&built));
+        let merge = matches!(spec.weights, Weights::Merged { .. });
+        self.cache_insert(key.clone(), Arc::clone(&built), merge);
         Ok(built)
     }
 
-    fn materialize(&self, spec: &ModelSpec, key: &str) -> Result<TinyLm, ServeError> {
+    fn materialize(&self, spec: &Variant, key: &str) -> Result<TinyLm, ServeError> {
         #[cfg(feature = "fault-inject")]
-        {
-            if crate::faults::should_fire(crate::faults::Site::RegistryResolve, key) {
-                return Err(ServeError::Internal {
-                    detail: format!("injected registry load failure for {key}"),
-                });
-            }
+        if crate::faults::should_fire(crate::faults::Site::RegistryResolve, key) {
+            return Err(ServeError::Internal {
+                detail: format!("injected registry load failure for {key}"),
+            });
         }
-        match spec {
-            ModelSpec::Zoo(m) => Ok(self.zoo.model(*m)?),
-            ModelSpec::Merged {
+        if spec.int8 {
+            // The f32 weights resolve through the cache under their own
+            // (different) key, so recursing cannot deadlock the per-key
+            // build claim — and f32 traffic shares them.
+            let f32_weights = Variant {
+                int8: false,
+                ..spec.clone()
+            };
+            let mut model = (*self.resolve(&f32_weights)?).clone();
+            model.quantize();
+            return Ok(model);
+        }
+        match &spec.weights {
+            Weights::Zoo(m) => Ok(self.zoo.model(*m)?),
+            Weights::Merged {
                 chip,
                 instruct,
                 lambda,
@@ -756,11 +676,9 @@ impl ModelRegistry {
                 let mut merged =
                     GeodesicMerge::new(*lambda)?.merge_pair(&chip_ckpt, &instruct_ckpt)?;
                 #[cfg(feature = "fault-inject")]
-                {
-                    if crate::faults::should_fire(crate::faults::Site::MergePoison, key) {
-                        if let Some(t) = merged.get_mut("model.norm.weight") {
-                            t.data_mut()[0] = f32::NAN;
-                        }
+                if crate::faults::should_fire(crate::faults::Site::MergePoison, key) {
+                    if let Some(t) = merged.get_mut("model.norm.weight") {
+                        t.data_mut()[0] = f32::NAN;
                     }
                 }
                 // Vet the merge before it can reach the cache or disk: a
@@ -775,7 +693,7 @@ impl ModelRegistry {
                 self.persist(key, &merged);
                 Ok(TinyLm::try_from(merged)?)
             }
-            ModelSpec::File(path) => {
+            Weights::File(path) => {
                 let ckpt = format::load(path).inspect_err(|e| {
                     if is_integrity_error(e) {
                         self.note_integrity_failure();
@@ -783,15 +701,8 @@ impl ModelRegistry {
                 })?;
                 Ok(TinyLm::try_from(ckpt)?)
             }
-            ModelSpec::Quantized(inner) => {
-                // The f32 ingredient resolves through the cache under its
-                // own (different) key, so recursing cannot deadlock the
-                // per-key build claim — and f32 traffic shares the base.
-                let base = self.resolve(inner)?;
-                let mut model = (*base).clone();
-                model.quantize();
-                Ok(model)
-            }
+            // A name is registered (and cached) or unknown: nothing builds it.
+            Weights::Named(name) => Err(ServeError::UnknownModel { spec: name.clone() }),
         }
     }
 
@@ -813,12 +724,9 @@ impl ModelRegistry {
     /// reported as a miss so the caller rebuilds from ingredients; only
     /// genuine I/O errors propagate.
     fn load_persisted(&self, key: &str) -> Result<Option<TinyLm>, ServeError> {
-        let Some(path) = self.persist_path(key) else {
+        let Some(path) = self.persist_path(key).filter(|p| p.exists()) else {
             return Ok(None);
         };
-        if !path.exists() {
-            return Ok(None);
-        }
         match format::load(&path) {
             Ok(ckpt) => Ok(Some(TinyLm::try_from(ckpt)?)),
             Err(e) if is_integrity_error(&e) => {
@@ -837,16 +745,14 @@ impl ModelRegistry {
             return;
         };
         #[cfg(feature = "fault-inject")]
-        {
-            if crate::faults::should_fire(crate::faults::Site::TornWrite, key) {
-                // Simulate a crash mid-write through a non-atomic writer:
-                // only the first half of the encoding reaches the final
-                // path. `format::save` itself never does this — that is
-                // the point of the injection.
-                let bytes = format::encode(merged);
-                let _ = std::fs::write(&path, &bytes[..bytes.len() / 2]);
-                return;
-            }
+        if crate::faults::should_fire(crate::faults::Site::TornWrite, key) {
+            // Simulate a crash mid-write through a non-atomic writer: only
+            // the first half of the encoding reaches the final path.
+            // `format::save` itself never does this — that is the point of
+            // the injection.
+            let bytes = format::encode(merged);
+            let _ = std::fs::write(&path, &bytes[..bytes.len() / 2]);
+            return;
         }
         let _ = format::save(merged, &path);
     }
@@ -857,17 +763,15 @@ impl ModelRegistry {
         }
     }
 
-    /// Evicts a materialized model; returns whether anything was removed.
-    /// The next request for the spec rebuilds it (hot-swap after a zoo
-    /// cache update).
+    /// Evicts the model cached under a spec's key; returns whether
+    /// anything was removed. The next request for the spec rebuilds it
+    /// (hot-swap after a zoo cache update).
     pub(crate) fn evict(&self, spec: &str) -> bool {
-        let key = match ModelSpec::parse(spec) {
-            Ok(parsed) => parsed.key(),
-            Err(_) => spec.trim().to_string(),
+        let Ok(spec) = ModelSpec::parse(spec) else {
+            return false;
         };
-        let mut cache = self.cache_lock();
-        let removed =
-            cache.entries.remove(&key).is_some() || cache.entries.remove(spec.trim()).is_some();
+        let mut cache = lock(&self.cache);
+        let removed = cache.entries.remove(&spec.key()).is_some();
         if removed {
             self.refresh_weights_gauge(&cache);
         }
@@ -877,22 +781,19 @@ impl ModelRegistry {
     /// Cache keys of every materialized model, sorted.
     #[must_use]
     pub(crate) fn loaded(&self) -> Vec<String> {
-        let mut keys: Vec<String> = self.cache_lock().entries.keys().cloned().collect();
-        keys.sort();
-        keys
+        let rows = self.loaded_details();
+        rows.into_iter().map(|(key, ..)| key).collect()
     }
 
     /// `(key, decode dtype, weight bytes)` for every materialized model,
     /// sorted by key — the admin `models` surface.
     #[must_use]
     pub(crate) fn loaded_details(&self) -> Vec<(String, &'static str, u64)> {
-        let cache = self.cache_lock();
-        let mut rows: Vec<(String, &'static str, u64)> = cache
+        let mut rows: Vec<_> = lock(&self.cache)
             .entries
             .iter()
             .map(|(k, e)| (k.clone(), e.model.dtype(), e.model.weights_bytes()))
             .collect();
-        drop(cache);
         rows.sort_by(|a, b| a.0.cmp(&b.0));
         rows
     }
@@ -915,20 +816,48 @@ mod tests {
         ModelRegistry::new(zoo)
     }
 
+    impl ModelRegistry {
+        /// Bounds the number of cached merges (default 32), clamped to at
+        /// least 1.
+        fn with_merge_capacity(mut self, capacity: usize) -> Self {
+            self.merge_capacity = capacity.max(1);
+            self
+        }
+
+        /// Configures the shape of paged KV pools handed out by
+        /// [`ModelRegistry::kv_pool`]; zero fields are clamped to 1.
+        fn with_kv_pool_config(mut self, cfg: KvPoolConfig) -> Self {
+            self.kv_pool_cfg = KvPoolConfig {
+                block_tokens: cfg.block_tokens.max(1),
+                max_blocks: cfg.max_blocks.max(1),
+                dtype: cfg.dtype,
+            };
+            self
+        }
+    }
+
     fn random_model(seed: u64) -> TinyLm {
         let mut arch = ArchSpec::tiny("reg");
         arch.vocab_size = 99;
         TinyLm::new(&arch, &mut Pcg32::seed(seed)).expect("model")
     }
 
+    /// One parsed model, or a panic.
+    fn one(text: &str) -> Variant {
+        match ModelSpec::parse(text).expect("parses") {
+            ModelSpec::One(v) => v,
+            pair => panic!("{text:?} parsed as a pair: {pair:?}"),
+        }
+    }
+
     #[test]
-    fn spec_parsing_accepts_the_three_forms() {
+    fn spec_parsing_accepts_the_four_weights() {
         assert_eq!(
-            ModelSpec::parse("instruct-qwen").expect("ok"),
-            ModelSpec::Zoo(ZooModel::Instruct(Backbone::QwenTiny))
+            one("instruct-qwen").weights,
+            Weights::Zoo(ZooModel::Instruct(Backbone::QwenTiny))
         );
-        match ModelSpec::parse("merge:eda-qwen+instruct-qwen@0.6").expect("ok") {
-            ModelSpec::Merged {
+        match one("merge:eda-qwen+instruct-qwen@0.6").weights {
+            Weights::Merged {
                 chip,
                 instruct,
                 lambda,
@@ -940,53 +869,54 @@ mod tests {
             other => panic!("wrong parse: {other:?}"),
         }
         assert!(matches!(
-            ModelSpec::parse("file:artifacts/zoo/x.calt").expect("ok"),
-            ModelSpec::File(_)
+            one("file:artifacts/zoo/x.calt").weights,
+            Weights::File(_)
         ));
+        assert_eq!(one("canary").weights, Weights::Named("canary".to_string()));
     }
 
     #[test]
     fn spec_parsing_rejects_garbage() {
-        assert!(matches!(
-            ModelSpec::parse("no-such-model"),
-            Err(ServeError::UnknownModel { .. })
-        ));
-        assert!(matches!(
-            ModelSpec::parse("merge:eda-qwen+instruct-qwen"),
-            Err(ServeError::BadRequest { .. })
-        ));
-        assert!(matches!(
-            ModelSpec::parse("merge:eda-qwen+instruct-qwen@1.5"),
-            Err(ServeError::BadRequest { .. })
-        ));
-        assert!(matches!(
-            ModelSpec::parse("merge:eda-qwen+instruct-qwen@nan"),
-            Err(ServeError::BadRequest { .. })
-        ));
+        for bad in [
+            "merge:eda-qwen+instruct-qwen",
+            "merge:eda-qwen+instruct-qwen@1.5",
+            "merge:eda-qwen+instruct-qwen@nan",
+            "file:",
+        ] {
+            assert!(
+                matches!(ModelSpec::parse(bad), Err(ServeError::BadRequest { .. })),
+                "{bad:?}"
+            );
+        }
         assert!(matches!(
             ModelSpec::parse("merge:bogus+instruct-qwen@0.5"),
             Err(ServeError::UnknownModel { .. })
         ));
-        assert!(matches!(
-            ModelSpec::parse("file:"),
-            Err(ServeError::BadRequest { .. })
-        ));
+        // Any other name parses (it may be registered) but resolves only
+        // once registered.
+        for unknown in ["no-such-model", "", "#int8"] {
+            assert!(
+                matches!(
+                    registry().resolve_str(unknown),
+                    Err(ServeError::UnknownModel { .. })
+                ),
+                "{unknown:?}"
+            );
+        }
     }
 
     #[test]
     fn spec_parsing_accepts_int8_suffix_on_every_form() {
         assert_eq!(
-            ModelSpec::parse("instruct-qwen#int8").expect("ok"),
-            ModelSpec::Quantized(Box::new(ModelSpec::Zoo(ZooModel::Instruct(
-                Backbone::QwenTiny
-            ))))
+            one("instruct-qwen#int8"),
+            Variant {
+                weights: Weights::Zoo(ZooModel::Instruct(Backbone::QwenTiny)),
+                int8: true,
+                kv8: false,
+            }
         );
         let merged = ModelSpec::parse("merge:eda-qwen+instruct-qwen@0.60#int8").expect("ok");
         assert_eq!(merged.key(), "merge:eda-qwen+instruct-qwen@0.6000#int8");
-        assert!(
-            merged.key().starts_with("merge:"),
-            "quantized merges stay under the merge eviction bound"
-        );
         assert_eq!(
             ModelSpec::parse("file:x.calt#int8").expect("ok").key(),
             "file:x.calt#int8"
@@ -1000,9 +930,179 @@ mod tests {
             Err(ServeError::BadRequest { .. })
         ));
         assert!(matches!(
-            ModelSpec::parse("no-such-model#int8"),
+            registry().resolve_str("no-such-model#int8"),
             Err(ServeError::UnknownModel { .. })
         ));
+    }
+
+    #[test]
+    fn parse_never_panics_and_key_is_its_fixed_point() {
+        // Strings built from the grammar's pieces, well-formed or not:
+        // parse either fails with a spec error or gives a tree that its
+        // own key parses back to.
+        const SLUGS: &[&str] = &["instruct-qwen", "eda-qwen", "base-large", "bogus", "", " "];
+        const LAMBDAS: &[&str] = &[
+            "0", "0.6", "0.60", "0.61234", "1", "1.5", "nan", "-0", "1e-5", "",
+        ];
+        const KS: &[&str] = &["1", "4", "31", "32", "0", "nan", "1.5", "+4", ""];
+        const NAMES: &[&str] = &["canary", "can#kv8ary", "a|b", "x+y", "a b", "#", "spec"];
+        const PATHS: &[&str] = &["x.calt", "", " a b.calt", "a@b", "a|b", "a#int8b"];
+        const SUFFIXES: &[&str] = &["#int8", "#kv8", " ", "#", "\t"];
+        const MARKERS: &[&str] = &[
+            "merge:",
+            "file:",
+            "spec:",
+            "#int8",
+            "#kv8",
+            "@",
+            "|",
+            "+",
+            " ",
+            "instruct-qwen",
+            "0.6",
+            "4",
+        ];
+        fn pick<'a>(rng: &mut Pcg32, from: &[&'a str]) -> &'a str {
+            from[rng.below(from.len())]
+        }
+        fn model(rng: &mut Pcg32) -> String {
+            let mut text = match rng.below(5) {
+                0 => pick(rng, SLUGS).to_string(),
+                1 => format!(
+                    "merge:{}+{}@{}",
+                    pick(rng, SLUGS),
+                    pick(rng, SLUGS),
+                    pick(rng, LAMBDAS)
+                ),
+                2 => format!("file:{}", pick(rng, PATHS)),
+                3 => pick(rng, NAMES).to_string(),
+                _ => (0..rng.range(1, 6)).map(|_| pick(rng, MARKERS)).collect(),
+            };
+            for _ in 0..rng.below(4) {
+                text.push_str(pick(rng, SUFFIXES));
+            }
+            text
+        }
+        let mut rng = Pcg32::seed(38);
+        let (mut parsed, mut pairs, mut merges) = (0, 0, 0);
+        for case in 0..12_000 {
+            let mut text = model(&mut rng);
+            if rng.chance(0.3) {
+                text = format!("spec:{text}|{}@{}", model(&mut rng), pick(&mut rng, KS));
+            }
+            if rng.chance(0.2) {
+                let at = rng.below(text.len() + 1);
+                if text.is_char_boundary(at) {
+                    text.insert_str(at, pick(&mut rng, MARKERS));
+                }
+            }
+            match ModelSpec::parse(&text) {
+                Ok(tree) => {
+                    parsed += 1;
+                    pairs += usize::from(matches!(tree, ModelSpec::Pair { .. }));
+                    merges += usize::from(matches!(tree.target().weights, Weights::Merged { .. }));
+                    let key = tree.key();
+                    let again = ModelSpec::parse(&key).ok();
+                    assert_eq!(
+                        again.as_ref(),
+                        Some(&tree),
+                        "case {case}: {text:?} -> {key:?}"
+                    );
+                    assert_eq!(again.map(|t| t.key()), Some(key), "case {case}: {text:?}");
+                }
+                Err(ServeError::BadRequest { .. } | ServeError::UnknownModel { .. }) => {}
+                Err(other) => panic!("case {case}: {text:?} failed with {other:?}"),
+            }
+        }
+        assert!(parsed > 2_000, "only {parsed} of 12000 cases parsed");
+        assert!(
+            pairs > 100 && merges > 100,
+            "{pairs} pairs, {merges} merges"
+        );
+    }
+
+    #[test]
+    fn canonical_keys_and_pool_dtypes_are_pinned() {
+        let dir = std::env::temp_dir().join(format!("chipalign-reg-keys-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("pinned.calt");
+        let ckpt = random_model(40).to_checkpoint().expect("ckpt");
+        format::save(&ckpt, &path).expect("save");
+        let file = format!("file:{}", path.display());
+        let reg = registry();
+        reg.register("canary", random_model(41));
+        for base in ["canary", file.as_str()] {
+            for (suffix, canonical) in [
+                ("", ""),
+                ("#int8", "#int8"),
+                ("#kv8", "#kv8"),
+                ("#int8#kv8", "#int8#kv8"),
+                ("#kv8#int8", "#int8#kv8"),
+            ] {
+                let (key, model) = reg
+                    .resolve_str(&format!("{base}{suffix}"))
+                    .expect("resolves");
+                assert_eq!(key, format!("{base}{canonical}"));
+                let weights = if suffix.contains("#int8") {
+                    "int8"
+                } else {
+                    "f32"
+                };
+                assert_eq!(model.dtype(), weights, "{key}");
+                let kv = if suffix.contains("#kv8") {
+                    KvDtype::Int8
+                } else {
+                    KvDtype::F32
+                };
+                assert_eq!(reg.kv_pool_for(&key, &model).dtype(), kv, "{key}");
+            }
+        }
+        let pair = format!("spec:canary#kv8|{file}#int8@3");
+        let res = reg
+            .resolve_spec_str(&pair)
+            .expect("resolves")
+            .expect("a pair");
+        assert_eq!(
+            (res.key.as_str(), res.target_key.as_str(), res.k),
+            (pair.as_str(), "canary#kv8", 3)
+        );
+        assert_eq!(res.draft.dtype(), "int8");
+        assert_eq!(
+            reg.kv_pool_for(&res.target_key, &res.target).dtype(),
+            KvDtype::Int8
+        );
+        assert_eq!(
+            reg.kv_pool_for(&res.key, &res.target).dtype(),
+            KvDtype::Int8
+        );
+        assert_eq!(reg.resolve_str(&pair).expect("resolves").0, pair);
+        let mut cached = vec![
+            "canary".to_string(),
+            "canary#int8".to_string(),
+            file.clone(),
+            format!("{file}#int8"),
+        ];
+        cached.sort();
+        assert_eq!(reg.loaded(), cached, "#kv8 never has a cache entry");
+        for (spec, key) in [
+            ("instruct-qwen", "instruct-qwen"),
+            (" instruct-qwen#int8 ", "instruct-qwen#int8"),
+            (
+                "merge:eda-qwen+instruct-qwen@0.6",
+                "merge:eda-qwen+instruct-qwen@0.6000",
+            ),
+            (
+                "merge:eda-qwen+instruct-qwen@0.60",
+                "merge:eda-qwen+instruct-qwen@0.6000",
+            ),
+            (
+                "merge:eda-qwen+instruct-qwen@0.60#int8",
+                "merge:eda-qwen+instruct-qwen@0.6000#int8",
+            ),
+        ] {
+            assert_eq!(ModelSpec::parse(spec).expect("parses").key(), key);
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1155,7 +1255,7 @@ mod tests {
     #[test]
     fn concurrent_resolves_of_one_merge_build_it_once() {
         let reg = registry();
-        let spec = ModelSpec::parse("merge:eda-qwen+instruct-qwen@0.5").expect("ok");
+        let spec = one("merge:eda-qwen+instruct-qwen@0.5");
         let barrier = std::sync::Barrier::new(4);
         let models: Vec<Arc<TinyLm>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
@@ -1189,8 +1289,7 @@ mod tests {
         let metrics = Arc::new(Metrics::new());
         reg.attach_metrics(Arc::clone(&metrics));
         reg.register("canary", random_model(3));
-        let spec =
-            |l: &str| ModelSpec::parse(&format!("merge:eda-qwen+instruct-qwen@{l}")).expect("ok");
+        let spec = |l: &str| one(&format!("merge:eda-qwen+instruct-qwen@{l}"));
         reg.resolve(&spec("0.1")).expect("ok");
         reg.resolve(&spec("0.2")).expect("ok");
         // Touch 0.1 so 0.2 becomes the least-recently-used merge.
@@ -1206,6 +1305,14 @@ mod tests {
             "non-merge entries are exempt from the merge bound"
         );
         assert_eq!(metrics.snapshot().merge_evictions, 1);
+        // A quantized merge counts toward the bound too: 0.3's int8 clone
+        // pushes out 0.1, the least recently used.
+        reg.resolve(&spec("0.3#int8")).expect("ok");
+        let loaded = reg.loaded();
+        assert!(loaded.contains(&format!("{}#int8", key("0.3"))));
+        assert!(loaded.contains(&key("0.3")), "its f32 base was just used");
+        assert!(!loaded.contains(&key("0.1")), "LRU merge evicted");
+        assert_eq!(metrics.snapshot().merge_evictions, 2);
     }
 
     #[test]
@@ -1253,8 +1360,8 @@ mod tests {
             vec!["canary".to_string()],
             "no cache entry under the #kv8 key"
         );
-        assert_eq!(reg.kv_dtype_for(&key), KvDtype::Int8);
-        assert_eq!(reg.kv_dtype_for("canary"), KvDtype::F32);
+        assert_eq!(reg.kv_pool_for(&key, &m).dtype(), KvDtype::Int8);
+        assert_eq!(reg.kv_pool_for("canary", &m).dtype(), KvDtype::F32);
     }
 
     #[test]
@@ -1405,10 +1512,11 @@ mod tests {
     #[test]
     fn kv_dtype_routing_follows_the_spec_target_segment() {
         let reg = registry();
-        reg.register("tgt", random_model(36));
-        assert_eq!(reg.kv_dtype_for("spec:tgt#kv8|drafty@4"), KvDtype::Int8);
-        assert_eq!(reg.kv_dtype_for("spec:tgt|drafty#kv8@4"), KvDtype::F32);
-        assert_eq!(reg.kv_dtype_for("spec:tgt|drafty@4"), KvDtype::F32);
+        let m = reg.register("tgt", random_model(36));
+        let dtype = |key: &str| reg.kv_pool_for(key, &m).dtype();
+        assert_eq!(dtype("spec:tgt#kv8|drafty@4"), KvDtype::Int8);
+        assert_eq!(dtype("spec:tgt|drafty#kv8@4"), KvDtype::F32);
+        assert_eq!(dtype("spec:tgt|drafty@4"), KvDtype::F32);
     }
 
     #[test]

@@ -662,22 +662,17 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
     // Phase 1: resolve every member's decoder under its own guard.
     let mut members: Vec<BatchMember> = Vec::with_capacity(batch.len());
     for mut task in batch {
-        let resolved = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let resolved = guarded(inner, || {
             let decoder = take_decoder(inner, &mut task)?;
             #[cfg(feature = "fault-inject")]
             if crate::faults::should_fire(crate::faults::Site::WorkerPanic, &task.tag) {
                 panic!("injected worker panic");
             }
             Ok(decoder)
-        }));
+        });
         match resolved {
-            Err(payload) => {
-                inner.metrics.add(Counter::WorkerPanics, 1);
-                let detail = panic_detail(payload.as_ref());
-                fail_finish(inner, task, ServeError::WorkerPanic { detail });
-            }
-            Ok(Err(e)) => fail_finish(inner, task, e),
-            Ok(Ok(decoder)) => {
+            Err(e) => fail_finish(inner, task, e),
+            Ok(decoder) => {
                 #[cfg(feature = "fault-inject")]
                 let stalled =
                     crate::faults::should_fire(crate::faults::Site::SessionStall, &task.tag);
@@ -708,17 +703,9 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
             m.end = MemberEnd::Failed(deadline_error(m.task.admitted));
             continue;
         }
-        let advanced = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_prefill_chunk(inner, m.decoder.target_mut())
-        }));
-        match advanced {
-            Err(payload) => {
-                inner.metrics.add(Counter::WorkerPanics, 1);
-                let detail = panic_detail(payload.as_ref());
-                m.end = MemberEnd::Failed(ServeError::WorkerPanic { detail });
-            }
-            Ok(Err(e)) => m.end = MemberEnd::Failed(e),
-            Ok(Ok(())) => m.prefilled = true,
+        match guarded(inner, || run_prefill_chunk(inner, m.decoder.target_mut())) {
+            Err(e) => m.end = MemberEnd::Failed(e),
+            Ok(()) => m.prefilled = true,
         }
     }
 
@@ -746,16 +733,10 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
                 continue;
             };
             spec_ran = true;
-            let step = std::panic::catch_unwind(AssertUnwindSafe(|| spec.step()));
-            match step {
-                Err(payload) => {
-                    inner.metrics.add(Counter::WorkerPanics, 1);
-                    let detail = panic_detail(payload.as_ref());
-                    m.end = MemberEnd::Failed(ServeError::WorkerPanic { detail });
-                }
-                Ok(Err(e)) => m.end = MemberEnd::Failed(e.into()),
-                Ok(Ok(Some(t))) => m.task.produced.push(t),
-                Ok(Ok(None)) => m.end = MemberEnd::Done(session_result(&mut m.task, &m.decoder)),
+            match guarded(inner, || spec.step().map_err(ServeError::from)) {
+                Err(e) => m.end = MemberEnd::Failed(e),
+                Ok(Some(t)) => m.task.produced.push(t),
+                Ok(None) => m.end = MemberEnd::Done(session_result(&mut m.task, &m.decoder)),
             }
         }
         let mut stepped: Vec<usize> = Vec::new();
@@ -774,37 +755,32 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
             }
             continue;
         }
-        let round =
-            std::panic::catch_unwind(AssertUnwindSafe(|| StepDecoder::step_batch(&mut steppers)));
+        let round = guarded(inner, || {
+            StepDecoder::step_batch(&mut steppers).map_err(ServeError::from)
+        });
         drop(steppers);
         match round {
-            Err(payload) => {
-                inner.metrics.add(Counter::WorkerPanics, 1);
-                let detail = panic_detail(payload.as_ref());
-                for &i in &stepped {
-                    members[i].end = MemberEnd::Failed(ServeError::WorkerPanic {
-                        detail: detail.clone(),
-                    });
-                }
+            Err(e) if stepped.len() == 1 => {
+                members[stepped[0]].end = MemberEnd::Failed(e);
                 break;
             }
-            Ok(Err(e)) if stepped.len() == 1 => {
-                members[stepped[0]].end = MemberEnd::Failed(e.into());
-                break;
-            }
-            Ok(Err(e)) => {
-                // A structured error from a joint step of several members
-                // is unattributable: a member may hold a committed but
+            Err(e) => {
+                // A panic or an error in a joint step of several members is
+                // unattributable: a member may hold a committed but
                 // unadvanced token. Cancel everyone who was stepping.
-                let detail = format!("batched decode step failed: {e}");
                 for &i in &stepped {
-                    members[i].end = MemberEnd::Failed(ServeError::Internal {
-                        detail: detail.clone(),
+                    members[i].end = MemberEnd::Failed(match &e {
+                        ServeError::WorkerPanic { detail } => ServeError::WorkerPanic {
+                            detail: detail.clone(),
+                        },
+                        e => ServeError::Internal {
+                            detail: format!("batched decode step failed: {e}"),
+                        },
                     });
                 }
                 break;
             }
-            Ok(Ok(tokens)) => {
+            Ok(tokens) => {
                 for (&i, token) in stepped.iter().zip(tokens) {
                     let m = &mut members[i];
                     match token {
@@ -1009,6 +985,21 @@ fn finish(inner: &Inner, mut task: Task, outcome: SessionOutcome) {
     inner.active.fetch_sub(1, Ordering::SeqCst);
     // The receiver may have given up (client gone); that's not an error.
     let _ = task.reply.send(outcome);
+}
+
+/// Runs one per-session (or per-batch) step under a panic guard: a panic
+/// is counted in `worker_panics` and comes back as a structured
+/// [`ServeError::WorkerPanic`] carrying its message.
+fn guarded<T>(
+    inner: &Inner,
+    step: impl FnOnce() -> Result<T, ServeError>,
+) -> Result<T, ServeError> {
+    std::panic::catch_unwind(AssertUnwindSafe(step)).unwrap_or_else(|payload| {
+        inner.metrics.add(Counter::WorkerPanics, 1);
+        Err(ServeError::WorkerPanic {
+            detail: panic_detail(payload.as_ref()),
+        })
+    })
 }
 
 /// Renders a caught panic payload for the structured error (panics carry

@@ -8,6 +8,10 @@ cd "$(dirname "$0")/.."
 
 export CHIPALIGN_QUALITY="${CHIPALIGN_QUALITY:-smoke}"
 
+# Formatting first: it takes a second and fails before any build.
+# `benchmark/` is not a workspace member, so this leaves it alone.
+cargo fmt --all -- --check
+
 # The stack benchmark first: every workload end to end on tiny inputs. The
 # harness exits 0 on a wrong transcript, so require every result line to
 # say `"correct": true` and `"failed": 0`.
