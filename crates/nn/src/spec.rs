@@ -221,6 +221,16 @@ impl SpecDecoder {
         std::mem::take(&mut self.stats)
     }
 
+    /// Whether the session has handed out its final token: the target is
+    /// done and no committed token is left in the burst buffer. True right
+    /// after `step()` returns the last token, so a caller need not spend a
+    /// further call on the `None` (the speculative form of
+    /// [`StepDecoder::is_done`]).
+    #[must_use]
+    pub fn is_done(&self) -> bool {
+        self.burst.is_empty() && self.target.is_done()
+    }
+
     /// Produces the next token, or `None` once the session has finished —
     /// the same contract as [`StepDecoder::step`], byte-identical greedy
     /// output included. Internally a call may run a whole speculative
@@ -464,12 +474,14 @@ mod tests {
         Arc::new(model)
     }
 
+    /// Steps until `is_done`, which must turn true exactly as the last
+    /// token is handed out: every step before it yields a token, every
+    /// step after it `None`.
     fn drain_spec(mut s: SpecDecoder) -> (Vec<u32>, SpecStats) {
         let mut out = Vec::new();
-        while let Some(tok) = s.step().expect("ok") {
-            out.push(tok);
+        while !s.is_done() {
+            out.push(s.step().expect("ok").expect("a token until is_done"));
         }
-        assert!(s.burst.is_empty() && s.target.is_done());
         assert!(s.step().expect("ok").is_none(), "done stays done");
         (out, s.stats())
     }

@@ -763,15 +763,16 @@ impl ModelRegistry {
         }
     }
 
-    /// Evicts the model cached under a spec's key; returns whether
-    /// anything was removed. The next request for the spec rebuilds it
+    /// Evicts the weights a spec decodes with (a pair's target); returns
+    /// whether anything was removed. `#kv8` picks a pool, not weights, so
+    /// `m#kv8` evicts `m`. The next request for the spec rebuilds it
     /// (hot-swap after a zoo cache update).
     pub(crate) fn evict(&self, spec: &str) -> bool {
         let Ok(spec) = ModelSpec::parse(spec) else {
             return false;
         };
         let mut cache = lock(&self.cache);
-        let removed = cache.entries.remove(&spec.key()).is_some();
+        let removed = cache.entries.remove(&spec.target().cache_key()).is_some();
         if removed {
             self.refresh_weights_gauge(&cache);
         }
@@ -1362,6 +1363,24 @@ mod tests {
         );
         assert_eq!(reg.kv_pool_for(&key, &m).dtype(), KvDtype::Int8);
         assert_eq!(reg.kv_pool_for("canary", &m).dtype(), KvDtype::F32);
+    }
+
+    #[test]
+    fn evicting_a_kv8_spec_evicts_the_weights_it_decodes_with() {
+        let reg = registry();
+        reg.register("canary", random_model(21));
+        reg.register("drafty", random_model(22));
+        reg.resolve_str("canary#int8#kv8")
+            .expect("int8 + kv8 variant");
+        assert_eq!(reg.loaded(), ["canary", "canary#int8", "drafty"]);
+        assert!(reg.evict("canary#kv8#int8"), "evicts canary#int8");
+        assert_eq!(reg.loaded(), ["canary", "drafty"]);
+        assert!(
+            reg.evict("spec:canary#kv8|drafty@2"),
+            "a pair evicts its target"
+        );
+        assert_eq!(reg.loaded(), ["drafty"]);
+        assert!(!reg.evict("canary#kv8"), "nothing left to evict");
     }
 
     #[test]

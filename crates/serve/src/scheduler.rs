@@ -5,9 +5,17 @@
 //! repeatedly pop a session from a shared run queue, decode a short *slice*
 //! of tokens, and push the session back if it isn't finished. That
 //! round-robin slicing is the continuous-batching property: a 1000-token
-//! generation never blocks a 10-token one for more than a slice, new
-//! sessions join the rotation the moment a worker frees up, and with `W`
-//! workers up to `W` sessions decode truly in parallel.
+//! generation never blocks a 10-token one for more than a slice, and with
+//! `W` workers up to `W` sessions decode truly in parallel.
+//!
+//! The decode *round* (one token per member), not the slice, is the unit
+//! at which the scheduler answers and admits, as in iteration-level
+//! scheduling. A session is answered the round it commits its last token
+//! (or fails, or passes its deadline), not when its slice ends. A slice
+//! is at most [`SchedulerConfig::slice_tokens`] rounds, and ends early at
+//! the first round boundary where a session waits in the queue and the
+//! batch has a free slot, so a newcomer that fits waits about one round,
+//! not a whole slice, for its first prefill chunk.
 //!
 //! # Batched decoding
 //!
@@ -118,8 +126,12 @@ pub struct SchedulerConfig {
     /// Hard bound on sessions in flight (queued + running); submissions
     /// beyond it are rejected with `Overloaded`.
     pub max_sessions: usize,
-    /// Tokens decoded per scheduling slice before a session rotates to the
-    /// back of the queue. Smaller = fairer, larger = less queue churn.
+    /// Most decode rounds (one token per member each) in a scheduling
+    /// slice before its sessions rotate to the back of the queue. Smaller =
+    /// fairer, larger = less queue churn. A slice ends early, after at
+    /// least one round, when a session waits in the queue and the batch
+    /// has a free slot; a member is answered the round it ends, whatever
+    /// this bound.
     pub slice_tokens: usize,
     /// Consecutive scheduler slices a session may spend making zero token
     /// progress before the watchdog cancels it with a
@@ -254,6 +266,14 @@ impl SessionDecoder {
 
     fn is_prefilling(&self) -> bool {
         self.target().is_prefilling()
+    }
+
+    /// Whether the session has handed out its last token.
+    fn is_done(&self) -> bool {
+        match self {
+            SessionDecoder::Plain(d) => d.is_done(),
+            SessionDecoder::Spec(s) => s.is_done(),
+        }
     }
 }
 
@@ -631,9 +651,19 @@ struct BatchMember {
     end: MemberEnd,
 }
 
-/// Where a batch member stands as the slice settles.
+impl BatchMember {
+    /// Records a round's token, ending the member if it was the last.
+    fn commit(&mut self, token: Option<u32>) {
+        self.task.produced.extend(token);
+        if self.decoder.is_done() {
+            self.end = MemberEnd::Done(session_result(&mut self.task, &self.decoder));
+        }
+    }
+}
+
+/// Where a batch member stands.
 enum MemberEnd {
-    /// Still decoding: requeue for the next slice.
+    /// Still decoding: stays in the batch, and requeues at the slice's end.
     Live,
     /// Finished; payload for the client.
     Done(SessionResult),
@@ -643,8 +673,17 @@ enum MemberEnd {
 
 /// Advances a batch of sessions — one or more — together for one slice:
 /// at most one bounded prefill chunk per member, then (for members whose
-/// prompt window is cached) up to `slice_tokens` decode rounds. No locks
-/// are held while decoding, so a panic here cannot poison the queue.
+/// prompt window is cached) decode rounds. No locks are held while
+/// decoding, so a panic here cannot poison the queue.
+///
+/// The round, not the slice, is the unit at which sessions are answered
+/// and admitted. A member leaves the batch, and is answered, the round it
+/// ends: the round it commits its last token, fails, or is cancelled by
+/// the deadline sweep. A slice runs at most `slice_tokens` rounds, and
+/// ends early at the first round boundary where a session waits in the
+/// queue and the batch has a free slot: the survivors requeue behind it,
+/// so its first prefill chunk runs in the very next slice. Every slice
+/// runs at least one round.
 ///
 /// Fault semantics are *per member*: decoder resolution and each member's
 /// prefill chunk run under per-session panic guards, so a poisoned session
@@ -696,7 +735,7 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
     // still prefilling afterwards sits out the decode rounds below; its
     // batch-mates decode while its prompt loads across slices.
     for m in &mut members {
-        if !matches!(m.end, MemberEnd::Live) || m.stalled || !m.decoder.is_prefilling() {
+        if m.stalled || !m.decoder.is_prefilling() {
             continue;
         }
         if past(m.task.deadline) {
@@ -717,16 +756,22 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
     // step defers a window slide turns `is_prefilling` on and drops out
     // of later rounds — its replay is chunked on subsequent slices like
     // any other prefill.
-    for _ in 0..inner.cfg.slice_tokens {
-        // Deadline sweep between decode rounds.
+    for rounds_run in 0..inner.cfg.slice_tokens {
+        // Deadline sweep between decode rounds, then answer every member
+        // that ended since the previous sweep.
         for m in &mut members {
             if matches!(m.end, MemberEnd::Live) && past(m.task.deadline) {
                 m.end = MemberEnd::Failed(deadline_error(m.task.admitted));
             }
         }
+        settle_ended(inner, &mut members);
+        // Round boundary: a waiting session that fits ends the slice.
+        if rounds_run > 0 && members.len() < inner.cfg.max_batch && !lock_queue(inner).is_empty() {
+            break;
+        }
         let mut spec_ran = false;
         for m in &mut members {
-            if !matches!(m.end, MemberEnd::Live) || m.stalled || m.decoder.is_prefilling() {
+            if m.stalled || m.decoder.is_prefilling() {
                 continue;
             }
             let SessionDecoder::Spec(spec) = &mut m.decoder else {
@@ -735,14 +780,13 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
             spec_ran = true;
             match guarded(inner, || spec.step().map_err(ServeError::from)) {
                 Err(e) => m.end = MemberEnd::Failed(e),
-                Ok(Some(t)) => m.task.produced.push(t),
-                Ok(None) => m.end = MemberEnd::Done(session_result(&mut m.task, &m.decoder)),
+                Ok(token) => m.commit(token),
             }
         }
         let mut stepped: Vec<usize> = Vec::new();
         let mut steppers: Vec<&mut StepDecoder> = Vec::new();
         for (i, m) in members.iter_mut().enumerate() {
-            if matches!(m.end, MemberEnd::Live) && !m.stalled && !m.decoder.is_prefilling() {
+            if !m.stalled && !m.decoder.is_prefilling() {
                 if let SessionDecoder::Plain(d) = &mut m.decoder {
                     stepped.push(i);
                     steppers.push(d);
@@ -782,11 +826,7 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
             }
             Ok(tokens) => {
                 for (&i, token) in stepped.iter().zip(tokens) {
-                    let m = &mut members[i];
-                    match token {
-                        Some(t) => m.task.produced.push(t),
-                        None => m.end = MemberEnd::Done(session_result(&mut m.task, &m.decoder)),
-                    }
+                    members[i].commit(token);
                 }
             }
         }
@@ -809,42 +849,52 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
         }
     }
 
-    // Speculation accounting: drain every member's per-slice counters
-    // (including failed members — their fallbacks already happened).
-    for m in &mut members {
-        flush_spec_stats(inner, &mut m.decoder);
-    }
-
-    // Settle: requeue survivors in their original order, deliver the rest.
-    // An ended member's decoder, and with it every KV block it holds, is
-    // dropped before its outcome is sent: a caller holding its reply sees
-    // those blocks back in the pool.
+    // Settle the rest: requeue survivors in their original order, answer
+    // members that ended.
     for m in members {
-        let BatchMember {
-            mut task,
-            decoder,
-            end,
-            ..
-        } = m;
-        match end {
-            MemberEnd::Live => {
-                task.state = TaskState::Live(Box::new(decoder));
-                lock_queue(inner).push_back(task);
-                inner.available.notify_one();
-            }
-            MemberEnd::Done(result) => {
-                drop(decoder);
-                inner.metrics.add(Counter::Completed, 1);
-                inner
-                    .metrics
-                    .add(Counter::TokensOut, result.tokens.len() as u64);
-                inner.metrics.observe(Hist::Latency, result.total_us);
-                finish(inner, task, Ok(result));
-            }
-            MemberEnd::Failed(e) => {
-                drop(decoder);
-                fail_finish(inner, task, e);
-            }
+        settle(inner, m);
+    }
+}
+
+/// Answers every member that has ended and takes it out of the batch; the
+/// survivors keep their order.
+fn settle_ended(inner: &Inner, members: &mut Vec<BatchMember>) {
+    for m in members.extract_if(.., |m| !matches!(m.end, MemberEnd::Live)) {
+        settle(inner, m);
+    }
+}
+
+/// Takes a member out of its slice, draining its speculation counters
+/// first (a failed member's fallbacks already happened). A live member
+/// requeues. An ended member's decoder, and with it every KV block it
+/// holds, is dropped before its outcome is sent: a caller holding its
+/// reply sees those blocks back in the pool.
+fn settle(inner: &Inner, mut m: BatchMember) {
+    flush_spec_stats(inner, &mut m.decoder);
+    let BatchMember {
+        mut task,
+        decoder,
+        end,
+        ..
+    } = m;
+    match end {
+        MemberEnd::Live => {
+            task.state = TaskState::Live(Box::new(decoder));
+            lock_queue(inner).push_back(task);
+            inner.available.notify_one();
+        }
+        MemberEnd::Done(result) => {
+            drop(decoder);
+            inner.metrics.add(Counter::Completed, 1);
+            inner
+                .metrics
+                .add(Counter::TokensOut, result.tokens.len() as u64);
+            inner.metrics.observe(Hist::Latency, result.total_us);
+            finish(inner, task, Ok(result));
+        }
+        MemberEnd::Failed(e) => {
+            drop(decoder);
+            fail_finish(inner, task, e);
         }
     }
 }
@@ -930,9 +980,9 @@ fn run_prefill_chunk(inner: &Inner, decoder: &mut StepDecoder) -> Result<(), Ser
 }
 
 /// Drains a speculative session's per-slice counters into the metrics
-/// core. A no-op for plain sessions. Called once per slice (and once more
-/// at completion), so snapshot readers see acceptance counts grow while a
-/// session is still streaming.
+/// core. A no-op for plain sessions. Called each time a session leaves a
+/// slice, requeued or ended, so snapshot readers see acceptance counts
+/// grow while a session is still streaming.
 fn flush_spec_stats(inner: &Inner, decoder: &mut SessionDecoder) {
     if let SessionDecoder::Spec(s) = decoder {
         let stats = s.take_stats();
@@ -1549,6 +1599,77 @@ mod tests {
             sessions.len() as u64,
             "every admitted session completed despite the mid-prefill drain"
         );
+    }
+
+    /// A model whose window holds a 64-token transcript without a slide,
+    /// and whose decode round is slow enough (~0.1 ms) that the few dozen
+    /// rounds the answer-order tests below leave between two replies are
+    /// milliseconds of margin, not microseconds.
+    fn roomy_model() -> Arc<TinyLm> {
+        let mut arch = ArchSpec::tiny("roomy");
+        arch.vocab_size = 99;
+        arch.d_model = 128;
+        arch.n_heads = 4;
+        arch.d_ff = 512;
+        arch.n_layers = 4;
+        arch.max_seq_len = 128;
+        Arc::new(TinyLm::new(&arch, &mut Pcg32::seed(12)).expect("model"))
+    }
+
+    /// Waits until the worker has popped everything queued so far.
+    fn wait_until_dequeued(scheduler: &Scheduler) {
+        while !lock_queue(&scheduler.inner).is_empty() {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_session_arriving_mid_slice_joins_at_the_next_round() {
+        // One worker, 64-round slices. A's 63 tokens fit in its first
+        // slice, so a scheduler that admits only at slice ends answers A
+        // before B starts. B arrives once A is on the worker; it must join
+        // at the next round boundary instead and be answered the round it
+        // commits its one token, dozens of rounds before A's last.
+        let m = roomy_model();
+        let scheduler = Scheduler::start(batched(1, 64, 8), Arc::new(Metrics::new()));
+        let a = scheduler.submit(request(&m, 63, None)).expect("admit A");
+        wait_until_dequeued(&scheduler);
+        let b = scheduler.submit(request(&m, 1, None)).expect("admit B");
+        b.recv().expect("outcome").expect("B ok");
+        assert!(
+            matches!(a.try_recv(), Err(std::sync::mpsc::TryRecvError::Empty)),
+            "A must still be decoding when B is answered"
+        );
+        let a = a.recv().expect("outcome").expect("A ok");
+        let reference = chipalign_nn::generate::generate(&m, &[5, 6, 7], &greedy(63)).expect("ok");
+        assert_eq!(a.tokens, reference, "A's transcript is unchanged");
+        assert_eq!(scheduler.active(), 0);
+        scheduler.join();
+    }
+
+    #[test]
+    fn a_short_session_submitted_mid_decode_is_answered_first() {
+        // A (48 tokens) ends inside its first 64-round slice. C is
+        // submitted once A decodes, and is answered before A: it joined A's
+        // batch at a round boundary rather than waiting for the slice end.
+        let m = roomy_model();
+        let metrics = Arc::new(Metrics::new());
+        let scheduler = Scheduler::start(batched(1, 64, 8), Arc::clone(&metrics));
+        let a = scheduler.submit(request(&m, 48, None)).expect("admit A");
+        while metrics.snapshot().prefill_chunks == 0 {
+            std::thread::yield_now();
+        }
+        let c = scheduler.submit(request(&m, 1, None)).expect("admit C");
+        c.recv().expect("outcome").expect("C ok");
+        assert!(
+            matches!(a.try_recv(), Err(std::sync::mpsc::TryRecvError::Empty)),
+            "C's reply must arrive before A's"
+        );
+        let a = a.recv().expect("outcome").expect("A ok");
+        let reference = chipalign_nn::generate::generate(&m, &[5, 6, 7], &greedy(48)).expect("ok");
+        assert_eq!(a.tokens, reference, "A's transcript is unchanged");
+        assert_eq!(scheduler.active(), 0);
+        scheduler.join();
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Seeded property tests for the batched scheduler: random admission/completion
-//! interleavings, random session mixes, and every `max_batch` in
-//! `{1, 2, 4}` must be invisible in the per-session transcripts — each one
+//! interleavings, random session mixes, every `max_batch` in `{1, 2, 4}`,
+//! and sessions joining and leaving a running slice at round boundaries
+//! must be invisible in the per-session transcripts — each one
 //! byte-identical to a single-threaded `generate()` — while the metrics
 //! stay internally consistent.
 //!
@@ -14,7 +15,7 @@ use std::sync::Arc;
 use chipalign_model::ArchSpec;
 use chipalign_nn::generate::{generate, GenerateConfig};
 use chipalign_nn::{KvDtype, KvPool, KvPoolConfig, StepDecoder, TinyLm};
-use chipalign_serve::{Metrics, Scheduler, SchedulerConfig, SessionRequest};
+use chipalign_serve::{Metrics, Scheduler, SchedulerConfig, SessionRequest, SpecDraft};
 use chipalign_tensor::rng::{cases, Pcg32};
 
 const CASES: u64 = 24;
@@ -97,7 +98,7 @@ fn random_interleavings_are_invisible_at_every_max_batch() {
         for job in &jobs {
             if job.wait_first {
                 if let Some((rx, j)) = pending.pop_front() {
-                    results.push((outcome_tokens(rx), j));
+                    results.push((outcome_tokens(&rx), j));
                 }
             }
             let rx = scheduler
@@ -114,7 +115,7 @@ fn random_interleavings_are_invisible_at_every_max_batch() {
             pending.push_back((rx, job.clone()));
         }
         while let Some((rx, j)) = pending.pop_front() {
-            results.push((outcome_tokens(rx), j));
+            results.push((outcome_tokens(&rx), j));
         }
 
         for (tokens, job) in &results {
@@ -194,7 +195,7 @@ fn mixed_dtype_sessions_coexist_without_cross_talk() {
         for job in &jobs {
             if job.wait_first {
                 if let Some((rx, j)) = pending.pop_front() {
-                    results.push((outcome_tokens(rx), j));
+                    results.push((outcome_tokens(&rx), j));
                 }
             }
             let pool = if job.pooled { &int8_pool } else { &f32_pool };
@@ -212,7 +213,7 @@ fn mixed_dtype_sessions_coexist_without_cross_talk() {
             pending.push_back((rx, job.clone()));
         }
         while let Some((rx, j)) = pending.pop_front() {
-            results.push((outcome_tokens(rx), j));
+            results.push((outcome_tokens(&rx), j));
         }
 
         for (tokens, job) in &results {
@@ -259,8 +260,109 @@ fn mixed_dtype_sessions_coexist_without_cross_talk() {
     }
 }
 
+#[test]
+fn sessions_leaving_and_joining_mid_slice_are_answered_once_and_unchanged() {
+    // One worker, so every admission lands in a running slice: sessions
+    // submitted while others decode must join at a round boundary, and
+    // members must leave the round they end. Plain and speculative
+    // members, private and pooled KV, random slice length and batch width.
+    for mut rng in cases(3, CASES) {
+        let m = model(&mut rng);
+        let n = rng.range(2, 9);
+        let jobs: Vec<(Job, Option<usize>)> = random_jobs(&mut rng, n, n)
+            .into_iter()
+            .map(|mut job| {
+                job.budget = rng.range(1, 24);
+                let k = rng.chance(0.3).then(|| rng.range(1, 4));
+                (job, k)
+            })
+            .collect();
+        let max_batch = *rng.choose(&[1usize, 2, 4, 8]);
+        let slice_tokens = rng.range(1, 12);
+        let pool = KvPool::new(KvPoolConfig {
+            block_tokens: 4,
+            max_blocks: 4096,
+            ..KvPoolConfig::default()
+        })
+        .expect("pool");
+        let blocks_before = pool.blocks_in_use();
+        let metrics = Arc::new(Metrics::new());
+        let scheduler = Scheduler::start(
+            SchedulerConfig {
+                workers: 1,
+                max_sessions: jobs.len(),
+                slice_tokens,
+                stall_slices: 32,
+                max_batch,
+                ..SchedulerConfig::default()
+            },
+            Arc::clone(&metrics),
+        );
+
+        // Staggered admissions: each session is submitted at once, after a
+        // short pause (the worker is then mid-slice), or after the oldest
+        // outstanding session is answered.
+        let mut pending = std::collections::VecDeque::new();
+        let mut answered = Vec::with_capacity(jobs.len());
+        for (job, k) in &jobs {
+            match rng.range(0, 2) {
+                0 => {}
+                1 => {
+                    std::thread::sleep(std::time::Duration::from_micros(rng.range(20, 400) as u64))
+                }
+                _ => {
+                    if let Some((rx, j)) = pending.pop_front() {
+                        answered.push((outcome_tokens(&rx), rx, j));
+                    }
+                }
+            }
+            let rx = scheduler
+                .submit(SessionRequest {
+                    model: Arc::clone(&m),
+                    prompt: job.prompt.clone(),
+                    cfg: greedy(job.budget),
+                    deadline: None,
+                    tag: "prop".to_string(),
+                    pool: job.pooled.then(|| Arc::clone(&pool)),
+                    draft: k.map(|k| SpecDraft {
+                        model: Arc::clone(&m),
+                        k,
+                    }),
+                })
+                .expect("within max_sessions by construction");
+            pending.push_back((rx, job.clone()));
+        }
+        while let Some((rx, j)) = pending.pop_front() {
+            answered.push((outcome_tokens(&rx), rx, j));
+        }
+
+        let shape = format!("max_batch={max_batch} slice_tokens={slice_tokens}");
+        for (tokens, _, job) in &answered {
+            let reference = generate(&m, &job.prompt, &greedy(job.budget)).expect("reference");
+            assert_eq!(tokens, &reference, "transcript changed under {shape}");
+        }
+        assert_eq!(scheduler.active(), 0, "{shape}");
+        scheduler.join();
+        for (_, rx, _) in &answered {
+            assert_eq!(
+                rx.try_recv().err(),
+                Some(std::sync::mpsc::TryRecvError::Disconnected),
+                "a session is answered exactly once ({shape})"
+            );
+        }
+        let snap = metrics.snapshot();
+        assert_eq!(snap.completed, jobs.len() as u64, "{shape}");
+        assert_eq!(snap.failed, 0);
+        let expected_tokens: u64 = jobs.iter().map(|(j, _)| j.budget as u64).sum();
+        assert_eq!(snap.tokens_out, expected_tokens);
+        // The prefix cache holds donated prompt blocks until it goes.
+        drop(scheduler);
+        assert_eq!(pool.blocks_in_use(), blocks_before, "{shape}");
+    }
+}
+
 fn outcome_tokens(
-    rx: std::sync::mpsc::Receiver<chipalign_serve::scheduler::SessionOutcome>,
+    rx: &std::sync::mpsc::Receiver<chipalign_serve::scheduler::SessionOutcome>,
 ) -> Vec<u32> {
     rx.recv()
         .expect("scheduler always reports")

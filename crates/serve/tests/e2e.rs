@@ -330,6 +330,24 @@ fn hot_swap_replaces_a_served_model_without_restart() {
     server.shutdown();
 }
 
+/// `#kv8` picks a KV pool, not weights: unloading `m#kv8` evicts the
+/// weights `m#kv8` decodes with.
+#[test]
+fn unloading_a_kv8_spec_evicts_its_weights() {
+    let registry = ModelRegistry::new(smoke_zoo(17));
+    registry.register("m", random_model(6));
+    let server = Server::bind(server_config(1, 4), registry).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    assert_eq!(client.load("m#kv8").expect("load"), "m#kv8");
+    assert!(client.unload("m#kv8").expect("unload"), "evicted: true");
+    let (loaded, _) = client.models().expect("models");
+    assert!(
+        !loaded.contains(&"m".to_string()),
+        "still loaded: {loaded:?}"
+    );
+    server.shutdown();
+}
+
 /// A request whose bytes straddle the idle-read timeout is parsed whole,
 /// wherever the cut falls — inside a multi-byte character included.
 #[test]

@@ -115,7 +115,9 @@ cargo test -q --workspace
 # compute pool has no workers and every job runs inline on its caller —
 # `tensor::parallelize` in every merge test, and every split projection in
 # every nn pin — which must give the same bits as the pooled runs above.
-taskset -c 0 cargo test -q -p chipalign-tensor -p chipalign-nn -p chipalign-merge
+# The serve suites run here too, so the scheduler's answer-order tests
+# hold with no second core for the waiting client thread.
+taskset -c 0 cargo test -q -p chipalign-tensor -p chipalign-nn -p chipalign-merge -p chipalign-serve
 # Once more per portable tier: there `gemm_bt` / `gemm_bt_q8` are the
 # trait's default per-element dot loops, not the AVX2 tiles, so every
 # stacked ≡ matvec ≡ forward pin in tensor and nn runs on that path too.
