@@ -116,12 +116,18 @@ impl GenerateConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct StepDecoder {
-    cfg: GenerateConfig,
+    // `crate::spec::SpecDecoder` drives a speculative round through the
+    // `pub(crate)` fields and methods: choose + commit the target's own
+    // next token, verify a drafted chunk against `cache`, commit the
+    // agreeing prefix, rewind, and restore `last_logits` from the
+    // verified row.
+    pub(crate) cfg: GenerateConfig,
     rng: Pcg32,
-    max_ctx: usize,
+    /// The context-window size this session slides at.
+    pub(crate) max_ctx: usize,
     context: Vec<u32>,
-    cache: crate::kv::KvCache,
-    last_logits: Vec<f32>,
+    pub(crate) cache: crate::kv::KvCache,
+    pub(crate) last_logits: Vec<f32>,
     /// Next `context` index awaiting prefill. The session is mid-prefill
     /// (initial prompt or a deferred window-slide replay) while
     /// `prefill_next < prefill_end`; `step()` completes the remainder
@@ -405,7 +411,7 @@ impl StepDecoder {
 
     /// Chooses the next token from the current logits (greedy argmax at
     /// temperature 0, otherwise the seeded sampling stream).
-    fn choose_next(&mut self) -> u32 {
+    pub(crate) fn choose_next(&mut self) -> u32 {
         if self.cfg.temperature <= 0.0 {
             ops::argmax(&self.last_logits).expect("vocab is non-empty") as u32
         } else {
@@ -422,7 +428,7 @@ impl StepDecoder {
     /// Records a chosen token: context, budget, and stop-condition
     /// bookkeeping (everything `step()` does between choosing a token and
     /// advancing the cache).
-    fn commit(&mut self, next: u32) {
+    pub(crate) fn commit(&mut self, next: u32) {
         self.emitted += 1;
         self.context.push(next);
         if self.cfg.stop_at_eos && next == EOS {
@@ -440,7 +446,7 @@ impl StepDecoder {
     /// model `Arc`, so a slide allocates no model state — it is pure
     /// bookkeeping; the window replay happens through
     /// [`StepDecoder::prefill_pending`] like any other prefill.
-    fn begin_slide(&mut self) {
+    pub(crate) fn begin_slide(&mut self) {
         let start = self.context.len() - (self.max_ctx - 1);
         self.cache.reset();
         self.prefill_next = start;
@@ -478,49 +484,6 @@ impl StepDecoder {
     #[must_use]
     pub(crate) fn is_greedy(&self) -> bool {
         self.cfg.temperature <= 0.0
-    }
-
-    // --- speculative-decoding hooks (crate-private) -----------------------
-    //
-    // `crate::spec::SpecDecoder` drives a round as: choose + commit the
-    // target's own next token, verify a drafted chunk against the cache,
-    // commit the agreeing prefix, rewind, and restore `last_logits` from
-    // the verified row. These accessors expose exactly the private state a
-    // round needs while keeping the public `StepDecoder` surface unchanged.
-
-    /// Chooses the next token from `last_logits` (see `choose_next`).
-    pub(crate) fn spec_choose_next(&mut self) -> u32 {
-        self.choose_next()
-    }
-
-    /// Commits a chosen token (context/budget/EOS bookkeeping only).
-    pub(crate) fn spec_commit(&mut self, next: u32) {
-        self.commit(next);
-    }
-
-    /// Mutable cache access for verify/rewind.
-    pub(crate) fn spec_cache_mut(&mut self) -> &mut KvCache {
-        &mut self.cache
-    }
-
-    /// Replaces the pending logits with a row from a verified chunk.
-    pub(crate) fn spec_set_last_logits(&mut self, logits: Vec<f32>) {
-        self.last_logits = logits;
-    }
-
-    /// Defers a context-window slide (see `begin_slide`).
-    pub(crate) fn spec_begin_slide(&mut self) {
-        self.begin_slide();
-    }
-
-    /// The context-window size this session slides at.
-    pub(crate) fn spec_max_ctx(&self) -> usize {
-        self.max_ctx
-    }
-
-    /// Tokens the budget still allows after those already emitted.
-    pub(crate) fn spec_budget_left(&self) -> usize {
-        self.cfg.max_new_tokens.saturating_sub(self.emitted)
     }
 }
 

@@ -263,17 +263,17 @@ impl SpecDecoder {
     /// current. Always commits at least `t0` into the burst buffer.
     fn spec_round(&mut self) -> Result<(), NnError> {
         // The target's own next token — exactly what a plain step emits.
-        let t0 = self.target.spec_choose_next();
-        self.target.spec_commit(t0);
+        let t0 = self.target.choose_next();
+        self.target.commit(t0);
         self.burst.push_back(t0);
         if self.target.is_done() {
             // Plain step never feeds the final token; neither do we.
             return Ok(());
         }
-        let max_ctx = self.target.spec_max_ctx();
-        if self.target.spec_cache_mut().len() >= max_ctx {
+        let max_ctx = self.target.max_ctx;
+        if self.target.cache.len() >= max_ctx {
             // Same slide point a plain step takes after committing t0.
-            self.target.spec_begin_slide();
+            self.target.begin_slide();
             return Ok(());
         }
 
@@ -283,7 +283,7 @@ impl SpecDecoder {
         // `seal_room`: on an int8-KV pool only the seal-free run *after*
         // t0's position may be rewound exactly ([`KvCache::truncate`]);
         // t0 itself is never rewound, so it may seal freely.
-        let cache = self.target.spec_cache_mut();
+        let cache = &self.target.cache;
         let base = cache.len();
         let room = max_ctx - base - 1;
         let pool = cache.pool();
@@ -293,13 +293,16 @@ impl SpecDecoder {
         } else {
             usize::MAX
         };
-        let budget = self.target.spec_budget_left();
+        let budget = self
+            .target
+            .cfg
+            .max_new_tokens
+            .saturating_sub(self.target.emitted());
         let m = self.k.min(budget).min(room).min(seal_room);
         if m == 0 {
             // Nothing to speculate on this round (window edge, seal
             // boundary, or final budget token): plain decode of t0.
-            let logits = self.target.spec_cache_mut().decode_step(t0)?;
-            self.target.spec_set_last_logits(logits);
+            self.target.last_logits = self.target.cache.decode_step(t0)?;
             return Ok(());
         }
 
@@ -333,8 +336,7 @@ impl SpecDecoder {
         }
         if drafts.is_empty() {
             self.stats.fallbacks += 1;
-            let logits = self.target.spec_cache_mut().decode_step(t0)?;
-            self.target.spec_set_last_logits(logits);
+            self.target.last_logits = self.target.cache.decode_step(t0)?;
             return Ok(());
         }
 
@@ -344,14 +346,13 @@ impl SpecDecoder {
         let mut chunk = Vec::with_capacity(1 + drafts.len());
         chunk.push(t0);
         chunk.extend_from_slice(&drafts);
-        let mut rows = match self.target.spec_cache_mut().verify_chunk(&chunk) {
+        let mut rows = match self.target.cache.verify_chunk(&chunk) {
             Ok(rows) => rows,
             Err(_) => {
                 // E.g. the pool can back one position but not the chunk:
                 // exactly the round a plain decoder could still run.
                 self.stats.fallbacks += 1;
-                let logits = self.target.spec_cache_mut().decode_step(t0)?;
-                self.target.spec_set_last_logits(logits);
+                self.target.last_logits = self.target.cache.decode_step(t0)?;
                 return Ok(());
             }
         };
@@ -368,7 +369,7 @@ impl SpecDecoder {
             if choice != d {
                 break;
             }
-            self.target.spec_commit(d);
+            self.target.commit(d);
             self.burst.push_back(d);
             accepted += 1;
         }
@@ -383,13 +384,13 @@ impl SpecDecoder {
         } else {
             base + 1 + accepted
         };
-        self.target.spec_cache_mut().truncate(fed)?;
+        self.target.cache.truncate(fed)?;
         if !self.target.is_done() {
             // The verified row after the accepted prefix is exactly the
             // pending logits a plain decoder would hold now; on a
             // rejection its argmax becomes next round's t0 — the bonus
             // token, for free.
-            self.target.spec_set_last_logits(rows.swap_remove(accepted));
+            self.target.last_logits = rows.swap_remove(accepted);
         }
         Ok(())
     }

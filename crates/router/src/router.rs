@@ -5,7 +5,8 @@
 //! Routing a generation walks the ring candidates for the request's
 //! affinity key in health order (Healthy, then Degraded, then Down as a
 //! last resort; Draining never), with jittered exponential backoff between
-//! attempts reusing the client [`RetryPolicy`] schedule.
+//! attempts on the [`RetryPolicy`] schedule. Every exchange with a replica
+//! (attempt, probe or admin request) is one [`Client`] connection.
 //!
 //! Failover is transcript-safe by construction: decoding is deterministic
 //! for a given (model, prompt, config, seed), so re-running a request on
@@ -14,16 +15,13 @@
 //! was merely slow) is wasted compute, never a corrupted transcript. The
 //! fleet chaos suite asserts exactly this under replica kills.
 
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use chipalign_serve::protocol::{
-    self, LineReader, LoadedModel, ReplicaHealth, ReplicaStatus, Request, Response,
-};
+use chipalign_serve::protocol::{LoadedModel, ReplicaHealth, ReplicaStatus, Request, Response};
 use chipalign_serve::{
-    ErrorCode, GenerateRequest, Generation, MetricsSnapshot, RetryPolicy, ServeError,
+    Client, ErrorCode, GenerateRequest, Generation, MetricsSnapshot, RetryPolicy, ServeError,
 };
 use chipalign_tensor::rng::Pcg32;
 
@@ -343,20 +341,14 @@ impl Router {
         let mut routed = req.clone();
         routed.retry_attempt = attempt;
         candidate.inflight.fetch_add(1, Ordering::Relaxed);
-        let reply = round_trip(
-            &candidate.addr,
+        let reply = Client::connect_timeout(
+            candidate.addr.as_str(),
             self.cfg.connect_timeout,
             self.cfg.request_timeout,
-            &Request::Generate(routed),
-        );
+        )
+        .and_then(|mut client| client.generate(routed));
         candidate.inflight.fetch_sub(1, Ordering::Relaxed);
-        match reply? {
-            Response::Generation(g) => Ok(g),
-            Response::Error(w) => Err(ServeError::Remote(w)),
-            other => Err(ServeError::Protocol {
-                detail: format!("unexpected response variant: {other:?}"),
-            }),
-        }
+        reply
     }
 
     /// One probe pass over the whole fleet: ping every replica (draining
@@ -372,7 +364,7 @@ impl Router {
             .collect();
         for (index, addr) in targets {
             match self.probe(&addr) {
-                Ok(()) => self.record_success(index),
+                Ok(_) => self.record_success(index),
                 Err(_) => {
                     self.metrics.add(RouterCounter::ProbeFailures, 1);
                     self.record_failure(index);
@@ -381,14 +373,9 @@ impl Router {
         }
     }
 
-    fn probe(&self, addr: &str) -> Result<(), ServeError> {
+    fn probe(&self, addr: &str) -> Result<u32, ServeError> {
         let timeout = self.cfg.probe_timeout;
-        match round_trip(addr, timeout, Some(timeout), &Request::Ping)? {
-            Response::Pong { .. } => Ok(()),
-            other => Err(ServeError::Protocol {
-                detail: format!("unexpected ping reply: {other:?}"),
-            }),
-        }
+        Client::connect_timeout(addr, timeout, Some(timeout))?.ping()
     }
 
     /// Fan-out aggregate of every non-down replica's metrics snapshot
@@ -399,7 +386,7 @@ impl Router {
     pub(crate) fn fleet_metrics(&self) -> MetricsSnapshot {
         let mut aggregate = MetricsSnapshot::default();
         for (_, addr) in self.reachable_replicas() {
-            if let Ok(Response::Metrics(snap)) = self.admin_request(&addr, &Request::Metrics) {
+            if let Ok(snap) = self.admin(&addr).and_then(|mut c| c.metrics()) {
                 aggregate.absorb(&snap);
             }
         }
@@ -419,7 +406,9 @@ impl Router {
                 loaded: l,
                 zoo: z,
                 models,
-            }) = self.admin_request(&addr, &Request::Models)
+            }) = self
+                .admin(&addr)
+                .and_then(|mut c| c.request(&Request::Models))
             {
                 for m in l {
                     if !loaded.contains(&m) {
@@ -449,22 +438,11 @@ impl Router {
     /// Returns the first per-replica error if *no* replica loaded the
     /// model; succeeds with the canonical key if at least one did.
     pub(crate) fn fleet_load(&self, model: &str) -> Result<String, ServeError> {
-        let req = Request::Load {
-            model: model.to_string(),
-        };
         let mut key: Option<String> = None;
         let mut first_err: Option<ServeError> = None;
         for (_, addr) in self.reachable_replicas() {
-            match self.admin_request(&addr, &req) {
-                Ok(Response::Loaded { model }) => key = Some(model),
-                Ok(Response::Error(w)) => {
-                    first_err.get_or_insert(ServeError::Remote(w));
-                }
-                Ok(other) => {
-                    first_err.get_or_insert(ServeError::Protocol {
-                        detail: format!("unexpected load reply: {other:?}"),
-                    });
-                }
+            match self.admin(&addr).and_then(|mut c| c.load(model)) {
+                Ok(loaded) => key = Some(loaded),
                 Err(e) => {
                     first_err.get_or_insert(e);
                 }
@@ -479,12 +457,9 @@ impl Router {
     /// Broadcasts an `unload`; returns whether any replica evicted.
     #[must_use]
     pub(crate) fn fleet_unload(&self, model: &str) -> bool {
-        let req = Request::Unload {
-            model: model.to_string(),
-        };
         let mut any = false;
         for (_, addr) in self.reachable_replicas() {
-            if let Ok(Response::Unloaded { evicted, .. }) = self.admin_request(&addr, &req) {
+            if let Ok(evicted) = self.admin(&addr).and_then(|mut c| c.unload(model)) {
                 any |= evicted;
             }
         }
@@ -502,11 +477,11 @@ impl Router {
             .collect()
     }
 
-    /// One admin exchange (metrics/models/load/unload) with one replica:
-    /// connect under the probe timeout, then wait without one — admin ops
-    /// can be slow (a load may train/merge).
-    fn admin_request(&self, addr: &str, req: &Request) -> Result<Response, ServeError> {
-        round_trip(addr, self.cfg.probe_timeout, None, req)
+    /// A connection for one admin exchange (metrics/models/load/unload)
+    /// with one replica: connect under the probe timeout, then wait without
+    /// one — admin ops can be slow (a load may train/merge).
+    fn admin(&self, addr: &str) -> Result<Client, ServeError> {
+        Client::connect_timeout(addr, self.cfg.probe_timeout, None)
     }
 }
 
@@ -539,36 +514,6 @@ fn classify(e: &ServeError) -> AttemptVerdict {
         },
         ServeError::Io(_) | ServeError::Protocol { .. } => AttemptVerdict::Transport,
         _ => AttemptVerdict::Retryable,
-    }
-}
-
-/// The router's one exchange with a replica: a fresh connection to the
-/// `host:port` string `addr`, `req` out, one reply line back (bounded by
-/// `protocol::MAX_LINE_BYTES`, so a misbehaving replica cannot balloon the
-/// router). Connect-per-request is deliberate: see DESIGN.md, "Wire".
-fn round_trip(
-    addr: &str,
-    connect_timeout: Duration,
-    read_timeout: Option<Duration>,
-    req: &Request,
-) -> Result<Response, ServeError> {
-    use std::net::ToSocketAddrs;
-    let resolved = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| ServeError::Protocol {
-            detail: format!("unresolvable replica address: {addr}"),
-        })?;
-    let mut stream = TcpStream::connect_timeout(&resolved, connect_timeout)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(read_timeout)?;
-    protocol::write_line(&mut stream, req)?;
-    match LineReader::new(stream).read_line()? {
-        Some(line) => protocol::parse_line(line),
-        None => Err(ServeError::Io(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "replica closed the connection",
-        ))),
     }
 }
 

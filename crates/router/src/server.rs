@@ -2,12 +2,13 @@
 //!
 //! [`RouterServer`] speaks the same newline-delimited JSON protocol as a
 //! single `chipalign-serve` replica, so existing clients (including
-//! [`chipalign_serve::Client`] and its `Retrier`) point at the router
-//! unchanged. Per-request verbs are routed with failover
-//! ([`Router::generate`]); admin verbs fan out — `metrics` aggregates the
-//! fleet with [`chipalign_serve::MetricsSnapshot::absorb`], `models`
-//! unions, `load`/`unload` broadcast — and the v3 `fleet`/`drain` verbs
-//! are answered locally from the replica table. The listener itself is
+//! [`chipalign_serve::Client`]) point at the router unchanged. Per-request
+//! verbs are routed with failover ([`Router::generate`]); admin verbs fan
+//! out — `metrics` aggregates the fleet with
+//! [`chipalign_serve::MetricsSnapshot::absorb`], `models` unions,
+//! `load`/`unload` broadcast — and the v3 `fleet`/`drain` verbs are
+//! answered locally from the replica table. Every exchange with a replica
+//! is one [`chipalign_serve::Client`] connection. The listener itself is
 //! [`LineServer`] — the same blocking accept loop and connection handler a
 //! replica runs; only the dispatch differs.
 //!

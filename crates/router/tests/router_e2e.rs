@@ -8,12 +8,13 @@
 //! transcript-safe, and lets these tests use a direct-to-replica
 //! generation as the byte-identity reference for router-served output.
 
+use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 use chipalign_model::ArchSpec;
 use chipalign_nn::TinyLm;
 use chipalign_pipeline::zoo::{Quality, Zoo, ZooConfig};
-use chipalign_router::{affinity_key, HashRing, RouterConfig, RouterServer};
+use chipalign_router::{affinity_key, HashRing, Router, RouterConfig, RouterServer};
 use chipalign_serve::protocol::ReplicaHealth;
 use chipalign_serve::{
     Client, GenerateRequest, ModelRegistry, SchedulerConfig, Server, ServerConfig,
@@ -381,4 +382,69 @@ fn router_shutdown_is_prompt_idempotent_and_closes_the_port() {
     for s in servers {
         s.shutdown();
     }
+}
+
+/// A replica that accepts and never replies: `request_timeout` bounds the
+/// router's wait, the attempt fails over to the live replica with its
+/// transcript unchanged, and the silent replica's health drops as
+/// `record_failure` says (one failure: `Degraded`).
+#[test]
+fn a_silent_replica_times_out_and_the_request_fails_over() {
+    let silent = TcpListener::bind("127.0.0.1:0").expect("bind stub");
+    let silent_addr = silent.local_addr().expect("addr").to_string();
+    let (done, wait) = std::sync::mpsc::channel::<()>();
+    let stub = std::thread::spawn(move || {
+        // Take the one routed attempt and hold it open, silent, until the
+        // test is done.
+        let (conn, _) = silent.accept().expect("accept");
+        let _ = wait.recv();
+        drop(conn);
+    });
+    let live = replica(1, 1, 4);
+    let mut arch = ArchSpec::tiny("router-e2e");
+    arch.vocab_size = 99;
+    let model = TinyLm::new(&arch, &mut Pcg32::seed(7)).expect("model");
+    live.registry().register("tiny", model);
+    let addrs = vec![silent_addr, live.local_addr().to_string()];
+
+    let cfg = RouterConfig {
+        request_timeout: Some(Duration::from_millis(200)),
+        ..RouterConfig::default()
+    };
+    // A prompt whose affinity home is the silent replica, so the first
+    // attempt goes there.
+    let ring = HashRing::build(&addrs, cfg.vnodes);
+    let prompt = (0..64)
+        .map(|i| format!("Q:{i} silent home;A:"))
+        .find(|p| ring.candidates(affinity_key("tiny", p, cfg.affinity_chars))[0] == 0)
+        .expect("a prompt homed on the silent replica");
+    // No prober: the routed attempt is the only thing that can mark it.
+    let router = Router::new(cfg, addrs);
+    let req = GenerateRequest::greedy("tiny", &prompt, 16);
+    let started = Instant::now();
+    let routed = router
+        .generate(&req)
+        .expect("fails over to the live replica");
+    let took = started.elapsed();
+    let direct = Client::connect(live.local_addr())
+        .expect("connect replica")
+        .generate(req)
+        .expect("direct generate");
+    assert_eq!(routed.text, direct.text, "failover keeps the transcript");
+    assert!(
+        took >= Duration::from_millis(200),
+        "the silent replica was waited on for the timeout: {took:?}"
+    );
+
+    let snap = router.metrics().snapshot();
+    assert_eq!(snap.failovers, 1);
+    assert_eq!(snap.primary_hits, 0);
+    assert_eq!(snap.marks_degraded, 1);
+    let fleet = router.fleet_status();
+    assert_eq!(fleet[0].state, ReplicaHealth::Degraded);
+    assert_eq!(fleet[0].consecutive_failures, 1);
+    assert_eq!(fleet[1].state, ReplicaHealth::Healthy);
+    drop(done);
+    stub.join().expect("stub thread");
+    live.shutdown();
 }

@@ -72,9 +72,6 @@ pub enum Site {
     /// Poison a freshly merged checkpoint with a NaN before validation
     /// (exercises non-finite rejection on the merge path).
     MergePoison,
-    /// Truncate a checkpoint persist mid-write, bypassing the atomic
-    /// rename (exercises corrupt-file recovery on reload).
-    TornWrite,
     /// Abandon a submitted session from the server side as if the client
     /// hung up (exercises orphaned-session accounting).
     ClientDisconnect,
@@ -227,7 +224,7 @@ mod tests {
     fn unarmed_sites_never_fire() {
         let _scope = scope(1);
         assert!(!should_fire(Site::WorkerPanic, "any"));
-        assert!(!should_fire(Site::TornWrite, "any"));
+        assert!(!should_fire(Site::MergePoison, "any"));
     }
 
     #[test]

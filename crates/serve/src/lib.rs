@@ -70,13 +70,13 @@ pub mod error;
 #[cfg(feature = "fault-inject")]
 pub mod faults;
 pub mod metrics;
-pub mod prefix;
+pub(crate) mod prefix;
 pub mod protocol;
 pub(crate) mod registry;
 pub mod scheduler;
 pub mod server;
 
-pub use client::{Client, Retrier, RetryPolicy};
+pub use client::{Client, RetryPolicy};
 pub use error::ServeError;
 pub use metrics::{Counter, Metrics, MetricsSnapshot};
 pub use protocol::{

@@ -10,16 +10,16 @@
 //! other session with the same leading tokens would compute. This module
 //! stores those rows once and hands out [`KvCache::fork_from`] clones.
 //!
-//! Structure: one flat table of at most `max_entries` snapshots (32 by
-//! default), scanned linearly. An entry serves a query when it holds the same model
+//! Structure: one flat table of at most [`MAX_ENTRIES`] snapshots, scanned
+//! linearly. An entry serves a query when it holds the same model
 //! allocation (`Arc::ptr_eq`; the entry's own `Arc` clone keeps the
 //! address from being reused), the same KV storage dtype — `spec` and
 //! `spec#kv8` share an allocation, and a snapshot's rows are bit-faithful
 //! only to sessions of its own dtype — and tokens that prefix the query.
 //! A lookup forks the **longest** such entry, so a cached full prompt also
 //! serves queries that share only its scaffold. Bounds: entry count and
-//! total KV bytes, evicting the least-recently-used snapshot when either
-//! would overflow.
+//! total KV bytes ([`MAX_TOTAL_BYTES`]), evicting the least-recently-used
+//! snapshot when either would overflow.
 //!
 //! # Byte accounting under paged storage
 //!
@@ -42,27 +42,14 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use chipalign_nn::{KvCache, KvDtype, TinyLm};
+use chipalign_nn::{KvCache, KvDtype, KvPool, TinyLm};
 
-/// Bounds for the `PrefixCache`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefixCacheConfig {
-    /// Maximum number of cached prefix snapshots across all models;
-    /// `0` disables the cache entirely.
-    pub(crate) max_entries: usize,
-    /// Maximum total KV bytes across all snapshots (approximate, counting
-    /// K/V rows). A single oversized snapshot is simply not admitted.
-    pub(crate) max_total_bytes: usize,
-}
+/// Most prefix snapshots the scheduler's cache holds across all models.
+pub(crate) const MAX_ENTRIES: usize = 32;
 
-impl Default for PrefixCacheConfig {
-    fn default() -> Self {
-        PrefixCacheConfig {
-            max_entries: 32,
-            max_total_bytes: 64 * 1024 * 1024,
-        }
-    }
-}
+/// Most KV bytes the scheduler's cache charges across all snapshots. A
+/// single snapshot larger than this is simply not admitted.
+pub(crate) const MAX_TOTAL_BYTES: usize = 64 * 1024 * 1024;
 
 #[derive(Debug)]
 struct Entry {
@@ -98,24 +85,29 @@ struct Inner {
 /// prefixes. See the module docs for the design.
 #[derive(Debug)]
 pub(crate) struct PrefixCache {
-    cfg: PrefixCacheConfig,
+    /// Most cached snapshots; `0` disables the cache.
+    max_entries: usize,
+    /// Most KV bytes charged across all snapshots.
+    max_total_bytes: usize,
     inner: Mutex<Inner>,
 }
 
 impl PrefixCache {
-    /// Creates an empty cache with the given bounds.
+    /// Creates an empty cache with the given bounds (the scheduler's are
+    /// [`MAX_ENTRIES`] and [`MAX_TOTAL_BYTES`]).
     #[must_use]
-    pub(crate) fn new(cfg: PrefixCacheConfig) -> Self {
+    pub(crate) fn new(max_entries: usize, max_total_bytes: usize) -> Self {
         PrefixCache {
-            cfg,
+            max_entries,
+            max_total_bytes,
             inner: Mutex::new(Inner::default()),
         }
     }
 
-    /// Whether the cache is configured to store anything at all.
+    /// Whether the cache's bounds let it store anything at all.
     #[must_use]
     pub(crate) fn enabled(&self) -> bool {
-        self.cfg.max_entries > 0 && self.cfg.max_total_bytes > 0
+        self.max_entries > 0 && self.max_total_bytes > 0
     }
 
     /// Number of cached snapshots.
@@ -201,7 +193,7 @@ impl PrefixCache {
             .filter(|(id, _)| !inner.block_refs.contains_key(id))
             .map(|&(_, bytes)| bytes)
             .sum();
-        if charge > self.cfg.max_total_bytes {
+        if charge > self.max_total_bytes {
             return;
         }
         let stamp = inner.next_stamp();
@@ -223,28 +215,37 @@ impl PrefixCache {
             stamp,
             block_ids,
         });
-        while inner.entries.len() > self.cfg.max_entries
-            || inner.total_bytes > self.cfg.max_total_bytes
-        {
+        while inner.entries.len() > self.max_entries || inner.total_bytes > self.max_total_bytes {
             // The just-inserted snapshot is the most recent; bounds are
             // restored by evicting older ones (it alone fits, checked
             // above).
-            if !inner.evict_lru() {
+            if !inner.evict_lru(None) {
                 break;
             }
         }
     }
 
-    /// Evicts the least-recently-used snapshot unconditionally. The
-    /// scheduler calls this under KV-pool pressure: dropping a cached
-    /// snapshot releases its block aliases so admission can hand the
-    /// freed blocks to a live session. Returns whether anything was
-    /// evicted.
+    /// Evicts the least-recently-used snapshot of any pool. Returns
+    /// whether anything was evicted.
+    #[cfg(test)]
     pub(crate) fn evict_one(&self) -> bool {
         self.inner
             .lock()
             .expect("prefix cache poisoned")
-            .evict_lru()
+            .evict_lru(None)
+    }
+
+    /// Evicts the least-recently-used snapshot whose blocks live in
+    /// `pool`. The scheduler calls this under that pool's pressure:
+    /// dropping the snapshot releases its block aliases so admission can
+    /// hand the freed blocks to a live session, while a snapshot in
+    /// another pool would free nothing there. Returns whether anything was
+    /// evicted.
+    pub(crate) fn evict_one_in(&self, pool: &Arc<KvPool>) -> bool {
+        self.inner
+            .lock()
+            .expect("prefix cache poisoned")
+            .evict_lru(Some(pool))
     }
 }
 
@@ -254,11 +255,17 @@ impl Inner {
         self.clock
     }
 
-    /// Evicts the least-recently-used snapshot, freeing the bytes of every
-    /// block no surviving entry still holds. Returns false when the cache
-    /// holds nothing to evict.
-    fn evict_lru(&mut self) -> bool {
-        let Some((idx, _)) = self.entries.iter().enumerate().min_by_key(|(_, e)| e.stamp) else {
+    /// Evicts the least-recently-used snapshot (of `pool` only, when
+    /// given), freeing the bytes of every block no surviving entry still
+    /// holds. Returns false when the cache holds nothing to evict.
+    fn evict_lru(&mut self, pool: Option<&Arc<KvPool>>) -> bool {
+        let Some((idx, _)) = self
+            .entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| pool.is_none_or(|p| Arc::ptr_eq(e.snapshot.pool(), p)))
+            .min_by_key(|(_, e)| e.stamp)
+        else {
             return false;
         };
         let entry = self.entries.swap_remove(idx);
@@ -298,7 +305,7 @@ mod tests {
     #[test]
     fn longest_match_wins_and_is_a_proper_prefix() {
         let m = model(1);
-        let cache = PrefixCache::new(PrefixCacheConfig::default());
+        let cache = PrefixCache::new(MAX_ENTRIES, MAX_TOTAL_BYTES);
         cache.insert(&prefilled(&m, &[5, 6]));
         cache.insert(&prefilled(&m, &[5, 6, 7, 8]));
         assert_eq!(cache.entries(), 2);
@@ -329,7 +336,7 @@ mod tests {
     #[test]
     fn forks_are_independent_of_the_cached_snapshot() {
         let m = model(1);
-        let cache = PrefixCache::new(PrefixCacheConfig::default());
+        let cache = PrefixCache::new(MAX_ENTRIES, MAX_TOTAL_BYTES);
         cache.insert(&prefilled(&m, &[5, 6, 7]));
         let (mut fork, len) = cache.lookup(&m, KvDtype::F32, &[5, 6, 7, 8]).expect("hit");
         assert_eq!(len, 3);
@@ -344,7 +351,7 @@ mod tests {
     fn models_do_not_cross_pollinate() {
         let a = model(1);
         let b = model(2);
-        let cache = PrefixCache::new(PrefixCacheConfig::default());
+        let cache = PrefixCache::new(MAX_ENTRIES, MAX_TOTAL_BYTES);
         cache.insert(&prefilled(&a, &[5, 6, 7]));
         assert!(cache.lookup(&b, KvDtype::F32, &[5, 6, 7, 8]).is_none());
         let (fork, _) = cache.lookup(&a, KvDtype::F32, &[5, 6, 7, 8]).expect("hit");
@@ -354,10 +361,7 @@ mod tests {
     #[test]
     fn entry_bound_evicts_least_recently_used() {
         let m = model(1);
-        let cache = PrefixCache::new(PrefixCacheConfig {
-            max_entries: 2,
-            max_total_bytes: usize::MAX,
-        });
+        let cache = PrefixCache::new(2, usize::MAX);
         cache.insert(&prefilled(&m, &[5, 6]));
         cache.insert(&prefilled(&m, &[7, 8]));
         // Touch [5,6] so [7,8] becomes the LRU.
@@ -382,10 +386,7 @@ mod tests {
     fn byte_bound_evicts_and_oversized_snapshots_are_refused() {
         let m = model(1);
         let unit = prefilled(&m, &[5]).kv_bytes();
-        let cache = PrefixCache::new(PrefixCacheConfig {
-            max_entries: usize::MAX,
-            max_total_bytes: 5 * unit,
-        });
+        let cache = PrefixCache::new(usize::MAX, 5 * unit);
         cache.insert(&prefilled(&m, &[5, 6])); // 2 units
         cache.insert(&prefilled(&m, &[7, 8, 9])); // 3 units -> total 5
         assert_eq!(cache.total_bytes(), 5 * unit);
@@ -408,10 +409,7 @@ mod tests {
     #[test]
     fn duplicate_insert_refreshes_instead_of_duplicating() {
         let m = model(1);
-        let cache = PrefixCache::new(PrefixCacheConfig {
-            max_entries: 2,
-            max_total_bytes: usize::MAX,
-        });
+        let cache = PrefixCache::new(2, usize::MAX);
         cache.insert(&prefilled(&m, &[5, 6]));
         cache.insert(&prefilled(&m, &[7, 8]));
         // Re-inserting [5,6] refreshes its stamp: [7,8] is now the LRU.
@@ -428,10 +426,7 @@ mod tests {
     #[test]
     fn disabled_cache_stores_nothing() {
         let m = model(1);
-        let cache = PrefixCache::new(PrefixCacheConfig {
-            max_entries: 0,
-            max_total_bytes: usize::MAX,
-        });
+        let cache = PrefixCache::new(0, usize::MAX);
         assert!(!cache.enabled());
         cache.insert(&prefilled(&m, &[5, 6]));
         assert_eq!(cache.entries(), 0);
@@ -450,10 +445,7 @@ mod tests {
         .expect("pool");
         let arch = m.arch();
         let bb = pool.block_bytes(arch.n_layers, arch.d_model);
-        let cache = PrefixCache::new(PrefixCacheConfig {
-            max_entries: 8,
-            max_total_bytes: usize::MAX,
-        });
+        let cache = PrefixCache::new(8, usize::MAX);
 
         // Donor: 4 tokens = blocks [b0, b1].
         let mut donor = KvCache::new_paged(&m, &pool);
@@ -497,7 +489,7 @@ mod tests {
             ..KvPoolConfig::default()
         })
         .expect("pool");
-        let cache = PrefixCache::new(PrefixCacheConfig::default());
+        let cache = PrefixCache::new(MAX_ENTRIES, MAX_TOTAL_BYTES);
         let mut donor = KvCache::new_paged(&m, &pool);
         donor.prefill(&[5, 6, 7, 8]).expect("prefill");
         cache.insert(&donor);
@@ -527,7 +519,7 @@ mod tests {
             dtype: KvDtype::Int8,
         })
         .expect("pool");
-        let cache = PrefixCache::new(PrefixCacheConfig::default());
+        let cache = PrefixCache::new(MAX_ENTRIES, MAX_TOTAL_BYTES);
         let mut donor = KvCache::new_paged(&m, &pool);
         donor.prefill(&[5, 6, 7, 8]).expect("prefill"); // 2 sealed blocks
         cache.insert(&donor);
@@ -553,7 +545,7 @@ mod tests {
     fn kv_dtypes_do_not_cross_pollinate() {
         use chipalign_nn::{KvPool, KvPoolConfig};
         let m = model(1);
-        let cache = PrefixCache::new(PrefixCacheConfig::default());
+        let cache = PrefixCache::new(MAX_ENTRIES, MAX_TOTAL_BYTES);
 
         // One model allocation serving both dtypes at once (`spec` vs
         // `spec#kv8`): each donation lands in its own bucket.
@@ -615,10 +607,7 @@ mod tests {
             .expect("pool")
         });
         let max_total_bytes = 12 * 1024;
-        let cache = PrefixCache::new(PrefixCacheConfig {
-            max_entries: 8,
-            max_total_bytes,
-        });
+        let cache = PrefixCache::new(8, max_total_bytes);
         let mut rng = Pcg32::seed(37);
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         for _ in 0..400 {
@@ -666,10 +655,7 @@ mod tests {
     #[test]
     fn eviction_prunes_shared_stems_only_when_bare() {
         let m = model(1);
-        let cache = PrefixCache::new(PrefixCacheConfig {
-            max_entries: 2,
-            max_total_bytes: usize::MAX,
-        });
+        let cache = PrefixCache::new(2, usize::MAX);
         // Two entries sharing the stem [5, 6].
         cache.insert(&prefilled(&m, &[5, 6, 7]));
         cache.insert(&prefilled(&m, &[5, 6, 8]));

@@ -94,9 +94,9 @@ json_struct! {
         /// Per-request deadline in milliseconds, measured from admission.
         /// When absent, the server's default applies.
         pub deadline_ms: Option<u64> = None,
-        /// Which retry of this request this is (`0` = first attempt). Set
-        /// by [`crate::client::Retrier`]; the server counts non-zero
-        /// attempts in the `retries_attempted` metric.
+        /// Which retry of this request this is (`0` = first attempt). The
+        /// router sets it to the failover attempt index; the server counts
+        /// non-zero attempts in the `retries_attempted` metric.
         pub retry_attempt: u32 = 0,
     }
 }

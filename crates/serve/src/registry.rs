@@ -51,19 +51,19 @@
 //!
 //! # Integrity
 //!
-//! Merged models are validated ([`Checkpoint::validate`]) and scanned for
+//! Merged models are validated
+//! ([`chipalign_model::Checkpoint::validate`]) and scanned for
 //! non-finite weights before they are cached; a poisoned merge is a
-//! structured error. With a persist directory
-//! ([`ModelRegistry::with_persist_dir`]), merges are saved crash-safely,
-//! and a torn or corrupted persisted file is counted in
-//! `checksum_failures`, removed, and rebuilt from its ingredients.
+//! structured error, and a non-finite one counts in `checksum_failures`,
+//! as does a `file:` checkpoint whose bytes are damaged. Merges live in
+//! memory only: an evicted merge is rebuilt from its ingredients.
 
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 use chipalign_merge::{GeodesicMerge, Merger};
-use chipalign_model::{format, Checkpoint, ModelError};
+use chipalign_model::{format, ModelError};
 use chipalign_nn::{KvDtype, KvPool, KvPoolConfig, TinyLm, SPEC_K_MAX};
 use chipalign_pipeline::zoo::{Backbone, Zoo, ZooModel};
 
@@ -71,8 +71,7 @@ use crate::metrics::{Counter, Metrics};
 use crate::ServeError;
 
 /// Whether a load failure means the bytes on disk are damaged (as opposed
-/// to e.g. a plain I/O error), so the file is worth deleting and
-/// rebuilding.
+/// to e.g. a plain I/O error), so it counts in `checksum_failures`.
 fn is_integrity_error(e: &ModelError) -> bool {
     matches!(
         e,
@@ -373,9 +372,6 @@ pub struct ModelRegistry {
     build_ready: Condvar,
     /// Most merges kept in the cache before LRU eviction.
     merge_capacity: usize,
-    /// When set, merged checkpoints are persisted here (crash-safely) and
-    /// reloaded instead of re-merged on later resolves.
-    persist_dir: Option<PathBuf>,
     /// Attached by the server so integrity failures show up in
     /// `checksum_failures`; absent in library use.
     metrics: OnceLock<Arc<Metrics>>,
@@ -418,24 +414,10 @@ impl ModelRegistry {
             building: Mutex::new(HashSet::new()),
             build_ready: Condvar::new(),
             merge_capacity: 32,
-            persist_dir: None,
             metrics: OnceLock::new(),
             kv_pools: Mutex::new(Vec::new()),
             kv_pool_cfg: KvPoolConfig::default(),
         }
-    }
-
-    /// Configures a directory where merged checkpoints are persisted
-    /// (crash-safely, via write-to-temp-then-rename) and reloaded from on
-    /// later resolves instead of re-merging. The directory is created if
-    /// missing; a torn or corrupted persisted file is detected at load,
-    /// removed, and rebuilt from its ingredients.
-    #[must_use]
-    pub fn with_persist_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        let dir = dir.into();
-        let _ = std::fs::create_dir_all(&dir);
-        self.persist_dir = Some(dir);
-        self
     }
 
     /// The paged KV pool backing sessions of this model allocation at the
@@ -641,6 +623,9 @@ impl ModelRegistry {
         Ok(built)
     }
 
+    /// Builds the model `spec` names; `key` (its cache key) tags the
+    /// injected faults.
+    #[cfg_attr(not(feature = "fault-inject"), allow(unused_variables))]
     fn materialize(&self, spec: &Variant, key: &str) -> Result<TinyLm, ServeError> {
         #[cfg(feature = "fault-inject")]
         if crate::faults::should_fire(crate::faults::Site::RegistryResolve, key) {
@@ -667,9 +652,6 @@ impl ModelRegistry {
                 instruct,
                 lambda,
             } => {
-                if let Some(model) = self.load_persisted(key)? {
-                    return Ok(model);
-                }
                 let chip_ckpt = self.zoo.model(*chip)?.to_checkpoint()?;
                 let instruct_ckpt = self.zoo.model(*instruct)?.to_checkpoint()?;
                 #[cfg_attr(not(feature = "fault-inject"), allow(unused_mut))]
@@ -681,8 +663,8 @@ impl ModelRegistry {
                         t.data_mut()[0] = f32::NAN;
                     }
                 }
-                // Vet the merge before it can reach the cache or disk: a
-                // poisoned checkpoint is reported, never served.
+                // Vet the merge before it can reach the cache: a poisoned
+                // checkpoint is reported, never served.
                 merged.validate()?;
                 if let Some(tensor) = merged.first_non_finite() {
                     self.note_integrity_failure();
@@ -690,7 +672,6 @@ impl ModelRegistry {
                         tensor: tensor.to_string(),
                     }));
                 }
-                self.persist(key, &merged);
                 Ok(TinyLm::try_from(merged)?)
             }
             Weights::File(path) => {
@@ -704,57 +685,6 @@ impl ModelRegistry {
             // A name is registered (and cached) or unknown: nothing builds it.
             Weights::Named(name) => Err(ServeError::UnknownModel { spec: name.clone() }),
         }
-    }
-
-    /// The file a merged checkpoint with cache key `key` persists to, or
-    /// `None` when no persist directory is configured. Keys are sanitized
-    /// to a filesystem-safe alphabet.
-    #[must_use]
-    pub fn persist_path(&self, key: &str) -> Option<PathBuf> {
-        let dir = self.persist_dir.as_ref()?;
-        let safe: String = key
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-            .collect();
-        Some(dir.join(format!("{safe}.calt")))
-    }
-
-    /// Tries to reload a previously persisted merge. A damaged file
-    /// (truncated, bit-flipped, non-finite) is counted, deleted, and
-    /// reported as a miss so the caller rebuilds from ingredients; only
-    /// genuine I/O errors propagate.
-    fn load_persisted(&self, key: &str) -> Result<Option<TinyLm>, ServeError> {
-        let Some(path) = self.persist_path(key).filter(|p| p.exists()) else {
-            return Ok(None);
-        };
-        match format::load(&path) {
-            Ok(ckpt) => Ok(Some(TinyLm::try_from(ckpt)?)),
-            Err(e) if is_integrity_error(&e) => {
-                self.note_integrity_failure();
-                let _ = std::fs::remove_file(&path);
-                Ok(None)
-            }
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Best-effort persist of a vetted merge: failure only costs a rebuild
-    /// on the next resolve, so errors are swallowed.
-    fn persist(&self, key: &str, merged: &Checkpoint) {
-        let Some(path) = self.persist_path(key) else {
-            return;
-        };
-        #[cfg(feature = "fault-inject")]
-        if crate::faults::should_fire(crate::faults::Site::TornWrite, key) {
-            // Simulate a crash mid-write through a non-atomic writer: only
-            // the first half of the encoding reaches the final path.
-            // `format::save` itself never does this — that is the point of
-            // the injection.
-            let bytes = format::encode(merged);
-            let _ = std::fs::write(&path, &bytes[..bytes.len() / 2]);
-            return;
-        }
-        let _ = format::save(merged, &path);
     }
 
     fn note_integrity_failure(&self) {
@@ -1208,24 +1138,6 @@ mod tests {
         assert!(reg.evict("canary"));
         assert!(!reg.evict("canary"));
         assert!(reg.loaded().is_empty());
-    }
-
-    #[test]
-    fn persist_path_sanitizes_keys_and_requires_a_dir() {
-        let reg = registry();
-        assert!(reg.persist_path("merge:a+b@0.5").is_none(), "no dir set");
-        let dir = std::env::temp_dir().join("chipalign-reg-persist");
-        let reg = registry().with_persist_dir(&dir);
-        let path = reg
-            .persist_path("merge:eda-qwen+instruct-qwen@0.6000")
-            .expect("dir set");
-        let name = path
-            .file_name()
-            .expect("name")
-            .to_string_lossy()
-            .into_owned();
-        assert_eq!(name, "merge-eda-qwen-instruct-qwen-0-6000.calt");
-        assert!(path.starts_with(&dir));
     }
 
     #[test]

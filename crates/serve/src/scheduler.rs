@@ -66,10 +66,10 @@
 //! [`ServeError::Overloaded`] instead of buffering without limit. Pooled
 //! sessions (a [`KvPool`] attached to the request) are additionally
 //! admitted by *free blocks*: if the pool cannot cover the prompt window,
-//! reusable prefix-cache snapshots are evicted LRU-first (counted in
-//! `pool_evictions`), and a session that still does not fit is rejected
-//! with [`ServeError::PoolSaturated`] — the same overloaded wire class,
-//! so clients back off. Each
+//! reusable prefix-cache snapshots in that pool are evicted LRU-first
+//! (counted in `pool_evictions`), and a session that still does not fit is
+//! rejected with [`ServeError::PoolSaturated`] — the same overloaded wire
+//! class, so the router spills it. Each
 //! session may carry a deadline, checked between decode steps, so a stuck
 //! or oversized request cannot pin a worker forever. [`Scheduler::shutdown`]
 //! stops admissions; workers then drain every queued session to completion
@@ -106,7 +106,7 @@ use chipalign_nn::generate::{GenerateConfig, StepDecoder};
 use chipalign_nn::{KvPool, SpecDecoder, TinyLm};
 
 use crate::metrics::{Counter, Hist, Metrics};
-use crate::prefix::{PrefixCache, PrefixCacheConfig};
+use crate::prefix::{self, PrefixCache};
 use crate::protocol::FinishReason;
 use crate::ServeError;
 
@@ -153,9 +153,6 @@ pub struct SchedulerConfig {
     /// other sessions' decode slices. Clamped to at least 1. Chunking
     /// never changes output bytes.
     pub prefill_chunk: usize,
-    /// Bounds for the shared-prefix KV cache consulted at first dequeue;
-    /// `max_entries: 0` disables prefix reuse.
-    pub prefix_cache: PrefixCacheConfig,
 }
 
 impl Default for SchedulerConfig {
@@ -174,7 +171,6 @@ impl Default for SchedulerConfig {
             stall_slices: 32,
             max_batch: 8,
             prefill_chunk: 32,
-            prefix_cache: PrefixCacheConfig::default(),
         }
     }
 }
@@ -209,7 +205,7 @@ pub struct SessionRequest {
     /// cache's own private pool (library and test use); the server always
     /// attaches the model's pool. With a shared pool, admission also
     /// requires enough free blocks for the prompt window — evicting
-    /// reusable prefix snapshots first — and rejects with
+    /// reusable prefix snapshots in that pool first — and rejects with
     /// [`ServeError::PoolSaturated`] otherwise.
     pub pool: Option<Arc<KvPool>>,
     /// Speculative draft pairing. `None` decodes plainly; with a draft,
@@ -392,7 +388,6 @@ impl Scheduler {
                 .max_batch
                 .clamp(1, chipalign_tensor::tune::GEMM_SKINNY_M_MAX),
             prefill_chunk: cfg.prefill_chunk.max(1),
-            prefix_cache: cfg.prefix_cache,
         };
         let inner = Arc::new(Inner {
             cfg: cfg.clone(),
@@ -402,7 +397,7 @@ impl Scheduler {
             draining: AtomicBool::new(false),
             aborting: AtomicBool::new(false),
             metrics,
-            prefix: PrefixCache::new(cfg.prefix_cache),
+            prefix: PrefixCache::new(prefix::MAX_ENTRIES, prefix::MAX_TOTAL_BYTES),
         });
         let workers = (0..cfg.workers)
             .map(|i| {
@@ -440,9 +435,9 @@ impl Scheduler {
             return Err(ServeError::ShuttingDown);
         }
         // Block-granular admission for pooled sessions: the prompt window
-        // must be coverable by free blocks. Cached prefix snapshots are
-        // reclaimable — evict them LRU-first until the session fits or the
-        // cache is empty. (Blocks are allocated lazily during prefill, so
+        // must be coverable by free blocks. Cached prefix snapshots in that
+        // pool are reclaimable — evict them LRU-first until the session fits
+        // or none is left. (Blocks are allocated lazily during prefill, so
         // this check is a capacity gate, not a reservation; mid-decode
         // growth past the pool still fails the session with a structured
         // `PoolExhausted`, which also maps to the overloaded wire code.)
@@ -450,7 +445,7 @@ impl Scheduler {
             let window = req.prompt.len().min(req.model.arch().max_seq_len);
             let needed = pool.blocks_for(window);
             while pool.blocks_free() < needed {
-                if !inner.prefix.evict_one() {
+                if !inner.prefix.evict_one_in(pool) {
                     break;
                 }
                 inner.metrics.add(Counter::PoolEvictions, 1);
@@ -1141,7 +1136,6 @@ mod tests {
             stall_slices: 32,
             max_batch: 1,
             prefill_chunk: 32,
-            prefix_cache: PrefixCacheConfig::default(),
         }
     }
 
@@ -1477,6 +1471,53 @@ mod tests {
         }
         assert!(metrics.snapshot().rejected_overload >= 1);
         assert_eq!(scheduler.active(), 0);
+        scheduler.join();
+    }
+
+    #[test]
+    fn pool_pressure_evicts_only_snapshots_in_the_pressed_pool() {
+        use chipalign_nn::{KvCache, KvPool, KvPoolConfig};
+        let small_pool = || {
+            KvPool::new(KvPoolConfig {
+                block_tokens: 1,
+                max_blocks: 4,
+                ..KvPoolConfig::default()
+            })
+            .expect("pool")
+        };
+        let (model_a, pool_a) = (model(), small_pool());
+        let mut arch = ArchSpec::tiny("sched-b");
+        arch.vocab_size = 99;
+        let model_b = Arc::new(TinyLm::new(&arch, &mut Pcg32::seed(12)).expect("model"));
+        let pool_b = small_pool();
+        let metrics = Arc::new(Metrics::new());
+        let scheduler = Scheduler::start(config(1, 8, 4), Arc::clone(&metrics));
+        let on = |m: &Arc<TinyLm>, pool: &Arc<KvPool>| SessionRequest {
+            pool: Some(Arc::clone(pool)),
+            ..request(m, 1, None)
+        };
+
+        // B's session ends and leaves its 3-token prompt cached in B's pool.
+        let b = scheduler.submit(on(&model_b, &pool_b)).expect("admit");
+        b.recv().expect("outcome").expect("ok");
+        assert_eq!(pool_b.blocks_in_use(), 3);
+        assert_eq!(scheduler.inner.prefix.entries(), 1);
+
+        // A's pool is full: a live session's cache holds every block.
+        let mut live = KvCache::new_paged(&model_a, &pool_a);
+        live.prefill(&[5, 6, 7, 8]).expect("fills A's pool");
+        assert_eq!(pool_a.blocks_free(), 0);
+
+        // Dropping B's snapshot would free nothing in A's pool, so
+        // admission must reject without touching it.
+        match scheduler.submit(on(&model_a, &pool_a)) {
+            Err(ServeError::PoolSaturated { needed: 3, free: 0 }) => {}
+            other => panic!("expected pool saturation, got {other:?}"),
+        }
+        assert_eq!(pool_b.blocks_in_use(), 3, "B's snapshot survives");
+        assert_eq!(scheduler.inner.prefix.entries(), 1);
+        assert_eq!(metrics.snapshot().pool_evictions, 0);
+        drop(live);
         scheduler.join();
     }
 

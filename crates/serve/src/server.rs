@@ -162,10 +162,9 @@ impl Server {
     /// scheduler's `Scheduler::abort` path) and connection handlers stop
     /// waiting on replies, so from a client's perspective the replica
     /// either returns a retryable verdict or drops the connection —
-    /// exactly the two faults the [`crate::client::Retrier`] and the
-    /// router's failover absorb. The fleet chaos suite uses this to take
-    /// whole replicas down mid-decode. Safe to call more than once;
-    /// `shutdown` after `kill` is a no-op.
+    /// exactly the two faults the router's failover absorbs. The fleet
+    /// chaos suite uses this to take whole replicas down mid-decode. Safe
+    /// to call more than once; `shutdown` after `kill` is a no-op.
     pub fn kill(&self) {
         self.inner.killed.store(true, Ordering::SeqCst);
         self.inner.scheduler.abort();

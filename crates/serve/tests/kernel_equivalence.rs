@@ -221,7 +221,6 @@ fn chunked_and_prefix_seeded_transcripts_identical_to_cold_prefill() {
                     stall_slices: 64,
                     max_batch: 1,
                     prefill_chunk,
-                    ..SchedulerConfig::default()
                 },
                 max_new_tokens_cap: 10_000_000,
                 default_deadline_ms: None,

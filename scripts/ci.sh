@@ -64,6 +64,11 @@ if grep -rn 'set_nonblocking(true)' crates/serve/src crates/router/src; then
   echo "ci: a listener is non-blocking again; accept must block (see DESIGN.md, Wire)" >&2
   exit 1
 fi
+# One wire client: the router reaches replicas through serve::Client only.
+if grep -rn 'TcpStream::connect' crates/router/src; then
+  echo "ci: the router opens its own socket again; use chipalign_serve::Client" >&2
+  exit 1
+fi
 # Non-test lines per crate: every line above a file's `#[cfg(test)] mod`
 # block (a whole file when it has none). These are the sizes ROADMAP quotes.
 echo "ci: non-test lines per crate"
