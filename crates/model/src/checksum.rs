@@ -1,17 +1,16 @@
-//! The checkpoint checksums: XXH64 for every file written today, FNV-1a
-//! only to verify files of the older format versions.
+//! The checkpoint checksum: XXH64, for every tensor and every file of both
+//! formats.
 //!
 //! `Xxh64` is the 64-bit xxHash (seed 0) as a streaming hasher: four
 //! independent 64-bit lanes consume 32-byte stripes, so the multiply chains
-//! overlap and the hash runs at memory speed, where FNV-1a's one serial
-//! multiply per byte tops out near 500 MB/s. A stripe split across two
+//! overlap and the hash runs at memory speed, where a byte-serial hash
+//! tops out near 500 MB/s. A stripe split across two
 //! `Xxh64::update` calls is carried over, so hashing a stream chunk by
 //! chunk gives the hash of the whole. Each round is a bijection of its
 //! lane's accumulator in the input word, so a change confined to one
 //! 8-byte word always changes its lane; and every step after the last
 //! stripe is a bijection of the running hash, so a change to any word or
-//! byte of the tail is always detected, as FNV-1a detects any one-byte
-//! change.
+//! byte of the tail is always detected.
 //!
 //! # Example
 //!
@@ -152,63 +151,6 @@ pub fn xxh64(data: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Which checksum a format version carries.
-#[derive(Clone, Copy)]
-pub(crate) enum Algo {
-    /// FNV-1a 64: CALT v1/v2 and CALQ v1, verified but never written.
-    Fnv1a,
-    /// XXH64, seed 0: every version written today.
-    Xxh64,
-}
-
-/// A streaming hasher of either [`Algo`].
-pub(crate) enum Hasher {
-    Fnv1a(u64),
-    Xxh64(Xxh64),
-}
-
-impl Hasher {
-    pub(crate) fn new(algo: Algo) -> Self {
-        match algo {
-            Algo::Fnv1a => Hasher::Fnv1a(FNV_OFFSET),
-            Algo::Xxh64 => Hasher::Xxh64(Xxh64::new()),
-        }
-    }
-
-    pub(crate) fn update(&mut self, data: &[u8]) {
-        match self {
-            Hasher::Fnv1a(h) => *h = fnv1a_extend(*h, data),
-            Hasher::Xxh64(h) => h.update(data),
-        }
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        match self {
-            Hasher::Fnv1a(h) => *h,
-            Hasher::Xxh64(h) => h.finish(),
-        }
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-/// FNV-1a 64-bit hash of a whole buffer (tests refit old checksums with it).
-#[cfg(test)]
-pub(crate) fn fnv1a(data: &[u8]) -> u64 {
-    fnv1a_extend(FNV_OFFSET, data)
-}
-
-/// Continues an FNV-1a hash over more bytes: hashing a stream chunk by
-/// chunk gives the hash of the whole.
-fn fnv1a_extend(mut hash: u64, data: &[u8]) -> u64 {
-    for &b in data {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,18 +202,5 @@ mod tests {
                 assert_ne!(xxh64(&d), clean, "flip of bit {bit} at byte {pos}");
             }
         }
-    }
-
-    #[test]
-    fn hasher_dispatches_to_either_algorithm() {
-        let data = b"chipalign";
-        let mut fnv = Hasher::new(Algo::Fnv1a);
-        let mut xxh = Hasher::new(Algo::Xxh64);
-        for part in data.chunks(4) {
-            fnv.update(part);
-            xxh.update(part);
-        }
-        assert_eq!(fnv.finish(), fnv1a(data));
-        assert_eq!(xxh.finish(), xxh64(data));
     }
 }

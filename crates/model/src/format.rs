@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! magic   b"CALT"
-//! version u32 (currently 3; versions 1 and 2 remain readable)
+//! version u32 (3, the only version written or read)
 //! arch    name:str vocab:u64 d_model:u64 n_layers:u64 n_heads:u64 d_ff:u64 max_seq:u64
 //! meta    count:u32 { key:str value:str }*
 //! tensors count:u32 { name:str rows:u64 cols:u64 data:[f32]* tcrc:u64 }*
@@ -18,11 +18,10 @@
 //!
 //! Every tensor carries a checksum (`tcrc`) over its payload bytes, so a
 //! load failure names the damaged tensor instead of just "file corrupt".
-//! Version 3 computes `tcrc` and `crc` with XXH64 ([`crate::checksum`]), a
-//! word-parallel hash that runs at memory speed. Version 2 used FNV-1a, a
-//! serial byte-at-a-time hash; version 1 had no `tcrc`. Both still decode:
-//! the checksum pass reads the 8-byte header first and verifies with the
-//! algorithm its version names. Loads also reject non-finite weights — a
+//! `tcrc` and `crc` are XXH64 ([`crate::checksum`]), a word-parallel hash
+//! that runs at memory speed. The checksum pass reads the 8-byte header
+//! first, so a file of any other version fails with `unsupported version
+//! N` before its body is hashed. Loads also reject non-finite weights — a
 //! checkpoint with NaN/Inf can only produce garbage generations, so it is
 //! refused up front with [`ModelError::NonFinite`].
 //!
@@ -53,16 +52,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use chipalign_tensor::Matrix;
 
-use crate::checksum::{Algo, Hasher, Xxh64};
+use crate::checksum::Xxh64;
 use crate::{ArchSpec, Checkpoint, ModelError};
 
 const MAGIC: &[u8; 4] = b"CALT";
-/// Current on-disk version, the only one [`encode`] writes.
+/// The on-disk version: the only one [`encode`] writes and [`decode`]
+/// reads.
 const VERSION: u32 = 3;
-/// Every version [`decode`] accepts, with the checksum it carries.
 const LAYOUT: Layout = Layout {
     magic: MAGIC,
-    versions: &[(1, Algo::Fnv1a), (2, Algo::Fnv1a), (VERSION, Algo::Xxh64)],
+    version: VERSION,
 };
 /// Magic, version and trailing checksum: no file of this format or of
 /// `qformat` is shorter.
@@ -99,8 +98,7 @@ fn write_checkpoint(ckpt: &Checkpoint, out: &mut impl Write) -> io::Result<()> {
     sink.finish()
 }
 
-/// Deserializes a checkpoint from bytes produced by [`encode`] (or by an
-/// older writer: versions 1 and 2 still decode).
+/// Deserializes a checkpoint from bytes produced by [`encode`].
 ///
 /// # Errors
 ///
@@ -131,7 +129,7 @@ fn parse_checkpoint(src: &mut Source<impl Read>) -> Result<Checkpoint, ModelErro
             .ok_or_else(|| corrupt("tensor size overflow"))?;
         src.begin_payload();
         let values = src.f32s(n)?;
-        if src.version() >= 2 && src.payload_crc() != src.u64()? {
+        if src.payload_crc() != src.u64()? {
             return Err(ModelError::ChecksumMismatch { tensor: tname });
         }
         if values.iter().any(|v| !v.is_finite()) {
@@ -212,35 +210,24 @@ pub(crate) fn write_file(
     result
 }
 
-/// A format's magic and every version its reader accepts, each with the
-/// checksum that version carries.
+/// A format's magic and the one version its reader accepts.
 pub(crate) struct Layout {
     pub(crate) magic: &'static [u8; 4],
-    pub(crate) versions: &'static [(u32, Algo)],
-}
-
-/// What a verified header selects for the parse.
-#[derive(Clone, Copy)]
-struct Header {
-    version: u32,
-    algo: Algo,
+    pub(crate) version: u32,
 }
 
 impl Layout {
-    /// Checks the 8-byte `magic version` header and names the version's
-    /// checksum.
-    fn header(&self, bytes: [u8; 8]) -> Result<Header, ModelError> {
+    /// Checks the 8-byte `magic version` header.
+    fn check_header(&self, bytes: [u8; 8]) -> Result<(), ModelError> {
         let (magic, version) = bytes.split_at(4);
         if magic != self.magic {
             return Err(corrupt("bad magic"));
         }
         let version = u32::from_le_bytes(version.try_into().expect("four bytes"));
-        let algo = self
-            .versions
-            .iter()
-            .find_map(|&(v, algo)| (v == version).then_some(algo))
-            .ok_or_else(|| corrupt(&format!("unsupported version {version}")))?;
-        Ok(Header { version, algo })
+        if version != self.version {
+            return Err(corrupt(&format!("unsupported version {version}")));
+        }
+        Ok(())
     }
 }
 
@@ -251,8 +238,8 @@ pub(crate) fn read_bytes<'d, T>(
     layout: &Layout,
     parse: impl FnOnce(&mut Source<&'d [u8]>) -> Result<T, ModelError>,
 ) -> Result<T, ModelError> {
-    let (header, body_len) = verify_file(data, data.len() as u64, layout)?;
-    parse(&mut Source::new(&data[8..], body_len - 8, header))
+    let body_len = verify_file(data, data.len() as u64, layout)?;
+    parse(&mut Source::new(&data[8..], body_len - 8))
 }
 
 /// [`read_bytes`] for a file: the checksum pass streams the file from its
@@ -264,30 +251,25 @@ pub(crate) fn read_file<T>(
 ) -> Result<T, ModelError> {
     let mut file = File::open(path)?;
     let len = file.metadata()?.len();
-    let (header, body_len) = verify_file(&file, len, layout)?;
+    let body_len = verify_file(&file, len, layout)?;
     file.seek(SeekFrom::Start(8))?;
     parse(&mut Source::new(
         BufReader::with_capacity(CHUNK, file),
         body_len - 8,
-        header,
     ))
 }
 
-/// Reads the header of a `len`-byte file, streams its `len - 8` body bytes
-/// through the checksum that header names, and compares the result with
-/// the trailing 8; returns the header and the body length.
-fn verify_file(
-    mut input: impl Read,
-    len: u64,
-    layout: &Layout,
-) -> Result<(Header, u64), ModelError> {
+/// Checks the header of a `len`-byte file, streams its `len - 8` body
+/// bytes through XXH64, and compares the result with the trailing 8;
+/// returns the body length.
+fn verify_file(mut input: impl Read, len: u64, layout: &Layout) -> Result<u64, ModelError> {
     if len < MIN_FILE_LEN {
         return Err(corrupt("shorter than minimum header"));
     }
     let mut head = [0u8; 8];
     input.read_exact(&mut head)?;
-    let header = layout.header(head)?;
-    let mut hash = Hasher::new(header.algo);
+    layout.check_header(head)?;
+    let mut hash = Xxh64::new();
     hash.update(&head);
     let body_len = len - 8;
     let mut buf = vec![0u8; CHUNK];
@@ -303,7 +285,7 @@ fn verify_file(
     if hash.finish() != u64::from_le_bytes(stored) {
         return Err(corrupt("checksum mismatch"));
     }
-    Ok((header, body_len))
+    Ok(body_len)
 }
 
 /// The writing half of the one encoder: everything goes through `out`
@@ -423,25 +405,18 @@ impl<'a, W: Write> Sink<'a, W> {
 pub(crate) struct Source<R: Read> {
     input: R,
     remaining: u64,
-    header: Header,
-    payload_crc: Hasher,
+    payload_crc: Xxh64,
     scratch: Vec<u8>,
 }
 
 impl<R: Read> Source<R> {
-    fn new(input: R, remaining: u64, header: Header) -> Self {
+    fn new(input: R, remaining: u64) -> Self {
         Source {
             input,
             remaining,
-            header,
-            payload_crc: Hasher::new(header.algo),
+            payload_crc: Xxh64::new(),
             scratch: Vec::new(),
         }
-    }
-
-    /// The format version the header named.
-    pub(crate) fn version(&self) -> u32 {
-        self.header.version
     }
 
     /// Reserves `n` of the remaining bytes, or fails without reading.
@@ -559,7 +534,7 @@ impl<R: Read> Source<R> {
     /// Starts a tensor payload: [`Source::payload_crc`] checksums what is
     /// read from here on.
     pub(crate) fn begin_payload(&mut self) {
-        self.payload_crc = Hasher::new(self.header.algo);
+        self.payload_crc = Xxh64::new();
     }
 
     pub(crate) fn payload_crc(&self) -> u64 {
@@ -585,7 +560,7 @@ pub(crate) fn corrupt(detail: &str) -> ModelError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checksum::{fnv1a, xxh64};
+    use crate::checksum::xxh64;
     use chipalign_tensor::rng::Pcg32;
 
     fn sample() -> Checkpoint {
@@ -600,15 +575,6 @@ mod tests {
         let body_len = data.len() - 8;
         let crc = xxh64(&data[..body_len]);
         data[body_len..].copy_from_slice(&crc.to_le_bytes());
-    }
-
-    /// The checkpoint `tests/fixtures/calt-v*.bin` hold, as the writer of
-    /// each version encoded it.
-    fn fixture() -> Checkpoint {
-        let mut ckpt = Checkpoint::random(&ArchSpec::tiny("fixture"), &mut Pcg32::seed(28));
-        ckpt.set_metadata("origin", "format-fixture");
-        ckpt.set_metadata("recipe", "seeded-random");
-        ckpt
     }
 
     #[test]
@@ -753,15 +719,6 @@ mod tests {
     }
 
     #[test]
-    fn old_version_1_files_still_load() {
-        let ckpt = fixture();
-        let v1 = include_bytes!("../tests/fixtures/calt-v1.bin");
-        assert_ne!(v1.len(), encode(&ckpt).len(), "v1 carries no tensor crcs");
-        let back = decode(v1).expect("v1 decode");
-        assert!(ckpt.approx_eq(&back, 0.0));
-    }
-
-    #[test]
     fn non_finite_weights_are_rejected_at_load() {
         let mut ckpt = sample();
         ckpt.get_mut("model.norm.weight")
@@ -803,13 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn fnv_known_vector() {
-        // FNV-1a("") is the offset basis; FNV-1a("a") is a published vector.
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
-    }
-
-    #[test]
     fn encoding_is_deterministic() {
         let ckpt = sample();
         assert_eq!(encode(&ckpt), encode(&ckpt));
@@ -825,25 +775,30 @@ mod tests {
             xxh64(&data[..body_len]).to_le_bytes(),
             "trailing checksum is XXH64"
         );
-        let mut v2 = data.clone();
-        v2[4] = 2;
-        refit_file_crc(&mut v2);
-        assert!(
-            matches!(decode(&v2), Err(ModelError::Corrupt { .. })),
-            "a v3 body relabelled v2 fails the FNV-1a file checksum"
-        );
     }
 
     #[test]
     fn unknown_version_fails_in_the_checksum_pass() {
-        // No checksum algorithm is known for version 4, so the header alone
-        // decides, whatever the trailing bytes hold.
-        let mut data = encode(&sample());
-        data[4] = 4;
-        match decode(&data) {
-            Err(ModelError::Corrupt { detail }) => assert_eq!(detail, "unsupported version 4"),
-            other => panic!("expected corrupt-version, got {other:?}"),
+        // Only version 3 is read, so the header alone decides for an older
+        // or a newer file, whatever the trailing bytes hold.
+        let dir =
+            std::env::temp_dir().join(format!("chipalign-fmt-version-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("version.calt");
+        for version in [1u8, 2, 4] {
+            let mut data = encode(&sample());
+            data[4] = version;
+            std::fs::write(&path, &data).expect("write");
+            for result in [decode(&data), load(&path)] {
+                match result {
+                    Err(ModelError::Corrupt { detail }) => {
+                        assert_eq!(detail, format!("unsupported version {version}"));
+                    }
+                    other => panic!("version {version}: expected corrupt-version, got {other:?}"),
+                }
+            }
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -12,15 +12,13 @@
 //! * [`Checkpoint`] — the named-tensor map itself, with validation,
 //!   conformability checks, and whole-model statistics.
 //! * [`format`](mod@format) — a compact binary serialization ("safetensors-lite": magic,
-//!   versioned header, name/shape directory, little-endian `f32` payload,
+//!   version 3 header, name/shape directory, little-endian `f32` payload,
 //!   XXH64 checksums) standing in for the safetensors files real LLM
-//!   checkpoints ship as.
-//! * [`checksum`] — the streaming XXH64 those formats checksum with (and
-//!   the FNV-1a that verifies files of their older versions).
-//! * [`qformat`](mod@qformat) — the int8 sibling format ("CALQ"):
-//!   [`QuantCheckpoint`] stores projection weights as per-row-scaled int8
-//!   (norms and the embedding stay f32), quartering decode weight traffic;
-//!   the serving registry materializes one behind the `#int8` spec suffix.
+//!   checkpoints ship as. A file of any other version is refused.
+//! * [`checksum`] — the streaming XXH64 both formats checksum with.
+//! * [`qformat`](mod@qformat) — the int8 sibling format ("CALQ", version 2
+//!   only): [`QuantCheckpoint`] stores projection weights as per-row-scaled
+//!   int8 (norms and the embedding stay f32), quartering weight bytes.
 //! * [`json`] — the text codec beside the binary ones: a strict JSON
 //!   parser, compact and pretty printers, and the field-table macros the
 //!   wire protocol, metrics snapshots and report files are declared with.

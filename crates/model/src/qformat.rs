@@ -16,7 +16,7 @@
 //!
 //! ```text
 //! magic   b"CALQ"
-//! version u32 (currently 2; version 1 remains readable)
+//! version u32 (2, the only version written or read)
 //! arch    name:str vocab:u64 d_model:u64 n_layers:u64 n_heads:u64 d_ff:u64 max_seq:u64
 //! meta    count:u32 { key:str value:str }*
 //! tensors count:u32 { name:str dtype:u8 rows:u64 cols:u64 payload tcrc:u64 }*
@@ -25,8 +25,8 @@
 //! crc     u64  checksum over everything before it
 //! ```
 //!
-//! Version 2 computes `tcrc` and `crc` with XXH64 ([`crate::checksum`]);
-//! version-1 files carry FNV-1a checksums and are verified with that.
+//! `tcrc` and `crc` are XXH64 ([`crate::checksum`]), as in the f32 format,
+//! and a file of any other version fails with `unsupported version N`.
 //!
 //! Loads rebuild each int8 tensor from its stored codes and scales
 //! ([`QuantizedMatrix::from_parts`]) — never by re-quantizing a dequantized
@@ -40,17 +40,16 @@ use std::path::Path;
 
 use chipalign_tensor::{Matrix, QuantizedMatrix};
 
-use crate::checksum::Algo;
 use crate::format::{corrupt, read_bytes, read_file, Layout, Sink, Source};
 use crate::{ArchSpec, Checkpoint, ModelError, ParamKind};
 
 const MAGIC: &[u8; 4] = b"CALQ";
-/// Current on-disk version, the only one [`encode`] writes.
+/// The on-disk version: the only one [`encode`] writes and [`decode`]
+/// reads.
 const VERSION: u32 = 2;
-/// Every version [`decode`] accepts, with the checksum it carries.
 const LAYOUT: Layout = Layout {
     magic: MAGIC,
-    versions: &[(1, Algo::Fnv1a), (VERSION, Algo::Xxh64)],
+    version: VERSION,
 };
 
 const DTYPE_F32: u8 = 0;
@@ -451,12 +450,16 @@ mod tests {
         data[0] = b'X';
         refit_file_crc(&mut data);
         assert!(matches!(decode(&data), Err(ModelError::Corrupt { .. })));
-        let mut data = encode(&sample()).to_vec();
-        data[4] = 99;
-        refit_file_crc(&mut data);
-        match decode(&data) {
-            Err(ModelError::Corrupt { detail }) => assert!(detail.contains("version")),
-            other => panic!("expected corrupt-version, got {other:?}"),
+        for version in [1u8, 99] {
+            let mut data = encode(&sample()).to_vec();
+            data[4] = version;
+            refit_file_crc(&mut data);
+            match decode(&data) {
+                Err(ModelError::Corrupt { detail }) => {
+                    assert_eq!(detail, format!("unsupported version {version}"));
+                }
+                other => panic!("expected corrupt-version, got {other:?}"),
+            }
         }
     }
 

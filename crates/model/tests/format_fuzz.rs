@@ -68,30 +68,13 @@ fn appended_junk_is_detected() {
     }
 }
 
-/// Refits the trailing whole-file checksum after a mutation, with the
-/// algorithm the (possibly mutated) header names — FNV-1a for CALT v1/v2
-/// and CALQ v1, XXH64 otherwise — so that the damage reaches the parser
-/// instead of stopping at the checksum.
+/// Refits the trailing whole-file XXH64 after a mutation, so that the
+/// damage reaches the parser instead of stopping at the checksum.
 fn refit_file_crc(data: &mut [u8]) {
     let Some(body_len) = data.len().checked_sub(8) else {
         return;
     };
-    let version = data
-        .get(4..8)
-        .map(|v| u32::from_le_bytes(v.try_into().unwrap()));
-    let fnv = matches!(
-        (data.get(..4), version),
-        (Some(b"CALT"), Some(1 | 2)) | (Some(b"CALQ"), Some(1))
-    );
-    let crc = if fnv {
-        data[..body_len]
-            .iter()
-            .fold(0xcbf29ce484222325u64, |h, &b| {
-                (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
-            })
-    } else {
-        xxh64(&data[..body_len])
-    };
+    let crc = xxh64(&data[..body_len]);
     data[body_len..].copy_from_slice(&crc.to_le_bytes());
 }
 

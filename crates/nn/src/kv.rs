@@ -465,6 +465,13 @@ impl KvCache {
             .collect()
     }
 
+    /// Whether this cache holds a block no other cache aliases, so that
+    /// dropping it would return at least one block to its pool.
+    #[must_use]
+    pub fn holds_unshared_block(&self) -> bool {
+        self.table.blocks.iter().any(|b| Arc::strong_count(b) == 1)
+    }
+
     /// Largest prefix length `≤ positions` (clamped to the cache) that
     /// [`KvCache::fork_from`] accepts. A cache on an f32 pool forks
     /// anywhere (`positions` comes back unchanged); on an int8 pool a cut

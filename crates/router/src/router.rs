@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use chipalign_serve::protocol::{LoadedModel, ReplicaHealth, ReplicaStatus, Request, Response};
+use chipalign_serve::protocol::{LoadedModel, ReplicaHealth, ReplicaStatus};
 use chipalign_serve::{
     Client, ErrorCode, GenerateRequest, Generation, MetricsSnapshot, RetryPolicy, ServeError,
 };
@@ -402,14 +402,7 @@ impl Router {
         let mut zoo: Vec<String> = Vec::new();
         let mut details: Vec<LoadedModel> = Vec::new();
         for (_, addr) in self.reachable_replicas() {
-            if let Ok(Response::Models {
-                loaded: l,
-                zoo: z,
-                models,
-            }) = self
-                .admin(&addr)
-                .and_then(|mut c| c.request(&Request::Models))
-            {
+            if let Ok((l, z, models)) = self.admin(&addr).and_then(|mut c| c.models()) {
                 for m in l {
                     if !loaded.contains(&m) {
                         loaded.push(m);

@@ -101,7 +101,7 @@ fn affinity_routing_pins_scaffolds_and_aggregates_the_fleet() {
     // Broadcast load: the merge materializes on every replica.
     let key = admin.load(MERGE_SPEC).expect("fleet load");
     assert_eq!(key, "merge:eda-qwen+instruct-qwen@0.6000");
-    let (loaded, zoo_slugs) = admin.models().expect("fleet models");
+    let (loaded, zoo_slugs, _) = admin.models().expect("fleet models");
     assert!(loaded.contains(&key), "union of loaded models: {loaded:?}");
     assert!(zoo_slugs.contains(&"eda-qwen".to_string()));
 

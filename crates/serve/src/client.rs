@@ -130,28 +130,19 @@ impl Client {
         }
     }
 
-    /// Lists loaded models and servable zoo slugs.
+    /// Lists loaded models, servable zoo slugs, and one detail row (dtype,
+    /// weight bytes) per loaded model.
     ///
     /// # Errors
     ///
     /// Propagates transport errors and unexpected replies.
-    pub fn models(&mut self) -> Result<(Vec<String>, Vec<String>), ServeError> {
+    pub fn models(&mut self) -> Result<Models, ServeError> {
         match self.request(&Request::Models)? {
-            Response::Models { loaded, zoo, .. } => Ok((loaded, zoo)),
-            Response::Error(w) => Err(ServeError::Remote(w)),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Lists per-model detail rows (dtype, weight bytes). Empty against a
-    /// server that predates the quantization surface.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors and unexpected replies.
-    pub fn models_detailed(&mut self) -> Result<Vec<LoadedModel>, ServeError> {
-        match self.request(&Request::Models)? {
-            Response::Models { models, .. } => Ok(models),
+            Response::Models {
+                loaded,
+                zoo,
+                models,
+            } => Ok((loaded, zoo, models)),
             Response::Error(w) => Err(ServeError::Remote(w)),
             other => Err(unexpected(&other)),
         }
@@ -221,6 +212,10 @@ impl Client {
         }
     }
 }
+
+/// A `models` reply: loaded keys, zoo slugs and the loaded models' detail
+/// rows.
+type Models = (Vec<String>, Vec<String>, Vec<LoadedModel>);
 
 fn unexpected(resp: &Response) -> ServeError {
     ServeError::Protocol {

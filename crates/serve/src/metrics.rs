@@ -28,9 +28,8 @@ const BUCKETS: usize = 48;
 /// last slot (the scheduler's `max_batch` rarely exceeds it in practice).
 const BATCH_BUCKETS: usize = 17;
 
-/// Declares a counter table. Each row is a doc comment, `Variant =>
-/// wire_field`, and an optional `= default` for snapshots from servers that
-/// predate it (without one the field is required). The rows generate the
+/// Declares a counter table. Each row is a doc comment and `Variant =>
+/// wire_field`; every field is required on the wire. The rows generate the
 /// counter enum (`ALL` in row order, so a slot index is `c as usize`) and,
 /// after the hand-written fields in braces, one `u64` snapshot field each,
 /// reached by `counter` / `counter_mut`.
@@ -41,7 +40,7 @@ macro_rules! counter_table {
         $evis:vis enum $counter:ident;
         $(#[$smeta:meta])*
         $svis:vis struct $snap:ident { $($extra:tt)* }
-        $( $(#[$doc:meta])* $variant:ident => $field:ident $(= $default:expr)? ),* $(,)?
+        $( $(#[$doc:meta])* $variant:ident => $field:ident ),* $(,)?
     ) => {
         $(#[$emeta])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +57,7 @@ macro_rules! counter_table {
             $(#[$smeta])*
             $svis struct $snap {
                 $($extra)*
-                $( $(#[$doc])* pub $field: u64 $(= $default)?, )*
+                $( $(#[$doc])* pub $field: u64, )*
             }
         }
 
@@ -92,26 +91,24 @@ counter_table! {
         /// Milliseconds since the metrics core was created.
         pub(crate) uptime_ms: u64,
         /// Batch-occupancy histogram: entry `n` counts slices that advanced
-        /// exactly `n` sessions (`>= 16` folded into the last entry). Empty
-        /// when the snapshot came from a server without batching.
-        pub batch_occupancy: Vec<u64> = Vec::new(),
+        /// exactly `n` sessions (`>= 16` folded into the last entry).
+        pub batch_occupancy: Vec<u64>,
         /// The kernel backend this server selected at startup (`scalar`,
         /// `blocked`, `simd`, or `simd(blocked-fallback)` when AVX2 is
-        /// absent). Empty from pre-v3 servers.
-        pub simd_backend: String = String::new(),
+        /// absent).
+        pub simd_backend: String,
         /// KV blocks currently allocated across every registered paged pool.
-        pub kv_blocks_in_use: u64 = 0,
+        pub kv_blocks_in_use: u64,
         /// KV blocks still allocatable across every registered paged pool.
-        pub kv_blocks_free: u64 = 0,
+        pub kv_blocks_free: u64,
         /// Bytes resident across every registered paged pool (sealed int8
         /// blocks count at their quantized size, open tails at f32).
-        pub kv_bytes_in_use: u64 = 0,
-        /// The same block/byte gauges sliced per KV dtype. Empty from servers
-        /// that predate int8 KV.
-        pub kv_pool_dtypes: Vec<KvPoolDtypeGauges> = Vec::new(),
+        pub kv_bytes_in_use: u64,
+        /// The same block/byte gauges sliced per KV dtype.
+        pub kv_pool_dtypes: Vec<KvPoolDtypeGauges>,
         /// Copy-on-write block duplications across every registered pool (a
         /// shared tail block privatised before a divergent write).
-        pub cow_copies: u64 = 0,
+        pub cow_copies: u64,
         /// Completions per second of uptime.
         pub(crate) requests_per_sec: f64,
         /// New tokens per second of uptime.
@@ -125,16 +122,16 @@ counter_table! {
         /// 95th-percentile queue wait (upper bound, ms).
         pub(crate) queue_p95_ms: f64,
         /// Median per-chunk prefill compute time (upper bound, ms).
-        pub(crate) prefill_p50_ms: f64 = 0.0,
+        pub(crate) prefill_p50_ms: f64,
         /// 95th-percentile per-chunk prefill compute time (upper bound, ms).
-        pub(crate) prefill_p95_ms: f64 = 0.0,
+        pub(crate) prefill_p95_ms: f64,
         /// Raw latency histogram buckets (power-of-two, µs; see
-        /// [`Histogram::bucket_counts`]). Empty from pre-v3 servers.
-        pub(crate) latency_buckets: Vec<u64> = Vec::new(),
+        /// [`Histogram::bucket_counts`]).
+        pub(crate) latency_buckets: Vec<u64>,
         /// Raw queue-wait histogram buckets.
-        pub(crate) queue_buckets: Vec<u64> = Vec::new(),
+        pub(crate) queue_buckets: Vec<u64>,
         /// Raw prefill histogram buckets.
-        pub(crate) prefill_buckets: Vec<u64> = Vec::new(),
+        pub(crate) prefill_buckets: Vec<u64>,
     }
 
     /// Admission attempts, accepted or not.
@@ -154,37 +151,37 @@ counter_table! {
     /// Prompt tokens consumed by admitted sessions.
     PromptTokens => prompt_tokens,
     /// Caught panics: one per panic, however many sessions it ended.
-    WorkerPanics => worker_panics = 0,
+    WorkerPanics => worker_panics,
     /// Sessions a panic ended: caught in a slice, or their worker died.
-    PanickedSessions => panicked_sessions = 0,
+    PanickedSessions => panicked_sessions,
     /// Sessions cancelled by the stall watchdog.
-    WatchdogCancels => watchdog_cancels = 0,
+    WatchdogCancels => watchdog_cancels,
     /// Checkpoint loads rejected for checksum/corruption/non-finite data.
-    ChecksumFailures => checksum_failures = 0,
+    ChecksumFailures => checksum_failures,
     /// Generate requests flagged by clients as retries.
-    RetriesAttempted => retries_attempted = 0,
+    RetriesAttempted => retries_attempted,
     /// Worker threads that died and re-entered their loop.
-    WorkersRespawned => workers_respawned = 0,
+    WorkersRespawned => workers_respawned,
     /// Slices that advanced two or more sessions through one batched step.
-    BatchedSlices => batched_slices = 0,
+    BatchedSlices => batched_slices,
     /// Sessions seeded from the shared-prefix cache.
-    PrefixHits => prefix_hits = 0,
+    PrefixHits => prefix_hits,
     /// Prompt tokens whose prefill was skipped thanks to prefix hits.
-    PrefixTokensReused => prefix_tokens_reused = 0,
+    PrefixTokensReused => prefix_tokens_reused,
     /// Prefill chunks processed, initial prompts and window-slide replays.
-    PrefillChunks => prefill_chunks = 0,
+    PrefillChunks => prefill_chunks,
     /// Draft tokens proposed (acceptance = accepted / proposed, at read time).
-    DraftTokensProposed => draft_tokens_proposed = 0,
+    DraftTokensProposed => draft_tokens_proposed,
     /// Draft tokens the target model verified and accepted.
-    AcceptedDraftTokens => accepted_draft_tokens = 0,
+    AcceptedDraftTokens => accepted_draft_tokens,
     /// Speculative rounds degraded to plain decode by a draft panic or error.
-    SpecFallbacks => spec_fallbacks = 0,
+    SpecFallbacks => spec_fallbacks,
     /// Merged models evicted from the registry's LRU cache.
-    MergeEvictions => merge_evictions = 0,
+    MergeEvictions => merge_evictions,
     /// Prefix-cache snapshots evicted to reclaim KV blocks at admission.
-    PoolEvictions => pool_evictions = 0,
+    PoolEvictions => pool_evictions,
     /// Weight bytes cached in the registry at decode dtype; a gauge, `set`.
-    WeightsBytes => weights_bytes = 0,
+    WeightsBytes => weights_bytes,
 }
 
 /// The latency histograms of a [`Metrics`] core.
@@ -244,11 +241,10 @@ pub(crate) fn quantile_upper_us_from(counts: &[u64], p: f64) -> u64 {
     for (i, c) in counts.iter().enumerate() {
         seen += c;
         if seen >= target {
-            // Upper edge of bucket i: 2^(i+1) - 1 µs. A newer-protocol
-            // replica may ship more than 64 buckets through
-            // `absorb_buckets`; clamp the shift instead of overflowing
-            // (which panics in debug builds) so fleet aggregation stays
-            // forward-compatible.
+            // Upper edge of bucket i: 2^(i+1) - 1 µs. Replica snapshots are
+            // outside input, so a bucket vector may be longer than 64
+            // after `absorb_buckets`; clamp the shift instead of
+            // overflowing (which panics in debug builds).
             return if i >= 63 {
                 u64::MAX
             } else {
@@ -455,9 +451,7 @@ impl MetricsSnapshot {
     ///
     /// Counters and gauges sum (saturating). Histogram buckets sum
     /// element-wise, and the derived quantiles are recomputed from the
-    /// merged buckets — never averaged — whenever either side carries raw
-    /// buckets; when both sides predate v3 (no buckets), the pessimistic
-    /// max of the two upper bounds is kept. `uptime_ms` becomes the max
+    /// merged buckets, never averaged. `uptime_ms` becomes the max
     /// (replicas run concurrently, so fleet uptime is the longest-lived
     /// replica, not the sum), and the throughput rates are recomputed from
     /// the summed counts over that uptime.
@@ -479,17 +473,12 @@ impl MetricsSnapshot {
         self.cow_copies = self.cow_copies.saturating_add(other.cow_copies);
         // A scratch copy, so both sides walk their histograms one way.
         let mut theirs = other.clone();
-        for ((buckets, p50, p95), (their_buckets, their_p50, their_p95)) in
+        for ((buckets, p50, p95), (their_buckets, _, _)) in
             self.hists_mut().into_iter().zip(theirs.hists_mut())
         {
             absorb_buckets(buckets, their_buckets);
-            if buckets.iter().any(|&c| c > 0) {
-                *p50 = quantile_upper_us_from(buckets, 0.50) as f64 / 1e3;
-                *p95 = quantile_upper_us_from(buckets, 0.95) as f64 / 1e3;
-            } else {
-                *p50 = p50.max(*their_p50);
-                *p95 = p95.max(*their_p95);
-            }
+            *p50 = quantile_upper_us_from(buckets, 0.50) as f64 / 1e3;
+            *p95 = quantile_upper_us_from(buckets, 0.95) as f64 / 1e3;
         }
         self.uptime_ms = self.uptime_ms.max(other.uptime_ms);
         let uptime_s = (self.uptime_ms as f64 / 1e3).max(1e-9);
@@ -503,52 +492,51 @@ mod tests {
     use super::*;
     use chipalign_model::json::{self, FromJson, ToJson};
 
-    /// The wire shape: every key of a snapshot, and whether a snapshot
-    /// missing it is refused (`true`) or decodes it as its default.
-    const WIRE: &[(&str, bool)] = &[
-        ("uptime_ms", true),
-        ("requests", true),
-        ("completed", true),
-        ("rejected_overload", true),
-        ("rejected_shutdown", true),
-        ("failed", true),
-        ("deadline_exceeded", true),
-        ("worker_panics", false),
-        ("panicked_sessions", false),
-        ("watchdog_cancels", false),
-        ("checksum_failures", false),
-        ("retries_attempted", false),
-        ("workers_respawned", false),
-        ("batched_slices", false),
-        ("batch_occupancy", false),
-        ("tokens_out", true),
-        ("prompt_tokens", true),
-        ("prefix_hits", false),
-        ("prefix_tokens_reused", false),
-        ("prefill_chunks", false),
-        ("draft_tokens_proposed", false),
-        ("accepted_draft_tokens", false),
-        ("spec_fallbacks", false),
-        ("merge_evictions", false),
-        ("pool_evictions", false),
-        ("weights_bytes", false),
-        ("simd_backend", false),
-        ("kv_blocks_in_use", false),
-        ("kv_blocks_free", false),
-        ("kv_bytes_in_use", false),
-        ("kv_pool_dtypes", false),
-        ("cow_copies", false),
-        ("requests_per_sec", true),
-        ("tokens_per_sec", true),
-        ("latency_p50_ms", true),
-        ("latency_p95_ms", true),
-        ("queue_p50_ms", true),
-        ("queue_p95_ms", true),
-        ("prefill_p50_ms", false),
-        ("prefill_p95_ms", false),
-        ("latency_buckets", false),
-        ("queue_buckets", false),
-        ("prefill_buckets", false),
+    /// The wire shape: every key of a snapshot, each one required.
+    const WIRE: &[&str] = &[
+        "uptime_ms",
+        "requests",
+        "completed",
+        "rejected_overload",
+        "rejected_shutdown",
+        "failed",
+        "deadline_exceeded",
+        "worker_panics",
+        "panicked_sessions",
+        "watchdog_cancels",
+        "checksum_failures",
+        "retries_attempted",
+        "workers_respawned",
+        "batched_slices",
+        "batch_occupancy",
+        "tokens_out",
+        "prompt_tokens",
+        "prefix_hits",
+        "prefix_tokens_reused",
+        "prefill_chunks",
+        "draft_tokens_proposed",
+        "accepted_draft_tokens",
+        "spec_fallbacks",
+        "merge_evictions",
+        "pool_evictions",
+        "weights_bytes",
+        "simd_backend",
+        "kv_blocks_in_use",
+        "kv_blocks_free",
+        "kv_bytes_in_use",
+        "kv_pool_dtypes",
+        "cow_copies",
+        "requests_per_sec",
+        "tokens_per_sec",
+        "latency_p50_ms",
+        "latency_p95_ms",
+        "queue_p50_ms",
+        "queue_p95_ms",
+        "prefill_p50_ms",
+        "prefill_p95_ms",
+        "latency_buckets",
+        "queue_buckets",
+        "prefill_buckets",
     ];
 
     #[test]
@@ -558,19 +546,16 @@ mod tests {
             panic!("a snapshot encodes as an object");
         };
         let mut keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
-        let mut pinned: Vec<&str> = WIRE.iter().map(|&(k, _)| k).collect();
+        let mut pinned = WIRE.to_vec();
         keys.sort_unstable();
         pinned.sort_unstable();
         assert_eq!(keys, pinned, "the snapshot's key set moved");
-        for &(key, required) in WIRE {
+        for &key in WIRE {
             let rest = members.iter().filter(|(k, _)| k != key).cloned().collect();
-            match MetricsSnapshot::from_json(&json::Value::Object(rest)) {
-                Err(_) => assert!(required, "{key} must decode as its default when absent"),
-                Ok(back) => {
-                    assert!(!required, "a snapshot without {key} must be refused");
-                    assert_eq!(back.to_json(), default, "{key} decodes as its default");
-                }
-            }
+            assert!(
+                MetricsSnapshot::from_json(&json::Value::Object(rest)).is_err(),
+                "a snapshot without {key} must be refused"
+            );
         }
     }
 
@@ -727,9 +712,9 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_without_fault_fields_still_parses() {
-        // A v1 server's snapshot predates the fault counters; the client
-        // must still accept it (decode defaults).
+    fn snapshot_without_fault_fields_is_refused() {
+        // A snapshot without the fault, batching, prefix, pool and bucket
+        // fields is not a v3 snapshot: the line is refused, not defaulted.
         let m = Metrics::new();
         let json::Value::Object(mut members) = m.snapshot().to_json() else {
             panic!("a snapshot encodes as an object");
@@ -767,29 +752,11 @@ mod tests {
             members.retain(|(key, _)| key != field);
             assert_eq!(members.len(), before - 1, "{field} was on the wire");
         }
-        let back = MetricsSnapshot::from_json(&json::Value::Object(members))
-            .expect("parse without fault fields");
-        assert_eq!(back.worker_panics, 0);
-        assert_eq!(back.batched_slices, 0);
-        assert!(back.batch_occupancy.is_empty());
-        assert_eq!(back.prefix_hits, 0);
-        assert_eq!(back.prefill_chunks, 0);
-        assert_eq!(back.draft_tokens_proposed, 0);
-        assert_eq!(back.accepted_draft_tokens, 0);
-        assert_eq!(back.spec_fallbacks, 0);
-        assert_eq!(back.merge_evictions, 0);
-        assert_eq!(back.pool_evictions, 0);
-        assert_eq!(back.weights_bytes, 0);
-        assert!(back.simd_backend.is_empty());
-        assert_eq!(back.kv_blocks_in_use, 0);
-        assert_eq!(back.kv_blocks_free, 0);
-        assert_eq!(back.kv_bytes_in_use, 0);
-        assert!(back.kv_pool_dtypes.is_empty());
-        assert_eq!(back.cow_copies, 0);
-        assert_eq!(back.prefill_p95_ms, 0.0);
-        assert!(back.latency_buckets.is_empty());
-        assert!(back.queue_buckets.is_empty());
-        assert!(back.prefill_buckets.is_empty());
+        let line = json::Value::Object(members).to_string();
+        assert!(matches!(
+            crate::protocol::parse_line::<MetricsSnapshot>(&line),
+            Err(crate::ServeError::Protocol { .. })
+        ));
     }
 
     #[test]
@@ -854,29 +821,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_without_buckets_keeps_pessimistic_quantiles() {
-        // Two pre-v3 snapshots (no raw buckets): absorb cannot recompute,
-        // so it keeps the max of the reported upper bounds.
-        let mut a = MetricsSnapshot {
-            completed: 5,
-            latency_p95_ms: 2.0,
-            uptime_ms: 1_000,
-            ..MetricsSnapshot::default()
-        };
-        let b = MetricsSnapshot {
-            completed: 7,
-            latency_p95_ms: 9.0,
-            uptime_ms: 4_000,
-            ..MetricsSnapshot::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.completed, 12);
-        assert_eq!(a.latency_p95_ms, 9.0);
-        assert_eq!(a.uptime_ms, 4_000);
-        assert!((a.requests_per_sec - 3.0).abs() < 1e-9, "12 done over 4 s");
-    }
-
-    #[test]
     fn weights_gauge_and_backend_flow_into_snapshot_and_absorb() {
         let m = Metrics::new();
         m.set(Counter::WeightsBytes, 1_000);
@@ -913,8 +857,9 @@ mod tests {
 
     #[test]
     fn quantiles_clamp_on_long_counts_vectors() {
-        // A newer-protocol replica could ship more than 64 buckets through
-        // absorb_buckets; the shift must clamp instead of overflowing.
+        // A replica's snapshot is outside input and may carry more than 64
+        // buckets through absorb_buckets; the shift must clamp instead of
+        // overflowing.
         for len in [64usize, 65, 80, 128] {
             let mut counts = vec![0u64; len];
             counts[len - 1] = 1;

@@ -104,12 +104,6 @@ impl PrefixCache {
         }
     }
 
-    /// Whether the cache's bounds let it store anything at all.
-    #[must_use]
-    pub(crate) fn enabled(&self) -> bool {
-        self.max_entries > 0 && self.max_total_bytes > 0
-    }
-
     /// Number of cached snapshots.
     #[cfg(test)]
     #[must_use]
@@ -147,7 +141,7 @@ impl PrefixCache {
         dtype: KvDtype,
         tokens: &[u32],
     ) -> Option<(KvCache, usize)> {
-        if !self.enabled() || tokens.len() < 2 {
+        if tokens.len() < 2 {
             return None;
         }
         let mut inner = self.inner.lock().expect("prefix cache poisoned");
@@ -171,14 +165,14 @@ impl PrefixCache {
     }
 
     /// Inserts a snapshot of `cache`'s full contents, keyed by its model,
-    /// KV dtype and token history. No-op if the cache is disabled, the
-    /// snapshot is empty or its *newly charged* bytes alone exceed the
+    /// KV dtype and token history. No-op if the snapshot is empty or its
+    /// *newly charged* bytes alone exceed the
     /// byte budget, or an identical prefix is already cached (its stamp
     /// is refreshed instead). Snapshots are charged only for blocks no
     /// existing entry holds — a fork of an already-cached prefix is free.
     /// Evicts least-recently-used snapshots until both bounds hold.
     pub(crate) fn insert(&self, cache: &KvCache) {
-        if !self.enabled() || cache.is_empty() {
+        if cache.is_empty() {
             return;
         }
         let Ok(snapshot) = cache.fork_from(cache.len()) else {
@@ -236,11 +230,12 @@ impl PrefixCache {
     }
 
     /// Evicts the least-recently-used snapshot whose blocks live in
-    /// `pool`. The scheduler calls this under that pool's pressure:
-    /// dropping the snapshot releases its block aliases so admission can
-    /// hand the freed blocks to a live session, while a snapshot in
-    /// another pool would free nothing there. Returns whether anything was
-    /// evicted.
+    /// `pool` and that alone holds at least one of them. The scheduler
+    /// calls this under that pool's pressure: dropping the snapshot returns
+    /// those blocks so admission can hand them to a live session, while a
+    /// snapshot in another pool, or one whose every block a live session
+    /// or another snapshot also holds, would free nothing there. Returns
+    /// whether anything was evicted.
     pub(crate) fn evict_one_in(&self, pool: &Arc<KvPool>) -> bool {
         self.inner
             .lock()
@@ -255,15 +250,21 @@ impl Inner {
         self.clock
     }
 
-    /// Evicts the least-recently-used snapshot (of `pool` only, when
-    /// given), freeing the bytes of every block no surviving entry still
-    /// holds. Returns false when the cache holds nothing to evict.
+    /// Evicts the least-recently-used snapshot, freeing the bytes of every
+    /// block no surviving entry still holds. Given a `pool`, only snapshots
+    /// whose eviction returns a block to it qualify; without one (restoring
+    /// the cache's own bounds) any snapshot does. Returns false when
+    /// nothing qualifies.
     fn evict_lru(&mut self, pool: Option<&Arc<KvPool>>) -> bool {
         let Some((idx, _)) = self
             .entries
             .iter()
             .enumerate()
-            .filter(|(_, e)| pool.is_none_or(|p| Arc::ptr_eq(e.snapshot.pool(), p)))
+            .filter(|(_, e)| {
+                pool.is_none_or(|p| {
+                    Arc::ptr_eq(e.snapshot.pool(), p) && e.snapshot.holds_unshared_block()
+                })
+            })
             .min_by_key(|(_, e)| e.stamp)
         else {
             return false;
@@ -427,7 +428,6 @@ mod tests {
     fn disabled_cache_stores_nothing() {
         let m = model(1);
         let cache = PrefixCache::new(0, usize::MAX);
-        assert!(!cache.enabled());
         cache.insert(&prefilled(&m, &[5, 6]));
         assert_eq!(cache.entries(), 0);
         assert!(cache.lookup(&m, KvDtype::F32, &[5, 6, 7]).is_none());

@@ -19,18 +19,14 @@ use chipalign_nn::generate::GenerateConfig;
 
 use crate::ServeError;
 
-/// Protocol version reported by `ping`. Version 2 added the
-/// fault-tolerance surface (the `retry_attempt` generate field and the
-/// fault counters in metrics snapshots); version 3 adds the fleet surface:
-/// `fleet`/`drain` requests answered by `chipalign-router`, replica status
-/// reporting, and raw histogram buckets in metrics snapshots so fleet
-/// aggregation can recompute quantiles. The quantization surface (the
-/// `#int8` spec suffix, the per-model `models` detail rows, and the
-/// `weights_bytes`/`simd_backend` snapshot fields) is additive within
-/// version 3. Everything is additive with decode defaults, so older clients
-/// interoperate with newer servers and vice versa; a single-process
-/// `chipalign-serve` answers the fleet requests with a structured
-/// `bad_request` instead of dropping the connection.
+/// Protocol version reported by `ping`, the only version spoken: the
+/// [`Request`] and [`Response`] variants as declared here. Every reply
+/// member is required, so a reply missing one is refused with
+/// [`ServeError::Protocol`]. A `generate` request may omit every field
+/// but `model` and `prompt` ([`GenerateRequest`]'s decode defaults). A
+/// single-process `chipalign-serve` answers the router-only `fleet` and
+/// `drain` requests with a structured `bad_request` instead of dropping the
+/// connection.
 pub const PROTOCOL_VERSION: u32 = 3;
 
 /// A client-to-server message: one JSON object whose `type` member names
@@ -147,7 +143,7 @@ pub enum Response {
         /// ingredients.
         zoo: Vec<String>,
         /// Per-model detail rows (dtype and weight bytes), index-free and
-        /// keyed by `model`. Empty from older servers.
+        /// keyed by `model`.
         models: Vec<LoadedModel>,
     },
     /// A `load` completed; `model` is the canonical cache key.
@@ -195,7 +191,7 @@ json_struct! {
         /// Decode dtype: `"f32"`, or `"int8"` for a `#int8` variant.
         pub dtype: String,
         /// Weight bytes resident at that dtype.
-        pub weights_bytes: u64 = 0,
+        pub weights_bytes: u64,
     }
 }
 
@@ -208,9 +204,9 @@ json_struct! {
         /// Current health state.
         pub state: ReplicaHealth,
         /// Requests the router currently has in flight against this replica.
-        pub inflight: u64 = 0,
+        pub inflight: u64,
         /// Consecutive probe/request failures since the last success.
-        pub consecutive_failures: u32 = 0,
+        pub consecutive_failures: u32,
     }
 }
 
@@ -410,7 +406,7 @@ impl FromJson for Response {
             "models" => Response::Models {
                 loaded: json::required(m, "loaded")?,
                 zoo: json::required(m, "zoo")?,
-                models: json::field(m, "models")?.unwrap_or_default(),
+                models: json::required(m, "models")?,
             },
             "loaded" => Response::Loaded {
                 model: json::required(m, "model")?,
@@ -560,7 +556,7 @@ mod tests {
         assert_eq!(g.top_p, 1.0);
         assert!(g.stop_at_eos);
         assert!(g.deadline_ms.is_none());
-        assert_eq!(g.retry_attempt, 0, "v1 requests parse as first attempts");
+        assert_eq!(g.retry_attempt, 0, "absent means a first attempt");
         let cfg = g.decode_config(32);
         assert_eq!(cfg.max_new_tokens, 32, "budget clamps to the server cap");
         cfg.validate().expect("defaults are valid");
@@ -640,7 +636,7 @@ mod tests {
     }
 
     #[test]
-    fn models_reply_detail_rows_are_additive() {
+    fn models_reply_carries_required_detail_rows() {
         let resp = Response::Models {
             loaded: vec!["canary".into(), "canary#int8".into()],
             zoo: vec!["instruct-qwen".into()],
@@ -666,14 +662,19 @@ mod tests {
             }
             other => panic!("wrong variant: {other:?}"),
         }
-        // An older server's reply (no detail rows) still parses.
-        let old = r#"{"type":"models","loaded":["canary"],"zoo":[]}"#;
-        match parse_line::<Response>(old).expect("parse") {
-            Response::Models { loaded, models, .. } => {
-                assert_eq!(loaded, vec!["canary".to_string()]);
-                assert!(models.is_empty());
-            }
-            other => panic!("wrong variant: {other:?}"),
+        // A reply without detail rows, or a row without its bytes, is
+        // refused.
+        for stripped in [
+            r#"{"type":"models","loaded":["canary"],"zoo":[]}"#,
+            r#"{"type":"models","loaded":["canary"],"zoo":[],"models":[{"model":"canary","dtype":"f32"}]}"#,
+        ] {
+            assert!(
+                matches!(
+                    parse_line::<Response>(stripped),
+                    Err(ServeError::Protocol { .. })
+                ),
+                "{stripped}"
+            );
         }
     }
 
@@ -777,12 +778,19 @@ mod tests {
     }
 
     #[test]
-    fn replica_status_defaults_are_additive() {
-        // A minimal status (older router) still parses: gauges default.
-        let s: ReplicaStatus =
-            parse_line(r#"{"addr":"127.0.0.1:7001","state":"down"}"#).expect("parse");
-        assert_eq!(s.state, ReplicaHealth::Down);
-        assert_eq!(s.inflight, 0);
-        assert_eq!(s.consecutive_failures, 0);
+    fn replica_status_without_gauges_is_refused() {
+        for stripped in [
+            r#"{"addr":"127.0.0.1:7001","state":"down"}"#,
+            r#"{"addr":"127.0.0.1:7001","state":"down","inflight":0}"#,
+            r#"{"addr":"127.0.0.1:7001","state":"down","consecutive_failures":0}"#,
+        ] {
+            assert!(
+                matches!(
+                    parse_line::<ReplicaStatus>(stripped),
+                    Err(ServeError::Protocol { .. })
+                ),
+                "{stripped}"
+            );
+        }
     }
 }

@@ -66,8 +66,9 @@
 //! [`ServeError::Overloaded`] instead of buffering without limit. Pooled
 //! sessions (a [`KvPool`] attached to the request) are additionally
 //! admitted by *free blocks*: if the pool cannot cover the prompt window,
-//! reusable prefix-cache snapshots in that pool are evicted LRU-first
-//! (counted in `pool_evictions`), and a session that still does not fit is
+//! prefix-cache snapshots whose eviction returns a block to that pool are
+//! evicted LRU-first (counted in `pool_evictions`), and a session that
+//! still does not fit is
 //! rejected with [`ServeError::PoolSaturated`] — the same overloaded wire
 //! class, so the router spills it. Each
 //! session may carry a deadline, checked between decode steps, so a stuck
@@ -437,7 +438,7 @@ impl Scheduler {
         // Block-granular admission for pooled sessions: the prompt window
         // must be coverable by free blocks. Cached prefix snapshots in that
         // pool are reclaimable — evict them LRU-first until the session fits
-        // or none is left. (Blocks are allocated lazily during prefill, so
+        // or none left would free a block. (Blocks are allocated lazily during prefill, so
         // this check is a capacity gate, not a reservation; mid-decode
         // growth past the pool still fails the session with a structured
         // `PoolExhausted`, which also maps to the overloaded wire code.)
@@ -1516,6 +1517,43 @@ mod tests {
         }
         assert_eq!(pool_b.blocks_in_use(), 3, "B's snapshot survives");
         assert_eq!(scheduler.inner.prefix.entries(), 1);
+        assert_eq!(metrics.snapshot().pool_evictions, 0);
+        drop(live);
+        scheduler.join();
+    }
+
+    #[test]
+    fn pool_pressure_keeps_snapshots_that_would_free_no_block() {
+        use chipalign_nn::{KvCache, KvPool, KvPoolConfig};
+        let m = model();
+        let pool = KvPool::new(KvPoolConfig {
+            block_tokens: 1,
+            max_blocks: 4,
+            ..KvPoolConfig::default()
+        })
+        .expect("pool");
+        let metrics = Arc::new(Metrics::new());
+        let scheduler = Scheduler::start(config(1, 8, 4), Arc::clone(&metrics));
+
+        // A live session holds three of the pool's four blocks, and the
+        // prefix cache holds a snapshot aliasing all three.
+        let mut live = KvCache::new_paged(&m, &pool);
+        live.prefill(&[5, 6, 7]).expect("fits the pool");
+        scheduler.inner.prefix.insert(&live);
+        assert_eq!(scheduler.inner.prefix.entries(), 1);
+        assert_eq!(pool.blocks_free(), 1);
+
+        // Dropping the snapshot would free nothing, so admission must
+        // reject without touching it.
+        let pooled = SessionRequest {
+            pool: Some(Arc::clone(&pool)),
+            ..request(&m, 1, None)
+        };
+        match scheduler.submit(pooled) {
+            Err(ServeError::PoolSaturated { needed: 3, free: 1 }) => {}
+            other => panic!("expected pool saturation, got {other:?}"),
+        }
+        assert_eq!(scheduler.inner.prefix.entries(), 1, "the snapshot survives");
         assert_eq!(metrics.snapshot().pool_evictions, 0);
         drop(live);
         scheduler.join();

@@ -366,7 +366,7 @@ fn corrupt_checkpoint_file_is_a_structured_error_not_a_crash() {
         assert_eq!(code, ErrorCode::Internal, "damaged file for {spec}");
         assert!(detail.contains("corrupt"), "got {detail}");
     }
-    let (loaded, _zoo) = client.models().expect("models");
+    let (loaded, _zoo, _) = client.models().expect("models");
     assert_eq!(
         loaded,
         vec!["healthy".to_string()],
@@ -397,7 +397,7 @@ fn poisoned_merge_is_reported_not_cached() {
     };
     assert_eq!(err.code, ErrorCode::Internal);
     assert!(err.detail.contains("non-finite"), "got {}", err.detail);
-    let (loaded, _zoo) = client.models().expect("models");
+    let (loaded, _zoo, _) = client.models().expect("models");
     assert!(
         !loaded.contains(&KEY.to_string()),
         "poisoned merge must not be cached: {loaded:?}"

@@ -69,7 +69,7 @@ fn concurrent_merge_sessions_match_single_threaded_generate() {
     let mut admin = Client::connect(addr).expect("connect");
     let key = admin.load(SPEC).expect("load merge");
     assert_eq!(key, "merge:eda-qwen+instruct-qwen@0.6000");
-    let (loaded, zoo_slugs) = admin.models().expect("models");
+    let (loaded, zoo_slugs, _) = admin.models().expect("models");
     assert!(loaded.contains(&key));
     assert!(zoo_slugs.contains(&"eda-qwen".to_string()));
 
@@ -340,7 +340,7 @@ fn unloading_a_kv8_spec_evicts_its_weights() {
     let mut client = Client::connect(server.local_addr()).expect("connect");
     assert_eq!(client.load("m#kv8").expect("load"), "m#kv8");
     assert!(client.unload("m#kv8").expect("unload"), "evicted: true");
-    let (loaded, _) = client.models().expect("models");
+    let (loaded, _, _) = client.models().expect("models");
     assert!(
         !loaded.contains(&"m".to_string()),
         "still loaded: {loaded:?}"

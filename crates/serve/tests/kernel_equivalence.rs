@@ -653,7 +653,7 @@ fn int8_registry_surfaces_dtype_weight_gauge_and_backend() {
     let key = client.load("pinned#int8").expect("load");
     assert_eq!(key, "pinned#int8");
 
-    let details = client.models_detailed().expect("models");
+    let (_, _, details) = client.models().expect("models");
     let row = |m: &str| {
         details
             .iter()

@@ -69,8 +69,14 @@ if grep -rn 'TcpStream::connect' crates/router/src; then
   echo "ci: the router opens its own socket again; use chipalign_serve::Client" >&2
   exit 1
 fi
+# One checkpoint checksum: XXH64 is the only hash the formats read or write.
+if grep -rn 'Fnv1a\|fnv1a' crates/model/src; then
+  echo "ci: crates/model names FNV-1a again; there is one checkpoint checksum (XXH64)" >&2
+  exit 1
+fi
 # Non-test lines per crate: every line above a file's `#[cfg(test)] mod`
-# block (a whole file when it has none). These are the sizes ROADMAP quotes.
+# block (a whole file when it has none), then their total. These are the
+# sizes ROADMAP quotes.
 echo "ci: non-test lines per crate"
 for src in src crates/*/src; do
   find "$src" -name '*.rs' -exec awk '
@@ -79,7 +85,7 @@ for src in src crates/*/src; do
     { n++; prev = $0 }
     END { print n }' {} + |
     awk -v name="${src%/src}" '{ printf "  %-20s %6d\n", (name == "src" ? "chipalign" : name), $1 }'
-done
+done | awk '{ print; total += $2 } END { printf "  %-20s %6d\n", "total", total }'
 
 cargo build --release --offline --locked
 # Every example end to end, each required to print its result line.

@@ -98,16 +98,15 @@ fn sweep_endpoints_are_the_inputs() {
 }
 
 #[test]
-fn an_old_version_file_is_a_merge_input() {
-    let (dir, _, _) = workdir("fixture");
-    let fixture =
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/model/tests/fixtures/calt-v2.bin");
-    let old = format::load(&fixture).expect("v2 fixture loads");
-    let fixture = fixture.to_str().expect("utf-8 path");
+fn an_old_version_file_is_refused_as_a_merge_input() {
+    let (dir, _, _) = workdir("old-version");
+    let mut old = std::fs::read(dir.join("chip.calt")).expect("chip file");
+    old[4] = 2;
+    std::fs::write(dir.join("old.calt"), &old).expect("write");
     let args = [
         "merge",
         "--chip",
-        fixture,
+        "old.calt",
         "--instruct",
         "instruct.calt",
         "--lambda",
@@ -115,16 +114,14 @@ fn an_old_version_file_is_a_merge_input() {
         "-o",
         "merged.calt",
     ];
-    stdout(&cli(&dir, &args));
-    let merged = std::fs::read(dir.join("merged.calt")).expect("merged file");
-    assert_eq!(
-        &merged[..8],
-        b"CALT\x03\0\0\0",
-        "outputs are written as today's version"
+    let out = cli(&dir, &args);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("loading old.calt: corrupt checkpoint data: unsupported version 2"),
+        "{err}"
     );
-    assert!(format::decode(&merged)
-        .expect("decode")
-        .approx_eq(&old, 0.0));
+    assert!(!dir.join("merged.calt").exists(), "nothing is written");
     std::fs::remove_dir_all(&dir).ok();
 }
 
