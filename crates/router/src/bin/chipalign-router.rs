@@ -95,7 +95,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     max_sessions: 16,
                     slice_tokens: 8,
                     max_batch: 4,
-                    ..SchedulerConfig::default()
                 },
                 instance_tag: Some(format!("r{i}")),
                 ..ServerConfig::default()

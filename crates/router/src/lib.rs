@@ -17,9 +17,8 @@
 //! - **Health-checked failover** ([`router`]): a background prober keeps a
 //!   three-state view of each replica (`Healthy` / `Degraded` / `Down`);
 //!   per-request timeouts and dropped connections fail over to the next
-//!   ring candidate under the jittered [`chipalign_serve::RetryPolicy`]
-//!   backoff schedule. Deterministic decoding makes the retry
-//!   transcript-safe.
+//!   ring candidate after a jittered exponential backoff. Deterministic
+//!   decoding makes the retry transcript-safe.
 //! - **Load-aware spill**: a replica answering `overloaded` is marked
 //!   `Degraded` and its traffic spills to ring neighbors until it
 //!   recovers — the ring makes even spilled traffic land consistently.

@@ -14,6 +14,9 @@
 //! or failed-over traffic for that key consistently lands (so even the
 //! fallback replica warms up a coherent working set).
 
+/// Prompt characters (not bytes) hashed into the affinity key.
+const AFFINITY_CHARS: usize = 16;
+
 /// FNV-1a, 64-bit. A tiny, dependency-free, well-distributed hash for
 /// short routing keys; stability across runs matters (routing tables must
 /// be reproducible), which rules out `std`'s randomized `DefaultHasher`.
@@ -40,19 +43,19 @@ fn mix64(mut h: u64) -> u64 {
     h ^ (h >> 31)
 }
 
-/// The affinity key for a request: model spec plus the first
-/// `prefix_chars` characters of the prompt.
+/// The affinity key for a request: model spec plus the first 16
+/// characters of the prompt.
 ///
 /// Truncating the prompt is what makes the key an *affinity* key rather
 /// than a request hash: `"Q:describe the timing path 17;A:"` and
 /// `"Q:describe the timing path 99;A:"` share their first 16 characters,
 /// so both route to the replica whose prefix cache already holds the
-/// shared scaffold. `prefix_chars = 0` keys on the model alone.
+/// shared scaffold.
 #[must_use]
-pub fn affinity_key(model: &str, prompt: &str, prefix_chars: usize) -> u64 {
+pub fn affinity_key(model: &str, prompt: &str) -> u64 {
     let boundary = prompt
         .char_indices()
-        .nth(prefix_chars)
+        .nth(AFFINITY_CHARS)
         .map_or(prompt.len(), |(i, _)| i);
     let mut bytes = Vec::with_capacity(model.len() + 1 + boundary);
     bytes.extend_from_slice(model.as_bytes());
@@ -129,29 +132,29 @@ mod tests {
     #[test]
     fn same_key_same_candidate_order() {
         let ring = HashRing::build(&names(4), 32);
-        let key = affinity_key("merge:a+b@0.6", "Q:describe the timing path;A:", 16);
+        let key = affinity_key("merge:a+b@0.6", "Q:describe the timing path;A:");
         assert_eq!(ring.candidates(key), ring.candidates(key));
     }
 
     #[test]
     fn shared_prefixes_share_a_home() {
         let ring = HashRing::build(&names(4), 32);
-        let a = affinity_key("m", "Q:describe the timing path 17;A:", 16);
-        let b = affinity_key("m", "Q:describe the timing path 99;A:", 16);
+        let a = affinity_key("m", "Q:describe the timing path 17;A:");
+        let b = affinity_key("m", "Q:describe the timing path 99;A:");
         assert_eq!(a, b, "16-char prefixes match, so the keys must too");
         assert_eq!(ring.candidates(a)[0], ring.candidates(b)[0]);
         // Distinct scaffolds may differ (and with enough keys, must).
-        let c = affinity_key("m", "Summarize the CDC report:", 16);
+        let c = affinity_key("m", "Summarize the CDC report:");
         assert_ne!(a, c);
     }
 
     #[test]
     fn different_models_get_different_keys() {
-        let a = affinity_key("merge:a+b@0.4", "Q:x;A:", 16);
-        let b = affinity_key("merge:a+b@0.6", "Q:x;A:", 16);
+        let a = affinity_key("merge:a+b@0.4", "Q:x;A:");
+        let b = affinity_key("merge:a+b@0.6", "Q:x;A:");
         assert_ne!(a, b);
         // The separator keeps (model, prompt) splits unambiguous.
-        assert_ne!(affinity_key("ab", "c", 16), affinity_key("a", "bc", 16));
+        assert_ne!(affinity_key("ab", "c"), affinity_key("a", "bc"));
     }
 
     #[test]
@@ -183,7 +186,8 @@ mod tests {
             let ring = HashRing::build(&names(n), 64);
             let mut homed = vec![0usize; n];
             for i in 0..total {
-                let key = affinity_key("m", &format!("prompt scaffold number {i}"), 64);
+                // The index leads, inside the 16 hashed characters.
+                let key = affinity_key("m", &format!("{i} prompt scaffold"));
                 homed[ring.candidates(key)[0]] += 1;
             }
             let fair = total as f64 / n as f64;
@@ -207,8 +211,15 @@ mod tests {
     #[test]
     fn prefix_chars_respects_utf8_boundaries() {
         // Multi-byte characters must not split; nth char boundary is used.
-        let k = affinity_key("m", "Ω≈ç√∫˜µ≤≥", 4);
-        let k2 = affinity_key("m", "Ω≈ç√XXXX", 4);
-        assert_eq!(k, k2, "first four chars agree");
+        let scaffold = "Ω≈ç√∫˜µ≤≥Ω≈ç√∫˜µ";
+        assert_eq!(scaffold.chars().count(), 16);
+        let k = affinity_key("m", &format!("{scaffold}≤≥"));
+        let k2 = affinity_key("m", &format!("{scaffold}XXXX"));
+        assert_eq!(k, k2, "first 16 chars agree");
+        assert_ne!(
+            k,
+            affinity_key("m", "Ω≈ç√∫˜µ≤≥Ω≈ç√∫˜X"),
+            "the 16th char counts"
+        );
     }
 }

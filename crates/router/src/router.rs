@@ -5,8 +5,8 @@
 //! Routing a generation walks the ring candidates for the request's
 //! affinity key in health order (Healthy, then Degraded, then Down as a
 //! last resort; Draining never), with jittered exponential backoff between
-//! attempts on the [`RetryPolicy`] schedule. Every exchange with a replica
-//! (attempt, probe or admin request) is one [`Client`] connection.
+//! attempts. Every exchange with a replica (attempt, probe or admin
+//! request) is one [`Client`] connection.
 //!
 //! Failover is transcript-safe by construction: decoding is deterministic
 //! for a given (model, prompt, config, seed), so re-running a request on
@@ -21,12 +21,47 @@ use std::time::Duration;
 
 use chipalign_serve::protocol::{LoadedModel, ReplicaHealth, ReplicaStatus};
 use chipalign_serve::{
-    Client, ErrorCode, GenerateRequest, Generation, MetricsSnapshot, RetryPolicy, ServeError,
+    Client, ErrorCode, GenerateRequest, Generation, MetricsSnapshot, ServeError,
 };
 use chipalign_tensor::rng::Pcg32;
 
 use crate::metrics::{RouterCounter, RouterMetrics};
 use crate::ring::{affinity_key, HashRing};
+
+/// Connect and read timeout for one health probe; also the connect
+/// timeout of every admin exchange and the read timeout of the `metrics`,
+/// `models` and `unload` fan-outs.
+const PROBE_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// Consecutive failures (probes or routed requests) after which a
+/// replica is marked `Down`.
+const DOWN_AFTER: u32 = 2;
+
+/// Connect timeout for one routed attempt.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// Most replicas tried per request, the first included; clamped to the
+/// eligible candidates.
+const MAX_ATTEMPTS: usize = 4;
+
+/// Backoff before the first failover; it doubles for each further one.
+const BASE_DELAY_MS: u64 = 10;
+
+/// Upper bound on any single backoff.
+const MAX_DELAY_MS: u64 = 500;
+
+/// Fraction of each backoff randomized away: each delay is uniform in
+/// `[delay/2, delay]`, which de-synchronizes retries after an outage.
+const JITTER: f64 = 0.5;
+
+/// The backoff before failover number `attempt` (1-based), after jitter,
+/// drawn from `rng`.
+fn backoff(attempt: u32, rng: &mut Pcg32) -> Duration {
+    let exp = BASE_DELAY_MS.saturating_mul(1u64 << attempt.saturating_sub(1).min(32));
+    let capped = exp.min(MAX_DELAY_MS) as f64;
+    let jitter = JITTER * capped * rng.uniform_f64();
+    Duration::from_millis((capped - jitter) as u64)
+}
 
 /// Router configuration.
 #[derive(Debug, Clone)]
@@ -35,25 +70,13 @@ pub struct RouterConfig {
     pub listen: String,
     /// Virtual nodes per replica on the hash ring.
     pub vnodes: usize,
-    /// Prompt characters (not bytes) hashed into the affinity key.
-    pub affinity_chars: usize,
     /// How often the health prober pings every replica.
     pub probe_interval: Duration,
-    /// Connect + read timeout for one health probe.
-    pub probe_timeout: Duration,
-    /// Consecutive failures (probes or routed requests) after which a
-    /// replica is marked `Down`.
-    pub down_after: u32,
-    /// Connect timeout for one routed attempt.
-    pub connect_timeout: Duration,
     /// Read timeout for one routed attempt: how long the router waits for
     /// a replica's reply before failing over. `None` waits forever (the
     /// kill-detection path then relies on the replica's own structured
     /// `shutting_down` replies and dropped connections).
     pub request_timeout: Option<Duration>,
-    /// Backoff schedule between failover attempts. `max_attempts` bounds
-    /// how many replicas are tried per request (clamped to fleet size).
-    pub failover: RetryPolicy,
     /// Seed for backoff jitter.
     pub seed: u64,
 }
@@ -63,18 +86,8 @@ impl Default for RouterConfig {
         RouterConfig {
             listen: "127.0.0.1:0".to_string(),
             vnodes: 32,
-            affinity_chars: 16,
             probe_interval: Duration::from_millis(500),
-            probe_timeout: Duration::from_millis(250),
-            down_after: 2,
-            connect_timeout: Duration::from_millis(250),
             request_timeout: None,
-            failover: RetryPolicy {
-                max_attempts: 4,
-                base_delay_ms: 10,
-                max_delay_ms: 500,
-                jitter: 0.5,
-            },
             seed: 0,
         }
     }
@@ -195,7 +208,7 @@ impl Router {
     /// over other degraded replicas.
     fn candidates(&self, req: &GenerateRequest) -> Vec<Candidate> {
         let fleet = self.fleet();
-        let key = affinity_key(&req.model, &req.prompt, self.cfg.affinity_chars);
+        let key = affinity_key(&req.model, &req.prompt);
         let order = fleet.ring.candidates(key);
         let class = |state: ReplicaHealth| match state {
             ReplicaHealth::Healthy => 0u8,
@@ -245,7 +258,7 @@ impl Router {
             if r.state == ReplicaHealth::Draining {
                 return;
             }
-            if r.consecutive_failures >= self.cfg.down_after {
+            if r.consecutive_failures >= DOWN_AFTER {
                 if r.state != ReplicaHealth::Down {
                     self.metrics.add(RouterCounter::MarksDown, 1);
                 }
@@ -272,8 +285,8 @@ impl Router {
 
     /// Routes one generation with health-ordered failover.
     ///
-    /// The attempt budget is `failover.max_attempts`, clamped to the
-    /// number of eligible candidates; `retry_attempt` carries the attempt
+    /// The attempt budget is `MAX_ATTEMPTS`, clamped to the number of
+    /// eligible candidates; `retry_attempt` carries the attempt
     /// index so replicas count retry traffic. Structured verdicts about
     /// the request itself (`bad_request`, `unknown_model`,
     /// `deadline_exceeded`) return immediately; everything else — dropped
@@ -292,14 +305,11 @@ impl Router {
             self.metrics.add(RouterCounter::Exhausted, 1);
             return Err(ServeError::ShuttingDown);
         }
-        let budget = (self.cfg.failover.max_attempts.max(1) as usize).min(candidates.len());
+        let budget = MAX_ATTEMPTS.min(candidates.len());
         let mut last_err: Option<ServeError> = None;
         for (attempt, candidate) in candidates.into_iter().take(budget).enumerate() {
             if attempt > 0 {
-                let delay = {
-                    let mut rng = self.rng();
-                    self.cfg.failover.delay(attempt as u32, &mut rng)
-                };
+                let delay = backoff(attempt as u32, &mut self.rng());
                 std::thread::sleep(delay);
                 self.metrics.add(RouterCounter::Failovers, 1);
             }
@@ -343,7 +353,7 @@ impl Router {
         candidate.inflight.fetch_add(1, Ordering::Relaxed);
         let reply = Client::connect_timeout(
             candidate.addr.as_str(),
-            self.cfg.connect_timeout,
+            CONNECT_TIMEOUT,
             self.cfg.request_timeout,
         )
         .and_then(|mut client| client.generate(routed));
@@ -374,8 +384,7 @@ impl Router {
     }
 
     fn probe(&self, addr: &str) -> Result<u32, ServeError> {
-        let timeout = self.cfg.probe_timeout;
-        Client::connect_timeout(addr, timeout, Some(timeout))?.ping()
+        Client::connect_timeout(addr, PROBE_TIMEOUT, Some(PROBE_TIMEOUT))?.ping()
     }
 
     /// Fan-out aggregate of every non-down replica's metrics snapshot
@@ -386,7 +395,7 @@ impl Router {
     pub(crate) fn fleet_metrics(&self) -> MetricsSnapshot {
         let mut aggregate = MetricsSnapshot::default();
         for (_, addr) in self.reachable_replicas() {
-            if let Ok(snap) = self.admin(&addr).and_then(|mut c| c.metrics()) {
+            if let Ok(snap) = admin(&addr, Some(PROBE_TIMEOUT)).and_then(|mut c| c.metrics()) {
                 aggregate.absorb(&snap);
             }
         }
@@ -402,7 +411,9 @@ impl Router {
         let mut zoo: Vec<String> = Vec::new();
         let mut details: Vec<LoadedModel> = Vec::new();
         for (_, addr) in self.reachable_replicas() {
-            if let Ok((l, z, models)) = self.admin(&addr).and_then(|mut c| c.models()) {
+            if let Ok((l, z, models)) =
+                admin(&addr, Some(PROBE_TIMEOUT)).and_then(|mut c| c.models())
+            {
                 for m in l {
                     if !loaded.contains(&m) {
                         loaded.push(m);
@@ -434,7 +445,7 @@ impl Router {
         let mut key: Option<String> = None;
         let mut first_err: Option<ServeError> = None;
         for (_, addr) in self.reachable_replicas() {
-            match self.admin(&addr).and_then(|mut c| c.load(model)) {
+            match admin(&addr, None).and_then(|mut c| c.load(model)) {
                 Ok(loaded) => key = Some(loaded),
                 Err(e) => {
                     first_err.get_or_insert(e);
@@ -452,7 +463,8 @@ impl Router {
     pub(crate) fn fleet_unload(&self, model: &str) -> bool {
         let mut any = false;
         for (_, addr) in self.reachable_replicas() {
-            if let Ok(evicted) = self.admin(&addr).and_then(|mut c| c.unload(model)) {
+            if let Ok(evicted) = admin(&addr, Some(PROBE_TIMEOUT)).and_then(|mut c| c.unload(model))
+            {
                 any |= evicted;
             }
         }
@@ -469,13 +481,15 @@ impl Router {
             .map(|(i, r)| (i, r.addr.clone()))
             .collect()
     }
+}
 
-    /// A connection for one admin exchange (metrics/models/load/unload)
-    /// with one replica: connect under the probe timeout, then wait without
-    /// one — admin ops can be slow (a load may train/merge).
-    fn admin(&self, addr: &str) -> Result<Client, ServeError> {
-        Client::connect_timeout(addr, self.cfg.probe_timeout, None)
-    }
+/// A connection for one admin exchange with one replica, connected under
+/// the probe timeout. `read_timeout` bounds the reply wait: `metrics`,
+/// `models` and `unload` are answered at once and wait `PROBE_TIMEOUT`, so
+/// a silent replica cannot hang the fan-out; a `load` may train or merge,
+/// so it waits with no bound.
+fn admin(addr: &str, read_timeout: Option<Duration>) -> Result<Client, ServeError> {
+    Client::connect_timeout(addr, PROBE_TIMEOUT, read_timeout)
 }
 
 /// How one failed attempt steers the failover loop.
@@ -580,18 +594,8 @@ mod tests {
         // Nothing is listening on these ports: every attempt is a connect
         // failure, the fleet goes Down, and the caller gets the last
         // transport error back after a bounded number of attempts.
-        let cfg = RouterConfig {
-            failover: RetryPolicy {
-                max_attempts: 2,
-                base_delay_ms: 1,
-                max_delay_ms: 2,
-                jitter: 0.0,
-            },
-            connect_timeout: Duration::from_millis(50),
-            ..RouterConfig::default()
-        };
         let r = Router::new(
-            cfg,
+            RouterConfig::default(),
             vec!["127.0.0.1:9".to_string(), "127.0.0.1:10".to_string()],
         );
         let req = GenerateRequest::greedy("m", "Q:x;A:", 4);
@@ -604,5 +608,27 @@ mod tests {
         assert_eq!(snap.routed, 1);
         assert_eq!(snap.exhausted, 1);
         assert_eq!(snap.failovers, 1, "second candidate was tried");
+    }
+
+    #[test]
+    fn delays_cap_at_max_delay() {
+        let mut rng = Pcg32::seed(1);
+        for _ in 0..100 {
+            for (attempt, full) in [
+                (1u32, 10u64),
+                (2, 20),
+                (6, 320),
+                (7, 500),
+                (9, 500),
+                (40, 500),
+            ] {
+                let ms = backoff(attempt, &mut rng).as_millis() as u64;
+                assert!(
+                    (full / 2..=full).contains(&ms),
+                    "attempt {attempt}: {ms} ms outside [{}, {full}]",
+                    full / 2
+                );
+            }
+        }
     }
 }

@@ -24,8 +24,8 @@ use chipalign_router::{affinity_key, HashRing, RouterConfig, RouterServer};
 use chipalign_serve::faults::{self, Site, Trigger};
 use chipalign_serve::protocol::ReplicaHealth;
 use chipalign_serve::{
-    Client, ErrorCode, GenerateRequest, ModelRegistry, RetryPolicy, SchedulerConfig, ServeError,
-    Server, ServerConfig,
+    Client, ErrorCode, GenerateRequest, ModelRegistry, SchedulerConfig, ServeError, Server,
+    ServerConfig,
 };
 use chipalign_tensor::rng::Pcg32;
 
@@ -55,12 +55,9 @@ fn replica(tag: Option<&str>) -> Server {
                 workers: 2,
                 max_sessions: 32,
                 slice_tokens: 4,
-                stall_slices: 64,
                 max_batch: 1,
-                ..SchedulerConfig::default()
             },
             max_new_tokens_cap: 10_000_000,
-            default_deadline_ms: None,
             instance_tag: tag.map(str::to_string),
         },
         registry,
@@ -80,7 +77,7 @@ fn families_covering_every_replica(addrs: &[String], cfg: &RouterConfig) -> Vec<
         // The family index sits inside the 16-char affinity prefix, so
         // each family gets its own key (and thus its own candidate home).
         let scaffold = format!("Q:f{i:04} chaos member ");
-        let home = ring.candidates(affinity_key(MODEL, &scaffold, cfg.affinity_chars))[0];
+        let home = ring.candidates(affinity_key(MODEL, &scaffold))[0];
         if !covered[home] {
             covered[home] = true;
             families.push((scaffold, home));
@@ -111,12 +108,6 @@ fn replica_kills_mid_decode_preserve_transcripts_or_fail_structured() {
 
     let cfg = RouterConfig {
         probe_interval: Duration::from_millis(100),
-        failover: RetryPolicy {
-            max_attempts: 3,
-            base_delay_ms: 2,
-            max_delay_ms: 20,
-            jitter: 0.5,
-        },
         ..RouterConfig::default()
     };
     let families = families_covering_every_replica(&addrs, &cfg);

@@ -43,12 +43,9 @@ fn replica(index: usize, workers: usize, max_sessions: usize) -> Server {
                 workers,
                 max_sessions,
                 slice_tokens: 4,
-                stall_slices: 64,
                 max_batch: 4,
-                ..SchedulerConfig::default()
             },
             max_new_tokens_cap: 10_000_000,
-            default_deadline_ms: None,
             instance_tag: Some(format!("r{index}")),
         },
         ModelRegistry::new(zoo),
@@ -118,7 +115,7 @@ fn affinity_routing_pins_scaffolds_and_aggregates_the_fleet() {
     let ring = HashRing::build(&addrs, cfg.vnodes);
     let homes: Vec<usize> = prompts
         .iter()
-        .map(|p| ring.candidates(affinity_key(MERGE_SPEC, p, cfg.affinity_chars))[0])
+        .map(|p| ring.candidates(affinity_key(MERGE_SPEC, p))[0])
         .collect();
     for family in [&homes[..4], &homes[4..]] {
         assert!(
@@ -198,7 +195,7 @@ fn overloaded_home_spills_to_ring_neighbor_and_degrades() {
     let prompt = "Q:spill me somewhere;A:";
     let cfg = RouterConfig::default();
     let ring = HashRing::build(&addrs, cfg.vnodes);
-    let home = ring.candidates(affinity_key("eda-qwen", prompt, cfg.affinity_chars))[0];
+    let home = ring.candidates(affinity_key("eda-qwen", prompt))[0];
 
     // Occupy the home replica with a long-running direct session (an
     // `<eos>` must not free the replica early).
@@ -259,7 +256,7 @@ fn drain_rebalances_new_traffic_and_preserves_inflight_sessions() {
     let prompt = "Q:who owns this keyspace?;A:";
     let cfg = RouterConfig::default();
     let ring = HashRing::build(&addrs, cfg.vnodes);
-    let home = ring.candidates(affinity_key("eda-qwen", prompt, cfg.affinity_chars))[0];
+    let home = ring.candidates(affinity_key("eda-qwen", prompt))[0];
 
     // A long session routed through the router, homed on `home` (an
     // `<eos>` must not end it before the drain).
@@ -416,7 +413,7 @@ fn a_silent_replica_times_out_and_the_request_fails_over() {
     let ring = HashRing::build(&addrs, cfg.vnodes);
     let prompt = (0..64)
         .map(|i| format!("Q:{i} silent home;A:"))
-        .find(|p| ring.candidates(affinity_key("tiny", p, cfg.affinity_chars))[0] == 0)
+        .find(|p| ring.candidates(affinity_key("tiny", p))[0] == 0)
         .expect("a prompt homed on the silent replica");
     // No prober: the routed attempt is the only thing that can mark it.
     let router = Router::new(cfg, addrs);
@@ -446,5 +443,50 @@ fn a_silent_replica_times_out_and_the_request_fails_over() {
     assert_eq!(fleet[1].state, ReplicaHealth::Healthy);
     drop(done);
     stub.join().expect("stub thread");
+    live.shutdown();
+}
+
+/// A replica that accepts and never answers must not hang the router's
+/// admin fan-out: `metrics` waits for each replica at most the probe
+/// timeout, skips the silent one, and returns the live replica's counters.
+#[test]
+fn a_silent_replica_does_not_hang_the_metrics_fan_out() {
+    // Bound and never accepted: the kernel completes every handshake, and
+    // nothing ever replies.
+    let silent = TcpListener::bind("127.0.0.1:0").expect("bind stub");
+    let silent_addr = silent.local_addr().expect("addr").to_string();
+    let live = replica(1, 1, 4);
+    let mut arch = ArchSpec::tiny("router-e2e");
+    arch.vocab_size = 99;
+    live.registry().register(
+        "tiny",
+        TinyLm::new(&arch, &mut Pcg32::seed(7)).expect("model"),
+    );
+    Client::connect(live.local_addr())
+        .expect("connect replica")
+        .generate(GenerateRequest::greedy("tiny", "Q:x;A:", 4))
+        .expect("direct generate");
+
+    // The prober's first pass can mark the stub Degraded but not Down,
+    // and its next pass is minutes away, so the fan-out still asks it.
+    let front = router_over(
+        vec![silent_addr, live.local_addr().to_string()],
+        Duration::from_secs(120),
+    );
+    let mut client = Client::connect_timeout(
+        front.local_addr(),
+        Duration::from_secs(1),
+        Some(Duration::from_secs(5)),
+    )
+    .expect("connect router");
+    let reply = client.metrics();
+    // Closing the stub resets its connections, so a router still waiting
+    // on one lets go before the shutdown below.
+    drop(silent);
+    let snap = reply.expect("metrics answered within the client's read timeout");
+    assert_eq!(snap.requests, 1, "the live replica's counters: {snap:?}");
+    assert_eq!(snap.completed, 1);
+
+    front.shutdown();
     live.shutdown();
 }

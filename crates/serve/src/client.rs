@@ -7,14 +7,9 @@
 //! it, one connection per exchange (see DESIGN.md, "Wire"), and the tests
 //! and examples drive servers with it; any newline-JSON-speaking client in
 //! any language works equally well.
-//!
-//! [`RetryPolicy`] is the backoff schedule between the router's failover
-//! attempts.
 
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
-
-use chipalign_tensor::rng::Pcg32;
 
 use crate::metrics::MetricsSnapshot;
 use crate::protocol::{
@@ -220,55 +215,5 @@ type Models = (Vec<String>, Vec<String>, Vec<LoadedModel>);
 fn unexpected(resp: &Response) -> ServeError {
     ServeError::Protocol {
         detail: format!("unexpected response variant: {resp:?}"),
-    }
-}
-
-/// The backoff schedule between failover attempts
-/// (`RouterConfig::failover` in `chipalign-router`).
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (`1` = no retries).
-    pub max_attempts: u32,
-    /// Delay before the first retry; doubles each further retry.
-    pub base_delay_ms: u64,
-    /// Upper bound on any single delay.
-    pub max_delay_ms: u64,
-    /// Fraction of each delay randomized away (`0.0` = fixed delays,
-    /// `0.5` = each delay uniformly in `[delay/2, delay]`). Jitter
-    /// de-synchronizes retries after an outage.
-    pub jitter: f64,
-}
-
-impl RetryPolicy {
-    /// The backoff before retry number `attempt` (1-based), after jitter,
-    /// drawn from `rng`.
-    #[must_use]
-    pub fn delay(&self, attempt: u32, rng: &mut Pcg32) -> Duration {
-        let exp = self
-            .base_delay_ms
-            .saturating_mul(1u64 << attempt.saturating_sub(1).min(32));
-        let capped = exp.min(self.max_delay_ms) as f64;
-        let jitter = self.jitter.clamp(0.0, 1.0) * capped * rng.uniform_f64();
-        Duration::from_millis((capped - jitter) as u64)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn delays_cap_at_max_delay() {
-        let pol = RetryPolicy {
-            max_attempts: 10,
-            base_delay_ms: 100,
-            max_delay_ms: 300,
-            jitter: 0.0,
-        };
-        let mut rng = Pcg32::seed(1);
-        assert_eq!(pol.delay(1, &mut rng).as_millis(), 100);
-        assert_eq!(pol.delay(2, &mut rng).as_millis(), 200);
-        assert_eq!(pol.delay(3, &mut rng).as_millis(), 300, "caps");
-        assert_eq!(pol.delay(9, &mut rng).as_millis(), 300, "stays capped");
     }
 }

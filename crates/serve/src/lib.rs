@@ -76,7 +76,7 @@ pub(crate) mod registry;
 pub mod scheduler;
 pub mod server;
 
-pub use client::{Client, RetryPolicy};
+pub use client::Client;
 pub use error::ServeError;
 pub use metrics::{Counter, Metrics, MetricsSnapshot};
 pub use protocol::{

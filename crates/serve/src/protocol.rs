@@ -88,7 +88,7 @@ json_struct! {
         /// Sampling seed.
         pub seed: u64 = 0,
         /// Per-request deadline in milliseconds, measured from admission.
-        /// When absent, the server's default applies.
+        /// When absent, the request has no deadline.
         pub deadline_ms: Option<u64> = None,
         /// Which retry of this request this is (`0` = first attempt). The
         /// router sets it to the failover attempt index; the server counts

@@ -50,7 +50,7 @@
 //! # Chunked prefill and shared-prefix reuse
 //!
 //! Prompts are *not* prefilled monolithically: a session prefills at most
-//! [`SchedulerConfig::prefill_chunk`] tokens per slice and rotates until
+//! `PREFILL_CHUNK` (32) tokens per slice and rotates until
 //! its prompt window is in the cache, so a long prompt never pins a worker
 //! for more than one chunk — short sessions behind it keep decoding (the
 //! head-of-line fix, pinned by a test). Deferred context-window slides replay through the same
@@ -64,8 +64,8 @@
 //! Admission control is a hard bound on sessions in flight (queued +
 //! running): beyond it, [`Scheduler::submit`] fails fast with
 //! [`ServeError::Overloaded`] instead of buffering without limit. Pooled
-//! sessions (a [`KvPool`] attached to the request) are additionally
-//! admitted by *free blocks*: if the pool cannot cover the prompt window,
+//! sessions (a [`KvPool`] attached to the request) that pass that bound
+//! are then admitted by *free blocks*: if the pool cannot cover the prompt window,
 //! prefix-cache snapshots whose eviction returns a block to that pool are
 //! evicted LRU-first (counted in `pool_evictions`), and a session that
 //! still does not fit is
@@ -90,7 +90,7 @@
 //! A tick-based *watchdog* covers the remaining failure mode: a session
 //! that stays alive but stops producing tokens. Progress is measured in
 //! scheduler slices, not wall-clock time, so the check is deterministic
-//! under test; after [`SchedulerConfig::stall_slices`] consecutive
+//! under test; after `STALL_SLICES` (32) consecutive
 //! zero-progress slices the session is cancelled with
 //! [`ServeError::Stalled`], which maps to the `deadline_exceeded` wire
 //! code.
@@ -116,6 +116,19 @@ use crate::ServeError;
 /// the pop path itself looping forever).
 const MAX_RESPAWNS: u32 = 8;
 
+/// Consecutive scheduler slices a session may spend making zero token
+/// progress before the watchdog cancels it with a
+/// `deadline_exceeded`-class error. The unit is slices, not seconds, so
+/// watchdog behaviour is deterministic in tests.
+const STALL_SLICES: u64 = 32;
+
+/// Most prompt (or window-slide replay) tokens prefilled per scheduling
+/// slice. A prompt longer than this rotates through the queue between
+/// chunks, so long prompts cannot head-of-line-block other sessions'
+/// decode slices. One chunk is one block of `KvCache::forward_rows`
+/// (`tune::GEMM_SKINNY_M_MAX` rows). Chunking never changes output bytes.
+const PREFILL_CHUNK: usize = 32;
+
 /// Scheduler tuning knobs.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
@@ -134,12 +147,6 @@ pub struct SchedulerConfig {
     /// has a free slot; a member is answered the round it ends, whatever
     /// this bound.
     pub slice_tokens: usize,
-    /// Consecutive scheduler slices a session may spend making zero token
-    /// progress before the watchdog cancels it with a
-    /// `deadline_exceeded`-class error. `0` disables the watchdog. The
-    /// unit is slices, not seconds, so watchdog behaviour is deterministic
-    /// in tests.
-    pub stall_slices: u64,
     /// Most sessions a worker advances together per slice. Larger values
     /// amortize weight traversal across sessions via the skinny-GEMM
     /// decode path without changing any output byte. Clamped at start-up
@@ -148,12 +155,6 @@ pub struct SchedulerConfig {
     /// projection for the whole batch. (Output bytes would not change past
     /// it either; a larger batch would only be cut into more sweeps.)
     pub max_batch: usize,
-    /// Most prompt (or window-slide replay) tokens prefilled per
-    /// scheduling slice. A prompt longer than this rotates through the
-    /// queue between chunks, so long prompts cannot head-of-line-block
-    /// other sessions' decode slices. Clamped to at least 1. Chunking
-    /// never changes output bytes.
-    pub prefill_chunk: usize,
 }
 
 impl Default for SchedulerConfig {
@@ -169,9 +170,7 @@ impl Default for SchedulerConfig {
             // weights-per-session bound.
             max_sessions: 256,
             slice_tokens: 8,
-            stall_slices: 32,
             max_batch: 8,
-            prefill_chunk: 32,
         }
     }
 }
@@ -384,11 +383,9 @@ impl Scheduler {
             workers: cfg.workers.max(1),
             max_sessions: cfg.max_sessions.max(1),
             slice_tokens: cfg.slice_tokens.max(1),
-            stall_slices: cfg.stall_slices,
             max_batch: cfg
                 .max_batch
                 .clamp(1, chipalign_tensor::tune::GEMM_SKINNY_M_MAX),
-            prefill_chunk: cfg.prefill_chunk.max(1),
         };
         let inner = Arc::new(Inner {
             cfg: cfg.clone(),
@@ -435,6 +432,23 @@ impl Scheduler {
             inner.metrics.add(Counter::RejectedShutdown, 1);
             return Err(ServeError::ShuttingDown);
         }
+        // Reserve a slot atomically so concurrent submissions cannot
+        // overshoot the bound. The slot comes first: a request the bound
+        // refuses must not cost the prefix cache a snapshot.
+        let capacity = inner.cfg.max_sessions;
+        if inner
+            .active
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < capacity).then_some(n + 1)
+            })
+            .is_err()
+        {
+            inner.metrics.add(Counter::RejectedOverload, 1);
+            return Err(ServeError::Overloaded {
+                active: inner.active.load(Ordering::SeqCst),
+                capacity,
+            });
+        }
         // Block-granular admission for pooled sessions: the prompt window
         // must be coverable by free blocks. Cached prefix snapshots in that
         // pool are reclaimable — evict them LRU-first until the session fits
@@ -453,25 +467,10 @@ impl Scheduler {
             }
             let free = pool.blocks_free();
             if free < needed {
+                inner.active.fetch_sub(1, Ordering::SeqCst);
                 inner.metrics.add(Counter::RejectedOverload, 1);
                 return Err(ServeError::PoolSaturated { needed, free });
             }
-        }
-        // Reserve a slot atomically so concurrent submissions cannot
-        // overshoot the bound.
-        let capacity = inner.cfg.max_sessions;
-        if inner
-            .active
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                (n < capacity).then_some(n + 1)
-            })
-            .is_err()
-        {
-            inner.metrics.add(Counter::RejectedOverload, 1);
-            return Err(ServeError::Overloaded {
-                active: inner.active.load(Ordering::SeqCst),
-                capacity,
-            });
         }
         inner
             .metrics
@@ -837,7 +836,7 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
             continue;
         }
         if m.task.produced.len() == m.before && !m.prefilled {
-            if let Err(e) = watchdog_tick(inner, &mut m.task) {
+            if let Err(e) = watchdog_tick(&mut m.task) {
                 m.end = MemberEnd::Failed(e);
             }
         } else {
@@ -966,7 +965,7 @@ fn take_decoder(inner: &Inner, task: &mut Task) -> Result<SessionDecoder, ServeE
 /// window is donated to the shared-prefix cache for future sessions.
 fn run_prefill_chunk(inner: &Inner, decoder: &mut StepDecoder) -> Result<(), ServeError> {
     let t0 = Instant::now();
-    decoder.prefill_pending(inner.cfg.prefill_chunk)?;
+    decoder.prefill_pending(PREFILL_CHUNK)?;
     inner.metrics.add(Counter::PrefillChunks, 1);
     inner.metrics.observe(Hist::Prefill, elapsed_us(t0));
     if !decoder.is_prefilling() && decoder.emitted() == 0 {
@@ -1012,10 +1011,9 @@ fn session_result(task: &mut Task, decoder: &SessionDecoder) -> SessionResult {
 }
 
 /// Accounts one zero-progress slice against the session's stall budget.
-fn watchdog_tick(inner: &Inner, task: &mut Task) -> Result<(), ServeError> {
+fn watchdog_tick(task: &mut Task) -> Result<(), ServeError> {
     task.stalled_slices += 1;
-    let limit = inner.cfg.stall_slices;
-    if limit > 0 && task.stalled_slices >= limit {
+    if task.stalled_slices >= STALL_SLICES {
         return Err(ServeError::Stalled {
             slices: task.stalled_slices,
         });
@@ -1134,9 +1132,7 @@ mod tests {
             workers,
             max_sessions,
             slice_tokens,
-            stall_slices: 32,
             max_batch: 1,
-            prefill_chunk: 32,
         }
     }
 
@@ -1298,24 +1294,26 @@ mod tests {
 
     #[test]
     fn chunked_prefill_lets_short_sessions_overtake_a_long_prompt() {
-        let m = model();
+        let m = roomy_model();
         let metrics = Arc::new(Metrics::new());
-        // One worker, tiny prefill chunks: without chunking, the long
-        // prompt's prefill would hold the only worker until it finished
-        // and the short session (submitted second) would wait behind it.
-        let mut cfg = config(1, 4, 4);
-        cfg.prefill_chunk = 2;
-        let scheduler = Scheduler::start(cfg, Arc::clone(&metrics));
-        let long_prompt: Vec<u32> = (0..40u32).map(|i| 3 + (i * 7) % 90).collect();
-        // A large budget keeps the long session busy (decode plus deferred
-        // window slides, each replayed in 2-token chunks) long after the
-        // short one completes, so the ordering assertion below has a
-        // margin of thousands of scheduler slices, not a photo finish.
+        // One worker and a prompt of several chunks: without chunking, the
+        // long prompt's prefill would hold the only worker until it
+        // finished and the short session (submitted second) would wait
+        // behind it.
+        let scheduler = Scheduler::start(config(1, 4, 4), Arc::clone(&metrics));
+        let long_prompt: Vec<u32> = (0..100u32).map(|i| 3 + (i * 7) % 90).collect();
+        let chunks = long_prompt.len().div_ceil(PREFILL_CHUNK);
+        assert!(chunks >= 2, "the long prompt must span several chunks");
+        // The budget slides the window a few dozen times, each slide a
+        // multi-chunk replay, which keeps the long session busy long after
+        // the short one completes: the ordering assertion below has a
+        // margin of about a hundred scheduler slices, not a photo finish.
+        const LONG_BUDGET: usize = 60;
         let long_rx = scheduler
             .submit(SessionRequest {
                 model: Arc::clone(&m),
                 prompt: long_prompt.clone(),
-                cfg: greedy(1000),
+                cfg: greedy(LONG_BUDGET),
                 deadline: None,
                 tag: "long".to_string(),
                 pool: None,
@@ -1335,11 +1333,11 @@ mod tests {
         assert_eq!(short.tokens, short_ref, "short transcript unchanged");
         let long = long_rx.recv().expect("outcome").expect("ok");
         let long_ref =
-            chipalign_nn::generate::generate(&m, &long_prompt, &greedy(1000)).expect("ok");
+            chipalign_nn::generate::generate(&m, &long_prompt, &greedy(LONG_BUDGET)).expect("ok");
         assert_eq!(long.tokens, long_ref, "chunked prefill is bit-identical");
         assert!(
-            metrics.snapshot().prefill_chunks >= 2,
-            "the long prompt must have prefilled across multiple chunks"
+            metrics.snapshot().prefill_chunks > chunks as u64,
+            "the long prompt must have prefilled across {chunks} chunks, the short one in one"
         );
         scheduler.join();
     }
@@ -1560,6 +1558,59 @@ mod tests {
     }
 
     #[test]
+    fn a_full_scheduler_refuses_before_evicting_pool_snapshots() {
+        use chipalign_nn::{KvCache, KvPool, KvPoolConfig};
+        let m = model();
+        let pool = KvPool::new(KvPoolConfig {
+            block_tokens: 1,
+            max_blocks: 4,
+            ..KvPoolConfig::default()
+        })
+        .expect("pool");
+        let metrics = Arc::new(Metrics::new());
+        let scheduler = Scheduler::start(config(1, 1, 4), Arc::clone(&metrics));
+
+        // A snapshot alone holds three of the pool's four blocks.
+        let mut cache = KvCache::new_paged(&m, &pool);
+        cache.prefill(&[5, 6, 7]).expect("fits the pool");
+        scheduler.inner.prefix.insert(&cache);
+        drop(cache);
+        assert_eq!(pool.blocks_free(), 1);
+
+        // An endless unpooled session holds the only slot. Its prompt
+        // shares no prefix with the snapshot, so it never touches the pool.
+        let held = scheduler
+            .submit(SessionRequest {
+                prompt: vec![8, 9, 10],
+                ..request(&m, 10_000_000, None)
+            })
+            .expect("admit");
+
+        // The pooled request would fit after evicting the snapshot, but the
+        // session bound refuses it first: the snapshot must survive.
+        let pooled = SessionRequest {
+            pool: Some(Arc::clone(&pool)),
+            ..request(&m, 1, None)
+        };
+        let refused = scheduler.submit(pooled);
+        scheduler.abort();
+        scheduler.join();
+        assert!(matches!(
+            held.recv().expect("outcome"),
+            Err(ServeError::ShuttingDown)
+        ));
+        match refused {
+            Err(ServeError::Overloaded { capacity: 1, .. }) => {}
+            other => panic!("expected the session bound, got {other:?}"),
+        }
+        let snap = metrics.snapshot();
+        assert_eq!(snap.pool_evictions, 0);
+        assert_eq!(snap.rejected_overload, 1, "one rejection, counted once");
+        assert_eq!(pool.blocks_in_use(), 3, "the snapshot survives");
+        assert_eq!(scheduler.active(), 0);
+    }
+
+    #[test]
     fn lone_session_outgrowing_its_pool_keeps_its_own_error() {
         use chipalign_nn::{KvPool, KvPoolConfig, NnError};
         let m = model();
@@ -1619,20 +1670,20 @@ mod tests {
         // Pins the "graceful drains always answer every admitted session"
         // contract (server.rs) in its hardest corner: the drain begins
         // while prompts are still mid-chunked-prefill, i.e. before the
-        // affected sessions have produced a single token. One worker and a
-        // 2-token prefill chunk guarantee that when shutdown() runs, at
-        // most one chunk of the first long prompt has been processed and
-        // every other session is queued in the Pending/Prefilling states.
-        let m = model();
+        // affected sessions have produced a single token. One worker and
+        // two prompts of several chunks each keep the first long prompt
+        // mid-prefill when shutdown() runs, with every other session
+        // queued behind it. The long prompts differ, so neither can seed
+        // the other from the prefix cache.
+        let m = roomy_model();
         let metrics = Arc::new(Metrics::new());
-        let mut cfg = config(1, 16, 2);
-        cfg.prefill_chunk = 2;
-        let scheduler = Scheduler::start(cfg, Arc::clone(&metrics));
-        let long_prompt: Vec<u32> = (0..30u32).map(|i| 3 + (i * 7) % 90).collect();
+        let scheduler = Scheduler::start(config(1, 16, 2), Arc::clone(&metrics));
+        let long_a: Vec<u32> = (0..100u32).map(|i| 3 + (i * 7) % 90).collect();
+        let long_b: Vec<u32> = (0..90u32).map(|i| 4 + (i * 11) % 90).collect();
         let sessions: Vec<(Vec<u32>, usize)> = vec![
-            (long_prompt.clone(), 12),
+            (long_a, 12),
             (vec![5, 6, 7], 4),
-            (long_prompt.clone(), 7),
+            (long_b, 7),
             (vec![8, 9], 9),
         ];
         let receivers: Vec<_> = sessions
@@ -1651,9 +1702,8 @@ mod tests {
                     .expect("admit")
             })
             .collect();
-        // Initiate the drain immediately: the 30-token prompts need 15
-        // chunks each, so they are necessarily mid-prefill (or still
-        // queued) at this point.
+        // Initiate the drain immediately: the long prompts need 3-4 chunks
+        // each, interleaved with the short sessions' slices.
         scheduler.shutdown();
         assert!(matches!(
             scheduler.submit(request(&m, 4, None)),
@@ -1673,10 +1723,20 @@ mod tests {
             );
         }
         assert_eq!(scheduler.active(), 0);
+        let snap = metrics.snapshot();
         assert_eq!(
-            metrics.snapshot().completed,
+            snap.completed,
             sessions.len() as u64,
             "every admitted session completed despite the mid-prefill drain"
+        );
+        let chunks: usize = sessions
+            .iter()
+            .map(|(prompt, _)| prompt.len().div_ceil(PREFILL_CHUNK))
+            .sum();
+        assert!(
+            snap.prefill_chunks >= chunks as u64 && chunks >= 2 + 2 * 3,
+            "each long prompt prefilled across at least 3 chunks: {} of {chunks}",
+            snap.prefill_chunks
         );
     }
 
@@ -1895,13 +1955,16 @@ mod tests {
             faults::arm(Site::SessionStall, Some("stuck"), Trigger::Always);
             let m = model();
             let metrics = Arc::new(Metrics::new());
-            let mut cfg = config(1, 4, 4);
-            cfg.stall_slices = 3;
-            let scheduler = Scheduler::start(cfg, Arc::clone(&metrics));
+            let scheduler = Scheduler::start(config(1, 4, 4), Arc::clone(&metrics));
             let rx = scheduler.submit(tagged(&m, 24, "stuck")).expect("admit");
             let outcome = rx.recv().expect("outcome");
             assert!(
-                matches!(outcome, Err(ServeError::Stalled { slices: 3 })),
+                matches!(
+                    outcome,
+                    Err(ServeError::Stalled {
+                        slices: STALL_SLICES
+                    })
+                ),
                 "got {outcome:?}"
             );
             assert_eq!(metrics.snapshot().watchdog_cancels, 1);

@@ -49,9 +49,6 @@ pub struct ServerConfig {
     pub scheduler: SchedulerConfig,
     /// Hard cap on `max_new_tokens` per request.
     pub max_new_tokens_cap: usize,
-    /// Deadline applied to requests that do not carry their own, in
-    /// milliseconds. `None` means unbounded.
-    pub default_deadline_ms: Option<u64>,
     /// Replica identity prefixed onto every session tag
     /// (`"<instance>/<model key>"`). Lets fleet chaos tests arm
     /// `serve::faults` rules that hit exactly one replica in a
@@ -66,7 +63,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             scheduler: SchedulerConfig::default(),
             max_new_tokens_cap: 512,
-            default_deadline_ms: None,
             instance_tag: None,
         }
     }
@@ -420,8 +416,9 @@ fn serve_generation(
     let mut prompt = vec![BOS];
     prompt.extend(inner.tokenizer.encode(&gen.prompt));
     let prompt_tokens = prompt.len();
-    let deadline_ms = gen.deadline_ms.or(inner.cfg.default_deadline_ms);
-    let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
+    let deadline = gen
+        .deadline_ms
+        .map(|ms| Instant::now() + Duration::from_millis(ms));
     // Every served session decodes on the model's paged KV pool, so block
     // accounting, prefix aliasing, and pool-saturation admission all apply
     // on the wire path (library callers may still opt out with `pool: None`).

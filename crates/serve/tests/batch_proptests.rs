@@ -83,9 +83,7 @@ fn random_interleavings_are_invisible_at_every_max_batch() {
                 workers,
                 max_sessions: jobs.len(),
                 slice_tokens,
-                stall_slices: 32,
                 max_batch,
-                ..SchedulerConfig::default()
             },
             Arc::clone(&metrics),
         );
@@ -183,9 +181,7 @@ fn mixed_dtype_sessions_coexist_without_cross_talk() {
                 workers,
                 max_sessions: jobs.len(),
                 slice_tokens,
-                stall_slices: 32,
                 max_batch: 4,
-                ..SchedulerConfig::default()
             },
             Arc::clone(&metrics),
         );
@@ -292,9 +288,7 @@ fn sessions_leaving_and_joining_mid_slice_are_answered_once_and_unchanged() {
                 workers: 1,
                 max_sessions: jobs.len(),
                 slice_tokens,
-                stall_slices: 32,
                 max_batch,
-                ..SchedulerConfig::default()
             },
             Arc::clone(&metrics),
         );

@@ -36,7 +36,7 @@ fn smoke_zoo(seed: u64) -> Zoo {
     .expect("zoo")
 }
 
-fn server_config(workers: usize, stall_slices: u64) -> ServerConfig {
+fn server_config(workers: usize) -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         // max_batch 1: every slice is a batch of one session; batched
@@ -45,12 +45,9 @@ fn server_config(workers: usize, stall_slices: u64) -> ServerConfig {
             workers,
             max_sessions: 16,
             slice_tokens: 4,
-            stall_slices,
             max_batch: 1,
-            ..SchedulerConfig::default()
         },
         max_new_tokens_cap: 10_000_000,
-        default_deadline_ms: None,
         instance_tag: None,
     }
 }
@@ -145,7 +142,7 @@ fn worker_panic_cancels_only_the_poisoned_session() {
     let healthy_model = random_model(1);
     registry.register("healthy", healthy_model.clone());
     registry.register("poison", random_model(2));
-    let server = Server::bind(server_config(2, 32), registry).expect("bind");
+    let server = Server::bind(server_config(2), registry).expect("bind");
     let addr = server.local_addr();
 
     let mut client = Client::connect(addr).expect("connect");
@@ -186,11 +183,9 @@ fn batched_panic_cancels_only_the_poisoned_batch_mate() {
             workers: 1,
             max_sessions: 16,
             slice_tokens: 4,
-            stall_slices: 32,
             max_batch: 4,
-            ..SchedulerConfig::default()
         },
-        ..server_config(1, 32)
+        ..server_config(1)
     };
     let server = Server::bind(cfg, registry).expect("bind");
     let addr = server.local_addr();
@@ -272,7 +267,7 @@ fn draft_panic_degrades_the_session_to_plain_decode() {
     let target = random_model(14);
     registry.register("tgt", target.clone());
     registry.register("drafty", random_model(15));
-    let server = Server::bind(server_config(2, 32), registry).expect("bind");
+    let server = Server::bind(server_config(2), registry).expect("bind");
     let addr = server.local_addr();
 
     let mut client = Client::connect(addr).expect("connect");
@@ -319,7 +314,7 @@ fn watchdog_cancels_a_stalled_session() {
     let healthy_model = random_model(3);
     registry.register("healthy", healthy_model.clone());
     registry.register("stuck", random_model(4));
-    let server = Server::bind(server_config(2, 3), registry).expect("bind");
+    let server = Server::bind(server_config(2), registry).expect("bind");
     let addr = server.local_addr();
 
     let mut client = Client::connect(addr).expect("connect");
@@ -327,7 +322,7 @@ fn watchdog_cancels_a_stalled_session() {
         remote_code(client.generate(GenerateRequest::greedy("stuck", "going nowhere", 24)));
     assert_eq!(code, ErrorCode::DeadlineExceeded);
     assert!(detail.contains("stalled"), "detail explains: {detail}");
-    assert!(detail.contains("3 scheduler slices"), "got {detail}");
+    assert!(detail.contains("32 scheduler slices"), "got {detail}");
 
     assert_healthy(addr, "healthy", &healthy_model, "not stuck");
     let snap = client.metrics().expect("metrics");
@@ -356,7 +351,7 @@ fn corrupt_checkpoint_file_is_a_structured_error_not_a_crash() {
     let registry = ModelRegistry::new(smoke_zoo(33));
     let healthy_model = random_model(6);
     registry.register("healthy", healthy_model.clone());
-    let server = Server::bind(server_config(2, 32), registry).expect("bind");
+    let server = Server::bind(server_config(2), registry).expect("bind");
     let addr = server.local_addr();
 
     let mut client = Client::connect(addr).expect("connect");
@@ -388,7 +383,7 @@ fn poisoned_merge_is_reported_not_cached() {
     faults::arm(Site::MergePoison, Some(KEY), Trigger::Once(1));
 
     let registry = ModelRegistry::new(smoke_zoo(34));
-    let server = Server::bind(server_config(2, 32), registry).expect("bind");
+    let server = Server::bind(server_config(2), registry).expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
     let err = match client.load(SPEC) {
@@ -418,7 +413,7 @@ fn abandoned_sessions_are_absorbed() {
     let healthy_model = random_model(7);
     registry.register("healthy", healthy_model.clone());
     registry.register("dropper", random_model(8));
-    let server = Server::bind(server_config(2, 32), registry).expect("bind");
+    let server = Server::bind(server_config(2), registry).expect("bind");
     let addr = server.local_addr();
 
     // Injected abandonment: the session is admitted, then its receiver is
@@ -474,7 +469,7 @@ fn dead_worker_respawns_and_the_pool_keeps_serving() {
     registry.register("healthy", healthy_model.clone());
     registry.register("victim", random_model(10));
     // One worker: if respawn failed, the healthy request below would hang.
-    let server = Server::bind(server_config(1, 32), registry).expect("bind");
+    let server = Server::bind(server_config(1), registry).expect("bind");
     let addr = server.local_addr();
 
     let mut client = Client::connect(addr).expect("connect");
@@ -498,7 +493,7 @@ fn registry_resolve_failure_is_structured_and_scoped() {
     let registry = ModelRegistry::new(smoke_zoo(37));
     let healthy_model = random_model(11);
     registry.register("healthy", healthy_model.clone());
-    let server = Server::bind(server_config(2, 32), registry).expect("bind");
+    let server = Server::bind(server_config(2), registry).expect("bind");
     let addr = server.local_addr();
 
     let mut client = Client::connect(addr).expect("connect");

@@ -37,12 +37,9 @@ fn server_config(workers: usize, max_sessions: usize) -> ServerConfig {
             workers,
             max_sessions,
             slice_tokens: 4,
-            stall_slices: 32,
             max_batch: 4,
-            ..SchedulerConfig::default()
         },
         max_new_tokens_cap: 10_000_000,
-        default_deadline_ms: None,
         instance_tag: None,
     }
 }

@@ -89,12 +89,9 @@ fn greedy_transcripts_identical_across_all_decode_paths() {
                 workers: 2,
                 max_sessions: 8,
                 slice_tokens: 4,
-                stall_slices: 32,
                 max_batch: 1,
-                ..SchedulerConfig::default()
             },
             max_new_tokens_cap: 10_000_000,
-            default_deadline_ms: None,
             instance_tag: None,
         },
         registry_with_pinned(),
@@ -151,12 +148,9 @@ fn served_greedy_identical_through_window_slide() {
                 workers: 2,
                 max_sessions: 8,
                 slice_tokens: 4,
-                stall_slices: 64,
                 max_batch: 1,
-                ..SchedulerConfig::default()
             },
             max_new_tokens_cap: 10_000_000,
-            default_deadline_ms: None,
             instance_tag: None,
         },
         registry_with_pinned(),
@@ -184,23 +178,45 @@ fn served_greedy_identical_through_window_slide() {
     server.shutdown();
 }
 
-/// The chunked-prefill + prefix-reuse pin: at every `prefill_chunk` size,
-/// repeated prompts — served twice each so the second session adopts a
-/// shared-prefix KV fork, with budgets long enough to slide the context
-/// window and replay it through the chunked path — must produce
-/// transcripts byte-identical to single-threaded `generate()`. The
-/// metrics snapshot proves both mechanisms actually ran: prefill was
-/// chunked and at least one session was seeded from the prefix cache.
+/// The pinned architecture with a 128-position window, so a prompt spans
+/// several of the scheduler's 32-token prefill chunks.
+fn roomy_pinned_model() -> TinyLm {
+    let mut arch = ArchSpec::tiny("kernel-eq-roomy");
+    arch.vocab_size = 99;
+    arch.max_seq_len = 128;
+    TinyLm::new(&arch, &mut Pcg32::seed(20_250_806)).expect("model")
+}
+
+/// The scheduler's prefill chunk (`scheduler::PREFILL_CHUNK`), in tokens.
+const PREFILL_CHUNK: usize = 32;
+
+/// The chunked-prefill + prefix-reuse pin: prompts longer than two
+/// prefill chunks, served twice each so the second session adopts a
+/// shared-prefix KV fork, with one budget long enough to slide the context
+/// window and replay it through the chunked path, must produce transcripts
+/// byte-identical to single-threaded `generate()`. The metrics prove both
+/// mechanisms actually ran: every cold prompt prefilled in at least two
+/// chunks, and the repeats were seeded from the prefix cache.
 #[test]
 fn chunked_and_prefix_seeded_transcripts_identical_to_cold_prefill() {
-    let model = pinned_model();
+    let model = roomy_pinned_model();
     let tok = CharTokenizer::new();
-    let jobs: &[(&str, usize)] = &[("kernel swap", 20), ("slide please", 64)];
+    let jobs: &[(&str, usize)] = &[
+        (
+            "kernel swap: which timing paths move when the dot kernel changes tiles?",
+            20,
+        ),
+        (
+            "slide please: a long answer runs past the window and replays it in chunks",
+            80,
+        ),
+    ];
     let expected: Vec<String> = jobs
         .iter()
         .map(|&(prompt, budget)| {
             let mut ids = vec![BOS];
             ids.extend(tok.encode(prompt));
+            assert!(ids.len() > 2 * PREFILL_CHUNK, "{prompt:?} spans 3+ chunks");
             let cfg = GenerateConfig {
                 max_new_tokens: budget,
                 stop_at_eos: false,
@@ -209,55 +225,55 @@ fn chunked_and_prefix_seeded_transcripts_identical_to_cold_prefill() {
             tok.decode(&generate(&model, &ids, &cfg).expect("reference"))
         })
         .collect();
+    assert!(
+        jobs[1].0.len() + 1 + jobs[1].1 > model.arch().max_seq_len,
+        "the second job must slide the window"
+    );
 
-    for prefill_chunk in [1usize, 3, 7] {
-        let server = Server::bind(
-            ServerConfig {
-                addr: "127.0.0.1:0".to_string(),
-                scheduler: SchedulerConfig {
-                    workers: 1,
-                    max_sessions: 8,
-                    slice_tokens: 4,
-                    stall_slices: 64,
-                    max_batch: 1,
-                    prefill_chunk,
-                },
-                max_new_tokens_cap: 10_000_000,
-                default_deadline_ms: None,
-                instance_tag: None,
+    let registry = registry_with_pinned();
+    registry.register("roomy", model);
+    let server = Server::bind(
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            scheduler: SchedulerConfig {
+                workers: 1,
+                max_sessions: 8,
+                slice_tokens: 4,
+                max_batch: 1,
             },
-            registry_with_pinned(),
-        )
-        .expect("bind");
-        let mut client = Client::connect(server.local_addr()).expect("connect");
-        // Two passes: the first prefills cold and donates its prompt
-        // window; the second must hit the prefix cache — and still match.
-        for pass in 0..2 {
-            for (&(prompt, budget), want) in jobs.iter().zip(&expected) {
-                let mut req = GenerateRequest::greedy("pinned", prompt, budget);
-                req.stop_at_eos = false;
-                let served = client.generate(req).expect("generate");
-                assert_eq!(
-                    &served.text, want,
-                    "prefill_chunk={prefill_chunk}, pass={pass}, prompt {prompt:?}"
-                );
-            }
+            max_new_tokens_cap: 10_000_000,
+            instance_tag: None,
+        },
+        registry,
+    )
+    .expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    // Two passes: the first prefills cold and donates its prompt window;
+    // the second must hit the prefix cache — and still match.
+    for pass in 0..2 {
+        for (&(prompt, budget), want) in jobs.iter().zip(&expected) {
+            let before = client.metrics().expect("metrics").prefill_chunks;
+            let mut req = GenerateRequest::greedy("roomy", prompt, budget);
+            req.stop_at_eos = false;
+            let served = client.generate(req).expect("generate");
+            assert_eq!(&served.text, want, "pass={pass}, prompt {prompt:?}");
+            let chunks = client.metrics().expect("metrics").prefill_chunks - before;
+            assert!(
+                pass == 1 || chunks >= 2,
+                "a cold {prompt:?} prefilled in {chunks} chunks, not in at least 2"
+            );
         }
-        let snap = client.metrics().expect("metrics");
-        assert!(
-            snap.prefill_chunks > 0,
-            "prefill_chunk={prefill_chunk}: prefill must run through the chunked path"
-        );
-        assert!(
-            snap.prefix_hits >= 1,
-            "prefill_chunk={prefill_chunk}: repeated prompts must hit the prefix cache"
-        );
-        assert!(
-            snap.prefix_tokens_reused >= 1,
-            "prefill_chunk={prefill_chunk}: a prefix hit must reuse tokens"
-        );
-        server.shutdown();
     }
+    let snap = client.metrics().expect("metrics");
+    assert!(
+        snap.prefix_hits >= 1,
+        "repeated prompts must hit the prefix cache"
+    );
+    assert!(
+        snap.prefix_tokens_reused >= 1,
+        "a prefix hit must reuse tokens"
+    );
+    server.shutdown();
 }
 
 /// The batched-scheduler pin: at every `max_batch`, concurrent greedy
@@ -301,12 +317,9 @@ fn batched_transcripts_identical_across_max_batch_sweep() {
                     workers: 1,
                     max_sessions: 8,
                     slice_tokens: 4,
-                    stall_slices: 64,
                     max_batch,
-                    ..SchedulerConfig::default()
                 },
                 max_new_tokens_cap: 10_000_000,
-                default_deadline_ms: None,
                 instance_tag: None,
             },
             registry_with_pinned(),
@@ -432,12 +445,9 @@ fn served_int8_transcripts_identical_to_local_int8_decode() {
                 workers: 2,
                 max_sessions: 8,
                 slice_tokens: 4,
-                stall_slices: 64,
                 max_batch: 1,
-                ..SchedulerConfig::default()
             },
             max_new_tokens_cap: 10_000_000,
-            default_deadline_ms: None,
             instance_tag: None,
         },
         registry_with_pinned(),
@@ -489,12 +499,9 @@ fn served_kv8_transcripts_identical_to_local_int8_pool_decode() {
                 workers: 2,
                 max_sessions: 8,
                 slice_tokens: 4,
-                stall_slices: 64,
                 max_batch: 1,
-                ..SchedulerConfig::default()
             },
             max_new_tokens_cap: 10_000_000,
-            default_deadline_ms: None,
             instance_tag: None,
         },
         registry_with_pinned(),
@@ -598,12 +605,9 @@ fn batched_int8_transcripts_identical_to_single_threaded_int8() {
                 workers: 1,
                 max_sessions: 8,
                 slice_tokens: 4,
-                stall_slices: 64,
                 max_batch: 4,
-                ..SchedulerConfig::default()
             },
             max_new_tokens_cap: 10_000_000,
-            default_deadline_ms: None,
             instance_tag: None,
         },
         registry_with_pinned(),
@@ -643,7 +647,6 @@ fn int8_registry_surfaces_dtype_weight_gauge_and_backend() {
             addr: "127.0.0.1:0".to_string(),
             scheduler: SchedulerConfig::default(),
             max_new_tokens_cap: 10_000_000,
-            default_deadline_ms: None,
             instance_tag: None,
         },
         registry_with_pinned(),
@@ -693,7 +696,6 @@ fn served_sessions_decode_on_the_paged_pool() {
             addr: "127.0.0.1:0".to_string(),
             scheduler: SchedulerConfig::default(),
             max_new_tokens_cap: 10_000_000,
-            default_deadline_ms: None,
             instance_tag: None,
         },
         registry_with_pinned(),
@@ -738,12 +740,9 @@ fn spec_server(max_batch: usize) -> Server {
                 workers: 1,
                 max_sessions: 8,
                 slice_tokens: 4,
-                stall_slices: 64,
                 max_batch,
-                ..SchedulerConfig::default()
             },
             max_new_tokens_cap: 10_000_000,
-            default_deadline_ms: None,
             instance_tag: None,
         },
         registry_with_pinned_and_half(),

@@ -31,12 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 workers: 4,
                 max_sessions: 16,
                 slice_tokens: 8,
-                stall_slices: 32,
                 max_batch: 4,
-                ..SchedulerConfig::default()
             },
             max_new_tokens_cap: 128,
-            default_deadline_ms: Some(60_000),
             instance_tag: None,
         },
         ModelRegistry::new(zoo),
@@ -63,7 +60,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let q = (*q).to_string();
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr)?;
-                let generation = client.generate(GenerateRequest::greedy(SPEC, &q, 48))?;
+                let mut req = GenerateRequest::greedy(SPEC, &q, 48);
+                req.deadline_ms = Some(60_000);
+                let generation = client.generate(req)?;
                 Ok::<_, chipalign::serve::ServeError>((q, generation))
             })
         })

@@ -86,6 +86,17 @@ for src in src crates/*/src; do
     END { print n }' {} + |
     awk -v name="${src%/src}" '{ printf "  %-20s %6d\n", (name == "src" ? "chipalign" : name), $1 }'
 done | awk '{ print; total += $2 } END { printf "  %-20s %6d\n", "total", total }'
+# Settable values per config: the `pub` fields of every `pub struct *Config`
+# under crates/*/src, then their total. A field whose type is itself a
+# `*Config` is counted under that struct, not twice. These are the option
+# counts ROADMAP quotes.
+echo "ci: settable values per config struct"
+find crates/*/src -name '*.rs' -exec awk '
+  FNR == 1 { name = "" }
+  /^pub struct [A-Za-z0-9_]*Config \{/ { split(FILENAME, path, "/"); name = path[2] "::" $3; n = 0; next }
+  name != "" && /^}/ { print name, n; name = ""; next }
+  name != "" && /^    pub [a-z0-9_]+: / && !/: [A-Za-z0-9_]*Config,$/ { n++ }' {} + |
+  sort | awk '{ printf "  %-30s %3d\n", $1, $2; total += $2 } END { printf "  %-30s %3d\n", "total", total }'
 
 cargo build --release --offline --locked
 # Every example end to end, each required to print its result line.
