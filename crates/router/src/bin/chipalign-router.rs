@@ -93,7 +93,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 scheduler: SchedulerConfig {
                     workers: 2,
                     max_sessions: 16,
-                    slice_tokens: 8,
                     max_batch: 4,
                 },
                 instance_tag: Some(format!("r{i}")),

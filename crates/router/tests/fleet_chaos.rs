@@ -54,7 +54,6 @@ fn replica(tag: Option<&str>) -> Server {
             scheduler: SchedulerConfig {
                 workers: 2,
                 max_sessions: 32,
-                slice_tokens: 4,
                 max_batch: 1,
             },
             max_new_tokens_cap: 10_000_000,

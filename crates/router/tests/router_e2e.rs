@@ -42,7 +42,6 @@ fn replica(index: usize, workers: usize, max_sessions: usize) -> Server {
             scheduler: SchedulerConfig {
                 workers,
                 max_sessions,
-                slice_tokens: 4,
                 max_batch: 4,
             },
             max_new_tokens_cap: 10_000_000,

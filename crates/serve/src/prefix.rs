@@ -125,6 +125,13 @@ impl PrefixCache {
             .total_bytes
     }
 
+    /// Calls `f` with every cached snapshot.
+    #[cfg(test)]
+    pub(crate) fn for_each_snapshot(&self, f: impl FnMut(&KvCache)) {
+        let inner = self.inner.lock().expect("prefix cache poisoned");
+        inner.entries.iter().map(|e| &e.snapshot).for_each(f);
+    }
+
     /// Longest-match lookup: a fork of the longest cached prefix of
     /// `tokens` for this model allocation at KV storage `dtype` (the
     /// adopting session's pool dtype), plus its length. Only *proper*

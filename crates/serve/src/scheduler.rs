@@ -2,20 +2,38 @@
 //!
 //! Every admitted request becomes a *session* owning its own
 //! [`chipalign_nn::StepDecoder`] (and therefore its own KV cache). Workers
-//! repeatedly pop a session from a shared run queue, decode a short *slice*
-//! of tokens, and push the session back if it isn't finished. That
-//! round-robin slicing is the continuous-batching property: a 1000-token
-//! generation never blocks a 10-token one for more than a slice, and with
-//! `W` workers up to `W` sessions decode truly in parallel.
+//! repeatedly pop a batch of sessions from a shared run queue, decode a
+//! short *slice* of rounds, and push the survivors back. That round-robin
+//! slicing is the continuous-batching property: a 1000-token generation
+//! never blocks a 10-token one for more than a slice.
 //!
 //! The decode *round* (one token per member), not the slice, is the unit
 //! at which the scheduler answers and admits, as in iteration-level
-//! scheduling. A session is answered the round it commits its last token
-//! (or fails, or passes its deadline), not when its slice ends. A slice
-//! is at most [`SchedulerConfig::slice_tokens`] rounds, and ends early at
-//! the first round boundary where a session waits in the queue and the
-//! batch has a free slot, so a newcomer that fits waits about one round,
-//! not a whole slice, for its first prefill chunk.
+//! scheduling. A slice is at most `SLICE_ROUNDS` (8) rounds, and ends
+//! early at the first round boundary where a session waits in the queue
+//! and the batch has a free slot, so a newcomer that fits waits about one
+//! round, not a whole slice, for its first prefill chunk.
+//!
+//! # A slice is stepped, with the time passed in
+//!
+//! A `Slice` is a value its caller steps one round boundary at a time,
+//! passing the time in. A worker thread pops a batch and steps it with the
+//! wall clock until the slice ends; the tests step the same code on their
+//! own thread with a virtual clock, submitting between any two rounds. The
+//! worker loop and [`Scheduler::submit`] are the only readers of the wall
+//! clock (`scripts/ci.sh` checks it): admission stamp, queue wait, prefill
+//! time, latency and deadlines all come from the `now` passed in.
+//!
+//! Every step opens with one *sweep*, the one place a deadline is compared
+//! and an abort is honoured; it runs before a popped session's decoder is
+//! built, so a session that expired in the queue costs no work. A session
+//! is answered at the boundary after the round it commits its last token,
+//! fails, passes its deadline or is aborted. Every session end, a dead
+//! worker's drop guard included, is counted and sent by one function,
+//! `Task::answer`, so `requests` equals the end counters plus
+//! [`Scheduler::active`] by construction. The tests' seeded simulation
+//! checks that, and the pools' block accounting, after every submit and
+//! every round of random workloads.
 //!
 //! # Batched decoding
 //!
@@ -26,9 +44,7 @@
 //! Because the batched kernel is bit-identical to stepping each session
 //! alone (pinned by tests in `chipalign-nn` and `chipalign-tensor`),
 //! batching changes throughput and nothing else: greedy transcripts are
-//! byte-identical at every `max_batch`. A batch of one is just a batch:
-//! every slice, `max_batch == 1` included, runs through the one slice
-//! function, `run_batch_slice`.
+//! byte-identical at every `max_batch`, a batch of one included.
 //!
 //! # Speculative sessions
 //!
@@ -40,60 +56,49 @@
 //! construction*. The scheduler treats a speculative session like any
 //! other: it occupies one admission slot, rotates through the same slices,
 //! and surrenders one token per `step` call (extra accepted tokens stay
-//! buffered inside the decoder), so fairness and watchdog accounting are
-//! unchanged. In batched slices, speculative members advance individually
-//! under their own panic guard while plain batch-mates share the joint
-//! batched step. A panicking draft disables speculation for that session
-//! only — it degrades to plain decoding mid-stream with no transcript
-//! change. A client that wants plain decoding sends a plain model spec.
+//! buffered inside the decoder). In batched slices, speculative members
+//! advance individually under their own panic guard while plain
+//! batch-mates share the joint batched step. A panicking draft disables
+//! speculation for that session only, with no transcript change.
 //!
 //! # Chunked prefill and shared-prefix reuse
 //!
-//! Prompts are *not* prefilled monolithically: a session prefills at most
-//! `PREFILL_CHUNK` (32) tokens per slice and rotates until
-//! its prompt window is in the cache, so a long prompt never pins a worker
-//! for more than one chunk — short sessions behind it keep decoding (the
-//! head-of-line fix, pinned by a test). Deferred context-window slides replay through the same
-//! chunked path. Before prefilling at all, the scheduler probes a
-//! `PrefixCache` with the prompt window: on a longest-match hit the
-//! session adopts a forked KV cache of the shared prefix and only
-//! prefills the remainder. Both mechanisms are bit-transparent: chunked,
-//! prefix-seeded transcripts are byte-identical to cold monolithic
-//! prefill (equivalence tests pin this).
+//! A session prefills at most `PREFILL_CHUNK` (32) tokens per slice and
+//! rotates until its prompt window is in the cache, so a long prompt never
+//! pins a worker for more than one chunk — short sessions behind it keep
+//! decoding (the head-of-line fix, pinned by a test). Deferred
+//! context-window slides replay through the same chunked path. Before
+//! prefilling at all, the scheduler probes a `PrefixCache` with the prompt
+//! window: on a longest-match hit the session adopts a forked KV cache of
+//! the shared prefix and only prefills the remainder. Both mechanisms are
+//! bit-transparent (equivalence tests pin this).
 //!
 //! Admission control is a hard bound on sessions in flight (queued +
 //! running): beyond it, [`Scheduler::submit`] fails fast with
-//! [`ServeError::Overloaded`] instead of buffering without limit. Pooled
-//! sessions (a [`KvPool`] attached to the request) that pass that bound
-//! are then admitted by *free blocks*: if the pool cannot cover the prompt window,
+//! [`ServeError::Overloaded`]. Pooled sessions (a [`KvPool`] attached to
+//! the request) that pass that bound are then admitted by *free blocks*:
 //! prefix-cache snapshots whose eviction returns a block to that pool are
 //! evicted LRU-first (counted in `pool_evictions`), and a session that
-//! still does not fit is
-//! rejected with [`ServeError::PoolSaturated`] — the same overloaded wire
-//! class, so the router spills it. Each
-//! session may carry a deadline, checked between decode steps, so a stuck
-//! or oversized request cannot pin a worker forever. [`Scheduler::shutdown`]
-//! stops admissions; workers then drain every queued session to completion
-//! before exiting, which is what makes server shutdown graceful.
+//! still does not fit is rejected with [`ServeError::PoolSaturated`] — the
+//! same overloaded wire class, so the router spills it.
+//! [`Scheduler::shutdown`] stops admissions; workers then drain every
+//! queued session to completion before exiting, which is what makes server
+//! shutdown graceful. A scheduler dropped without [`Scheduler::join`]
+//! aborts instead: every admitted session is answered `ShuttingDown` at
+//! its next round boundary.
 //!
 //! # Fault tolerance
 //!
-//! Every decode slice runs under [`std::panic::catch_unwind`], so a panic
-//! inside one session — a poisoned checkpoint, a decoder bug — cancels
-//! *that* session with a structured [`ServeError::WorkerPanic`] while the
-//! worker moves on to the next one. A panic that escapes the slice guard
-//! (the worker loop itself dying) is caught one level up and the worker
-//! re-enters its loop, so the pool's capacity survives; the session it was
-//! holding is reported to its client as a structured internal error by the
-//! session's drop guard, never as a silent hang.
-//!
-//! A tick-based *watchdog* covers the remaining failure mode: a session
-//! that stays alive but stops producing tokens. Progress is measured in
-//! scheduler slices, not wall-clock time, so the check is deterministic
-//! under test; after `STALL_SLICES` (32) consecutive
-//! zero-progress slices the session is cancelled with
-//! [`ServeError::Stalled`], which maps to the `deadline_exceeded` wire
-//! code.
+//! Every decode step runs under [`std::panic::catch_unwind`], so a panic
+//! inside one session cancels *that* session with a structured
+//! [`ServeError::WorkerPanic`] while the worker moves on. A panic that
+//! escapes the slice (the worker loop itself dying) is caught one level up
+//! and the worker re-enters its loop; the sessions it was holding are
+//! answered by their drop guard, never left hanging. A tick-based
+//! *watchdog* cancels a session that stays alive but makes no progress for
+//! `STALL_SLICES` (32) consecutive slices with [`ServeError::Stalled`]
+//! (the `deadline_exceeded` wire code); counting slices, not seconds,
+//! keeps it deterministic under test.
 
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
@@ -129,6 +134,13 @@ const STALL_SLICES: u64 = 32;
 /// (`tune::GEMM_SKINNY_M_MAX` rows). Chunking never changes output bytes.
 const PREFILL_CHUNK: usize = 32;
 
+/// Most decode rounds (one token per member each) in a scheduling slice
+/// before its sessions rotate to the back of the queue. Smaller = fairer,
+/// larger = less queue churn. A slice ends early, after at least one
+/// round, when a session waits in the queue and the batch has a free
+/// slot; a member is answered the round it ends, whatever this bound.
+const SLICE_ROUNDS: usize = 8;
+
 /// Scheduler tuning knobs.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
@@ -140,13 +152,6 @@ pub struct SchedulerConfig {
     /// Hard bound on sessions in flight (queued + running); submissions
     /// beyond it are rejected with `Overloaded`.
     pub max_sessions: usize,
-    /// Most decode rounds (one token per member each) in a scheduling
-    /// slice before its sessions rotate to the back of the queue. Smaller =
-    /// fairer, larger = less queue churn. A slice ends early, after at
-    /// least one round, when a session waits in the queue and the batch
-    /// has a free slot; a member is answered the round it ends, whatever
-    /// this bound.
-    pub slice_tokens: usize,
     /// Most sessions a worker advances together per slice. Larger values
     /// amortize weight traversal across sessions via the skinny-GEMM
     /// decode path without changing any output byte. Clamped at start-up
@@ -169,7 +174,6 @@ impl Default for SchedulerConfig {
             // cache itself — in-flight capacity can sit well above the old
             // weights-per-session bound.
             max_sessions: 256,
-            slice_tokens: 8,
             max_batch: 8,
         }
     }
@@ -195,7 +199,7 @@ pub struct SessionRequest {
     pub prompt: Vec<u32>,
     /// Decoding configuration (validated at prefill).
     pub cfg: GenerateConfig,
-    /// Absolute deadline; checked between decode steps.
+    /// Absolute deadline; swept at every round boundary.
     pub deadline: Option<Instant>,
     /// Free-form session label (the server passes the canonical model
     /// key); used to scope injected faults to specific sessions in chaos
@@ -231,14 +235,11 @@ pub struct SessionResult {
 pub type SessionOutcome = Result<SessionResult, ServeError>;
 
 /// A session's live decoding state: a plain step decoder, or one wrapped
-/// in a [`SpecDecoder`] when the request carried a draft pairing. The
-/// accessors delegate the `StepDecoder` surface the scheduler needs
-/// (prefill, prefix adoption, completion queries) to the target decoder;
-/// stepping dispatches on the variant. Batched slices advance `Plain`
-/// members jointly through `step_batch` and `Spec` members individually —
-/// a speculative round is inherently per-session work.
-// One per session, moved only between the queue and a worker; boxing either
-// variant would put an indirection on every decode step.
+/// in a [`SpecDecoder`] when the request carried a draft pairing. Slices
+/// advance `Plain` members jointly through `step_batch` and `Spec` members
+/// individually — a speculative round is per-session work.
+// Boxed once in `TaskState::Live`; boxing a variant too would put a second
+// indirection on every decode step.
 #[allow(clippy::large_enum_variant)]
 enum SessionDecoder {
     Plain(StepDecoder),
@@ -260,10 +261,6 @@ impl SessionDecoder {
         }
     }
 
-    fn is_prefilling(&self) -> bool {
-        self.target().is_prefilling()
-    }
-
     /// Whether the session has handed out its last token.
     fn is_done(&self) -> bool {
         match self {
@@ -274,20 +271,15 @@ impl SessionDecoder {
 }
 
 enum TaskState {
-    /// Prompt not yet prefilled (prefill happens on a worker, not on the
-    /// submitting connection thread).
+    /// Prompt not yet prefilled (the decoder is built on a worker, not on
+    /// the submitting connection thread).
     Pending(SessionRequest),
-    /// Mid-prefill or mid-generation; the decoder knows which. While part
-    /// of the prompt window (or a deferred window-slide replay) is outside
-    /// the KV cache, the session advances one bounded chunk per slice and
-    /// rotates, so other sessions' decode slices interleave with a long
-    /// prompt's prefill. Boxed: the decoder is several times the size of
-    /// a pending request, and a queued task is moved on every pop.
+    /// Mid-prefill or mid-generation; the decoder knows which. Boxed: the
+    /// decoder is several times the size of a pending request, and a
+    /// queued task is moved on every pop.
     Live(Box<SessionDecoder>),
-    /// Placeholder left behind while a slice borrows the real state. Only
-    /// observable after a panic interrupted a slice; decoding a tombstone
-    /// is reported as a structured internal error, never a second panic.
-    Tombstone,
+    /// Answered: the decoder, and every KV block it held, is gone.
+    Ended,
 }
 
 struct Task {
@@ -295,13 +287,15 @@ struct Task {
     /// Session label for fault-rule matching (see [`SessionRequest::tag`]).
     #[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
     tag: String,
-    /// Absolute deadline ([`SessionRequest::deadline`]); checked before
-    /// every prefill chunk and decode round.
+    /// Absolute deadline ([`SessionRequest::deadline`]), compared by the
+    /// round-boundary sweep only.
     deadline: Option<Instant>,
     produced: Vec<u32>,
-    reply: Sender<SessionOutcome>,
+    /// Taken by [`Task::answer`]: a session is answered at most once.
+    reply: Option<Sender<SessionOutcome>>,
     admitted: Instant,
-    queue_us: Option<u64>,
+    /// Admission to the slice that built the decoder.
+    queue_us: u64,
     /// Consecutive scheduled slices with zero token progress.
     stalled_slices: u64,
     /// Shared in-flight counter, held so the drop guard can release the
@@ -309,25 +303,90 @@ struct Task {
     active: Arc<AtomicUsize>,
     /// Held so the drop guard can count the session it answers.
     metrics: Arc<Metrics>,
-    /// Set by `finish`; suppresses the drop guard on the normal path.
-    finished: bool,
+}
+
+impl Task {
+    fn decoder_mut(&mut self) -> Option<&mut SessionDecoder> {
+        match &mut self.state {
+            TaskState::Live(d) => Some(d),
+            _ => None,
+        }
+    }
+
+    /// Drains a speculative session's counters into the metrics core each
+    /// time it leaves a slice, requeued or answered, so snapshot readers
+    /// see acceptance counts grow while a session is still streaming.
+    fn flush_spec_stats(&mut self) {
+        let Some(SessionDecoder::Spec(s)) = self.decoder_mut() else {
+            return;
+        };
+        let stats = s.take_stats();
+        let m = &self.metrics;
+        m.add(Counter::DraftTokensProposed, stats.proposed);
+        m.add(Counter::AcceptedDraftTokens, stats.accepted);
+        m.add(Counter::SpecFallbacks, stats.fallbacks);
+    }
+
+    /// The payload of a session whose decoder reported completion, as of
+    /// the round boundary `now` that answers it.
+    fn result(&mut self, now: Instant) -> SessionResult {
+        let eos = self
+            .decoder_mut()
+            .is_some_and(|d| d.target().stopped_at_eos());
+        SessionResult {
+            tokens: std::mem::take(&mut self.produced),
+            finish: if eos {
+                FinishReason::Eos
+            } else {
+                FinishReason::Length
+            },
+            queue_us: self.queue_us,
+            total_us: micros(self.admitted, now),
+        }
+    }
+
+    /// Every session end, the drop guard's included: drops the decoder
+    /// (its KV blocks go back to the pool), counts the end under the one
+    /// counter its outcome names and releases the admission slot, then
+    /// sends the outcome, so a caller holding its reply already sees both.
+    /// A second call does nothing.
+    fn answer(&mut self, outcome: SessionOutcome) {
+        let Some(reply) = self.reply.take() else {
+            return;
+        };
+        self.flush_spec_stats();
+        self.state = TaskState::Ended;
+        let counter = match &outcome {
+            Ok(result) => {
+                self.metrics
+                    .add(Counter::TokensOut, result.tokens.len() as u64);
+                self.metrics.observe(Hist::Latency, result.total_us);
+                Counter::Completed
+            }
+            Err(ServeError::DeadlineExceeded { .. }) => Counter::DeadlineExceeded,
+            Err(ServeError::Stalled { .. }) => Counter::WatchdogCancels,
+            Err(ServeError::WorkerPanic { .. }) => Counter::PanickedSessions,
+            // Aborted: the session was turned away, not broken.
+            Err(ServeError::ShuttingDown) => Counter::RejectedShutdown,
+            Err(_) => Counter::Failed,
+        };
+        self.metrics.add(counter, 1);
+        self.active.fetch_sub(1, Ordering::SeqCst);
+        // The receiver may have given up (client gone); that's not an error.
+        let _ = reply.send(outcome);
+    }
 }
 
 impl Drop for Task {
-    /// Last-resort cleanup: if a task is dropped without being finished —
-    /// its worker thread died mid-slice — the client still gets a
-    /// structured error instead of a hung channel, and the admission slot
-    /// is released so capacity doesn't leak.
+    /// Last-resort cleanup: a task dropped unanswered — its worker thread
+    /// died mid-slice — still answers its client with a structured error
+    /// instead of a hung channel, and releases its admission slot.
     fn drop(&mut self) {
-        if self.finished {
-            return;
+        if self.reply.is_some() {
+            self.answer(Err(ServeError::WorkerPanic {
+                detail: "session lost: worker died mid-slice".to_string(),
+            }));
         }
-        // Count and slot first, reply second: see `finish`.
-        self.metrics.add(Counter::PanickedSessions, 1);
-        self.active.fetch_sub(1, Ordering::SeqCst);
-        let _ = self.reply.send(Err(ServeError::Internal {
-            detail: "session lost: worker died mid-slice".to_string(),
-        }));
     }
 }
 
@@ -339,8 +398,8 @@ struct Inner {
     active: Arc<AtomicUsize>,
     draining: AtomicBool,
     /// Hard-stop flag ([`Scheduler::abort`]): workers exit without
-    /// draining the queue; leftover sessions are answered with
-    /// `ShuttingDown` instead of decoding to completion.
+    /// draining the queue, and the next sweep of every running slice
+    /// answers its members `ShuttingDown`.
     aborting: AtomicBool,
     metrics: Arc<Metrics>,
     /// Shared-prefix KV cache, probed at first dequeue and fed with every
@@ -373,22 +432,16 @@ fn lock_queue(inner: &Inner) -> MutexGuard<'_, VecDeque<Task>> {
     inner.queue.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-impl Scheduler {
-    /// Starts the worker pool.
-    #[must_use]
-    pub fn start(cfg: SchedulerConfig, metrics: Arc<Metrics>) -> Self {
-        #[cfg(feature = "fault-inject")]
-        quiet_worker_panics();
-        let cfg = SchedulerConfig {
-            workers: cfg.workers.max(1),
-            max_sessions: cfg.max_sessions.max(1),
-            slice_tokens: cfg.slice_tokens.max(1),
-            max_batch: cfg
-                .max_batch
-                .clamp(1, chipalign_tensor::tune::GEMM_SKINNY_M_MAX),
-        };
-        let inner = Arc::new(Inner {
-            cfg: cfg.clone(),
+impl Inner {
+    fn new(cfg: SchedulerConfig, metrics: Arc<Metrics>) -> Inner {
+        Inner {
+            cfg: SchedulerConfig {
+                workers: cfg.workers.max(1),
+                max_sessions: cfg.max_sessions.max(1),
+                max_batch: cfg
+                    .max_batch
+                    .clamp(1, chipalign_tensor::tune::GEMM_SKINNY_M_MAX),
+            },
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             active: Arc::new(AtomicUsize::new(0)),
@@ -396,8 +449,118 @@ impl Scheduler {
             aborting: AtomicBool::new(false),
             metrics,
             prefix: PrefixCache::new(prefix::MAX_ENTRIES, prefix::MAX_TOTAL_BYTES),
-        });
-        let workers = (0..cfg.workers)
+        }
+    }
+
+    /// [`Scheduler::submit`] at time `now`, the session's admission stamp.
+    fn submit(
+        &self,
+        req: SessionRequest,
+        now: Instant,
+    ) -> Result<Receiver<SessionOutcome>, ServeError> {
+        self.metrics.add(Counter::Requests, 1);
+        if self.draining.load(Ordering::SeqCst) {
+            self.metrics.add(Counter::RejectedShutdown, 1);
+            return Err(ServeError::ShuttingDown);
+        }
+        // Reserve a slot atomically so concurrent submissions cannot
+        // overshoot the bound. The slot comes first: a request the bound
+        // refuses must not cost the prefix cache a snapshot.
+        let capacity = self.cfg.max_sessions;
+        if self
+            .active
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < capacity).then_some(n + 1)
+            })
+            .is_err()
+        {
+            self.metrics.add(Counter::RejectedOverload, 1);
+            return Err(ServeError::Overloaded {
+                active: self.active.load(Ordering::SeqCst),
+                capacity,
+            });
+        }
+        // Block-granular admission for pooled sessions: the prompt window
+        // must be coverable by free blocks. Cached prefix snapshots in that
+        // pool are reclaimable — evict them LRU-first until the session fits
+        // or none left would free a block. (Blocks are allocated lazily during prefill, so
+        // this check is a capacity gate, not a reservation; mid-decode
+        // growth past the pool still fails the session with a structured
+        // `PoolExhausted`, which also maps to the overloaded wire code.)
+        if let Some(pool) = &req.pool {
+            let window = req.prompt.len().min(req.model.arch().max_seq_len);
+            let needed = pool.blocks_for(window);
+            while pool.blocks_free() < needed && self.prefix.evict_one_in(pool) {
+                self.metrics.add(Counter::PoolEvictions, 1);
+            }
+            let free = pool.blocks_free();
+            if free < needed {
+                self.active.fetch_sub(1, Ordering::SeqCst);
+                self.metrics.add(Counter::RejectedOverload, 1);
+                return Err(ServeError::PoolSaturated { needed, free });
+            }
+        }
+        self.metrics
+            .add(Counter::PromptTokens, req.prompt.len() as u64);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let task = Task {
+            tag: req.tag.clone(),
+            deadline: req.deadline,
+            state: TaskState::Pending(req),
+            produced: Vec::new(),
+            reply: Some(tx),
+            admitted: now,
+            queue_us: 0,
+            stalled_slices: 0,
+            active: Arc::clone(&self.active),
+            metrics: Arc::clone(&self.metrics),
+        };
+        lock_queue(self).push_back(task);
+        self.available.notify_one();
+        Ok(rx)
+    }
+
+    /// Waits for work, then takes up to `max_batch` sessions off the head
+    /// of the queue: everything taken advances together as one slice.
+    /// `None` tells a worker to exit: at once after an abort, and once the
+    /// queue is empty in a drain.
+    fn pop(&self) -> Option<Vec<Task>> {
+        let mut queue = lock_queue(self);
+        loop {
+            if self.aborting.load(Ordering::SeqCst) {
+                return None;
+            }
+            if !queue.is_empty() {
+                let take = self.cfg.max_batch.min(queue.len());
+                return Some(queue.drain(..take).collect());
+            }
+            if self.draining.load(Ordering::SeqCst) {
+                return None;
+            }
+            queue = self
+                .available
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Answers every queued session `ShuttingDown`.
+    fn turn_away_queued(&self) {
+        let queued: Vec<Task> = lock_queue(self).drain(..).collect();
+        for mut task in queued {
+            task.answer(Err(ServeError::ShuttingDown));
+        }
+    }
+}
+
+impl Scheduler {
+    /// Starts the worker pool.
+    #[must_use]
+    pub fn start(cfg: SchedulerConfig, metrics: Arc<Metrics>) -> Self {
+        #[cfg(feature = "fault-inject")]
+        quiet_worker_panics();
+        let inner = Arc::new(Inner::new(cfg, metrics));
+        let workers = (0..inner.cfg.workers)
             .map(|i| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
@@ -426,74 +589,7 @@ impl Scheduler {
     /// [`ServeError::Overloaded`] when the in-flight bound is reached; both
     /// fail fast without queueing.
     pub fn submit(&self, req: SessionRequest) -> Result<Receiver<SessionOutcome>, ServeError> {
-        let inner = &self.inner;
-        inner.metrics.add(Counter::Requests, 1);
-        if inner.draining.load(Ordering::SeqCst) {
-            inner.metrics.add(Counter::RejectedShutdown, 1);
-            return Err(ServeError::ShuttingDown);
-        }
-        // Reserve a slot atomically so concurrent submissions cannot
-        // overshoot the bound. The slot comes first: a request the bound
-        // refuses must not cost the prefix cache a snapshot.
-        let capacity = inner.cfg.max_sessions;
-        if inner
-            .active
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                (n < capacity).then_some(n + 1)
-            })
-            .is_err()
-        {
-            inner.metrics.add(Counter::RejectedOverload, 1);
-            return Err(ServeError::Overloaded {
-                active: inner.active.load(Ordering::SeqCst),
-                capacity,
-            });
-        }
-        // Block-granular admission for pooled sessions: the prompt window
-        // must be coverable by free blocks. Cached prefix snapshots in that
-        // pool are reclaimable — evict them LRU-first until the session fits
-        // or none left would free a block. (Blocks are allocated lazily during prefill, so
-        // this check is a capacity gate, not a reservation; mid-decode
-        // growth past the pool still fails the session with a structured
-        // `PoolExhausted`, which also maps to the overloaded wire code.)
-        if let Some(pool) = &req.pool {
-            let window = req.prompt.len().min(req.model.arch().max_seq_len);
-            let needed = pool.blocks_for(window);
-            while pool.blocks_free() < needed {
-                if !inner.prefix.evict_one_in(pool) {
-                    break;
-                }
-                inner.metrics.add(Counter::PoolEvictions, 1);
-            }
-            let free = pool.blocks_free();
-            if free < needed {
-                inner.active.fetch_sub(1, Ordering::SeqCst);
-                inner.metrics.add(Counter::RejectedOverload, 1);
-                return Err(ServeError::PoolSaturated { needed, free });
-            }
-        }
-        inner
-            .metrics
-            .add(Counter::PromptTokens, req.prompt.len() as u64);
-        let (tx, rx) = std::sync::mpsc::channel();
-        let tag = req.tag.clone();
-        let deadline = req.deadline;
-        let task = Task {
-            state: TaskState::Pending(req),
-            tag,
-            deadline,
-            produced: Vec::new(),
-            reply: tx,
-            admitted: Instant::now(),
-            queue_us: None,
-            stalled_slices: 0,
-            active: Arc::clone(&inner.active),
-            metrics: Arc::clone(&inner.metrics),
-            finished: false,
-        };
-        lock_queue(inner).push_back(task);
-        inner.available.notify_one();
-        Ok(rx)
+        self.inner.submit(req, Instant::now())
     }
 
     /// Stops admitting new sessions. Already-admitted sessions keep
@@ -504,22 +600,15 @@ impl Scheduler {
     }
 
     /// Hard stop, the opposite of the graceful drain: stops admissions
-    /// *and* abandons queued sessions, answering each with a structured
-    /// [`ServeError::ShuttingDown`] instead of decoding it to completion.
-    /// Sessions already on a worker finish their current slice and are
-    /// then answered the same way. This models a replica being killed —
-    /// the fleet chaos suite uses it to take whole replicas down
-    /// mid-decode — and every admitted session still gets exactly one
-    /// structured (retryable) reply, never silence or a truncated
-    /// transcript.
+    /// *and* answers every admitted session with a structured, retryable
+    /// [`ServeError::ShuttingDown`] — queued sessions here, sessions on a
+    /// worker at their slice's next round boundary. This models a replica
+    /// being killed (the fleet chaos suite takes replicas down mid-decode
+    /// with it); no session is left with silence or a truncated transcript.
     pub(crate) fn abort(&self) {
         self.inner.aborting.store(true, Ordering::SeqCst);
-        self.inner.draining.store(true, Ordering::SeqCst);
-        let abandoned: Vec<Task> = lock_queue(&self.inner).drain(..).collect();
-        for task in abandoned {
-            fail_finish(&self.inner, task, ServeError::ShuttingDown);
-        }
-        self.inner.available.notify_all();
+        self.shutdown();
+        self.inner.turn_away_queued();
     }
 
     /// Initiates shutdown and blocks until every worker has drained the
@@ -540,15 +629,16 @@ impl Scheduler {
         }
         // Graceful drains leave the queue empty; only the abort path has
         // leftovers.
-        let leftovers: Vec<Task> = lock_queue(&self.inner).drain(..).collect();
-        for task in leftovers {
-            fail_finish(&self.inner, task, ServeError::ShuttingDown);
-        }
+        self.inner.turn_away_queued();
     }
 }
 
 impl Drop for Scheduler {
+    /// Aborts, then joins: a scheduler dropped without [`Scheduler::join`]
+    /// (a test that panics mid-session, say) answers every admitted
+    /// session `ShuttingDown` within a round, not after its full budget.
     fn drop(&mut self) {
+        self.abort();
         self.join();
     }
 }
@@ -572,243 +662,275 @@ fn worker_main(inner: &Inner) {
     }
 }
 
+/// The worker's whole job: pop a batch, then step its slice with the wall
+/// clock until the slice ends.
 fn worker_loop(inner: &Inner) {
-    loop {
-        let batch = {
-            let mut queue = lock_queue(inner);
-            loop {
-                // Abort beats a non-empty queue: the worker leaves
-                // immediately and `join` answers whatever remains.
-                if inner.aborting.load(Ordering::SeqCst) {
-                    return;
-                }
-                if !queue.is_empty() {
-                    // Drain up to `max_batch` runnable sessions in one pop:
-                    // everything taken here advances together this slice.
-                    let take = inner.cfg.max_batch.min(queue.len());
-                    break queue.drain(..take).collect::<Vec<Task>>();
-                }
-                if inner.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-                queue = inner
-                    .available
-                    .wait(queue)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
+    while let Some(batch) = inner.pop() {
+        // Panic *outside* the slice guard: kills this worker_loop call
+        // outright. The drop guard of every task in the batch reports its
+        // session; the respawn path in worker_main restores pool capacity.
         #[cfg(feature = "fault-inject")]
+        if batch
+            .iter()
+            .any(|t| crate::faults::should_fire(crate::faults::Site::WorkerDeath, &t.tag))
         {
-            // Panic *outside* the slice guard: kills this worker_loop call
-            // outright. The drop guard of every task in the batch reports
-            // its session; the respawn path in worker_main restores pool
-            // capacity.
-            if batch
-                .iter()
-                .any(|t| crate::faults::should_fire(crate::faults::Site::WorkerDeath, &t.tag))
-            {
-                panic!("injected worker death");
-            }
+            panic!("injected worker death");
         }
-        inner.metrics.on_batch(batch.len());
-        run_batch_slice(inner, batch);
+        let mut slice = Slice::new(inner, batch);
+        while slice.step(inner, Instant::now()) {}
     }
 }
 
-/// Routes a structured failure: counts the session under the counter its
-/// error names, then delivers it. A panic is counted here per session it
-/// ended, and once more, as one `worker_panics`, where it is caught.
-fn fail_finish(inner: &Inner, task: Task, e: ServeError) {
-    let counter = match &e {
-        ServeError::DeadlineExceeded { .. } => Counter::DeadlineExceeded,
-        ServeError::Stalled { .. } => Counter::WatchdogCancels,
-        ServeError::WorkerPanic { .. } => Counter::PanickedSessions,
-        // Abort-path abandonment: the session was turned away, not broken.
-        ServeError::ShuttingDown => Counter::RejectedShutdown,
-        _ => Counter::Failed,
-    };
-    inner.metrics.add(counter, 1);
-    finish(inner, task, Err(e));
-}
-
-/// One member of a batched slice: the task plus its live decoder state.
-struct BatchMember {
+/// One member of a slice: the task plus what this slice has seen of it.
+struct Member {
     task: Task,
-    decoder: SessionDecoder,
     /// `produced.len()` at slice start, for the zero-progress watchdog.
     before: usize,
-    /// Whether this slice advanced the member's prefill — progress the
-    /// watchdog must credit even though no token was produced.
+    /// Whether this slice ran a prefill chunk: progress, for the watchdog.
     prefilled: bool,
-    /// Injected stall: sit out every round this slice, then take a
-    /// watchdog tick.
+    /// Injected stall: sit out this slice, then take a watchdog tick.
     stalled: bool,
     end: MemberEnd,
 }
 
-impl BatchMember {
-    /// Records a round's token, ending the member if it was the last.
-    fn commit(&mut self, token: Option<u32>) {
-        self.task.produced.extend(token);
-        if self.decoder.is_done() {
-            self.end = MemberEnd::Done(session_result(&mut self.task, &self.decoder));
+/// Where a slice member stands.
+enum MemberEnd {
+    /// Still decoding: stays in the slice, and requeues at its end.
+    Live,
+    /// Committed its last token; answered at the next round boundary.
+    Done,
+    /// Cancelled with a structured error; answered at the next boundary.
+    Failed(ServeError),
+}
+
+impl Member {
+    /// The member's decoder if it decodes this round: still live, not
+    /// stalled, and its prompt window in the cache.
+    fn runnable(&mut self) -> Option<&mut SessionDecoder> {
+        if self.stalled || !matches!(self.end, MemberEnd::Live) {
+            return None;
+        }
+        self.task
+            .decoder_mut()
+            .filter(|d| !d.target().is_prefilling())
+    }
+
+    /// Records one step's outcome: a token (the member ends if it was the
+    /// last) or an error.
+    fn commit(&mut self, step: Result<Option<u32>, ServeError>) {
+        match step {
+            Err(e) => self.end = MemberEnd::Failed(e),
+            Ok(token) => {
+                self.task.produced.extend(token);
+                if self.task.decoder_mut().is_some_and(|d| d.is_done()) {
+                    self.end = MemberEnd::Done;
+                }
+            }
         }
     }
 }
 
-/// Where a batch member stands.
-enum MemberEnd {
-    /// Still decoding: stays in the batch, and requeues at the slice's end.
-    Live,
-    /// Finished; payload for the client.
-    Done(SessionResult),
-    /// Cancelled with a structured error.
-    Failed(ServeError),
+/// A batch popped off the run queue, advanced by its caller one step at a
+/// time (see the module docs): step 0 resolves decoders, step 1 runs at
+/// most one prefill chunk per member, and every later step is one decode
+/// round. No lock is held while decoding, so a panic cannot poison the
+/// queue. Faults are *per member*: each resolution, prefill chunk and
+/// speculative step runs under its own panic guard. The one batch-wide
+/// hazard is a failure inside the joint batched step, which cannot be
+/// attributed to one of several steppers, so it cancels them all.
+struct Slice {
+    members: Vec<Member>,
+    /// Steps taken so far.
+    steps: usize,
+    /// When the prefill step began and how many chunks it ran, until the
+    /// next boundary times them.
+    prefill_timing: Option<(Instant, u64)>,
 }
 
-/// Advances a batch of sessions — one or more — together for one slice:
-/// at most one bounded prefill chunk per member, then (for members whose
-/// prompt window is cached) decode rounds. No locks are held while
-/// decoding, so a panic here cannot poison the queue.
-///
-/// The round, not the slice, is the unit at which sessions are answered
-/// and admitted. A member leaves the batch, and is answered, the round it
-/// ends: the round it commits its last token, fails, or is cancelled by
-/// the deadline sweep. A slice runs at most `slice_tokens` rounds, and
-/// ends early at the first round boundary where a session waits in the
-/// queue and the batch has a free slot: the survivors requeue behind it,
-/// so its first prefill chunk runs in the very next slice. Every slice
-/// runs at least one round.
-///
-/// Fault semantics are *per member*: decoder resolution and each member's
-/// prefill chunk run under per-session panic guards, so a poisoned session
-/// is cancelled alone while its batch-mates proceed; deadlines are checked
-/// before each prefill chunk and swept between decode rounds; members that
-/// end the slice with zero progress (neither a token nor a prefill chunk)
-/// take a watchdog tick. Members still mid-prefill after their chunk sit
-/// out the decode rounds — their prompts load across slices while
-/// batch-mates keep decoding. The one batch-wide hazard is a failure
-/// inside the joint batched step: with more than one member stepping it
-/// cannot be attributed to a single session and may leave batch-mates
-/// mid-token, so every session that was stepping is cancelled with a
-/// structured error. A lone stepper gets its own error.
-fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
-    // Phase 1: resolve every member's decoder under its own guard.
-    let mut members: Vec<BatchMember> = Vec::with_capacity(batch.len());
-    for mut task in batch {
-        let resolved = guarded(inner, || {
-            let decoder = take_decoder(inner, &mut task)?;
-            #[cfg(feature = "fault-inject")]
-            if crate::faults::should_fire(crate::faults::Site::WorkerPanic, &task.tag) {
-                panic!("injected worker panic");
+impl Slice {
+    fn new(inner: &Inner, batch: Vec<Task>) -> Slice {
+        inner.metrics.on_batch(batch.len());
+        let members = batch
+            .into_iter()
+            .map(|task| Member {
+                before: task.produced.len(),
+                task,
+                prefilled: false,
+                stalled: false,
+                end: MemberEnd::Live,
+            })
+            .collect();
+        Slice {
+            members,
+            steps: 0,
+            prefill_timing: None,
+        }
+    }
+
+    /// Runs one round boundary at time `now` — the sweep, then an answer
+    /// for every member that ended since the previous boundary — and then
+    /// the slice's next step of work. Returns false once the slice has
+    /// ended: its survivors are back in the queue and nothing is left in
+    /// it.
+    fn step(&mut self, inner: &Inner, now: Instant) -> bool {
+        if let Some((start, chunks)) = self.prefill_timing.take() {
+            let per_chunk = micros(start, now) / chunks;
+            for _ in 0..chunks {
+                inner.metrics.observe(Hist::Prefill, per_chunk);
             }
-            Ok(decoder)
-        });
-        match resolved {
-            Err(e) => fail_finish(inner, task, e),
-            Ok(decoder) => {
-                #[cfg(feature = "fault-inject")]
-                let stalled =
-                    crate::faults::should_fire(crate::faults::Site::SessionStall, &task.tag);
-                #[cfg(not(feature = "fault-inject"))]
-                let stalled = false;
-                let before = task.produced.len();
-                members.push(BatchMember {
-                    task,
-                    decoder,
-                    before,
-                    prefilled: false,
-                    stalled,
-                    end: MemberEnd::Live,
+        }
+        self.sweep(inner, now);
+        for mut m in self
+            .members
+            .extract_if(.., |m| !matches!(m.end, MemberEnd::Live))
+        {
+            let outcome = match m.end {
+                MemberEnd::Failed(e) => Err(e),
+                _ => Ok(m.task.result(now)),
+            };
+            m.task.answer(outcome);
+        }
+        match self.steps {
+            0 => self.resolve(inner, now),
+            1 => self.prefill(inner, now),
+            _ => {
+                if self.is_over(inner) {
+                    self.end(inner);
+                    return false;
+                }
+                self.decode_round(inner);
+            }
+        }
+        self.steps += 1;
+        true
+    }
+
+    /// The round-boundary sweep, and the one place a deadline is
+    /// compared: after an abort every live member ends `ShuttingDown`,
+    /// otherwise a member whose deadline has passed ends
+    /// `DeadlineExceeded`.
+    fn sweep(&mut self, inner: &Inner, now: Instant) {
+        let aborting = inner.aborting.load(Ordering::SeqCst);
+        for m in &mut self.members {
+            if !matches!(m.end, MemberEnd::Live) {
+                continue;
+            }
+            if aborting {
+                m.end = MemberEnd::Failed(ServeError::ShuttingDown);
+            } else if m.task.deadline.is_some_and(|d| now >= d) {
+                m.end = MemberEnd::Failed(ServeError::DeadlineExceeded {
+                    waited_ms: micros(m.task.admitted, now) / 1_000,
                 });
             }
         }
     }
 
-    // Phase 1.5: members mid-prefill advance by one bounded chunk each,
-    // under their own guard and behind their own deadline check. A member
-    // still prefilling afterwards sits out the decode rounds below; its
-    // batch-mates decode while its prompt loads across slices.
-    for m in &mut members {
-        if m.stalled || !m.decoder.is_prefilling() {
-            continue;
-        }
-        if past(m.task.deadline) {
-            m.end = MemberEnd::Failed(deadline_error(m.task.admitted));
-            continue;
-        }
-        match guarded(inner, || run_prefill_chunk(inner, m.decoder.target_mut())) {
-            Err(e) => m.end = MemberEnd::Failed(e),
-            Ok(()) => m.prefilled = true,
+    /// Step 0: builds every newly popped member's decoder, each under its
+    /// own guard.
+    fn resolve(&mut self, inner: &Inner, now: Instant) {
+        for m in &mut self.members {
+            let resolved = guarded(inner, || {
+                resolve(inner, &mut m.task, now)?;
+                #[cfg(feature = "fault-inject")]
+                {
+                    use crate::faults::{should_fire, Site};
+                    if should_fire(Site::WorkerPanic, &m.task.tag) {
+                        panic!("injected worker panic");
+                    }
+                    m.stalled = should_fire(Site::SessionStall, &m.task.tag);
+                }
+                Ok(())
+            });
+            if let Err(e) = resolved {
+                m.end = MemberEnd::Failed(e);
+            }
         }
     }
 
-    // Phase 2: decode rounds. All live, non-stalled, fully prefilled
-    // *plain* members advance together through one batched step per
-    // round; *speculative* members advance one token each under their own
-    // guard (a speculative round is per-session work, so its panics and
-    // errors are attributable — no batch-wide hazard). A member whose
-    // step defers a window slide turns `is_prefilling` on and drops out
-    // of later rounds — its replay is chunked on subsequent slices like
-    // any other prefill.
-    for rounds_run in 0..inner.cfg.slice_tokens {
-        // Deadline sweep between decode rounds, then answer every member
-        // that ended since the previous sweep.
-        for m in &mut members {
-            if matches!(m.end, MemberEnd::Live) && past(m.task.deadline) {
-                m.end = MemberEnd::Failed(deadline_error(m.task.admitted));
-            }
-        }
-        settle_ended(inner, &mut members);
-        // Round boundary: a waiting session that fits ends the slice.
-        if rounds_run > 0 && members.len() < inner.cfg.max_batch && !lock_queue(inner).is_empty() {
-            break;
-        }
-        let mut spec_ran = false;
-        for m in &mut members {
-            if m.stalled || m.decoder.is_prefilling() {
+    /// Step 1: members mid-prefill advance by one bounded chunk each,
+    /// under their own guard. A member still prefilling afterwards sits
+    /// out the decode rounds; its batch-mates decode while its prompt
+    /// loads across slices.
+    fn prefill(&mut self, inner: &Inner, now: Instant) {
+        let mut chunks = 0;
+        for m in &mut self.members {
+            if m.stalled {
                 continue;
             }
-            let SessionDecoder::Spec(spec) = &mut m.decoder else {
+            let Some(decoder) = m.task.decoder_mut().filter(|d| d.target().is_prefilling()) else {
                 continue;
             };
-            spec_ran = true;
-            match guarded(inner, || spec.step().map_err(ServeError::from)) {
+            match guarded(inner, || run_prefill_chunk(inner, decoder.target_mut())) {
                 Err(e) => m.end = MemberEnd::Failed(e),
-                Ok(token) => m.commit(token),
-            }
-        }
-        let mut stepped: Vec<usize> = Vec::new();
-        let mut steppers: Vec<&mut StepDecoder> = Vec::new();
-        for (i, m) in members.iter_mut().enumerate() {
-            if !m.stalled && !m.decoder.is_prefilling() {
-                if let SessionDecoder::Plain(d) = &mut m.decoder {
-                    stepped.push(i);
-                    steppers.push(d);
+                Ok(()) => {
+                    m.prefilled = true;
+                    chunks += 1;
                 }
             }
         }
-        if steppers.is_empty() {
-            if !spec_ran {
-                break;
+        if chunks > 0 {
+            self.prefill_timing = Some((now, chunks));
+        }
+    }
+
+    /// Whether the slice ends at this boundary: after `SLICE_ROUNDS`
+    /// rounds, when no member can decode, or — after at least one round —
+    /// when a session waits in the queue and the batch has a free slot, so
+    /// the survivors requeue behind it and its first prefill chunk runs in
+    /// the very next slice.
+    fn is_over(&mut self, inner: &Inner) -> bool {
+        let rounds = self.steps - 2;
+        rounds == SLICE_ROUNDS
+            || !self.members.iter_mut().any(|m| m.runnable().is_some())
+            || (rounds > 0
+                && self.members.len() < inner.cfg.max_batch
+                && !lock_queue(inner).is_empty())
+    }
+
+    /// One decode round. Live, non-stalled, fully prefilled *plain*
+    /// members advance together through one batched step; *speculative*
+    /// members advance one token each under their own guard (a
+    /// speculative round is per-session work, so its panics and errors are
+    /// attributable — no batch-wide hazard). A member whose step defers a
+    /// window slide turns `is_prefilling` on and drops out of later
+    /// rounds; its replay is chunked on subsequent slices like any other
+    /// prefill.
+    fn decode_round(&mut self, inner: &Inner) {
+        for m in &mut self.members {
+            let Some(SessionDecoder::Spec(spec)) = m.runnable() else {
+                continue;
+            };
+            let step = guarded(inner, || spec.step().map_err(ServeError::from));
+            m.commit(step);
+        }
+        let mut stepped: Vec<usize> = Vec::new();
+        let mut steppers: Vec<&mut StepDecoder> = Vec::new();
+        for (i, m) in self.members.iter_mut().enumerate() {
+            if let Some(SessionDecoder::Plain(d)) = m.runnable() {
+                stepped.push(i);
+                steppers.push(d);
             }
-            continue;
+        }
+        if steppers.is_empty() {
+            return;
         }
         let round = guarded(inner, || {
             StepDecoder::step_batch(&mut steppers).map_err(ServeError::from)
         });
         drop(steppers);
         match round {
-            Err(e) if stepped.len() == 1 => {
-                members[stepped[0]].end = MemberEnd::Failed(e);
-                break;
+            Ok(tokens) => {
+                for (&i, token) in stepped.iter().zip(tokens) {
+                    self.members[i].commit(Ok(token));
+                }
             }
+            Err(e) if stepped.len() == 1 => self.members[stepped[0]].end = MemberEnd::Failed(e),
             Err(e) => {
                 // A panic or an error in a joint step of several members is
                 // unattributable: a member may hold a committed but
                 // unadvanced token. Cancel everyone who was stepping.
                 for &i in &stepped {
-                    members[i].end = MemberEnd::Failed(match &e {
+                    self.members[i].end = MemberEnd::Failed(match &e {
                         ServeError::WorkerPanic { detail } => ServeError::WorkerPanic {
                             detail: detail.clone(),
                         },
@@ -817,218 +939,96 @@ fn run_batch_slice(inner: &Inner, batch: Vec<Task>) {
                         },
                     });
                 }
-                break;
             }
-            Ok(tokens) => {
-                for (&i, token) in stepped.iter().zip(tokens) {
-                    members[i].commit(token);
+        }
+    }
+
+    /// Ends the slice: the watchdog ticks every member that made no
+    /// progress (injected stalls always; a cooperative decoder possibly —
+    /// a prefill chunk counts as progress), and the survivors requeue in
+    /// their batch order.
+    fn end(&mut self, inner: &Inner) {
+        for mut m in self.members.drain(..) {
+            if m.task.produced.len() > m.before || m.prefilled {
+                m.task.stalled_slices = 0;
+            } else {
+                m.task.stalled_slices += 1;
+                if m.task.stalled_slices >= STALL_SLICES {
+                    let slices = m.task.stalled_slices;
+                    m.task.answer(Err(ServeError::Stalled { slices }));
+                    continue;
                 }
             }
-        }
-    }
-
-    // Watchdog accounting for members still live with zero progress this
-    // slice (injected stalls always; a cooperative decoder possibly).
-    // Prefill chunks count as progress: a long prompt loading across many
-    // slices is working, not stalled.
-    for m in &mut members {
-        if !matches!(m.end, MemberEnd::Live) {
-            continue;
-        }
-        if m.task.produced.len() == m.before && !m.prefilled {
-            if let Err(e) = watchdog_tick(&mut m.task) {
-                m.end = MemberEnd::Failed(e);
-            }
-        } else {
-            m.task.stalled_slices = 0;
-        }
-    }
-
-    // Settle the rest: requeue survivors in their original order, answer
-    // members that ended.
-    for m in members {
-        settle(inner, m);
-    }
-}
-
-/// Answers every member that has ended and takes it out of the batch; the
-/// survivors keep their order.
-fn settle_ended(inner: &Inner, members: &mut Vec<BatchMember>) {
-    for m in members.extract_if(.., |m| !matches!(m.end, MemberEnd::Live)) {
-        settle(inner, m);
-    }
-}
-
-/// Takes a member out of its slice, draining its speculation counters
-/// first (a failed member's fallbacks already happened). A live member
-/// requeues. An ended member's decoder, and with it every KV block it
-/// holds, is dropped before its outcome is sent: a caller holding its
-/// reply sees those blocks back in the pool.
-fn settle(inner: &Inner, mut m: BatchMember) {
-    flush_spec_stats(inner, &mut m.decoder);
-    let BatchMember {
-        mut task,
-        decoder,
-        end,
-        ..
-    } = m;
-    match end {
-        MemberEnd::Live => {
-            task.state = TaskState::Live(Box::new(decoder));
-            lock_queue(inner).push_back(task);
+            m.task.flush_spec_stats();
+            lock_queue(inner).push_back(m.task);
             inner.available.notify_one();
         }
-        MemberEnd::Done(result) => {
-            drop(decoder);
-            inner.metrics.add(Counter::Completed, 1);
+    }
+}
+
+/// Builds a pending session's decoder at its first slice: records the
+/// queue wait, builds an un-prefilled chunked decoder, and probes the
+/// shared-prefix cache — on a hit the session adopts a forked KV cache and
+/// skips that much prefill. A live session passes through.
+fn resolve(inner: &Inner, task: &mut Task, now: Instant) -> Result<(), ServeError> {
+    let TaskState::Pending(req) = &task.state else {
+        return Ok(());
+    };
+    task.queue_us = micros(task.admitted, now);
+    inner.metrics.observe(Hist::QueueWait, task.queue_us);
+    let mut decoder = match &req.pool {
+        Some(pool) => StepDecoder::new_chunked_pooled(&req.model, &req.prompt, &req.cfg, pool)?,
+        None => StepDecoder::new_chunked(&req.model, &req.prompt, &req.cfg)?,
+    };
+    // Probe the dtype bucket the session will decode at: a `#kv8` session
+    // must never adopt an f32 snapshot (or the reverse) even though both
+    // resolve to one model allocation.
+    let dtype = decoder.cache().pool().dtype();
+    if let Some((fork, _)) = inner
+        .prefix
+        .lookup(&req.model, dtype, decoder.pending_prefill())
+    {
+        // Adoption re-validates tokens and model identity; a mismatch
+        // simply falls back to a cold prefill.
+        if let Ok(adopted) = decoder.adopt_prefix(fork) {
+            inner.metrics.add(Counter::PrefixHits, 1);
             inner
                 .metrics
-                .add(Counter::TokensOut, result.tokens.len() as u64);
-            inner.metrics.observe(Hist::Latency, result.total_us);
-            finish(inner, task, Ok(result));
-        }
-        MemberEnd::Failed(e) => {
-            drop(decoder);
-            fail_finish(inner, task, e);
+                .add(Counter::PrefixTokensReused, adopted as u64);
         }
     }
-}
-
-/// Takes a task's decoder for one slice. For `Pending` it records the
-/// queue wait, checks the deadline *before doing any prefill work* (a
-/// session that expired in the queue costs nothing), builds an
-/// un-prefilled chunked decoder, and probes the shared-prefix cache —
-/// on a hit the session adopts a forked KV cache and skips that much
-/// prefill. `Live` passes through; `Tombstone` is a structured error.
-fn take_decoder(inner: &Inner, task: &mut Task) -> Result<SessionDecoder, ServeError> {
-    match std::mem::replace(&mut task.state, TaskState::Tombstone) {
-        TaskState::Pending(req) => {
-            let queue_us = elapsed_us(task.admitted);
-            task.queue_us = Some(queue_us);
-            inner.metrics.observe(Hist::QueueWait, queue_us);
-            if past(task.deadline) {
-                return Err(deadline_error(task.admitted));
-            }
-            let mut decoder = match &req.pool {
-                Some(pool) => {
-                    StepDecoder::new_chunked_pooled(&req.model, &req.prompt, &req.cfg, pool)?
-                }
-                None => StepDecoder::new_chunked(&req.model, &req.prompt, &req.cfg)?,
-            };
-            // Probe the dtype bucket the session will decode at: a
-            // `#kv8` session must never adopt an f32 snapshot (or the
-            // reverse) even though both resolve to one model allocation.
-            let dtype = decoder.cache().pool().dtype();
-            if let Some((fork, _)) =
-                inner
-                    .prefix
-                    .lookup(&req.model, dtype, decoder.pending_prefill())
+    let decoder = match &req.draft {
+        Some(draft) => {
+            #[cfg_attr(not(feature = "fault-inject"), allow(unused_mut))]
+            let mut spec = SpecDecoder::new(decoder, &draft.model, draft.k)?;
+            #[cfg(feature = "fault-inject")]
             {
-                // Adoption re-validates tokens and model identity; a
-                // mismatch simply falls back to a cold prefill.
-                if let Ok(adopted) = decoder.adopt_prefix(fork) {
-                    inner.metrics.add(Counter::PrefixHits, 1);
-                    inner
-                        .metrics
-                        .add(Counter::PrefixTokensReused, adopted as u64);
-                }
-            }
-            let decoder = match &req.draft {
-                Some(draft) => {
-                    #[cfg_attr(not(feature = "fault-inject"), allow(unused_mut))]
-                    let mut spec = SpecDecoder::new(decoder, &draft.model, draft.k)?;
-                    #[cfg(feature = "fault-inject")]
-                    {
-                        let tag = task.tag.clone();
-                        spec.set_draft_probe(Box::new(move || {
-                            if crate::faults::should_fire(crate::faults::Site::SpecDraft, &tag) {
-                                panic!("injected draft panic");
-                            }
-                        }));
+                let tag = task.tag.clone();
+                spec.set_draft_probe(Box::new(move || {
+                    if crate::faults::should_fire(crate::faults::Site::SpecDraft, &tag) {
+                        panic!("injected draft panic");
                     }
-                    SessionDecoder::Spec(spec)
-                }
-                None => SessionDecoder::Plain(decoder),
-            };
-            Ok(decoder)
+                }));
+            }
+            SessionDecoder::Spec(spec)
         }
-        TaskState::Live(decoder) => Ok(*decoder),
-        TaskState::Tombstone => Err(ServeError::Internal {
-            detail: "scheduler invariant violated: task rescheduled in tombstone state".to_string(),
-        }),
-    }
+        None => SessionDecoder::Plain(decoder),
+    };
+    task.state = TaskState::Live(Box::new(decoder));
+    Ok(())
 }
 
-/// Advances a mid-prefill decoder by one bounded chunk, recording chunk
-/// count and compute time. On the chunk that completes a session's
-/// *initial* prefill (nothing emitted yet), the freshly filled prompt
-/// window is donated to the shared-prefix cache for future sessions.
+/// Advances a mid-prefill decoder by one bounded chunk. On the chunk that
+/// completes a session's *initial* prefill (nothing emitted yet), the
+/// freshly filled prompt window is donated to the shared-prefix cache for
+/// future sessions.
 fn run_prefill_chunk(inner: &Inner, decoder: &mut StepDecoder) -> Result<(), ServeError> {
-    let t0 = Instant::now();
     decoder.prefill_pending(PREFILL_CHUNK)?;
     inner.metrics.add(Counter::PrefillChunks, 1);
-    inner.metrics.observe(Hist::Prefill, elapsed_us(t0));
     if !decoder.is_prefilling() && decoder.emitted() == 0 {
         inner.prefix.insert(decoder.cache());
     }
     Ok(())
-}
-
-/// Drains a speculative session's per-slice counters into the metrics
-/// core. A no-op for plain sessions. Called each time a session leaves a
-/// slice, requeued or ended, so snapshot readers see acceptance counts
-/// grow while a session is still streaming.
-fn flush_spec_stats(inner: &Inner, decoder: &mut SessionDecoder) {
-    if let SessionDecoder::Spec(s) = decoder {
-        let stats = s.take_stats();
-        if stats.proposed > 0 || stats.accepted > 0 {
-            inner
-                .metrics
-                .add(Counter::DraftTokensProposed, stats.proposed);
-            inner
-                .metrics
-                .add(Counter::AcceptedDraftTokens, stats.accepted);
-        }
-        if stats.fallbacks > 0 {
-            inner.metrics.add(Counter::SpecFallbacks, stats.fallbacks);
-        }
-    }
-}
-
-/// Builds the payload for a session whose decoder just reported completion.
-fn session_result(task: &mut Task, decoder: &SessionDecoder) -> SessionResult {
-    let finish = if decoder.target().stopped_at_eos() {
-        FinishReason::Eos
-    } else {
-        FinishReason::Length
-    };
-    SessionResult {
-        tokens: std::mem::take(&mut task.produced),
-        finish,
-        queue_us: task.queue_us.unwrap_or(0),
-        total_us: elapsed_us(task.admitted),
-    }
-}
-
-/// Accounts one zero-progress slice against the session's stall budget.
-fn watchdog_tick(task: &mut Task) -> Result<(), ServeError> {
-    task.stalled_slices += 1;
-    if task.stalled_slices >= STALL_SLICES {
-        return Err(ServeError::Stalled {
-            slices: task.stalled_slices,
-        });
-    }
-    Ok(())
-}
-
-/// Releases the admission slot and sends the outcome, exactly once and in
-/// that order: a caller that has received its reply must already see the
-/// slot free (`active()` drops before `recv()` returns).
-fn finish(inner: &Inner, mut task: Task, outcome: SessionOutcome) {
-    task.finished = true;
-    inner.active.fetch_sub(1, Ordering::SeqCst);
-    // The receiver may have given up (client gone); that's not an error.
-    let _ = task.reply.send(outcome);
 }
 
 /// Runs one per-session (or per-batch) step under a panic guard: a panic
@@ -1078,18 +1078,9 @@ fn quiet_worker_panics() {
     });
 }
 
-fn past(deadline: Option<Instant>) -> bool {
-    deadline.is_some_and(|d| Instant::now() >= d)
-}
-
-fn deadline_error(admitted: Instant) -> ServeError {
-    ServeError::DeadlineExceeded {
-        waited_ms: elapsed_us(admitted) / 1_000,
-    }
-}
-
-fn elapsed_us(since: Instant) -> u64 {
-    u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
+/// Microseconds from `from` to `to`, zero if `to` is earlier.
+fn micros(from: Instant, to: Instant) -> u64 {
+    u64::try_from(to.saturating_duration_since(from).as_micros()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -1097,12 +1088,22 @@ mod tests {
     use super::*;
     use chipalign_model::ArchSpec;
     use chipalign_tensor::rng::Pcg32;
+    use std::sync::mpsc::TryRecvError;
     use std::time::Duration;
 
     fn model() -> Arc<TinyLm> {
         let mut arch = ArchSpec::tiny("sched");
         arch.vocab_size = 99;
         Arc::new(TinyLm::new(&arch, &mut Pcg32::seed(11)).expect("model"))
+    }
+
+    /// A model whose window holds a 100-token prompt plus its transcript,
+    /// so a prompt spans several prefill chunks without a slide.
+    fn roomy_model() -> Arc<TinyLm> {
+        let mut arch = ArchSpec::tiny("roomy");
+        arch.vocab_size = 99;
+        arch.max_seq_len = 128;
+        Arc::new(TinyLm::new(&arch, &mut Pcg32::seed(12)).expect("model"))
     }
 
     fn greedy(max_new_tokens: usize) -> GenerateConfig {
@@ -1125,41 +1126,116 @@ mod tests {
         }
     }
 
+    fn reference(model: &Arc<TinyLm>, prompt: &[u32], budget: usize) -> Vec<u32> {
+        chipalign_nn::generate::generate(model, prompt, &greedy(budget)).expect("reference")
+    }
+
     /// Batches of one: each slice advances a single session, the way the
     /// pre-batching tests were written.
-    fn config(workers: usize, max_sessions: usize, slice_tokens: usize) -> SchedulerConfig {
+    fn config(workers: usize, max_sessions: usize) -> SchedulerConfig {
         SchedulerConfig {
             workers,
             max_sessions,
-            slice_tokens,
             max_batch: 1,
         }
     }
 
-    fn batched(workers: usize, slice_tokens: usize, max_batch: usize) -> SchedulerConfig {
+    fn batched(workers: usize, max_batch: usize) -> SchedulerConfig {
         SchedulerConfig {
             max_batch,
-            ..config(workers, 16, slice_tokens)
+            ..config(workers, 16)
+        }
+    }
+
+    /// A scheduler with no worker threads: the test steps its slices on
+    /// its own thread with a [`Clock`].
+    fn stepped(cfg: SchedulerConfig) -> Scheduler {
+        Scheduler {
+            inner: Arc::new(Inner::new(cfg, Arc::new(Metrics::new()))),
+            workers: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// A virtual clock driving a stepped scheduler: the time every submit
+    /// and every step is stamped with, plus the slice being stepped.
+    struct Clock {
+        now: Instant,
+        slice: Option<Slice>,
+    }
+
+    impl Clock {
+        fn new() -> Clock {
+            Clock {
+                now: Instant::now(),
+                slice: None,
+            }
+        }
+
+        fn submit(
+            &self,
+            s: &Scheduler,
+            req: SessionRequest,
+        ) -> Result<Receiver<SessionOutcome>, ServeError> {
+            s.inner.submit(req, self.now)
+        }
+
+        /// One step of the running slice, popping a batch first when none
+        /// runs, exactly as a worker would. False when there is nothing to
+        /// step: no slice and an empty queue (or an abort).
+        fn step(&mut self, s: &Scheduler) -> bool {
+            let inner = &s.inner;
+            if self.slice.is_none() && !lock_queue(inner).is_empty() {
+                self.slice = inner.pop().map(|batch| Slice::new(inner, batch));
+            }
+            let Some(slice) = &mut self.slice else {
+                return false;
+            };
+            if !slice.step(inner, self.now) {
+                self.slice = None;
+            }
+            true
+        }
+
+        /// Steps until every admitted session is answered.
+        fn run(&mut self, s: &Scheduler) {
+            while self.step(s) {}
+        }
+
+        /// Steps until `rx` holds an outcome, and returns it.
+        fn until_answered(
+            &mut self,
+            s: &Scheduler,
+            rx: &Receiver<SessionOutcome>,
+        ) -> SessionOutcome {
+            loop {
+                if let Ok(outcome) = rx.try_recv() {
+                    return outcome;
+                }
+                assert!(self.step(s), "nothing left to step before the answer");
+            }
+        }
+
+        fn members(&self) -> usize {
+            self.slice.as_ref().map_or(0, |slice| slice.members.len())
         }
     }
 
     #[test]
     fn sessions_complete_and_match_generate() {
         let m = model();
-        let scheduler = Scheduler::start(config(2, 8, 4), Arc::new(Metrics::new()));
+        let scheduler = Scheduler::start(config(2, 8), Arc::new(Metrics::new()));
         let rx = scheduler.submit(request(&m, 24, None)).expect("admit");
         let result = rx.recv().expect("outcome").expect("ok");
         assert_eq!(result.tokens.len(), 24);
         assert_eq!(result.finish, FinishReason::Length);
-        let reference = chipalign_nn::generate::generate(&m, &[5, 6, 7], &greedy(24)).expect("ok");
-        assert_eq!(result.tokens, reference, "scheduled == single-threaded");
+        assert_eq!(result.tokens, reference(&m, &[5, 6, 7], 24));
         scheduler.join();
     }
 
     #[test]
     fn many_interleaved_sessions_each_match_generate() {
         let m = model();
-        let scheduler = Scheduler::start(config(2, 16, 2), Arc::new(Metrics::new()));
+        let scheduler = Scheduler::start(config(2, 16), Arc::new(Metrics::new()));
         // Mixed lengths force interleaving across slices.
         let budgets = [3usize, 17, 9, 40, 1, 25];
         let receivers: Vec<_> = budgets
@@ -1168,9 +1244,11 @@ mod tests {
             .collect();
         for (rx, &budget) in receivers.into_iter().zip(&budgets) {
             let result = rx.recv().expect("outcome").expect("ok");
-            let reference =
-                chipalign_nn::generate::generate(&m, &[5, 6, 7], &greedy(budget)).expect("ok");
-            assert_eq!(result.tokens, reference, "budget {budget}");
+            assert_eq!(
+                result.tokens,
+                reference(&m, &[5, 6, 7], budget),
+                "budget {budget}"
+            );
         }
         assert_eq!(scheduler.active(), 0);
         scheduler.join();
@@ -1179,174 +1257,188 @@ mod tests {
     #[test]
     fn batched_sessions_complete_and_match_generate() {
         let m = model();
-        let metrics = Arc::new(Metrics::new());
-        // One worker + narrow slices force real batches: after the first
-        // requeue the queue always holds several runnable sessions.
-        let scheduler = Scheduler::start(batched(1, 2, 4), Arc::clone(&metrics));
+        // Six sessions queued before the first pop, four to a batch: the
+        // first slice is a real batch, and rotation keeps forming more.
+        let scheduler = stepped(batched(1, 4));
+        let mut clock = Clock::new();
         let budgets = [3usize, 17, 9, 40, 1, 25];
         let receivers: Vec<_> = budgets
             .iter()
-            .map(|&b| scheduler.submit(request(&m, b, None)).expect("admit"))
+            .map(|&b| {
+                clock
+                    .submit(&scheduler, request(&m, b, None))
+                    .expect("admit")
+            })
             .collect();
+        clock.run(&scheduler);
         for (rx, &budget) in receivers.into_iter().zip(&budgets) {
-            let result = rx.recv().expect("outcome").expect("ok");
-            let reference =
-                chipalign_nn::generate::generate(&m, &[5, 6, 7], &greedy(budget)).expect("ok");
-            assert_eq!(result.tokens, reference, "budget {budget}");
+            let result = rx.try_recv().expect("outcome").expect("ok");
+            assert_eq!(
+                result.tokens,
+                reference(&m, &[5, 6, 7], budget),
+                "budget {budget}"
+            );
         }
-        let snap = metrics.snapshot();
-        assert!(
-            snap.batched_slices > 0,
-            "six queued sessions on one worker must have shared a slice"
-        );
+        let snap = scheduler.inner.metrics.snapshot();
+        assert!(snap.batched_slices > 0);
         assert_eq!(
             snap.batch_occupancy.iter().sum::<u64>(),
             snap.batch_occupancy[1] + snap.batched_slices,
             "every dequeued slice is either single-session or batched"
         );
         assert_eq!(scheduler.active(), 0);
-        scheduler.join();
     }
 
     #[test]
     fn max_batch_is_clamped_to_the_skinny_gemm_tile() {
-        let scheduler = Scheduler::start(
-            SchedulerConfig {
-                max_batch: 10_000,
-                ..SchedulerConfig::default()
-            },
-            Arc::new(Metrics::new()),
-        );
+        let scheduler = stepped(SchedulerConfig {
+            max_batch: 10_000,
+            ..SchedulerConfig::default()
+        });
         assert_eq!(
             scheduler.inner.cfg.max_batch,
             chipalign_tensor::tune::GEMM_SKINNY_M_MAX
         );
-        scheduler.join();
     }
 
     #[test]
     fn admission_bound_rejects_fast() {
         let m = model();
-        let scheduler = Scheduler::start(config(1, 2, 1), Arc::new(Metrics::new()));
-        // Two slow sessions occupy both slots; deadlines keep the test
-        // finite even on a loaded machine.
-        let deadline = Some(Instant::now() + Duration::from_millis(400));
-        let rx1 = scheduler
-            .submit(request(&m, 1_000_000, deadline))
+        let scheduler = stepped(config(1, 2));
+        let mut clock = Clock::new();
+        // Two endless sessions occupy both slots until their deadline.
+        let deadline = Some(clock.now + Duration::from_millis(10));
+        let rx1 = clock
+            .submit(&scheduler, request(&m, 1_000_000, deadline))
             .expect("one");
-        let rx2 = scheduler
-            .submit(request(&m, 1_000_000, deadline))
+        let rx2 = clock
+            .submit(&scheduler, request(&m, 1_000_000, deadline))
             .expect("two");
-        let third = scheduler.submit(request(&m, 4, None));
+        for _ in 0..3 {
+            assert!(clock.step(&scheduler));
+        }
+        let third = clock.submit(&scheduler, request(&m, 4, None));
         assert!(
             matches!(third, Err(ServeError::Overloaded { capacity: 2, .. })),
             "third submission must be rejected, got {third:?}"
         );
-        // Both occupants eventually leave (deadline or completion).
-        assert!(rx1.recv().is_ok());
-        assert!(rx2.recv().is_ok());
+        // Past the deadline, the next boundary of each slice frees its slot.
+        clock.now += Duration::from_millis(10);
+        clock.run(&scheduler);
+        for rx in [rx1, rx2] {
+            assert!(matches!(
+                rx.try_recv().expect("answered"),
+                Err(ServeError::DeadlineExceeded { waited_ms: 10 })
+            ));
+        }
         assert_eq!(scheduler.active(), 0);
-        scheduler.join();
+        assert_eq!(scheduler.inner.metrics.snapshot().rejected_overload, 1);
     }
 
     #[test]
     fn deadline_is_reported_as_such() {
         let m = model();
-        let metrics = Arc::new(Metrics::new());
-        let scheduler = Scheduler::start(config(1, 4, 1), Arc::clone(&metrics));
-        let deadline = Some(Instant::now() + Duration::from_millis(50));
-        let rx = scheduler
-            .submit(request(&m, 10_000_000, deadline))
+        let scheduler = stepped(config(1, 4));
+        let mut clock = Clock::new();
+        let deadline = Some(clock.now + Duration::from_millis(50));
+        let rx = clock
+            .submit(&scheduler, request(&m, 10_000_000, deadline))
             .expect("admit");
-        let outcome = rx.recv().expect("outcome");
+        // Resolve, prefill and three rounds, all before the deadline.
+        for _ in 0..5 {
+            assert!(clock.step(&scheduler));
+        }
+        assert_eq!(rx.try_recv().err(), Some(TryRecvError::Empty));
+        // The first boundary at or past the deadline answers the session.
+        clock.now += Duration::from_millis(50);
+        assert!(clock.step(&scheduler));
+        let outcome = rx.try_recv().expect("answered at that boundary");
         assert!(
-            matches!(outcome, Err(ServeError::DeadlineExceeded { .. })),
+            matches!(outcome, Err(ServeError::DeadlineExceeded { waited_ms: 50 })),
             "got {outcome:?}"
         );
-        assert_eq!(metrics.snapshot().deadline_exceeded, 1);
-        scheduler.join();
+        assert_eq!(scheduler.inner.metrics.snapshot().deadline_exceeded, 1);
+        assert_eq!(scheduler.active(), 0);
     }
 
     #[test]
     fn expired_deadline_is_rejected_at_dequeue_before_any_prefill() {
         let m = model();
-        let metrics = Arc::new(Metrics::new());
-        let scheduler = Scheduler::start(config(1, 4, 4), Arc::clone(&metrics));
-        // Already-expired deadline: the session must be failed when it is
-        // dequeued, without paying for a single prefill chunk (the PR 5
-        // queued-deadline leak had it prefilling the whole prompt first).
-        let rx = scheduler
-            .submit(request(&m, 24, Some(Instant::now())))
+        let scheduler = stepped(config(1, 4));
+        let mut clock = Clock::new();
+        // The deadline passes while the session waits in the queue: the
+        // sweep that opens its first slice must answer it without paying
+        // for a single prefill chunk (the PR 5 queued-deadline leak had it
+        // prefilling the whole prompt first).
+        let rx = clock
+            .submit(
+                &scheduler,
+                request(&m, 24, Some(clock.now + Duration::from_millis(10))),
+            )
             .expect("admit");
-        let outcome = rx.recv().expect("outcome");
+        clock.now += Duration::from_millis(10);
+        assert!(clock.step(&scheduler));
+        let outcome = rx.try_recv().expect("answered at the first boundary");
         assert!(
-            matches!(outcome, Err(ServeError::DeadlineExceeded { .. })),
+            matches!(outcome, Err(ServeError::DeadlineExceeded { waited_ms: 10 })),
             "got {outcome:?}"
         );
-        let snap = metrics.snapshot();
+        let snap = scheduler.inner.metrics.snapshot();
         assert_eq!(snap.deadline_exceeded, 1);
         assert_eq!(
             snap.prefill_chunks, 0,
             "no prefill work may be spent on a dead-on-arrival session"
         );
-        scheduler.join();
     }
 
     #[test]
     fn chunked_prefill_lets_short_sessions_overtake_a_long_prompt() {
         let m = roomy_model();
-        let metrics = Arc::new(Metrics::new());
-        // One worker and a prompt of several chunks: without chunking, the
-        // long prompt's prefill would hold the only worker until it
+        // Batches of one and a prompt of several chunks: without chunking,
+        // the long prompt's prefill would hold the only slice until it
         // finished and the short session (submitted second) would wait
         // behind it.
-        let scheduler = Scheduler::start(config(1, 4, 4), Arc::clone(&metrics));
+        let scheduler = stepped(config(1, 4));
+        let mut clock = Clock::new();
         let long_prompt: Vec<u32> = (0..100u32).map(|i| 3 + (i * 7) % 90).collect();
         let chunks = long_prompt.len().div_ceil(PREFILL_CHUNK);
         assert!(chunks >= 2, "the long prompt must span several chunks");
-        // The budget slides the window a few dozen times, each slide a
-        // multi-chunk replay, which keeps the long session busy long after
-        // the short one completes: the ordering assertion below has a
-        // margin of about a hundred scheduler slices, not a photo finish.
-        const LONG_BUDGET: usize = 60;
-        let long_rx = scheduler
-            .submit(SessionRequest {
-                model: Arc::clone(&m),
-                prompt: long_prompt.clone(),
-                cfg: greedy(LONG_BUDGET),
-                deadline: None,
-                tag: "long".to_string(),
-                pool: None,
-                draft: None,
-            })
+        let long_rx = clock
+            .submit(
+                &scheduler,
+                SessionRequest {
+                    prompt: long_prompt.clone(),
+                    ..request(&m, 8, None)
+                },
+            )
             .expect("admit long");
-        let short_rx = scheduler.submit(request(&m, 4, None)).expect("admit short");
-        let short = short_rx.recv().expect("outcome").expect("ok");
-        assert!(
-            matches!(
-                long_rx.try_recv(),
-                Err(std::sync::mpsc::TryRecvError::Empty)
-            ),
-            "short session must complete while the long prompt is still in flight"
+        let short_rx = clock
+            .submit(&scheduler, request(&m, 4, None))
+            .expect("admit short");
+        let short = clock
+            .until_answered(&scheduler, &short_rx)
+            .expect("short ok");
+        assert_eq!(long_rx.try_recv().err(), Some(TryRecvError::Empty));
+        assert_eq!(
+            scheduler.inner.metrics.snapshot().prefill_chunks,
+            2,
+            "the short session ran after one chunk of the long prompt, not all {chunks}"
         );
-        let short_ref = chipalign_nn::generate::generate(&m, &[5, 6, 7], &greedy(4)).expect("ok");
-        assert_eq!(short.tokens, short_ref, "short transcript unchanged");
-        let long = long_rx.recv().expect("outcome").expect("ok");
-        let long_ref =
-            chipalign_nn::generate::generate(&m, &long_prompt, &greedy(LONG_BUDGET)).expect("ok");
-        assert_eq!(long.tokens, long_ref, "chunked prefill is bit-identical");
-        assert!(
-            metrics.snapshot().prefill_chunks > chunks as u64,
-            "the long prompt must have prefilled across {chunks} chunks, the short one in one"
+        assert_eq!(short.tokens, reference(&m, &[5, 6, 7], 4));
+        clock.run(&scheduler);
+        let long = long_rx.try_recv().expect("outcome").expect("ok");
+        assert_eq!(long.tokens, reference(&m, &long_prompt, 8));
+        assert_eq!(
+            scheduler.inner.metrics.snapshot().prefill_chunks,
+            chunks as u64 + 1
         );
-        scheduler.join();
     }
 
     #[test]
     fn repeated_prompt_hits_the_prefix_cache_with_identical_transcript() {
         let m = model();
         let metrics = Arc::new(Metrics::new());
-        let scheduler = Scheduler::start(config(1, 4, 4), Arc::clone(&metrics));
+        let scheduler = Scheduler::start(config(1, 4), Arc::clone(&metrics));
         let first = scheduler
             .submit(request(&m, 12, None))
             .expect("admit")
@@ -1359,7 +1451,7 @@ mod tests {
             .recv()
             .expect("outcome")
             .expect("ok");
-        let reference = chipalign_nn::generate::generate(&m, &[5, 6, 7], &greedy(12)).expect("ok");
+        let reference = reference(&m, &[5, 6, 7], 12);
         assert_eq!(first.tokens, reference, "cold session matches generate()");
         assert_eq!(
             second.tokens, reference,
@@ -1376,7 +1468,7 @@ mod tests {
 
     #[test]
     fn pooled_and_contiguous_sessions_mix_with_identical_transcripts() {
-        use chipalign_nn::{KvPool, KvPoolConfig};
+        use chipalign_nn::KvPoolConfig;
         let m = model();
         let pool = KvPool::new(KvPoolConfig {
             block_tokens: 4,
@@ -1384,40 +1476,42 @@ mod tests {
             ..KvPoolConfig::default()
         })
         .expect("pool");
-        let metrics = Arc::new(Metrics::new());
-        // One worker + narrow slices force batched slices whose members
-        // mix paged and contiguous KV storage freely.
-        let scheduler = Scheduler::start(batched(1, 2, 4), Arc::clone(&metrics));
+        // Batched slices whose members mix paged and contiguous KV storage.
+        let scheduler = stepped(batched(1, 4));
+        let mut clock = Clock::new();
         let budgets = [3usize, 17, 9, 40, 1, 25];
         let receivers: Vec<_> = budgets
             .iter()
             .enumerate()
             .map(|(i, &b)| {
                 let pool = (i % 2 == 0).then(|| Arc::clone(&pool));
-                scheduler
-                    .submit(SessionRequest {
-                        pool,
-                        ..request(&m, b, None)
-                    })
+                clock
+                    .submit(
+                        &scheduler,
+                        SessionRequest {
+                            pool,
+                            ..request(&m, b, None)
+                        },
+                    )
                     .expect("admit")
             })
             .collect();
+        clock.run(&scheduler);
         for (rx, &budget) in receivers.into_iter().zip(&budgets) {
-            let result = rx.recv().expect("outcome").expect("ok");
-            let reference =
-                chipalign_nn::generate::generate(&m, &[5, 6, 7], &greedy(budget)).expect("ok");
+            let result = rx.try_recv().expect("outcome").expect("ok");
             assert_eq!(
-                result.tokens, reference,
+                result.tokens,
+                reference(&m, &[5, 6, 7], budget),
                 "budget {budget} must be bit-identical"
             );
         }
+        assert!(scheduler.inner.metrics.snapshot().batched_slices > 0);
         assert_eq!(scheduler.active(), 0);
-        scheduler.join();
     }
 
     #[test]
     fn pool_saturation_evicts_prefix_snapshots_then_rejects_as_overloaded() {
-        use chipalign_nn::{KvPool, KvPoolConfig};
+        use chipalign_nn::KvPoolConfig;
         let m = model();
         let pool = KvPool::new(KvPoolConfig {
             block_tokens: 1,
@@ -1426,7 +1520,7 @@ mod tests {
         })
         .expect("pool");
         let metrics = Arc::new(Metrics::new());
-        let scheduler = Scheduler::start(config(1, 8, 4), Arc::clone(&metrics));
+        let scheduler = Scheduler::start(config(1, 8), Arc::clone(&metrics));
         let pooled = |prompt: Vec<u32>| SessionRequest {
             prompt,
             ..SessionRequest {
@@ -1453,9 +1547,7 @@ mod tests {
             .submit(pooled(vec![9, 10, 11, 12]))
             .expect("admitted after eviction");
         let result = second.recv().expect("outcome").expect("ok");
-        let reference =
-            chipalign_nn::generate::generate(&m, &[9, 10, 11, 12], &greedy(1)).expect("ok");
-        assert_eq!(result.tokens, reference);
+        assert_eq!(result.tokens, reference(&m, &[9, 10, 11, 12], 1));
         assert_eq!(metrics.snapshot().pool_evictions, 1);
 
         // A prompt window no amount of eviction can cover is rejected with
@@ -1475,7 +1567,7 @@ mod tests {
 
     #[test]
     fn pool_pressure_evicts_only_snapshots_in_the_pressed_pool() {
-        use chipalign_nn::{KvCache, KvPool, KvPoolConfig};
+        use chipalign_nn::{KvCache, KvPoolConfig};
         let small_pool = || {
             KvPool::new(KvPoolConfig {
                 block_tokens: 1,
@@ -1490,7 +1582,7 @@ mod tests {
         let model_b = Arc::new(TinyLm::new(&arch, &mut Pcg32::seed(12)).expect("model"));
         let pool_b = small_pool();
         let metrics = Arc::new(Metrics::new());
-        let scheduler = Scheduler::start(config(1, 8, 4), Arc::clone(&metrics));
+        let scheduler = Scheduler::start(config(1, 8), Arc::clone(&metrics));
         let on = |m: &Arc<TinyLm>, pool: &Arc<KvPool>| SessionRequest {
             pool: Some(Arc::clone(pool)),
             ..request(m, 1, None)
@@ -1522,7 +1614,7 @@ mod tests {
 
     #[test]
     fn pool_pressure_keeps_snapshots_that_would_free_no_block() {
-        use chipalign_nn::{KvCache, KvPool, KvPoolConfig};
+        use chipalign_nn::{KvCache, KvPoolConfig};
         let m = model();
         let pool = KvPool::new(KvPoolConfig {
             block_tokens: 1,
@@ -1530,8 +1622,7 @@ mod tests {
             ..KvPoolConfig::default()
         })
         .expect("pool");
-        let metrics = Arc::new(Metrics::new());
-        let scheduler = Scheduler::start(config(1, 8, 4), Arc::clone(&metrics));
+        let scheduler = stepped(config(1, 8));
 
         // A live session holds three of the pool's four blocks, and the
         // prefix cache holds a snapshot aliasing all three.
@@ -1552,14 +1643,13 @@ mod tests {
             other => panic!("expected pool saturation, got {other:?}"),
         }
         assert_eq!(scheduler.inner.prefix.entries(), 1, "the snapshot survives");
-        assert_eq!(metrics.snapshot().pool_evictions, 0);
+        assert_eq!(scheduler.inner.metrics.snapshot().pool_evictions, 0);
         drop(live);
-        scheduler.join();
     }
 
     #[test]
     fn a_full_scheduler_refuses_before_evicting_pool_snapshots() {
-        use chipalign_nn::{KvCache, KvPool, KvPoolConfig};
+        use chipalign_nn::{KvCache, KvPoolConfig};
         let m = model();
         let pool = KvPool::new(KvPoolConfig {
             block_tokens: 1,
@@ -1567,8 +1657,8 @@ mod tests {
             ..KvPoolConfig::default()
         })
         .expect("pool");
-        let metrics = Arc::new(Metrics::new());
-        let scheduler = Scheduler::start(config(1, 1, 4), Arc::clone(&metrics));
+        let scheduler = stepped(config(1, 1));
+        let clock = Clock::new();
 
         // A snapshot alone holds three of the pool's four blocks.
         let mut cache = KvCache::new_paged(&m, &pool);
@@ -1577,13 +1667,9 @@ mod tests {
         drop(cache);
         assert_eq!(pool.blocks_free(), 1);
 
-        // An endless unpooled session holds the only slot. Its prompt
-        // shares no prefix with the snapshot, so it never touches the pool.
-        let held = scheduler
-            .submit(SessionRequest {
-                prompt: vec![8, 9, 10],
-                ..request(&m, 10_000_000, None)
-            })
+        // An unpooled session holds the only slot.
+        let held = clock
+            .submit(&scheduler, request(&m, 10_000_000, None))
             .expect("admit");
 
         // The pooled request would fit after evicting the snapshot, but the
@@ -1592,27 +1678,22 @@ mod tests {
             pool: Some(Arc::clone(&pool)),
             ..request(&m, 1, None)
         };
-        let refused = scheduler.submit(pooled);
-        scheduler.abort();
-        scheduler.join();
-        assert!(matches!(
-            held.recv().expect("outcome"),
-            Err(ServeError::ShuttingDown)
-        ));
-        match refused {
+        match clock.submit(&scheduler, pooled) {
             Err(ServeError::Overloaded { capacity: 1, .. }) => {}
             other => panic!("expected the session bound, got {other:?}"),
         }
-        let snap = metrics.snapshot();
+        let snap = scheduler.inner.metrics.snapshot();
         assert_eq!(snap.pool_evictions, 0);
         assert_eq!(snap.rejected_overload, 1, "one rejection, counted once");
         assert_eq!(pool.blocks_in_use(), 3, "the snapshot survives");
+        scheduler.abort();
+        assert!(matches!(held.try_recv(), Ok(Err(ServeError::ShuttingDown))));
         assert_eq!(scheduler.active(), 0);
     }
 
     #[test]
     fn lone_session_outgrowing_its_pool_keeps_its_own_error() {
-        use chipalign_nn::{KvPool, KvPoolConfig, NnError};
+        use chipalign_nn::{KvPoolConfig, NnError};
         let m = model();
         // Room for the 3-token prompt and one decoded position: the
         // second decode step needs a fifth block.
@@ -1622,7 +1703,7 @@ mod tests {
             ..KvPoolConfig::default()
         })
         .expect("pool");
-        let scheduler = Scheduler::start(config(1, 8, 4), Arc::new(Metrics::new()));
+        let scheduler = Scheduler::start(config(1, 8), Arc::new(Metrics::new()));
         let rx = scheduler
             .submit(SessionRequest {
                 pool: Some(Arc::clone(&pool)),
@@ -1644,7 +1725,7 @@ mod tests {
     #[test]
     fn shutdown_drains_in_flight_sessions_and_rejects_new_ones() {
         let m = model();
-        let scheduler = Scheduler::start(config(2, 8, 2), Arc::new(Metrics::new()));
+        let scheduler = Scheduler::start(config(2, 8), Arc::new(Metrics::new()));
         let receivers: Vec<_> = (0..4)
             .map(|_| scheduler.submit(request(&m, 30, None)).expect("admit"))
             .collect();
@@ -1677,7 +1758,7 @@ mod tests {
         // the other from the prefix cache.
         let m = roomy_model();
         let metrics = Arc::new(Metrics::new());
-        let scheduler = Scheduler::start(config(1, 16, 2), Arc::clone(&metrics));
+        let scheduler = Scheduler::start(config(1, 16), Arc::clone(&metrics));
         let long_a: Vec<u32> = (0..100u32).map(|i| 3 + (i * 7) % 90).collect();
         let long_b: Vec<u32> = (0..90u32).map(|i| 4 + (i * 11) % 90).collect();
         let sessions: Vec<(Vec<u32>, usize)> = vec![
@@ -1691,13 +1772,8 @@ mod tests {
             .map(|(prompt, budget)| {
                 scheduler
                     .submit(SessionRequest {
-                        model: Arc::clone(&m),
                         prompt: prompt.clone(),
-                        cfg: greedy(*budget),
-                        deadline: None,
-                        tag: "drain-mid-prefill".to_string(),
-                        pool: None,
-                        draft: None,
+                        ..request(&m, *budget, None)
                     })
                     .expect("admit")
             })
@@ -1715,10 +1791,9 @@ mod tests {
                 .try_recv()
                 .expect("answered before join returned")
                 .expect("drained sessions complete normally");
-            let reference =
-                chipalign_nn::generate::generate(&m, prompt, &greedy(*budget)).expect("reference");
             assert_eq!(
-                result.tokens, reference,
+                result.tokens,
+                reference(&m, prompt, *budget),
                 "a drained session's transcript must match an undrained run"
             );
         }
@@ -1740,75 +1815,82 @@ mod tests {
         );
     }
 
-    /// A model whose window holds a 64-token transcript without a slide,
-    /// and whose decode round is slow enough (~0.1 ms) that the few dozen
-    /// rounds the answer-order tests below leave between two replies are
-    /// milliseconds of margin, not microseconds.
-    fn roomy_model() -> Arc<TinyLm> {
-        let mut arch = ArchSpec::tiny("roomy");
-        arch.vocab_size = 99;
-        arch.d_model = 128;
-        arch.n_heads = 4;
-        arch.d_ff = 512;
-        arch.n_layers = 4;
-        arch.max_seq_len = 128;
-        Arc::new(TinyLm::new(&arch, &mut Pcg32::seed(12)).expect("model"))
-    }
-
-    /// Waits until the worker has popped everything queued so far.
-    fn wait_until_dequeued(scheduler: &Scheduler) {
-        while !lock_queue(&scheduler.inner).is_empty() {
-            std::thread::yield_now();
-        }
-    }
-
     #[test]
     fn a_session_arriving_mid_slice_joins_at_the_next_round() {
-        // One worker, 64-round slices. A's 63 tokens fit in its first
-        // slice, so a scheduler that admits only at slice ends answers A
-        // before B starts. B arrives once A is on the worker; it must join
-        // at the next round boundary instead and be answered the round it
-        // commits its one token, dozens of rounds before A's last.
-        let m = roomy_model();
-        let scheduler = Scheduler::start(batched(1, 64, 8), Arc::new(Metrics::new()));
-        let a = scheduler.submit(request(&m, 63, None)).expect("admit A");
-        wait_until_dequeued(&scheduler);
-        let b = scheduler.submit(request(&m, 1, None)).expect("admit B");
-        b.recv().expect("outcome").expect("B ok");
-        assert!(
-            matches!(a.try_recv(), Err(std::sync::mpsc::TryRecvError::Empty)),
-            "A must still be decoding when B is answered"
+        // A decodes in a slice of its own. B arrives between two of A's
+        // rounds; a scheduler that admits only at slice ends would make B
+        // wait out A's whole slice. Instead A's slice ends at the very next
+        // boundary, A requeues behind B, and the next batch holds both.
+        let m = model();
+        let scheduler = stepped(batched(1, 8));
+        let mut clock = Clock::new();
+        let a = clock
+            .submit(&scheduler, request(&m, 24, None))
+            .expect("admit A");
+        // Resolve, prefill, then two decode rounds.
+        for _ in 0..4 {
+            assert!(clock.step(&scheduler));
+        }
+        let b = clock
+            .submit(&scheduler, request(&m, 1, None))
+            .expect("admit B");
+        assert!(clock.step(&scheduler));
+        assert!(clock.slice.is_none(), "A's slice ends at the next boundary");
+        let requeued = lock_queue(&scheduler.inner);
+        assert_eq!(requeued.len(), 2);
+        assert_eq!(requeued[1].produced.len(), 2, "A requeued behind B");
+        drop(requeued);
+        assert!(clock.step(&scheduler));
+        assert_eq!(clock.members(), 2, "B and A share the next batch");
+        let b = clock.until_answered(&scheduler, &b).expect("B ok");
+        assert_eq!(b.tokens, reference(&m, &[5, 6, 7], 1));
+        assert_eq!(a.try_recv().err(), Some(TryRecvError::Empty));
+        clock.run(&scheduler);
+        let a = a.try_recv().expect("outcome").expect("A ok");
+        assert_eq!(
+            a.tokens,
+            reference(&m, &[5, 6, 7], 24),
+            "A's transcript is unchanged"
         );
-        let a = a.recv().expect("outcome").expect("A ok");
-        let reference = chipalign_nn::generate::generate(&m, &[5, 6, 7], &greedy(63)).expect("ok");
-        assert_eq!(a.tokens, reference, "A's transcript is unchanged");
         assert_eq!(scheduler.active(), 0);
-        scheduler.join();
     }
 
     #[test]
     fn a_short_session_submitted_mid_decode_is_answered_first() {
-        // A (48 tokens) ends inside its first 64-round slice. C is
-        // submitted once A decodes, and is answered before A: it joined A's
-        // batch at a round boundary rather than waiting for the slice end.
-        let m = roomy_model();
-        let metrics = Arc::new(Metrics::new());
-        let scheduler = Scheduler::start(batched(1, 64, 8), Arc::clone(&metrics));
-        let a = scheduler.submit(request(&m, 48, None)).expect("admit A");
-        while metrics.snapshot().prefill_chunks == 0 {
-            std::thread::yield_now();
+        // C joins A's batch at a round boundary and leaves it the round it
+        // commits its one token: C is answered at the next boundary, while
+        // A keeps decoding in that same slice.
+        let m = model();
+        let scheduler = stepped(batched(1, 8));
+        let mut clock = Clock::new();
+        let a = clock
+            .submit(&scheduler, request(&m, 24, None))
+            .expect("admit A");
+        for _ in 0..3 {
+            assert!(clock.step(&scheduler));
         }
-        let c = scheduler.submit(request(&m, 1, None)).expect("admit C");
-        c.recv().expect("outcome").expect("C ok");
-        assert!(
-            matches!(a.try_recv(), Err(std::sync::mpsc::TryRecvError::Empty)),
-            "C's reply must arrive before A's"
+        let c = clock
+            .submit(&scheduler, request(&m, 1, None))
+            .expect("admit C");
+        // A's slice ends; the next holds C and A; C resolves, prefills and
+        // decodes its token; the boundary after that round answers it.
+        assert!(clock.step(&scheduler));
+        for _ in 0..4 {
+            assert_eq!(c.try_recv().err(), Some(TryRecvError::Empty));
+            assert!(clock.step(&scheduler));
+        }
+        let c = c.try_recv().expect("C answered").expect("C ok");
+        assert_eq!(c.tokens, reference(&m, &[5, 6, 7], 1));
+        assert_eq!(clock.members(), 1, "A stays in the slice C left");
+        assert_eq!(a.try_recv().err(), Some(TryRecvError::Empty));
+        clock.run(&scheduler);
+        let a = a.try_recv().expect("outcome").expect("A ok");
+        assert_eq!(
+            a.tokens,
+            reference(&m, &[5, 6, 7], 24),
+            "A's transcript is unchanged"
         );
-        let a = a.recv().expect("outcome").expect("A ok");
-        let reference = chipalign_nn::generate::generate(&m, &[5, 6, 7], &greedy(48)).expect("ok");
-        assert_eq!(a.tokens, reference, "A's transcript is unchanged");
         assert_eq!(scheduler.active(), 0);
-        scheduler.join();
     }
 
     #[test]
@@ -1817,7 +1899,7 @@ mod tests {
         // retryable verdict the router fails over on), never silence.
         let m = model();
         let metrics = Arc::new(Metrics::new());
-        let scheduler = Scheduler::start(config(1, 16, 2), Arc::clone(&metrics));
+        let scheduler = Scheduler::start(config(1, 16), Arc::clone(&metrics));
         let receivers: Vec<_> = (0..6)
             .map(|_| {
                 scheduler
@@ -1841,6 +1923,52 @@ mod tests {
         assert_eq!(scheduler.active(), 0, "abort must release every slot");
     }
 
+    #[test]
+    fn an_abort_is_answered_at_the_next_round_boundary() {
+        let m = model();
+        let scheduler = stepped(batched(1, 8));
+        let mut clock = Clock::new();
+        let rx = clock
+            .submit(&scheduler, request(&m, 10_000_000, None))
+            .expect("admit");
+        for _ in 0..4 {
+            assert!(clock.step(&scheduler));
+        }
+        scheduler.abort();
+        assert_eq!(rx.try_recv().err(), Some(TryRecvError::Empty));
+        assert!(clock.step(&scheduler));
+        assert!(matches!(rx.try_recv(), Ok(Err(ServeError::ShuttingDown))));
+        assert!(!clock.step(&scheduler) && !clock.step(&scheduler));
+        assert_eq!(scheduler.active(), 0);
+    }
+
+    #[test]
+    fn dropping_a_scheduler_aborts_instead_of_draining() {
+        // Dropped without `join`, a scheduler must not decode a session to
+        // its full budget before returning.
+        let m = model();
+        let scheduler = Scheduler::start(config(1, 4), Arc::new(Metrics::new()));
+        let rx = scheduler
+            .submit(request(&m, 1_000_000, None))
+            .expect("admit");
+        let (dropped_tx, dropped) = std::sync::mpsc::channel();
+        let dropper = std::thread::spawn(move || {
+            drop(scheduler);
+            let _ = dropped_tx.send(());
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("answered within 5 s");
+        assert!(
+            matches!(outcome, Err(ServeError::ShuttingDown)),
+            "got {outcome:?}"
+        );
+        dropped
+            .recv_timeout(Duration::from_secs(5))
+            .expect("drop returns within 5 s");
+        dropper.join().expect("dropping thread");
+    }
+
     fn drafted(
         model: &Arc<TinyLm>,
         draft: &Arc<TinyLm>,
@@ -1860,13 +1988,16 @@ mod tests {
     fn speculative_sessions_match_generate_and_count_acceptance() {
         let m = model();
         let metrics = Arc::new(Metrics::new());
-        let scheduler = Scheduler::start(config(2, 8, 4), Arc::clone(&metrics));
+        let scheduler = Scheduler::start(config(2, 8), Arc::clone(&metrics));
         // A draft that *is* the target agrees on every proposal, so
         // acceptance must be total — and the transcript byte-identical.
         let rx = scheduler.submit(drafted(&m, &m, 4, 24)).expect("admit");
         let result = rx.recv().expect("outcome").expect("ok");
-        let reference = chipalign_nn::generate::generate(&m, &[5, 6, 7], &greedy(24)).expect("ok");
-        assert_eq!(result.tokens, reference, "speculative == plain bytes");
+        assert_eq!(
+            result.tokens,
+            reference(&m, &[5, 6, 7], 24),
+            "speculative == plain bytes"
+        );
         let snap = metrics.snapshot();
         assert!(snap.draft_tokens_proposed > 0, "speculation must have run");
         assert_eq!(
@@ -1880,10 +2011,10 @@ mod tests {
     #[test]
     fn batched_slices_mix_speculative_and_plain_members() {
         let m = model();
-        let metrics = Arc::new(Metrics::new());
-        // One worker + narrow slices force batches whose members mix
-        // speculative and plain decoders; each must match generate().
-        let scheduler = Scheduler::start(batched(1, 2, 4), Arc::clone(&metrics));
+        // Batches whose members mix speculative and plain decoders; each
+        // must match generate().
+        let scheduler = stepped(batched(1, 4));
+        let mut clock = Clock::new();
         let budgets = [3usize, 17, 9, 40, 1, 25];
         let receivers: Vec<_> = budgets
             .iter()
@@ -1894,24 +2025,374 @@ mod tests {
                 } else {
                     request(&m, b, None)
                 };
-                scheduler.submit(req).expect("admit")
+                clock.submit(&scheduler, req).expect("admit")
             })
             .collect();
+        clock.run(&scheduler);
         for (rx, &budget) in receivers.into_iter().zip(&budgets) {
-            let result = rx.recv().expect("outcome").expect("ok");
-            let reference =
-                chipalign_nn::generate::generate(&m, &[5, 6, 7], &greedy(budget)).expect("ok");
-            assert_eq!(result.tokens, reference, "budget {budget}");
+            let result = rx.try_recv().expect("outcome").expect("ok");
+            assert_eq!(
+                result.tokens,
+                reference(&m, &[5, 6, 7], budget),
+                "budget {budget}"
+            );
         }
-        let snap = metrics.snapshot();
+        let snap = scheduler.inner.metrics.snapshot();
         // Budget 40 slides the context window; after a slide the draft
         // resyncs on a shorter window and may legitimately disagree, so
         // acceptance is positive but not necessarily total.
+        assert!(snap.batched_slices > 0);
         assert!(snap.draft_tokens_proposed > 0);
         assert!(snap.accepted_draft_tokens > 0);
         assert!(snap.accepted_draft_tokens <= snap.draft_tokens_proposed);
         assert_eq!(scheduler.active(), 0);
-        scheduler.join();
+    }
+
+    /// The seeded simulation: random workloads stepped through the
+    /// scheduler on a virtual clock, with every invariant checked after
+    /// every submit and every step.
+    mod sim {
+        use super::*;
+        use chipalign_nn::{KvCache, KvDtype, KvPoolConfig, NnError};
+        use chipalign_tensor::rng::cases;
+        use std::collections::HashMap;
+
+        /// Seeded workloads per run of the test.
+        const SEEDS: u64 = 1000;
+
+        /// One planned session.
+        struct Plan {
+            model: usize,
+            pool: usize,
+            prompt: Vec<u32>,
+            budget: usize,
+            deadline_ms: Option<u64>,
+            draft: Option<usize>,
+        }
+
+        /// One admitted session and what it has been answered.
+        struct Admitted {
+            plan: usize,
+            rx: Receiver<SessionOutcome>,
+            answered: bool,
+        }
+
+        struct World {
+            models: Vec<Arc<TinyLm>>,
+            /// Pool `i` serves model `i / 2` at dtype f32 (even `i`) or
+            /// int8 (odd `i`), like the server's `spec` and `spec#kv8`.
+            pools: Vec<Arc<KvPool>>,
+            plans: Vec<Plan>,
+            references: HashMap<usize, Vec<u32>>,
+        }
+
+        impl World {
+            /// A workload for a scheduler admitting `max_sessions` at once.
+            fn new(rng: &mut Pcg32, max_sessions: usize) -> World {
+                let models: Vec<Arc<TinyLm>> = (0..2)
+                    .map(|i| {
+                        let mut arch = ArchSpec::tiny(&format!("sim-{i}"));
+                        arch.vocab_size = 99;
+                        Arc::new(TinyLm::new(&arch, &mut rng.derive(i)).expect("model"))
+                    })
+                    .collect();
+                let scaffolds: Vec<Vec<u32>> = (0..rng.range(1, 3))
+                    .map(|_| {
+                        (0..rng.range(2, 10))
+                            .map(|_| rng.range(4, 90) as u32)
+                            .collect()
+                    })
+                    .collect();
+                let plans: Vec<Plan> = (0..rng.range(8, 20))
+                    .map(|_| {
+                        let pool = rng.range(0, 3);
+                        let mut prompt = rng.choose(&scaffolds).clone();
+                        prompt.extend((0..rng.range(0, 4)).map(|_| rng.range(4, 90) as u32));
+                        Plan {
+                            model: pool / 2,
+                            pool,
+                            prompt,
+                            budget: rng.range(1, 14),
+                            deadline_ms: rng.chance(0.25).then(|| rng.range(0, 40) as u64),
+                            draft: (pool.is_multiple_of(2) && rng.chance(0.2))
+                                .then(|| rng.range(1, 3)),
+                        }
+                    })
+                    .collect();
+                let block_tokens = *rng.choose(&[2usize, 4]);
+                let pools = (0..4)
+                    .map(|i| {
+                        // Demand: the blocks the pool's `max_sessions`
+                        // largest sessions hold at their last token. The
+                        // pool is 1–5 blocks short of it.
+                        let mut needs: Vec<usize> = plans
+                            .iter()
+                            .filter(|p| p.pool == i)
+                            .map(|p| (p.prompt.len() + p.budget).div_ceil(block_tokens))
+                            .collect();
+                        needs.sort_unstable_by(|a, b| b.cmp(a));
+                        let demand: usize = needs.iter().take(max_sessions).sum();
+                        KvPool::new(KvPoolConfig {
+                            block_tokens,
+                            max_blocks: demand.saturating_sub(rng.range(1, 5)).max(1),
+                            dtype: if i.is_multiple_of(2) {
+                                KvDtype::F32
+                            } else {
+                                KvDtype::Int8
+                            },
+                        })
+                        .expect("pool")
+                    })
+                    .collect();
+                World {
+                    models,
+                    pools,
+                    plans,
+                    references: HashMap::new(),
+                }
+            }
+
+            fn request(&self, i: usize, now: Instant) -> SessionRequest {
+                let plan = &self.plans[i];
+                let model = &self.models[plan.model];
+                SessionRequest {
+                    model: Arc::clone(model),
+                    prompt: plan.prompt.clone(),
+                    cfg: greedy(plan.budget),
+                    deadline: plan.deadline_ms.map(|ms| now + Duration::from_millis(ms)),
+                    tag: format!("sim-{i}"),
+                    pool: Some(Arc::clone(&self.pools[plan.pool])),
+                    draft: plan.draft.map(|k| SpecDraft {
+                        model: Arc::clone(model),
+                        k,
+                    }),
+                }
+            }
+
+            /// The transcript a session of plan `i` must produce: `generate()`
+            /// on f32, a sequential decode on a private pool of the same
+            /// shape on int8 (int8 KV is lossy, and block seals are
+            /// positional, so chunking and prefix reuse change no bit).
+            fn reference(&mut self, i: usize) -> &[u32] {
+                let plan = &self.plans[i];
+                let model = &self.models[plan.model];
+                let pool = &self.pools[plan.pool];
+                self.references.entry(i).or_insert_with(|| {
+                    if pool.dtype() == KvDtype::F32 {
+                        return reference(model, &plan.prompt, plan.budget);
+                    }
+                    let private = KvPool::new(KvPoolConfig {
+                        block_tokens: pool.block_tokens(),
+                        max_blocks: 4096,
+                        dtype: KvDtype::Int8,
+                    })
+                    .expect("pool");
+                    let mut session = StepDecoder::new_chunked_pooled(
+                        model,
+                        &plan.prompt,
+                        &greedy(plan.budget),
+                        &private,
+                    )
+                    .expect("session");
+                    session.prefill_pending(usize::MAX).expect("prefill");
+                    std::iter::from_fn(|| session.step().expect("step")).collect()
+                })
+            }
+        }
+
+        /// (a) Every pool's blocks and bytes in use are exactly those of
+        /// the live sessions' caches and the prefix snapshots, shared
+        /// blocks counted once.
+        fn assert_blocks_accounted(s: &Scheduler, clock: &Clock, pools: &[Arc<KvPool>]) {
+            let queue = lock_queue(&s.inner);
+            let members = clock.slice.iter().flat_map(|slice| &slice.members);
+            let tasks: Vec<&Task> = queue.iter().chain(members.map(|m| &m.task)).collect();
+            for (i, pool) in pools.iter().enumerate() {
+                let mut held: HashMap<u64, usize> = HashMap::new();
+                let mut hold = |cache: &KvCache| {
+                    if Arc::ptr_eq(cache.pool(), pool) {
+                        held.extend(cache.block_ids());
+                    }
+                };
+                for task in &tasks {
+                    if let TaskState::Live(d) = &task.state {
+                        hold(d.target().cache());
+                    }
+                }
+                s.inner.prefix.for_each_snapshot(&mut hold);
+                assert_eq!(held.len(), pool.blocks_in_use(), "(a) pool {i} blocks");
+                assert_eq!(
+                    held.values().sum::<usize>(),
+                    pool.bytes_in_use(),
+                    "(a) pool {i} bytes"
+                );
+            }
+        }
+
+        /// (b) Every admission attempt has ended under exactly one counter
+        /// or is still in flight.
+        fn assert_conserved(s: &Scheduler) {
+            let snap = s.inner.metrics.snapshot();
+            let ended = snap.completed
+                + snap.failed
+                + snap.deadline_exceeded
+                + snap.watchdog_cancels
+                + snap.rejected_overload
+                + snap.rejected_shutdown
+                + snap.panicked_sessions;
+            assert_eq!(snap.requests, ended + s.active() as u64, "(b) {snap:?}");
+        }
+
+        /// (c) and (e): collects new outcomes; a second outcome, or a
+        /// channel closed unanswered, fails, and every completed
+        /// transcript must be its reference.
+        fn collect(world: &mut World, admitted: &mut [Admitted]) {
+            for a in admitted.iter_mut() {
+                match a.rx.try_recv() {
+                    Ok(outcome) => {
+                        assert!(!a.answered, "(c) session {} answered twice", a.plan);
+                        a.answered = true;
+                        match outcome {
+                            Ok(result) => assert_eq!(
+                                result.tokens,
+                                world.reference(a.plan),
+                                "(e) session {}",
+                                a.plan
+                            ),
+                            Err(
+                                ServeError::DeadlineExceeded { .. }
+                                | ServeError::ShuttingDown
+                                | ServeError::Nn(NnError::PoolExhausted { .. }),
+                            ) => {}
+                            // A joint step of several members that runs a
+                            // pool dry cancels all of them.
+                            Err(ServeError::Internal { detail })
+                                if detail.contains("kv pool exhausted") => {}
+                            Err(e) => panic!("session {} failed: {e}", a.plan),
+                        }
+                    }
+                    Err(TryRecvError::Empty) => {}
+                    Err(TryRecvError::Disconnected) => {
+                        assert!(a.answered, "(c) session {} closed unanswered", a.plan);
+                    }
+                }
+            }
+        }
+
+        fn check(s: &Scheduler, clock: &Clock, world: &mut World, admitted: &mut [Admitted]) {
+            assert_blocks_accounted(s, clock, &world.pools);
+            assert_conserved(s);
+            collect(world, admitted);
+        }
+
+        /// Submits plan `i`, checking (d): every `pool_evictions`
+        /// increment raised the pressed pool's `blocks_free`, and only a
+        /// request the session bound admitted evicts.
+        fn submit(
+            s: &Scheduler,
+            clock: &Clock,
+            world: &World,
+            i: usize,
+        ) -> Option<Receiver<SessionOutcome>> {
+            let pool = &world.pools[world.plans[i].pool];
+            let (free, evictions) = (
+                pool.blocks_free(),
+                s.inner.metrics.snapshot().pool_evictions,
+            );
+            let outcome = clock.submit(s, world.request(i, clock.now));
+            let evicted = s.inner.metrics.snapshot().pool_evictions - evictions;
+            assert!(
+                pool.blocks_free() >= free + evicted as usize,
+                "(d) {evicted} evictions raised blocks_free {free} -> {}",
+                pool.blocks_free()
+            );
+            if matches!(
+                outcome,
+                Err(ServeError::Overloaded { .. } | ServeError::ShuttingDown)
+            ) {
+                assert_eq!(evicted, 0, "(d) a refused request evicted");
+            }
+            outcome.ok()
+        }
+
+        #[test]
+        fn seeded_workloads_keep_every_invariant_after_every_submit_and_round() {
+            let mut max_in_flight_over_batch = 0;
+            // Pool evictions, deadlines, aborted sessions, prefix hits and
+            // admission rejections across all workloads.
+            let mut covered = [0u64; 5];
+            for mut rng in cases(44, SEEDS) {
+                let max_batch = *rng.choose(&[1usize, 2, 4]);
+                let max_sessions = max_batch + rng.range(1, 4);
+                let mut world = World::new(&mut rng, max_sessions);
+                let scheduler = stepped(SchedulerConfig {
+                    workers: 1,
+                    max_sessions,
+                    max_batch,
+                });
+                let abort_at = rng.chance(0.25).then(|| rng.range(0, 60));
+                let mut clock = Clock::new();
+                let mut admitted: Vec<Admitted> = Vec::new();
+                let (mut next, mut steps) = (0, 0);
+                loop {
+                    let idle = clock.slice.is_none() && lock_queue(&scheduler.inner).is_empty();
+                    if next < world.plans.len() && (idle || rng.chance(0.5)) {
+                        if let Some(rx) = submit(&scheduler, &clock, &world, next) {
+                            admitted.push(Admitted {
+                                plan: next,
+                                rx,
+                                answered: false,
+                            });
+                        }
+                        next += 1;
+                    } else if clock.step(&scheduler) {
+                        clock.now += Duration::from_millis(rng.range(0, 2) as u64);
+                        steps += 1;
+                    } else {
+                        break;
+                    }
+                    if abort_at == Some(steps) {
+                        scheduler.abort();
+                    }
+                    check(&scheduler, &clock, &mut world, &mut admitted);
+                    max_in_flight_over_batch =
+                        max_in_flight_over_batch.max(scheduler.active().saturating_sub(max_batch));
+                }
+                assert!(
+                    admitted.iter().all(|a| a.answered),
+                    "(c) every session answered"
+                );
+                assert_eq!(scheduler.active(), 0);
+                let snap = scheduler.inner.metrics.snapshot();
+                let seen = [
+                    snap.pool_evictions,
+                    snap.deadline_exceeded,
+                    snap.rejected_shutdown,
+                    snap.prefix_hits,
+                    snap.rejected_overload,
+                ];
+                for (total, n) in covered.iter_mut().zip(seen) {
+                    *total += n;
+                }
+                drop(scheduler);
+                collect(&mut world, &mut admitted);
+                for pool in &world.pools {
+                    assert_eq!(
+                        pool.blocks_in_use(),
+                        0,
+                        "every block back once the cache is gone"
+                    );
+                }
+            }
+            assert!(
+                max_in_flight_over_batch > 0,
+                "some workload kept more in flight than max_batch"
+            );
+            assert!(
+                covered.iter().all(|&n| n > 0),
+                "every path ran: {covered:?}"
+            );
+        }
     }
 
     #[cfg(feature = "fault-inject")]
@@ -1932,7 +2413,7 @@ mod tests {
             faults::arm(Site::WorkerPanic, Some("poison"), Trigger::Once(1));
             let m = model();
             let metrics = Arc::new(Metrics::new());
-            let scheduler = Scheduler::start(config(2, 8, 4), Arc::clone(&metrics));
+            let scheduler = Scheduler::start(config(2, 8), Arc::clone(&metrics));
             let poisoned = scheduler.submit(tagged(&m, 24, "poison")).expect("admit");
             let healthy = scheduler.submit(tagged(&m, 24, "healthy")).expect("admit");
             let bad = poisoned.recv().expect("outcome");
@@ -1941,9 +2422,11 @@ mod tests {
                 "got {bad:?}"
             );
             let good = healthy.recv().expect("outcome").expect("ok");
-            let reference =
-                chipalign_nn::generate::generate(&m, &[5, 6, 7], &greedy(24)).expect("ok");
-            assert_eq!(good.tokens, reference, "healthy session unaffected");
+            assert_eq!(
+                good.tokens,
+                reference(&m, &[5, 6, 7], 24),
+                "healthy session unaffected"
+            );
             assert_eq!(metrics.snapshot().worker_panics, 1);
             assert_eq!(scheduler.active(), 0);
             scheduler.join();
@@ -1955,7 +2438,7 @@ mod tests {
             faults::arm(Site::SessionStall, Some("stuck"), Trigger::Always);
             let m = model();
             let metrics = Arc::new(Metrics::new());
-            let scheduler = Scheduler::start(config(1, 4, 4), Arc::clone(&metrics));
+            let scheduler = Scheduler::start(config(1, 4), Arc::clone(&metrics));
             let rx = scheduler.submit(tagged(&m, 24, "stuck")).expect("admit");
             let outcome = rx.recv().expect("outcome");
             assert!(
@@ -1977,11 +2460,11 @@ mod tests {
             faults::arm(Site::WorkerDeath, Some("victim"), Trigger::Once(1));
             let m = model();
             let metrics = Arc::new(Metrics::new());
-            let scheduler = Scheduler::start(config(1, 4, 4), Arc::clone(&metrics));
+            let scheduler = Scheduler::start(config(1, 4), Arc::clone(&metrics));
             let doomed = scheduler.submit(tagged(&m, 24, "victim")).expect("admit");
             let outcome = doomed.recv().expect("drop guard must report");
             assert!(
-                matches!(outcome, Err(ServeError::Internal { .. })),
+                matches!(outcome, Err(ServeError::WorkerPanic { ref detail }) if detail.contains("worker died")),
                 "got {outcome:?}"
             );
             // The single worker died holding the session — the respawned
@@ -1989,7 +2472,9 @@ mod tests {
             let next = scheduler.submit(tagged(&m, 8, "after")).expect("admit");
             let result = next.recv().expect("outcome").expect("ok");
             assert_eq!(result.tokens.len(), 8);
-            assert_eq!(metrics.snapshot().workers_respawned, 1);
+            let snap = metrics.snapshot();
+            assert_eq!(snap.workers_respawned, 1);
+            assert_eq!(snap.panicked_sessions, 1);
             assert_eq!(scheduler.active(), 0);
             scheduler.join();
         }

@@ -1,7 +1,8 @@
 //! Seeded property tests for the batched scheduler: random admission/completion
-//! interleavings, random session mixes, every `max_batch` in `{1, 2, 4}`,
-//! and sessions joining and leaving a running slice at round boundaries
-//! must be invisible in the per-session transcripts — each one
+//! interleavings, random session mixes, every `max_batch` in `{1, 2, 4}`
+//! with more sessions than `max_batch` (so sessions rotate between
+//! slices), and sessions joining and leaving a running slice at round
+//! boundaries must be invisible in the per-session transcripts — each one
 //! byte-identical to a single-threaded `generate()` — while the metrics
 //! stay internally consistent.
 //!
@@ -66,9 +67,9 @@ fn random_jobs(rng: &mut Pcg32, lo: usize, hi: usize) -> Vec<Job> {
 fn random_interleavings_are_invisible_at_every_max_batch() {
     for mut rng in cases(1, CASES) {
         let m = model(&mut rng);
-        let jobs = random_jobs(&mut rng, 2, 9);
         let max_batch = *rng.choose(&[1usize, 2, 4]);
-        let (workers, slice_tokens) = (rng.range(1, 2), rng.range(1, 3));
+        let jobs = random_jobs(&mut rng, max_batch + 1, 9);
+        let workers = rng.range(1, 2);
         // Generous pool: these cases probe bit-identity of paged storage
         // under random interleavings, not admission pressure.
         let pool = KvPool::new(KvPoolConfig {
@@ -82,7 +83,6 @@ fn random_interleavings_are_invisible_at_every_max_batch() {
             SchedulerConfig {
                 workers,
                 max_sessions: jobs.len(),
-                slice_tokens,
                 max_batch,
             },
             Arc::clone(&metrics),
@@ -161,8 +161,8 @@ fn mixed_dtype_sessions_coexist_without_cross_talk() {
         // and sliced decode quantize identically to the sequential run).
         // `Job::pooled` picks the dtype here: true → int8, false → f32.
         let m = model(&mut rng);
-        let jobs = random_jobs(&mut rng, 2, 7);
-        let (workers, slice_tokens) = (rng.range(1, 2), rng.range(1, 3));
+        let jobs = random_jobs(&mut rng, 5, 7);
+        let workers = rng.range(1, 2);
         let f32_pool = KvPool::new(KvPoolConfig {
             block_tokens: 4,
             max_blocks: 4096,
@@ -180,7 +180,6 @@ fn mixed_dtype_sessions_coexist_without_cross_talk() {
             SchedulerConfig {
                 workers,
                 max_sessions: jobs.len(),
-                slice_tokens,
                 max_batch: 4,
             },
             Arc::clone(&metrics),
@@ -261,10 +260,12 @@ fn sessions_leaving_and_joining_mid_slice_are_answered_once_and_unchanged() {
     // One worker, so every admission lands in a running slice: sessions
     // submitted while others decode must join at a round boundary, and
     // members must leave the round they end. Plain and speculative
-    // members, private and pooled KV, random slice length and batch width.
+    // members, private and pooled KV, random batch width, and more
+    // sessions than one batch holds.
     for mut rng in cases(3, CASES) {
         let m = model(&mut rng);
-        let n = rng.range(2, 9);
+        let max_batch = *rng.choose(&[1usize, 2, 4, 8]);
+        let n = rng.range(max_batch + 1, 9.max(max_batch + 2));
         let jobs: Vec<(Job, Option<usize>)> = random_jobs(&mut rng, n, n)
             .into_iter()
             .map(|mut job| {
@@ -273,8 +274,6 @@ fn sessions_leaving_and_joining_mid_slice_are_answered_once_and_unchanged() {
                 (job, k)
             })
             .collect();
-        let max_batch = *rng.choose(&[1usize, 2, 4, 8]);
-        let slice_tokens = rng.range(1, 12);
         let pool = KvPool::new(KvPoolConfig {
             block_tokens: 4,
             max_blocks: 4096,
@@ -287,7 +286,6 @@ fn sessions_leaving_and_joining_mid_slice_are_answered_once_and_unchanged() {
             SchedulerConfig {
                 workers: 1,
                 max_sessions: jobs.len(),
-                slice_tokens,
                 max_batch,
             },
             Arc::clone(&metrics),
@@ -295,11 +293,13 @@ fn sessions_leaving_and_joining_mid_slice_are_answered_once_and_unchanged() {
 
         // Staggered admissions: each session is submitted at once, after a
         // short pause (the worker is then mid-slice), or after the oldest
-        // outstanding session is answered.
+        // outstanding session is answered. The first `max_batch + 1` go in
+        // at once, so more sessions are admitted than one batch holds.
         let mut pending = std::collections::VecDeque::new();
         let mut answered = Vec::with_capacity(jobs.len());
-        for (job, k) in &jobs {
-            match rng.range(0, 2) {
+        for (i, (job, k)) in jobs.iter().enumerate() {
+            let stagger = rng.range(0, 2);
+            match if i <= max_batch { 0 } else { stagger } {
                 0 => {}
                 1 => {
                     std::thread::sleep(std::time::Duration::from_micros(rng.range(20, 400) as u64))
@@ -330,7 +330,7 @@ fn sessions_leaving_and_joining_mid_slice_are_answered_once_and_unchanged() {
             answered.push((outcome_tokens(&rx), rx, j));
         }
 
-        let shape = format!("max_batch={max_batch} slice_tokens={slice_tokens}");
+        let shape = format!("max_batch={max_batch}");
         for (tokens, _, job) in &answered {
             let reference = generate(&m, &job.prompt, &greedy(job.budget)).expect("reference");
             assert_eq!(tokens, &reference, "transcript changed under {shape}");

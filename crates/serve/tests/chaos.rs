@@ -44,7 +44,6 @@ fn server_config(workers: usize) -> ServerConfig {
         scheduler: SchedulerConfig {
             workers,
             max_sessions: 16,
-            slice_tokens: 4,
             max_batch: 1,
         },
         max_new_tokens_cap: 10_000_000,
@@ -182,7 +181,6 @@ fn batched_panic_cancels_only_the_poisoned_batch_mate() {
         scheduler: SchedulerConfig {
             workers: 1,
             max_sessions: 16,
-            slice_tokens: 4,
             max_batch: 4,
         },
         ..server_config(1)

@@ -36,7 +36,6 @@ fn server_config(workers: usize, max_sessions: usize) -> ServerConfig {
         scheduler: SchedulerConfig {
             workers,
             max_sessions,
-            slice_tokens: 4,
             max_batch: 4,
         },
         max_new_tokens_cap: 10_000_000,

@@ -88,7 +88,6 @@ fn greedy_transcripts_identical_across_all_decode_paths() {
             scheduler: SchedulerConfig {
                 workers: 2,
                 max_sessions: 8,
-                slice_tokens: 4,
                 max_batch: 1,
             },
             max_new_tokens_cap: 10_000_000,
@@ -147,7 +146,6 @@ fn served_greedy_identical_through_window_slide() {
             scheduler: SchedulerConfig {
                 workers: 2,
                 max_sessions: 8,
-                slice_tokens: 4,
                 max_batch: 1,
             },
             max_new_tokens_cap: 10_000_000,
@@ -238,7 +236,6 @@ fn chunked_and_prefix_seeded_transcripts_identical_to_cold_prefill() {
             scheduler: SchedulerConfig {
                 workers: 1,
                 max_sessions: 8,
-                slice_tokens: 4,
                 max_batch: 1,
             },
             max_new_tokens_cap: 10_000_000,
@@ -316,7 +313,6 @@ fn batched_transcripts_identical_across_max_batch_sweep() {
                 scheduler: SchedulerConfig {
                     workers: 1,
                     max_sessions: 8,
-                    slice_tokens: 4,
                     max_batch,
                 },
                 max_new_tokens_cap: 10_000_000,
@@ -444,7 +440,6 @@ fn served_int8_transcripts_identical_to_local_int8_decode() {
             scheduler: SchedulerConfig {
                 workers: 2,
                 max_sessions: 8,
-                slice_tokens: 4,
                 max_batch: 1,
             },
             max_new_tokens_cap: 10_000_000,
@@ -498,7 +493,6 @@ fn served_kv8_transcripts_identical_to_local_int8_pool_decode() {
             scheduler: SchedulerConfig {
                 workers: 2,
                 max_sessions: 8,
-                slice_tokens: 4,
                 max_batch: 1,
             },
             max_new_tokens_cap: 10_000_000,
@@ -604,7 +598,6 @@ fn batched_int8_transcripts_identical_to_single_threaded_int8() {
             scheduler: SchedulerConfig {
                 workers: 1,
                 max_sessions: 8,
-                slice_tokens: 4,
                 max_batch: 4,
             },
             max_new_tokens_cap: 10_000_000,
@@ -739,7 +732,6 @@ fn spec_server(max_batch: usize) -> Server {
             scheduler: SchedulerConfig {
                 workers: 1,
                 max_sessions: 8,
-                slice_tokens: 4,
                 max_batch,
             },
             max_new_tokens_cap: 10_000_000,

@@ -30,7 +30,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             scheduler: SchedulerConfig {
                 workers: 4,
                 max_sessions: 16,
-                slice_tokens: 8,
                 max_batch: 4,
             },
             max_new_tokens_cap: 128,

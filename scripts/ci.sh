@@ -74,6 +74,21 @@ if grep -rn 'Fnv1a\|fnv1a' crates/model/src; then
   echo "ci: crates/model names FNV-1a again; there is one checkpoint checksum (XXH64)" >&2
   exit 1
 fi
+# One clock: the scheduler takes the time as an argument. Outside its tests
+# only the thread shell reads the wall clock (the worker loop and
+# `Scheduler::submit`, two `Instant::now` calls), and its tests step a
+# virtual clock instead of sleeping or spinning.
+sched=crates/serve/src/scheduler.rs
+sched_body="$(awk 'prev == "#[cfg(test)]" && /^mod / { exit } { print; prev = $0 }' "$sched")"
+sched_tests="$(awk 'prev == "#[cfg(test)]" && /^mod / { tests = 1 } tests { print } { prev = $0 }' "$sched")"
+if [ "$(grep -o 'Instant::now' <<<"$sched_body" | wc -l)" -gt 2 ] || grep -q '\.elapsed()' <<<"$sched_body"; then
+  echo "ci: $sched reads the wall clock outside its thread shell; pass the time in" >&2
+  exit 1
+fi
+if grep -qE 'thread::sleep|yield_now' <<<"$sched_tests"; then
+  echo "ci: $sched's tests sleep or spin; step the scheduler on a virtual clock" >&2
+  exit 1
+fi
 # Non-test lines per crate: every line above a file's `#[cfg(test)] mod`
 # block (a whole file when it has none), then their total. These are the
 # sizes ROADMAP quotes.
@@ -137,8 +152,9 @@ cargo test -q --workspace
 # compute pool has no workers and every job runs inline on its caller —
 # `tensor::parallelize` in every merge test, and every split projection in
 # every nn pin — which must give the same bits as the pooled runs above.
-# The serve suites run here too, so the scheduler's answer-order tests
-# hold with no second core for the waiting client thread.
+# The serve suites run here too: the threaded scheduler tests must hold
+# with no second core (the answer-order tests step the scheduler on their
+# own thread and need none).
 taskset -c 0 cargo test -q -p chipalign-tensor -p chipalign-nn -p chipalign-merge -p chipalign-serve
 # Once more per portable tier: there `gemm_bt` / `gemm_bt_q8` are the
 # trait's default per-element dot loops, not the AVX2 tiles, so every
