@@ -123,22 +123,16 @@ pub struct StepDecoder {
     // verified row.
     pub(crate) cfg: GenerateConfig,
     rng: Pcg32,
-    /// The context-window size this session slides at.
-    pub(crate) max_ctx: usize,
+    /// The prompt, then every committed token.
     context: Vec<u32>,
+    /// The one cursor: `cache` holds `context[window_start ..
+    /// window_start + cache.len()]`, and everything after that is pending
+    /// input (see [`StepDecoder::pending_prefill`]).
+    window_start: usize,
     pub(crate) cache: crate::kv::KvCache,
     pub(crate) last_logits: Vec<f32>,
-    /// Next `context` index awaiting prefill. The session is mid-prefill
-    /// (initial prompt or a deferred window-slide replay) while
-    /// `prefill_next < prefill_end`; `step()` completes the remainder
-    /// before choosing a token, and schedulers may drain it earlier in
-    /// bounded chunks via [`StepDecoder::prefill_pending`].
-    prefill_next: usize,
-    /// One past the last `context` index scheduled for prefill.
-    prefill_end: usize,
     emitted: usize,
     done: bool,
-    saw_eos: bool,
 }
 
 impl StepDecoder {
@@ -208,45 +202,43 @@ impl StepDecoder {
                 detail: "generation requires a non-empty prompt".into(),
             });
         }
-        let max_ctx = cache.model().arch().max_seq_len;
-        let context: Vec<u32> = prompt.to_vec();
-        // Schedule the most recent window for prefill, leaving one slot
-        // for the first generated token.
-        let start = context.len().saturating_sub(max_ctx.saturating_sub(1));
-        let end = context.len();
-        Ok(StepDecoder {
+        let mut session = StepDecoder {
             cfg: *cfg,
             rng: Pcg32::seed(cfg.seed),
-            max_ctx,
-            context,
+            context: prompt.to_vec(),
+            window_start: 0,
             cache,
             last_logits: Vec::new(),
-            prefill_next: start,
-            prefill_end: end,
             emitted: 0,
             done: false,
-            saw_eos: false,
-        })
+        };
+        session.begin_slide();
+        Ok(session)
     }
 
-    /// Whether the session still has prompt (or slide-replay) tokens to
-    /// prefill before it can choose its next token.
+    /// Whether the session has input to feed before it can choose its next
+    /// token: prompt, slide replay, or a token a failed step chose.
     #[must_use]
     pub fn is_prefilling(&self) -> bool {
-        self.prefill_next < self.prefill_end
+        !self.pending_prefill().is_empty()
     }
 
     /// Number of tokens still awaiting prefill.
     #[must_use]
     pub fn prefill_remaining(&self) -> usize {
-        self.prefill_end - self.prefill_next
+        self.pending_prefill().len()
     }
 
-    /// The tokens still awaiting prefill (for a fresh session, the whole
-    /// prompt window — what a prefix cache should be probed with).
+    /// The tokens still awaiting prefill: everything in the context past
+    /// what the cache holds (for a fresh session, the whole prompt window
+    /// — what a prefix cache should be probed with). Empty once the
+    /// session is done: its final token is never fed.
     #[must_use]
     pub fn pending_prefill(&self) -> &[u32] {
-        &self.context[self.prefill_next..self.prefill_end]
+        if self.done {
+            return &[];
+        }
+        &self.context[self.window_start + self.cache.len()..]
     }
 
     /// The session's KV cache (read-only; lets a serving layer snapshot a
@@ -265,18 +257,15 @@ impl StepDecoder {
     ///
     /// Forwards forward-pass failures (for a pooled session,
     /// [`NnError::PoolExhausted`]). [`KvCache::prefill_chunk`] is atomic,
-    /// so a failed call leaves cache and cursor exactly as they were and
-    /// can simply be retried once the pool has room.
+    /// so a failed call leaves the session exactly as it was and can
+    /// simply be retried once the pool has room.
     pub fn prefill_pending(&mut self, max_tokens: usize) -> Result<usize, NnError> {
         let take = self.prefill_remaining().min(max_tokens);
         if take == 0 {
             return Ok(0);
         }
-        let chunk_end = self.prefill_next + take;
-        self.last_logits = self
-            .cache
-            .prefill_chunk(&self.context[self.prefill_next..chunk_end])?;
-        self.prefill_next = chunk_end;
+        let fed = self.window_start + self.cache.len();
+        self.last_logits = self.cache.prefill_chunk(&self.context[fed..fed + take])?;
         Ok(take)
     }
 
@@ -313,13 +302,12 @@ impl StepDecoder {
                 ),
             });
         }
-        if prefix.tokens() != &self.context[self.prefill_next..self.prefill_next + p] {
+        if prefix.tokens() != &self.pending_prefill()[..p] {
             return Err(NnError::BadSequence {
                 detail: "adopt_prefix: prefix token history does not match the prompt".into(),
             });
         }
         self.cache = prefix;
-        self.prefill_next += p;
         Ok(p)
     }
 
@@ -329,7 +317,8 @@ impl StepDecoder {
     ///
     /// # Errors
     ///
-    /// Forwards forward-pass failures from the underlying cache.
+    /// Forwards forward-pass failures from the underlying cache, with
+    /// [`StepDecoder::step_batch`]'s resumable-session contract.
     pub fn step(&mut self) -> Result<Option<u32>, NnError> {
         Ok(Self::step_batch(&mut [self])?.pop().flatten())
     }
@@ -338,25 +327,26 @@ impl StepDecoder {
     /// new token in submission order (`None` for sessions that were already
     /// done).
     ///
-    /// Every live session first finishes any pending prefill (initial
-    /// prompt remainder or a deferred window-slide replay), then chooses
-    /// and commits its next token from its own logits and RNG stream; the
-    /// sessions that need an ordinary decode are grouped by model
-    /// allocation and advanced through [`KvCache::decode_batch`] — one
-    /// `N × d` GEMM per projection instead of N matvecs. Sessions that hit
-    /// a context-window boundary defer their slide: the cache resets and
-    /// the window replay is scheduled as a pending chunked prefill,
-    /// consumed at the next step. Token streams are **bit-identical** to
-    /// stepping each session alone, pinned by tests.
+    /// Every live session first feeds its pending input (initial prompt
+    /// remainder, a deferred window-slide replay, or a token an earlier
+    /// failed step chose), then chooses and commits its next token from
+    /// its own logits and RNG stream; the sessions that need an ordinary
+    /// decode are grouped by model allocation and advanced through
+    /// [`KvCache::decode_batch`] — one `N × d` GEMM per projection
+    /// instead of N matvecs. Sessions that hit a context-window boundary
+    /// defer their slide: the cache resets and the window replay is left
+    /// pending, consumed at the next step. Token streams are
+    /// **bit-identical** to stepping each session alone, pinned by tests.
     ///
     /// # Errors
     ///
-    /// Forwards forward-pass failures. Like a failed `step()`, a failed
-    /// batch leaves the affected sessions mid-token (chosen but not
-    /// advanced); callers should treat them as poisoned and cancel.
+    /// Forwards forward-pass failures. Every session stays valid and
+    /// resumable: a token chosen but not yet fed is pending input, fed
+    /// first at the next step (or by [`StepDecoder::prefill_pending`]).
+    /// Such a token is not returned; [`StepDecoder::generated`] holds it.
     pub fn step_batch(sessions: &mut [&mut StepDecoder]) -> Result<Vec<Option<u32>>, NnError> {
         let mut out = vec![None; sessions.len()];
-        // Phase 1: complete pending prefill, then choose and commit each
+        // Phase 1: feed pending input, then choose and commit each
         // live session's next token from its own logits and RNG stream, so
         // stop conditions fall where a lone session's would.
         let mut group_of: Vec<Option<usize>> = vec![None; sessions.len()];
@@ -372,7 +362,7 @@ impl StepDecoder {
             if s.done {
                 continue;
             }
-            if s.cache.len() >= s.max_ctx {
+            if s.cache.len() >= s.max_ctx() {
                 // Defer the slide replay; it runs as this session's
                 // pending prefill at the start of the next step.
                 s.begin_slide();
@@ -425,32 +415,32 @@ impl StepDecoder {
         }
     }
 
-    /// Records a chosen token: context, budget, and stop-condition
-    /// bookkeeping (everything `step()` does between choosing a token and
-    /// advancing the cache).
+    /// Records a chosen token: it joins the context as pending input (fed
+    /// at the next step unless it is the final one), and the budget and
+    /// stop conditions are checked.
     pub(crate) fn commit(&mut self, next: u32) {
         self.emitted += 1;
         self.context.push(next);
-        if self.cfg.stop_at_eos && next == EOS {
-            self.saw_eos = true;
-            self.done = true;
-        } else if self.emitted >= self.cfg.max_new_tokens {
-            self.done = true;
-        }
+        self.done =
+            (self.cfg.stop_at_eos && next == EOS) || self.emitted >= self.cfg.max_new_tokens;
     }
 
-    /// Context-window slide, deferred: resets the *existing* cache and
-    /// schedules the most recent window as pending prefill, replayed (in
-    /// whatever chunks the caller chooses) before the next token is
-    /// chosen. `reset()` keeps the pool, the score scratch and the shared
-    /// model `Arc`, so a slide allocates no model state — it is pure
-    /// bookkeeping; the window replay happens through
-    /// [`StepDecoder::prefill_pending`] like any other prefill.
+    /// Context-window slide, deferred (and a fresh session's first
+    /// window): resets the *existing* cache and leaves the most recent
+    /// `max_ctx - 1` tokens pending, replayed (in whatever chunks the
+    /// caller chooses) before the next token is chosen, with one slot for
+    /// that token. `reset()` keeps the pool, the score scratch and the
+    /// shared model `Arc`, so a slide allocates no model state — it is
+    /// pure bookkeeping.
     pub(crate) fn begin_slide(&mut self) {
-        let start = self.context.len() - (self.max_ctx - 1);
+        let window = self.max_ctx().saturating_sub(1);
+        self.window_start = self.context.len().saturating_sub(window);
         self.cache.reset();
-        self.prefill_next = start;
-        self.prefill_end = self.context.len();
+    }
+
+    /// The context-window size this session slides at.
+    pub(crate) fn max_ctx(&self) -> usize {
+        self.cache.model().arch().max_seq_len
     }
 
     /// Whether the session has produced its final token.
@@ -463,13 +453,19 @@ impl StepDecoder {
     /// exhausting its token budget).
     #[must_use]
     pub fn stopped_at_eos(&self) -> bool {
-        self.saw_eos
+        self.done && self.cfg.stop_at_eos && self.context.last() == Some(&EOS)
     }
 
     /// Number of new tokens emitted so far.
     #[must_use]
     pub fn emitted(&self) -> usize {
         self.emitted
+    }
+
+    /// The tokens generated so far, including one a failed step chose.
+    #[must_use]
+    pub fn generated(&self) -> &[u32] {
+        &self.context[self.context.len() - self.emitted..]
     }
 
     /// The full context (prompt plus generated tokens).
@@ -1189,6 +1185,58 @@ mod tests {
         assert!(a.is_done() && b.is_done());
         assert_eq!(a.emitted(), 2);
         assert_eq!(b.emitted(), 6);
+    }
+
+    #[test]
+    fn a_batch_step_that_runs_the_pool_dry_resumes_once_blocks_are_free() {
+        // The joint decode fails as a whole; each session keeps the token
+        // it chose as pending input, fed first at the next step, so every
+        // transcript still equals generate().
+        let model = trained_on(&[5, 6, 7, 8, 9]);
+        let cfg = GenerateConfig {
+            max_new_tokens: 6,
+            stop_at_eos: false,
+            ..GenerateConfig::default()
+        };
+        let prompts: [&[u32]; 2] = [&[5, 6], &[6, 7, 8]];
+        let model = Arc::new(model);
+        // One-token blocks: the sessions need 7 + 8 in all. A squatter
+        // holds 9 of 15 and the prompts 5, so the first joint decode finds
+        // one block for two new positions.
+        let pool = crate::KvPool::new(crate::KvPoolConfig {
+            block_tokens: 1,
+            max_blocks: 15,
+            ..crate::KvPoolConfig::default()
+        })
+        .expect("valid pool config");
+        let mut squatter = KvCache::new_paged(&model, &pool);
+        squatter.prefill(&[9; 9]).expect("9 blocks");
+        let mut sessions: Vec<StepDecoder> = prompts
+            .iter()
+            .map(|p| {
+                let mut s = StepDecoder::new_chunked_pooled(&model, p, &cfg, &pool).expect("ok");
+                s.prefill_pending(usize::MAX).expect("fits");
+                s
+            })
+            .collect();
+        let mut refs: Vec<&mut StepDecoder> = sessions.iter_mut().collect();
+        let err = StepDecoder::step_batch(&mut refs).expect_err("pool is short");
+        assert!(matches!(err, NnError::PoolExhausted { .. }));
+        for s in &sessions {
+            assert_eq!(s.generated().len(), 1, "the chosen token is kept");
+            assert_eq!(s.pending_prefill(), s.generated(), "and pending");
+        }
+
+        drop(squatter);
+        while !sessions.iter().all(StepDecoder::is_done) {
+            let mut refs: Vec<&mut StepDecoder> = sessions.iter_mut().collect();
+            StepDecoder::step_batch(&mut refs).expect("room now");
+        }
+        for (s, p) in sessions.iter().zip(prompts) {
+            assert!(!s.is_prefilling(), "a finished session has nothing pending");
+            let expected = generate(&model, p, &cfg).expect("ok");
+            assert_eq!(s.generated(), &expected[..], "prompt {p:?} drifted");
+        }
     }
 
     #[test]

@@ -374,9 +374,8 @@ fn score_tile(q: &[f32], tile: &[f32], out: &mut [f32]) {
 pub struct KvCache {
     model: Arc<TinyLm>,
     table: BlockTable,
-    len: usize,
-    /// The token fed at each cached position, in order (`tokens.len() ==
-    /// len`). Lets prefix reuse verify that a donated cache really holds
+    /// The token fed at each cached position, in order; its length is the
+    /// cache's. Lets prefix reuse verify that a donated cache really holds
     /// the prompt it claims to.
     tokens: Vec<u32>,
     /// Reusable attention-score scratch, `n_heads × len` (capacity grows
@@ -428,7 +427,6 @@ impl KvCache {
                 blocks: Vec::new(),
                 n_heads: model.arch().n_heads,
             },
-            len: 0,
             tokens: Vec::new(),
             score_buf: Vec::new(),
         }
@@ -480,7 +478,7 @@ impl KvCache {
     /// serving prefix cache trims donations with this.
     #[must_use]
     pub fn aligned_fork_len(&self, positions: usize) -> usize {
-        let positions = positions.min(self.len);
+        let positions = positions.min(self.len());
         if self.cuts_sealed(positions) {
             positions - positions % self.table.pool.block_tokens()
         } else {
@@ -509,13 +507,13 @@ impl KvCache {
     /// Number of positions processed so far.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.tokens.len()
     }
 
     /// Whether no positions have been processed.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.tokens.is_empty()
     }
 
     /// The token fed at each cached position, in order.
@@ -535,7 +533,7 @@ impl KvCache {
     #[must_use]
     pub fn kv_bytes(&self) -> usize {
         let arch = self.model.arch();
-        arch.n_layers * self.len * 2 * arch.d_model * std::mem::size_of::<f32>()
+        arch.n_layers * self.len() * 2 * arch.d_model * std::mem::size_of::<f32>()
     }
 
     /// Clears every cached position while keeping the bound model and
@@ -544,7 +542,6 @@ impl KvCache {
     /// returning any block this was the last holder of to the pool.
     pub fn reset(&mut self) {
         self.table.blocks.clear();
-        self.len = 0;
         self.tokens.clear();
     }
 
@@ -610,11 +607,11 @@ impl KvCache {
     /// accepted) — sealed rows could only be re-opened by dequantizing,
     /// and the fork would no longer continue like a fresh prefill.
     pub fn fork_from(&self, positions: usize) -> Result<KvCache, NnError> {
-        if positions > self.len {
+        if positions > self.len() {
             return Err(NnError::BadSequence {
                 detail: format!(
                     "cannot fork {positions} positions from a cache holding {}",
-                    self.len
+                    self.len()
                 ),
             });
         }
@@ -626,7 +623,6 @@ impl KvCache {
         Ok(KvCache {
             model: Arc::clone(&self.model),
             table: self.table.fork_prefix(positions),
-            len: positions,
             tokens: self.tokens[..positions].to_vec(),
             score_buf: Vec::new(),
         })
@@ -731,12 +727,12 @@ impl KvCache {
                     detail: format!("session {i} is bound to a different model"),
                 });
             }
-            if s.len + chunk.len() > arch.max_seq_len {
+            if s.len() + chunk.len() > arch.max_seq_len {
                 return Err(NnError::BadSequence {
                     detail: format!(
                         "kv cache full: {} cached + {} new positions exceed the context \
                          window of {} (session {i})",
-                        s.len,
+                        s.len(),
                         chunk.len(),
                         arch.max_seq_len
                     ),
@@ -756,10 +752,10 @@ impl KvCache {
         let (d, n_heads, head_dim) = (arch.d_model, arch.n_heads, arch.head_dim());
         for i in 0..sessions.len() {
             let s = &mut *sessions[i];
-            if let Err(e) = s.table.reserve(s.len, chunks[i].len(), arch.n_layers, d) {
+            if let Err(e) = s.table.reserve(s.len(), chunks[i].len(), arch.n_layers, d) {
                 // `reserve` unwound its own session; unwind the earlier ones.
                 for s in &mut sessions[..i] {
-                    s.table.truncate(s.len);
+                    s.table.truncate(s.len());
                 }
                 return Err(e);
             }
@@ -768,7 +764,7 @@ impl KvCache {
         // Session-major stack of the new rows.
         let mut rows = Vec::with_capacity(chunks.iter().map(|c| c.len()).sum());
         for (s, chunk) in chunks.iter().enumerate() {
-            let base = sessions[s].len;
+            let base = sessions[s].len();
             rows.extend(chunk.iter().enumerate().map(|(j, &token)| Row {
                 s,
                 pos: base + j,
@@ -851,7 +847,6 @@ impl KvCache {
         }
 
         for (s, chunk) in sessions.iter_mut().zip(chunks) {
-            s.len += chunk.len();
             s.tokens.extend_from_slice(chunk);
         }
         Ok(out)
@@ -878,15 +873,15 @@ impl KvCache {
     /// drafts at the seal-free run after its committed token, so its
     /// rewinds always take the exact path. On error the cache is unchanged.
     pub(crate) fn truncate(&mut self, len: usize) -> Result<(), NnError> {
-        if len > self.len {
+        if len > self.len() {
             return Err(NnError::BadSequence {
                 detail: format!(
                     "cannot truncate to {len} positions, only {} cached",
-                    self.len
+                    self.len()
                 ),
             });
         }
-        if len == self.len {
+        if len == self.len() {
             return Ok(());
         }
         if self.cuts_sealed(len) {
@@ -896,7 +891,6 @@ impl KvCache {
         }
         self.table.truncate(len);
         self.tokens.truncate(len);
-        self.len = len;
         Ok(())
     }
 }

@@ -240,8 +240,10 @@ impl SpecDecoder {
     ///
     /// # Errors
     ///
-    /// Forwards target forward-pass failures, with [`StepDecoder::step`]'s
-    /// poisoned-session semantics. Draft failures never surface here.
+    /// Forwards target forward-pass failures. The session stays valid, as
+    /// after a failed [`StepDecoder::step_batch`]: a round's committed
+    /// `t0` is pending input for the target and is handed out by the next
+    /// call. Draft failures never surface here.
     pub fn step(&mut self) -> Result<Option<u32>, NnError> {
         if let Some(tok) = self.burst.pop_front() {
             return Ok(Some(tok));
@@ -270,7 +272,7 @@ impl SpecDecoder {
             // Plain step never feeds the final token; neither do we.
             return Ok(());
         }
-        let max_ctx = self.target.max_ctx;
+        let max_ctx = self.target.max_ctx();
         if self.target.cache.len() >= max_ctx {
             // Same slide point a plain step takes after committing t0.
             self.target.begin_slide();
@@ -384,7 +386,8 @@ impl SpecDecoder {
         } else {
             base + 1 + accepted
         };
-        self.target.cache.truncate(fed)?;
+        // Drafts stop at the seal-free run, so this rewind cannot fail.
+        self.target.cache.truncate(fed).expect("exact rewind");
         if !self.target.is_done() {
             // The verified row after the accepted prefix is exactly the
             // pending logits a plain decoder would hold now; on a
@@ -401,11 +404,13 @@ impl SpecDecoder {
 /// closure borrows only the fields it needs.
 ///
 /// Sync keeps the longest run of draft positions still matching
-/// `ctx[draft_base..]`, truncates any divergence (private caches rewind
-/// exactly anywhere), and feeds the missing tail. When the draft's own
-/// context window cannot hold the tail plus a round of proposals, the
-/// draft restarts on a recent window — draft state influences only the
-/// acceptance rate, never an output byte, so any window policy is sound.
+/// `ctx[draft_base..]`, short of the last context token, truncates the
+/// rest (private caches rewind exactly anywhere), and feeds the missing
+/// tail: at least one token, whose logits propose the first draft. When
+/// the draft's own context window cannot hold the tail plus a round of
+/// proposals, the draft restarts on a recent window — draft state
+/// influences only the acceptance rate, never an output byte, so any
+/// window policy is sound.
 fn draft_propose(
     draft: &mut KvCache,
     draft_base: &mut usize,
@@ -416,7 +421,7 @@ fn draft_propose(
     let kept = draft.tokens();
     let mut keep = 0usize;
     while keep < kept.len()
-        && *draft_base + keep < ctx.len()
+        && *draft_base + keep + 1 < ctx.len()
         && kept[keep] == ctx[*draft_base + keep]
     {
         keep += 1;
@@ -672,6 +677,22 @@ mod tests {
             Err(NnError::BadConfig { .. })
         ));
         assert!(SpecDecoder::new(mk(), &model, SPEC_K_MAX).is_ok());
+    }
+
+    #[test]
+    fn draft_propose_feeds_at_least_one_token_on_a_synced_draft() {
+        // The draft already holds the whole context: sync must still feed
+        // the last token, or there are no logits to propose from.
+        let model = trained_on(&[5, 6, 7, 8, 9]);
+        let ctx = [5u32, 6, 7, 8, 9, 5, 6, 7];
+        let mut draft = KvCache::new(&model);
+        draft.prefill(&ctx).expect("ok");
+        let mut draft_base = 0;
+        let drafts = draft_propose(&mut draft, &mut draft_base, &ctx, 1).expect("ok");
+        let cold = KvCache::new(&model).prefill(&ctx).expect("ok");
+        let want = ops::argmax(&cold).expect("vocab is non-empty") as u32;
+        assert_eq!(drafts, [want]);
+        assert_eq!(draft.tokens(), &ctx[..]);
     }
 
     #[test]

@@ -168,7 +168,8 @@ counter_table! {
     PrefixHits => prefix_hits,
     /// Prompt tokens whose prefill was skipped thanks to prefix hits.
     PrefixTokensReused => prefix_tokens_reused,
-    /// Prefill chunks processed, initial prompts and window-slide replays.
+    /// Prefill chunks processed: initial prompts, window-slide replays, and
+    /// tokens re-fed after a decode step that failed without panicking.
     PrefillChunks => prefill_chunks,
     /// Draft tokens proposed (acceptance = accepted / proposed, at read time).
     DraftTokensProposed => draft_tokens_proposed,

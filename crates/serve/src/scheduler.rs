@@ -91,7 +91,11 @@
 //!
 //! Every decode step runs under [`std::panic::catch_unwind`], so a panic
 //! inside one session cancels *that* session with a structured
-//! [`ServeError::WorkerPanic`] while the worker moves on. A panic that
+//! [`ServeError::WorkerPanic`] while the worker moves on. A step that
+//! fails without panicking ends nobody: the decoder keeps the token it
+//! chose as pending input, and the member's next prefill chunk feeds it
+//! under its own guard, so an error ends only the session it belongs
+//! to. The decoder owns the transcript; an answer reads it. A panic that
 //! escapes the slice (the worker loop itself dying) is caught one level up
 //! and the worker re-enters its loop; the sessions it was holding are
 //! answered by their drop guard, never left hanging. A tick-based
@@ -290,7 +294,6 @@ struct Task {
     /// Absolute deadline ([`SessionRequest::deadline`]), compared by the
     /// round-boundary sweep only.
     deadline: Option<Instant>,
-    produced: Vec<u32>,
     /// Taken by [`Task::answer`]: a session is answered at most once.
     reply: Option<Sender<SessionOutcome>>,
     admitted: Instant,
@@ -327,14 +330,22 @@ impl Task {
         m.add(Counter::SpecFallbacks, stats.fallbacks);
     }
 
+    /// Tokens committed and positions cached: the watchdog counts a slice
+    /// that changes either as progress.
+    fn progress(&self) -> (usize, usize) {
+        match &self.state {
+            TaskState::Live(d) => (d.target().emitted(), d.target().cache().len()),
+            _ => (0, 0),
+        }
+    }
+
     /// The payload of a session whose decoder reported completion, as of
     /// the round boundary `now` that answers it.
     fn result(&mut self, now: Instant) -> SessionResult {
-        let eos = self
-            .decoder_mut()
-            .is_some_and(|d| d.target().stopped_at_eos());
+        let target = self.decoder_mut().map(|d| d.target());
+        let eos = target.is_some_and(StepDecoder::stopped_at_eos);
         SessionResult {
-            tokens: std::mem::take(&mut self.produced),
+            tokens: target.map_or_else(Vec::new, |t| t.generated().to_vec()),
             finish: if eos {
                 FinishReason::Eos
             } else {
@@ -507,7 +518,6 @@ impl Inner {
             tag: req.tag.clone(),
             deadline: req.deadline,
             state: TaskState::Pending(req),
-            produced: Vec::new(),
             reply: Some(tx),
             admitted: now,
             queue_us: 0,
@@ -684,10 +694,8 @@ fn worker_loop(inner: &Inner) {
 /// One member of a slice: the task plus what this slice has seen of it.
 struct Member {
     task: Task,
-    /// `produced.len()` at slice start, for the zero-progress watchdog.
-    before: usize,
-    /// Whether this slice ran a prefill chunk: progress, for the watchdog.
-    prefilled: bool,
+    /// [`Task::progress`] at slice start, for the zero-progress watchdog.
+    before: (usize, usize),
     /// Injected stall: sit out this slice, then take a watchdog tick.
     stalled: bool,
     end: MemberEnd,
@@ -715,17 +723,16 @@ impl Member {
             .filter(|d| !d.target().is_prefilling())
     }
 
-    /// Records one step's outcome: a token (the member ends if it was the
-    /// last) or an error.
-    fn commit(&mut self, step: Result<Option<u32>, ServeError>) {
-        match step {
-            Err(e) => self.end = MemberEnd::Failed(e),
-            Ok(token) => {
-                self.task.produced.extend(token);
-                if self.task.decoder_mut().is_some_and(|d| d.is_done()) {
-                    self.end = MemberEnd::Done;
-                }
-            }
+    /// Records the outcome of a decode step the member took part in. A
+    /// panic ends it. Any other error leaves its chosen token pending, for
+    /// the next slice's prefill step to feed under its own guard. Either
+    /// way it is done once it has handed out its last token.
+    fn settle(&mut self, step: &Result<(), ServeError>) {
+        if let Err(ServeError::WorkerPanic { detail }) = step {
+            let detail = detail.clone();
+            self.end = MemberEnd::Failed(ServeError::WorkerPanic { detail });
+        } else if self.task.decoder_mut().is_some_and(|d| d.is_done()) {
+            self.end = MemberEnd::Done;
         }
     }
 }
@@ -735,9 +742,10 @@ impl Member {
 /// most one prefill chunk per member, and every later step is one decode
 /// round. No lock is held while decoding, so a panic cannot poison the
 /// queue. Faults are *per member*: each resolution, prefill chunk and
-/// speculative step runs under its own panic guard. The one batch-wide
-/// hazard is a failure inside the joint batched step, which cannot be
-/// attributed to one of several steppers, so it cancels them all.
+/// speculative step runs under its own panic guard. Of the joint batched
+/// step's failures, only a panic is batch-wide: it cannot be attributed
+/// to one of several steppers, so it cancels them all. Any other error
+/// ends nobody (see [`Member::settle`]).
 struct Slice {
     members: Vec<Member>,
     /// Steps taken so far.
@@ -753,9 +761,8 @@ impl Slice {
         let members = batch
             .into_iter()
             .map(|task| Member {
-                before: task.produced.len(),
+                before: task.progress(),
                 task,
-                prefilled: false,
                 stalled: false,
                 end: MemberEnd::Live,
             })
@@ -862,10 +869,7 @@ impl Slice {
             };
             match guarded(inner, || run_prefill_chunk(inner, decoder.target_mut())) {
                 Err(e) => m.end = MemberEnd::Failed(e),
-                Ok(()) => {
-                    m.prefilled = true;
-                    chunks += 1;
-                }
+                Ok(()) => chunks += 1,
             }
         }
         if chunks > 0 {
@@ -890,18 +894,18 @@ impl Slice {
     /// One decode round. Live, non-stalled, fully prefilled *plain*
     /// members advance together through one batched step; *speculative*
     /// members advance one token each under their own guard (a
-    /// speculative round is per-session work, so its panics and errors are
-    /// attributable — no batch-wide hazard). A member whose step defers a
-    /// window slide turns `is_prefilling` on and drops out of later
-    /// rounds; its replay is chunked on subsequent slices like any other
-    /// prefill.
+    /// speculative round is per-session work, so its panics are
+    /// attributable). A member whose step defers a window slide, or fails
+    /// without panicking, turns `is_prefilling` on and drops out of later
+    /// rounds; its pending input is chunked on subsequent slices like any
+    /// other prefill.
     fn decode_round(&mut self, inner: &Inner) {
         for m in &mut self.members {
             let Some(SessionDecoder::Spec(spec)) = m.runnable() else {
                 continue;
             };
-            let step = guarded(inner, || spec.step().map_err(ServeError::from));
-            m.commit(step);
+            let step = guarded(inner, || spec.step().map(drop).map_err(ServeError::from));
+            m.settle(&step);
         }
         let mut stepped: Vec<usize> = Vec::new();
         let mut steppers: Vec<&mut StepDecoder> = Vec::new();
@@ -915,41 +919,24 @@ impl Slice {
             return;
         }
         let round = guarded(inner, || {
-            StepDecoder::step_batch(&mut steppers).map_err(ServeError::from)
+            StepDecoder::step_batch(&mut steppers)
+                .map(drop)
+                .map_err(ServeError::from)
         });
         drop(steppers);
-        match round {
-            Ok(tokens) => {
-                for (&i, token) in stepped.iter().zip(tokens) {
-                    self.members[i].commit(Ok(token));
-                }
-            }
-            Err(e) if stepped.len() == 1 => self.members[stepped[0]].end = MemberEnd::Failed(e),
-            Err(e) => {
-                // A panic or an error in a joint step of several members is
-                // unattributable: a member may hold a committed but
-                // unadvanced token. Cancel everyone who was stepping.
-                for &i in &stepped {
-                    self.members[i].end = MemberEnd::Failed(match &e {
-                        ServeError::WorkerPanic { detail } => ServeError::WorkerPanic {
-                            detail: detail.clone(),
-                        },
-                        e => ServeError::Internal {
-                            detail: format!("batched decode step failed: {e}"),
-                        },
-                    });
-                }
-            }
+        for i in stepped {
+            self.members[i].settle(&round);
         }
     }
 
-    /// Ends the slice: the watchdog ticks every member that made no
-    /// progress (injected stalls always; a cooperative decoder possibly —
-    /// a prefill chunk counts as progress), and the survivors requeue in
-    /// their batch order.
+    /// Ends the slice: the watchdog ticks every member whose decoder
+    /// neither committed a token nor cached a position (injected stalls
+    /// always; a speculative member that only handed out buffered tokens
+    /// too, at most `SPEC_K_MAX` < `STALL_SLICES` slices in a row), and the
+    /// survivors requeue in their batch order.
     fn end(&mut self, inner: &Inner) {
         for mut m in self.members.drain(..) {
-            if m.task.produced.len() > m.before || m.prefilled {
+            if m.task.progress() != m.before {
                 m.task.stalled_slices = 0;
             } else {
                 m.task.stalled_slices += 1;
@@ -1710,9 +1697,8 @@ mod tests {
                 ..request(&m, 8, None)
             })
             .expect("admit");
-        // A batch of one owns its step's error: the structured pool error
-        // (overloaded wire class, so clients back off), not the
-        // unattributable-joint-step `Internal`.
+        // The session owns its step's error: the structured pool error
+        // (overloaded wire class, so clients back off).
         match rx.recv().expect("outcome") {
             Err(e @ ServeError::Nn(NnError::PoolExhausted { .. })) => {
                 assert_eq!(e.code(), crate::protocol::ErrorCode::Overloaded);
@@ -1720,6 +1706,51 @@ mod tests {
             other => panic!("expected mid-decode pool exhaustion, got {other:?}"),
         }
         scheduler.join();
+    }
+
+    #[test]
+    fn a_joint_step_that_runs_the_pool_dry_ends_only_the_member_left_short() {
+        use chipalign_nn::{KvPoolConfig, NnError};
+        let m = model();
+        // One-token blocks. Each session feeds its 3-token prompt and 7 of
+        // its 8 tokens (the last is never fed): 10 blocks, 20 for both.
+        // The pool is one short, so a joint decode step runs it dry.
+        let pool = KvPool::new(KvPoolConfig {
+            block_tokens: 1,
+            max_blocks: 19,
+            ..KvPoolConfig::default()
+        })
+        .expect("pool");
+        let scheduler = stepped(batched(1, 2));
+        let mut clock = Clock::new();
+        let prompts = [vec![5, 6, 7], vec![9, 10, 11]];
+        let receivers: Vec<_> = prompts
+            .iter()
+            .map(|prompt| {
+                let req = SessionRequest {
+                    prompt: prompt.clone(),
+                    pool: Some(Arc::clone(&pool)),
+                    ..request(&m, 8, None)
+                };
+                clock.submit(&scheduler, req).expect("admit")
+            })
+            .collect();
+        clock.run(&scheduler);
+        let mut short = 0;
+        for (rx, prompt) in receivers.into_iter().zip(&prompts) {
+            match rx.try_recv().expect("answered") {
+                Ok(result) => assert_eq!(result.tokens, reference(&m, prompt, 8)),
+                Err(e @ ServeError::Nn(NnError::PoolExhausted { .. })) => {
+                    assert_eq!(e.code(), crate::protocol::ErrorCode::Overloaded);
+                    short += 1;
+                }
+                Err(e) => panic!("prompt {prompt:?} failed: {e}"),
+            }
+        }
+        assert_eq!(short, 1, "exactly one member is left short");
+        let snap = scheduler.inner.metrics.snapshot();
+        assert_eq!((snap.completed, snap.failed), (1, 1));
+        assert_eq!(scheduler.active(), 0);
     }
 
     #[test]
@@ -1838,7 +1869,7 @@ mod tests {
         assert!(clock.slice.is_none(), "A's slice ends at the next boundary");
         let requeued = lock_queue(&scheduler.inner);
         assert_eq!(requeued.len(), 2);
-        assert_eq!(requeued[1].produced.len(), 2, "A requeued behind B");
+        assert_eq!(requeued[1].progress().0, 2, "A requeued behind B");
         drop(requeued);
         assert!(clock.step(&scheduler));
         assert_eq!(clock.members(), 2, "B and A share the next batch");
@@ -2264,10 +2295,6 @@ mod tests {
                                 | ServeError::ShuttingDown
                                 | ServeError::Nn(NnError::PoolExhausted { .. }),
                             ) => {}
-                            // A joint step of several members that runs a
-                            // pool dry cancels all of them.
-                            Err(ServeError::Internal { detail })
-                                if detail.contains("kv pool exhausted") => {}
                             Err(e) => panic!("session {} failed: {e}", a.plan),
                         }
                     }

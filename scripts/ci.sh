@@ -89,6 +89,14 @@ if grep -qE 'thread::sleep|yield_now' <<<"$sched_tests"; then
   echo "ci: $sched's tests sleep or spin; step the scheduler on a virtual clock" >&2
   exit 1
 fi
+# One transcript: the decoder owns it (`StepDecoder::generated`), and a
+# step that fails without panicking leaves every session resumable, so
+# outside its tests the scheduler keeps no token buffer of its own and
+# never makes up an `internal` error for a healthy batch-mate.
+if grep -qE 'ServeError::Internal|produced: *Vec<' <<<"$sched_body"; then
+  echo "ci: $sched keeps a second transcript or ends a session as internal; read the decoder's" >&2
+  exit 1
+fi
 # Non-test lines per crate: every line above a file's `#[cfg(test)] mod`
 # block (a whole file when it has none), then their total. These are the
 # sizes ROADMAP quotes.
